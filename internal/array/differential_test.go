@@ -179,29 +179,3 @@ func TestParetoDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestForceExhaustiveEnv pins the COLDTALL_SEARCH=exhaustive escape hatch:
-// with the flag forced, OptimizeWithStats must take the reference path (no
-// pruning in stats) and still select the identical result.
-func TestForceExhaustiveEnv(t *testing.T) {
-	old := forceExhaustive
-	defer func() { forceExhaustive = old }()
-
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	forceExhaustive = false
-	pruned, _, err := OptimizeWithStats(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("pruned: %v", err)
-	}
-	forceExhaustive = true
-	ref, stats, err := OptimizeWithStats(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("forced exhaustive: %v", err)
-	}
-	if stats.Pruned != 0 || stats.Characterized != 0 {
-		t.Errorf("forced exhaustive path reported pruned-search stats: %+v", stats)
-	}
-	if pruned != ref {
-		t.Errorf("escape hatch changed the selection:\npruned:     %+v\nexhaustive: %+v", pruned, ref)
-	}
-}

@@ -3,7 +3,6 @@ package array
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -43,9 +42,9 @@ func candidates() []Organization {
 // first, or in the ranking a neighboring design point established), and a
 // per-family ranking memo carries orderings across temperatures and die
 // counts. Pruning is an evaluation-order optimization only — the selected
-// Result is bit-identical to the exhaustive reference (optimizeExhaustive,
-// pinned by the differential harness in differential_test.go and by
-// `make prunecheck`). Infeasible organizations are skipped, not errors.
+// Result is bit-identical to the exhaustive reference (optimizeExhaustive in
+// oracle_test.go, pinned by the differential harness in differential_test.go
+// and by `make prunecheck`). Infeasible organizations are skipped, not errors.
 func Optimize(cfg Config) (Result, error) {
 	return OptimizeContext(context.Background(), cfg)
 }
@@ -89,55 +88,12 @@ func (s SearchStats) PruneRate() float64 {
 	return float64(s.Pruned) / float64(feasible)
 }
 
-// forceExhaustive disables pruning when COLDTALL_SEARCH=exhaustive is set —
-// an operational escape hatch that also lets the differential scripts run
-// whole studies through the reference path.
-var forceExhaustive = os.Getenv("COLDTALL_SEARCH") == "exhaustive"
-
 // OptimizeWithStats is OptimizeContext exposing the search instrumentation.
 func OptimizeWithStats(ctx context.Context, cfg Config) (Result, SearchStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, SearchStats{}, err
 	}
-	if forceExhaustive {
-		r, err := optimizeExhaustive(ctx, cfg)
-		return r, SearchStats{SpaceSize: SearchSpaceSize()}, err
-	}
 	return optimizePruned(ctx, cfg)
-}
-
-// optimizeExhaustive is the reference search: characterize every candidate
-// on the shared worker pool and reduce sequentially over the fixed
-// enumeration order. It is kept verbatim as the ground truth the pruned
-// path is differenced against; it must select the first candidate (in
-// enumeration order) attaining the minimum objective, i.e. the
-// lexicographic minimum by (objective, enumeration index).
-func optimizeExhaustive(ctx context.Context, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	orgs := candidates()
-	results := characterizeAll(ctx, cfg, orgs)
-	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
-	}
-
-	var best Result
-	found := false
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if !found || r.objective(cfg.Target) < best.objective(cfg.Target) {
-			best = *r
-			found = true
-		}
-	}
-	if !found {
-		return Result{}, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
-			cfg.Cell.Name, cfg.CapacityBytes)
-	}
-	return best, nil
 }
 
 // searchCandidate is one feasible organization staged for the pruned walk.
@@ -171,9 +127,13 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 	bc, err := newBoundContext(cfg)
 	if err != nil {
 		// The bound needs the same corner and wires Characterize needs;
-		// if they cannot be built the reference path fails identically.
-		r, err := optimizeExhaustive(ctx, cfg)
-		return r, stats, err
+		// if they cannot be built no organization characterizes, so fail
+		// exactly as a full sweep would.
+		if err := ctx.Err(); err != nil {
+			return Result{}, stats, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
+		}
+		return Result{}, stats, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
+			cfg.Cell.Name, cfg.CapacityBytes)
 	}
 	orgs := candidates()
 	feas := make([]searchCandidate, 0, len(orgs))
@@ -345,8 +305,8 @@ func resetSearchMemo() {
 
 // characterizeAll evaluates every candidate organization on the shared
 // worker pool, returning results indexed by enumeration position (nil for
-// infeasible organizations). The exhaustive reference and Pareto (which
-// needs every feasible point, so it cannot prune) both reduce over this.
+// infeasible organizations). Pareto (which needs every feasible point, so
+// it cannot prune) and the exhaustive test reference both reduce over this.
 func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Result {
 	results := make([]*Result, len(orgs))
 	// Per-item errors mean "infeasible, skip" here, so fn never fails;
@@ -430,7 +390,7 @@ func tripleOf(r Result) objTriple {
 // queried before insertion, preserving the quadratic filter's rule that
 // exact duplicates do not dominate each other (a distinct triple that is
 // <= component-wise is < somewhere, hence dominates). The quadratic
-// reference survives as paretoFrontQuadratic, pinned equal by
+// reference, paretoFrontQuadratic in oracle_test.go, is pinned equal by
 // TestParetoFilterEquivalence.
 func dominatedFlags(all []Result) []bool {
 	n := len(all)
@@ -504,37 +464,4 @@ func (s *staircase) insert(e, f float64) {
 	}
 	s.e = append(s.e[:k], append([]float64{e}, s.e[drop:]...)...)
 	s.f = append(s.f[:k], append([]float64{f}, s.f[drop:]...)...)
-}
-
-// paretoFrontQuadratic is the original all-pairs dominance filter, retained
-// as the reference implementation the fast filter is differenced against.
-func paretoFrontQuadratic(all []Result) []Result {
-	var front []Result
-	for i, a := range all {
-		dominated := false
-		for j, b := range all {
-			if i == j {
-				continue
-			}
-			if dominates(b, a) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, a)
-		}
-	}
-	sort.Slice(front, func(i, j int) bool { return front[i].ReadLatency < front[j].ReadLatency })
-	return front
-}
-
-// dominates reports whether a is at least as good as b on every objective
-// and strictly better on at least one.
-func dominates(a, b Result) bool {
-	ea := (a.ReadEnergy + a.WriteEnergy) / 2
-	eb := (b.ReadEnergy + b.WriteEnergy) / 2
-	ge := a.ReadLatency <= b.ReadLatency && ea <= eb && a.FootprintM2 <= b.FootprintM2
-	gt := a.ReadLatency < b.ReadLatency || ea < eb || a.FootprintM2 < b.FootprintM2
-	return ge && gt
 }

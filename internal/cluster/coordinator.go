@@ -122,6 +122,10 @@ type Coordinator struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
+
+	// persistMu orders persistRun's snapshot-then-Put pairs, so an older
+	// lease table can never overwrite a newer one in the store.
+	persistMu sync.Mutex
 }
 
 type workerState struct {
@@ -521,6 +525,8 @@ func (c *Coordinator) persistRun(r *run) {
 	if c.opts.Store == nil {
 		return
 	}
+	c.persistMu.Lock()
+	defer c.persistMu.Unlock()
 	c.mu.Lock()
 	if r.finished {
 		c.mu.Unlock()

@@ -62,7 +62,10 @@ type Evaluation struct {
 // models change observable numbers — a persistent result store
 // (internal/store) keyed with the old stamp is then invalidated wholesale
 // instead of serving stale physics.
-const ModelVersion = "coldtall-physics-v1"
+//
+// v2: DesignPoint.Key spells temperatures exactly; a v1 store may hold
+// results keyed by a rounded temperature that a fractional one would hit.
+const ModelVersion = "coldtall-physics-v2"
 
 // ResultStore is the optional persistence hook behind the characterization
 // cache: a disk-backed store (wired by the serving layer) that lets

@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -569,6 +570,53 @@ func TestCharacterizeCaches(t *testing.T) {
 	}
 	if a != b {
 		t.Error("cache should return identical results")
+	}
+}
+
+// TestKeyFractionalTemperature pins the exact temperature spelling in
+// Key: 349.9 K characterized after 350 K gets its own cache entry and
+// result, while every grid temperature keeps its historical integer
+// spelling (so persisted keys of the paper grid carry over).
+func TestKeyFractionalTemperature(t *testing.T) {
+	hot, err := ParsePoint(PointSpec{Cell: "SRAM", TemperatureK: 350})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, err := ParsePoint(PointSpec{Cell: "SRAM", TemperatureK: 349.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := near.Key(), "sram-6t|SRAM|349.9|1|tsv|0|"; got != want {
+		t.Errorf("349.9 K key = %q, want %q", got, want)
+	}
+	e := New()
+	hotRes, err := e.Characterize(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nearRes, err := e.Characterize(near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New().Characterize(near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nearRes != fresh {
+		t.Error("349.9 K after 350 K was served a different characterization than a cold explorer computes")
+	}
+	if nearRes == hotRes {
+		t.Error("349.9 K was served the 350 K characterization")
+	}
+
+	temps := append(cryo.EffectiveTemperatures(), cryo.DeepTemperatures()...)
+	for _, temp := range temps {
+		p := Baseline()
+		p.Temperature = temp
+		old := fmt.Sprintf("%s|%s|%.0f|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, temp, p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
+		if p.Key() != old {
+			t.Errorf("%g K key = %q, want the historical %q", temp, p.Key(), old)
+		}
 	}
 }
 

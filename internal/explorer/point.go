@@ -10,6 +10,7 @@ package explorer
 
 import (
 	"fmt"
+	"strconv"
 
 	"coldtall/internal/array"
 	"coldtall/internal/cell"
@@ -97,11 +98,14 @@ func (p DesignPoint) arrayConfig() array.Config {
 	return cfg
 }
 
-// Key returns a stable identity for caching. Points at the default 5 GHz
-// clock keep the historical key shape (no frequency segment), so every
-// cache entry persisted before the frequency axis existed stays valid.
+// Key returns a stable identity for caching. The temperature is spelled
+// exactly (shortest round-trip form), so 349.9 K and 350 K never share an
+// entry while integer temperatures keep their historical spelling. Points
+// at the default 5 GHz clock keep the historical key shape (no frequency
+// segment).
 func (p DesignPoint) Key() string {
-	k := fmt.Sprintf("%s|%s|%.0f|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, p.Temperature, p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
+	k := fmt.Sprintf("%s|%s|%s|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, strconv.FormatFloat(p.Temperature, 'g', -1, 64),
+		p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
 	if f := p.Frequency(); f != workload.DefaultFrequencyHz {
 		k += fmt.Sprintf("|f%.4g", f)
 	}

@@ -105,11 +105,13 @@ func (sp Spec) Class() Class {
 // resubmitting the same work returns the existing job instead of queueing a
 // duplicate.
 type Spec struct {
-	// Kind selects the computation: KindSweep or KindArtifact.
+	// Kind selects the computation (KindSweep, KindArtifact, ...).
 	Kind string `json:"kind"`
 
-	// Points and Benchmarks define a sweep grid (Kind == "sweep"); an
-	// empty benchmark list means all static benchmarks.
+	// Points and Benchmarks define the design-point grid of the
+	// characterize (one point), evaluate (one point, one benchmark) and
+	// sweep kinds; an empty sweep benchmark list means all static
+	// benchmarks. Grid interprets them.
 	Points     []explorer.PointSpec `json:"points,omitempty"`
 	Benchmarks []string             `json:"benchmarks,omitempty"`
 
@@ -125,40 +127,19 @@ type Spec struct {
 	Ingest *ingest.Spec `json:"ingest,omitempty"`
 }
 
-// sweepGridLimit mirrors the synchronous endpoint's bound: a job is
-// long-running, not unbounded.
+// sweepGridLimit bounds a sweep's grid, synchronous or async: requests
+// beyond it are a client error, not a reason to let a single call
+// monopolize the pool.
 const sweepGridLimit = 64
 
-// Validate checks the spec against the static workload table. Managers
-// with a dynamic registry attached validate through ValidateWith instead,
-// so sweeps and restricted artifact jobs can also name ingested
-// workloads.
-func (sp Spec) Validate() error {
-	return sp.ValidateWith(workload.StaticTrafficFor)
-}
-
-// ValidateWith checks the spec, resolving sweep points with the explorer's
-// parser and benchmark/workload names through resolve (the same paths the
-// synchronous endpoints use, so a spec rejected here would have been
-// rejected there too).
+// ValidateWith checks the spec, resolving benchmark/workload names through
+// resolve. Design-point kinds are checked by Grid, the same interpretation
+// the synchronous endpoints apply.
 func (sp Spec) ValidateWith(resolve func(string) (workload.Traffic, error)) error {
 	switch sp.Kind {
-	case KindSweep:
-		if len(sp.Points) == 0 {
-			return fmt.Errorf("job: sweep needs at least one design point")
-		}
-		if len(sp.Points) > sweepGridLimit || len(sp.Benchmarks) > sweepGridLimit {
-			return fmt.Errorf("job: sweep grid too large: at most %d points and %d benchmarks", sweepGridLimit, sweepGridLimit)
-		}
-		for i, spec := range sp.Points {
-			if _, err := explorer.ParsePoint(spec); err != nil {
-				return fmt.Errorf("job: points[%d]: %w", i, err)
-			}
-		}
-		for i, name := range sp.Benchmarks {
-			if _, err := resolve(name); err != nil {
-				return fmt.Errorf("job: benchmarks[%d]: %w", i, err)
-			}
+	case KindSweep, KindCharacterize, KindEvaluate:
+		if _, _, err := sp.Grid(resolve); err != nil {
+			return fmt.Errorf("job: %w", err)
 		}
 		return nil
 	case KindArtifact:
@@ -176,25 +157,6 @@ func (sp Spec) ValidateWith(resolve func(string) (workload.Traffic, error)) erro
 			return fmt.Errorf("job: ingest job needs an ingest spec")
 		}
 		return sp.Ingest.Validate()
-	case KindCharacterize:
-		if len(sp.Points) != 1 {
-			return fmt.Errorf("job: characterize needs exactly one design point")
-		}
-		if _, err := explorer.ParsePoint(sp.Points[0]); err != nil {
-			return fmt.Errorf("job: point: %w", err)
-		}
-		return nil
-	case KindEvaluate:
-		if len(sp.Points) != 1 || len(sp.Benchmarks) != 1 {
-			return fmt.Errorf("job: evaluate needs exactly one design point and one benchmark")
-		}
-		if _, err := explorer.ParsePoint(sp.Points[0]); err != nil {
-			return fmt.Errorf("job: point: %w", err)
-		}
-		if _, err := resolve(sp.Benchmarks[0]); err != nil {
-			return fmt.Errorf("job: benchmark: %w", err)
-		}
-		return nil
 	case KindDistill:
 		if sp.Workload == "" {
 			return fmt.Errorf("job: distill job needs a workload name")
@@ -206,6 +168,79 @@ func (sp Spec) ValidateWith(resolve func(string) (workload.Traffic, error)) erro
 	default:
 		return fmt.Errorf("job: unknown kind %q (want %q, %q, %q, %q, %q, or %q)", sp.Kind, KindSweep, KindArtifact, KindIngest, KindCharacterize, KindEvaluate, KindDistill)
 	}
+}
+
+// Grid interprets a characterize, evaluate or sweep spec: it parses the
+// design points and resolves the benchmark names through resolve, an empty
+// sweep benchmark list meaning every static benchmark. Both the
+// synchronous endpoints and the job runners call it, so the two surfaces
+// accept the same requests and reject the rest with the same messages.
+func (sp Spec) Grid(resolve func(string) (workload.Traffic, error)) ([]explorer.DesignPoint, []workload.Traffic, error) {
+	switch sp.Kind {
+	case KindCharacterize:
+		if len(sp.Points) != 1 {
+			return nil, nil, fmt.Errorf("characterize needs exactly one design point")
+		}
+	case KindEvaluate:
+		if len(sp.Points) != 1 || len(sp.Benchmarks) != 1 {
+			return nil, nil, fmt.Errorf("evaluate needs exactly one design point and one benchmark")
+		}
+	case KindSweep:
+		if len(sp.Points) == 0 {
+			return nil, nil, fmt.Errorf("sweep needs at least one design point")
+		}
+		if len(sp.Points) > sweepGridLimit || len(sp.Benchmarks) > sweepGridLimit {
+			return nil, nil, fmt.Errorf("sweep grid too large: at most %d points and %d benchmarks per request", sweepGridLimit, sweepGridLimit)
+		}
+	default:
+		return nil, nil, fmt.Errorf("a %s job has no design-point grid", sp.Kind)
+	}
+	// A sweep names the offending list element; the single-point kinds
+	// report the parse or lookup error as is.
+	at := func(list string, i int, err error) error {
+		if sp.Kind == KindSweep {
+			return fmt.Errorf("%s[%d]: %w", list, i, err)
+		}
+		return err
+	}
+	points := make([]explorer.DesignPoint, len(sp.Points))
+	for i, spec := range sp.Points {
+		p, err := explorer.ParsePoint(spec)
+		if err != nil {
+			return nil, nil, at("points", i, err)
+		}
+		points[i] = p
+	}
+	if sp.Kind == KindCharacterize {
+		return points, nil, nil
+	}
+	if len(sp.Benchmarks) == 0 {
+		return points, workload.StaticTraffic(), nil
+	}
+	traffics := make([]workload.Traffic, len(sp.Benchmarks))
+	for i, name := range sp.Benchmarks {
+		tr, err := resolve(name)
+		if err != nil {
+			return nil, nil, at("benchmarks", i, err)
+		}
+		traffics[i] = tr
+	}
+	return points, traffics, nil
+}
+
+// Cells is the spec's size in grid cells: points x benchmarks for a sweep
+// (an empty benchmark list counting every static benchmark, as in Grid),
+// one for every other kind. It is a job's initial progress total and the
+// price tenant budgets charge for a sweep.
+func (sp Spec) Cells() int {
+	if sp.Kind != KindSweep {
+		return 1
+	}
+	benches := len(sp.Benchmarks)
+	if benches == 0 {
+		benches = len(workload.StaticTraffic())
+	}
+	return len(sp.Points) * benches
 }
 
 // id derives the deterministic job ID: "j" plus 16 hex characters of the

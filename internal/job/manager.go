@@ -18,7 +18,6 @@ import (
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
 	"coldtall/internal/parallel"
-	"coldtall/internal/report"
 	"coldtall/internal/signature"
 	"coldtall/internal/store"
 	"coldtall/internal/workload"
@@ -276,15 +275,8 @@ func (m *Manager) liveJobsLocked(owner string) int {
 }
 
 func (m *Manager) newJob(id string, spec Spec) *Job {
-	total := 1
-	switch {
-	case spec.Kind == KindSweep:
-		benches := len(spec.Benchmarks)
-		if benches == 0 {
-			benches = len(workload.StaticTraffic())
-		}
-		total = len(spec.Points) * benches
-	case spec.Kind == KindIngest && spec.Ingest != nil && spec.Ingest.Generator != nil:
+	total := spec.Cells()
+	if spec.Kind == KindIngest && spec.Ingest != nil && spec.Ingest.Generator != nil {
 		// Generator specs know their length up front; trace uploads learn
 		// theirs at the first progress report.
 		total = spec.Ingest.Generator.Accesses
@@ -730,10 +722,12 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	}
 }
 
-// setResult records the payload before the done transition persists it.
+// setResult records the payload and completes the job's progress before
+// the done transition persists it.
 func (m *Manager) setResult(j *Job, body []byte, ctype string) {
 	j.mu.Lock()
 	j.result, j.ctype = body, ctype
+	j.done = j.total
 	j.mu.Unlock()
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Put(resultKey(j.id), body); err != nil {
@@ -742,35 +736,20 @@ func (m *Manager) setResult(j *Job, body []byte, ctype string) {
 	}
 }
 
-// runArtifact builds one registry artifact as CSV through the exact
-// pipeline the synchronous endpoint uses (Study.ArtifactTable or, with a
-// restricting workload, RenderWorkloadArtifactCSV), so the async payload
-// is byte-identical to the synchronous response.
+// runArtifact builds one registry artifact as CSV (restricted to the
+// spec's workload when set) through ArtifactCSV, the renderer the
+// synchronous artifact routes serve, so the payloads are byte-identical.
 func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 	if m.opts.Distributor != nil {
 		if err := m.distributeArtifactChars(ctx, j); err != nil {
 			return err
 		}
 	}
-	st := m.study.WithContext(ctx)
-	var b strings.Builder
-	if j.spec.Workload != "" {
-		if err := st.RenderWorkloadArtifactCSV(&b, j.spec.Artifact, j.spec.Workload); err != nil {
-			return err
-		}
-	} else {
-		t, err := st.ArtifactTable(j.spec.Artifact)
-		if err != nil {
-			return err
-		}
-		if err := t.RenderCSV(&b); err != nil {
-			return err
-		}
+	body, err := ArtifactCSV(m.study.WithContext(ctx), j.spec.Artifact, j.spec.Workload)
+	if err != nil {
+		return err
 	}
-	m.setResult(j, []byte(b.String()), "text/csv; charset=utf-8")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
+	m.setResult(j, body, "text/csv; charset=utf-8")
 	return nil
 }
 
@@ -804,9 +783,6 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 		return err
 	}
 	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
 	return nil
 }
 
@@ -825,135 +801,45 @@ func (m *Manager) runDistill(ctx context.Context, j *Job) error {
 		return err
 	}
 	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
 	return nil
-}
-
-// charRow mirrors the synchronous /v1/characterize response shape, so
-// the async form's payload is byte-identical to the endpoint's.
-type charRow struct {
-	Point                 string   `json:"point"`
-	Key                   string   `json:"key"`
-	Organization          string   `json:"organization"`
-	ReadLatencyS          float64  `json:"read_latency_s"`
-	WriteLatencyS         float64  `json:"write_latency_s"`
-	RandomCycleS          float64  `json:"random_cycle_s"`
-	ReadEnergyJ           float64  `json:"read_energy_j"`
-	WriteEnergyJ          float64  `json:"write_energy_j"`
-	LeakageW              float64  `json:"leakage_w"`
-	RefreshW              float64  `json:"refresh_w"`
-	RetentionS            *float64 `json:"retention_s"`
-	FootprintM2           float64  `json:"footprint_m2"`
-	TotalSiliconM2        float64  `json:"total_silicon_m2"`
-	ArrayEfficiency       float64  `json:"array_efficiency"`
-	BandwidthAccessesPerS float64  `json:"bandwidth_accesses_per_s"`
 }
 
 // runCharacterize computes one design point's characterization — the
 // interactive job class's cheapest unit of work (one optimizer search,
 // warm from the shared explorer cache when the sync path already did it).
 func (m *Manager) runCharacterize(ctx context.Context, j *Job) error {
-	p, err := explorer.ParsePoint(j.spec.Points[0])
+	points, _, err := j.spec.Grid(m.trafficFor)
 	if err != nil {
 		return err
 	}
-	res, err := m.study.Explorer().CharacterizeContext(ctx, p)
+	res, err := m.study.Explorer().CharacterizeContext(ctx, points[0])
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(charRow{
-		Point:                 p.Label,
-		Key:                   p.Key(),
-		Organization:          res.Org.String(),
-		ReadLatencyS:          res.ReadLatency,
-		WriteLatencyS:         res.WriteLatency,
-		RandomCycleS:          res.RandomCycle,
-		ReadEnergyJ:           res.ReadEnergy,
-		WriteEnergyJ:          res.WriteEnergy,
-		LeakageW:              res.LeakagePower,
-		RefreshW:              res.RefreshPower,
-		RetentionS:            report.FiniteOrNull(res.Retention),
-		FootprintM2:           res.FootprintM2,
-		TotalSiliconM2:        res.TotalSiliconM2,
-		ArrayEfficiency:       res.ArrayEfficiency,
-		BandwidthAccessesPerS: res.BandwidthAccesses,
-	})
+	body, err := CharacterizeJSON(points[0], res)
 	if err != nil {
 		return err
 	}
 	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
 	return nil
 }
 
-// runEvaluate computes one (point, benchmark) cell, reusing the sweep
-// row DTO (it mirrors the synchronous /v1/evaluate response shape).
+// runEvaluate computes one (point, benchmark) cell.
 func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
-	p, err := explorer.ParsePoint(j.spec.Points[0])
+	points, traffics, err := j.spec.Grid(m.trafficFor)
 	if err != nil {
 		return err
 	}
-	tr, err := m.trafficFor(j.spec.Benchmarks[0])
+	ev, err := m.evalWithRetry(ctx, points[0], traffics[0])
 	if err != nil {
 		return err
 	}
-	ev, err := m.evalWithRetry(ctx, p, tr)
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(rowDTO(ev))
+	body, err := EvaluateJSON(ev)
 	if err != nil {
 		return err
 	}
 	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
 	return nil
-}
-
-// sweepRow mirrors the synchronous /v1/sweep row shape.
-type sweepRow struct {
-	Point            string   `json:"point"`
-	Benchmark        string   `json:"benchmark"`
-	ReadsPerSec      float64  `json:"reads_per_sec"`
-	WritesPerSec     float64  `json:"writes_per_sec"`
-	DevicePowerW     float64  `json:"device_power_w"`
-	CoolingPowerW    float64  `json:"cooling_power_w"`
-	TotalPowerW      float64  `json:"total_power_w"`
-	AggregateLatency float64  `json:"aggregate_latency"`
-	Utilization      float64  `json:"utilization"`
-	ContentionFactor float64  `json:"contention_factor"`
-	Slowdown         bool     `json:"slowdown"`
-	LifetimeYears    *float64 `json:"lifetime_years"`
-}
-
-// sweepResult is the persisted JSON payload of a finished sweep job.
-type sweepResult struct {
-	Points     int        `json:"points"`
-	Benchmarks int        `json:"benchmarks"`
-	Rows       []sweepRow `json:"rows"`
-}
-
-func rowDTO(ev explorer.Evaluation) sweepRow {
-	return sweepRow{
-		Point:            ev.Point.Label,
-		Benchmark:        ev.Traffic.Benchmark,
-		ReadsPerSec:      ev.Traffic.ReadsPerSec,
-		WritesPerSec:     ev.Traffic.WritesPerSec,
-		DevicePowerW:     ev.DevicePower,
-		CoolingPowerW:    ev.CoolingPower,
-		TotalPowerW:      ev.TotalPower,
-		AggregateLatency: ev.AggregateLatency,
-		Utilization:      ev.Utilization,
-		ContentionFactor: ev.ContentionFactor,
-		Slowdown:         ev.Slowdown,
-		LifetimeYears:    report.FiniteOrNull(ev.LifetimeYears),
-	}
 }
 
 // runSweep evaluates the grid with per-cell checkpointing: each completed
@@ -962,25 +848,9 @@ func rowDTO(ev explorer.Evaluation) sweepRow {
 // and dispatches only the remainder. Cell failures retry with capped
 // exponential backoff before failing the job.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
-	points := make([]explorer.DesignPoint, len(j.spec.Points))
-	for i, spec := range j.spec.Points {
-		p, err := explorer.ParsePoint(spec)
-		if err != nil {
-			return fmt.Errorf("points[%d]: %w", i, err)
-		}
-		points[i] = p
-	}
-	var traffics []workload.Traffic
-	if len(j.spec.Benchmarks) == 0 {
-		traffics = workload.StaticTraffic()
-	} else {
-		for i, name := range j.spec.Benchmarks {
-			tr, err := m.trafficFor(name)
-			if err != nil {
-				return fmt.Errorf("benchmarks[%d]: %w", i, err)
-			}
-			traffics = append(traffics, tr)
-		}
+	points, traffics, err := j.spec.Grid(m.trafficFor)
+	if err != nil {
+		return err
 	}
 	cols := len(traffics)
 	n := len(points) * cols
@@ -1035,7 +905,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 			return derr
 		}
 	}
-	err := parallel.ForEachProgressContext(ctx, len(rest), m.opts.Workers, func(k int) error {
+	err = parallel.ForEachProgressContext(ctx, len(rest), m.opts.Workers, func(k int) error {
 		cell := rest[k]
 		i, jx := cell/cols, cell%cols
 		ev, err := m.evalWithRetry(ctx, points[i], traffics[jx])
@@ -1057,11 +927,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		return err
 	}
 
-	res := sweepResult{Points: len(points), Benchmarks: cols}
-	for _, ev := range evals {
-		res.Rows = append(res.Rows, rowDTO(ev))
-	}
-	body, err := json.Marshal(res)
+	body, err := SweepJSON(len(points), cols, evals)
 	if err != nil {
 		return err
 	}

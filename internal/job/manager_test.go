@@ -494,9 +494,8 @@ func TestIngestJobRequiresRegistry(t *testing.T) {
 }
 
 // TestWorkloadArtifactJobMatchesSync: an artifact job restricted to an
-// ingested workload produces bytes identical to the synchronous
-// RenderWorkloadArtifactCSV path — the acceptance property for the
-// ingestion loop.
+// ingested workload produces bytes identical to the per-workload table's
+// CSV rendering — the acceptance property for the ingestion loop.
 func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 	reg := workload.NewRegistry()
 	m := newTestManager(t, Options{Workloads: reg})
@@ -520,8 +519,12 @@ func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 	if !ok || !strings.HasPrefix(ctype, "text/csv") {
 		t.Fatalf("Result: ok=%v ctype=%q", ok, ctype)
 	}
+	tab, err := m.study.WorkloadArtifactTable("fig5", "mine")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want strings.Builder
-	if err := m.study.RenderWorkloadArtifactCSV(&want, "fig5", "mine"); err != nil {
+	if err := tab.RenderCSV(&want); err != nil {
 		t.Fatal(err)
 	}
 	if string(body) != want.String() {

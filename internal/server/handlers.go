@@ -11,13 +11,10 @@ import (
 	"coldtall"
 	"coldtall/internal/array"
 	"coldtall/internal/explorer"
+	"coldtall/internal/job"
 	"coldtall/internal/report"
 	"coldtall/internal/workload"
 )
-
-// sweepGridLimit bounds one sweep request's grid: requests beyond it are a
-// client error, not a reason to let a single call monopolize the pool.
-const sweepGridLimit = 64
 
 // handleHealthz answers liveness probes; a draining server reports 503 so
 // load balancers stop routing to it while in-flight requests finish.
@@ -61,49 +58,15 @@ func badRequest(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
-// finiteOrNull maps +Inf (the model's "does not apply" value — SRAM
-// retention, non-wearing lifetime) to a JSON null. The policy lives in
-// internal/report so JSON null and the CSV "+Inf" spelling always cover
-// exactly the same values.
-func finiteOrNull(v float64) *float64 { return report.FiniteOrNull(v) }
-
-// characterizeResponse is the wire form of an array characterization.
-type characterizeResponse struct {
-	Point                 string   `json:"point"`
-	Key                   string   `json:"key"`
-	Organization          string   `json:"organization"`
-	ReadLatencyS          float64  `json:"read_latency_s"`
-	WriteLatencyS         float64  `json:"write_latency_s"`
-	RandomCycleS          float64  `json:"random_cycle_s"`
-	ReadEnergyJ           float64  `json:"read_energy_j"`
-	WriteEnergyJ          float64  `json:"write_energy_j"`
-	LeakageW              float64  `json:"leakage_w"`
-	RefreshW              float64  `json:"refresh_w"`
-	RetentionS            *float64 `json:"retention_s"` // null when static
-	FootprintM2           float64  `json:"footprint_m2"`
-	TotalSiliconM2        float64  `json:"total_silicon_m2"`
-	ArrayEfficiency       float64  `json:"array_efficiency"`
-	BandwidthAccessesPerS float64  `json:"bandwidth_accesses_per_s"`
-}
-
-func characterizeDTO(p explorer.DesignPoint, r array.Result) characterizeResponse {
-	return characterizeResponse{
-		Point:                 p.Label,
-		Key:                   p.Key(),
-		Organization:          r.Org.String(),
-		ReadLatencyS:          r.ReadLatency,
-		WriteLatencyS:         r.WriteLatency,
-		RandomCycleS:          r.RandomCycle,
-		ReadEnergyJ:           r.ReadEnergy,
-		WriteEnergyJ:          r.WriteEnergy,
-		LeakageW:              r.LeakagePower,
-		RefreshW:              r.RefreshPower,
-		RetentionS:            finiteOrNull(r.Retention),
-		FootprintM2:           r.FootprintM2,
-		TotalSiliconM2:        r.TotalSiliconM2,
-		ArrayEfficiency:       r.ArrayEfficiency,
-		BandwidthAccessesPerS: r.BandwidthAccesses,
+// grid interprets a design-point spec through the job layer's Grid — the
+// one parser the async job kinds share — answering 400 on a bad spec.
+func (s *Server) grid(w http.ResponseWriter, spec job.Spec) ([]explorer.DesignPoint, []workload.Traffic, bool) {
+	points, traffics, err := spec.Grid(s.workloads.Traffic)
+	if err != nil {
+		badRequest(w, err)
+		return nil, nil, false
 	}
+	return points, traffics, true
 }
 
 // handleCharacterize characterizes one design point: POST a PointSpec
@@ -113,18 +76,17 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &spec) {
 		return
 	}
-	p, err := explorer.ParsePoint(spec)
-	if err != nil {
-		badRequest(w, err)
+	points, _, ok := s.grid(w, job.Spec{Kind: job.KindCharacterize, Points: []explorer.PointSpec{spec}})
+	if !ok {
 		return
 	}
-	key := "characterize|" + p.Key()
-	s.serveCached(w, r, "application/json", key, 1, func(ctx context.Context) ([]byte, error) {
+	p := points[0]
+	s.serveCached(w, r, "application/json", "characterize|"+p.Key(), 1, func(ctx context.Context) ([]byte, error) {
 		res, err := s.study.Explorer().CharacterizeContext(ctx, p)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(characterizeDTO(p, res))
+		return job.CharacterizeJSON(p, res)
 	})
 }
 
@@ -134,62 +96,24 @@ type evaluateRequest struct {
 	Benchmark string             `json:"benchmark"`
 }
 
-// evaluateResponse is the wire form of one (point, benchmark) evaluation.
-type evaluateResponse struct {
-	Point            string   `json:"point"`
-	Benchmark        string   `json:"benchmark"`
-	ReadsPerSec      float64  `json:"reads_per_sec"`
-	WritesPerSec     float64  `json:"writes_per_sec"`
-	DevicePowerW     float64  `json:"device_power_w"`
-	CoolingPowerW    float64  `json:"cooling_power_w"`
-	TotalPowerW      float64  `json:"total_power_w"`
-	AggregateLatency float64  `json:"aggregate_latency"`
-	Utilization      float64  `json:"utilization"`
-	ContentionFactor float64  `json:"contention_factor"`
-	Slowdown         bool     `json:"slowdown"`
-	LifetimeYears    *float64 `json:"lifetime_years"` // null when unbounded
-}
-
-func evaluateDTO(ev explorer.Evaluation) evaluateResponse {
-	return evaluateResponse{
-		Point:            ev.Point.Label,
-		Benchmark:        ev.Traffic.Benchmark,
-		ReadsPerSec:      ev.Traffic.ReadsPerSec,
-		WritesPerSec:     ev.Traffic.WritesPerSec,
-		DevicePowerW:     ev.DevicePower,
-		CoolingPowerW:    ev.CoolingPower,
-		TotalPowerW:      ev.TotalPower,
-		AggregateLatency: ev.AggregateLatency,
-		Utilization:      ev.Utilization,
-		ContentionFactor: ev.ContentionFactor,
-		Slowdown:         ev.Slowdown,
-		LifetimeYears:    finiteOrNull(ev.LifetimeYears),
-	}
-}
-
 // handleEvaluate evaluates one design point under one benchmark's traffic.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req evaluateRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	p, err := explorer.ParsePoint(req.Point)
-	if err != nil {
-		badRequest(w, err)
+	points, traffics, ok := s.grid(w, job.Spec{Kind: job.KindEvaluate,
+		Points: []explorer.PointSpec{req.Point}, Benchmarks: []string{req.Benchmark}})
+	if !ok {
 		return
 	}
-	tr, err := s.workloads.Traffic(req.Benchmark)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	key := "evaluate|" + p.Key() + "|" + tr.Benchmark
-	s.serveCached(w, r, "application/json", key, 1, func(ctx context.Context) ([]byte, error) {
+	p, tr := points[0], traffics[0]
+	s.serveCached(w, r, "application/json", "evaluate|"+p.Key()+"|"+tr.Benchmark, 1, func(ctx context.Context) ([]byte, error) {
 		ev, err := s.study.Explorer().EvaluateContext(ctx, p, tr)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(evaluateDTO(ev))
+		return job.EvaluateJSON(ev)
 	})
 }
 
@@ -200,67 +124,39 @@ type sweepRequest struct {
 	Benchmarks []string             `json:"benchmarks,omitempty"`
 }
 
-// sweepResponse is the evaluated grid in row-major (point, benchmark)
-// order.
-type sweepResponse struct {
-	Points     int                `json:"points"`
-	Benchmarks int                `json:"benchmarks"`
-	Rows       []evaluateResponse `json:"rows"`
-}
-
 // handleSweep evaluates a points x benchmarks grid on the worker pool.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.Points) == 0 {
-		badRequest(w, fmt.Errorf("sweep needs at least one design point"))
+	spec := job.Spec{Kind: job.KindSweep, Points: req.Points, Benchmarks: req.Benchmarks}
+	points, traffics, ok := s.grid(w, spec)
+	if !ok {
 		return
 	}
-	if len(req.Points) > sweepGridLimit || len(req.Benchmarks) > sweepGridLimit {
-		badRequest(w, fmt.Errorf("sweep grid too large: at most %d points and %d benchmarks per request", sweepGridLimit, sweepGridLimit))
-		return
-	}
-	points := make([]explorer.DesignPoint, len(req.Points))
-	keys := make([]string, 0, len(req.Points)+len(req.Benchmarks))
-	for i, spec := range req.Points {
-		p, err := explorer.ParsePoint(spec)
-		if err != nil {
-			badRequest(w, fmt.Errorf("points[%d]: %w", i, err))
-			return
-		}
-		points[i] = p
+	keys := make([]string, 0, len(points)+len(traffics))
+	for _, p := range points {
 		keys = append(keys, p.Key())
 	}
-	var traffics []workload.Traffic
 	if len(req.Benchmarks) == 0 {
-		traffics = workload.StaticTraffic()
 		keys = append(keys, "ALL")
 	} else {
-		for i, name := range req.Benchmarks {
-			tr, err := s.workloads.Traffic(name)
-			if err != nil {
-				badRequest(w, fmt.Errorf("benchmarks[%d]: %w", i, err))
-				return
-			}
-			traffics = append(traffics, tr)
+		for _, tr := range traffics {
 			keys = append(keys, tr.Benchmark)
 		}
 	}
 	key := "sweep|" + strings.Join(keys, ";")
-	s.serveCached(w, r, "application/json", key, len(points)*len(traffics), func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, "application/json", key, spec.Cells(), func(ctx context.Context) ([]byte, error) {
 		grid, err := s.study.Explorer().EvaluateAllContext(ctx, points, traffics)
 		if err != nil {
 			return nil, err
 		}
-		resp := sweepResponse{Points: len(points), Benchmarks: len(traffics)}
+		evals := make([]explorer.Evaluation, 0, spec.Cells())
 		for _, row := range grid {
-			for _, ev := range row {
-				resp.Rows = append(resp.Rows, evaluateDTO(ev))
-			}
+			evals = append(evals, row...)
 		}
-		return json.Marshal(resp)
+		return job.SweepJSON(len(points), len(traffics), evals)
 	})
 }
 
@@ -401,6 +297,14 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 		http.Error(w, fmt.Sprintf("unknown artifact %q (see GET /v1/artifacts for the catalog)", name), http.StatusNotFound)
 		return
 	}
+	s.serveArtifactAs(w, r, d, "", "artifact|"+d.Name)
+}
+
+// serveArtifactAs serves artifact d, restricted to workload when it is
+// non-empty, in the negotiated format under the cache key prefix. The CSV
+// form is job.ArtifactCSV's, the bytes an artifact job's result carries;
+// the JSON form is the schema plus typed rows.
+func (s *Server) serveArtifactAs(w http.ResponseWriter, r *http.Request, d coldtall.ArtifactDescriptor, workload, key string) {
 	format, err := artifactFormat(r)
 	if err != nil {
 		badRequest(w, err)
@@ -410,18 +314,20 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 	if format == "csv" {
 		contentType = "text/csv; charset=utf-8"
 	}
-	key := "artifact|" + d.Name + "|" + format
-	s.serveCached(w, r, contentType, key, artifactCost(d.Name), func(ctx context.Context) ([]byte, error) {
-		t, err := s.study.WithContext(ctx).ArtifactTable(d.Name)
+	s.serveCached(w, r, contentType, key+"|"+format, artifactCost(d.Name), func(ctx context.Context) ([]byte, error) {
+		st := s.study.WithContext(ctx)
+		if format == "csv" {
+			return job.ArtifactCSV(st, d.Name, workload)
+		}
+		var t *report.Table
+		var err error
+		if workload == "" {
+			t, err = st.ArtifactTable(d.Name)
+		} else {
+			t, err = st.WorkloadArtifactTable(d.Name, workload)
+		}
 		if err != nil {
 			return nil, err
-		}
-		if format == "csv" {
-			var b strings.Builder
-			if err := t.RenderCSV(&b); err != nil {
-				return nil, err
-			}
-			return []byte(b.String()), nil
 		}
 		rows := t.JSONRows()
 		if rows == nil {

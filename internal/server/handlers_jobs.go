@@ -10,7 +10,6 @@ import (
 
 	"coldtall/internal/job"
 	"coldtall/internal/tenant"
-	"coldtall/internal/workload"
 )
 
 // jobListResponse enumerates one page of the job table.
@@ -35,18 +34,10 @@ func ownerName(t *tenant.Tenant) string {
 // tenant budgets are denominated in: one per grid cell for sweeps, the
 // rendered point count for artifacts, one for everything request-sized.
 func jobCost(spec job.Spec) int {
-	switch spec.Kind {
-	case job.KindSweep:
-		benches := len(spec.Benchmarks)
-		if benches == 0 {
-			benches = len(workload.StaticTraffic())
-		}
-		return len(spec.Points) * benches
-	case job.KindArtifact:
+	if spec.Kind == job.KindArtifact {
 		return artifactCost(spec.Artifact)
-	default:
-		return 1
 	}
+	return spec.Cells()
 }
 
 // submitJob is the shared admission path for job-creating endpoints

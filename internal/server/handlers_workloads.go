@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,8 +56,8 @@ func (s *Server) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkloadArtifact renders one traffic-dependent artifact restricted
-// to one workload, through the exact same table-building path the async
-// artifact job uses — the two responses are byte-identical by
+// to one workload; its CSV comes from job.ArtifactCSV, the renderer of the
+// async artifact job, so the two responses are byte-identical by
 // construction. Cached per (workload, artifact, format), with the name
 // resolved through at most one alias hop first: an alias and its canonical
 // workload carry identical traffic, so they share one cache entry and a
@@ -78,35 +77,7 @@ func (s *Server) handleWorkloadArtifact(w http.ResponseWriter, r *http.Request) 
 			r.PathValue("artifact"), coldtall.TrafficArtifactNames()), http.StatusNotFound)
 		return
 	}
-	format, err := artifactFormat(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	contentType := "application/json"
-	if format == "csv" {
-		contentType = "text/csv; charset=utf-8"
-	}
-	key := "workload-artifact|" + canon + "|" + d.Name + "|" + format
-	s.serveCached(w, r, contentType, key, artifactCost(d.Name), func(ctx context.Context) ([]byte, error) {
-		st := s.study.WithContext(ctx)
-		if format == "csv" {
-			var b strings.Builder
-			if err := st.RenderWorkloadArtifactCSV(&b, d.Name, canon); err != nil {
-				return nil, err
-			}
-			return []byte(b.String()), nil
-		}
-		t, err := st.WorkloadArtifactTable(d.Name, canon)
-		if err != nil {
-			return nil, err
-		}
-		rows := t.JSONRows()
-		if rows == nil {
-			rows = [][]any{}
-		}
-		return json.Marshal(artifactResponse{artifactInfo: artifactInfoDTO(d), Rows: rows})
-	})
+	s.serveArtifactAs(w, r, d, canon, "workload-artifact|"+canon+"|"+d.Name)
 }
 
 // signatureResponse is the wire form of a locality signature, with the

@@ -136,38 +136,85 @@ func TestJobEndpointErrors(t *testing.T) {
 }
 
 // TestAsyncArtifactMatchesSyncEndpoint is the byte-identity acceptance
-// criterion: the async job's artifact payload equals the synchronous
-// /v1/artifacts/{name}?format=csv response byte for byte.
+// criterion for every kind both surfaces serve: the async job's /result
+// body and Content-Type equal the synchronous response's, and a spec one
+// surface rejects with 400 the other rejects with 400 and the same message
+// (the job layer prefixes "job: ").
 func TestAsyncArtifactMatchesSyncEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
 	h := s.Handler()
 
-	sync := get(t, h, "/v1/artifacts/fig1?format=csv")
-	if sync.Code != http.StatusOK {
-		t.Fatalf("sync artifact = %d", sync.Code)
+	cases := []struct {
+		name string
+		// syncPath is POSTed syncBody, or fetched with GET when syncBody
+		// is empty.
+		syncPath, syncBody string
+		spec               string
+		invalid            bool
+	}{
+		{name: "characterize", syncPath: "/v1/characterize", syncBody: `{"cell":"PCM","dies":8}`,
+			spec: `{"kind":"characterize","points":[{"cell":"PCM","dies":8}]}`},
+		{name: "evaluate", syncPath: "/v1/evaluate", syncBody: `{"point":{"cell":"SRAM","temperature_k":77},"benchmark":"mcf"}`,
+			spec: `{"kind":"evaluate","points":[{"cell":"SRAM","temperature_k":77}],"benchmarks":["mcf"]}`},
+		{name: "sweep 2x2", syncPath: "/v1/sweep",
+			syncBody: `{"points":[{"cell":"SRAM"},{"cell":"STT-RAM","dies":4}],"benchmarks":["namd","lbm"]}`,
+			spec:     `{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"STT-RAM","dies":4}],"benchmarks":["namd","lbm"]}`},
+		{name: "sweep all benchmarks", syncPath: "/v1/sweep", syncBody: `{"points":[{"cell":"3T-eDRAM","temperature_k":200}]}`,
+			spec: `{"kind":"sweep","points":[{"cell":"3T-eDRAM","temperature_k":200}]}`},
+		{name: "artifact", syncPath: "/v1/artifacts/fig1?format=csv",
+			spec: `{"kind":"artifact","artifact":"fig1"}`},
+		{name: "artifact workload", syncPath: "/v1/workloads/namd/artifacts/fig5?format=csv",
+			spec: `{"kind":"artifact","artifact":"fig5","workload":"namd"}`},
+		{name: "invalid benchmark", syncPath: "/v1/sweep", syncBody: `{"points":[{"cell":"SRAM"}],"benchmarks":["namd","nope"]}`,
+			spec: `{"kind":"sweep","points":[{"cell":"SRAM"}],"benchmarks":["namd","nope"]}`, invalid: true},
+		{name: "invalid point", syncPath: "/v1/characterize", syncBody: `{"cell":"SRAM","dies":-2}`,
+			spec: `{"kind":"characterize","points":[{"cell":"SRAM","dies":-2}]}`, invalid: true},
+		{name: "invalid empty sweep", syncPath: "/v1/sweep", syncBody: `{"points":[]}`,
+			spec: `{"kind":"sweep","points":[]}`, invalid: true},
 	}
-
-	rr := post(t, h, "/v1/jobs", `{"kind":"artifact","artifact":"fig1"}`)
-	if rr.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", rr.Code, rr.Body)
-	}
-	var sub job.Status
-	if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
-		t.Fatal(err)
-	}
-	if st := pollJob(t, h, sub.ID); st.State != job.StateDone {
-		t.Fatalf("job state = %s (%s)", st.State, st.Error)
-	}
-	res := get(t, h, "/v1/jobs/"+sub.ID+"/result")
-	if res.Code != http.StatusOK {
-		t.Fatalf("result = %d", res.Code)
-	}
-	if res.Body.String() != sync.Body.String() {
-		t.Error("async artifact CSV diverged from the synchronous endpoint")
-	}
-	if ct := res.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
-		t.Errorf("result content type = %q", ct)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sync *httptest.ResponseRecorder
+			if tc.syncBody == "" {
+				sync = get(t, h, tc.syncPath)
+			} else {
+				sync = post(t, h, tc.syncPath, tc.syncBody)
+			}
+			rr := post(t, h, "/v1/jobs", tc.spec)
+			if tc.invalid {
+				if sync.Code != http.StatusBadRequest || rr.Code != http.StatusBadRequest {
+					t.Fatalf("sync = %d, async submit = %d, want both 400", sync.Code, rr.Code)
+				}
+				if rr.Body.String() != "job: "+sync.Body.String() {
+					t.Errorf("rejection messages differ:\nsync:  %q\nasync: %q", sync.Body, rr.Body)
+				}
+				return
+			}
+			if sync.Code != http.StatusOK {
+				t.Fatalf("sync = %d: %s", sync.Code, sync.Body)
+			}
+			if rr.Code != http.StatusAccepted {
+				t.Fatalf("submit = %d: %s", rr.Code, rr.Body)
+			}
+			var sub job.Status
+			if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
+				t.Fatal(err)
+			}
+			if st := pollJob(t, h, sub.ID); st.State != job.StateDone {
+				t.Fatalf("job state = %s (%s)", st.State, st.Error)
+			}
+			res := get(t, h, "/v1/jobs/"+sub.ID+"/result")
+			if res.Code != http.StatusOK {
+				t.Fatalf("result = %d", res.Code)
+			}
+			if res.Body.String() != sync.Body.String() {
+				t.Errorf("async result diverged from the synchronous response:\nsync:  %.300s\nasync: %.300s", sync.Body, res.Body)
+			}
+			if got, want := res.Header().Get("Content-Type"), sync.Header().Get("Content-Type"); got != want {
+				t.Errorf("result content type = %q, sync %q", got, want)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 
 	"coldtall/internal/explorer"
 	"coldtall/internal/report"
@@ -77,15 +76,4 @@ func (s *Study) WorkloadArtifactTable(artifactName, workloadName string) (*repor
 		}
 	}
 	return t, nil
-}
-
-// RenderWorkloadArtifactCSV streams one per-workload artifact as CSV —
-// the byte form both the synchronous HTTP path and the job-result path
-// serve, so the two are identical by construction.
-func (s *Study) RenderWorkloadArtifactCSV(w io.Writer, artifactName, workloadName string) error {
-	t, err := s.WorkloadArtifactTable(artifactName, workloadName)
-	if err != nil {
-		return err
-	}
-	return t.RenderCSV(w)
 }
