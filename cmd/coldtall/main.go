@@ -144,9 +144,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	coordinator := fs.Bool("coordinator", false, "serve: enable the distributed-execution coordinator (/v1/cluster routes)")
 	workerToken := fs.String("worker-token", "", "serve/worker: shared auth token for the /v1/cluster surface")
 	leaseTTL := fs.Duration("lease-ttl", 0, "serve: coordinator lease TTL before expiry+requeue (0 = default 30s)")
-	leaseUnits := fs.Int("lease-units", 0, "serve: max grid points per lease (0 = auto: whole families on one core)")
+	leaseUnits := fs.Int("lease-units", 0, "serve: max design points per lease; a unit is one point's characterization (0 = auto: whole families on one core)")
 	workerName := fs.String("name", "", "worker: stable display name reported to the coordinator")
-	throttle := fs.Duration("throttle", 0, "worker: sleep before each unit evaluation (testing/demo)")
+	throttle := fs.Duration("throttle", 0, "worker: sleep before each design point's characterization (testing/demo)")
 	tenantsFile := fs.String("tenants", "", "serve: tenant config file with API keys, limits and weights (SIGHUP reloads)")
 	defaultQuota := fs.Int64("default-quota", 0, "serve: default per-tenant compute budget in design-point evaluations per window (0 = unlimited)")
 	apiKey := fs.String("api-key", "", "jobs/workloads: tenant API key, sent as a bearer token")

@@ -1,11 +1,11 @@
-// Package cluster is the distributed sweep-execution subsystem: a
-// coordinator that decomposes sweep and artifact jobs into grid-point
-// ranges and leases them to N stateless worker replicas over HTTP.
+// Package cluster is the distributed characterization subsystem: a
+// coordinator that leases the array characterizations of sweep and
+// artifact jobs, as family-contiguous ranges of design points, to N
+// stateless worker replicas over HTTP.
 //
 // Protocol (JSON envelopes under /v1/cluster/, gob payloads inside):
 //
-//	POST /v1/cluster/register   worker joins; answers its ID plus the
-//	                            coordinator's cooling environment and the
+//	POST /v1/cluster/register   worker joins; answers its ID and the
 //	                            heartbeat/poll cadence
 //	POST /v1/cluster/heartbeat  liveness ping
 //	POST /v1/cluster/lease      pull one lease (204 when no work is ready)
@@ -13,19 +13,23 @@
 //	GET  /v1/cluster/status     worker table + lease statistics (JSON)
 //
 // Design points and results travel as gob blobs (base64 inside the JSON
-// envelopes): evaluations carry +Inf lifetimes and the cell model carries
-// +Inf endurance, which JSON cannot encode, and gob is already the
-// checkpoint encoding of the job layer. Workers are stateless — a lease
-// carries the full design point and traffic values, so a worker resolves
-// nothing (not even ingested workload names) locally.
+// envelopes): the cell model carries +Inf endurance, which JSON cannot
+// encode, and gob is already the checkpoint encoding of the job layer.
 //
-// The unit of work is exactly the job layer's per-point `jobcell|`
-// checkpoint: a leased unit that lands is checkpointed by the manager
-// before the ack round-trip is forgotten, so worker crashes, lease
-// expiries and coordinator restarts all resume from the same store the
-// single-process path resumes from. Results are byte-identical to local
-// computation (array.Optimize is deterministic and workers run the same
-// physics under the same cooling), which the differential tests pin.
+// The characterization is the lease unit. A unit is one design point,
+// keyed by its characterization key, and its result is the point's
+// array.Result: the output of array.Optimize, which never reads cooling
+// or workload. So workers need no environment from the coordinator and
+// resolve nothing (not even ingested workload names) locally. Everything
+// downstream of a characterization (evaluation under a workload and a
+// cooler, `jobcell|` checkpoints, rendering) stays with the job manager
+// on the coordinator, which seeds each landed result into its explorer
+// cache. Each uncached point is therefore optimized once, on one worker.
+// Worker crashes and lease expiries requeue the lease; coordinator
+// restarts resume from the job layer's checkpoints plus the persisted
+// lease tables. Results are byte-identical to local computation
+// (array.Optimize is deterministic and workers run the same physics),
+// which the differential tests pin.
 package cluster
 
 import (
@@ -34,19 +38,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-
-	"coldtall/internal/explorer"
-	"coldtall/internal/workload"
-)
-
-// Lease kinds.
-const (
-	// KindEvaluate units are (design point, traffic) cells of a sweep
-	// grid; results are gob-encoded explorer.Evaluation values.
-	KindEvaluate = "evaluate"
-	// KindCharacterize units are bare design points of an artifact's
-	// grid; results are gob-encoded array.Result values.
-	KindCharacterize = "characterize"
 )
 
 // WorkerTokenHeader carries the shared worker auth token on every cluster
@@ -64,15 +55,9 @@ type RegisterRequest struct {
 	Version string `json:"version"`
 }
 
-// RegisterResponse tells the worker who it is and which physics
-// environment to evaluate under.
+// RegisterResponse tells the worker who it is and how often to check in.
 type RegisterResponse struct {
 	WorkerID string `json:"worker_id"`
-	// Cooler and ThresholdK describe the coordinator's cooling
-	// environment (cryo.Cooling); evaluations depend on it, so every
-	// worker must adopt it verbatim.
-	Cooler     string  `json:"cooler"`
-	ThresholdK float64 `json:"threshold_k"`
 	// HeartbeatMS and PollMS are the coordinator's suggested cadences:
 	// how often to heartbeat while computing, and how often to re-poll
 	// for a lease when none is ready.
@@ -90,8 +75,8 @@ type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 }
 
-// Unit is one leased work item: a stable key (the job layer's checkpoint
-// cell identity) plus the gob payload describing what to compute.
+// Unit is one leased design point: its characterization key plus the
+// gob-encoded explorer.DesignPoint to characterize.
 type Unit struct {
 	Key     string `json:"key"`
 	Payload []byte `json:"payload"`
@@ -99,20 +84,19 @@ type Unit struct {
 
 // Lease is one granted range of units. Units arrive in family-contiguous,
 // (dies, temperature)-sorted order — the same schedule the in-process
-// sweep dispatches — so a worker evaluating them serially rides the array
-// layer's rankingMemo warm starts.
+// sweep dispatches — so a worker characterizing them serially rides the
+// array layer's rankingMemo warm starts.
 type Lease struct {
 	ID    string `json:"id"`
 	Job   string `json:"job"`
-	Kind  string `json:"kind"`
 	Units []Unit `json:"units"`
 	// TTLMS is how long the worker holds the lease before the
 	// coordinator expires and requeues it.
 	TTLMS int64 `json:"ttl_ms"`
 }
 
-// AckRequest returns a lease's outcome: one gob result per unit in lease
-// order, or a failure message (the coordinator requeues failed leases
+// AckRequest returns a lease's outcome: one gob array.Result per unit in
+// lease order, or a failure message (the coordinator requeues failed leases
 // with capped backoff).
 type AckRequest struct {
 	WorkerID string   `json:"worker_id"`
@@ -125,13 +109,6 @@ type AckRequest struct {
 // "duplicate" for an idempotent re-delivery of an already-completed lease.
 type AckResponse struct {
 	Status string `json:"status"`
-}
-
-// unitPayload is the gob wire form of one work unit. Traffic is the zero
-// value for characterize units.
-type unitPayload struct {
-	Point   explorer.DesignPoint
-	Traffic workload.Traffic
 }
 
 // encodeGob/decodeGob are the little codec helpers every payload shares.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"coldtall/internal/array"
-	"coldtall/internal/cryo"
 	"coldtall/internal/explorer"
 	"coldtall/internal/job"
 	"coldtall/internal/store"
@@ -27,11 +26,8 @@ var (
 	errUnknownLease  = errors.New("cluster: unknown or superseded lease")
 )
 
-// Options tunes a Coordinator. The zero value plus a Cooling is usable.
+// Options tunes a Coordinator. The zero value is usable.
 type Options struct {
-	// Cooling is the physics environment every worker must adopt; the
-	// zero value means cryo.DefaultCooling().
-	Cooling cryo.Cooling
 	// LeaseTTL bounds how long a worker holds a lease before it expires
 	// and requeues (default 30s).
 	LeaseTTL time.Duration
@@ -50,7 +46,7 @@ type Options struct {
 	RequeueBase time.Duration
 	RequeueMax  time.Duration
 	// NoWorkerGrace fails active runs (wrapping job.ErrNoWorkers, so the
-	// manager falls back to local compute for the cells that have not
+	// manager falls back to local compute for the points that have not
 	// landed) once the worker table has been empty this long
 	// (default 2×HeartbeatTTL).
 	NoWorkerGrace time.Duration
@@ -65,9 +61,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Cooling == (cryo.Cooling{}) {
-		o.Cooling = cryo.DefaultCooling()
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
@@ -91,10 +84,10 @@ func (o *Options) fill() {
 	}
 }
 
-// Coordinator decomposes distributed runs into leased unit ranges and
-// arbitrates them across registered workers. It implements job.Distributor
-// (wire it as job.Options.Distributor) and exposes the worker-facing HTTP
-// surface via Handler().
+// Coordinator decomposes characterization runs into leased point ranges
+// and arbitrates them across registered workers. It implements
+// job.Distributor (wire it as job.Options.Distributor) and exposes the
+// worker-facing HTTP surface via Handler().
 type Coordinator struct {
 	opts Options
 
@@ -159,11 +152,9 @@ type lease struct {
 }
 
 type run struct {
-	key       string // jobID|kind
-	job, kind string
+	key       string // the job ID
 	units     []Unit
-	decode    func(raw []byte) (any, error)
-	save      func(i int, v any)
+	save      func(i int, r array.Result)
 	leases    []*lease
 	remaining int
 	// saving counts in-flight save callbacks; a run's done channel only
@@ -300,81 +291,48 @@ func (c *Coordinator) Recover() (int, error) {
 	return adoptable, nil
 }
 
-// DistributeCells implements job.Distributor for sweep cells: one unit per
-// (design point, traffic) pair, keyed exactly like the manager's jobcell
-// checkpoints, leased in family-contiguous warm order.
-func (c *Coordinator) DistributeCells(ctx context.Context, jobID string, cells []job.DistCell, save func(i int, ev explorer.Evaluation)) error {
-	units := make([]Unit, len(cells))
-	pts := make([]explorer.DesignPoint, len(cells))
-	fams := make([]string, len(cells))
-	for i, cell := range cells {
-		pts[i] = cell.Point
-		fams[i] = explorer.FamilyKey(cell.Point)
-		raw, err := encodeGob(unitPayload{Point: cell.Point, Traffic: cell.Traffic})
-		if err != nil {
-			return err
-		}
-		units[i] = Unit{Key: cell.Point.Key() + "|" + cell.Traffic.Benchmark, Payload: raw}
-	}
-	return c.distribute(ctx, jobID, KindEvaluate, units, fams, explorer.FamilyOrder(pts),
-		func(raw []byte) (any, error) {
-			var ev explorer.Evaluation
-			err := decodeGob(raw, &ev)
-			return ev, err
-		},
-		func(i int, v any) { save(i, v.(explorer.Evaluation)) })
-}
-
-// DistributeChars implements job.Distributor for artifact
-// characterizations: one unit per design point, results seed the
-// explorer's content-addressed characterization store.
+// DistributeChars implements job.Distributor. It registers a run of one
+// unit per design point (keyed by the point's characterization key),
+// decomposes it into family-contiguous leases (re-adopting any recovered
+// in-flight leases first), and blocks until every unit has landed, the
+// run fails, or ctx is cancelled. Save callbacks never fire after it
+// returns.
 func (c *Coordinator) DistributeChars(ctx context.Context, jobID string, points []explorer.DesignPoint, save func(i int, r array.Result)) error {
+	if len(points) == 0 {
+		return nil
+	}
 	units := make([]Unit, len(points))
 	fams := make([]string, len(points))
 	for i, p := range points {
 		fams[i] = explorer.FamilyKey(p)
-		raw, err := encodeGob(unitPayload{Point: p})
+		raw, err := encodeGob(p)
 		if err != nil {
 			return err
 		}
 		units[i] = Unit{Key: p.Key(), Payload: raw}
 	}
-	return c.distribute(ctx, jobID, KindCharacterize, units, fams, explorer.FamilyOrder(points),
-		func(raw []byte) (any, error) {
-			var r array.Result
-			err := decodeGob(raw, &r)
-			return r, err
-		},
-		func(i int, v any) { save(i, v.(array.Result)) })
-}
-
-// distribute registers a run, decomposes it into leases (re-adopting any
-// recovered in-flight leases first), and blocks until every unit has
-// landed, the run fails, or ctx is cancelled. Save callbacks never fire
-// after it returns.
-func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units []Unit, fams []string, order []int, decode func([]byte) (any, error), save func(int, any)) error {
-	if len(units) == 0 {
-		return nil
-	}
 	now := c.now()
-	key := jobID + "|" + kind
 
 	c.mu.Lock()
 	c.sweepLocked(now)
 	if len(c.workers) == 0 {
+		// The job computes locally, so a recovered lease table for it can
+		// never be adopted.
+		_, orphaned := c.orphans[jobID]
+		delete(c.orphans, jobID)
 		c.mu.Unlock()
+		if orphaned {
+			c.opts.Store.Delete(runPrefix + jobID)
+		}
 		return fmt.Errorf("cluster: %w", job.ErrNoWorkers)
 	}
-	if _, dup := c.runs[key]; dup {
+	if _, dup := c.runs[jobID]; dup {
 		c.mu.Unlock()
-		return fmt.Errorf("cluster: run %s already active", key)
+		return fmt.Errorf("cluster: run %s already active", jobID)
 	}
 	r := &run{
-		key:       key,
-		job:       jobID,
-		kind:      kind,
+		key:       jobID,
 		units:     units,
-		decode:    decode,
 		save:      save,
 		remaining: len(units),
 		done:      make(chan struct{}),
@@ -390,8 +348,8 @@ func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units 
 	// whose ack will answer 410 and the units recompute.
 	covered := make(map[int]bool)
 	usedIDs := make(map[string]bool)
-	if rec, ok := c.orphans[key]; ok {
-		delete(c.orphans, key)
+	if rec, ok := c.orphans[jobID]; ok {
+		delete(c.orphans, jobID)
 		for _, lr := range rec.Leases {
 			if lr.State != "leased" {
 				continue
@@ -425,7 +383,7 @@ func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units 
 			r.leases = append(r.leases, l)
 			c.leases[l.id] = leaseRef{r, l}
 			c.statLeasesAdopted++
-			c.logf("run %s: re-adopted lease %s (%d units, worker %s)", key, l.id, len(idxs), l.owner)
+			c.logf("run %s: re-adopted lease %s (%d units, worker %s)", jobID, l.id, len(idxs), l.owner)
 		}
 	}
 
@@ -435,7 +393,7 @@ func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units 
 	seq := 0
 	nextID := func() string {
 		for {
-			id := fmt.Sprintf("%s#%d", key, seq)
+			id := fmt.Sprintf("%s#%d", jobID, seq)
 			seq++
 			if !usedIDs[id] {
 				return id
@@ -453,7 +411,7 @@ func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units 
 		c.leases[l.id] = leaseRef{r, l}
 		cur = nil
 	}
-	for _, i := range order {
+	for _, i := range explorer.FamilyOrder(points) {
 		if covered[i] {
 			continue
 		}
@@ -465,18 +423,18 @@ func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units 
 	}
 	flush()
 
-	c.runs[key] = r
-	c.runOrder = append(c.runOrder, key)
+	c.runs[jobID] = r
+	c.runOrder = append(c.runOrder, jobID)
 	c.mu.Unlock()
 
 	c.persistRun(r)
-	c.logf("run %s: %d units across %d leases (%d adopted)", key, len(units), len(r.leases), len(usedIDs))
+	c.logf("run %s: %d units across %d leases (%d adopted)", jobID, len(units), len(r.leases), len(usedIDs))
 
 	select {
 	case <-ctx.Done():
-		// Keep the persisted record: a restart can re-adopt whatever was
-		// in flight when the job resumes.
-		c.finishRun(r, ctx.Err(), false)
+		// Keep the persisted record: this is the drain case, and a restart
+		// re-adopts whatever was in flight when the job resumes.
+		c.finishRun(r, ctx.Err(), true)
 		<-r.done
 		return ctx.Err()
 	case <-r.done:
@@ -486,15 +444,18 @@ func (c *Coordinator) distribute(ctx context.Context, jobID, kind string, units 
 
 // finishRun ends a run exactly once: it unlinks the run and its leases so
 // no new ack can reach it, then (asynchronously) waits for in-flight save
-// callbacks to drain before closing done and, on clean completion,
-// deleting the persisted lease table.
-func (c *Coordinator) finishRun(r *run, err error, dropRecord bool) {
+// callbacks to drain before closing done. Unless keepRecord is set (the
+// run's context was cancelled, so a resumed job can re-adopt its leases),
+// the persisted lease table is deleted first: after completion, a
+// no-worker failover or an exhausted attempt budget the job finishes
+// locally or fails, and the record would only leak into later boots.
+func (c *Coordinator) finishRun(r *run, err error, keepRecord bool) {
 	c.mu.Lock()
-	c.finishLocked(r, err, dropRecord)
+	c.finishLocked(r, err, keepRecord)
 	c.mu.Unlock()
 }
 
-func (c *Coordinator) finishLocked(r *run, err error, dropRecord bool) {
+func (c *Coordinator) finishLocked(r *run, err error, keepRecord bool) {
 	if r.finished {
 		return
 	}
@@ -510,11 +471,14 @@ func (c *Coordinator) finishLocked(r *run, err error, dropRecord bool) {
 	for _, l := range r.leases {
 		delete(c.leases, l.id)
 	}
-	st := c.opts.Store
 	go func() {
 		r.saving.Wait()
-		if dropRecord && st != nil {
-			st.Delete(runPrefix + r.key)
+		if !keepRecord && c.opts.Store != nil {
+			// persistMu orders the delete after any snapshot-then-Put that
+			// began before the run finished; later ones see r.finished.
+			c.persistMu.Lock()
+			c.opts.Store.Delete(runPrefix + r.key)
+			c.persistMu.Unlock()
 		}
 		close(r.done)
 	}()
@@ -576,8 +540,6 @@ func (c *Coordinator) register(req RegisterRequest) (RegisterResponse, error) {
 	c.logf("worker %s registered (%s)", id, req.Name)
 	return RegisterResponse{
 		WorkerID:    id,
-		Cooler:      c.opts.Cooling.Class.String(),
-		ThresholdK:  c.opts.Cooling.ThresholdK,
 		HeartbeatMS: (c.opts.HeartbeatTTL / 3).Milliseconds(),
 		PollMS:      250,
 	}, nil
@@ -652,8 +614,7 @@ func (c *Coordinator) grantLease(workerID string) (*Lease, error) {
 	c.statLeasesGranted++
 	wire := &Lease{
 		ID:    granted.id,
-		Job:   owner.job,
-		Kind:  owner.kind,
+		Job:   owner.key,
 		Units: make([]Unit, len(granted.units)),
 		TTLMS: c.opts.LeaseTTL.Milliseconds(),
 	}
@@ -701,10 +662,9 @@ func (c *Coordinator) ack(req AckRequest) (AckResponse, error) {
 	c.mu.Unlock()
 
 	// Decode outside the lock; a payload that does not decode is a nack.
-	vals := make([]any, len(idxs))
+	vals := make([]array.Result, len(idxs))
 	for k := range idxs {
-		v, err := r.decode(req.Results[k])
-		if err != nil {
+		if err := decodeGob(req.Results[k], &vals[k]); err != nil {
 			c.mu.Lock()
 			if !r.finished && l.state != leaseDone {
 				c.statLeasesRequeued++
@@ -713,7 +673,6 @@ func (c *Coordinator) ack(req AckRequest) (AckResponse, error) {
 			c.mu.Unlock()
 			return AckResponse{}, fmt.Errorf("cluster: lease %s unit %d: %w", req.LeaseID, k, err)
 		}
-		vals[k] = v
 	}
 
 	c.mu.Lock()
@@ -744,7 +703,7 @@ func (c *Coordinator) ack(req AckRequest) (AckResponse, error) {
 	r.saving.Done()
 	c.persistRun(r)
 	if completed {
-		c.finishRun(r, nil, true)
+		c.finishRun(r, nil, false)
 	}
 	return AckResponse{Status: "ok"}, nil
 }
@@ -765,7 +724,7 @@ func (c *Coordinator) requeueLocked(r *run, l *lease, now time.Time, cause strin
 	}
 	l.state = leasePending
 	l.owner = ""
-	l.notBefore = now.Add(job.Backoff(l.attempts, c.opts.RequeueBase, c.opts.RequeueMax))
+	l.notBefore = now.Add(job.Backoff(l.attempts, c.opts.RequeueBase, c.opts.RequeueMax, nil))
 	c.logf("run %s: lease %s requeued (attempt %d: %s)", r.key, l.id, l.attempts, cause)
 }
 
@@ -841,7 +800,9 @@ type Stats struct {
 	LeasesExpired     int64          `json:"leases_expired_total"`
 	LeasesRequeued    int64          `json:"leases_requeued_total"`
 	LeasesAdopted     int64          `json:"leases_adopted_total"`
-	UnitsDone         int64          `json:"units_done_total"`
+	// UnitsDone counts landed units: design points characterized by
+	// workers, not sweep cells.
+	UnitsDone int64 `json:"units_done_total"`
 }
 
 // Stats snapshots the cluster state.
@@ -886,8 +847,5 @@ func (c *Coordinator) Stats() Stats {
 	}
 	return s
 }
-
-// Cooling reports the coordinator's physics environment.
-func (c *Coordinator) Cooling() cryo.Cooling { return c.opts.Cooling }
 
 var _ job.Distributor = (*Coordinator)(nil)

@@ -12,7 +12,6 @@ import (
 	"coldtall/internal/explorer"
 	"coldtall/internal/job"
 	"coldtall/internal/store"
-	"coldtall/internal/workload"
 )
 
 // fakeClock drives the coordinator's liveness state machine directly:
@@ -67,36 +66,32 @@ func registerWorker(t *testing.T, c *Coordinator, name string) string {
 	return resp.WorkerID
 }
 
-// sramCells builds n cells of one design-point family (planar SRAM at
+// sramPoints builds n design points of one family (planar SRAM at
 // descending temperatures), so lease chunking is governed purely by
 // LeaseUnits.
-func sramCells(t *testing.T, n int) []job.DistCell {
+func sramPoints(t *testing.T, n int) []explorer.DesignPoint {
 	t.Helper()
-	tr, err := workload.StaticTrafficFor("namd")
-	if err != nil {
-		t.Fatal(err)
-	}
 	temps := []float64{350, 300, 250, 200, 150, 100, 77, 40}
 	if n > len(temps) {
-		t.Fatalf("sramCells supports at most %d cells", len(temps))
+		t.Fatalf("sramPoints supports at most %d points", len(temps))
 	}
-	cells := make([]job.DistCell, n)
-	for i := 0; i < n; i++ {
-		cells[i] = job.DistCell{Point: explorer.SRAMAt(temps[i]), Traffic: tr}
+	points := make([]explorer.DesignPoint, n)
+	for i := range points {
+		points[i] = explorer.SRAMAt(temps[i])
 	}
-	return cells
+	return points
 }
 
-// startCells launches DistributeCells in the background and waits until
+// startRun launches DistributeChars in the background and waits until
 // the run is registered (leases exist), returning the error channel and
 // the save log.
-func startCells(t *testing.T, ctx context.Context, c *Coordinator, jobID string, cells []job.DistCell) (<-chan error, *sync.Map) {
+func startRun(t *testing.T, ctx context.Context, c *Coordinator, jobID string, points []explorer.DesignPoint) (<-chan error, *sync.Map) {
 	t.Helper()
 	var saved sync.Map
 	errc := make(chan error, 1)
 	go func() {
-		errc <- c.DistributeCells(ctx, jobID, cells, func(i int, ev explorer.Evaluation) {
-			saved.Store(i, ev)
+		errc <- c.DistributeChars(ctx, jobID, points, func(i int, r array.Result) {
+			saved.Store(i, r)
 		})
 	}()
 	waitUntil(t, func() bool { return c.Stats().RunsActive > 0 }, "run registration")
@@ -114,22 +109,22 @@ func waitUntil(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// ackResults forges one gob evaluation per leased unit, stamping each
-// with its original cell index (recovered through the unit key) so tests
-// can assert that results land at the right save positions.
-func ackResults(t *testing.T, cells []job.DistCell, l *Lease) [][]byte {
+// ackResults forges one gob characterization per leased unit, stamping
+// each with its original point index (recovered through the unit key) so
+// tests can assert that results land at the right save positions.
+func ackResults(t *testing.T, points []explorer.DesignPoint, l *Lease) [][]byte {
 	t.Helper()
-	byKey := make(map[string]int, len(cells))
-	for i, cell := range cells {
-		byKey[cell.Point.Key()+"|"+cell.Traffic.Benchmark] = i
+	byKey := make(map[string]int, len(points))
+	for i, p := range points {
+		byKey[p.Key()] = i
 	}
 	out := make([][]byte, len(l.Units))
 	for k, u := range l.Units {
 		idx, ok := byKey[u.Key]
 		if !ok {
-			t.Fatalf("lease %s unit %q matches no cell", l.ID, u.Key)
+			t.Fatalf("lease %s unit %q matches no point", l.ID, u.Key)
 		}
-		raw, err := encodeGob(explorer.Evaluation{TotalPower: float64(idx)})
+		raw, err := encodeGob(array.Result{ReadLatency: float64(idx)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,9 +145,9 @@ func mustGrant(t *testing.T, c *Coordinator, workerID string) *Lease {
 	return l
 }
 
-func mustAck(t *testing.T, c *Coordinator, workerID string, cells []job.DistCell, l *Lease) AckResponse {
+func mustAck(t *testing.T, c *Coordinator, workerID string, points []explorer.DesignPoint, l *Lease) AckResponse {
 	t.Helper()
-	resp, err := c.ack(AckRequest{WorkerID: workerID, LeaseID: l.ID, Results: ackResults(t, cells, l)})
+	resp, err := c.ack(AckRequest{WorkerID: workerID, LeaseID: l.ID, Results: ackResults(t, points, l)})
 	if err != nil {
 		t.Fatalf("ack lease %s: %v", l.ID, err)
 	}
@@ -161,7 +156,7 @@ func mustAck(t *testing.T, c *Coordinator, workerID string, cells []job.DistCell
 
 func TestDistributeNoWorkersFailsFast(t *testing.T) {
 	c := newCoord(t, newFakeClock(), Options{})
-	err := c.DistributeCells(context.Background(), "j0", sramCells(t, 2), func(int, explorer.Evaluation) {})
+	err := c.DistributeChars(context.Background(), "j0", sramPoints(t, 2), func(int, array.Result) {})
 	if !errors.Is(err, job.ErrNoWorkers) {
 		t.Fatalf("distribute with no workers = %v, want job.ErrNoWorkers", err)
 	}
@@ -174,15 +169,15 @@ func TestRegisterRejectsModelVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestLeaseGrantAckCompletes: the happy path. Three one-family cells
+// TestLeaseGrantAckCompletes: the happy path. Three one-family points
 // under LeaseUnits=2 chunk into two family-contiguous leases; acking both
-// completes the run and every save lands at its original cell index.
+// completes the run and every save lands at its original point index.
 func TestLeaseGrantAckCompletes(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{LeaseUnits: 2})
 	w := registerWorker(t, c, "a")
-	cells := sramCells(t, 3)
-	errc, saved := startCells(t, context.Background(), c, "j1", cells)
+	points := sramPoints(t, 3)
+	errc, saved := startRun(t, context.Background(), c, "j1", points)
 
 	l1 := mustGrant(t, c, w)
 	l2 := mustGrant(t, c, w)
@@ -193,20 +188,20 @@ func TestLeaseGrantAckCompletes(t *testing.T) {
 		t.Fatalf("third grant returned lease %s, want none", l3.ID)
 	}
 
-	if resp := mustAck(t, c, w, cells, l1); resp.Status != "ok" {
+	if resp := mustAck(t, c, w, points, l1); resp.Status != "ok" {
 		t.Fatalf("first ack status %q", resp.Status)
 	}
-	mustAck(t, c, w, cells, l2)
+	mustAck(t, c, w, points, l2)
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
-	for i := range cells {
+	for i := range points {
 		v, ok := saved.Load(i)
 		if !ok {
-			t.Fatalf("cell %d never saved", i)
+			t.Fatalf("point %d never saved", i)
 		}
-		if ev := v.(explorer.Evaluation); ev.TotalPower != float64(i) {
-			t.Fatalf("cell %d received result stamped %v (misrouted save)", i, ev.TotalPower)
+		if r := v.(array.Result); r.ReadLatency != float64(i) {
+			t.Fatalf("point %d received result stamped %v (misrouted save)", i, r.ReadLatency)
 		}
 	}
 	st := c.Stats()
@@ -221,14 +216,14 @@ func TestDuplicateAckIdempotent(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{LeaseUnits: 2})
 	w := registerWorker(t, c, "a")
-	cells := sramCells(t, 4)
-	errc, saved := startCells(t, context.Background(), c, "j2", cells)
+	points := sramPoints(t, 4)
+	errc, saved := startRun(t, context.Background(), c, "j2", points)
 
 	l1 := mustGrant(t, c, w)
-	if resp := mustAck(t, c, w, cells, l1); resp.Status != "ok" {
+	if resp := mustAck(t, c, w, points, l1); resp.Status != "ok" {
 		t.Fatalf("first ack status %q", resp.Status)
 	}
-	if resp := mustAck(t, c, w, cells, l1); resp.Status != "duplicate" {
+	if resp := mustAck(t, c, w, points, l1); resp.Status != "duplicate" {
 		t.Fatalf("second ack status %q, want duplicate", resp.Status)
 	}
 	savedCount := 0
@@ -238,7 +233,7 @@ func TestDuplicateAckIdempotent(t *testing.T) {
 	}
 
 	l2 := mustGrant(t, c, w)
-	mustAck(t, c, w, cells, l2)
+	mustAck(t, c, w, points, l2)
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
@@ -254,8 +249,8 @@ func TestLeaseExpiryRequeuesWithBackoff(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{LeaseTTL: 10 * time.Second, RequeueBase: time.Second, RequeueMax: 10 * time.Second})
 	w := registerWorker(t, c, "a")
-	cells := sramCells(t, 2)
-	errc, _ := startCells(t, context.Background(), c, "j3", cells)
+	points := sramPoints(t, 2)
+	errc, _ := startRun(t, context.Background(), c, "j3", points)
 
 	l := mustGrant(t, c, w)
 	clk.Advance(11 * time.Second) // past the 10s TTL
@@ -273,7 +268,42 @@ func TestLeaseExpiryRequeuesWithBackoff(t *testing.T) {
 	if l2.ID != l.ID {
 		t.Fatalf("requeued grant returned %s, want original lease %s", l2.ID, l.ID)
 	}
-	mustAck(t, c, w, cells, l2)
+	mustAck(t, c, w, points, l2)
+	if err := <-errc; err != nil {
+		t.Fatalf("distribute: %v", err)
+	}
+}
+
+// TestJitterDelayNilRand: the coordinator requeues without a jitter
+// source, so every requeued lease waits exactly the deterministic
+// job.Backoff curve (doubling from RequeueBase, capped at RequeueMax) —
+// not a nanosecond less, and no more.
+func TestJitterDelayNilRand(t *testing.T) {
+	const base, max = time.Second, 8 * time.Second
+	const ttl = 10 * time.Second
+	clk := newFakeClock()
+	c := newCoord(t, clk, Options{LeaseTTL: ttl, RequeueBase: base, RequeueMax: max, MaxAttempts: 10})
+	w := registerWorker(t, c, "a")
+	points := sramPoints(t, 2)
+	errc, _ := startRun(t, context.Background(), c, "j-nilrand", points)
+
+	l := mustGrant(t, c, w)
+	for attempt := 1; attempt <= 6; attempt++ {
+		clk.Advance(ttl + time.Nanosecond)
+		c.expire(clk.Now())
+		want := job.Backoff(attempt, base, max, nil)
+		clk.Advance(want - time.Nanosecond)
+		if early, _ := c.grantLease(w); early != nil {
+			t.Fatalf("attempt %d: lease re-granted before its %v backoff", attempt, want)
+		}
+		clk.Advance(time.Nanosecond)
+		l2 := mustGrant(t, c, w)
+		if l2.ID != l.ID {
+			t.Fatalf("attempt %d: requeued grant returned %s, want %s", attempt, l2.ID, l.ID)
+		}
+		l = l2
+	}
+	mustAck(t, c, w, points, l)
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
@@ -287,8 +317,8 @@ func TestDeadWorkerRequeues(t *testing.T) {
 	c := newCoord(t, clk, Options{LeaseTTL: time.Hour, HeartbeatTTL: 10 * time.Second, RequeueBase: time.Millisecond})
 	w1 := registerWorker(t, c, "doomed")
 	w2 := registerWorker(t, c, "survivor")
-	cells := sramCells(t, 2)
-	errc, saved := startCells(t, context.Background(), c, "j4", cells)
+	points := sramPoints(t, 2)
+	errc, saved := startRun(t, context.Background(), c, "j4", points)
 
 	l := mustGrant(t, c, w1)
 	clk.Advance(6 * time.Second)
@@ -309,7 +339,7 @@ func TestDeadWorkerRequeues(t *testing.T) {
 	if l2.ID != l.ID {
 		t.Fatalf("survivor got lease %s, want requeued %s", l2.ID, l.ID)
 	}
-	mustAck(t, c, w2, cells, l2)
+	mustAck(t, c, w2, points, l2)
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
@@ -327,8 +357,8 @@ func TestLateAckAfterExpiryAccepted(t *testing.T) {
 	c := newCoord(t, clk, Options{LeaseTTL: 10 * time.Second, RequeueBase: time.Millisecond})
 	w1 := registerWorker(t, c, "slow")
 	w2 := registerWorker(t, c, "fast")
-	cells := sramCells(t, 2)
-	errc, saved := startCells(t, context.Background(), c, "j5", cells)
+	points := sramPoints(t, 2)
+	errc, saved := startRun(t, context.Background(), c, "j5", points)
 
 	l := mustGrant(t, c, w1)
 	clk.Advance(11 * time.Second)
@@ -339,14 +369,14 @@ func TestLateAckAfterExpiryAccepted(t *testing.T) {
 		t.Fatalf("re-grant returned %s, want %s", l2.ID, l.ID)
 	}
 	// The slow worker's ack arrives after the re-grant: accepted.
-	if resp := mustAck(t, c, w1, cells, l); resp.Status != "ok" {
+	if resp := mustAck(t, c, w1, points, l); resp.Status != "ok" {
 		t.Fatalf("late ack status %q", resp.Status)
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
 	// The fast worker's now-superseded ack finds the run gone.
-	if _, err := c.ack(AckRequest{WorkerID: w2, LeaseID: l.ID, Results: ackResults(t, cells, l2)}); !errors.Is(err, errUnknownLease) {
+	if _, err := c.ack(AckRequest{WorkerID: w2, LeaseID: l.ID, Results: ackResults(t, points, l2)}); !errors.Is(err, errUnknownLease) {
 		t.Fatalf("superseded ack = %v, want errUnknownLease", err)
 	}
 	savedCount := 0
@@ -362,7 +392,7 @@ func TestNackExhaustsAttemptBudget(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{MaxAttempts: 2, RequeueBase: time.Millisecond})
 	w := registerWorker(t, c, "a")
-	errc, _ := startCells(t, context.Background(), c, "j6", sramCells(t, 1))
+	errc, _ := startRun(t, context.Background(), c, "j6", sramPoints(t, 1))
 
 	l := mustGrant(t, c, w)
 	if resp, err := c.ack(AckRequest{WorkerID: w, LeaseID: l.ID, Error: "optimizer exploded"}); err != nil || resp.Status != "ok" {
@@ -389,11 +419,11 @@ func TestMalformedAckRequeues(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{RequeueBase: time.Millisecond})
 	w := registerWorker(t, c, "a")
-	cells := sramCells(t, 2)
-	errc, _ := startCells(t, context.Background(), c, "j7", cells)
+	points := sramPoints(t, 2)
+	errc, _ := startRun(t, context.Background(), c, "j7", points)
 
 	l := mustGrant(t, c, w)
-	if _, err := c.ack(AckRequest{WorkerID: w, LeaseID: l.ID, Results: ackResults(t, cells, l)[:1]}); err == nil {
+	if _, err := c.ack(AckRequest{WorkerID: w, LeaseID: l.ID, Results: ackResults(t, points, l)[:1]}); err == nil {
 		t.Fatal("short ack was accepted")
 	}
 	clk.Advance(time.Second)
@@ -401,7 +431,7 @@ func TestMalformedAckRequeues(t *testing.T) {
 	if l2.ID != l.ID {
 		t.Fatalf("requeued grant returned %s, want %s", l2.ID, l.ID)
 	}
-	mustAck(t, c, w, cells, l2)
+	mustAck(t, c, w, points, l2)
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
@@ -414,7 +444,7 @@ func TestNoWorkerGraceFailsOver(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{HeartbeatTTL: 10 * time.Second, NoWorkerGrace: 20 * time.Second})
 	registerWorker(t, c, "a")
-	errc, _ := startCells(t, context.Background(), c, "j8", sramCells(t, 2))
+	errc, _ := startRun(t, context.Background(), c, "j8", sramPoints(t, 2))
 
 	clk.Advance(11 * time.Second)
 	c.expire(clk.Now()) // worker dies; grace clock starts from its last sign of life
@@ -442,7 +472,7 @@ func TestRecoverReadoptsInFlightLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := newFakeClock()
-	cells := sramCells(t, 4)
+	points := sramPoints(t, 4)
 	const jobID = "jrecover"
 
 	// First incarnation: grant one of two leases, then die mid-run (the
@@ -452,14 +482,14 @@ func TestRecoverReadoptsInFlightLease(t *testing.T) {
 	c1 := newCoord(t, clk, Options{Store: st, LeaseUnits: 2})
 	w1 := registerWorker(t, c1, "survivor")
 	ctx, cancel := context.WithCancel(context.Background())
-	errc, _ := startCells(t, ctx, c1, jobID, cells)
+	errc, _ := startRun(t, ctx, c1, jobID, points)
 	granted := mustGrant(t, c1, w1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted distribute = %v", err)
 	}
 	c1.Close()
-	if _, ok := st.Get(runPrefix + jobID + "|" + KindEvaluate); !ok {
+	if _, ok := st.Get(runPrefix + jobID); !ok {
 		t.Fatal("interrupted run left no persisted lease table")
 	}
 
@@ -473,7 +503,7 @@ func TestRecoverReadoptsInFlightLease(t *testing.T) {
 		t.Fatalf("Recover() = %d in-flight leases, want 1", n)
 	}
 	w2 := registerWorker(t, c2, "survivor")
-	errc2, saved := startCells(t, context.Background(), c2, jobID, cells)
+	errc2, saved := startRun(t, context.Background(), c2, jobID, points)
 	st2 := c2.Stats()
 	if st2.LeasesAdopted != 1 || st2.LeasesActive != 1 || st2.LeasesPending != 1 {
 		t.Fatalf("after re-adoption: %+v", st2)
@@ -481,24 +511,24 @@ func TestRecoverReadoptsInFlightLease(t *testing.T) {
 
 	// The worker that survived the restart acks the adopted lease under
 	// its original ID.
-	if resp := mustAck(t, c2, w2, cells, granted); resp.Status != "ok" {
+	if resp := mustAck(t, c2, w2, points, granted); resp.Status != "ok" {
 		t.Fatalf("adopted-lease ack status %q", resp.Status)
 	}
 	rest := mustGrant(t, c2, w2)
 	if rest.ID == granted.ID {
 		t.Fatalf("fresh lease reused adopted ID %s", rest.ID)
 	}
-	mustAck(t, c2, w2, cells, rest)
+	mustAck(t, c2, w2, points, rest)
 	if err := <-errc2; err != nil {
 		t.Fatalf("resumed distribute: %v", err)
 	}
-	for i := range cells {
+	for i := range points {
 		if _, ok := saved.Load(i); !ok {
-			t.Fatalf("cell %d never saved after recovery", i)
+			t.Fatalf("point %d never saved after recovery", i)
 		}
 	}
 	// Clean completion drops the persisted lease table.
-	if _, ok := st.Get(runPrefix + jobID + "|" + KindEvaluate); ok {
+	if _, ok := st.Get(runPrefix + jobID); ok {
 		t.Fatal("completed run left its lease table behind")
 	}
 }
@@ -511,56 +541,127 @@ func TestGrantPeerFillsNonOwnedFamilies(t *testing.T) {
 	c := newCoord(t, clk, Options{LeaseUnits: 8})
 	w1 := registerWorker(t, c, "a")
 	registerWorker(t, c, "b")
-	cells := sramCells(t, 2)
-	errc, _ := startCells(t, context.Background(), c, "j9", cells)
+	points := sramPoints(t, 2)
+	errc, _ := startRun(t, context.Background(), c, "j9", points)
 
 	// Whichever worker asks, the single-family lease must be granted —
 	// ownership is a scheduling preference, never a progress gate.
 	l := mustGrant(t, c, w1)
-	mustAck(t, c, w1, cells, l)
+	mustAck(t, c, w1, points, l)
 	if err := <-errc; err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
 }
 
-// TestDistributeChars: the characterize path rides the same lease
-// machinery with bare design points and array.Result payloads.
+// TestDistributeChars pins the unit wire format: one unit per design
+// point, keyed by the point's characterization key, whose payload decodes
+// back to the point itself; the acked array.Result lands at the point's
+// index unchanged.
 func TestDistributeChars(t *testing.T) {
 	clk := newFakeClock()
 	c := newCoord(t, clk, Options{LeaseUnits: 8})
 	w := registerWorker(t, c, "a")
 	points := []explorer.DesignPoint{explorer.SRAMAt(350), explorer.SRAMAt(77)}
-
-	var saved sync.Map
-	errc := make(chan error, 1)
-	go func() {
-		errc <- c.DistributeChars(context.Background(), "jchar", points, func(i int, r array.Result) {
-			saved.Store(i, r)
-		})
-	}()
-	waitUntil(t, func() bool { return c.Stats().RunsActive > 0 }, "char run registration")
+	errc, saved := startRun(t, context.Background(), c, "jchar", points)
 
 	l := mustGrant(t, c, w)
-	if l.Kind != KindCharacterize {
-		t.Fatalf("lease kind %q", l.Kind)
+	if len(l.Units) != len(points) {
+		t.Fatalf("lease carries %d units, want %d", len(l.Units), len(points))
 	}
-	results := make([][]byte, len(l.Units))
-	for k := range l.Units {
-		raw, err := encodeGob(array.Result{})
-		if err != nil {
+	for _, u := range l.Units {
+		var p explorer.DesignPoint
+		if err := decodeGob(u.Payload, &p); err != nil {
 			t.Fatal(err)
 		}
-		results[k] = raw
+		if p.Key() != u.Key {
+			t.Fatalf("unit %q carries point %q", u.Key, p.Key())
+		}
 	}
-	if _, err := c.ack(AckRequest{WorkerID: w, LeaseID: l.ID, Results: results}); err != nil {
-		t.Fatal(err)
-	}
+	mustAck(t, c, w, points, l)
 	if err := <-errc; err != nil {
 		t.Fatalf("DistributeChars: %v", err)
 	}
 	for i := range points {
-		if _, ok := saved.Load(i); !ok {
+		v, ok := saved.Load(i)
+		if !ok {
 			t.Fatalf("point %d never saved", i)
 		}
+		if r := v.(array.Result); r.ReadLatency != float64(i) {
+			t.Fatalf("point %d received result stamped %v", i, r.ReadLatency)
+		}
+	}
+}
+
+// TestEndedRunsDropLeaseTable: a run that ends other than by context
+// cancellation leaves no lease table behind, so a later boot has nothing
+// to adopt. The three endings are the no-worker grace failover, an
+// exhausted attempt budget, and a workerless re-distribution of a job
+// whose lease table an earlier incarnation left for adoption.
+func TestEndedRunsDropLeaseTable(t *testing.T) {
+	cases := []struct {
+		name string
+		end  func(t *testing.T, c *Coordinator, clk *fakeClock, st *store.Store)
+	}{
+		{"no-worker failover", func(t *testing.T, c *Coordinator, clk *fakeClock, _ *store.Store) {
+			registerWorker(t, c, "a")
+			errc, _ := startRun(t, context.Background(), c, "jend", sramPoints(t, 2))
+			mustGrant(t, c, c.Stats().Workers[0].ID)
+			clk.Advance(11 * time.Second)
+			c.expire(clk.Now())
+			clk.Advance(10 * time.Second)
+			c.expire(clk.Now())
+			if err := <-errc; !errors.Is(err, job.ErrNoWorkers) {
+				t.Fatalf("distribute after grace = %v, want job.ErrNoWorkers", err)
+			}
+		}},
+		{"exhausted attempts", func(t *testing.T, c *Coordinator, clk *fakeClock, _ *store.Store) {
+			w := registerWorker(t, c, "a")
+			errc, _ := startRun(t, context.Background(), c, "jend", sramPoints(t, 1))
+			for i := 0; i < 2; i++ {
+				l := mustGrant(t, c, w)
+				if _, err := c.ack(AckRequest{WorkerID: w, LeaseID: l.ID, Error: "optimizer exploded"}); err != nil {
+					t.Fatal(err)
+				}
+				clk.Advance(time.Second)
+			}
+			if err := <-errc; err == nil || !strings.Contains(err.Error(), "attempts") {
+				t.Fatalf("distribute = %v, want attempt-budget failure", err)
+			}
+		}},
+		{"workerless re-distribution", func(t *testing.T, c *Coordinator, clk *fakeClock, st *store.Store) {
+			// An earlier incarnation was drained with a lease in flight.
+			old := newCoord(t, clk, Options{Store: st})
+			registerWorker(t, old, "a")
+			ctx, cancel := context.WithCancel(context.Background())
+			errc, _ := startRun(t, ctx, old, "jend", sramPoints(t, 2))
+			mustGrant(t, old, old.Stats().Workers[0].ID)
+			cancel()
+			<-errc
+			if n, err := c.Recover(); err != nil || n != 1 {
+				t.Fatalf("Recover() = %d, %v; want the drained lease", n, err)
+			}
+			err := c.DistributeChars(context.Background(), "jend", sramPoints(t, 2), func(int, array.Result) {})
+			if !errors.Is(err, job.ErrNoWorkers) {
+				t.Fatalf("workerless distribute = %v, want job.ErrNoWorkers", err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.Options{Version: explorer.ModelVersion})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := newFakeClock()
+			c := newCoord(t, clk, Options{Store: st, HeartbeatTTL: 10 * time.Second, NoWorkerGrace: 20 * time.Second,
+				MaxAttempts: 2, RequeueBase: time.Millisecond})
+			tc.end(t, c, clk, st)
+			if n, err := newCoord(t, clk, Options{Store: st}).Recover(); err != nil || n != 0 {
+				t.Fatalf("fresh coordinator Recover() = %d, %v; want 0", n, err)
+			}
+			if _, ok := st.Get(runPrefix + "jend"); ok {
+				t.Fatal("ended run left its lease table in the store")
+			}
+		})
 	}
 }

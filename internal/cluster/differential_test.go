@@ -10,6 +10,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,35 +20,50 @@ import (
 	"coldtall/internal/cluster"
 	"coldtall/internal/explorer"
 	"coldtall/internal/job"
+	"coldtall/internal/store"
 )
+
+// newManager builds a fresh study and a job manager over it (distributed
+// when dist is non-nil, checkpointing when st is non-nil).
+func newManager(t *testing.T, dist job.Distributor, st *store.Store) (*job.Manager, *coldtall.Study) {
+	t.Helper()
+	study := coldtall.NewStudy()
+	study.SetParallelism(1)
+	m, err := job.NewManager(study, job.Options{Workers: 1, Distributor: dist, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return m, study
+}
 
 // runJob executes one job spec on a fresh manager (distributed when dist
 // is non-nil) and returns the result payload.
 func runJob(t *testing.T, dist job.Distributor, spec job.Spec) []byte {
 	t.Helper()
-	study := coldtall.NewStudy()
-	study.SetParallelism(1)
-	m, err := job.NewManager(study, job.Options{Workers: 1, Distributor: dist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
+	m, _ := newManager(t, dist, nil)
 	st0, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return waitResult(t, m, st0.ID)
+}
+
+// waitResult waits for a job to finish and returns its result payload.
+func waitResult(t *testing.T, m *job.Manager, id string) []byte {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := m.WaitFor(ctx, st0.ID)
+	st, err := m.WaitFor(ctx, id)
 	if err != nil {
-		t.Fatalf("job %s did not finish: %v", st0.ID, err)
+		t.Fatalf("job %s did not finish: %v", id, err)
 	}
 	if st.State != job.StateDone {
-		t.Fatalf("job %s state %s (%s)", st0.ID, st.State, st.Error)
+		t.Fatalf("job %s state %s (%s)", id, st.State, st.Error)
 	}
-	body, _, ok := m.Result(st0.ID)
+	body, _, ok := m.Result(id)
 	if !ok {
-		t.Fatalf("job %s has no result", st0.ID)
+		t.Fatalf("job %s has no result", id)
 	}
 	return body
 }
@@ -107,9 +123,10 @@ func waitUntilT(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// TestDistributedSweepByteIdentical: a sweep fanned out across two
-// workers produces the exact bytes of the in-process run, and the
-// cluster (not a silent local fallback) computed every cell.
+// TestDistributedSweepByteIdentical: a sweep whose characterizations
+// were leased across two workers produces the exact bytes of the
+// in-process run, and the cluster (not a silent local fallback)
+// characterized every point.
 func TestDistributedSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a worker fleet")
@@ -133,8 +150,106 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("distributed sweep diverged from single-process run:\n got %d bytes: %.200s\nwant %d bytes: %.200s", len(got), got, len(want), want)
 	}
-	if st := tc.coord.Stats(); st.UnitsDone != 6 {
-		t.Errorf("cluster computed %d units, want all 6 (local fallback would hide divergence)", st.UnitsDone)
+	// Three points (the 350 K SRAM one is the baseline) × two benchmarks:
+	// one unit per point, not per cell.
+	if st := tc.coord.Stats(); st.UnitsDone != 3 {
+		t.Errorf("cluster characterized %d points, want all 3 (local fallback would hide divergence)", st.UnitsDone)
+	}
+}
+
+// TestDistributedSweepLeasesPoints: a P-point × B-benchmark sweep leases
+// exactly its distinct uncached points plus the baseline, one lease each
+// under LeaseUnits 1; the coordinator runs no optimizer call, yet every
+// cell is evaluated, checkpointed under jobcell|, and counted in progress
+// that never decreases and reaches the total.
+func TestDistributedSweepLeasesPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a worker fleet")
+	}
+	spec := job.Spec{
+		Kind: job.KindSweep,
+		Points: []explorer.PointSpec{
+			{Cell: "SRAM", TemperatureK: 77},
+			{Cell: "3T-eDRAM", TemperatureK: 77},
+			{Cell: "3T-eDRAM", TemperatureK: 300},
+		},
+		Benchmarks: []string{"namd", "lbm"},
+	}
+	const points, cells = 3 + 1, 3 * 2 // the baseline is not in the grid
+	want := runJob(t, nil, spec)
+
+	tc := startCluster(t, cluster.Options{LeaseUnits: 1})
+	tc.addWorker(t, cluster.WorkerOptions{Name: "a"})
+	tc.addWorker(t, cluster.WorkerOptions{Name: "b"})
+	st, err := store.Open(t.TempDir(), store.Options{Version: explorer.ModelVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, study := newManager(t, tc.coord, st)
+	st0, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, ok := m.Subscribe(st0.ID)
+	if !ok {
+		t.Fatalf("job %s vanished", st0.ID)
+	}
+	defer sub.Close()
+	last := -1
+	var final job.Status
+	for final.State == "" || !final.State.Terminal() {
+		select {
+		case final = <-sub.C:
+			if final.Done < last {
+				t.Fatalf("progress went backwards: %d after %d", final.Done, last)
+			}
+			last = final.Done
+		case <-time.After(2 * time.Minute):
+			t.Fatal("sweep did not finish")
+		}
+	}
+	if final.Done != cells || final.Total != cells {
+		t.Errorf("final progress %d/%d, want %d/%d", final.Done, final.Total, cells, cells)
+	}
+	if got := waitResult(t, m, st0.ID); !bytes.Equal(got, want) {
+		t.Errorf("distributed sweep diverged from single-process run:\n got %d bytes: %.200s\nwant %d bytes: %.200s", len(got), got, len(want), want)
+	}
+
+	cs := tc.coord.Stats()
+	if cs.UnitsDone != points || cs.LeasesCompleted != points {
+		t.Errorf("cluster landed %d units in %d leases, want %d points in %d leases", cs.UnitsDone, cs.LeasesCompleted, points, points)
+	}
+	if n := study.Explorer().OptimizeCalls(); n != 0 {
+		t.Errorf("coordinator ran %d optimizer calls, want 0", n)
+	}
+	checkpoints := 0
+	st.Walk(func(key string, _ []byte) error {
+		if strings.HasPrefix(key, "jobcell|"+st0.ID+"|") {
+			checkpoints++
+		}
+		return nil
+	})
+	if checkpoints != cells {
+		t.Errorf("%d jobcell checkpoints, want one per cell (%d)", checkpoints, cells)
+	}
+}
+
+// TestSweepWithoutWorkersComputesLocally: a coordinator with an empty
+// worker table answers ErrNoWorkers and the manager computes the whole
+// sweep in-process, to the same bytes.
+func TestSweepWithoutWorkersComputesLocally(t *testing.T) {
+	spec := job.Spec{
+		Kind:       job.KindSweep,
+		Points:     []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}, {Cell: "3T-eDRAM", TemperatureK: 77}},
+		Benchmarks: []string{"namd", "lbm"},
+	}
+	want := runJob(t, nil, spec)
+	tc := startCluster(t, cluster.Options{})
+	if got := runJob(t, tc.coord, spec); !bytes.Equal(got, want) {
+		t.Errorf("workerless sweep diverged from single-process run:\n got: %.200s\nwant: %.200s", got, want)
+	}
+	if st := tc.coord.Stats(); st.UnitsDone != 0 || st.LeasesGranted != 0 {
+		t.Errorf("workerless coordinator leased work: %+v", st)
 	}
 }
 
@@ -213,7 +328,7 @@ func TestDistributedSweepSurvivesWorkerKill(t *testing.T) {
 		t.Errorf("no lease requeued after killing a mid-range worker: %+v", st)
 	}
 	if st.UnitsDone != 4 {
-		t.Errorf("cluster computed %d units, want all 4", st.UnitsDone)
+		t.Errorf("cluster characterized %d points, want all 4", st.UnitsDone)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"coldtall/internal/cryo"
 	"coldtall/internal/explorer"
 	"coldtall/internal/job"
 )
@@ -33,13 +32,12 @@ type WorkerOptions struct {
 	// Poll overrides the coordinator-suggested idle poll interval.
 	Poll time.Duration
 	// BackoffBase/BackoffMax shape the jittered capped exponential retry
-	// schedule for lease-fetch and ack failures (defaults 100ms / 5s).
-	// The base schedule is job.Backoff — the same helper the job
-	// manager's evaluation retries use — with the top half jittered.
+	// schedule (job.Backoff with Rand) for register, lease-fetch and ack
+	// failures (defaults 100ms / 5s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Throttle sleeps before each unit evaluation — a demo/test knob
-	// that makes "killed mid-lease" scenarios deterministic.
+	// Throttle sleeps before each point's characterization — a demo/test
+	// knob that makes "killed mid-lease" scenarios deterministic.
 	Throttle time.Duration
 	// Rand supplies retry jitter; nil seeds from the clock. Inject a
 	// seeded source to make the schedule reproducible.
@@ -51,10 +49,10 @@ type WorkerOptions struct {
 }
 
 // RunWorker runs a stateless worker until ctx is cancelled: register,
-// heartbeat, and a pull loop that leases unit ranges, evaluates them
-// serially in lease order (family-contiguous, so characterization
-// warm-starts survive within each lease and across the leases the
-// consistent-hash ring routes here), and acks the results. The worker
+// heartbeat, and a pull loop that leases design-point ranges,
+// characterizes them serially in lease order (family-contiguous, so
+// characterization warm-starts survive within each lease and across the
+// leases the consistent-hash ring routes here), and acks the results. The worker
 // holds no durable state — all checkpointing happens coordinator-side —
 // so killing one at any instant loses nothing but its in-flight lease.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
@@ -67,7 +65,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.BackoffMax <= 0 {
 		opts.BackoffMax = 5 * time.Second
 	}
-	w := &clusterWorker{opts: opts, client: opts.HTTPClient, rng: opts.Rand}
+	w := &clusterWorker{opts: opts, client: opts.HTTPClient, rng: opts.Rand, exp: explorer.New()}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -82,7 +80,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		if err != nil {
 			return err
 		}
-		w.logf("registered as %s (cooling %s at %gK)", reg.WorkerID, reg.Cooler, reg.ThresholdK)
+		w.logf("registered as %s", reg.WorkerID)
 		if err := w.serve(ctx, reg); !errors.Is(err, errReregister) {
 			return err
 		}
@@ -94,26 +92,15 @@ type clusterWorker struct {
 	opts   WorkerOptions
 	client *http.Client
 	rng    *rand.Rand
-	exp    *explorer.Explorer
+	// exp characterizes every lease; it lives as long as the worker, so
+	// its warm cache survives re-registration.
+	exp *explorer.Explorer
 }
 
 func (w *clusterWorker) logf(format string, args ...any) {
 	if w.opts.Logger != nil {
 		w.opts.Logger.Printf("worker: "+format, args...)
 	}
-}
-
-// jitterDelay is the worker's retry schedule: the job manager's capped
-// exponential Backoff with the top half jittered ("equal jitter"), so a
-// fleet of workers hammered off a restarting coordinator desynchronizes
-// instead of retrying in lockstep.
-func jitterDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Duration {
-	d := job.Backoff(attempt, base, max)
-	half := d / 2
-	if half <= 0 || rng == nil {
-		return d
-	}
-	return half + time.Duration(rng.Int63n(int64(d-half)+1))
 }
 
 // register joins the cluster, retrying transient failures with jittered
@@ -124,9 +111,6 @@ func (w *clusterWorker) register(ctx context.Context) (RegisterResponse, error) 
 		var resp RegisterResponse
 		status, err := w.post(ctx, "/v1/cluster/register", RegisterRequest{Name: w.opts.Name, Version: explorer.ModelVersion}, &resp)
 		if err == nil {
-			if err := w.adoptCooling(resp); err != nil {
-				return resp, err
-			}
 			return resp, nil
 		}
 		if status == http.StatusConflict {
@@ -136,41 +120,14 @@ func (w *clusterWorker) register(ctx context.Context) (RegisterResponse, error) 
 			return resp, ctx.Err()
 		}
 		w.logf("register (attempt %d): %v", attempt, err)
-		if serr := w.sleep(ctx, jitterDelay(attempt, w.opts.BackoffBase, w.opts.BackoffMax, w.rng)); serr != nil {
+		if serr := w.sleep(ctx, job.Backoff(attempt, w.opts.BackoffBase, w.opts.BackoffMax, w.rng)); serr != nil {
 			return resp, serr
 		}
 	}
 }
 
-// adoptCooling builds (or keeps) the evaluation explorer under the
-// coordinator's cooling environment. The explorer survives re-registration
-// under unchanged cooling, preserving its warm characterization cache.
-func (w *clusterWorker) adoptCooling(resp RegisterResponse) error {
-	var cooling cryo.Cooling
-	found := false
-	for _, cls := range cryo.Classes() {
-		if cls.String() == resp.Cooler {
-			cooling = cryo.Cooling{Class: cls, ThresholdK: resp.ThresholdK}
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("cluster: coordinator announced unknown cooler class %q", resp.Cooler)
-	}
-	if w.exp != nil && w.exp.Cooling == cooling {
-		return nil
-	}
-	exp, err := explorer.WithCooling(cooling)
-	if err != nil {
-		return err
-	}
-	w.exp = exp
-	return nil
-}
-
 // serve is the pull loop for one registration: heartbeat in the
-// background, lease-evaluate-ack in the foreground.
+// background, lease-characterize-ack in the foreground.
 func (w *clusterWorker) serve(ctx context.Context, reg RegisterResponse) error {
 	hb := time.Duration(reg.HeartbeatMS) * time.Millisecond
 	if hb <= 0 {
@@ -214,7 +171,7 @@ func (w *clusterWorker) serve(ctx context.Context, reg RegisterResponse) error {
 			}
 			attempt++
 			w.logf("lease (attempt %d): %v", attempt, err)
-			if serr := w.sleep(ctx, jitterDelay(attempt, w.opts.BackoffBase, w.opts.BackoffMax, w.rng)); serr != nil {
+			if serr := w.sleep(ctx, job.Backoff(attempt, w.opts.BackoffBase, w.opts.BackoffMax, w.rng)); serr != nil {
 				return serr
 			}
 		default:
@@ -246,12 +203,12 @@ func (w *clusterWorker) heartbeatLoop(ctx context.Context, workerID string, inte
 	}
 }
 
-// process evaluates one lease's units serially in lease order and acks
+// process characterizes one lease's points serially in lease order and acks
 // the outcome, retrying the ack with jittered backoff. A superseded lease
 // (410) is dropped without complaint: the coordinator already completed
 // or requeued it, and determinism makes either resolution correct.
 func (w *clusterWorker) process(ctx context.Context, workerID string, lease Lease) error {
-	w.logf("lease %s: %d %s unit(s)", lease.ID, len(lease.Units), lease.Kind)
+	w.logf("lease %s: %d point(s)", lease.ID, len(lease.Units))
 	results := make([][]byte, 0, len(lease.Units))
 	failure := ""
 	for _, u := range lease.Units {
@@ -260,7 +217,7 @@ func (w *clusterWorker) process(ctx context.Context, workerID string, lease Leas
 				return err
 			}
 		}
-		raw, err := w.evalUnit(ctx, lease.Kind, u)
+		raw, err := w.characterize(ctx, u)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -297,33 +254,22 @@ func (w *clusterWorker) process(ctx context.Context, workerID string, lease Leas
 			return ctx.Err()
 		}
 		w.logf("ack lease %s (attempt %d): %v", lease.ID, attempt, err)
-		if serr := w.sleep(ctx, jitterDelay(attempt, w.opts.BackoffBase, w.opts.BackoffMax, w.rng)); serr != nil {
+		if serr := w.sleep(ctx, job.Backoff(attempt, w.opts.BackoffBase, w.opts.BackoffMax, w.rng)); serr != nil {
 			return serr
 		}
 	}
 }
 
-func (w *clusterWorker) evalUnit(ctx context.Context, kind string, u Unit) ([]byte, error) {
-	var p unitPayload
+func (w *clusterWorker) characterize(ctx context.Context, u Unit) ([]byte, error) {
+	var p explorer.DesignPoint
 	if err := decodeGob(u.Payload, &p); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindEvaluate:
-		ev, err := w.exp.EvaluateContext(ctx, p.Point, p.Traffic)
-		if err != nil {
-			return nil, err
-		}
-		return encodeGob(ev)
-	case KindCharacterize:
-		res, err := w.exp.CharacterizeContext(ctx, p.Point)
-		if err != nil {
-			return nil, err
-		}
-		return encodeGob(res)
-	default:
-		return nil, fmt.Errorf("cluster: unknown lease kind %q", kind)
+	res, err := w.exp.CharacterizeContext(ctx, p)
+	if err != nil {
+		return nil, err
 	}
+	return encodeGob(res)
 }
 
 func (w *clusterWorker) sleep(ctx context.Context, d time.Duration) error {

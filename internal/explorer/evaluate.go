@@ -65,7 +65,11 @@ type Evaluation struct {
 //
 // v2: DesignPoint.Key spells temperatures exactly; a v1 store may hold
 // results keyed by a rounded temperature that a fractional one would hit.
-const ModelVersion = "coldtall-physics-v2"
+// v3: DesignPoint.Key spells a non-default clock exactly, for the same
+// reason. The cluster's register handshake compares this stamp too, so a
+// v2 worker (which also speaks the older lease and register wire format)
+// is refused with 409.
+const ModelVersion = "coldtall-physics-v3"
 
 // ResultStore is the optional persistence hook behind the characterization
 // cache: a disk-backed store (wired by the serving layer) that lets

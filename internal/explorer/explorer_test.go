@@ -573,10 +573,11 @@ func TestCharacterizeCaches(t *testing.T) {
 	}
 }
 
-// TestKeyFractionalTemperature pins the exact temperature spelling in
-// Key: 349.9 K characterized after 350 K gets its own cache entry and
-// result, while every grid temperature keeps its historical integer
-// spelling (so persisted keys of the paper grid carry over).
+// TestKeyFractionalTemperature pins the exact temperature and clock
+// spelling in Key: 349.9 K characterized after 350 K gets its own cache
+// entry and result, while every grid temperature keeps its historical
+// integer spelling and every freqsweep clock its historical spelling (so
+// persisted keys of the paper grid carry over).
 func TestKeyFractionalTemperature(t *testing.T) {
 	hot, err := ParsePoint(PointSpec{Cell: "SRAM", TemperatureK: 350})
 	if err != nil {
@@ -616,6 +617,25 @@ func TestKeyFractionalTemperature(t *testing.T) {
 		old := fmt.Sprintf("%s|%s|%.0f|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, temp, p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
 		if p.Key() != old {
 			t.Errorf("%g K key = %q, want the historical %q", temp, p.Key(), old)
+		}
+	}
+
+	// The clock segment follows the same rule: near-equal clocks that a
+	// four-digit spelling merged get distinct keys, and every freqsweep
+	// grid clock keeps its historical spelling.
+	a, b := Baseline().WithFrequency(5.0001e9), Baseline().WithFrequency(5.00012e9)
+	if a.Key() == b.Key() {
+		t.Errorf("5.0001 GHz and 5.00012 GHz share key %q", a.Key())
+	}
+	if got, want := a.Key(), Baseline().Key()+"|f5.0001e+09"; got != want {
+		t.Errorf("5.0001 GHz key = %q, want %q", got, want)
+	}
+	// coldtall.SweepFrequencies minus the default 5 GHz (the root package
+	// cannot be imported here).
+	for _, f := range []float64{1e9, 2.5e9, 7.5e9, 1e10} {
+		p := Baseline().WithFrequency(f)
+		if old := Baseline().Key() + fmt.Sprintf("|f%.4g", f); p.Key() != old {
+			t.Errorf("%g Hz key = %q, want the historical %q", f, p.Key(), old)
 		}
 	}
 }

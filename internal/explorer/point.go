@@ -98,16 +98,17 @@ func (p DesignPoint) arrayConfig() array.Config {
 	return cfg
 }
 
-// Key returns a stable identity for caching. The temperature is spelled
-// exactly (shortest round-trip form), so 349.9 K and 350 K never share an
-// entry while integer temperatures keep their historical spelling. Points
-// at the default 5 GHz clock keep the historical key shape (no frequency
-// segment).
+// Key returns a stable identity for caching. The temperature and a
+// non-default clock are spelled exactly (shortest round-trip form), so
+// 349.9 K and 350 K, or 5.0001 GHz and 5.00012 GHz, never share an entry,
+// while integer temperatures and the freqsweep clocks keep their
+// historical spelling. Points at the default 5 GHz clock keep the
+// historical key shape (no frequency segment).
 func (p DesignPoint) Key() string {
 	k := fmt.Sprintf("%s|%s|%s|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, strconv.FormatFloat(p.Temperature, 'g', -1, 64),
 		p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
 	if f := p.Frequency(); f != workload.DefaultFrequencyHz {
-		k += fmt.Sprintf("|f%.4g", f)
+		k += "|f" + strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	return k
 }

@@ -49,12 +49,12 @@ type Options struct {
 	// DedupThreshold tunes ingest near-duplicate detection
 	// (ingest.Options.DedupThreshold semantics: 0 = default, < 0 = off).
 	DedupThreshold float64
-	// Distributor, when set, fans sweep cells and artifact
-	// characterizations out to cluster workers instead of the in-process
-	// pool (the coordinator wires itself in here). ErrNoWorkers from it
-	// falls back to local computation; distributed results land through
-	// the same checkpoint and render paths, so payloads are byte-identical
-	// either way.
+	// Distributor, when set, leases the array characterizations that
+	// sweep and artifact jobs need to cluster workers instead of running
+	// the optimizer in-process (the coordinator wires itself in here).
+	// Evaluation, checkpoints and rendering stay local. ErrNoWorkers from
+	// it falls back to local computation; either way the payloads are
+	// byte-identical.
 	Distributor Distributor
 	// OnTransition, when set, observes every state change (the metrics
 	// layer feeds job counters from it). Called outside the job lock.
@@ -739,9 +739,25 @@ func (m *Manager) setResult(j *Job, body []byte, ctype string) {
 // runArtifact builds one registry artifact as CSV (restricted to the
 // spec's workload when set) through ArtifactCSV, the renderer the
 // synchronous artifact routes serve, so the payloads are byte-identical.
+// With a distributor, the artifact's uncached design points are first
+// characterized on the cluster, so the render finds every
+// characterization warm and runs zero local optimizer calls.
 func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 	if m.opts.Distributor != nil {
-		if err := m.distributeArtifactChars(ctx, j); err != nil {
+		missing := m.uncached(coldtall.ArtifactPoints(j.spec.Artifact))
+		if len(missing) > 0 {
+			j.mu.Lock()
+			j.total = len(missing) + 1 // characterizations plus the final render
+			j.mu.Unlock()
+			m.persist(j)
+		}
+		err := m.distributeChars(ctx, j, missing, func(explorer.DesignPoint) {
+			j.mu.Lock()
+			j.done++
+			j.mu.Unlock()
+			m.persist(j)
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -879,32 +895,20 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		m.logf("job %s: restored %d/%d cells from checkpoints", j.id, restored, n)
 	}
 
-	// Phase 2: compute the remainder — through the cluster distributor
-	// when one is configured, on the in-process pool otherwise (or as the
-	// fallback when the cluster has no workers). Both paths checkpoint
-	// each cell as it lands and report progress per completed cell, and
-	// both land results at the cells' input positions, so the marshalled
-	// payload is byte-identical regardless of where cells computed.
-	rest, doneBase := pending, restored
+	// Phase 2: with a distributor, lease the characterizations the
+	// remaining cells need to the cluster; each point's cells are evaluated
+	// and checkpointed as it lands. Whatever is left (cells of points that
+	// were already warm, or everything after an ErrNoWorkers fallback)
+	// computes on the in-process pool. Both paths land results at the
+	// cells' input positions, so the marshalled payload is byte-identical
+	// regardless of where characterizations ran.
+	rest := pending
 	if m.opts.Distributor != nil && len(pending) > 0 {
-		landed, derr := m.distributeCells(ctx, j, points, traffics, cols, pending, evals, restored)
-		switch {
-		case derr == nil:
-			rest = nil
-		case errors.Is(derr, ErrNoWorkers):
-			m.logf("job %s: cluster unavailable (%v); computing locally", j.id, derr)
-			rest = rest[:0]
-			for k, cell := range pending {
-				if landed[k] {
-					doneBase++
-				} else {
-					rest = append(rest, cell)
-				}
-			}
-		default:
-			return derr
+		if rest, err = m.distributeSweep(ctx, j, points, traffics, pending, evals, restored); err != nil {
+			return err
 		}
 	}
+	doneBase := n - len(rest)
 	err = parallel.ForEachProgressContext(ctx, len(rest), m.opts.Workers, func(k int) error {
 		cell := rest[k]
 		i, jx := cell/cols, cell%cols
@@ -935,77 +939,125 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// distributeCells hands a sweep's pending cells to the cluster
-// distributor in input order (the coordinator re-derives the
-// family-contiguous lease schedule itself). Each landed evaluation is
-// written to its grid position and checkpointed immediately, so partial
-// progress before a distribution error survives into the local fallback
-// or a later resume. Returns which pending indices landed.
-func (m *Manager) distributeCells(ctx context.Context, j *Job, points []explorer.DesignPoint, traffics []workload.Traffic, cols int, pending []int, evals []explorer.Evaluation, restored int) ([]bool, error) {
-	cells := make([]DistCell, len(pending))
+// distributeSweep warms the explorer with the characterizations a
+// sweep's pending cells need: their uncached points plus the 350 K SRAM
+// baseline that every slowdown check reads. As each point lands, its
+// pending cells are evaluated from the warm cache, written to their grid
+// positions and checkpointed, so progress advances per point and what
+// landed before an error survives into a resume. Cells of points that land
+// before the baseline wait for it, since evaluating them earlier would
+// characterize the baseline locally. A cell whose evaluation fails is left
+// for the in-process pool's retries. Returns the pending cells still to
+// evaluate.
+func (m *Manager) distributeSweep(ctx context.Context, j *Job, points []explorer.DesignPoint, traffics []workload.Traffic, pending []int, evals []explorer.Evaluation, restored int) ([]int, error) {
+	cols := len(traffics)
+	cellsOf := make(map[string][]int) // point key -> indices into pending
+	need := []explorer.DesignPoint{explorer.Baseline()}
 	for k, cell := range pending {
-		cells[k] = DistCell{Point: points[cell/cols], Traffic: traffics[cell%cols]}
-	}
-	landed := make([]bool, len(pending))
-	var mu sync.Mutex
-	count := 0
-	err := m.opts.Distributor.DistributeCells(ctx, j.id, cells, func(k int, ev explorer.Evaluation) {
-		cell := pending[k]
-		i, jx := cell/cols, cell%cols
-		mu.Lock()
-		evals[cell] = ev
-		landed[k] = true
-		count++
-		done := restored + count
-		mu.Unlock()
-		m.saveCell(j.id, points[i], traffics[jx], ev)
-		j.mu.Lock()
-		if done > j.done {
-			j.done = done
+		key := points[cell/cols].Key()
+		if _, seen := cellsOf[key]; !seen {
+			need = append(need, points[cell/cols])
 		}
-		j.mu.Unlock()
-		m.persist(j)
-	})
-	return landed, err
-}
+		cellsOf[key] = append(cellsOf[key], k)
+	}
+	baseKey := explorer.Baseline().Key()
+	missing := m.uncached(need)
+	baseWarm := len(missing) == 0 || missing[0].Key() != baseKey
 
-// distributeArtifactChars fans an artifact's enumerable design points out
-// to the cluster for characterization before the local render. Worker
-// results seed the explorer cache (and its persistence hook), so the
-// render that follows finds every characterization warm and produces
-// byte-identical output with zero local optimizer calls. An empty cluster
-// (ErrNoWorkers) is not an error — the render just computes locally.
-func (m *Manager) distributeArtifactChars(ctx context.Context, j *Job) error {
-	pts := coldtall.ArtifactPoints(j.spec.Artifact)
-	exp := m.study.Explorer()
-	var missing []explorer.DesignPoint
-	for _, p := range pts {
-		if _, ok := exp.CachedCharacterization(p); !ok {
-			missing = append(missing, p)
+	evaluated := make([]bool, len(pending))
+	var mu sync.Mutex
+	var waiting []explorer.DesignPoint
+	done := restored
+	err := m.distributeChars(ctx, j, missing, func(p explorer.DesignPoint) {
+		mu.Lock()
+		waiting = append(waiting, p)
+		if p.Key() == baseKey {
+			baseWarm = true
 		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	j.mu.Lock()
-	j.total = len(missing) + 1 // characterizations plus the final render
-	j.mu.Unlock()
-	m.persist(j)
-	err := m.opts.Distributor.DistributeChars(ctx, j.id, missing, func(i int, r array.Result) {
-		exp.SeedCharacterization(missing[i], r)
-		j.mu.Lock()
-		j.done++
-		j.mu.Unlock()
-		m.persist(j)
+		if !baseWarm {
+			mu.Unlock()
+			return
+		}
+		ready := waiting
+		waiting = nil
+		mu.Unlock()
+		for _, rp := range ready {
+			n := 0
+			for _, k := range cellsOf[rp.Key()] {
+				cell := pending[k]
+				p, tr := points[cell/cols], traffics[cell%cols]
+				ev, err := m.evalCell(ctx, p, tr)
+				if err != nil {
+					continue
+				}
+				evals[cell] = ev
+				evaluated[k] = true
+				m.saveCell(j.id, p, tr, ev)
+				n++
+			}
+			mu.Lock()
+			done += n
+			d := done
+			mu.Unlock()
+			j.mu.Lock()
+			if d > j.done {
+				j.done = d
+			}
+			j.mu.Unlock()
+			m.persist(j)
+		}
 	})
 	if err != nil {
-		if errors.Is(err, ErrNoWorkers) {
-			m.logf("job %s: cluster unavailable (%v); characterizing locally", j.id, err)
-			return nil
-		}
-		return err
+		return nil, err
 	}
-	return nil
+	var rest []int
+	for k, cell := range pending {
+		if !evaluated[k] {
+			rest = append(rest, cell)
+		}
+	}
+	return rest, nil
+}
+
+// uncached returns the distinct points (by Key, in input order) whose
+// characterization the explorer cannot serve without running the
+// optimizer.
+func (m *Manager) uncached(pts []explorer.DesignPoint) []explorer.DesignPoint {
+	exp := m.study.Explorer()
+	seen := make(map[string]bool, len(pts))
+	var out []explorer.DesignPoint
+	for _, p := range pts {
+		key := p.Key()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if _, ok := exp.CachedCharacterization(p); !ok {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// distributeChars leases pts to the cluster for characterization. Each
+// result seeds the explorer's cache (and its persistence hook) before
+// landed observes it. An empty cluster (ErrNoWorkers) is not an error:
+// whatever did not land is computed locally by the caller's render or
+// pool.
+func (m *Manager) distributeChars(ctx context.Context, j *Job, pts []explorer.DesignPoint, landed func(explorer.DesignPoint)) error {
+	if len(pts) == 0 {
+		return nil
+	}
+	exp := m.study.Explorer()
+	err := m.opts.Distributor.DistributeChars(ctx, j.id, pts, func(i int, r array.Result) {
+		exp.SeedCharacterization(pts[i], r)
+		landed(pts[i])
+	})
+	if errors.Is(err, ErrNoWorkers) {
+		m.logf("job %s: cluster unavailable (%v); computing locally", j.id, err)
+		return nil
+	}
+	return err
 }
 
 // evalWithRetry runs one cell with the attempt budget: transient failures
@@ -1015,7 +1067,7 @@ func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr 
 	var err error
 	for attempt := 1; attempt <= m.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			t := time.NewTimer(Backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax))
+			t := time.NewTimer(Backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax, nil))
 			select {
 			case <-ctx.Done():
 				t.Stop()

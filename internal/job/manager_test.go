@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -197,12 +198,57 @@ func TestBackoffDelayCaps(t *testing.T) {
 	base, max := 25*time.Millisecond, time.Second
 	want := []time.Duration{base, 50 * time.Millisecond, 100 * time.Millisecond}
 	for i, w := range want {
-		if got := Backoff(i+1, base, max); got != w {
+		if got := Backoff(i+1, base, max, nil); got != w {
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if got := Backoff(30, base, max); got != max {
+	if got := Backoff(30, base, max, nil); got != max {
 		t.Errorf("deep attempt = %v, want the %v cap", got, max)
+	}
+}
+
+// TestBackoffJitterSchedule pins the jittered retry schedule exactly: a
+// seeded source must reproduce these delays byte-for-byte (math/rand's
+// generator is covered by the Go 1 compatibility promise), which is what
+// makes flake reports about retry storms reproducible.
+func TestBackoffJitterSchedule(t *testing.T) {
+	const base, max = 100 * time.Millisecond, 5 * time.Second
+	want := []time.Duration{
+		57645802,
+		135502188,
+		218722916,
+		542008091,
+		991376923,
+		2189901870,
+		4890811900,
+		4254322022,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i, w := range want {
+		if got := Backoff(i+1, base, max, rng); got != w {
+			t.Errorf("attempt %d: delay = %v, want %v", i+1, got, w)
+		}
+	}
+}
+
+// TestBackoffJitterBounds: every jittered delay lands in the top half of
+// the deterministic schedule ("equal jitter" — at least half the delay,
+// never more than the whole of it), so jittered and plain retries run on
+// the same curve.
+func TestBackoffJitterBounds(t *testing.T) {
+	const base, max = 50 * time.Millisecond, 2 * time.Second
+	rng := rand.New(rand.NewSource(42))
+	for attempt := 1; attempt <= 12; attempt++ {
+		d := Backoff(attempt, base, max, nil)
+		for trial := 0; trial < 50; trial++ {
+			got := Backoff(attempt, base, max, rng)
+			if got < d/2 || got > d {
+				t.Fatalf("attempt %d trial %d: delay %v outside [%v, %v]", attempt, trial, got, d/2, d)
+			}
+		}
+		if d > max {
+			t.Fatalf("attempt %d: base schedule %v exceeds cap %v", attempt, d, max)
+		}
 	}
 }
 

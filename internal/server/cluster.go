@@ -53,11 +53,11 @@ func (s *Server) refreshClusterMetrics() {
 	reg.Gauge("coldtall_cluster_leases_expired_total", "Leases expired (TTL or dead worker).").Set(st.LeasesExpired)
 	reg.Gauge("coldtall_cluster_leases_requeued_total", "Lease requeues (expiries plus nacks).").Set(st.LeasesRequeued)
 	reg.Gauge("coldtall_cluster_leases_adopted_total", "In-flight leases re-adopted across coordinator restarts.").Set(st.LeasesAdopted)
-	reg.Gauge("coldtall_cluster_points_total", "Grid points computed by the cluster.").Set(st.UnitsDone)
+	reg.Gauge("coldtall_cluster_points_total", "Design points characterized by the cluster (one per lease unit).").Set(st.UnitsDone)
 	for _, w := range st.Workers {
 		reg.Gauge(fmt.Sprintf("coldtall_cluster_worker_points_total{worker=%q}", w.ID),
-			"Grid points computed per worker.").Set(w.UnitsDone)
+			"Design points characterized per worker.").Set(w.UnitsDone)
 		reg.FGauge(fmt.Sprintf("coldtall_cluster_worker_points_per_second{worker=%q}", w.ID),
-			"Per-worker throughput in grid points per second since registration.").Set(w.PointsPerSec)
+			"Per-worker throughput in characterized design points per second since registration.").Set(w.PointsPerSec)
 	}
 }

@@ -70,8 +70,8 @@ func TestClusterSurfaceAuthAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &reg); err != nil {
 		t.Fatal(err)
 	}
-	if reg.WorkerID == "" || reg.Cooler == "" {
-		t.Fatalf("register response missing identity/environment: %+v", reg)
+	if reg.WorkerID == "" || reg.HeartbeatMS <= 0 {
+		t.Fatalf("register response missing identity/cadence: %+v", reg)
 	}
 
 	// A registered worker with no runs polls into 204 No Content.

@@ -121,10 +121,11 @@ type Config struct {
 	StoreDir string
 	// JobWorkers bounds each async job's worker pool (0 = one per CPU).
 	JobWorkers int
-	// Coordinator enables distributed sweep execution: the /v1/cluster/*
-	// routes come up for stateless worker replicas, and async jobs lease
-	// their grids across the cluster (falling back to local compute when
-	// no workers are registered). Results are byte-identical either way.
+	// Coordinator enables distributed characterization: the /v1/cluster/*
+	// routes come up for stateless worker replicas, and async sweep and
+	// artifact jobs lease their design points' characterizations across
+	// the cluster (falling back to local compute when no workers are
+	// registered). Results are byte-identical either way.
 	Coordinator bool
 	// WorkerToken, when set, is required in the X-Coldtall-Worker-Token
 	// header of every /v1/cluster request.
@@ -385,7 +386,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	var dist job.Distributor
 	if cfg.Coordinator {
 		s.coord = cluster.New(cluster.Options{
-			Cooling:    study.Explorer().Cooling,
 			LeaseTTL:   cfg.LeaseTTL,
 			LeaseUnits: cfg.LeaseUnits,
 			Store:      s.st,

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Distributed-execution drift check: boot `coldtall serve -coordinator`
-# plus two stateless workers, run the Table II artifact job through the
-# cluster, and byte-diff the payload against a plain single-process
-# server running the identical job. Then repeat with a worker SIGKILLed
-# mid-lease: the lease must expire and requeue, the surviving worker must
-# finish the sweep, and the bytes must still match.
+# plus two stateless workers, run the Table II artifact job and a
+# multi-point, multi-benchmark sweep job (submitted as a spec file)
+# through the cluster, and byte-diff each payload against a plain
+# single-process server running the identical job. The sweep must lease
+# exactly one unit per uncached design point. Then repeat Table II with a
+# worker SIGKILLed mid-lease: the lease must expire and requeue, the
+# surviving worker must finish, and the bytes must still match.
 set -eu
 
 BIN="${TMPDIR:-/tmp}/coldtall-clustercheck"
@@ -59,8 +61,8 @@ wait_status_positive() { # wait_status_positive FIELD BASE WHAT
   done
 }
 
-run_job() { # run_job BASE OUTFILE
-  "$BIN" jobs -server "$1" submit table2 > "$WORK/submit.txt"
+run_job() { # run_job BASE OUTFILE [ARTIFACT|SPEC_FILE]
+  "$BIN" jobs -server "$1" submit "${3:-table2}" > "$WORK/submit.txt"
   JOB_ID="$(awk '{print $1; exit}' "$WORK/submit.txt")"
   case "$JOB_ID" in
     j*) ;;
@@ -69,11 +71,23 @@ run_job() { # run_job BASE OUTFILE
   "$BIN" jobs -server "$1" -poll 100ms wait "$JOB_ID" > "$2"
 }
 
-# Reference: the identical Table II job on a plain single-process server.
+# The sweep job: three design points no artifact touches (so none is
+# cached after Table II) under three benchmarks, nine cells in all.
+SWEEP_POINTS=3
+cat > "$WORK/sweep.json" <<'SPEC'
+{"kind": "sweep",
+ "points": [{"cell": "SRAM", "temperature_k": 123},
+            {"cell": "3T-eDRAM", "temperature_k": 155},
+            {"cell": "3T-eDRAM", "temperature_k": 245}],
+ "benchmarks": ["namd", "lbm", "mcf"]}
+SPEC
+
+# Reference: the identical jobs on a plain single-process server.
 "$BIN" serve -addr "$LOCAL_ADDR" -store-dir "$WORK/store-local" >"$WORK/local.log" 2>&1 &
 PIDS="$PIDS $!"
 wait_http "$LOCAL/healthz"
 run_job "$LOCAL" "$WORK/local.csv"
+run_job "$LOCAL" "$WORK/local-sweep.json" "$WORK/sweep.json"
 
 # --- Phase 1: coordinator + two workers, clean run -----------------------
 
@@ -105,6 +119,19 @@ cmp "$WORK/dist.csv" "$WORK/local.csv" || {
 UNITS="$(status_field units_done_total "$COORD")"
 if [ -z "$UNITS" ] || [ "$UNITS" = "0" ]; then
   echo "clustercheck FAIL: coordinator reports 0 units done; the job fell back to local compute" >&2
+  exit 1
+fi
+
+# The sweep leases characterizations, one unit per uncached point (the
+# baseline is warm after Table II), never one per cell.
+run_job "$COORD" "$WORK/dist-sweep.json" "$WORK/sweep.json"
+cmp "$WORK/dist-sweep.json" "$WORK/local-sweep.json" || {
+  echo "clustercheck FAIL: distributed sweep payload diverged from the single-process run" >&2
+  exit 1
+}
+SWEEP_UNITS=$(($(status_field units_done_total "$COORD") - UNITS))
+if [ "$SWEEP_UNITS" != "$SWEEP_POINTS" ]; then
+  echo "clustercheck FAIL: sweep landed $SWEEP_UNITS units, want one per design point ($SWEEP_POINTS)" >&2
   exit 1
 fi
 
@@ -160,4 +187,4 @@ for series in coldtall_cluster_workers coldtall_cluster_leases_granted_total \
   }
 done
 
-echo "clustercheck OK: distributed Table II byte-identical to single-process, including after a mid-lease SIGKILL ($REQUEUED lease(s) requeued)"
+echo "clustercheck OK: distributed Table II and a $SWEEP_POINTS-point sweep byte-identical to single-process, including after a mid-lease SIGKILL ($REQUEUED lease(s) requeued)"
