@@ -135,9 +135,11 @@ vulncheck:
 
 check: vet fmtcheck race servecheck goldencheck
 
-# Sweep-engine speedup benchmarks (serial vs parallel full-grid sweep).
+# Sweep-engine speedup benchmarks (serial vs parallel full-grid sweep),
+# plus the Bloch–Grüneisen resistivity integral against its memo hit.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
+	$(GO) test -run '^$$' -bench 'BenchmarkWireResistivity' -benchtime 2000x ./internal/tech/
 
 # Organization-search benchmarks: pruned vs exhaustive, the per-candidate
 # bound cost, and the staircase vs quadratic Pareto filter.

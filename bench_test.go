@@ -550,6 +550,9 @@ func BenchmarkCacheHit(b *testing.B) {
 // BenchmarkCharacterizeColdWarm contrasts a cold characterization (fresh
 // explorer, full organization search) with a warm repeat (explorer cache
 // hit) — the latency gap the serve cache turns into an HTTP fast path.
+// "Cold" means cold explorer caches: after the first iteration the
+// process-wide resistivity memo is warm, so later iterations skip the
+// Bloch–Grüneisen integral a new process pays once per temperature.
 func BenchmarkCharacterizeColdWarm(b *testing.B) {
 	p := explorer.Baseline()
 	b.Run("cold", func(b *testing.B) {
@@ -588,7 +591,9 @@ func BenchmarkExtensionNodeScaling(b *testing.B) {
 // build pays the full array-optimization cost) and warm (repeat builds on
 // a shared study, the steady state the HTTP response path and repeated CLI
 // renders see). The cold/warm gap is the value of the study-level caches;
-// EXPERIMENTS.md records the measured ratios.
+// EXPERIMENTS.md records the measured ratios. "Cold" means cold study and
+// explorer caches: after the first iteration the process-wide resistivity
+// memo is warm, as is the miss-profile memo behind SystemImpact.
 func BenchmarkArtifactBuildColdWarm(b *testing.B) {
 	for _, name := range Artifacts().Names() {
 		b.Run(name+"/cold", func(b *testing.B) {

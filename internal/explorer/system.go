@@ -1,9 +1,10 @@
 package explorer
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"coldtall/internal/dram"
+	"coldtall/internal/parallel"
 	"coldtall/internal/sim"
 	"coldtall/internal/workload"
 )
@@ -41,27 +42,36 @@ type Impact struct {
 	RelIPC float64
 }
 
-// missProfile caches hierarchy simulations per benchmark (miss rates do not
-// depend on the LLC technology, only on its geometry, which the study holds
-// at Table I).
+// missProfile holds the local miss ratios of one hierarchy simulation.
+// They do not depend on the LLC technology, only on its geometry, which
+// the study holds at Table I.
 type missProfile struct {
 	l1, l2, llc float64
 }
 
-var (
-	missMu    sync.Mutex
-	missCache = map[string]missProfile{}
-)
+// missMemoLimit bounds missMemo. The registry has a few dozen profiles;
+// the bound only matters for a long-lived server fed user workloads.
+const missMemoLimit = 1024
 
-// simulateMisses replays the benchmark stand-in and extracts local miss
-// ratios per level.
+// missMemo holds one hierarchy simulation per profile for the process. It
+// is keyed by the whole profile, not its name: a user workload may share a
+// stock benchmark's name with different parameters.
+var missMemo = parallel.NewMemo[workload.Profile, missProfile](missMemoLimit)
+
+// missReplays counts hierarchy replays, so tests can pin the memo's
+// one-replay-per-profile guarantee.
+var missReplays atomic.Int64
+
+// simulateMisses returns the profile's local miss ratios per level,
+// replaying its stand-in trace at most once per process while callers
+// share the result.
 func simulateMisses(prof workload.Profile) (missProfile, error) {
-	missMu.Lock()
-	mp, ok := missCache[prof.Name]
-	missMu.Unlock()
-	if ok {
-		return mp, nil
-	}
+	return missMemo.Do(prof, func() (missProfile, error) { return replayMisses(prof) })
+}
+
+// replayMisses runs the benchmark stand-in through the Table I hierarchy.
+func replayMisses(prof workload.Profile) (missProfile, error) {
+	missReplays.Add(1)
 	g, err := prof.Generator(1)
 	if err != nil {
 		return missProfile{}, err
@@ -82,11 +92,7 @@ func simulateMisses(prof workload.Profile) (missProfile, error) {
 		}
 		return float64(s.Misses()-before[i].Misses()) / float64(acc)
 	}
-	mp = missProfile{l1: rate(0), l2: rate(1), llc: rate(2)}
-	missMu.Lock()
-	missCache[prof.Name] = mp
-	missMu.Unlock()
-	return mp, nil
+	return missProfile{l1: rate(0), l2: rate(1), llc: rate(2)}, nil
 }
 
 // SystemImpact estimates the CPU-level effect of an LLC design point under

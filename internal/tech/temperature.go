@@ -3,6 +3,8 @@ package tech
 import (
 	"fmt"
 	"math"
+
+	"coldtall/internal/parallel"
 )
 
 // Copper lattice parameters for the Bloch–Grüneisen resistivity model.
@@ -24,6 +26,16 @@ const (
 	wireSizeEffect = 2.0
 )
 
+// bgMemoLimit bounds bgMemo. The paper grid and the technology axes use
+// about fifteen temperatures; the bound only matters for callers that
+// sweep a continuous temperature axis, such as served traffic.
+const bgMemoLimit = 4096
+
+// bgMemo holds bgIntegralRatio per temperature, keyed by the float's bits,
+// so each distinct temperature pays the Simpson integral once per process
+// and every lookup returns the very bits a direct evaluation would.
+var bgMemo = parallel.NewMemo[uint64, float64](bgMemoLimit)
+
 // blochGruneisen returns the phonon contribution to copper resistivity at
 // temperature t (kelvin), in ohm-metres, normalized so that the value at
 // 300 K equals copperBulkRho300.
@@ -31,7 +43,15 @@ func blochGruneisen(t float64) float64 {
 	if t <= 0 {
 		return 0
 	}
-	return copperBulkRho300 * bgIntegralRatio(t) / bgRatio300
+	return copperBulkRho300 * bgRatio(t) / bgRatio300
+}
+
+// bgRatio is bgIntegralRatio through bgMemo.
+func bgRatio(t float64) float64 {
+	r, _ := bgMemo.Do(math.Float64bits(t), func() (float64, error) { // never fails
+		return bgIntegralRatio(t), nil
+	})
+	return r
 }
 
 // bgIntegralRatio computes (T/ThetaD)^5 * integral_0^{ThetaD/T} x^5 /
@@ -62,7 +82,7 @@ func bgIntegralRatio(t float64) float64 {
 }
 
 // bgRatio300 caches the Bloch–Grüneisen shape at the 300 K calibration point.
-var bgRatio300 = bgIntegralRatio(TempRoom)
+var bgRatio300 = bgRatio(TempRoom)
 
 // WireResistivity returns the resistivity of on-chip copper interconnect at
 // temperature t (kelvin), in ohm-metres, including size effects and the
