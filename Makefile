@@ -73,10 +73,13 @@ tracecheck:
 
 # Differential proof of the pruned organization search: the full golden
 # grid through both the exhaustive reference and the pruned path under
-# -race, plus the bound-admissibility property test and the Pareto filter
-# equivalence. Run it whenever internal/array physics or search code moves.
+# -race (non-short, so the grid is not sampled), plus the
+# bound-admissibility property test and the Pareto filter equivalence. Run
+# it whenever internal/array physics or search code moves.
 prunecheck:
-	./scripts/prunecheck.sh
+	$(GO) test -race -count=1 -v \
+		-run 'TestPrunedMatchesExhaustive|TestLowerBoundAdmissible|TestParetoFilterEquivalence|TestParetoDifferential' \
+		./internal/array/
 
 # The distributed-execution gate: the cluster package (lease lifecycle,
 # consistent-hash ring, in-process differential byte-identity incl. the

@@ -1,9 +1,11 @@
-// Package cache provides the serving stack's result cache: a sharded LRU
-// layered over the repository's singleflight group. The LRU makes repeated
-// requests O(1) with bounded memory; the flight makes N concurrent
-// identical misses cost exactly one computation (the cache-stampede guard
-// the explorer already uses for characterizations, lifted to whole HTTP
-// response bodies).
+// Package cache provides the repository's one keyed cache: a sharded LRU
+// layered over the singleflight group, with an optional persistence tier.
+// The LRU makes repeated lookups O(1) with bounded memory; the flight makes
+// N concurrent identical misses cost exactly one computation (the
+// cache-stampede guard). The server's response bodies, the explorer's
+// array characterizations and the process-wide physics memos (wire
+// resistivity per temperature, hierarchy miss ratios per workload profile)
+// all go through it.
 //
 // Keys are caller-canonicalized strings — the server canonicalizes request
 // JSON into a design-point key before lookup, so two requests that differ
@@ -161,6 +163,16 @@ func New[V any](capacity int) (*Cache[V], error) {
 	return c, nil
 }
 
+// MustNew is New for capacities fixed at compile time, such as the
+// package-level memos: it panics where New would return an error.
+func MustNew[V any](capacity int) *Cache[V] {
+	c, err := New[V](capacity)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // shardFor routes a key to its shard by FNV-1a hash.
 func (c *Cache[V]) shardFor(key string) *shard[V] {
 	h := fnv.New32a()
@@ -212,8 +224,8 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return v, ok
 }
 
-// seed inserts into the LRU only (no tier write-through): the warm-start
-// path and tier promotions use it.
+// seed inserts into the LRU only (no tier write-through): tier promotions
+// use it, since the value just came from the tier.
 func (c *Cache[V]) seed(key string, v V) {
 	evicted := c.shardFor(key).add(key, v)
 	if evicted > 0 {
@@ -223,11 +235,6 @@ func (c *Cache[V]) seed(key string, v V) {
 		}
 	}
 }
-
-// Seed inserts key into the in-memory LRU without writing through to the
-// persistence tier — the boot-time warm-start path, which replays entries
-// that are already durable.
-func (c *Cache[V]) Seed(key string, v V) { c.seed(key, v) }
 
 // Add inserts key unconditionally, writing through to the persistence
 // tier when one is attached (most callers want Do instead).
@@ -272,8 +279,10 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, bool, error) {
 	v, err := c.flight.Do(key, func() (V, error) {
 		// Re-check under the flight: a previous flight for this key may
 		// have populated the cache between our miss and winning the
-		// flight.
-		if v, ok := c.lookup(key); ok {
+		// flight. Only the shard needs a second look — every in-process
+		// fill lands there before the tier (Add seeds, then stores) — so
+		// a computed miss reads the tier once.
+		if v, ok := c.shardFor(key).get(key); ok {
 			hit = true
 			return v, nil
 		}

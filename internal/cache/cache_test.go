@@ -132,12 +132,26 @@ func TestDoErrorIsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	if _, _, err := c.Do("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	v, _, err := c.Do("k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Errorf("retry after error = (%d, %v), want (7, nil)", v, err)
+	for _, tc := range []struct {
+		name string
+		fn   func() (int, error)
+	}{
+		{"error", func() (int, error) { return 0, boom }},
+		{"panic", func() (int, error) { panic("boom") }},
+	} {
+		key := "k-" + tc.name
+		_, _, err := c.Do(key, tc.fn)
+		if err == nil || (tc.name == "error" && !errors.Is(err, boom)) {
+			t.Fatalf("%s: err = %v, want the failure reported", tc.name, err)
+		}
+		if n := c.Stats().Len; n != 0 {
+			t.Fatalf("%s: Len = %d after a failed fill, want 0", tc.name, n)
+		}
+		v, _, err := c.Do(key, func() (int, error) { return 7, nil })
+		if err != nil || v != 7 {
+			t.Errorf("%s: retry after failure = (%d, %v), want (7, nil)", tc.name, v, err)
+		}
+		c.Delete(key)
 	}
 }
 

@@ -66,6 +66,11 @@ func TestTierWriteThrough(t *testing.T) {
 	if tier.loads != loadsBefore {
 		t.Errorf("promoted entry still read the tier (%d -> %d loads)", loadsBefore, tier.loads)
 	}
+	// A promotion must not echo the entry back into the tier it was just
+	// read from.
+	if tier.stores != 1 {
+		t.Errorf("tier stores = %d after a promotion, want 1", tier.stores)
+	}
 }
 
 // TestTierBackstopsEviction: an entry evicted from the LRU is still served
@@ -120,20 +125,23 @@ func TestDoConsultsTier(t *testing.T) {
 	}
 }
 
-// TestSeedSkipsTierWrite: warm-start seeding must not echo entries back
-// into the store they were just read from.
-func TestSeedSkipsTierWrite(t *testing.T) {
+// TestDoReadsTierOncePerMiss: a computed miss reads the tier exactly once
+// (the re-check under the flight looks at the LRU shard only), writes the
+// computed value through once, and a repeat is a pure LRU hit.
+func TestDoReadsTierOncePerMiss(t *testing.T) {
 	tier := newMapTier()
 	c, err := New[[]byte](64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetTier(tier)
-	c.Seed("k", []byte("v"))
-	if tier.stores != 0 {
-		t.Errorf("Seed wrote through to the tier (%d stores)", tier.stores)
+	for i := 0; i < 2; i++ {
+		v, _, err := c.Do("k", func() ([]byte, error) { return []byte("computed"), nil })
+		if err != nil || string(v) != "computed" {
+			t.Fatalf("Do #%d = %q, %v", i, v, err)
+		}
 	}
-	if v, ok := c.Get("k"); !ok || string(v) != "v" {
-		t.Errorf("seeded entry Get = %q, %v", v, ok)
+	if tier.loads != 1 || tier.stores != 1 {
+		t.Errorf("tier loads/stores = %d/%d, want 1/1", tier.loads, tier.stores)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"coldtall/internal/array"
+	"coldtall/internal/cache"
 	"coldtall/internal/cryo"
 	"coldtall/internal/parallel"
 	"coldtall/internal/reliability"
@@ -71,39 +71,27 @@ type Evaluation struct {
 // is refused with 409.
 const ModelVersion = "coldtall-physics-v3"
 
-// ResultStore is the optional persistence hook behind the characterization
-// cache: a disk-backed store (wired by the serving layer) that lets
-// characterizations survive process restarts. Load reports whether the key
-// exists; Save is best-effort (a failed write costs a future
-// recomputation). Implementations must be safe for concurrent use.
-type ResultStore interface {
-	Load(key string) (array.Result, bool)
-	Save(key string, r array.Result)
-}
+// charCapacity bounds the characterization cache. A full export
+// characterizes under a hundred distinct points and a long serve run a few
+// thousand, so no workload evicts; the bound only keeps a server fed
+// endless never-seen points from growing without limit. An evicted point
+// is one tier read away when persistence is attached, otherwise one
+// optimizer run.
+const charCapacity = 1 << 14
 
 // charState is the characterization memory an Explorer computes through:
-// the in-process result cache, the singleflight group guarding it, the
-// optimize-invocation counter, and the optional persistence hook. It is a
-// separate shared structure so explorers that differ only in their cooling
-// environment (cooling touches Evaluate, never Characterize) can share one
-// memory — see WithCoolingShared.
+// the result cache (LRU, singleflight guard and optional persistence tier
+// in one) and the optimize-invocation counter. It is a separate shared
+// structure so explorers that differ only in their cooling environment
+// (cooling touches Evaluate, never Characterize) can share one memory —
+// see WithCoolingShared.
 type charState struct {
-	mu    sync.Mutex
-	cache map[string]array.Result
-
-	// flight deduplicates in-flight characterizations so the expensive
-	// array.Optimize search runs at most once per design-point key even
-	// under concurrent callers.
-	flight parallel.Flight[array.Result]
+	cache *cache.Cache[array.Result]
 
 	// optimizeCalls counts actual array.Optimize invocations (cache,
 	// flight and persistence hits excluded) — observable via the
 	// concurrency tests.
 	optimizeCalls atomic.Int64
-
-	// persist, when non-nil, is consulted on cache misses and written on
-	// cache fills (under the flight, so each key is persisted once).
-	persist ResultStore
 }
 
 // Explorer evaluates design points under workloads. The zero value is not
@@ -130,7 +118,7 @@ type Explorer struct {
 func New() *Explorer {
 	return &Explorer{
 		Cooling: cryo.DefaultCooling(),
-		chars:   &charState{cache: make(map[string]array.Result)},
+		chars:   &charState{cache: cache.MustNew[array.Result](charCapacity)},
 	}
 }
 
@@ -161,15 +149,12 @@ func (e *Explorer) WithCoolingShared(c cryo.Cooling) (*Explorer, error) {
 }
 
 // SetPersistence attaches a persistent result store behind the
-// characterization cache: misses fall through to it, fills write through
-// to it, and a restarted process re-serves every previously characterized
-// point without re-running the optimizer. Set it before the explorer takes
-// traffic; the field is not synchronized against in-flight sweeps.
-func (e *Explorer) SetPersistence(rs ResultStore) {
-	e.chars.mu.Lock()
-	e.chars.persist = rs
-	e.chars.mu.Unlock()
-}
+// characterization cache as its tier: misses fall through to it, fills
+// write through to it, and a restarted process re-serves every previously
+// characterized point without re-running the optimizer. Set it before the
+// explorer takes traffic; the field is not synchronized against in-flight
+// sweeps.
+func (e *Explorer) SetPersistence(t cache.Tier[array.Result]) { e.chars.cache.SetTier(t) }
 
 // Characterize runs (and caches) the EDP-optimized array characterization
 // of a design point. Concurrent callers of the same point share a single
@@ -195,45 +180,16 @@ func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (arra
 	if err := ctx.Err(); err != nil {
 		return array.Result{}, fmt.Errorf("explorer: characterizing %s: %w", p.Label, err)
 	}
-	key := p.Key()
 	cs := e.chars
-	cs.mu.Lock()
-	r, ok := cs.cache[key]
-	persist := cs.persist
-	cs.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	return cs.flight.Do(key, func() (array.Result, error) {
-		// Re-check under the flight: a previous flight for this key may
-		// have filled the cache between our miss and winning the flight.
-		cs.mu.Lock()
-		r, ok := cs.cache[key]
-		cs.mu.Unlock()
-		if ok {
-			return r, nil
-		}
-		if persist != nil {
-			if r, ok := persist.Load(key); ok {
-				cs.mu.Lock()
-				cs.cache[key] = r
-				cs.mu.Unlock()
-				return r, nil
-			}
-		}
+	r, _, err := cs.cache.Do(p.Key(), func() (array.Result, error) {
 		cs.optimizeCalls.Add(1)
 		r, err := array.OptimizeContext(ctx, p.arrayConfig())
 		if err != nil {
 			return array.Result{}, fmt.Errorf("explorer: characterizing %s: %w", p.Label, err)
 		}
-		cs.mu.Lock()
-		cs.cache[key] = r
-		cs.mu.Unlock()
-		if persist != nil {
-			persist.Save(key, r)
-		}
 		return r, nil
 	})
+	return r, err
 }
 
 // OptimizeCalls reports how many times the explorer actually ran the
@@ -247,46 +203,19 @@ func (e *Explorer) OptimizeCalls() int64 { return e.chars.optimizeCalls.Load() }
 // or (when persistence is attached) in the persistent store. A persistence
 // hit is promoted into the cache. It never computes.
 func (e *Explorer) CachedCharacterization(p DesignPoint) (array.Result, bool) {
-	key := p.Key()
-	cs := e.chars
-	cs.mu.Lock()
-	r, ok := cs.cache[key]
-	persist := cs.persist
-	cs.mu.Unlock()
-	if ok {
-		return r, true
-	}
-	if persist != nil {
-		if r, ok := persist.Load(key); ok {
-			cs.mu.Lock()
-			cs.cache[key] = r
-			cs.mu.Unlock()
-			return r, true
-		}
-	}
-	return array.Result{}, false
+	return e.chars.cache.Get(p.Key())
 }
 
 // SeedCharacterization installs an externally computed characterization
 // for a point, filling the in-process cache and writing through the
-// persistence hook exactly as CharacterizeContext would have. The cluster
-// layer uses it to land worker-computed results: array.Optimize is
-// deterministic (the pruned/exhaustive differential pins this), so a
-// seeded result is identical to what a local computation would produce and
-// every artifact rendered from it stays byte-identical.
+// persistence hook exactly as CharacterizeContext would have; a point
+// already cached keeps its entry. The cluster layer uses it to land
+// worker-computed results: array.Optimize is deterministic (the
+// pruned/exhaustive differential pins this), so a seeded result is
+// identical to what a local computation would produce and every artifact
+// rendered from it stays byte-identical.
 func (e *Explorer) SeedCharacterization(p DesignPoint, r array.Result) {
-	key := p.Key()
-	cs := e.chars
-	cs.mu.Lock()
-	_, had := cs.cache[key]
-	if !had {
-		cs.cache[key] = r
-	}
-	persist := cs.persist
-	cs.mu.Unlock()
-	if !had && persist != nil {
-		persist.Save(key, r)
-	}
+	e.chars.cache.Do(p.Key(), func() (array.Result, error) { return r, nil })
 }
 
 // Evaluate computes the application-level metrics of one design point under
@@ -434,7 +363,7 @@ func (e *Explorer) WarmFamiliesContext(ctx context.Context, points []DesignPoint
 	seen := make(map[string]bool, len(points))
 	var reps []DesignPoint
 	for _, p := range points {
-		k := sweepFamilyKey(p)
+		k := FamilyKey(p)
 		if !seen[k] {
 			seen[k] = true
 			reps = append(reps, p)
@@ -455,9 +384,6 @@ func (e *Explorer) WarmFamiliesContext(ctx context.Context, points []DesignPoint
 func FamilyKey(p DesignPoint) string {
 	return fmt.Sprintf("%s|%v|%d|%s|%v", p.Cell.Name, p.Cell.Tech, p.Capacity(), p.Node.Name, p.Style)
 }
-
-// sweepFamilyKey is the historical unexported spelling.
-func sweepFamilyKey(p DesignPoint) string { return FamilyKey(p) }
 
 // FamilyOrder returns a permutation of point indices that walks each
 // characterization family contiguously, members ordered by (dies,

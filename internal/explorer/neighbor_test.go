@@ -61,7 +61,7 @@ func TestSweepOrderGroupsFamilies(t *testing.T) {
 	var lastPoint *DesignPoint
 	for _, c := range order {
 		p := pts[c/cols]
-		k := sweepFamilyKey(p)
+		k := FamilyKey(p)
 		if k != last {
 			if seenFamily[k] {
 				t.Fatalf("family %q dispatched non-contiguously", k)

@@ -9,7 +9,7 @@ import (
 	"coldtall/internal/workload"
 )
 
-// fakeStore is an in-memory ResultStore double.
+// fakeStore is an in-memory cache.Tier double for the persistence hook.
 type fakeStore struct {
 	mu    sync.Mutex
 	m     map[string]array.Result
@@ -27,7 +27,7 @@ func (f *fakeStore) Load(key string) (array.Result, bool) {
 	return r, ok
 }
 
-func (f *fakeStore) Save(key string, r array.Result) {
+func (f *fakeStore) Store(key string, r array.Result) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.saves++
@@ -128,5 +128,51 @@ func TestWithCoolingSharedEvaluatesDifferently(t *testing.T) {
 	}
 	if ev.TotalPower == base.TotalPower {
 		t.Error("different cooler classes reported identical total power; cooling model appears shared")
+	}
+}
+
+// TestCharacterizationCacheBounded: the characterization cache never holds
+// more than charCapacity points, and a point it evicted comes back from the
+// persistence tier rather than from the optimizer. Every point is seeded,
+// so the optimizer never runs.
+func TestCharacterizationCacheBounded(t *testing.T) {
+	st := newFakeStore()
+	e := New()
+	e.SetPersistence(st)
+	const n = charCapacity + 100
+	pts := make([]DesignPoint, n)
+	for i := range pts {
+		p := Baseline()
+		p.Temperature = 77 + float64(i)/128 // distinct fractional temperatures
+		pts[i] = p
+		e.SeedCharacterization(p, array.Result{ReadLatency: float64(i)})
+	}
+	if got := e.chars.cache.Stats().Len; got > charCapacity {
+		t.Fatalf("cache holds %d characterizations after %d distinct seeds, past its bound %d", got, n, charCapacity)
+	}
+	if st.saves != n {
+		t.Errorf("tier saves = %d, want one per seeded point (%d)", st.saves, n)
+	}
+	// Seeding evicts oldest-first, so the earliest points include evicted
+	// ones; each must come back with its seeded value.
+	evicted := 0
+	for i, p := range pts[:200] {
+		loadsBefore := st.loads
+		r, err := e.Characterize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ReadLatency != float64(i) {
+			t.Fatalf("point %d served %v, want its seeded result", i, r.ReadLatency)
+		}
+		if st.loads > loadsBefore {
+			evicted++
+		}
+	}
+	if evicted == 0 {
+		t.Error("no early point was evicted from the cache; the bound is not exercised")
+	}
+	if calls := e.OptimizeCalls(); calls != 0 {
+		t.Errorf("OptimizeCalls = %d, want 0 (evicted points come back from the tier)", calls)
 	}
 }

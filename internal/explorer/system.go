@@ -1,10 +1,11 @@
 package explorer
 
 import (
+	"fmt"
 	"sync/atomic"
 
+	"coldtall/internal/cache"
 	"coldtall/internal/dram"
-	"coldtall/internal/parallel"
 	"coldtall/internal/sim"
 	"coldtall/internal/workload"
 )
@@ -50,13 +51,16 @@ type missProfile struct {
 }
 
 // missMemoLimit bounds missMemo. The registry has a few dozen profiles;
-// the bound only matters for a long-lived server fed user workloads.
+// the bound only matters for a long-lived server fed user workloads, where
+// the least-recently-used profile is evicted.
 const missMemoLimit = 1024
 
 // missMemo holds one hierarchy simulation per profile for the process. It
 // is keyed by the whole profile, not its name: a user workload may share a
-// stock benchmark's name with different parameters.
-var missMemo = parallel.NewMemo[workload.Profile, missProfile](missMemoLimit)
+// stock benchmark's name with different parameters. The key spells the
+// profile with %#v, which quotes strings and prints floats exactly, so two
+// profiles share a key only when every field is equal.
+var missMemo = cache.MustNew[missProfile](missMemoLimit)
 
 // missReplays counts hierarchy replays, so tests can pin the memo's
 // one-replay-per-profile guarantee.
@@ -66,7 +70,8 @@ var missReplays atomic.Int64
 // replaying its stand-in trace at most once per process while callers
 // share the result.
 func simulateMisses(prof workload.Profile) (missProfile, error) {
-	return missMemo.Do(prof, func() (missProfile, error) { return replayMisses(prof) })
+	mp, _, err := missMemo.Do(fmt.Sprintf("%#v", prof), func() (missProfile, error) { return replayMisses(prof) })
+	return mp, err
 }
 
 // replayMisses runs the benchmark stand-in through the Table I hierarchy.

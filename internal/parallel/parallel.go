@@ -1,7 +1,7 @@
 // Package parallel provides the concurrency primitives every sweep in the
 // repository runs on: a bounded worker pool with deterministic output
-// ordering, a singleflight group that deduplicates concurrent
-// computations of the same key, and a bounded memo that keeps them. Centralizing them keeps the parallel code
+// ordering and a singleflight group that deduplicates concurrent
+// computations of the same key. Centralizing them keeps the parallel code
 // paths small, audited, and race-detector-clean in one place.
 //
 // The primitives are deliberately deterministic at the output level: ForEach
@@ -176,12 +176,12 @@ func MapContext[T any](ctx context.Context, n, workers int, fn func(i int) (T, e
 
 // Flight deduplicates concurrent computations of the same key: while one
 // caller computes, every other caller of that key blocks and shares the
-// single result. It is the guard between the explorer's check-then-compute
-// cache gap and the expensive array optimization behind it.
+// single result. It is the guard between internal/cache's
+// check-then-compute gap and the expensive computation behind it.
 //
-// Unlike golang.org/x/sync/singleflight (not vendored here), completed
-// flights are forgotten immediately — memoization stays the caller's
-// responsibility, so the explorer's existing cache keeps owning persistence.
+// Like golang.org/x/sync/singleflight (not vendored here), completed
+// flights are forgotten immediately — keeping results is internal/cache's
+// job.
 type Flight[V any] struct {
 	mu sync.Mutex
 	m  map[string]*flightCall[V]
@@ -230,76 +230,4 @@ func (f *Flight[V]) Do(key string, fn func() (V, error)) (V, error) {
 	f.mu.Unlock()
 	close(c.done)
 	return c.val, c.err
-}
-
-// Memo is a bounded, concurrency-safe memo of a deterministic function:
-// while it has room, each key is computed at most once, and callers
-// arriving while that computation runs wait for it and share its result.
-// Once the memo holds limit entries, a new key is computed on every call
-// and not stored, so an unbounded key space (a continuous temperature
-// axis, user-supplied workloads) cannot grow it without bound. A failed
-// or panicking computation is shared with its waiters but not kept, so
-// the next caller of that key tries again.
-//
-// It is the process-wide counterpart of Flight: Flight forgets a result
-// the moment it lands, Memo keeps it.
-type Memo[K comparable, V any] struct {
-	limit int
-	mu    sync.Mutex
-	m     map[K]*memoCall[V]
-}
-
-type memoCall[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
-// NewMemo returns an empty memo that keeps at most limit entries.
-func NewMemo[K comparable, V any](limit int) *Memo[K, V] {
-	return &Memo[K, V]{limit: limit, m: make(map[K]*memoCall[V])}
-}
-
-// Do returns fn's result for key, computing it only when no earlier call
-// of the key succeeded and none is in flight.
-func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	m.mu.Lock()
-	if c, ok := m.m[key]; ok {
-		m.mu.Unlock()
-		<-c.done
-		return c.val, c.err
-	}
-	if len(m.m) >= m.limit {
-		m.mu.Unlock()
-		return callRecover(fn)
-	}
-	c := &memoCall[V]{done: make(chan struct{})}
-	m.m[key] = c
-	m.mu.Unlock()
-
-	c.val, c.err = callRecover(fn)
-	if c.err != nil {
-		m.mu.Lock()
-		delete(m.m, key)
-		m.mu.Unlock()
-	}
-	close(c.done)
-	return c.val, c.err
-}
-
-// Len reports how many keys the memo holds, in flight ones included.
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
-
-// callRecover runs fn, converting a panic into an error.
-func callRecover[V any](fn func() (V, error)) (v V, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("parallel: memoized call panicked: %v", r)
-		}
-	}()
-	return fn()
 }

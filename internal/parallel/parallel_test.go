@@ -244,61 +244,3 @@ func TestFlightPanicPropagatesAsError(t *testing.T) {
 		t.Fatalf("key unusable after panic: (%d, %v)", v, err)
 	}
 }
-
-// TestMemoComputesOncePerKey needs no gate, unlike the Flight test: a
-// caller arriving after the leader finished hits the kept result, so the
-// count is one however the goroutines interleave.
-func TestMemoComputesOncePerKey(t *testing.T) {
-	m := NewMemo[string, int](8)
-	var calls atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := m.Do("k", func() (int, error) { return int(calls.Add(1)) * 42, nil })
-			if err != nil || v != 42 {
-				t.Errorf("got (%d, %v), want (42, nil)", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn executed %d times for one key, want 1", got)
-	}
-}
-
-func TestMemoLimit(t *testing.T) {
-	m := NewMemo[int, int](2)
-	calls := map[int]int{}
-	do := func(k int) {
-		if v, err := m.Do(k, func() (int, error) { calls[k]++; return k, nil }); err != nil || v != k {
-			t.Fatalf("Do(%d) = (%d, %v)", k, v, err)
-		}
-	}
-	for _, k := range []int{1, 2, 3, 1, 2, 3} {
-		do(k)
-	}
-	if calls[1] != 1 || calls[2] != 1 || calls[3] != 2 {
-		t.Errorf("calls = %v: want keys 1 and 2 kept, key 3 computed on every call once full", calls)
-	}
-	if n := m.Len(); n != 2 {
-		t.Errorf("Len = %d, want the limit 2", n)
-	}
-}
-
-func TestMemoFailureNotKept(t *testing.T) {
-	m := NewMemo[string, int](8)
-	if _, err := m.Do("k", func() (int, error) { return 0, errors.New("boom") }); err == nil {
-		t.Fatal("error swallowed")
-	}
-	if _, err := m.Do("k", func() (int, error) { panic("boom") }); err == nil {
-		t.Fatal("panic swallowed")
-	}
-	if n := m.Len(); n != 0 {
-		t.Fatalf("Len = %d after two failures, want 0", n)
-	}
-	if v, err := m.Do("k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
-		t.Fatalf("key unusable after failures: (%d, %v)", v, err)
-	}
-}

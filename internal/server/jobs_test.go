@@ -246,7 +246,7 @@ func TestStoreWarmedRestart(t *testing.T) {
 		t.Errorf("store-warmed boot ran the optimizer %d times, want 0", calls)
 	}
 	if second.Header().Get("X-Cache") != "hit" {
-		t.Errorf("store-warmed response X-Cache = %q, want hit (warm-seeded LRU)", second.Header().Get("X-Cache"))
+		t.Errorf("store-warmed response X-Cache = %q, want hit (served through the store tier)", second.Header().Get("X-Cache"))
 	}
 }
 

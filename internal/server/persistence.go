@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
-	"strings"
 
 	"coldtall/internal/array"
 	"coldtall/internal/store"
@@ -17,7 +16,7 @@ const (
 	// cache's tier).
 	respPrefix = "resp|"
 	// charPrefix namespaces persisted array characterizations (the
-	// explorer's persistence hook). The store golden test pins this
+	// characterization cache's tier). The store golden test pins this
 	// prefix — changing it orphans every persisted characterization.
 	charPrefix = "char|"
 )
@@ -36,7 +35,7 @@ func (t respTier) Store(key string, v []byte) {
 	_ = t.st.Put(respPrefix+key, v)
 }
 
-// charStore adapts the store to the explorer's ResultStore hook:
+// charStore adapts the store to the characterization cache's Tier:
 // characterizations are gob-encoded (JSON cannot carry the +Inf retention
 // of static cells) under char| + the canonical design-point key, stamped
 // with explorer.ModelVersion by the store itself.
@@ -54,27 +53,10 @@ func (c charStore) Load(key string) (array.Result, bool) {
 	return r, true
 }
 
-func (c charStore) Save(key string, r array.Result) {
+func (c charStore) Store(key string, r array.Result) {
 	var b bytes.Buffer
 	if err := gob.NewEncoder(&b).Encode(r); err != nil {
 		return
 	}
 	_ = c.st.Put(charPrefix+key, b.Bytes())
-}
-
-// warmCache replays persisted response bodies into the LRU at boot (Seed:
-// no write-back into the store they just came from), so the first request
-// after a restart is a microsecond cache hit instead of a cold sweep. The
-// walk is bounded by the store's contents; entries beyond the LRU capacity
-// simply evict oldest-first and remain reachable through the tier.
-func warmCache(st *store.Store, c interface{ Seed(string, []byte) }) int {
-	n := 0
-	_ = st.Walk(func(key string, val []byte) error {
-		if rest, ok := strings.CutPrefix(key, respPrefix); ok {
-			c.Seed(rest, val)
-			n++
-		}
-		return nil
-	})
-	return n
 }

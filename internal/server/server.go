@@ -115,9 +115,10 @@ type Config struct {
 	// DrainTimeout bounds the graceful drain on shutdown (30s default).
 	DrainTimeout time.Duration
 	// StoreDir, when set, roots the persistent result store: response
-	// bodies and characterizations survive restarts, the response LRU is
-	// warm-seeded on boot, and async jobs checkpoint through it. Empty
-	// keeps the server memory-only.
+	// bodies and characterizations survive restarts (served lazily through
+	// the caches' tier, so a restarted server's first request for a
+	// persisted body is a cache hit), and async jobs checkpoint through
+	// it. Empty keeps the server memory-only.
 	StoreDir string
 	// JobWorkers bounds each async job's worker pool (0 = one per CPU).
 	JobWorkers int
@@ -305,10 +306,9 @@ type Server struct {
 // response cache sits in front of it keyed on canonicalized requests.
 //
 // With cfg.StoreDir set, the server gains memory across restarts: the
-// response cache is backed by (and warm-seeded from) the persistent store,
-// characterizations persist through the explorer's store hook, and jobs
-// interrupted by the previous process are recovered to complete from their
-// checkpoints.
+// response cache and the explorer's characterization cache are backed by
+// the persistent store as their tier, and jobs interrupted by the previous
+// process are recovered to complete from their checkpoints.
 func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	if study == nil {
 		return nil, fmt.Errorf("server: study must not be nil")
@@ -360,9 +360,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 		s.st = st
 		s.respCache.SetTier(respTier{st})
 		study.Explorer().SetPersistence(charStore{st})
-		if n := warmCache(st, s.respCache); n > 0 {
-			cfg.Logger.Printf("store: warm-seeded %d response entries from %s", n, st.Dir())
-		}
 		// Rebuild the registry from persisted workload records before job
 		// recovery: a resumed artifact job may reference an ingested
 		// workload and must find it already registered.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"coldtall/internal/array"
 	"coldtall/internal/job"
 )
 
@@ -240,13 +241,26 @@ func TestJobQuota429(t *testing.T) {
 	path := writeTenantsFile(t, `{
 		"tenants": [{"name": "carol", "key": "carol-key-1", "max_jobs": 1, "budget": 100, "budget_window": "1h"}]
 	}`)
-	s, _ := newTestServer(t, Config{TenantsFile: path})
+	s, study := newTestServer(t, Config{TenantsFile: path})
+	// Hold the first job live: each characterization it needs blocks in
+	// the tier until the test is over, so however fast the sweep would
+	// run, it cannot finish before the second submission.
+	hold := heldTier{release: make(chan struct{})}
+	study.Explorer().SetPersistence(hold)
 
 	first := `{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM"},{"cell":"PCM"},{"cell":"STT-RAM"}],"benchmarks":["namd","mcf"]}`
 	rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", first)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("first job: %d %s", rr.Code, rr.Body)
 	}
+	var st job.Status
+	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(hold.release)
+		waitJobDone(t, s, st.ID)
+	})
 	spentAfterFirst := budgetRemaining(t, rr)
 
 	rr = doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", `{"kind":"characterize","points":[{"cell":"PCM"}]}`)
@@ -264,6 +278,18 @@ func TestJobQuota429(t *testing.T) {
 		t.Errorf("duplicate resubmit moved the budget: remaining %d -> %d", spentAfterFirst, again)
 	}
 }
+
+// heldTier is a characterization tier whose reads block until release is
+// closed and then miss, so a job that needs a characterization stays live
+// until the test lets it go.
+type heldTier struct{ release chan struct{} }
+
+func (h heldTier) Load(string) (array.Result, bool) {
+	<-h.release
+	return array.Result{}, false
+}
+
+func (heldTier) Store(string, array.Result) {}
 
 func budgetRemaining(t *testing.T, rr *httptest.ResponseRecorder) int64 {
 	t.Helper()

@@ -102,9 +102,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, version: opts.Version}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Version returns the model-version stamp entries are written with.
 func (s *Store) Version() string { return s.version }
 

@@ -73,12 +73,12 @@ func TestWireResistivityMemoBitIdentical(t *testing.T) {
 	for i := 0; i < bgMemoLimit+100; i++ {
 		WireResistivity(1000 + float64(i)) // distinct keys, outside any grid
 	}
-	if n := bgMemo.Len(); n != bgMemoLimit {
-		t.Fatalf("memo holds %d temperatures after %d distinct ones, want exactly its limit %d", n, bgMemoLimit+100, bgMemoLimit)
+	if n := bgMemo.Stats().Len; n > bgMemoLimit {
+		t.Fatalf("memo holds %d temperatures after %d distinct ones, past its limit %d", n, bgMemoLimit+100, bgMemoLimit)
 	}
-	checkBitIdentical(t, temps)        // stored before the memo filled
-	checkBitIdentical(t, memoTemps(2)) // computed directly, never stored
-	if n := bgMemo.Len(); n != bgMemoLimit {
+	checkBitIdentical(t, temps)        // evicted or still held
+	checkBitIdentical(t, memoTemps(2)) // computed into a full memo
+	if n := bgMemo.Stats().Len; n > bgMemoLimit {
 		t.Fatalf("memo grew to %d past its limit %d", n, bgMemoLimit)
 	}
 }

@@ -3,8 +3,9 @@ package tech
 import (
 	"fmt"
 	"math"
+	"strconv"
 
-	"coldtall/internal/parallel"
+	"coldtall/internal/cache"
 )
 
 // Copper lattice parameters for the Bloch–Grüneisen resistivity model.
@@ -28,13 +29,14 @@ const (
 
 // bgMemoLimit bounds bgMemo. The paper grid and the technology axes use
 // about fifteen temperatures; the bound only matters for callers that
-// sweep a continuous temperature axis, such as served traffic.
+// sweep a continuous temperature axis, such as served traffic, where the
+// least-recently-used temperature is evicted.
 const bgMemoLimit = 4096
 
 // bgMemo holds bgIntegralRatio per temperature, keyed by the float's bits,
-// so each distinct temperature pays the Simpson integral once per process
-// and every lookup returns the very bits a direct evaluation would.
-var bgMemo = parallel.NewMemo[uint64, float64](bgMemoLimit)
+// so each distinct temperature pays the Simpson integral once while it is
+// cached and every lookup returns the very bits a direct evaluation would.
+var bgMemo = cache.MustNew[float64](bgMemoLimit)
 
 // blochGruneisen returns the phonon contribution to copper resistivity at
 // temperature t (kelvin), in ohm-metres, normalized so that the value at
@@ -48,7 +50,8 @@ func blochGruneisen(t float64) float64 {
 
 // bgRatio is bgIntegralRatio through bgMemo.
 func bgRatio(t float64) float64 {
-	r, _ := bgMemo.Do(math.Float64bits(t), func() (float64, error) { // never fails
+	key := strconv.FormatUint(math.Float64bits(t), 16)
+	r, _, _ := bgMemo.Do(key, func() (float64, error) { // never fails
 		return bgIntegralRatio(t), nil
 	})
 	return r
