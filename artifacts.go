@@ -11,8 +11,11 @@ import (
 	"io"
 
 	"coldtall/internal/artifact"
+	"coldtall/internal/cryo"
+	"coldtall/internal/explorer"
 	"coldtall/internal/report"
 	"coldtall/internal/signature"
+	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
 
@@ -418,4 +421,49 @@ func (s *Study) RenderArtifactCSV(w io.Writer, name string) error {
 // family; the differences between figures live in their descriptors now.
 func (s *Study) RenderArtifact(w io.Writer, name string, plot bool) error {
 	return artifacts.Render(s.context(), s, name, w, plot)
+}
+
+// ArtifactPoints returns the distinct design points an artifact's render
+// path characterizes, the 350 K SRAM baseline every artifact normalizes
+// against included. Tenant admission prices an artifact job by its length
+// (one design-point evaluation each), so it only sizes work and never
+// changes results. Artifacts without an enumerable grid return nil.
+func ArtifactPoints(name string) []explorer.DesignPoint {
+	var pts []explorer.DesignPoint
+	switch name {
+	case "fig1":
+		for _, t := range cryo.EffectiveTemperatures() {
+			pts = append(pts, explorer.SRAMAt(t))
+		}
+	case "fig3", "fig4":
+		pts = explorer.CryoSweep(cryo.EffectiveTemperatures())
+	case "fig5":
+		pts = fig5Points()
+	case "fig6", "fig7":
+		envm, err := explorer.ENVMSweep()
+		if err != nil {
+			return nil
+		}
+		pts = envm
+	case "table2":
+		cands, err := explorer.TableIICandidates()
+		if err != nil {
+			return nil
+		}
+		pts = cands
+	case "cooling":
+		pts = []explorer.DesignPoint{explorer.EDRAMAt(tech.TempCryo77)}
+	default:
+		return nil
+	}
+	pts = append(pts, explorer.Baseline())
+	seen := make(map[string]bool, len(pts))
+	out := pts[:0]
+	for _, p := range pts {
+		if k := p.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, p)
+		}
+	}
+	return out
 }

@@ -66,9 +66,7 @@ type Evaluation struct {
 // v2: DesignPoint.Key spells temperatures exactly; a v1 store may hold
 // results keyed by a rounded temperature that a fractional one would hit.
 // v3: DesignPoint.Key spells a non-default clock exactly, for the same
-// reason. The cluster's register handshake compares this stamp too, so a
-// v2 worker (which also speaks the older lease and register wire format)
-// is refused with 409.
+// reason.
 const ModelVersion = "coldtall-physics-v3"
 
 // charCapacity bounds the characterization cache. A full export
@@ -204,18 +202,6 @@ func (e *Explorer) OptimizeCalls() int64 { return e.chars.optimizeCalls.Load() }
 // hit is promoted into the cache. It never computes.
 func (e *Explorer) CachedCharacterization(p DesignPoint) (array.Result, bool) {
 	return e.chars.cache.Get(p.Key())
-}
-
-// SeedCharacterization installs an externally computed characterization
-// for a point, filling the in-process cache and writing through the
-// persistence hook exactly as CharacterizeContext would have; a point
-// already cached keeps its entry. The cluster layer uses it to land
-// worker-computed results: array.Optimize is deterministic (the
-// pruned/exhaustive differential pins this), so a seeded result is
-// identical to what a local computation would produce and every artifact
-// rendered from it stays byte-identical.
-func (e *Explorer) SeedCharacterization(p DesignPoint, r array.Result) {
-	e.chars.cache.Do(p.Key(), func() (array.Result, error) { return r, nil })
 }
 
 // Evaluate computes the application-level metrics of one design point under
@@ -378,9 +364,8 @@ func (e *Explorer) WarmFamiliesContext(ctx context.Context, points []DesignPoint
 // FamilyKey groups design points that differ only along the delta axes of
 // the array search — temperature and die count. It deliberately mirrors
 // the family key of the array package's ranking memo: solving one member
-// seeds the organization ordering for the rest. The sweep scheduler walks
-// families contiguously, and the cluster coordinator leases whole families
-// to one worker so every replica's rankingMemo warm-starts stay effective.
+// seeds the organization ordering for the rest, so the sweep schedulers
+// walk families contiguously.
 func FamilyKey(p DesignPoint) string {
 	return fmt.Sprintf("%s|%v|%d|%s|%v", p.Cell.Name, p.Cell.Tech, p.Capacity(), p.Node.Name, p.Style)
 }
@@ -388,10 +373,10 @@ func FamilyKey(p DesignPoint) string {
 // FamilyOrder returns a permutation of point indices that walks each
 // characterization family contiguously, members ordered by (dies,
 // temperature) so consecutive positions are neighboring design points. It
-// is the schedule both the in-process sweep (sweepOrder) and the cluster
-// coordinator's lease decomposition dispatch in: the array layer's pruned
-// search then re-verifies a warm ranking instead of cold-starting per
-// point. Only ORDER is defined here — callers still land results at input
+// is the schedule both the synchronous sweep (sweepOrder) and the async
+// sweep job's warm pass characterize in: the array layer's pruned search
+// then re-verifies a warm ranking instead of cold-starting per point.
+// Only ORDER is defined here — callers still land results at input
 // positions, so outputs stay byte-identical to the naive walk.
 func FamilyOrder(points []DesignPoint) []int {
 	type member struct{ point, seq int }

@@ -133,28 +133,33 @@ func TestWithCoolingSharedEvaluatesDifferently(t *testing.T) {
 
 // TestCharacterizationCacheBounded: the characterization cache never holds
 // more than charCapacity points, and a point it evicted comes back from the
-// persistence tier rather than from the optimizer. Every point is seeded,
-// so the optimizer never runs.
+// persistence tier rather than from the optimizer. The tier is filled
+// before the explorer reads it, so the optimizer never runs.
 func TestCharacterizationCacheBounded(t *testing.T) {
 	st := newFakeStore()
-	e := New()
-	e.SetPersistence(st)
 	const n = charCapacity + 100
 	pts := make([]DesignPoint, n)
 	for i := range pts {
 		p := Baseline()
 		p.Temperature = 77 + float64(i)/128 // distinct fractional temperatures
 		pts[i] = p
-		e.SeedCharacterization(p, array.Result{ReadLatency: float64(i)})
+		st.m[p.Key()] = array.Result{ReadLatency: float64(i)}
+	}
+	e := New()
+	e.SetPersistence(st)
+	for _, p := range pts {
+		if _, err := e.Characterize(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := e.chars.cache.Stats().Len; got > charCapacity {
-		t.Fatalf("cache holds %d characterizations after %d distinct seeds, past its bound %d", got, n, charCapacity)
+		t.Fatalf("cache holds %d characterizations after %d distinct points, past its bound %d", got, n, charCapacity)
 	}
-	if st.saves != n {
-		t.Errorf("tier saves = %d, want one per seeded point (%d)", st.saves, n)
+	if st.saves != 0 {
+		t.Errorf("tier saves = %d, want 0 (every point came from the tier)", st.saves)
 	}
-	// Seeding evicts oldest-first, so the earliest points include evicted
-	// ones; each must come back with its seeded value.
+	// Promotion evicts oldest-first, so the earliest points include evicted
+	// ones; each must come back from the tier with its stored value.
 	evicted := 0
 	for i, p := range pts[:200] {
 		loadsBefore := st.loads
@@ -163,7 +168,7 @@ func TestCharacterizationCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.ReadLatency != float64(i) {
-			t.Fatalf("point %d served %v, want its seeded result", i, r.ReadLatency)
+			t.Fatalf("point %d served %v, want its stored result", i, r.ReadLatency)
 		}
 		if st.loads > loadsBefore {
 			evicted++

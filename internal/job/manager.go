@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"coldtall"
-	"coldtall/internal/array"
 	"coldtall/internal/distill"
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
@@ -49,13 +48,6 @@ type Options struct {
 	// DedupThreshold tunes ingest near-duplicate detection
 	// (ingest.Options.DedupThreshold semantics: 0 = default, < 0 = off).
 	DedupThreshold float64
-	// Distributor, when set, leases the array characterizations that
-	// sweep and artifact jobs need to cluster workers instead of running
-	// the optimizer in-process (the coordinator wires itself in here).
-	// Evaluation, checkpoints and rendering stay local. ErrNoWorkers from
-	// it falls back to local computation; either way the payloads are
-	// byte-identical.
-	Distributor Distributor
 	// OnTransition, when set, observes every state change (the metrics
 	// layer feeds job counters from it). Called outside the job lock.
 	OnTransition func(id string, from, to State)
@@ -739,28 +731,7 @@ func (m *Manager) setResult(j *Job, body []byte, ctype string) {
 // runArtifact builds one registry artifact as CSV (restricted to the
 // spec's workload when set) through ArtifactCSV, the renderer the
 // synchronous artifact routes serve, so the payloads are byte-identical.
-// With a distributor, the artifact's uncached design points are first
-// characterized on the cluster, so the render finds every
-// characterization warm and runs zero local optimizer calls.
 func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
-	if m.opts.Distributor != nil {
-		missing := m.uncached(coldtall.ArtifactPoints(j.spec.Artifact))
-		if len(missing) > 0 {
-			j.mu.Lock()
-			j.total = len(missing) + 1 // characterizations plus the final render
-			j.mu.Unlock()
-			m.persist(j)
-		}
-		err := m.distributeChars(ctx, j, missing, func(explorer.DesignPoint) {
-			j.mu.Lock()
-			j.done++
-			j.mu.Unlock()
-			m.persist(j)
-		})
-		if err != nil {
-			return err
-		}
-	}
 	body, err := ArtifactCSV(m.study.WithContext(ctx), j.spec.Artifact, j.spec.Workload)
 	if err != nil {
 		return err
@@ -895,22 +866,19 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		m.logf("job %s: restored %d/%d cells from checkpoints", j.id, restored, n)
 	}
 
-	// Phase 2: with a distributor, lease the characterizations the
-	// remaining cells need to the cluster; each point's cells are evaluated
-	// and checkpointed as it lands. Whatever is left (cells of points that
-	// were already warm, or everything after an ErrNoWorkers fallback)
-	// computes on the in-process pool. Both paths land results at the
-	// cells' input positions, so the marshalled payload is byte-identical
-	// regardless of where characterizations ran.
-	rest := pending
-	if m.opts.Distributor != nil && len(pending) > 0 {
-		if rest, err = m.distributeSweep(ctx, j, points, traffics, pending, evals, restored); err != nil {
-			return err
-		}
+	// Phase 2: characterize the points the pending cells need, so the
+	// evaluations below are cheap arithmetic on a warm cache.
+	if err := m.warm(ctx, points, cols, pending); err != nil {
+		return err
 	}
-	doneBase := n - len(rest)
-	err = parallel.ForEachProgressContext(ctx, len(rest), m.opts.Workers, func(k int) error {
-		cell := rest[k]
+
+	// Phase 3: evaluate and checkpoint the pending cells. Each lands at its
+	// input position, so the payload is independent of the pool's order.
+	// The record, which is also the subscriber broadcast, is rewritten
+	// when done reaches a multiple of the benchmark count: each rewrite is
+	// a store write, so once per point's worth of cells, not per cell.
+	err = parallel.ForEachProgressContext(ctx, len(pending), m.opts.Workers, func(k int) error {
+		cell := pending[k]
 		i, jx := cell/cols, cell%cols
 		ev, err := m.evalWithRetry(ctx, points[i], traffics[jx])
 		if err != nil {
@@ -920,12 +888,15 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		m.saveCell(j.id, points[i], traffics[jx], ev)
 		return nil
 	}, func(done int) {
+		d := restored + done
 		j.mu.Lock()
-		if doneBase+done > j.done {
-			j.done = doneBase + done
+		if d > j.done {
+			j.done = d
 		}
 		j.mu.Unlock()
-		m.persist(j)
+		if d%cols == 0 || d == n {
+			m.persist(j)
+		}
 	})
 	if err != nil {
 		return err
@@ -939,84 +910,38 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// distributeSweep warms the explorer with the characterizations a
-// sweep's pending cells need: their uncached points plus the 350 K SRAM
-// baseline that every slowdown check reads. As each point lands, its
-// pending cells are evaluated from the warm cache, written to their grid
-// positions and checkpointed, so progress advances per point and what
-// landed before an error survives into a resume. Cells of points that land
-// before the baseline wait for it, since evaluating them earlier would
-// characterize the baseline locally. A cell whose evaluation fails is left
-// for the in-process pool's retries. Returns the pending cells still to
-// evaluate.
-func (m *Manager) distributeSweep(ctx context.Context, j *Job, points []explorer.DesignPoint, traffics []workload.Traffic, pending []int, evals []explorer.Evaluation, restored int) ([]int, error) {
-	cols := len(traffics)
-	cellsOf := make(map[string][]int) // point key -> indices into pending
+// warm characterizes, on the job's pool, the uncached points of the
+// pending cells: the 350 K SRAM baseline that every slowdown check reads
+// first, then the cells' distinct points in explorer.FamilyOrder, so the
+// array layer's pruned search re-verifies a warm ranking instead of
+// cold-starting each neighbor. A failed characterization is not an error
+// here: the cell's evalWithRetry meets it again and owns the retry budget.
+// Only cancellation ends the pass early. No pending cells, no optimizer
+// calls.
+func (m *Manager) warm(ctx context.Context, points []explorer.DesignPoint, cols int, pending []int) error {
+	if len(pending) == 0 {
+		return nil
+	}
+	var pts []explorer.DesignPoint
+	for k, cell := range pending {
+		if k == 0 || cell/cols != pending[k-1]/cols {
+			pts = append(pts, points[cell/cols])
+		}
+	}
 	need := []explorer.DesignPoint{explorer.Baseline()}
-	for k, cell := range pending {
-		key := points[cell/cols].Key()
-		if _, seen := cellsOf[key]; !seen {
-			need = append(need, points[cell/cols])
-		}
-		cellsOf[key] = append(cellsOf[key], k)
+	for _, i := range explorer.FamilyOrder(pts) {
+		need = append(need, pts[i])
 	}
-	baseKey := explorer.Baseline().Key()
 	missing := m.uncached(need)
-	baseWarm := len(missing) == 0 || missing[0].Key() != baseKey
-
-	evaluated := make([]bool, len(pending))
-	var mu sync.Mutex
-	var waiting []explorer.DesignPoint
-	done := restored
-	err := m.distributeChars(ctx, j, missing, func(p explorer.DesignPoint) {
-		mu.Lock()
-		waiting = append(waiting, p)
-		if p.Key() == baseKey {
-			baseWarm = true
-		}
-		if !baseWarm {
-			mu.Unlock()
-			return
-		}
-		ready := waiting
-		waiting = nil
-		mu.Unlock()
-		for _, rp := range ready {
-			n := 0
-			for _, k := range cellsOf[rp.Key()] {
-				cell := pending[k]
-				p, tr := points[cell/cols], traffics[cell%cols]
-				ev, err := m.evalCell(ctx, p, tr)
-				if err != nil {
-					continue
-				}
-				evals[cell] = ev
-				evaluated[k] = true
-				m.saveCell(j.id, p, tr, ev)
-				n++
-			}
-			mu.Lock()
-			done += n
-			d := done
-			mu.Unlock()
-			j.mu.Lock()
-			if d > j.done {
-				j.done = d
-			}
-			j.mu.Unlock()
-			m.persist(j)
-		}
+	exp := m.study.Explorer()
+	err := parallel.ForEachContext(ctx, len(missing), m.opts.Workers, func(k int) error {
+		_, err := exp.CharacterizeContext(ctx, missing[k])
+		return err
 	})
-	if err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return err
 	}
-	var rest []int
-	for k, cell := range pending {
-		if !evaluated[k] {
-			rest = append(rest, cell)
-		}
-	}
-	return rest, nil
+	return nil
 }
 
 // uncached returns the distinct points (by Key, in input order) whose
@@ -1039,27 +964,6 @@ func (m *Manager) uncached(pts []explorer.DesignPoint) []explorer.DesignPoint {
 	return out
 }
 
-// distributeChars leases pts to the cluster for characterization. Each
-// result seeds the explorer's cache (and its persistence hook) before
-// landed observes it. An empty cluster (ErrNoWorkers) is not an error:
-// whatever did not land is computed locally by the caller's render or
-// pool.
-func (m *Manager) distributeChars(ctx context.Context, j *Job, pts []explorer.DesignPoint, landed func(explorer.DesignPoint)) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	exp := m.study.Explorer()
-	err := m.opts.Distributor.DistributeChars(ctx, j.id, pts, func(i int, r array.Result) {
-		exp.SeedCharacterization(pts[i], r)
-		landed(pts[i])
-	})
-	if errors.Is(err, ErrNoWorkers) {
-		m.logf("job %s: cluster unavailable (%v); computing locally", j.id, err)
-		return nil
-	}
-	return err
-}
-
 // evalWithRetry runs one cell with the attempt budget: transient failures
 // back off exponentially (capped), cancellation aborts immediately.
 func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
@@ -1067,7 +971,7 @@ func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr 
 	var err error
 	for attempt := 1; attempt <= m.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			t := time.NewTimer(Backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax, nil))
+			t := time.NewTimer(backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax))
 			select {
 			case <-ctx.Done():
 				t.Stop()
@@ -1083,6 +987,20 @@ func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr 
 		}
 	}
 	return ev, fmt.Errorf("job: cell %s/%s failed after %d attempts: %w", p.Label, tr.Benchmark, m.opts.MaxAttempts, err)
+}
+
+// backoff is evalWithRetry's capped exponential schedule: base doubling
+// per completed attempt, never above max. attempt counts completed
+// failures (attempt 1 waits base).
+func backoff(attempt int, base, max time.Duration) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	return d
 }
 
 // loadCell restores one checkpointed evaluation; a missing or undecodable

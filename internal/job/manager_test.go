@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -88,6 +87,102 @@ func TestSweepJobLifecycle(t *testing.T) {
 	}
 	if len(res.Rows) != 2 || res.Rows[0].Benchmark != "namd" {
 		t.Fatalf("sweep result rows = %+v", res.Rows)
+	}
+}
+
+// familySweepSpec spans four characterization families (SRAM, 3T-eDRAM,
+// PCM, STT-RAM) at mixed temperatures and die counts, over two benchmarks.
+func familySweepSpec() Spec {
+	return Spec{
+		Kind: KindSweep,
+		Points: []explorer.PointSpec{
+			{Cell: "SRAM", TemperatureK: 77, Dies: 2},
+			{Cell: "PCM", Dies: 4},
+			{Cell: "3T-eDRAM", TemperatureK: 77},
+			{Cell: "SRAM"},
+			{Cell: "STT-RAM", TemperatureK: 200, Dies: 8},
+			{Cell: "3T-eDRAM", TemperatureK: 150, Dies: 2},
+		},
+		Benchmarks: []string{"namd", "mcf"},
+	}
+}
+
+// TestSweepJobMatchesEvaluateAll: an async sweep job on a two-worker pool
+// returns exactly the bytes of the in-process sweep (Explorer.EvaluateAll
+// on a fresh explorer) over the same grid.
+func TestSweepJobMatchesEvaluateAll(t *testing.T) {
+	spec := familySweepSpec()
+	m := newTestManager(t, Options{Workers: 2})
+	st0, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, m, st0.ID); st.State != StateDone {
+		t.Fatalf("final status = %+v", st)
+	}
+	got, _, ok := m.Result(st0.ID)
+	if !ok {
+		t.Fatal("sweep job has no result")
+	}
+
+	points, traffics, err := spec.Grid(workload.StaticTrafficFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := coldtall.NewStudy().Explorer().EvaluateAll(points, traffics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evals []explorer.Evaluation
+	for _, row := range grid {
+		evals = append(evals, row...)
+	}
+	want, err := SweepJSON(len(points), len(traffics), evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("async sweep diverged from EvaluateAll:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSweepJobRecordWrites: a store-backed P-point x B-benchmark sweep
+// writes at most P+4 job records — submit, running, checkpoint replay and
+// done, plus one per point's worth of cells — not one per cell.
+func TestSweepJobRecordWrites(t *testing.T) {
+	spec := familySweepSpec()
+	st := openStore(t, t.TempDir())
+	m := newTestManager(t, Options{Store: st, Workers: 2})
+	st0, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := waitDone(t, m, st0.ID); s.State != StateDone {
+		t.Fatalf("final status = %+v", s)
+	}
+	m.Close()
+	cells, results := 0, 0
+	err = st.Walk(func(key string, _ []byte) error {
+		switch {
+		case strings.HasPrefix(key, cellPrefix):
+			cells++
+		case key == resultKey(st0.ID):
+			results++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, b := len(spec.Points), len(spec.Benchmarks)
+	if cells != p*b || results != 1 {
+		t.Fatalf("store holds %d cell checkpoints and %d results, want %d and 1", cells, results, p*b)
+	}
+	// Nothing else writes to this store (the explorer has no persistence
+	// tier here), so every other put is a job record.
+	records := int(st.Stats().Puts) - cells - results
+	if records > p+4 {
+		t.Errorf("sweep wrote %d job records, want at most %d (P+4)", records, p+4)
 	}
 }
 
@@ -198,57 +293,12 @@ func TestBackoffDelayCaps(t *testing.T) {
 	base, max := 25*time.Millisecond, time.Second
 	want := []time.Duration{base, 50 * time.Millisecond, 100 * time.Millisecond}
 	for i, w := range want {
-		if got := Backoff(i+1, base, max, nil); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		if got := backoff(i+1, base, max); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if got := Backoff(30, base, max, nil); got != max {
+	if got := backoff(30, base, max); got != max {
 		t.Errorf("deep attempt = %v, want the %v cap", got, max)
-	}
-}
-
-// TestBackoffJitterSchedule pins the jittered retry schedule exactly: a
-// seeded source must reproduce these delays byte-for-byte (math/rand's
-// generator is covered by the Go 1 compatibility promise), which is what
-// makes flake reports about retry storms reproducible.
-func TestBackoffJitterSchedule(t *testing.T) {
-	const base, max = 100 * time.Millisecond, 5 * time.Second
-	want := []time.Duration{
-		57645802,
-		135502188,
-		218722916,
-		542008091,
-		991376923,
-		2189901870,
-		4890811900,
-		4254322022,
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i, w := range want {
-		if got := Backoff(i+1, base, max, rng); got != w {
-			t.Errorf("attempt %d: delay = %v, want %v", i+1, got, w)
-		}
-	}
-}
-
-// TestBackoffJitterBounds: every jittered delay lands in the top half of
-// the deterministic schedule ("equal jitter" — at least half the delay,
-// never more than the whole of it), so jittered and plain retries run on
-// the same curve.
-func TestBackoffJitterBounds(t *testing.T) {
-	const base, max = 50 * time.Millisecond, 2 * time.Second
-	rng := rand.New(rand.NewSource(42))
-	for attempt := 1; attempt <= 12; attempt++ {
-		d := Backoff(attempt, base, max, nil)
-		for trial := 0; trial < 50; trial++ {
-			got := Backoff(attempt, base, max, rng)
-			if got < d/2 || got > d {
-				t.Fatalf("attempt %d trial %d: delay %v outside [%v, %v]", attempt, trial, got, d/2, d)
-			}
-		}
-		if d > max {
-			t.Fatalf("attempt %d: base schedule %v exceeds cap %v", attempt, d, max)
-		}
 	}
 }
 

@@ -31,7 +31,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // scrape-time store gauges first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.refreshStoreMetrics()
-	s.refreshClusterMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.reg.WritePrometheus(w)
 }

@@ -292,14 +292,16 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 	// Let it finish, then forge the record back to "running" — the state
 	// a SIGKILL'd process leaves on disk (checkpoints intact, record
 	// never transitioned). The next boot must resume and complete it.
+	// The status reads done before the done record is written, so close
+	// the manager first: a late write would overwrite the forgery.
 	if st := pollJob(t, s1.Handler(), sub.ID); st.State != job.StateDone {
 		t.Fatalf("first boot job state = %s", st.State)
 	}
+	s1.jobs.Close()
 	rec := fmt.Sprintf(`{"id":%q,"spec":{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM","temperature_k":77}],"benchmarks":["namd"]},"state":"running","done":2,"total":2}`, sub.ID)
 	if err := s1.Store().Put("job|"+sub.ID, []byte(rec)); err != nil {
 		t.Fatal(err)
 	}
-	s1.jobs.Close()
 
 	s2 := newStoreServer(t, dir)
 	st := pollJob(t, s2.Handler(), sub.ID)

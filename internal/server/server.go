@@ -46,11 +46,6 @@
 //	GET  /v1/tables/{n}          alias for /v1/artifacts/table{n} (n in 1,2)
 //	GET  /v1/openapi.json        versioned OpenAPI document generated from the
 //	                             route table and the artifact registry
-//	POST /v1/cluster/register    (with -coordinator) worker replica joins
-//	POST /v1/cluster/heartbeat   worker liveness ping
-//	POST /v1/cluster/lease       worker pulls a leased grid range
-//	POST /v1/cluster/ack         worker returns lease results
-//	GET  /v1/cluster/status      worker table + lease statistics
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                Prometheus text exposition
 //	GET  /debug/pprof/           runtime profiles
@@ -83,7 +78,6 @@ import (
 
 	"coldtall"
 	"coldtall/internal/cache"
-	"coldtall/internal/cluster"
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
 	"coldtall/internal/job"
@@ -122,19 +116,6 @@ type Config struct {
 	StoreDir string
 	// JobWorkers bounds each async job's worker pool (0 = one per CPU).
 	JobWorkers int
-	// Coordinator enables distributed characterization: the /v1/cluster/*
-	// routes come up for stateless worker replicas, and async sweep and
-	// artifact jobs lease their design points' characterizations across
-	// the cluster (falling back to local compute when no workers are
-	// registered). Results are byte-identical either way.
-	Coordinator bool
-	// WorkerToken, when set, is required in the X-Coldtall-Worker-Token
-	// header of every /v1/cluster request.
-	WorkerToken string
-	// LeaseTTL and LeaseUnits tune the coordinator's lease sizing and
-	// expiry (0 selects the cluster package defaults).
-	LeaseTTL   time.Duration
-	LeaseUnits int
 	// TenantsFile, when set, loads named tenants (API keys, quotas,
 	// budgets, weights) from a JSON config; see internal/tenant. Empty
 	// keeps only the anonymous tier.
@@ -276,7 +257,6 @@ type Server struct {
 	study     *coldtall.Study
 	respCache *cache.Cache[[]byte]
 	st        *store.Store
-	coord     *cluster.Coordinator
 	jobs      *job.Manager
 	workloads *workload.Registry
 	// sigs indexes the locality signature of every registered custom
@@ -376,32 +356,12 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 		// restart.
 		s.uploads = ingest.NewUploads(st)
 	}
-	// The coordinator comes up before the job manager so distributed jobs
-	// (including ones recovered from checkpoints) can lease their grids
-	// immediately. Its lease tables persist in the same store, so a
-	// restarted coordinator re-adopts whatever was in flight.
-	var dist job.Distributor
-	if cfg.Coordinator {
-		s.coord = cluster.New(cluster.Options{
-			LeaseTTL:   cfg.LeaseTTL,
-			LeaseUnits: cfg.LeaseUnits,
-			Store:      s.st,
-			Logger:     cfg.Logger,
-		})
-		if n, err := s.coord.Recover(); err != nil {
-			cfg.Logger.Printf("cluster recovery: %v", err)
-		} else if n > 0 {
-			cfg.Logger.Printf("cluster recovery: %d in-flight leases eligible for re-adoption", n)
-		}
-		dist = s.coord
-	}
 	s.jobs, err = job.NewManager(study, job.Options{
 		Store:         s.st,
 		Workers:       cfg.JobWorkers,
 		Logger:        cfg.Logger,
 		Workloads:     s.workloads,
 		Sigs:          s.sigs,
-		Distributor:   dist,
 		MaxConcurrent: cfg.JobConcurrency,
 		Scheduler:     cfg.Scheduler,
 		TenantWeight:  s.tenants.Weight,
@@ -449,11 +409,6 @@ func (s *Server) buildHandler() http.Handler {
 	for _, rt := range apiRoutes() {
 		h := rt.handler
 		mux.HandleFunc(rt.method+" "+rt.pattern, func(w http.ResponseWriter, r *http.Request) { h(s, w, r) })
-	}
-	if s.coord != nil {
-		// The cluster surface is worker-to-coordinator traffic: token-gated
-		// and registered as one prefix (the coordinator owns its routes).
-		mux.Handle("/v1/cluster/", s.workerAuth(s.coord.Handler()))
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -561,9 +516,6 @@ func (s *Server) stopJobs(ctx context.Context) {
 		s.cfg.Logger.Printf("drain: cancelling jobs still running at timeout (checkpoints preserved)")
 	}
 	s.jobs.Close()
-	if s.coord != nil {
-		s.coord.Close()
-	}
 }
 
 // ListenAndServe binds cfg.Addr and serves until ctx is done (see Serve).

@@ -13,10 +13,7 @@ WORK="$(mktemp -d)"
 
 go build -o "$BIN" ./cmd/coldtall
 
-# -coordinator also exercises the workerless degrade: with no workers
-# registered, distributed jobs must fall back to local compute while the
-# cluster metrics surface stays scrapeable.
-"$BIN" serve -addr "$ADDR" -coordinator -store-dir "$WORK/store" &
+"$BIN" serve -addr "$ADDR" -store-dir "$WORK/store" &
 PID=$!
 trap 'kill -9 "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
@@ -58,14 +55,11 @@ cmp "$WORK/job.csv" "$WORK/sync.csv" || {
 }
 "$BIN" jobs -server "$BASE" list | grep -q "$JOB_ID"
 
-# Metrics expose the latency histogram, the cache counters, the
-# persistence/job series the store wiring adds, and the cluster
-# lease/worker series the coordinator mirrors at scrape time.
+# Metrics expose the latency histogram, the cache counters, and the
+# persistence/job series the store wiring adds.
 METRICS="$(curl -fsS "$BASE/metrics")"
 for series in coldtall_request_seconds_count coldtall_cache_hits_total coldtall_http_inflight \
-  coldtall_jobs_running coldtall_store_entries coldtall_cache_evictions_total \
-  coldtall_cluster_workers coldtall_cluster_leases_pending coldtall_cluster_leases_requeued_total \
-  coldtall_cluster_points_total; do
+  coldtall_jobs_running coldtall_store_entries coldtall_cache_evictions_total; do
   echo "$METRICS" | grep -q "$series" || {
     echo "smoke FAIL: /metrics missing $series" >&2
     exit 1
