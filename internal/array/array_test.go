@@ -78,21 +78,45 @@ func TestConfigValidate(t *testing.T) {
 
 func TestOrganizationConstraints(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	bad := []Organization{
-		{Banks: 3, Rows: 512, Cols: 1024, ColumnMux: 4},    // non-power-of-two banks
-		{Banks: 4, Rows: 8, Cols: 1024, ColumnMux: 4},      // mat too small
-		{Banks: 4, Rows: 512, Cols: 1024, ColumnMux: 2048}, // mux > cols
-		{Banks: 4, Rows: 512, Cols: 4096, ColumnMux: 1},    // fetch wider than block
+	cfg8 := DefaultLLC(cell.NewSRAM6T(), 350, stack.Config{Dies: 8, Style: stack.TSVStack})
+	bad := []struct {
+		cfg  Config
+		org  Organization
+		want string
+	}{
+		{cfg, Organization{Banks: 3, Rows: 512, Cols: 1024, ColumnMux: 4}, "array: banks must be a positive power of two, got 3"},
+		{cfg, Organization{Banks: 4, Rows: 8, Cols: 1024, ColumnMux: 4}, "array: mat 8x1024 too small"},
+		{cfg, Organization{Banks: 4, Rows: 512, Cols: 1024, ColumnMux: 2048}, "array: column mux 2048 invalid for 1024 columns"},
+		{cfg, Organization{Banks: 4, Rows: 512, Cols: 4096, ColumnMux: 1}, "array: mat fetch width 4096 exceeds block bits 576"},
+		{cfg, Organization{Banks: 64, Rows: 4096, Cols: 16, ColumnMux: 16}, "array: access needs 576 mats but bank has 39"},
+		// Banks must cover the dies.
+		{cfg8, Organization{Banks: 4, Rows: 512, Cols: 1024, ColumnMux: 4}, "array: 4 banks cannot spread across 8 dies"},
 	}
-	for _, o := range bad {
-		if _, err := cfg.derive(o); err == nil {
-			t.Errorf("organization %v should be rejected", o)
+	for _, b := range bad {
+		if _, err := b.cfg.derive(b.org); err == nil || err.Error() != b.want {
+			t.Errorf("organization %v: error %v, want %q", b.org, err, b.want)
+		}
+		if _, why := b.cfg.feasible(b.org); why == feasibleOrg {
+			t.Errorf("organization %v should be infeasible", b.org)
 		}
 	}
-	// Banks must cover the dies.
-	cfg8 := DefaultLLC(cell.NewSRAM6T(), 350, stack.Config{Dies: 8, Style: stack.TSVStack})
-	if _, err := cfg8.derive(Organization{Banks: 4, Rows: 512, Cols: 1024, ColumnMux: 4}); err == nil {
-		t.Error("4 banks across 8 dies should be rejected")
+}
+
+// TestFeasibleMatchesDerive pins the search paths' error-free check to
+// derive over every candidate: the same verdict and the same derived
+// quantities.
+func TestFeasibleMatchesDerive(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar()),
+		DefaultLLC(cell.NewSRAM6T(), 77, stack.Config{Dies: 8, Style: stack.TSVStack}),
+	} {
+		for _, o := range candidates() {
+			d, err := cfg.derive(o)
+			f, why := cfg.feasible(o)
+			if (err == nil) != (why == feasibleOrg) || (err == nil && d != f) {
+				t.Fatalf("organization %v: derive (%+v, %v), feasible (%+v, %d)", o, d, err, f, why)
+			}
+		}
 	}
 }
 

@@ -175,38 +175,73 @@ type derived struct {
 	totalSAs      float64
 }
 
+// infeasibility names the first feasibility rule an organization breaks.
+type infeasibility uint8
+
+const (
+	feasibleOrg infeasibility = iota
+	badBanks
+	matTooSmall
+	badColumnMux
+	fetchTooWide
+	tooFewMats
+	tooFewBanks
+)
+
 // derive validates the organization against the config and computes the
 // derived quantities.
 func (c Config) derive(o Organization) (derived, error) {
+	d, why := c.feasible(o)
+	switch why {
+	case badBanks:
+		return d, fmt.Errorf("array: banks must be a positive power of two, got %d", o.Banks)
+	case matTooSmall:
+		return d, fmt.Errorf("array: mat %dx%d too small", o.Rows, o.Cols)
+	case badColumnMux:
+		return d, fmt.Errorf("array: column mux %d invalid for %d columns", o.ColumnMux, o.Cols)
+	case fetchTooWide:
+		return d, fmt.Errorf("array: mat fetch width %.0f exceeds block bits %.0f", float64(o.Cols/o.ColumnMux), d.blockBits)
+	case tooFewMats:
+		return d, fmt.Errorf("array: access needs %.0f mats but bank has %.0f", d.activatedMats, d.matsPerBank)
+	case tooFewBanks:
+		return d, fmt.Errorf("array: %d banks cannot spread across %d dies", o.Banks, c.Stack.Dies)
+	}
+	return d, nil
+}
+
+// feasible is derive without the error text, for the search paths that
+// only count or skip infeasible organizations: it computes the derived
+// quantities, or names the first rule the organization breaks.
+func (c Config) feasible(o Organization) (derived, infeasibility) {
 	var d derived
 	if o.Banks < 1 || o.Banks&(o.Banks-1) != 0 {
-		return d, fmt.Errorf("array: banks must be a positive power of two, got %d", o.Banks)
+		return d, badBanks
 	}
 	if o.Rows < 16 || o.Cols < 16 {
-		return d, fmt.Errorf("array: mat %dx%d too small", o.Rows, o.Cols)
+		return d, matTooSmall
 	}
 	if o.ColumnMux < 1 || o.ColumnMux > o.Cols {
-		return d, fmt.Errorf("array: column mux %d invalid for %d columns", o.ColumnMux, o.Cols)
+		return d, badColumnMux
 	}
 	d.totalBits = c.totalBits()
 	d.blockBits = c.blockBits()
 	bitsPerSAGroup := float64(o.Cols / o.ColumnMux)
 	if bitsPerSAGroup > d.blockBits {
-		return d, fmt.Errorf("array: mat fetch width %.0f exceeds block bits %.0f", bitsPerSAGroup, d.blockBits)
+		return d, fetchTooWide
 	}
 	d.activatedMats = math.Ceil(d.blockBits / bitsPerSAGroup)
 	d.bitsPerMat = float64(o.Rows) * float64(o.Cols)
 	d.totalMats = math.Ceil(d.totalBits / d.bitsPerMat)
 	d.matsPerBank = math.Ceil(d.totalMats / float64(o.Banks))
 	if d.activatedMats > d.matsPerBank {
-		return d, fmt.Errorf("array: access needs %.0f mats but bank has %.0f", d.activatedMats, d.matsPerBank)
+		return d, tooFewMats
 	}
 	if o.Banks < c.Stack.Dies {
-		return d, fmt.Errorf("array: %d banks cannot spread across %d dies", o.Banks, c.Stack.Dies)
+		return d, tooFewBanks
 	}
 	d.banksPerDie = float64(o.Banks) / float64(c.Stack.Dies)
 	d.totalRows = d.totalMats * float64(o.Rows)
 	d.saPerMat = float64(o.Cols) / float64(o.ColumnMux)
 	d.totalSAs = d.totalMats * d.saPerMat
-	return d, nil
+	return d, feasibleOrg
 }

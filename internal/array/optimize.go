@@ -138,8 +138,8 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 	orgs := candidates()
 	feas := make([]searchCandidate, 0, len(orgs))
 	for i, o := range orgs {
-		d, err := cfg.derive(o)
-		if err != nil {
+		d, why := cfg.feasible(o)
+		if why != feasibleOrg {
 			stats.Infeasible++
 			continue
 		}
@@ -173,7 +173,7 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 		}
 		r, err := Characterize(cfg, c.org)
 		if err != nil {
-			// Unreachable for a validated config once derive passed
+			// Unreachable for a validated config once feasible passed
 			// (corner and wires are organization-independent), kept so a
 			// future per-organization failure mode degrades to "skip"
 			// exactly as the exhaustive path would.
@@ -313,7 +313,7 @@ func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Re
 	// the only error ForEachContext can surface is the cancellation, which
 	// both reducers re-check via ctx.Err.
 	_ = parallel.ForEachContext(ctx, len(orgs), 0, func(i int) error {
-		if _, err := cfg.derive(orgs[i]); err != nil {
+		if _, why := cfg.feasible(orgs[i]); why != feasibleOrg {
 			return nil
 		}
 		r, err := Characterize(cfg, orgs[i])

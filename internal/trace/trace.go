@@ -96,12 +96,13 @@ func (s *Stream) Next() Access {
 
 // Zipf draws block indices from a Zipf distribution over the region: a hot
 // head that caches absorb and a heavy tail that leaks through — the shape
-// of pointer-rich integer codes (gcc, xalancbmk).
+// of pointer-rich integer codes (gcc, xalancbmk). Its ranks are exactly
+// the ones math/rand.Zipf would draw from the same seed.
 type Zipf struct {
 	region    Region
 	writeFrac float64
 	rng       *rand.Rand
-	zipf      *rand.Zipf
+	zipf      *zipfSampler
 }
 
 // NewZipf creates a Zipf-distributed generator; s > 1 controls skew (larger
@@ -121,7 +122,7 @@ func NewZipf(region Region, s, writeFrac float64, seed int64) (*Zipf, error) {
 		region:    region,
 		writeFrac: writeFrac,
 		rng:       rng,
-		zipf:      rand.NewZipf(rng, s, 1, region.Blocks()-1),
+		zipf:      newZipfSampler(rng, s, 1, region.Blocks()-1),
 	}, nil
 }
 
