@@ -96,7 +96,8 @@ func TestOrganizationConstraints(t *testing.T) {
 		if _, err := b.cfg.derive(b.org); err == nil || err.Error() != b.want {
 			t.Errorf("organization %v: error %v, want %q", b.org, err, b.want)
 		}
-		if _, why := b.cfg.feasible(b.org); why == feasibleOrg {
+		var d derived
+		if b.cfg.feasible(b.org, &d) == feasibleOrg {
 			t.Errorf("organization %v should be infeasible", b.org)
 		}
 	}
@@ -112,7 +113,8 @@ func TestFeasibleMatchesDerive(t *testing.T) {
 	} {
 		for _, o := range candidates() {
 			d, err := cfg.derive(o)
-			f, why := cfg.feasible(o)
+			var f derived
+			why := cfg.feasible(o, &f)
 			if (err == nil) != (why == feasibleOrg) || (err == nil && d != f) {
 				t.Fatalf("organization %v: derive (%+v, %v), feasible (%+v, %d)", o, d, err, f, why)
 			}

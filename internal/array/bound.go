@@ -16,16 +16,16 @@ import (
 // measurable prune power.
 const boundSlack = 1 - 1e-9
 
-// boundContext precomputes the per-configuration scalars the admissible
-// lower-bound estimator needs: the device corner, the wire RC of all three
-// metal classes (each construction pays the Bloch–Grüneisen resistivity
-// integral — the bulk of a Characterize call), the port-widened cell
-// geometry, and the per-bit leakage/retention figures. Building it costs
-// about as much as one Characterize call; evaluating a bound against it is
-// pure arithmetic, which is what lets the pruned search test all 875
-// candidates for the price of a handful of full characterizations.
+// boundContext precomputes the organization-independent physics of one
+// configuration: the device corner, the wire RC of all three metal classes
+// (each construction pays the Bloch–Grüneisen resistivity integral), the
+// port-widened cell geometry, and the per-bit leakage/retention figures.
+// Both the admissible lower bound and the characterization body
+// (characterize, model.go) read it, so an organization search builds the
+// corner and wires once and every candidate — bounded or characterized —
+// is pure arithmetic against them.
 type boundContext struct {
-	cfg    Config
+	cfg    *Config
 	corner tech.DeviceCorner
 	local  tech.Wire
 	inter  tech.Wire
@@ -43,10 +43,12 @@ type boundContext struct {
 	refreshes  bool
 }
 
-// newBoundContext evaluates the organization-independent physics once. It
-// can only fail where Characterize would fail identically (corner or wire
-// construction), so a failure here means every candidate is infeasible.
-func newBoundContext(cfg Config) (boundContext, error) {
+// newBoundContext evaluates the organization-independent physics of cfg
+// once; the context keeps cfg by reference. It builds the corner, then the
+// local, global and intermediate wires — the order Characterize has always
+// reported their errors in — so a failure here is exactly Characterize's
+// failure for every organization, and means every candidate is infeasible.
+func newBoundContext(cfg *Config) (boundContext, error) {
 	corner, err := cfg.Node.At(cfg.Temperature)
 	if err != nil {
 		return boundContext{}, err
@@ -56,15 +58,15 @@ func newBoundContext(cfg Config) (boundContext, error) {
 	if err != nil {
 		return boundContext{}, err
 	}
-	inter, err := tech.NewWireScaled(tech.WireIntermediate, cfg.Temperature, wireScale)
-	if err != nil {
-		return boundContext{}, err
-	}
 	global, err := tech.NewWireScaled(tech.WireGlobal, cfg.Temperature, wireScale)
 	if err != nil {
 		return boundContext{}, err
 	}
-	c := cfg.Cell
+	inter, err := tech.NewWireScaled(tech.WireIntermediate, cfg.Temperature, wireScale)
+	if err != nil {
+		return boundContext{}, err
+	}
+	c := &cfg.Cell
 	cellW, cellH := c.Dimensions(cfg.Node.FeatureSize)
 	pf := math.Sqrt(cfg.portAreaFactor())
 	bc := boundContext{
@@ -88,19 +90,17 @@ func newBoundContext(cfg Config) (boundContext, error) {
 }
 
 // lowerBound returns a value that is <= objective(target) of
-// Characterize(cfg, org) for any organization that derives feasibly.
+// Characterize(cfg, org) for any organization that derives feasibly (d is
+// its derived quantities).
 //
 // Admissibility comes from construction, not calibration: every term is
-// computed with the same expressions model.go uses — the mat-local stages
-// directly, the global stages (H-tree, in-bank route, vertical hops, wire
-// energies) through the same htree/inBankRoute code over wires the context
-// precomputed. What Characterize pays per call and the bound does not is
-// the Bloch–Grüneisen wire-resistivity integral behind each of its three
-// NewWireScaled constructions — organization-independent physics this
-// context evaluates once. The bound therefore tracks the true objective to
-// within floating-point association (then steps down by boundSlack), while
-// costing a few hundred nanoseconds against Characterize's hundreds of
-// microseconds:
+// computed with the same expressions characterize (model.go) uses — the
+// mat-local stages directly, the global stages (H-tree, in-bank route,
+// vertical hops, wire energies) through the same htree/inBankRoute code
+// over the context's wires. The bound skips what the objective does not
+// need (the write path, cycle time, the Result itself) and sums partial
+// terms, so it tracks the true objective to within floating-point
+// association (then steps down by boundSlack):
 //
 //	latency: all read stages, summed locally   <= ReadLatency
 //	energy:  all read/write terms              <= (Erd+Ewr)/2
@@ -112,9 +112,9 @@ func newBoundContext(cfg Config) (boundContext, error) {
 // search built on this bound selects bit-identical results; the property
 // test (bound_test.go) asserts admissibility directly over randomized
 // feasible configurations.
-func (bc *boundContext) lowerBound(org Organization, d derived, target Target) float64 {
-	c := bc.cfg.Cell
-	ar := areas(bc.cfg, org, d, bc.corner)
+func (bc *boundContext) lowerBound(org Organization, d *derived, target Target) float64 {
+	c := &bc.cfg.Cell
+	ar := areas(bc.cfg, org, d)
 
 	// Footprint needs no wires: delegate to the exact area model.
 	if target == OptimizeArea {
@@ -154,10 +154,10 @@ func (bc *boundContext) lowerBound(org Organization, d derived, target Target) f
 	}
 
 	// Global path: the H-tree and in-bank route derive from the area
-	// model's core footprint and the precomputed wires — the same code
-	// Characterize runs, minus the per-call wire construction.
-	tree := newHTreeWithWire(ar.core, d.banksPerDie, bc.corner, bc.global)
-	route := newInBankRouteWithWire(ar.core, d.banksPerDie, bc.corner, bc.inter)
+	// model's core footprint and the context's wires — the same code
+	// characterize runs.
+	tree := newHTree(ar.core, d.banksPerDie, &bc.corner, bc.global)
+	route := newInBankRoute(ar.core, d.banksPerDie, &bc.corner, bc.inter)
 	treeDelay := tree.delay()
 	routeDelay := route.delay()
 	vertOnce := bc.cfg.Stack.VerticalDelay(tree.bufferR())

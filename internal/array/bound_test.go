@@ -66,7 +66,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("config %d not feasible (generator bug): %v\nconfig: %+v", n, err, cfg)
 		}
-		bc, err := newBoundContext(cfg)
+		bc, err := newBoundContext(&cfg)
 		if err != nil {
 			// Characterize fails identically for every candidate, so
 			// there is no objective to bound.
@@ -84,7 +84,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 				t.Fatalf("config %d: derive passed but Characterize failed for %v", n, org)
 			}
 			for _, target := range []Target{OptimizeEDP, OptimizeLatency, OptimizeArea, OptimizeEnergy, OptimizeLeakage} {
-				bound := bc.lowerBound(org, d, target)
+				bound := bc.lowerBound(org, &d, target)
 				obj := r.objective(target)
 				if bound > obj {
 					t.Errorf("config %d: bound exceeds objective for target %v by %g (rel %g)\norganization: %v\nbound=%g objective=%g\ncell=%s node=%s cap=%dB temp=%.1fK dies=%d ports=%d ecc=%t",
@@ -107,7 +107,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 // exhaustive path, which reports the config-level error).
 func TestBoundContextMatchesCharacterizeFailure(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	if _, err := newBoundContext(cfg); err != nil {
+	if _, err := newBoundContext(&cfg); err != nil {
 		t.Fatalf("bound context failed for a characterizable config: %v", err)
 	}
 }

@@ -121,7 +121,7 @@ func (c Config) Validate() error {
 }
 
 // totalBits returns the stored bit count including ECC and tag overheads.
-func (c Config) totalBits() float64 {
+func (c *Config) totalBits() float64 {
 	bits := float64(c.CapacityBytes) * 8 * tagOverhead
 	if c.ECC {
 		bits *= eccOverhead
@@ -130,7 +130,7 @@ func (c Config) totalBits() float64 {
 }
 
 // blockBits returns the bits moved per access including ECC.
-func (c Config) blockBits() float64 {
+func (c *Config) blockBits() float64 {
 	bits := float64(c.BlockBytes) * 8
 	if c.ECC {
 		bits *= eccOverhead
@@ -139,10 +139,10 @@ func (c Config) blockBits() float64 {
 }
 
 // portAreaFactor widens the cell for extra ports.
-func (c Config) portAreaFactor() float64 { return 1 + 0.3*float64(c.Ports-1) }
+func (c *Config) portAreaFactor() float64 { return 1 + 0.3*float64(c.Ports-1) }
 
 // portCapFactor adds wordline/bitline loading for extra ports.
-func (c Config) portCapFactor() float64 { return 1 + 0.2*float64(c.Ports-1) }
+func (c *Config) portCapFactor() float64 { return 1 + 0.2*float64(c.Ports-1) }
 
 // Organization describes the internal structure the search explores.
 type Organization struct {
@@ -190,9 +190,9 @@ const (
 
 // derive validates the organization against the config and computes the
 // derived quantities.
-func (c Config) derive(o Organization) (derived, error) {
-	d, why := c.feasible(o)
-	switch why {
+func (c *Config) derive(o Organization) (derived, error) {
+	var d derived
+	switch c.feasible(o, &d) {
 	case badBanks:
 		return d, fmt.Errorf("array: banks must be a positive power of two, got %d", o.Banks)
 	case matTooSmall:
@@ -210,38 +210,38 @@ func (c Config) derive(o Organization) (derived, error) {
 }
 
 // feasible is derive without the error text, for the search paths that
-// only count or skip infeasible organizations: it computes the derived
-// quantities, or names the first rule the organization breaks.
-func (c Config) feasible(o Organization) (derived, infeasibility) {
-	var d derived
+// only count or skip infeasible organizations: it fills d with the derived
+// quantities, or names the first rule the organization breaks. On a broken
+// rule only the fields computed before that rule's check are written.
+func (c *Config) feasible(o Organization, d *derived) infeasibility {
 	if o.Banks < 1 || o.Banks&(o.Banks-1) != 0 {
-		return d, badBanks
+		return badBanks
 	}
 	if o.Rows < 16 || o.Cols < 16 {
-		return d, matTooSmall
+		return matTooSmall
 	}
 	if o.ColumnMux < 1 || o.ColumnMux > o.Cols {
-		return d, badColumnMux
+		return badColumnMux
 	}
 	d.totalBits = c.totalBits()
 	d.blockBits = c.blockBits()
 	bitsPerSAGroup := float64(o.Cols / o.ColumnMux)
 	if bitsPerSAGroup > d.blockBits {
-		return d, fetchTooWide
+		return fetchTooWide
 	}
 	d.activatedMats = math.Ceil(d.blockBits / bitsPerSAGroup)
 	d.bitsPerMat = float64(o.Rows) * float64(o.Cols)
 	d.totalMats = math.Ceil(d.totalBits / d.bitsPerMat)
 	d.matsPerBank = math.Ceil(d.totalMats / float64(o.Banks))
 	if d.activatedMats > d.matsPerBank {
-		return d, tooFewMats
+		return tooFewMats
 	}
 	if o.Banks < c.Stack.Dies {
-		return d, tooFewBanks
+		return tooFewBanks
 	}
 	d.banksPerDie = float64(o.Banks) / float64(c.Stack.Dies)
 	d.totalRows = d.totalMats * float64(o.Rows)
 	d.saPerMat = float64(o.Cols) / float64(o.ColumnMux)
 	d.totalSAs = d.totalMats * d.saPerMat
-	return d, feasibleOrg
+	return feasibleOrg
 }

@@ -13,70 +13,61 @@ import (
 // reproduces the multi-nanosecond H-trees CACTI and NVSim report for large
 // 2D SRAM, which is precisely the wire burden that both cryogenic operation
 // (lower rho) and 3D stacking (smaller footprint) attack.
+//
+// The tree has hops segments: the root spans the die side and each hop
+// halves the length. The segments are generated on the fly, root first, so
+// building a tree allocates nothing.
 type htree struct {
-	segments []float64 // metres, root-first
-	hops     int
-	wire     tech.Wire
-	corner   tech.DeviceCorner
+	root   float64 // root segment length (the die side), metres
+	hops   int
+	wire   tech.Wire
+	corner *tech.DeviceCorner
 }
 
-// newHTree builds the tree for a die of the given footprint (m^2) holding
-// banksPerDie banks; wireScale adjusts the metal stack to the node.
-func newHTree(footprintM2, banksPerDie float64, corner tech.DeviceCorner, wireScale float64) (htree, error) {
-	w, err := tech.NewWireScaled(tech.WireGlobal, corner.Temperature, wireScale)
-	if err != nil {
-		return htree{}, err
-	}
-	return newHTreeWithWire(footprintM2, banksPerDie, corner, w), nil
-}
-
-// newHTreeWithWire is newHTree with the global wire supplied by the caller.
-// Wire construction pays the Bloch–Grüneisen resistivity integral, which
-// depends only on temperature and node — the pruned search's bound context
-// precomputes it once per configuration and builds the per-candidate tree
-// through this path, keeping the tree bit-identical to newHTree's.
-func newHTreeWithWire(footprintM2, banksPerDie float64, corner tech.DeviceCorner, w tech.Wire) htree {
-	side := math.Sqrt(footprintM2)
+// newHTree builds the tree for a die of the given core footprint (m^2)
+// holding banksPerDie banks over the global wire w. Wire construction pays
+// the Bloch–Grüneisen resistivity integral, which depends only on
+// temperature and node, so the caller builds the wire once per
+// configuration (boundContext) and every candidate's tree reuses it.
+func newHTree(footprintM2, banksPerDie float64, corner *tech.DeviceCorner, w tech.Wire) htree {
 	hops := int(math.Max(2, math.Ceil(math.Log2(math.Max(1, banksPerDie)))+1))
-	segs := make([]float64, hops)
-	l := side
-	for i := range segs {
-		segs[i] = l
-		l /= 2
-	}
-	return htree{segments: segs, hops: hops, wire: w, corner: corner}
+	return htree{root: math.Sqrt(footprintM2), hops: hops, wire: w, corner: corner}
 }
 
 // bufferR returns the hop driver resistance at the evaluated corner.
-func (h htree) bufferR() float64 {
+func (h *htree) bufferR() float64 {
 	return htreeBufR300 / h.corner.OnCurrentScale
 }
 
 // delay returns the one-way traversal delay in seconds.
-func (h htree) delay() float64 {
+func (h *htree) delay() float64 {
 	r := h.bufferR()
 	var d float64
-	for _, l := range h.segments {
+	l := h.root
+	for i := 0; i < h.hops; i++ {
 		cw := h.wire.Capacitance(l)
 		rw := h.wire.Resistance(l)
 		d += 0.69*r*(cw+htreeBufCapF) + 0.38*rw*cw
+		l /= 2
 	}
 	d += float64(h.hops) * hopOverheadFO4 * h.corner.FO4Delay
 	return d
 }
 
 // pathLength returns the total traversed wire length in metres.
-func (h htree) pathLength() float64 {
-	var l float64
-	for _, s := range h.segments {
-		l += s
+func (h *htree) pathLength() float64 {
+	var sum float64
+	l := h.root
+	for i := 0; i < h.hops; i++ {
+		sum += l
+		l /= 2
 	}
-	return l
+	return sum
 }
 
 // energyPerBit returns the switching energy of moving one bit one way, with
 // a 0.5 activity factor and 40% repeater-capacitance overhead.
-func (h htree) energyPerBit() float64 {
+func (h *htree) energyPerBit() float64 {
 	c := h.wire.Capacitance(h.pathLength()) * 1.4
 	v := h.corner.Vdd
 	return 0.5 * c * v * v
@@ -88,29 +79,19 @@ func (h htree) energyPerBit() float64 {
 type inBankRoute struct {
 	length float64
 	wire   tech.Wire
-	corner tech.DeviceCorner
+	corner *tech.DeviceCorner
 }
 
-// newInBankRoute sizes the route for a die footprint split into banksPerDie
-// square banks.
-func newInBankRoute(footprintM2, banksPerDie float64, corner tech.DeviceCorner, wireScale float64) (inBankRoute, error) {
-	w, err := tech.NewWireScaled(tech.WireIntermediate, corner.Temperature, wireScale)
-	if err != nil {
-		return inBankRoute{}, err
-	}
-	return newInBankRouteWithWire(footprintM2, banksPerDie, corner, w), nil
-}
-
-// newInBankRouteWithWire is newInBankRoute with the intermediate wire
-// supplied by the caller (see newHTreeWithWire).
-func newInBankRouteWithWire(footprintM2, banksPerDie float64, corner tech.DeviceCorner, w tech.Wire) inBankRoute {
+// newInBankRoute sizes the route for a die core footprint split into
+// banksPerDie square banks, over the intermediate wire w (see newHTree).
+func newInBankRoute(footprintM2, banksPerDie float64, corner *tech.DeviceCorner, w tech.Wire) inBankRoute {
 	bankSide := math.Sqrt(footprintM2 / math.Max(1, banksPerDie))
 	return inBankRoute{length: bankSide, wire: w, corner: corner}
 }
 
 // delay returns the one-way in-bank routing delay. The span is driven at
 // each end and re-buffered once in the middle, halving the quadratic term.
-func (r inBankRoute) delay() float64 {
+func (r *inBankRoute) delay() float64 {
 	half := r.length / 2
 	rb := htreeBufR300 / r.corner.OnCurrentScale
 	cw := r.wire.Capacitance(half)
@@ -120,7 +101,7 @@ func (r inBankRoute) delay() float64 {
 }
 
 // energyPerBit returns the per-bit switching energy of the route.
-func (r inBankRoute) energyPerBit() float64 {
+func (r *inBankRoute) energyPerBit() float64 {
 	c := r.wire.Capacitance(r.length) * 1.2
 	v := r.corner.Vdd
 	return 0.5 * c * v * v

@@ -19,12 +19,44 @@ func corner350(t *testing.T) tech.DeviceCorner {
 	return c
 }
 
+// buildHTree builds the tree of a die at the corner's temperature with
+// the global wire scaled by wireScale, as characterize does with the wire
+// its boundContext built.
+func buildHTree(footprintM2, banksPerDie float64, corner tech.DeviceCorner, wireScale float64) (htree, error) {
+	w, err := tech.NewWireScaled(tech.WireGlobal, corner.Temperature, wireScale)
+	if err != nil {
+		return htree{}, err
+	}
+	return newHTree(footprintM2, banksPerDie, &corner, w), nil
+}
+
+// buildInBankRoute is buildHTree for the intermediate-layer in-bank route.
+func buildInBankRoute(footprintM2, banksPerDie float64, corner tech.DeviceCorner, wireScale float64) (inBankRoute, error) {
+	w, err := tech.NewWireScaled(tech.WireIntermediate, corner.Temperature, wireScale)
+	if err != nil {
+		return inBankRoute{}, err
+	}
+	return newInBankRoute(footprintM2, banksPerDie, &corner, w), nil
+}
+
+// treeSegments lists the tree's segment lengths, root first, as delay and
+// pathLength generate them.
+func treeSegments(h htree) []float64 {
+	segs := make([]float64, h.hops)
+	l := h.root
+	for i := range segs {
+		segs[i] = l
+		l /= 2
+	}
+	return segs
+}
+
 func TestHTreeSegmentsHalve(t *testing.T) {
-	h, err := newHTree(16e-6, 16, corner350(t), 1) // 16 mm^2, 16 banks
+	h, err := buildHTree(16e-6, 16, corner350(t), 1) // 16 mm^2, 16 banks
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := h.segments
+	segs := treeSegments(h)
 	if len(segs) != h.hops {
 		t.Fatalf("segments %d != hops %d", len(segs), h.hops)
 	}
@@ -43,7 +75,7 @@ func TestHTreeSegmentsHalve(t *testing.T) {
 }
 
 func TestHTreeMinimumHops(t *testing.T) {
-	h, err := newHTree(1e-6, 1, corner350(t), 1)
+	h, err := buildHTree(1e-6, 1, corner350(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +86,8 @@ func TestHTreeMinimumHops(t *testing.T) {
 
 func TestHTreeDelayGrowsSuperlinearlyWithArea(t *testing.T) {
 	c := corner350(t)
-	small, _ := newHTree(1e-6, 8, c, 1)
-	large, _ := newHTree(16e-6, 8, c, 1)
+	small, _ := buildHTree(1e-6, 8, c, 1)
+	large, _ := buildHTree(16e-6, 8, c, 1)
 	ds, dl := small.delay(), large.delay()
 	if dl <= ds {
 		t.Fatal("bigger die must have slower H-tree")
@@ -68,12 +100,12 @@ func TestHTreeDelayGrowsSuperlinearlyWithArea(t *testing.T) {
 }
 
 func TestHTreeColdIsFaster(t *testing.T) {
-	hot, _ := newHTree(16e-6, 16, corner350(t), 1)
+	hot, _ := buildHTree(16e-6, 16, corner350(t), 1)
 	coldCorner, err := tech.Node22HP().At(77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _ := newHTree(16e-6, 16, coldCorner, 1)
+	cold, _ := buildHTree(16e-6, 16, coldCorner, 1)
 	if cold.delay() >= hot.delay() {
 		t.Fatal("77 K H-tree should beat 350 K")
 	}
@@ -84,8 +116,8 @@ func TestHTreeColdIsFaster(t *testing.T) {
 
 func TestHTreeEnergyScalesWithPathLength(t *testing.T) {
 	c := corner350(t)
-	small, _ := newHTree(1e-6, 8, c, 1)
-	large, _ := newHTree(4e-6, 8, c, 1)
+	small, _ := buildHTree(1e-6, 8, c, 1)
+	large, _ := buildHTree(4e-6, 8, c, 1)
 	if large.pathLength() <= small.pathLength() {
 		t.Fatal("longer die must have a longer path")
 	}
@@ -98,15 +130,15 @@ func TestHTreeEnergyScalesWithPathLength(t *testing.T) {
 
 func TestHTreeRejectsBadTemperature(t *testing.T) {
 	bad := tech.DeviceCorner{Temperature: 2}
-	if _, err := newHTree(1e-6, 4, bad, 1); err == nil {
+	if _, err := buildHTree(1e-6, 4, bad, 1); err == nil {
 		t.Error("out-of-range corner temperature should fail")
 	}
 }
 
 func TestInBankRouteShrinksWithMoreBanks(t *testing.T) {
 	c := corner350(t)
-	few, _ := newInBankRoute(16e-6, 4, c, 1)
-	many, _ := newInBankRoute(16e-6, 64, c, 1)
+	few, _ := buildInBankRoute(16e-6, 4, c, 1)
+	many, _ := buildInBankRoute(16e-6, 64, c, 1)
 	if many.length >= few.length {
 		t.Fatal("more banks should mean smaller banks and shorter routes")
 	}
@@ -122,8 +154,7 @@ func TestAreasFoldAcrossDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := corner350(t)
-	a8 := areas(cfg, org, d, c)
+	a8 := areas(&cfg, org, &d)
 
 	cfg1 := cfg
 	cfg1.Stack = stack.Planar()
@@ -131,7 +162,7 @@ func TestAreasFoldAcrossDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1 := areas(cfg1, org, d1, c)
+	a1 := areas(&cfg1, org, &d1)
 
 	// Foldable area and cell area are die-count invariant.
 	if math.Abs(a8.foldable-a1.foldable)/a1.foldable > 1e-12 {
@@ -157,7 +188,6 @@ func TestAreasFoldAcrossDies(t *testing.T) {
 
 func TestAreasPumpScalesWithWriteCurrent(t *testing.T) {
 	org := Organization{Banks: 16, Rows: 512, Cols: 1024, ColumnMux: 4}
-	c := corner350(t)
 	lo, err := cell.Tentpole(cell.STTRAM, cell.Optimistic)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +198,8 @@ func TestAreasPumpScalesWithWriteCurrent(t *testing.T) {
 	cfgHi := DefaultLLC(hi, 350, stack.Planar())
 	dLo, _ := cfgLo.derive(org)
 	dHi, _ := cfgHi.derive(org)
-	aLo := areas(cfgLo, org, dLo, c)
-	aHi := areas(cfgHi, org, dHi, c)
+	aLo := areas(&cfgLo, org, &dLo)
+	aHi := areas(&cfgHi, org, &dHi)
 	if aHi.perDieFixed <= aLo.perDieFixed {
 		t.Error("higher write current must grow the per-die pump area")
 	}

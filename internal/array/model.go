@@ -4,12 +4,15 @@ import (
 	"math"
 
 	"coldtall/internal/cell"
-	"coldtall/internal/tech"
 )
 
 // Characterize evaluates one explicit organization of the configured array.
 // Most callers should use Optimize, which searches organizations; this
 // entry point is exported for ablation studies and tests.
+//
+// It validates the configuration, then the organization, then builds the
+// configuration's device corner and wires (newBoundContext) and runs the
+// one characterization body the organization search runs too.
 func Characterize(cfg Config, org Organization) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -18,56 +21,51 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	corner, err := cfg.Node.At(cfg.Temperature)
+	bc, err := newBoundContext(&cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	return bc.characterize(org, &d), nil
+}
 
-	ar := areas(cfg, org, d, corner)
+// characterize evaluates one organization that derives feasibly (d is its
+// derived quantities) against the context's precomputed corner, wires and
+// organization-independent cell figures. It is the only characterization
+// body: the public Characterize and the organization search both run it,
+// so a searched Result is bit-identical to Characterize's.
+func (bc *boundContext) characterize(org Organization, d *derived) Result {
+	cfg := bc.cfg
+	corner := &bc.corner
+	ar := areas(cfg, org, d)
 
-	wireScale := cfg.Node.FeatureSize / 22e-9
-	localWire, err := tech.NewWireScaled(tech.WireLocal, cfg.Temperature, wireScale)
-	if err != nil {
-		return Result{}, err
-	}
 	// Global wires span the memory core (the folded cell matrix plus its
 	// mat periphery and the TSV bus); the per-die I/O ring and pumps sit
 	// at the edge and do not lengthen the H-tree.
-	tree, err := newHTree(ar.core, d.banksPerDie, corner, wireScale)
-	if err != nil {
-		return Result{}, err
-	}
-	route, err := newInBankRoute(ar.core, d.banksPerDie, corner, wireScale)
-	if err != nil {
-		return Result{}, err
-	}
+	tree := newHTree(ar.core, d.banksPerDie, corner, bc.global)
+	route := newInBankRoute(ar.core, d.banksPerDie, corner, bc.inter)
+	localWire := &bc.local
 
-	c := cfg.Cell
-	f := cfg.Node.FeatureSize
-	cellW, cellH := c.Dimensions(f)
-	// Extra ports widen the cell in both directions.
-	pf := math.Sqrt(cfg.portAreaFactor())
-	cellW *= pf
-	cellH *= pf
-	wlLen := float64(org.Cols) * cellW
-	blLen := float64(org.Rows) * cellH
+	c := &cfg.Cell
+	// Extra ports widen the cell in both directions (bc.cellW, bc.cellH).
+	wlLen := float64(org.Cols) * bc.cellW
+	blLen := float64(org.Rows) * bc.cellH
 
-	capPort := cfg.portCapFactor()
+	capPort := bc.capPort
 	wlCellCap := float64(org.Cols) * c.WLCapF * capPort
 	wlWireCap := localWire.Capacitance(wlLen)
 	wlCap := wlCellCap + wlWireCap
 	blCap := float64(org.Rows)*c.BLCapF*capPort + localWire.Capacitance(blLen)
 	blRes := localWire.Resistance(blLen)
 
-	vdd := corner.Vdd
+	vdd := bc.vdd
 	// Sense margins widen with temperature (thermal noise, offset drift):
-	// this yields the ~10% dynamic-energy spread over 77-387 K the paper
-	// reports for SRAM.
-	swing := c.ReadVoltage * (1 + 0.0004*(cfg.Temperature-tech.TempRoom))
+	// bc.swing yields the ~10% dynamic-energy spread over 77-387 K the
+	// paper reports for SRAM.
+	swing := bc.swing
 
 	// --- Stage delays.
 	decode := (rowDecodeFO4Base + rowDecodeFO4PerBit*math.Log2(float64(org.Rows))) * corner.FO4Delay
-	wlDrvR := wlDriverR300 / corner.OnCurrentScale
+	wlDrvR := bc.wlDrvR
 	wordline := 0.69*wlDrvR*wlCap + 0.38*localWire.Resistance(wlLen)*wlWireCap
 
 	var bitline float64
@@ -112,7 +110,7 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 	blCharge := 0.69*(wlDrvR)*blCap + 0.38*blRes*localWire.Capacitance(blLen)
 	pulse := c.WritePulseS
 	if !c.Tech.IsNonVolatile() {
-		pulse *= corner.FO4Delay / cfg.Node.FO4Delay300
+		pulse *= bc.pulseScale
 		// Voltage-written arrays hold the port through bitline restore
 		// and precharge (NVSim counts the symmetric path for SRAM write
 		// latency); eNVM ports are released once the pulse completes.
@@ -180,7 +178,7 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 	}
 
 	// --- Static power.
-	cellLeak := d.totalBits * c.LeakagePower(corner)
+	cellLeak := d.totalBits * bc.leakPerBit
 	periLeak := (d.totalSAs*(cfg.Node.SenseAmpLeakage+writeDriverLeakPerUA300*c.WriteCurrentA*1e6) +
 		d.totalRows*0.2e-9 +
 		pumpStandbyPerAmpW300*d.blockBits*c.WriteCurrentA +
@@ -188,9 +186,9 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 	leakage := cellLeak + periLeak
 
 	// --- Refresh.
-	retention := c.Retention(corner)
+	retention := bc.retention
 	var refreshPower, refreshOcc float64
-	if c.NeedsRefresh() && !math.IsInf(retention, 1) {
+	if bc.refreshes {
 		rowEnergy := wlCap*vdd*vdd +
 			float64(org.Cols)*blCap*swing*vdd + // row read
 			0.15*float64(org.Cols)*blCap*vdd*vdd // storage-node restore via write port
@@ -206,7 +204,7 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 	bw := float64(org.Banks) / cycle * bankBandwidthDerate * float64(cfg.Ports)
 
 	dataBits := float64(cfg.BlockBytes) * 8
-	res := Result{
+	return Result{
 		Org:               org,
 		CellName:          c.Name,
 		Temperature:       cfg.Temperature,
@@ -230,7 +228,6 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 		ReadParts:         readParts,
 		WriteParts:        writeParts,
 	}
-	return res, nil
 }
 
 // areaBreakdown carries the area model outputs (square metres).
@@ -246,9 +243,9 @@ type areaBreakdown struct {
 // areas evaluates the area model: cell matrix plus mat-local periphery fold
 // across stacked dies; per-die global periphery (I/O, pumps) and the TSV
 // bus are replicated on every die.
-func areas(cfg Config, org Organization, d derived, corner tech.DeviceCorner) areaBreakdown {
+func areas(cfg *Config, org Organization, d *derived) areaBreakdown {
 	f2 := cfg.Node.FeatureSize * cfg.Node.FeatureSize
-	c := cfg.Cell
+	c := &cfg.Cell
 
 	cellArea := d.totalBits * c.AreaF2 * f2 * cfg.portAreaFactor()
 	matLocal := cellArea * matPeriFrac

@@ -1,21 +1,29 @@
 package array
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
+	"coldtall/internal/cell"
 	"coldtall/internal/parallel"
+	"coldtall/internal/stack"
 )
 
 // search space for the organization sweep (CACTI's Ndwl/Ndbl/Nspd analogue).
 var (
-	searchRows = []int{128, 256, 512, 1024, 2048}
-	searchCols = []int{256, 512, 1024, 2048, 4096}
-	searchMux  = []int{1, 2, 4, 8, 16}
-	searchBank = []int{1, 2, 4, 8, 16, 32, 64}
+	searchRows = [...]int{128, 256, 512, 1024, 2048}
+	searchCols = [...]int{256, 512, 1024, 2048, 4096}
+	searchMux  = [...]int{1, 2, 4, 8, 16}
+	searchBank = [...]int{1, 2, 4, 8, 16, 32, 64}
 )
+
+// spaceSize is the number of organizations in the search space.
+const spaceSize = len(searchRows) * len(searchCols) * len(searchMux) * len(searchBank)
 
 // candidates enumerates the full organization search space.
 func candidates() []Organization {
@@ -31,6 +39,10 @@ func candidates() []Organization {
 	}
 	return out
 }
+
+// enumeration is the search space in enumeration order, built once; the
+// production search paths read it and never modify it.
+var enumeration = candidates()
 
 // Optimize sweeps internal organizations and returns the characterization
 // of the best one under cfg.Target, mirroring the exhaustive organization
@@ -93,14 +105,23 @@ func OptimizeWithStats(ctx context.Context, cfg Config) (Result, SearchStats, er
 	if err := cfg.Validate(); err != nil {
 		return Result{}, SearchStats{}, err
 	}
-	return optimizePruned(ctx, cfg)
+	return optimizePruned(ctx, &cfg)
 }
 
 // searchCandidate is one feasible organization staged for the pruned walk.
 type searchCandidate struct {
-	idx   int // position in the exhaustive enumeration order
-	org   Organization
+	idx   int // position in enumeration
 	bound float64
+}
+
+// before orders the coarse-to-fine walk: ascending bound, then enumeration
+// index. cmp.Compare ranks a NaN bound below every number, so this is a
+// strict total order even for degenerate bounds.
+func (a searchCandidate) before(b searchCandidate) bool {
+	if c := cmp.Compare(a.bound, b.bound); c != 0 {
+		return c < 0
+	}
+	return a.idx < b.idx
 }
 
 // optimizePruned is the production search. Correctness argument, relied on
@@ -119,11 +140,18 @@ type searchCandidate struct {
 //
 // Every skipped candidate therefore cannot be the lexicographic minimum,
 // so the pruned result equals the exhaustive result bit for bit, whatever
-// the visit order — which frees the visit order to chase prune rate:
-// coarse-to-fine by ascending bound, with the family memo's neighbor
-// ranking promoted to the front.
-func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error) {
-	stats := SearchStats{SpaceSize: SearchSpaceSize()}
+// the visit order — which frees the visit order to chase prune rate: the
+// family memo's neighbor ranking first, then coarse-to-fine by ascending
+// bound. The coarse-to-fine part is a heap popped in before order, so once
+// one popped candidate is skipped every candidate still in the heap has a
+// bound at least as large and is skipped too, without being popped.
+//
+// Every candidate, bounded or characterized, is evaluated against one
+// boundContext: the corner and wires are built once per search, and a
+// characterized candidate runs the same characterize body Characterize
+// runs, without rebuilding them.
+func optimizePruned(ctx context.Context, cfg *Config) (Result, SearchStats, error) {
+	stats := SearchStats{SpaceSize: len(enumeration)}
 	bc, err := newBoundContext(cfg)
 	if err != nil {
 		// The bound needs the same corner and wires Characterize needs;
@@ -135,54 +163,55 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 		return Result{}, stats, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
 			cfg.Cell.Name, cfg.CapacityBytes)
 	}
-	orgs := candidates()
-	feas := make([]searchCandidate, 0, len(orgs))
-	for i, o := range orgs {
-		d, why := cfg.feasible(o)
-		if why != feasibleOrg {
+	feas := make([]searchCandidate, 0, len(enumeration))
+	var d derived
+	for i := range enumeration {
+		if cfg.feasible(enumeration[i], &d) != feasibleOrg {
 			stats.Infeasible++
 			continue
 		}
-		feas = append(feas, searchCandidate{idx: i, org: o, bound: bc.lowerBound(o, d, cfg.Target)})
+		feas = append(feas, searchCandidate{idx: i, bound: bc.lowerBound(enumeration[i], &d, cfg.Target)})
 	}
-	// Coarse-to-fine: ascending bound finds a near-optimal incumbent
-	// within the first few characterizations, which is what gives the
-	// bound its teeth against the tail.
-	sort.Slice(feas, func(a, b int) bool {
-		if feas[a].bound != feas[b].bound {
-			return feas[a].bound < feas[b].bound
-		}
-		return feas[a].idx < feas[b].idx
-	})
-	if hint := searchMemo.lookup(cfg); len(hint) > 0 {
+	key := familyOf(cfg)
+	var hinted []searchCandidate
+	var hintBuf [memoRankCap]searchCandidate
+	if hint := searchMemo.lookup(key); len(hint) > 0 {
 		stats.WarmStart = true
-		promoteHinted(feas, hint)
+		hinted, feas = takeHinted(feas, hint, &hintBuf)
 	}
+	heapify(feas)
 
 	var best Result
 	bestIdx := -1
 	var bestObj float64
 	evaluated := make([]rankedOrg, 0, 64)
-	for _, c := range feas {
+	pruneRest := false // the heap's remaining candidates are all pruned
+	for n := len(hinted) + len(feas); n > 0; n-- {
 		if err := ctx.Err(); err != nil {
 			return Result{}, stats, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
 		}
-		if bestIdx >= 0 && (c.bound > bestObj || (c.bound == bestObj && c.idx > bestIdx)) {
+		if pruneRest {
 			stats.Pruned++
 			continue
 		}
-		r, err := Characterize(cfg, c.org)
-		if err != nil {
-			// Unreachable for a validated config once feasible passed
-			// (corner and wires are organization-independent), kept so a
-			// future per-organization failure mode degrades to "skip"
-			// exactly as the exhaustive path would.
-			stats.Infeasible++
+		var c searchCandidate
+		fromHeap := len(hinted) == 0
+		if fromHeap {
+			c = popCandidate(&feas)
+		} else {
+			c, hinted = hinted[0], hinted[1:]
+		}
+		if bestIdx >= 0 && (c.bound > bestObj || (c.bound == bestObj && c.idx > bestIdx)) {
+			stats.Pruned++
+			pruneRest = fromHeap
 			continue
 		}
+		org := enumeration[c.idx]
+		cfg.feasible(org, &d) // staged, so feasible: this refills d
+		r := bc.characterize(org, &d)
 		stats.Characterized++
 		obj := r.objective(cfg.Target)
-		evaluated = append(evaluated, rankedOrg{org: c.org, obj: obj, idx: c.idx})
+		evaluated = append(evaluated, rankedOrg{obj: obj, idx: c.idx})
 		if bestIdx < 0 || obj < bestObj || (obj == bestObj && c.idx < bestIdx) {
 			best, bestObj, bestIdx = r, obj, c.idx
 		}
@@ -191,35 +220,79 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 		return Result{}, stats, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
 			cfg.Cell.Name, cfg.CapacityBytes)
 	}
-	searchMemo.update(cfg, evaluated)
+	searchMemo.update(key, evaluated)
 	return best, stats, nil
 }
 
 // rankedOrg records one characterized organization for the family memo.
 type rankedOrg struct {
-	org Organization
 	obj float64
-	idx int
+	idx int // position in enumeration
 }
 
-// promoteHinted stably moves the hinted organizations to the front of the
-// staged candidates, in hint order (best-first from the neighboring solve),
-// leaving the bound-ordered remainder untouched behind them.
-func promoteHinted(feas []searchCandidate, hint []Organization) {
-	pos := make(map[Organization]int, len(hint))
-	for i, o := range hint {
-		if _, ok := pos[o]; !ok {
-			pos[o] = i
+// takeHinted removes the hinted organizations (enumeration indices,
+// best-first from the neighboring solve) from the staged candidates and
+// returns them in hint order, stored in buf, plus the remaining candidates
+// compacted in place. A hinted organization that is not staged (it is
+// infeasible here) is skipped, and a repeated hint counts at its first
+// position.
+func takeHinted(feas []searchCandidate, hint []int, buf *[memoRankCap]searchCandidate) (hinted, rest []searchCandidate) {
+	var rank [spaceSize]uint8 // 1 + hint position by enumeration index; 0 when unhinted
+	for h := len(hint) - 1; h >= 0; h-- {
+		rank[hint[h]] = uint8(h + 1)
+	}
+	var found [memoRankCap]bool
+	rest = feas[:0]
+	for _, c := range feas {
+		if r := rank[c.idx]; r != 0 {
+			buf[r-1], found[r-1] = c, true
+			continue
+		}
+		rest = append(rest, c)
+	}
+	// Close the gaps in hint order; a write never overtakes the read.
+	hinted = buf[:0]
+	for h := range hint {
+		if found[h] {
+			hinted = append(hinted, buf[h])
 		}
 	}
-	sort.SliceStable(feas, func(a, b int) bool {
-		pa, oka := pos[feas[a].org]
-		pb, okb := pos[feas[b].org]
-		if oka != okb {
-			return oka
+	return hinted, rest
+}
+
+// heapify arranges h as a binary min-heap under before.
+func heapify(h []searchCandidate) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// popCandidate removes and returns the heap's first candidate under before.
+func popCandidate(h *[]searchCandidate) searchCandidate {
+	top := (*h)[0]
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	siftDown(*h, 0)
+	return top
+}
+
+// siftDown restores the heap property below position i.
+func siftDown(h []searchCandidate, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
 		}
-		return oka && pa < pb
-	})
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // rankingMemo caches, per organization-search family, the ranking the last
@@ -232,7 +305,7 @@ func promoteHinted(feas []searchCandidate, hint []Organization) {
 // selected Result (see optimizePruned's correctness argument).
 type rankingMemo struct {
 	mu sync.Mutex
-	m  map[string][]Organization
+	m  map[familyKey][]int // enumeration indices, best first
 }
 
 // memoRankCap bounds the stored ranking per family; memoFamilyCap bounds
@@ -243,22 +316,45 @@ const (
 	memoFamilyCap = 4096
 )
 
-var searchMemo = &rankingMemo{m: make(map[string][]Organization)}
+var searchMemo = &rankingMemo{m: make(map[familyKey][]int)}
 
 // familyKey identifies a search family. The cell is identified by name,
-// technology and two of its scalars — enough that distinct cells sharing a
-// name (possible for caller-constructed cells) land in distinct families
-// in practice; a collision would only perturb the evaluation order.
-func familyKey(cfg Config) string {
-	return fmt.Sprintf("%s|%d|%g|%g|%g|%d|%d|%d|%t|%s|%d|%d",
-		cfg.Cell.Name, int(cfg.Cell.Tech), cfg.Cell.AreaF2, cfg.Cell.WritePulseS, cfg.Cell.ReadCurrentA,
-		cfg.CapacityBytes, cfg.BlockBytes, cfg.Ports, cfg.ECC, cfg.Node.Name,
-		int(cfg.Stack.Style), int(cfg.Target))
+// technology and three of its scalars — enough that distinct cells sharing
+// a name (possible for caller-constructed cells) land in distinct families
+// in practice; a collision would only perturb the evaluation order. The
+// scalars are kept as their bits, so every key equals itself (NaN too).
+type familyKey struct {
+	cell                        string
+	tech                        cell.Technology
+	areaF2, writePulse, readAmp uint64
+	capacity                    int64
+	blockBytes, ports           int
+	ecc                         bool
+	node                        string
+	style                       stack.Style
+	target                      Target
+}
+
+// familyOf returns cfg's search family.
+func familyOf(cfg *Config) familyKey {
+	return familyKey{
+		cell:       cfg.Cell.Name,
+		tech:       cfg.Cell.Tech,
+		areaF2:     math.Float64bits(cfg.Cell.AreaF2),
+		writePulse: math.Float64bits(cfg.Cell.WritePulseS),
+		readAmp:    math.Float64bits(cfg.Cell.ReadCurrentA),
+		capacity:   cfg.CapacityBytes,
+		blockBytes: cfg.BlockBytes,
+		ports:      cfg.Ports,
+		ecc:        cfg.ECC,
+		node:       cfg.Node.Name,
+		style:      cfg.Stack.Style,
+		target:     cfg.Target,
+	}
 }
 
 // lookup returns the family's last ranking (best first), or nil.
-func (m *rankingMemo) lookup(cfg Config) []Organization {
-	key := familyKey(cfg)
+func (m *rankingMemo) lookup(key familyKey) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.m[key]
@@ -266,22 +362,21 @@ func (m *rankingMemo) lookup(cfg Config) []Organization {
 
 // update stores the ranking of the organizations a search characterized,
 // best (objective, enumeration index) first, truncated to memoRankCap.
-func (m *rankingMemo) update(cfg Config, evaluated []rankedOrg) {
-	sort.Slice(evaluated, func(a, b int) bool {
-		if evaluated[a].obj != evaluated[b].obj {
-			return evaluated[a].obj < evaluated[b].obj
+func (m *rankingMemo) update(key familyKey, evaluated []rankedOrg) {
+	slices.SortFunc(evaluated, func(a, b rankedOrg) int {
+		switch {
+		case a.obj < b.obj:
+			return -1
+		case a.obj > b.obj:
+			return 1
 		}
-		return evaluated[a].idx < evaluated[b].idx
+		return a.idx - b.idx
 	})
-	n := len(evaluated)
-	if n > memoRankCap {
-		n = memoRankCap
+	n := min(len(evaluated), memoRankCap)
+	rank := make([]int, n)
+	for i := range rank {
+		rank[i] = evaluated[i].idx
 	}
-	rank := make([]Organization, n)
-	for i := 0; i < n; i++ {
-		rank[i] = evaluated[i].org
-	}
-	key := familyKey(cfg)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, exists := m.m[key]; !exists && len(m.m) >= memoFamilyCap {
@@ -300,7 +395,7 @@ func (m *rankingMemo) update(cfg Config, evaluated []rankedOrg) {
 func resetSearchMemo() {
 	searchMemo.mu.Lock()
 	defer searchMemo.mu.Unlock()
-	searchMemo.m = make(map[string][]Organization)
+	searchMemo.m = make(map[familyKey][]int)
 }
 
 // characterizeAll evaluates every candidate organization on the shared
@@ -309,17 +404,20 @@ func resetSearchMemo() {
 // it cannot prune) and the exhaustive test reference both reduce over this.
 func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Result {
 	results := make([]*Result, len(orgs))
-	// Per-item errors mean "infeasible, skip" here, so fn never fails;
-	// the only error ForEachContext can surface is the cancellation, which
-	// both reducers re-check via ctx.Err.
+	bc, err := newBoundContext(&cfg)
+	if err != nil {
+		// No organization characterizes without the corner and wires.
+		return results
+	}
+	// Infeasible organizations are skipped, so fn never fails; the only
+	// error ForEachContext can surface is the cancellation, which both
+	// reducers re-check via ctx.Err.
 	_ = parallel.ForEachContext(ctx, len(orgs), 0, func(i int) error {
-		if _, why := cfg.feasible(orgs[i]); why != feasibleOrg {
+		var d derived
+		if cfg.feasible(orgs[i], &d) != feasibleOrg {
 			return nil
 		}
-		r, err := Characterize(cfg, orgs[i])
-		if err != nil {
-			return nil
-		}
+		r := bc.characterize(orgs[i], &d)
 		results[i] = &r
 		return nil
 	})
@@ -328,9 +426,7 @@ func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Re
 
 // SearchSpaceSize returns the number of candidate organizations Optimize
 // enumerates (before feasibility filtering).
-func SearchSpaceSize() int {
-	return len(searchRows) * len(searchCols) * len(searchMux) * len(searchBank)
-}
+func SearchSpaceSize() int { return spaceSize }
 
 // Pareto returns all feasible organizations that are Pareto-optimal in
 // (read latency, mean access energy, footprint), sorted by read latency.
@@ -348,7 +444,7 @@ func ParetoContext(ctx context.Context, cfg Config) ([]Result, error) {
 		return nil, err
 	}
 	var all []Result
-	for _, r := range characterizeAll(ctx, cfg, candidates()) {
+	for _, r := range characterizeAll(ctx, cfg, enumeration) {
 		if r != nil {
 			all = append(all, *r)
 		}

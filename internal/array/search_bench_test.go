@@ -70,7 +70,7 @@ func BenchmarkOptimizePruned(b *testing.B) {
 // cost the pruned search pays instead of a Characterize call.
 func BenchmarkLowerBound(b *testing.B) {
 	cfg := benchConfig()
-	bc, err := newBoundContext(cfg)
+	bc, err := newBoundContext(&cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func BenchmarkLowerBound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = bc.lowerBound(org, d, OptimizeEDP)
+		_ = bc.lowerBound(org, &d, OptimizeEDP)
 	}
 }
 

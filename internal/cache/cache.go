@@ -15,7 +15,6 @@ package cache
 import (
 	"container/list"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -173,11 +172,21 @@ func MustNew[V any](capacity int) *Cache[V] {
 	return c
 }
 
-// shardFor routes a key to its shard by FNV-1a hash.
+// FNV-1a 32-bit parameters (the constants of hash/fnv's New32a).
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// shardFor routes a key to its shard by FNV-1a hash, computed inline so a
+// lookup allocates neither a hasher nor a byte copy of the key.
 func (c *Cache[V]) shardFor(key string) *shard[V] {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= fnvPrime32
+	}
+	return c.shards[h%uint32(len(c.shards))]
 }
 
 // SetTier attaches a persistence tier: LRU misses fall through to it (a

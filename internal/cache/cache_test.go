@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,5 +219,28 @@ func BenchmarkDoHit(b *testing.B) {
 		if _, hit, _ := c.Do("key", func() ([]byte, error) { return body, nil }); !hit {
 			b.Fatal("miss on a warmed key")
 		}
+	}
+}
+
+// TestShardForMatchesFNV pins the inline shard hash to hash/fnv's FNV-1a,
+// the routing every earlier build used, and checks a hit allocates
+// nothing.
+func TestShardForMatchesFNV(t *testing.T) {
+	c := MustNew[int](64)
+	keys := []string{"", "k", "sram-6t|SRAM|350|1|tsv|0|22nm-hp", "bg|4077000000000000", "\xff\x00multi\u00e9byte"}
+	for i := 0; i < 200; i++ {
+		keys = append(keys, fmt.Sprintf("key-%d", i))
+	}
+	for _, k := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		want := c.shards[h.Sum32()%uint32(len(c.shards))]
+		if got := c.shardFor(k); got != want {
+			t.Errorf("shardFor(%q) routes to a different shard than FNV-1a", k)
+		}
+	}
+	c.Add("hot", 1)
+	if allocs := testing.AllocsPerRun(100, func() { c.Get("hot") }); allocs != 0 {
+		t.Errorf("Get hit allocates %.1f times, want 0", allocs)
 	}
 }

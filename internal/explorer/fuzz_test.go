@@ -16,39 +16,51 @@ package explorer
 // stacking sweep.
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
+
+	"coldtall/internal/cell"
+	"coldtall/internal/stack"
+	"coldtall/internal/workload"
 )
 
+// parsePointSeed is one FuzzParsePoint corpus entry.
+type parsePointSeed struct {
+	cell, corner, style string
+	dies                int
+	tempK               float64
+	capacity            int64
+	freqHz              float64
+}
+
+// parsePointSeeds are the golden cache-key seeds: (cell, corner, style,
+// dies, temperature_k, capacity_bytes, frequency_hz).
+var parsePointSeeds = []parsePointSeed{
+	{"SRAM", "", "", 0, 0, 0, 0},                       // the baseline, all defaults
+	{"SRAM", "optimistic", "tsv", 1, 77, 0, 0},         // Fig. 1 cryogenic endpoint
+	{"3T-eDRAM", "", "tsv", 1, 77, 0, 0},               // Fig. 3/4 cold volatile
+	{"1T1C-eDRAM", "", "", 1, 350, 0, 0},               // builtin with ignored corner
+	{"PCM", "optimistic", "tsv", 8, 350, 0, 0},         // Fig. 6/7 tentpole
+	{"PCM", "pessimistic", "tsv", 4, 350, 0, 0},        //
+	{"STT-RAM", "optimistic", "tsv", 2, 350, 0, 0},     //
+	{"STT-RAM", "pessimistic", "tsv", 1, 350, 0, 0},    //
+	{"RRAM", "optimistic", "monolithic", 4, 350, 0, 0}, //
+	{"RRAM", "pessimistic", "face-to-face", 2, 350, 0, 0},
+	{"SOT-RAM", "optimistic", "tsv", 1, 350, 32 << 20, 0}, // capacity override
+	{"OS-GC", "optimistic", "monolithic", 4, 77, 0, 0},    // gain-cell sweep point
+	{"OS-GC", "pessimistic", "monolithic", 2, 4, 0, 0},    // deep-cryo gain cell
+	{"SRAM", "", "tsv", 1, 4, 0, 0},                       // 4 K characterization
+	{"SRAM", "", "tsv", 1, 350, 0, 2.5e9},                 // frequency override
+	{"3T-eDRAM", "", "tsv", 1, 77, 0, 1e10},               // cryo-boosted clock
+	{"SRAM", "", "tsv", 1, 350, 0, 5e9},                   // explicit default clock
+	{"SRAM", "", "tsv", 1, 349.9, 0, 5.0001e9},            // non-integer temperature and clock
+	{"3T-eDRAM", "", "tsv", 1, 77.125, 0, 0},              // fractional cryogenic temperature
+	{"FeRAM", "typical", "bga", 3, -40, -1, -5},           // invalid on every axis
+}
+
 func FuzzParsePoint(f *testing.F) {
-	// Golden cache-key seeds: (cell, corner, style, dies, temperature_k,
-	// capacity_bytes, frequency_hz).
-	seeds := []struct {
-		cell, corner, style string
-		dies                int
-		tempK               float64
-		capacity            int64
-		freqHz              float64
-	}{
-		{"SRAM", "", "", 0, 0, 0, 0},                       // the baseline, all defaults
-		{"SRAM", "optimistic", "tsv", 1, 77, 0, 0},         // Fig. 1 cryogenic endpoint
-		{"3T-eDRAM", "", "tsv", 1, 77, 0, 0},               // Fig. 3/4 cold volatile
-		{"1T1C-eDRAM", "", "", 1, 350, 0, 0},               // builtin with ignored corner
-		{"PCM", "optimistic", "tsv", 8, 350, 0, 0},         // Fig. 6/7 tentpole
-		{"PCM", "pessimistic", "tsv", 4, 350, 0, 0},        //
-		{"STT-RAM", "optimistic", "tsv", 2, 350, 0, 0},     //
-		{"STT-RAM", "pessimistic", "tsv", 1, 350, 0, 0},    //
-		{"RRAM", "optimistic", "monolithic", 4, 350, 0, 0}, //
-		{"RRAM", "pessimistic", "face-to-face", 2, 350, 0, 0},
-		{"SOT-RAM", "optimistic", "tsv", 1, 350, 32 << 20, 0}, // capacity override
-		{"OS-GC", "optimistic", "monolithic", 4, 77, 0, 0},    // gain-cell sweep point
-		{"OS-GC", "pessimistic", "monolithic", 2, 4, 0, 0},    // deep-cryo gain cell
-		{"SRAM", "", "tsv", 1, 4, 0, 0},                       // 4 K characterization
-		{"SRAM", "", "tsv", 1, 350, 0, 2.5e9},                 // frequency override
-		{"3T-eDRAM", "", "tsv", 1, 77, 0, 1e10},               // cryo-boosted clock
-		{"SRAM", "", "tsv", 1, 350, 0, 5e9},                   // explicit default clock
-		{"FeRAM", "typical", "bga", 3, -40, -1, -5},           // invalid on every axis
-	}
-	for _, s := range seeds {
+	for _, s := range parsePointSeeds {
 		f.Add(s.cell, s.corner, s.style, s.dies, s.tempK, s.capacity, s.freqHz)
 	}
 	f.Fuzz(func(t *testing.T, cellName, corner, style string, dies int, tempK float64, capacity int64, freqHz float64) {
@@ -91,4 +103,52 @@ func FuzzParsePoint(f *testing.F) {
 			t.Errorf("Spec is not a parse fixed point: %+v -> %+v", recovered, fixed)
 		}
 	})
+}
+
+// sprintfKey is DesignPoint.Key's original fmt.Sprintf form, the spelling
+// every char| store address was written with.
+func sprintfKey(p DesignPoint) string {
+	k := fmt.Sprintf("%s|%s|%s|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, strconv.FormatFloat(p.Temperature, 'g', -1, 64),
+		p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
+	if f := p.Frequency(); f != workload.DefaultFrequencyHz {
+		k += "|f" + strconv.FormatFloat(f, 'g', -1, 64)
+	}
+	return k
+}
+
+// TestKeyMatchesSprintf pins DesignPoint.Key byte for byte to its original
+// fmt.Sprintf spelling on every accepted fuzz-corpus point, and on raw
+// points with values no spec parses to (unnamed technology and style
+// numbers, negative counts, a long cell name).
+func TestKeyMatchesSprintf(t *testing.T) {
+	var points []DesignPoint
+	for _, s := range parsePointSeeds {
+		p, err := ParsePoint(PointSpec{
+			Cell: s.cell, Corner: s.corner, Style: s.style, Dies: s.dies,
+			TemperatureK: s.tempK, CapacityBytes: s.capacity, FrequencyHz: s.freqHz,
+		})
+		if err != nil {
+			continue
+		}
+		points = append(points, p)
+	}
+	if len(points) < len(parsePointSeeds)-1 {
+		t.Fatalf("only %d of %d corpus specs parsed", len(points), len(parsePointSeeds))
+	}
+	odd := Baseline()
+	odd.Cell.Name = "a-cell-name-long-enough-to-outgrow-any-small-key-buffer-" + odd.Cell.Name
+	odd.Cell.Tech = cell.Technology(99)
+	odd.Style = stack.Style(-3)
+	odd.Dies = -2
+	odd.CapacityBytes = -1
+	odd.Temperature = 1e-7
+	odd.FrequencyHz = 123456789.125
+	slow := Baseline()
+	slow.FrequencyHz = 1234.5 // below 1e6, where 'g' and 'e' spellings differ
+	points = append(points, odd, slow, DesignPoint{})
+	for _, p := range points {
+		if got, want := p.Key(), sprintfKey(p); got != want {
+			t.Errorf("Key = %q, want the Sprintf spelling %q", got, want)
+		}
+	}
 }

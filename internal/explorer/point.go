@@ -104,13 +104,30 @@ func (p DesignPoint) arrayConfig() array.Config {
 // while integer temperatures and the freqsweep clocks keep their
 // historical spelling. Points at the default 5 GHz clock keep the
 // historical key shape (no frequency segment).
+//
+// The key is the char| store address, so its bytes must never change
+// (TestKeyMatchesSprintf pins them); it is appended into one buffer
+// because it is built on every request.
 func (p DesignPoint) Key() string {
-	k := fmt.Sprintf("%s|%s|%s|%d|%v|%d|%s", p.Cell.Name, p.Cell.Tech, strconv.FormatFloat(p.Temperature, 'g', -1, 64),
-		p.Dies, p.Style, p.CapacityBytes, p.Node.Name)
+	var buf [128]byte
+	k := append(buf[:0], p.Cell.Name...)
+	k = append(k, '|')
+	k = append(k, p.Cell.Tech.String()...)
+	k = append(k, '|')
+	k = strconv.AppendFloat(k, p.Temperature, 'g', -1, 64)
+	k = append(k, '|')
+	k = strconv.AppendInt(k, int64(p.Dies), 10)
+	k = append(k, '|')
+	k = append(k, p.Style.String()...)
+	k = append(k, '|')
+	k = strconv.AppendInt(k, p.CapacityBytes, 10)
+	k = append(k, '|')
+	k = append(k, p.Node.Name...)
 	if f := p.Frequency(); f != workload.DefaultFrequencyHz {
-		k += "|f" + strconv.FormatFloat(f, 'g', -1, 64)
+		k = append(k, "|f"...)
+		k = strconv.AppendFloat(k, f, 'g', -1, 64)
 	}
-	return k
+	return string(k)
 }
 
 // Capacity returns the point's LLC capacity in bytes (the Table I 16 MiB

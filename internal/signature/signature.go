@@ -293,14 +293,14 @@ func footprintDistance(a, b Signature) float64 {
 // phase, which sees the stream in global order at any shard count.
 type Accumulator struct {
 	sig       Signature
-	last      map[uint64]uint64 // block number -> 1-based access position of the previous touch
+	last      lastTouch // block number -> 1-based access position of the previous touch
 	prevBlock uint64
 	started   bool
 }
 
 // NewAccumulator returns an empty accumulator.
 func NewAccumulator() *Accumulator {
-	return &Accumulator{last: make(map[uint64]uint64)}
+	return &Accumulator{last: newLastTouch()}
 }
 
 // blockShift converts addresses to 64 B block numbers.
@@ -316,12 +316,11 @@ func (a *Accumulator) Observe(ac trace.Access) {
 	}
 	block := ac.Addr >> blockShift
 	pos := a.sig.Accesses // 1-based position of this access
-	if prev, ok := a.last[block]; ok {
+	if prev, ok := a.last.swap(block, pos); ok {
 		a.sig.Reuse[logBucket(pos-prev, ReuseBuckets)]++
 	} else {
 		a.sig.FootprintBlocks++
 	}
-	a.last[block] = pos
 	if a.started {
 		delta := block - a.prevBlock
 		if block < a.prevBlock {
