@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmtcheck race servecheck jobcheck smoke artifactcheck tenantcheck tracecheck prunecheck techcheck wlcheck goldencheck fuzz vulncheck bench searchbench golden-update
+.PHONY: build test check vet fmtcheck race e2e prunecheck goldencheck fuzz vulncheck bench searchbench golden-update
 
 build:
 	$(GO) build ./...
@@ -23,53 +23,13 @@ fmtcheck:
 race:
 	$(GO) test -race ./...
 
-# The serving stack's own gate: vet plus the server/cache/metrics packages
-# under the race detector (a fast subset of `race` for iterating on the
-# HTTP layer; `check` runs both, the subset being free once `race` passed).
-servecheck:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/server/... ./internal/cache/... ./internal/metrics/...
-
-# The persistence + async-job gate: the content-addressed store, the job
-# manager (including the kill-and-resume crash-recovery test), and the
-# server's job endpoints, all under the race detector.
-jobcheck:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/store/... ./internal/job/...
-	$(GO) test -race -run 'TestJob|TestAsync|TestStoreWarmed|TestCharacterization|TestEviction' ./internal/server/
-
-# Boot `coldtall serve` with a persistent store, exercise the cache path
-# over real HTTP, run an async job end to end (submit, poll, byte-diff
-# against the synchronous artifact), scrape /metrics, and assert a clean
-# SIGTERM drain.
-smoke:
-	./scripts/smoke.sh
-
-# Catalog drift check: `coldtall artifacts list` and the served
-# GET /v1/artifacts must enumerate the registry identically.
-artifactcheck:
-	./scripts/artifactcheck.sh
-
-# The multi-tenant gate: the tenant package (buckets, budgets, key auth,
-# hot reload), the fair-share scheduler (including the FIFO-vs-fair
-# byte-identity differential), and the tenant-aware server surface
-# (admission, streaming, drain) under the race detector, then the
-# end-to-end script — two keys against a real serve: 401s, budget 429s
-# with headers, the priority-inversion check, `jobs watch` SSE
-# byte-identity, per-tenant metrics, and a SIGHUP key rotation.
-tenantcheck:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/tenant/...
-	$(GO) test -race -run 'TestScheduler|TestInteractiveDequeues|TestFairMatchesFIFO|TestSubmitAsQuota|TestListPage|TestSubscribe' ./internal/job/
-	$(GO) test -race -run 'TestRetryAfter|TestAdmissionPool|TestAPIKey|TestTenant|TestBudget|TestJobQuota|TestJobListFilter|TestJobStatus|TestDrainFlushes|TestStream|TestOpenAPI' ./internal/server/
-	./scripts/tenantcheck.sh
-
-# Trace-toolchain drift check through the built binaries: tracegen's text
-# and binary outputs must simulate identically, llcsim -dump must emit the
-# canonical .ctrace encoding, and sharded replay must match serial byte
-# for byte.
-tracecheck:
-	./scripts/tracecheck.sh
+# The end-to-end harness alone: builds coldtall, tracegen and llcsim once,
+# then runs the smoke, artifacts, techaxes, trace, workloads and tenants
+# scenarios against real `coldtall serve` processes (the CLI client and
+# the served API must emit byte-identical artifacts). `test` and `race`
+# run it too; one scenario: go test -count=1 -run TestE2E/tenants ./e2e/
+e2e:
+	$(GO) test -count=1 ./e2e/
 
 # Differential proof of the pruned organization search: the full golden
 # grid through both the exhaustive reference and the pruned path under
@@ -80,25 +40,6 @@ prunecheck:
 	$(GO) test -race -count=1 -v \
 		-run 'TestPrunedMatchesExhaustive|TestLowerBoundAdmissible|TestParetoFilterEquivalence|TestParetoDifferential' \
 		./internal/array/
-
-# Technology-backend gate: the gaincell/deepcryo/freqsweep artifacts
-# byte-compared between the CLI and a real serve over HTTP, plus the new
-# sweep axes (4 K gain cell, non-default core clock) characterized end to
-# end through the built binary.
-techcheck:
-	./scripts/techcheck.sh
-
-# Workload-intelligence gate: the signature, registry-alias, ingest,
-# distill and upload packages under the race detector (dedup byte-identity,
-# signature determinism, deletion ordering, chunk resume), plus the server
-# surface for the new routes, then the end-to-end script — dedup round-trip
-# with shared artifact bytes, distillation within tolerance, and a chunked
-# upload interrupted and resumed to the exact trace content address.
-wlcheck:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/signature/... ./internal/workload/... ./internal/ingest/... ./internal/distill/...
-	$(GO) test -race -run 'TestWorkload' ./internal/server/ ./cmd/coldtall/
-	./scripts/wlcheck.sh
 
 # Golden-artifact gate: every registered artifact re-generated and
 # byte-compared against testdata/golden/ (no -update), so a physics or
@@ -128,7 +69,7 @@ vulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-check: vet fmtcheck race servecheck goldencheck
+check: vet fmtcheck race goldencheck
 
 # Sweep-engine speedup benchmarks (serial vs parallel full-grid sweep),
 # the Bloch–Grüneisen resistivity integral against its memo hit, a Zipf

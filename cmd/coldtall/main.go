@@ -36,6 +36,7 @@
 //	coldtall eval -config study.json
 //	coldtall export -dir out
 //	coldtall serve -addr :8080       # HTTP DSE service (see internal/server)
+//	coldtall serve -addr 127.0.0.1:0 # any free port; the banner names it
 //	coldtall serve -store-dir /var/coldtall  # + persistent store, warm restarts
 //
 // Async jobs (against a running serve instance):
@@ -88,6 +89,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -135,7 +137,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	storeDir := fs.String("store-dir", "", "serve: persistent result-store directory (empty = in-memory only)")
 	jobWorkers := fs.Int("job-workers", 0, "serve: async job worker pool size (0 = one per CPU)")
 	jobConcurrency := fs.Int("job-concurrency", 0, "serve: async jobs executing at once (0 = default 2); excess queues by priority and fair share")
-	schedMode := fs.String("scheduler", "", "serve: job dispatch order: fair (priority + weighted fair share, the default) or fifo")
 	serverURL := fs.String("server", "http://localhost:8080", "jobs/workloads: base URL of a running serve instance")
 	poll := fs.Duration("poll", 250*time.Millisecond, "jobs wait / workloads add, distill: status poll interval")
 	format := fs.String("format", "table", "artifacts: output format (table, csv)")
@@ -173,7 +174,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		cellName: *cellName, corner: *corner, dies: *dies, temp: *temp,
 		style: *style, freq: *freq,
 		addr: *addr, cacheSize: *cacheSize, timeout: *timeout,
-		storeDir: *storeDir, jobWorkers: *jobWorkers, jobConcurrency: *jobConcurrency, scheduler: *schedMode,
+		storeDir: *storeDir, jobWorkers: *jobWorkers, jobConcurrency: *jobConcurrency,
 		server: *serverURL, poll: *poll,
 		format: *format, args: positional(fs.Args()),
 		tenantsFile: *tenantsFile, defaultQuota: *defaultQuota,
@@ -202,7 +203,6 @@ type cliFlags struct {
 	storeDir           string
 	jobWorkers         int
 	jobConcurrency     int
-	scheduler          string
 	server             string
 	poll               time.Duration
 	format             string
@@ -295,7 +295,7 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 		return serveHTTP(ctx, study, w, f)
 	case "openapi":
 		// The exact bytes a running serve answers at /v1/openapi.json —
-		// `make artifactcheck` compares the two, so drift is impossible.
+		// the e2e artifacts scenario compares the two, so drift is impossible.
 		_, err := w.Write(server.OpenAPIJSON())
 		return err
 	case "jobs":
@@ -333,8 +333,8 @@ func runArtifacts(study *coldtall.Study, w io.Writer, f cliFlags) error {
 
 // renderArtifactList prints the registry catalog: one row per artifact
 // with its name, export file, paper mapping and column schema. The first
-// column is the contract `make artifactcheck` compares against the served
-// /v1/artifacts endpoint.
+// column is the contract the e2e artifacts scenario compares against the
+// served /v1/artifacts endpoint.
 func renderArtifactList(w io.Writer) error {
 	t := report.NewTable("Artifact registry ("+fmt.Sprint(len(coldtall.Artifacts().Names()))+" artifacts)",
 		"name", "file", "paper", "columns")
@@ -374,18 +374,21 @@ func (f cliFlags) parsePoint() (explorer.DesignPoint, error) {
 // drains. SIGHUP reloads the tenant config in place (key rotation without
 // a restart); a broken file keeps the previous tenant set serving.
 func serveHTTP(ctx context.Context, study *coldtall.Study, w io.Writer, f cliFlags) error {
+	ln, err := net.Listen("tcp", f.addr)
+	if err != nil {
+		return err
+	}
 	srv, err := server.New(study, server.Config{
-		Addr:           f.addr,
 		CacheEntries:   f.cacheSize,
 		Timeout:        f.timeout,
 		StoreDir:       f.storeDir,
 		JobWorkers:     f.jobWorkers,
 		JobConcurrency: f.jobConcurrency,
-		Scheduler:      f.scheduler,
 		TenantsFile:    f.tenantsFile,
 		DefaultQuota:   f.defaultQuota,
 	})
 	if err != nil {
+		ln.Close()
 		return err
 	}
 	if f.tenantsFile != "" {
@@ -407,11 +410,11 @@ func serveHTTP(ctx context.Context, study *coldtall.Study, w io.Writer, f cliFla
 		fmt.Fprintf(w, "tenancy enabled from %s (SIGHUP to reload)\n", f.tenantsFile)
 	}
 	if f.storeDir != "" {
-		fmt.Fprintf(w, "serving the DSE API on %s, persisting to %s (SIGINT/SIGTERM to drain)\n", f.addr, f.storeDir)
+		fmt.Fprintf(w, "serving the DSE API on %s, persisting to %s (SIGINT/SIGTERM to drain)\n", ln.Addr(), f.storeDir)
 	} else {
-		fmt.Fprintf(w, "serving the DSE API on %s (SIGINT/SIGTERM to drain)\n", f.addr)
+		fmt.Fprintf(w, "serving the DSE API on %s (SIGINT/SIGTERM to drain)\n", ln.Addr())
 	}
-	return srv.ListenAndServe(ctx)
+	return srv.Serve(ctx, ln)
 }
 
 // pareto prints the Pareto-optimal internal organizations of one design

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net"
 	"strings"
 	"testing"
 
@@ -49,6 +50,25 @@ func TestRunBadFlagNamesSubcommandAndFlag(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}
+	}
+}
+
+// TestServeTakenPortFailsWithoutBanner pins that serve binds before it
+// announces: a port already in use is an error, and nothing claims to be
+// serving on it.
+func TestServeTakenPortFailsWithoutBanner(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var b strings.Builder
+	err = run(bg, []string{"serve", "-addr", ln.Addr().String()}, &b)
+	if err == nil || !strings.Contains(err.Error(), ln.Addr().String()) {
+		t.Fatalf("serve on a taken port: err = %v, want a listen error naming %s", err, ln.Addr())
+	}
+	if strings.Contains(b.String(), "serving") {
+		t.Errorf("serve printed a banner before failing to bind:\n%s", b.String())
 	}
 }
 

@@ -2,14 +2,6 @@ package job
 
 import "sync"
 
-// Scheduler modes. Fair is the production default; FIFO exists so the
-// differential test can prove fair-share dispatch changes only the
-// order work starts, never the bytes it produces.
-const (
-	SchedFair = "fair"
-	SchedFIFO = "fifo"
-)
-
 // drrQuantum is the deficit credit (in estimated cells) a tenant of
 // weight 1 earns per round-robin visit. One quantum covers a full
 // sweepGridLimit row, so small jobs dispatch on their first visit and a
@@ -28,14 +20,14 @@ const schedCostCap = 4096
 // queued). Dispatch policy: strict priority across classes (interactive
 // before bulk), deficit round-robin across tenants within a class.
 type scheduler struct {
-	mode   string
-	max    int
-	weight func(tenant string) float64
+	inArrivalOrder bool // only the differential test sets it
+	max            int
+	weight         func(tenant string) float64
 
 	mu      sync.Mutex
 	running int
-	fifo    []*Job        // SchedFIFO: one global arrival-order queue
-	classes [2]classQueue // SchedFair: [interactive, bulk]
+	fifo    []*Job        // inArrivalOrder: one global arrival-order queue
+	classes [2]classQueue // fair dispatch: [interactive, bulk]
 }
 
 // classQueue is one priority class's per-tenant queue set with DRR
@@ -53,14 +45,14 @@ type tenantQueue struct {
 	deficit float64
 }
 
-func newScheduler(mode string, max int, weight func(string) float64) *scheduler {
+func newScheduler(fifo bool, max int, weight func(string) float64) *scheduler {
 	if max < 1 {
 		max = 1
 	}
 	if weight == nil {
 		weight = func(string) float64 { return 1 }
 	}
-	s := &scheduler{mode: mode, max: max, weight: weight}
+	s := &scheduler{inArrivalOrder: fifo, max: max, weight: weight}
 	for i := range s.classes {
 		s.classes[i].tenants = map[string]*tenantQueue{}
 	}
@@ -92,7 +84,7 @@ func schedCost(j *Job) float64 {
 func (s *scheduler) add(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mode == SchedFIFO {
+	if s.inArrivalOrder {
 		s.fifo = append(s.fifo, j)
 		return
 	}
@@ -116,7 +108,7 @@ func (s *scheduler) pick() *Job {
 		return nil
 	}
 	var j *Job
-	if s.mode == SchedFIFO {
+	if s.inArrivalOrder {
 		if len(s.fifo) > 0 {
 			j = s.fifo[0]
 			s.fifo = s.fifo[1:]

@@ -32,7 +32,7 @@ func pickAll(s *scheduler) []string {
 
 func TestSchedulerWeightedShare(t *testing.T) {
 	weights := map[string]float64{"alice": 4, "bob": 1}
-	s := newScheduler(SchedFair, 1, func(name string) float64 { return weights[name] })
+	s := newScheduler(false, 1, func(name string) float64 { return weights[name] })
 	// Equal-cost bulk jobs (one full 64-cell quantum each) from both
 	// tenants: a 4x weight must earn a 4:1 dispatch share.
 	for i := 0; i < 5; i++ {
@@ -52,7 +52,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 }
 
 func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
-	s := newScheduler(SchedFair, 1, nil)
+	s := newScheduler(false, 1, nil)
 	bulk1 := qjob(KindSweep, "alice", 64)
 	inter := qjob(KindEvaluate, "alice", 1)
 	bulk2 := qjob(KindArtifact, "alice", 1)
@@ -73,7 +73,7 @@ func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
 }
 
 func TestSchedulerSlotCapAndRemove(t *testing.T) {
-	s := newScheduler(SchedFair, 1, nil)
+	s := newScheduler(false, 1, nil)
 	a, b := qjob(KindSweep, "", 1), qjob(KindSweep, "", 1)
 	s.add(a)
 	s.add(b)
@@ -179,8 +179,8 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 		{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"mcf"}},
 		{Kind: KindArtifact, Artifact: "table1"},
 	}
-	run := func(mode string) map[string][]byte {
-		m := newTestManager(t, Options{Scheduler: mode, MaxConcurrent: 1})
+	run := func(fifo bool) map[string][]byte {
+		m := newTestManager(t, Options{fifo: fifo, MaxConcurrent: 1})
 		out := map[string][]byte{}
 		var ids []string
 		for _, sp := range specs {
@@ -194,14 +194,14 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 			waitDone(t, m, id)
 			body, _, ok := m.Result(id)
 			if !ok {
-				t.Fatalf("%s: no result in mode %s", id, mode)
+				t.Fatalf("%s: no result with fifo=%v", id, fifo)
 			}
 			out[id] = body
 		}
 		return out
 	}
-	fifo := run(SchedFIFO)
-	fair := run(SchedFair)
+	fifo := run(true)
+	fair := run(false)
 	if len(fifo) != len(fair) {
 		t.Fatalf("job sets diverge: fifo %d, fair %d", len(fifo), len(fair))
 	}

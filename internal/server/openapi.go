@@ -1,7 +1,7 @@
 // OpenAPI document generation. The document is derived from the same
 // route table buildHandler registers (routes.go) and the same artifact
 // registry the artifact handlers serve, so the published description and
-// the actual API cannot drift — scripts/artifactcheck.sh additionally
+// the actual API cannot drift — the e2e artifacts scenario additionally
 // pins the served document against the CLI's offline rendering.
 
 package server

@@ -91,9 +91,6 @@ import (
 // Config tunes the service. The zero value of every field selects a
 // production-reasonable default (documented per field).
 type Config struct {
-	// Addr is the listen address for ListenAndServe (":8080" by default;
-	// use ":0" to pick a free port).
-	Addr string
 	// CacheEntries bounds the response LRU (1024 entries by default).
 	CacheEntries int
 	// Timeout is the per-request compute deadline threaded into the sweep
@@ -128,10 +125,6 @@ type Config struct {
 	// dispatch by priority class and tenant fair share (0 = job package
 	// default).
 	JobConcurrency int
-	// Scheduler selects the job dispatch order: job.SchedFair (default)
-	// or job.SchedFIFO (single-queue arrival order, kept for differential
-	// testing).
-	Scheduler string
 	// Logger receives structured access log lines and server lifecycle
 	// messages (stderr by default).
 	Logger *log.Logger
@@ -139,9 +132,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Addr == "" {
-		c.Addr = ":8080"
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
 	}
@@ -363,7 +353,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 		Workloads:     s.workloads,
 		Sigs:          s.sigs,
 		MaxConcurrent: cfg.JobConcurrency,
-		Scheduler:     cfg.Scheduler,
 		TenantWeight:  s.tenants.Weight,
 		OnIngest: func(res ingest.Result) {
 			s.met.workloadUploads.Inc()
@@ -516,14 +505,4 @@ func (s *Server) stopJobs(ctx context.Context) {
 		s.cfg.Logger.Printf("drain: cancelling jobs still running at timeout (checkpoints preserved)")
 	}
 	s.jobs.Close()
-}
-
-// ListenAndServe binds cfg.Addr and serves until ctx is done (see Serve).
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
-	}
-	s.cfg.Logger.Printf("listening on %s", ln.Addr())
-	return s.Serve(ctx, ln)
 }
