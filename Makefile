@@ -49,14 +49,16 @@ goldencheck:
 
 # Fuzz smoke: a bounded run of each trace-facing fuzz target (the codec
 # round-trip, the text parser, the Zipf table against math/rand.Zipf, the
-# signature fold against a map-based reference, and the llcsim replay
-# loop) plus the pruned-vs-exhaustive search differ. The corpora seeds
+# signature fold against a map-based reference, the cache kernel against
+# its timestamp-LRU oracle, and the llcsim replay loop) plus the
+# pruned-vs-exhaustive search differ. The corpora seeds
 # cover the parser-hardening cases; CI runs this on every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzZipfMatchesStdlib -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzAccumulatorMatchesMap -fuzztime 30s ./internal/signature/
+	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 30s ./cmd/llcsim/
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeConfig -fuzztime 30s ./internal/array/
 
@@ -73,15 +75,17 @@ check: vet fmtcheck race goldencheck
 
 # Sweep-engine speedup benchmarks (serial vs parallel full-grid sweep),
 # the Bloch–Grüneisen resistivity integral against its memo hit, a Zipf
-# draw from math/rand.Zipf against the table (plus one table build), and
-# the allocs/op of one organization search, one characterization and one
-# signature-fold access.
+# draw from math/rand.Zipf against the table (plus one table build), the
+# allocs/op of one organization search, one characterization and one
+# signature-fold access, and a 200k-access .ctrace replay through the
+# Table I hierarchy, serial and in 16 set-bank shards.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'BenchmarkArrayOptimize|BenchmarkArrayCharacterize' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkWireResistivity' -benchtime 2000x ./internal/tech/
 	$(GO) test -run '^$$' -bench 'BenchmarkZipf' -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorObserve' -benchmem ./internal/signature/
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary|BenchmarkReplayBinarySharded' -benchmem ./internal/sim/
 
 # Organization-search benchmarks: pruned vs exhaustive, the per-candidate
 # bound cost, and the staircase vs quadratic Pareto filter.

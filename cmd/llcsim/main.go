@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -118,23 +117,4 @@ func render(stdout io.Writer, eng *sim.Sharded, n uint64, copies int, bench stri
 	fmt.Fprintf(stdout, "  reads/s  = %.3g\n", tr.ReadsPerSec*scale)
 	fmt.Fprintf(stdout, "  writes/s = %.3g\n", tr.WritesPerSec*scale)
 	return nil
-}
-
-// replay feeds a hierarchy from the textual trace format — the serial
-// reference path the tests and the fuzz harness drive directly; run() goes
-// through the sharded engine with format autodetection instead.
-func replay(h *sim.Hierarchy, r io.Reader) (int, error) {
-	tr := trace.NewTextReader(r)
-	n := 0
-	for {
-		a, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		h.Access(a)
-		n++
-	}
 }

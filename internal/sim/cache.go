@@ -39,6 +39,11 @@ func (c CacheConfig) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("sim: %s: set count %d must be a power of two", c.Name, sets)
 	}
+	if c.BlockBytes == 1 && sets == 1 {
+		// The tag would be the whole 64-bit address, leaving no bit for
+		// the dirty flag a Cache entry packs beside it.
+		return fmt.Errorf("sim: %s: one set of one-byte blocks leaves no tag bit for the dirty flag", c.Name)
+	}
 	return nil
 }
 
@@ -70,22 +75,24 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses()) / float64(s.Accesses())
 }
 
-// line is one cache line's metadata.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // Cache is a set-associative, write-back, write-allocate cache with LRU
 // replacement.
+//
+// Storage is one flat tag array, set-major: set s owns
+// tags[s*ways : (s+1)*ways], and each entry is tag<<1 | dirty. A set's
+// valid ways are always a prefix of it — fills take the first invalid
+// way, and only Flush invalidates, all at once — so valid[s] counts them.
+// The prefix is kept most-recently-used first: a hit moves its entry to
+// the front, a fill inserts at the front, and a fill into a full set
+// evicts the last entry, which is the least recently used line.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]line
+	tags     []uint64
+	valid    []int32
+	ways     int
 	setShift uint
+	setBits  uint
 	setMask  uint64
-	clock    uint64
 	stats    Stats
 }
 
@@ -94,15 +101,15 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := make([][]line, cfg.Sets())
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
+	sets := cfg.Sets()
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		tags:     make([]uint64, sets*cfg.Ways),
+		valid:    make([]int32, sets),
+		ways:     cfg.Ways,
 		setShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
-		setMask:  uint64(cfg.Sets() - 1),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:  uint64(sets - 1),
 	}, nil
 }
 
@@ -112,10 +119,35 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// index splits an address into set index and tag.
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// index splits an address into its set and the clean entry its line
+// would hold (tag<<1).
+func (c *Cache) index(addr uint64) (set int, key uint64) {
 	blk := addr >> c.setShift
-	return int(blk & c.setMask), blk >> bits.TrailingZeros64(c.setMask+1)
+	return int(blk & c.setMask), blk >> c.setBits << 1
+}
+
+// valids returns the set's valid ways, most recently used first.
+func (c *Cache) valids(set int) []uint64 {
+	base := set * c.ways
+	return c.tags[base : base+int(c.valid[set])]
+}
+
+// dirtyBit is an entry's dirty flag for an access of the given kind.
+func dirtyBit(write bool) uint64 {
+	if write {
+		return 1
+	}
+	return 0
+}
+
+// find returns the position of key's line among ways, or -1.
+func find(ways []uint64, key uint64) int {
+	for i, e := range ways {
+		if e|1 == key|1 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup probes for the address; on a hit it updates LRU state and, for
@@ -126,17 +158,14 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	} else {
 		c.stats.Reads++
 	}
-	set, tag := c.index(addr)
-	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			l.used = c.clock
-			if write {
-				l.dirty = true
-			}
-			return true
-		}
+	set, key := c.index(addr)
+	ways := c.valids(set)
+	if i := find(ways, key); i >= 0 {
+		// Move to front: the ways before i each age by one position.
+		e := ways[i] | dirtyBit(write)
+		copy(ways[1:i+1], ways[:i])
+		ways[0] = e
+		return true
 	}
 	if write {
 		c.stats.WriteMisses++
@@ -146,57 +175,57 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	return false
 }
 
-// Fill installs the address after a miss (write-allocate). It returns the
-// evicted victim's address and whether that victim was dirty (needing a
-// writeback to the level below).
+// Fill installs the address after a miss (write-allocate). The block must
+// be absent — a Lookup of it just missed, or Contains reports false — so a
+// set never holds two copies of one line. It returns the evicted victim's
+// address and whether that victim was dirty (needing a writeback to the
+// level below).
 func (c *Cache) Fill(addr uint64, write bool) (victimAddr uint64, wb bool) {
-	set, tag := c.index(addr)
-	c.clock++
-	victim := 0
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if !l.valid {
-			victim = i
-			break
-		}
-		if l.used < c.sets[set][victim].used {
-			victim = i
-		}
-	}
-	v := &c.sets[set][victim]
-	if v.valid && v.dirty {
+	set, key := c.index(addr)
+	base := set * c.ways
+	n := int(c.valid[set])
+	if n < c.ways {
+		c.valid[set]++
+		n++
+	} else if last := c.tags[base+n-1]; last&1 != 0 {
 		wb = true
-		victimAddr = ((v.tag << bits.TrailingZeros64(c.setMask+1)) | uint64(set)) << c.setShift
+		victimAddr = (last>>1<<c.setBits | uint64(set)) << c.setShift
 		c.stats.Writebacks++
 	}
-	*v = line{tag: tag, valid: true, dirty: write, used: c.clock}
+	ways := c.tags[base : base+n]
+	copy(ways[1:], ways)
+	ways[0] = key | dirtyBit(write)
 	return victimAddr, wb
+}
+
+// access is Lookup followed, on a miss, by Fill: the one probe per level
+// Hierarchy makes for a demand access. Installing before the level below
+// is fetched gives the same state as installing after it, since the
+// levels below never touch this one.
+func (c *Cache) access(addr uint64, write bool) (hit bool, victimAddr uint64, wb bool) {
+	if c.Lookup(addr, write) {
+		return true, 0, false
+	}
+	victimAddr, wb = c.Fill(addr, write)
+	return false, victimAddr, wb
 }
 
 // Contains probes for the address without touching statistics or LRU
 // state (used by prefetchers to avoid redundant fills).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	set, key := c.index(addr)
+	return find(c.valids(set), key) >= 0
 }
 
 // Flush invalidates every line, returning the number of dirty lines that
 // would have been written back.
 func (c *Cache) Flush() uint64 {
 	var dirty uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
+	for s := range c.valid {
+		for _, e := range c.valids(s) {
+			dirty += e & 1
 		}
+		c.valid[s] = 0
 	}
 	return dirty
 }

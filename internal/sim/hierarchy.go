@@ -124,14 +124,14 @@ func (h *Hierarchy) accessLevel(i int, addr uint64, write bool) {
 		}
 		return
 	}
-	c := h.levels[i]
-	if c.Lookup(addr, write) {
+	hit, victim, wb := h.levels[i].access(addr, write)
+	if hit {
 		return
 	}
-	// Miss: fetch the block from outward (reads the next level), then
-	// install locally, pushing any dirty victim outward.
+	// Miss: the block is already installed here; fetch it from outward
+	// (reads the next level), then push any dirty victim outward.
 	h.accessLevel(i+1, addr, false)
-	if victim, wb := c.Fill(addr, write); wb {
+	if wb {
 		h.accessLevel(i+1, victim, true)
 	}
 }

@@ -195,10 +195,11 @@ func NewSharded(cfg HierarchyConfig, shards, workers int) (*Sharded, error) {
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // SetObserver attaches a per-access observer invoked from Replay's serial
-// partition phase — which sees the stream in global order at any shard
-// count, so observer-derived summaries (the locality signatures of
-// internal/signature) are deterministic across shard counts. Set it
-// before the first Replay call; the observer must not retain the access.
+// partition phase (with one shard, from its in-place replay loop) — which
+// sees the stream in global order at any shard count, so observer-derived
+// summaries (the locality signatures of internal/signature) are
+// deterministic across shard counts. Set it before the first Replay call;
+// the observer must not retain the access.
 func (s *Sharded) SetObserver(obs func(trace.Access)) { s.observe = obs }
 
 // cancelStride bounds how many accesses a shard replays between
@@ -211,32 +212,47 @@ const cancelStride = 8192
 // progress between chunks. On error (cancellation) the replayer's state
 // is partial and must be discarded.
 func (s *Sharded) Replay(ctx context.Context, batch []trace.Access) error {
-	for i := range s.queues {
-		s.queues[i] = s.queues[i][:0]
-	}
-	for _, a := range batch {
-		if s.observe != nil {
-			s.observe(a)
+	var err error
+	if len(s.shards) == 1 {
+		// The serial engine replays the batch in place: no queue copy and
+		// no pool dispatch, the observer fed in the same pass.
+		err = replay(ctx, s.shards[0], batch, s.observe)
+	} else {
+		for i := range s.queues {
+			s.queues[i] = s.queues[i][:0]
 		}
-		q := (a.Addr >> s.shift) & s.mask
-		s.queues[q] = append(s.queues[q], a)
-	}
-	err := parallel.ForEachContext(ctx, len(s.shards), s.workers, func(i int) error {
-		h, q := s.shards[i], s.queues[i]
-		for off, a := range q {
-			if off%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		for _, a := range batch {
+			if s.observe != nil {
+				s.observe(a)
 			}
-			h.Access(a)
+			q := (a.Addr >> s.shift) & s.mask
+			s.queues[q] = append(s.queues[q], a)
 		}
-		return nil
-	})
+		err = parallel.ForEachContext(ctx, len(s.shards), s.workers, func(i int) error {
+			return replay(ctx, s.shards[i], s.queues[i], nil)
+		})
+	}
 	if err != nil {
 		return err
 	}
 	s.accesses += uint64(len(batch))
+	return nil
+}
+
+// replay runs accesses through h in order, handing each to observe (when
+// set) first and checking ctx every cancelStride accesses.
+func replay(ctx context.Context, h *Hierarchy, accesses []trace.Access, observe func(trace.Access)) error {
+	for off, a := range accesses {
+		if off%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if observe != nil {
+			observe(a)
+		}
+		h.Access(a)
+	}
 	return nil
 }
 

@@ -23,6 +23,7 @@ func TestCacheConfigValidate(t *testing.T) {
 		{Name: "c", SizeBytes: 1024, BlockBytes: 64, Ways: 0},
 		{Name: "d", SizeBytes: 3 * 64, BlockBytes: 64, Ways: 1}, // 3 sets: not power of two
 		{Name: "e", SizeBytes: 64, BlockBytes: 64, Ways: 2},     // capacity < one set
+		{Name: "f", SizeBytes: 4, BlockBytes: 1, Ways: 4},       // no tag bit spare for the dirty flag
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
