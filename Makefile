@@ -48,13 +48,15 @@ goldencheck:
 	$(GO) test -count=1 -run Golden .
 
 # Fuzz smoke: a bounded run of each trace-facing fuzz target (the codec
-# round-trip, the text parser, the Zipf table against math/rand.Zipf, the
+# round-trip, the canonical-stream check against decode + re-encode, the
+# text parser, the Zipf table against math/rand.Zipf, the
 # signature fold against a map-based reference, the cache kernel against
 # its timestamp-LRU oracle, and the llcsim replay loop) plus the
 # pruned-vs-exhaustive search differ. The corpora seeds
 # cover the parser-hardening cases; CI runs this on every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalBinary -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzZipfMatchesStdlib -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzAccumulatorMatchesMap -fuzztime 30s ./internal/signature/
@@ -77,8 +79,9 @@ check: vet fmtcheck race goldencheck
 # the Bloch–Grüneisen resistivity integral against its memo hit, a Zipf
 # draw from math/rand.Zipf against the table (plus one table build), the
 # allocs/op of one organization search, one characterization and one
-# signature-fold access, and a 200k-access .ctrace replay through the
-# Table I hierarchy, serial and in 16 set-bank shards.
+# signature-fold access, a 200k-access .ctrace replay through the
+# Table I hierarchy, serial and in 16 set-bank shards, and one round of
+# nine .ctrace ingestions (CPU ms per upload).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'BenchmarkArrayOptimize|BenchmarkArrayCharacterize' -benchmem .
@@ -86,6 +89,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkZipf' -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorObserve' -benchmem ./internal/signature/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary|BenchmarkReplayBinarySharded' -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkIngestRun' -benchtime 3x -benchmem ./internal/ingest/
 
 # Organization-search benchmarks: pruned vs exhaustive, the per-candidate
 # bound cost, and the staircase vs quadratic Pareto filter.

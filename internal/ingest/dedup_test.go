@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"hash/crc32"
+	"reflect"
+	"strings"
 	"testing"
 
 	"coldtall/internal/signature"
@@ -24,11 +29,14 @@ func dedupOptions(t *testing.T) (Options, *workload.Registry, *signature.Index, 
 }
 
 // TestStreamingMatchesMaterialized is the differential harness pinning
-// the streaming-replay rewrite: an independent reference implementation
-// — materialize the whole []trace.Access, encode, replay serially with
-// the warmup quarter excluded — must agree byte-for-byte on the
-// canonical trace (content address), the measured window counters, and
-// the extrapolated Traffic.
+// the streaming replay: an independent reference implementation —
+// materialize the whole []trace.Access, encode, replay serially with the
+// warmup quarter excluded — must agree byte-for-byte on the canonical
+// trace (content address and stored bytes), the measured window
+// counters, the signature and the extrapolated Traffic. The same accesses
+// are uploaded as text, as canonical .ctrace, re-framed with a short
+// first block, and with one padded varint, at 1 and 16 shards: only the
+// canonical upload is used as is, and every form must come out the same.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	g, err := trace.NewZipf(trace.Region{Base: 1 << 30, Size: 16 << 20}, 1.2, 0.3, 11)
 	if err != nil {
@@ -48,6 +56,8 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc := signature.NewAccumulator()
+	eng.SetObserver(acc.Observe)
 	warmup := len(accesses) / 4
 	if err := eng.Replay(context.Background(), accesses[:warmup]); err != nil {
 		t.Fatal(err)
@@ -57,37 +67,174 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := eng.Snapshot().Sub(atWarm)
+	wantSig := acc.Signature().SHA256()
 	wantTraffic := workload.Extrapolate("streamed", window.LLC().Reads, window.LLC().Writes,
 		window.Accesses, DefaultMemOpsPerKiloInstr, DefaultIPC)
 
-	// Streaming path under test, fed the text form so decode + canonical
-	// re-encode are both exercised.
-	res, err := Run(context.Background(), Spec{Name: "streamed", Trace: text.Bytes()},
-		Options{Workloads: workload.NewRegistry(), Shards: 16, Workers: 2})
+	reframed := append(trace.EncodeBinary(accesses[:1000]), trace.EncodeBinary(accesses[1000:])[len(ctraceMagic):]...)
+	blocks := splitFrames(t, canonical)
+	blocks[1].payload = padFirstVarint(blocks[1].payload)
+	padded := joinFrames(blocks)
+	if bytes.Equal(reframed, canonical) || bytes.Equal(padded, canonical) {
+		t.Fatal("test is vacuous: a non-canonical form equals the canonical bytes")
+	}
+	for _, form := range []struct {
+		name   string
+		upload []byte
+	}{
+		{"text", text.Bytes()},
+		{"canonical", canonical},
+		{"reframed", reframed},
+		{"padded", padded},
+	} {
+		for _, shards := range []int{1, 16} {
+			t.Run(fmt.Sprintf("%s/shards=%d", form.name, shards), func(t *testing.T) {
+				st := testStore(t)
+				res, err := Run(context.Background(), Spec{Name: "streamed", Trace: form.upload},
+					Options{Workloads: workload.NewRegistry(), Store: st, Shards: shards, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Source.TraceSHA256 != wantSHA {
+					t.Fatalf("canonical trace address %s, want %s", res.Source.TraceSHA256, wantSHA)
+				}
+				if res.TraceBytes != len(canonical) {
+					t.Fatalf("TraceBytes = %d, want %d", res.TraceBytes, len(canonical))
+				}
+				if stored, ok := st.Get(TraceKeyPrefix + wantSHA); !ok || !bytes.Equal(stored, canonical) {
+					t.Fatalf("stored trace| bytes are not EncodeBinary(accesses) (present %v)", ok)
+				}
+				if res.Source.Traffic != wantTraffic {
+					t.Fatalf("traffic drifted:\n got %+v\nwant %+v", res.Source.Traffic, wantTraffic)
+				}
+				if !reflect.DeepEqual(res.Stats, window) {
+					t.Fatalf("window counters drifted:\n got %+v\nwant %+v", res.Stats, window)
+				}
+				if res.SignatureSHA256 != wantSig {
+					t.Fatalf("signature %s, want %s", res.SignatureSHA256, wantSig)
+				}
+			})
+		}
+	}
+}
+
+// TestMalformedUploadPersistsNothing: a .ctrace upload whose CRCs are
+// all valid but whose content does not decode must fail as a decode
+// error and leave nothing behind — no trace|, sig| or workload| entry,
+// no registry entry, no signature.
+func TestMalformedUploadPersistsNothing(t *testing.T) {
+	g, err := trace.NewStream(trace.Region{Base: 0, Size: 32 << 20}, 1, 0.25, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source.TraceSHA256 != wantSHA {
-		t.Fatalf("canonical trace address %s, want %s", res.Source.TraceSHA256, wantSHA)
+	blocks := splitFrames(t, trace.EncodeBinary(trace.Collect(g, 20000)))
+	last := len(blocks) - 1
+	for name, edit := range map[string]func(b []frameBlock){
+		// The frame claims one access more than the runs cover.
+		"runs short of block": func(b []frameBlock) { b[last].count++ },
+		"trailing payload": func(b []frameBlock) {
+			b[last].payload = append(append([]byte(nil), b[last].payload...), 0)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bs := append([]frameBlock(nil), blocks...)
+			edit(bs)
+			opts, reg, idx, st := dedupOptions(t)
+			_, err := Run(context.Background(), Spec{Name: "broken", Trace: joinFrames(bs)}, opts)
+			if err == nil || !strings.Contains(err.Error(), "ingest: decoding trace") {
+				t.Fatalf("Run error = %v, want an ingest: decoding trace error", err)
+			}
+			var keys []string
+			if err := st.Walk(func(key string, _ []byte) error {
+				keys = append(keys, key)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != 0 {
+				t.Fatalf("a failed upload persisted %q", keys)
+			}
+			if n := len(reg.Custom()); n != 0 || idx.Len() != 0 {
+				t.Fatalf("a failed upload registered %d workloads and %d signatures", n, idx.Len())
+			}
+		})
 	}
-	if res.TraceBytes != len(canonical) {
-		t.Fatalf("TraceBytes = %d, want %d", res.TraceBytes, len(canonical))
+}
+
+// ctraceMagic is the .ctrace stream header.
+const ctraceMagic = "ctrace1\n"
+
+// frameBlock is one .ctrace block: its access count and payload.
+type frameBlock struct {
+	count   uint64
+	payload []byte
+}
+
+// splitFrames parses a well-formed .ctrace stream into its blocks.
+func splitFrames(t *testing.T, data []byte) []frameBlock {
+	t.Helper()
+	var out []frameBlock
+	for o := len(ctraceMagic); o < len(data); {
+		count, n := binary.Uvarint(data[o:])
+		o += n
+		size, n := binary.Uvarint(data[o:])
+		o += n
+		if n <= 0 || o+int(size)+4 > len(data) {
+			t.Fatalf("splitFrames: malformed frame at offset %d", o)
+		}
+		out = append(out, frameBlock{count, data[o : o+int(size)]})
+		o += int(size) + 4
 	}
-	if res.Source.Traffic != wantTraffic {
-		t.Fatalf("traffic drifted:\n got %+v\nwant %+v", res.Source.Traffic, wantTraffic)
+	return out
+}
+
+// joinFrames frames blocks into a stream with fresh CRCs.
+func joinFrames(blocks []frameBlock) []byte {
+	out := []byte(ctraceMagic)
+	for _, b := range blocks {
+		out = binary.AppendUvarint(out, b.count)
+		out = binary.AppendUvarint(out, uint64(len(b.payload)))
+		out = append(out, b.payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(b.payload))
 	}
-	if res.Stats.Accesses != window.Accesses || res.Stats.LLC() != window.LLC() {
-		t.Fatalf("window counters drifted:\n got %+v\nwant %+v", res.Stats, window)
-	}
+	return out
+}
+
+// padFirstVarint re-encodes a payload's leading varint (its run count)
+// one byte longer: the decoder reads the same value from bytes that are
+// no longer canonical.
+func padFirstVarint(p []byte) []byte {
+	_, n := binary.Uvarint(p)
+	out := append([]byte(nil), p[:n-1]...)
+	out = append(out, p[n-1]|0x80, 0)
+	return append(out, p[n:]...)
 }
 
 // TestExactDuplicateAliases pins the dedup invariant: a byte-identical
 // re-upload under a second name registers an alias with zero replay work
 // — the progress callback (the replay's only side channel) must never
-// fire, and the measured window must be empty.
+// fire, and the measured window must be empty. It holds for generator
+// specs and for .ctrace bytes, which are addressed before any decode.
 func TestExactDuplicateAliases(t *testing.T) {
+	g, err := trace.NewStream(trace.Region{Base: 1 << 30, Size: 64 << 20}, 1, 0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrace := trace.EncodeBinary(trace.Collect(g, 50000))
+	for _, tc := range []struct {
+		name string
+		spec func(name string) Spec
+	}{
+		{"generator", func(name string) Spec { return genSpec(name, 50000) }},
+		{"ctrace", func(name string) Spec { return Spec{Name: name, Trace: ctrace} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testExactDuplicateAliases(t, tc.spec) })
+	}
+}
+
+func testExactDuplicateAliases(t *testing.T, spec func(name string) Spec) {
 	opts, reg, idx, st := dedupOptions(t)
-	orig, err := Run(context.Background(), genSpec("orig", 50000), opts)
+	orig, err := Run(context.Background(), spec("orig"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +250,7 @@ func TestExactDuplicateAliases(t *testing.T) {
 
 	replays := 0
 	opts.OnProgress = func(done, total uint64) { replays++ }
-	copySpec := genSpec("copy", 50000) // identical generator -> identical canonical bytes
+	copySpec := spec("copy") // identical canonical bytes
 	res, err := Run(context.Background(), copySpec, opts)
 	if err != nil {
 		t.Fatal(err)

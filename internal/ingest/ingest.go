@@ -263,12 +263,20 @@ type Result struct {
 	SignatureSHA256 string `json:"signature_sha256,omitempty"`
 }
 
-// canonicalize streams the spec's access source into the canonical
-// .ctrace encoding without materializing a []trace.Access for the whole
-// stream: the peak transient is the encoded bytes (roughly 1.5 B per
-// access) instead of the 16 B/access slice the old path built. The
-// returned count is the exact access count of the stream.
+// canonicalize returns the spec's canonical .ctrace bytes and exact
+// access count. A .ctrace upload that trace.CanonicalBinary proves
+// canonical is its own canonical form: it is returned as is, with no
+// access decoded, so the replay is the only decode it ever gets. Text
+// uploads, binary uploads framed or padded differently, and generator
+// specs are streamed through one encoder instead, without materializing
+// a []trace.Access: the transient is the encoded bytes (roughly 1.5 B
+// per access) rather than a 16 B/access slice.
 func canonicalize(s Spec) (canonical []byte, count int, err error) {
+	if s.Generator == nil {
+		if n, ok := trace.CanonicalBinary(s.Trace); ok {
+			return s.Trace, n, checkTraceLength(n)
+		}
+	}
 	var buf bytes.Buffer
 	bw := trace.NewBinaryWriter(&buf)
 	if s.Generator != nil {
@@ -292,22 +300,32 @@ func canonicalize(s Spec) (canonical []byte, count int, err error) {
 			if err != nil {
 				return nil, 0, fmt.Errorf("ingest: decoding trace: %w", err)
 			}
-			if count == MaxAccesses {
-				return nil, 0, fmt.Errorf("ingest: trace exceeds the %d-access cap", MaxAccesses)
+			if count++; count > MaxAccesses {
+				return nil, 0, checkTraceLength(count)
 			}
-			count++
 			if err := bw.Write(a); err != nil {
 				return nil, 0, err
 			}
 		}
-		if count < MinAccesses {
-			return nil, 0, fmt.Errorf("ingest: trace has %d accesses, need at least %d for a meaningful measurement", count, MinAccesses)
+		if err := checkTraceLength(count); err != nil {
+			return nil, 0, err
 		}
 	}
 	if err := bw.Close(); err != nil {
 		return nil, 0, err
 	}
 	return buf.Bytes(), count, nil
+}
+
+// checkTraceLength bounds an uploaded trace's access count.
+func checkTraceLength(count int) error {
+	if count > MaxAccesses {
+		return fmt.Errorf("ingest: trace exceeds the %d-access cap", MaxAccesses)
+	}
+	if count < MinAccesses {
+		return fmt.Errorf("ingest: trace has %d accesses, need at least %d for a meaningful measurement", count, MinAccesses)
+	}
+	return nil
 }
 
 // Run executes one ingestion: canonicalize, content-address, dedup
@@ -342,12 +360,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		return aliasResult(prev, len(canonical)), nil
 	}
 
-	if opts.Store != nil {
-		if err := opts.Store.Put(TraceKeyPrefix+sha, canonical); err != nil {
-			return Result{}, err
-		}
-	}
-
 	// A name already registered as a canonical custom workload is a re-run
 	// (job retry, boot replay): the original dedup decision stands, so
 	// re-derive and re-Add idempotently instead of re-deciding — a later
@@ -359,6 +371,13 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	// the invariant the dedup tests call-count assert.
 	if !reRun && opts.threshold() >= 0 {
 		if match, ok := exactDuplicate(opts.Workloads, spec.Name, sha, memKI, ipc); ok {
+			// The bytes are the matched workload's, already proven to
+			// decode, so they may go in before the alias record.
+			if opts.Store != nil {
+				if err := opts.Store.Put(TraceKeyPrefix+sha, canonical); err != nil {
+					return Result{}, err
+				}
+			}
 			res, err := registerAlias(spec, opts, match, 0, sha, count, len(canonical), memKI, ipc)
 			if err != nil {
 				return Result{}, err
@@ -399,7 +418,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 
 	total := uint64(count)
 	warmup := count / 4
-	feed := &blockFeeder{br: trace.NewBinaryReader(bytes.NewReader(canonical))}
+	feed := newBlockFeeder(canonical)
 	start := time.Now()
 	if err := replayWindow(ctx, eng, feed, warmup, 0, total, opts.OnProgress); err != nil {
 		return Result{}, err
@@ -411,8 +430,14 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	window := eng.Snapshot().Sub(atWarm)
 	elapsed := time.Since(start).Seconds()
 
+	// Persist only now that every access has decoded: a malformed upload
+	// leaves nothing behind, and nothing reads trace| or sig| before the
+	// workload| record that names them exists.
 	sig := acc.Signature()
 	if opts.Store != nil {
+		if err := opts.Store.Put(TraceKeyPrefix+sha, canonical); err != nil {
+			return Result{}, err
+		}
 		if err := opts.Store.Put(signature.KeyPrefix+sha, sig.Encode()); err != nil {
 			return Result{}, err
 		}
@@ -543,38 +568,50 @@ func aliasResult(alias workload.Source, traceBytes int) Result {
 // the job layer's done counter advances in block-sized steps.
 const replayChunk = 1 << 16
 
-// blockFeeder adapts the block-wise binary decoder into bounded chunks:
-// it hands out at most max accesses per call so the replay can snapshot
-// exactly at the warmup boundary, which block framing does not align
-// with. The returned slice is valid until the next call.
+// blockFeeder decodes the canonical stream straight into one reused
+// buffer and hands it out in chunks of at most max accesses, so the
+// replay can snapshot exactly at the warmup boundary, which block framing
+// does not align with. The buffer holds replayChunk accesses plus one
+// canonical block: a fill stops as soon as the chunk is covered, so the
+// block that crosses it always fits, and its unconsumed tail (less than
+// one block) is moved to the front before the next fill. The footprint
+// is that one buffer for the whole replay. The returned slice is valid
+// until the next call.
 type blockFeeder struct {
-	br  *trace.BinaryReader
-	buf []trace.Access
-	eof bool
+	br     *trace.BinaryReader
+	buf    []trace.Access
+	lo, hi int // buf[lo:hi] is decoded but not yet handed out
+	eof    bool
 }
 
+func newBlockFeeder(canonical []byte) *blockFeeder {
+	return &blockFeeder{
+		br:  trace.NewBinaryReader(bytes.NewReader(canonical)),
+		buf: make([]trace.Access, replayChunk+trace.DefaultBlockAccesses),
+	}
+}
+
+// next returns up to max (at most replayChunk) accesses; fewer only at
+// the end of the stream.
 func (f *blockFeeder) next(max int) ([]trace.Access, error) {
-	for len(f.buf) < max && !f.eof {
-		block, err := f.br.ReadBlock()
-		if errors.Is(err, io.EOF) {
-			f.eof = true
-			break
+	if f.hi-f.lo < max && !f.eof {
+		f.hi = copy(f.buf, f.buf[f.lo:f.hi])
+		f.lo = 0
+		for f.hi < max {
+			n, err := f.br.ReadBlockInto(f.buf[f.hi:])
+			if errors.Is(err, io.EOF) {
+				f.eof = true
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("ingest: decoding trace: %w", err)
+			}
+			f.hi += n
 		}
-		if err != nil {
-			return nil, err
-		}
-		f.buf = append(f.buf, block...)
 	}
-	n := len(f.buf)
-	if n > max {
-		n = max
-	}
-	// The caller consumes the view before the next call, so handing out
-	// f.buf's prefix without copying is safe; the backing array is
-	// reallocated by append once its tail capacity runs out, keeping the
-	// feeder's footprint bounded by a few chunks.
-	out := f.buf[:n]
-	f.buf = f.buf[n:]
+	n := min(max, f.hi-f.lo)
+	out := f.buf[f.lo : f.lo+n]
+	f.lo += n
 	return out, nil
 }
 

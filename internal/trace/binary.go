@@ -223,17 +223,37 @@ func (br *BinaryReader) Next() (Access, error) {
 // corruption error. Sharded replay consumes the stream block-wise so its
 // progress checkpoints land exactly on these boundaries.
 func (br *BinaryReader) ReadBlock() ([]Access, error) {
+	block, err := br.readBlock(br.block[:0], maxBlockAccesses)
+	if err == nil {
+		br.block = block
+	}
+	return block, err
+}
+
+// ReadBlockInto decodes the next whole block straight into dst and
+// returns how many accesses it wrote; a block longer than dst is an
+// error. A caller that sizes dst for DefaultBlockAccesses thus decodes a
+// canonical stream with no copy and no allocation. It returns io.EOF at
+// a clean end of stream.
+func (br *BinaryReader) ReadBlockInto(dst []Access) (int, error) {
+	block, err := br.readBlock(dst[:0], len(dst))
+	return len(block), err
+}
+
+// readBlock decodes the next block into dst, rejecting blocks of more
+// than limit accesses. Errors stick.
+func (br *BinaryReader) readBlock(dst []Access, limit int) ([]Access, error) {
 	if br.err != nil {
 		return nil, br.err
 	}
-	block, err := br.readBlock()
+	block, err := br.decodeBlock(dst, limit)
 	if err != nil {
 		br.err = err
 	}
 	return block, err
 }
 
-func (br *BinaryReader) readBlock() ([]Access, error) {
+func (br *BinaryReader) decodeBlock(dst []Access, limit int) ([]Access, error) {
 	if !br.started {
 		var magic [len(binaryMagic)]byte
 		if _, err := io.ReadFull(br.r, magic[:]); err != nil {
@@ -251,8 +271,8 @@ func (br *BinaryReader) readBlock() ([]Access, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: block %d: reading count: %w", br.blocks, err)
 	}
-	if count == 0 || count > maxBlockAccesses {
-		return nil, fmt.Errorf("trace: block %d: access count %d out of range [1,%d]", br.blocks, count, maxBlockAccesses)
+	if count == 0 || count > uint64(limit) {
+		return nil, fmt.Errorf("trace: block %d: access count %d out of range [1,%d]", br.blocks, count, limit)
 	}
 	payloadLen, err := binary.ReadUvarint(br.r)
 	if err != nil {
@@ -275,11 +295,10 @@ func (br *BinaryReader) readBlock() ([]Access, error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
 		return nil, fmt.Errorf("trace: block %d: checksum mismatch (payload %08x, frame %08x)", br.blocks, got, want)
 	}
-	block, err := decodeBlockPayload(br.block[:0], payload, int(count))
+	block, err := decodeBlockPayload(dst, payload, int(count))
 	if err != nil {
 		return nil, fmt.Errorf("trace: block %d: %w", br.blocks, err)
 	}
-	br.block = block
 	br.blocks++
 	return block, nil
 }

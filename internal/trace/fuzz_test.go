@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -34,6 +35,60 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCanonicalBinary checks CanonicalBinary against its definition on
+// streams that get past the CRC, which raw byte mutation almost never
+// does: the fuzzer's bytes become accesses, the stream is optionally
+// spliced from two EncodeBinary halves (a non-default block split), and
+// one varint is optionally padded or one payload byte flipped, with the
+// frame and CRC rebuilt. The check must accept exactly the streams that
+// decode cleanly and re-encode to themselves, and count their accesses.
+func FuzzCanonicalBinary(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(0), uint8(0))
+	f.Add([]byte{0x40, 0, 0, 0, 0, 0, 0, 0, 1}, uint16(9000), uint16(0), uint16(0), uint8(0))
+	f.Add([]byte{0x40, 0, 0, 0, 0, 0, 0, 0, 1}, uint16(9000), uint16(4096), uint16(0), uint8(0))
+	f.Add([]byte{0xc0, 0xff, 3, 0, 0, 0, 0, 0x80, 0}, uint16(5000), uint16(100), uint16(0), uint8(0))
+	f.Add([]byte{0x40, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(300), uint16(0), uint16(17), uint8(1))
+	f.Add([]byte{0x40, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(300), uint16(0), uint16(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed []byte, n, split, at uint16, edit uint8) {
+		accesses := fuzzAccesses(seed, int(n)%(3*DefaultBlockAccesses))
+		data := EncodeBinary(accesses)
+		if k := int(split); k > 0 && k < len(accesses) {
+			data = append(EncodeBinary(accesses[:k]), EncodeBinary(accesses[k:])[len(binaryMagic):]...)
+		}
+		if blocks := splitFrames(t, data); len(blocks) > 0 && edit%3 != 0 {
+			b := &blocks[int(at)%len(blocks)]
+			if edit%3 == 1 {
+				ends := varintEnds(b.payload)
+				b.payload = padVarint(b.payload, ends[int(at)%len(ends)])
+			} else {
+				b.payload = append([]byte(nil), b.payload...)
+				b.payload[int(at)%len(b.payload)] ^= byte(edit)
+			}
+			data = joinFrames(blocks)
+		}
+		checkCanonicalOracle(t, data)
+	})
+}
+
+// fuzzAccesses expands seed into n accesses: each 9-byte window is an
+// address and a write flag, perturbed by the index so a short seed still
+// yields distinct addresses and both small and large deltas.
+func fuzzAccesses(seed []byte, n int) []Access {
+	if len(seed) == 0 {
+		seed = []byte{0}
+	}
+	out := make([]Access, n)
+	var w [9]byte
+	for i := range out {
+		for j := range w {
+			w[j] = seed[(9*i+j)%len(seed)]
+		}
+		addr := binary.LittleEndian.Uint64(w[:8])
+		out[i] = Access{Addr: addr ^ uint64(i)<<(w[8]%64), Write: w[8]&1 == 1}
+	}
+	return out
 }
 
 // FuzzTextRoundTrip parses arbitrary text; any accepted trace must survive
