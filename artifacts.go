@@ -8,6 +8,7 @@ package coldtall
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"coldtall/internal/artifact"
@@ -419,8 +420,22 @@ func (s *Study) RenderArtifactCSV(w io.Writer, name string) error {
 // descriptor note, and (when plot is true) its scatter hints — for any
 // registry name. This one renderer replaced the per-figure RenderFigN
 // family; the differences between figures live in their descriptors now.
+// The "coldtall" grid is followed by its per-benchmark verdict.
 func (s *Study) RenderArtifact(w io.Writer, name string, plot bool) error {
-	return artifacts.Render(s.context(), s, name, w, plot)
+	if err := artifacts.Render(s.context(), s, name, w, plot); err != nil {
+		return err
+	}
+	if d, _ := artifacts.Lookup(name); d.Name != "coldtall" {
+		return nil
+	}
+	t, err := s.coldAndTallVerdicts()
+	if err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintln(w); err != nil {
+		return err
+	}
+	return t.Render(w)
 }
 
 // ArtifactPoints returns the distinct design points an artifact's render

@@ -2,7 +2,6 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 
 	"coldtall/internal/report"
 )
@@ -458,8 +457,9 @@ func (s *Study) Verify() []VerifyResult {
 	return out
 }
 
-// RenderVerify prints the reproduction checklist.
-func (s *Study) RenderVerify(w io.Writer) error {
+// VerifyTable tabulates the reproduction checklist; its note counts the
+// claims reproduced.
+func (s *Study) VerifyTable() *report.Table {
 	results := s.Verify()
 	t := report.NewTable("Reproduction checklist: the paper's claims re-evaluated against this build",
 		"claim", "statement", "paper", "measured", "status")
@@ -476,9 +476,6 @@ func (s *Study) RenderVerify(w io.Writer) error {
 		}
 		t.AddRow(r.ID, r.Text, r.Expected, r.Measured, status)
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\n  %d/%d claims reproduced. Known deviations are documented in EXPERIMENTS.md.\n", pass, len(results))
-	return err
+	t.Note = fmt.Sprintf("  %d/%d claims reproduced. Known deviations are documented in EXPERIMENTS.md.", pass, len(results))
+	return t
 }

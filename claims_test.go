@@ -30,11 +30,7 @@ func TestAllClaimsReproduce(t *testing.T) {
 }
 
 func TestRenderVerify(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderVerify(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := study(t).VerifyTable().String()
 	if !strings.Contains(out, "claims reproduced") {
 		t.Error("missing summary line")
 	}

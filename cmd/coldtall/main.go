@@ -7,18 +7,23 @@
 //	coldtall all                             # everything, in paper order
 //	coldtall verify                          # re-evaluate every paper claim
 //
-// Extension studies:
+// Extension studies with a registry artifact:
 //
-//	coldtall coldtall      # Sec. VI: combined cryogenic + 3D
+//	coldtall coldtall      # Sec. VI: combined cryogenic + 3D grid, then its verdict
 //	coldtall reliability   # SECDED FIT / wear-out / retention tails
+//	coldtall techaxes      # the gaincell, deepcryo and freqsweep artifacts
+//	coldtall gaincell|deepcryo|freqsweep   # one of them
+//
+// Extension studies without one, printed as tables:
+//
 //	coldtall exclusions    # why 1T1C-eDRAM and SOT-RAM sit out
 //	coldtall impact        # cross-stack AMAT / IPC consequences
 //	coldtall nodes         # the verdict on 45nm and 16nm
 //	coldtall survey        # every survey datapoint vs the tentpoles
 //	coldtall thermal       # Sec. V-A self-consistent operating points
 //	coldtall traffic       # simulated vs static traffic calibration
-//	coldtall techaxes      # gain-cell, sub-77K and frequency extension sweeps
-//	coldtall gaincell|deepcryo|freqsweep   # the same, one registry artifact each
+//
+// Every table prints through report.Table.Render, its footnote included.
 //
 // Artifact registry (the declarative catalog behind figures, tables, CSV
 // export and the HTTP /v1/artifacts API — see internal/artifact):
@@ -228,30 +233,16 @@ func (p positional) arg(i int) string {
 
 func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Writer, f cliFlags) error {
 	switch cmd {
-	case "coldtall":
-		// The extension studies keep their rich per-benchmark views; their
-		// flat grids live in the registry ("coldtall", "reliability").
-		return study.RenderColdAndTall(w)
-	case "reliability":
-		return study.RenderReliability(w)
 	case "artifacts":
 		return runArtifacts(study, w, f)
-	case "exclusions":
-		return study.RenderExclusions(w)
-	case "impact":
-		return study.RenderImpact(w)
-	case "nodes":
-		return study.RenderNodeScaling(w)
-	case "survey":
-		return study.RenderSurvey(w)
-	case "traffic":
-		return renderTrafficCalibration(w)
-	case "thermal":
-		return study.RenderThermal(w)
+	case "exclusions", "impact", "nodes", "survey", "thermal", "traffic", "verify":
+		tables, err := studyTables(study, cmd)
+		if err != nil {
+			return err
+		}
+		return renderAll(w, tables...)
 	case "techaxes":
-		return study.RenderTechAxes(w)
-	case "verify":
-		return study.RenderVerify(w)
+		return renderArtifacts(study, w, f.plot, "gaincell", "deepcryo", "freqsweep")
 	case "eval":
 		if f.configPath == "" {
 			return fmt.Errorf("flag -config: a JSON study config path is required")
@@ -269,24 +260,8 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 		fmt.Fprintf(w, "wrote CSV artifacts to %s\n", f.outDir)
 		return nil
 	case "all":
-		// Every registry artifact in paper order, with the extension
-		// studies swapped for their rich renderers.
-		for _, name := range coldtall.Artifacts().Names() {
-			var err error
-			switch name {
-			case "coldtall":
-				err = study.RenderColdAndTall(w)
-			case "reliability":
-				err = study.RenderReliability(w)
-			default:
-				err = study.RenderArtifact(w, name, f.plot)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
+		// Every registry artifact in paper order.
+		return renderArtifacts(study, w, f.plot, coldtall.Artifacts().Names()...)
 	case "sweep":
 		return sweep(ctx, study, w, f)
 	case "pareto":
@@ -310,6 +285,58 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 		}
 		return fmt.Errorf("%w %q (run with no arguments for the full list)", errUnknownSubcommand, cmd)
 	}
+}
+
+// studyTables builds the tables of a study that has no registry artifact.
+func studyTables(study *coldtall.Study, cmd string) ([]*report.Table, error) {
+	var t *report.Table
+	var err error
+	switch cmd {
+	case "exclusions":
+		t, err = study.ExclusionTable()
+	case "impact":
+		t, err = study.ImpactTable()
+	case "nodes":
+		t, err = study.NodeScalingTable()
+	case "survey":
+		return study.SurveyTables()
+	case "thermal":
+		t, err = study.ThermalTable()
+	case "traffic":
+		t, err = trafficCalibration()
+	case "verify":
+		t = study.VerifyTable()
+	}
+	return []*report.Table{t}, err
+}
+
+// renderAll prints tables one after another, a blank line between each.
+func renderAll(w io.Writer, tables ...*report.Table) error {
+	for i, t := range tables {
+		if i > 0 {
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
+		}
+		if err := t.Render(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderArtifacts prints registry artifacts one after another, a blank
+// line after each.
+func renderArtifacts(study *coldtall.Study, w io.Writer, plot bool, names ...string) error {
+	for _, name := range names {
+		if err := study.RenderArtifact(w, name, plot); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runArtifacts implements the artifacts subcommand:
@@ -442,12 +469,12 @@ func pareto(ctx context.Context, w io.Writer, f cliFlags) error {
 	return t.Render(w)
 }
 
-// renderTrafficCalibration simulates all 23 benchmark stand-ins and prints
+// trafficCalibration simulates all 23 benchmark stand-ins and tabulates
 // them against the static (Sniper-substitute) traffic table.
-func renderTrafficCalibration(w io.Writer) error {
+func trafficCalibration() (*report.Table, error) {
 	measured, err := workload.MeasureAll(400000, 42)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable(
 		"Traffic calibration: simulated stand-ins vs the static (Sniper-substitute) table",
@@ -455,7 +482,7 @@ func renderTrafficCalibration(w io.Writer) error {
 	for _, m := range measured {
 		st, err := workload.StaticTrafficFor(m.Benchmark)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ratio := 0.0
 		if st.ReadsPerSec > 0 {
@@ -466,11 +493,12 @@ func renderTrafficCalibration(w io.Writer) error {
 			fmt.Sprintf("%.2f", ratio),
 			fmt.Sprintf("%.3g", st.WritesPerSec), fmt.Sprintf("%.3g", m.WritesPerSec))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "\n  Bounded-window caveats: sub-1e5-reads/s benchmarks are dominated by\n  statistical noise (a handful of LLC events per window), and writeback\n  traffic lags demand traffic (dirty lines must age out of the L2 first),\n  so low-traffic write columns under-report. High-traffic read rates match\n  the static table within a few percent.")
-	return err
+	t.Note = "  Bounded-window caveats: sub-1e5-reads/s benchmarks are dominated by\n" +
+		"  statistical noise (a handful of LLC events per window), and writeback\n" +
+		"  traffic lags demand traffic (dirty lines must age out of the L2 first),\n" +
+		"  so low-traffic write columns under-report. High-traffic read rates match\n" +
+		"  the static table within a few percent."
+	return t, nil
 }
 
 // sweep characterizes one design point and prints its array-level numbers.

@@ -265,3 +265,37 @@ func TestRunRegistryNameDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStudySubcommands reaches every study subcommand through run's
+// dispatch: each must succeed and print its key text, and verify must
+// report no failing or erroring claim.
+func TestRunStudySubcommands(t *testing.T) {
+	cases := []struct{ cmd, want string }{
+		{"coldtall", "best warm eNVM"},
+		{"reliability", "SECDED(72,64)"},
+		{"techaxes", "Deep-cryogenic"},
+		{"exclusions", "1T1C-eDRAM reads destructively"},
+		{"impact", "Cross-stack system impact"},
+		{"nodes", "Node scaling"},
+		{"survey", "Per-technology spread"},
+		{"thermal", "Thermally self-consistent"},
+		{"traffic", "Bounded-window caveats"},
+		{"verify", "claims reproduced"},
+		{"all", "Table II: Optimal LLC"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.cmd, func(t *testing.T) {
+			var b strings.Builder
+			if err := run(bg, []string{tc.cmd, "-plot=false"}, &b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			if !strings.Contains(out, tc.want) {
+				t.Errorf("%s output missing %q:\n%s", tc.cmd, tc.want, out)
+			}
+			if tc.cmd == "verify" && (strings.Contains(out, "FAIL") || strings.Contains(out, "ERROR")) {
+				t.Errorf("verify reports a failing claim:\n%s", out)
+			}
+		})
+	}
+}

@@ -1,9 +1,6 @@
 package coldtall
 
 import (
-	"fmt"
-	"io"
-
 	"coldtall/internal/cell"
 	"coldtall/internal/explorer"
 	"coldtall/internal/report"
@@ -90,11 +87,11 @@ func edram1T1CAt350() explorer.DesignPoint {
 	}
 }
 
-// RenderExclusions prints the exclusion study.
-func (s *Study) RenderExclusions(w io.Writer) error {
+// ExclusionTable tabulates the exclusion study with its reading.
+func (s *Study) ExclusionTable() (*report.Table, error) {
 	rows, err := s.ExclusionStudy()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable(
 		"Excluded technologies at 350K (relative to 1-die SRAM): why 1T1C-eDRAM and SOT-RAM sit out",
@@ -105,9 +102,9 @@ func (s *Study) RenderExclusions(w io.Writer) error {
 			report.Rel(r.RelReadEnergy), report.Rel(r.RelWriteEnergy),
 			report.Rel(r.RelLeakage), report.Rel(r.RelRefresh), report.Rel(r.RelArea))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "  1T1C-eDRAM reads destructively: every read pays a full-swing row restore,\n  so it is slower than SRAM and 3T-eDRAM, its dynamic energy sits well above\n  the gain cell's, and it refreshes more than twice as often; SOT-RAM beats\n  STT on writes but pays on reads — both exclusions as the paper states.")
-	return err
+	t.Note = "  1T1C-eDRAM reads destructively: every read pays a full-swing row restore,\n" +
+		"  so it is slower than SRAM and 3T-eDRAM, its dynamic energy sits well above\n" +
+		"  the gain cell's, and it refreshes more than twice as often; SOT-RAM beats\n" +
+		"  STT on writes but pays on reads — both exclusions as the paper states."
+	return t, nil
 }

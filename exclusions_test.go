@@ -50,12 +50,13 @@ func TestExclusionStudyShape(t *testing.T) {
 }
 
 func TestRenderExclusions(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderExclusions(&b); err != nil {
+	tb, err := study(t).ExclusionTable()
+	if err != nil {
 		t.Fatal(err)
 	}
+	out := tb.String()
 	for _, want := range []string{"1T1C-eDRAM", "SOT-RAM", "refresh"} {
-		if !strings.Contains(b.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
 	}

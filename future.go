@@ -2,7 +2,6 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 
 	"coldtall/internal/cell"
 	"coldtall/internal/explorer"
@@ -14,7 +13,7 @@ import (
 
 // The paper's Section VI proposes two follow-on studies; both are
 // implemented here. First, temperature as a continuous design knob (see
-// examples/cryo_sweep). Second — "a future interesting work would be to
+// Example_cryoSweep). Second — "a future interesting work would be to
 // combine both 3D stacking with cryogenic computing to achieve both highly
 // performant and low power/temperature chips for the broadest range of
 // workload traffic patterns" — the ColdAndTall study below.
@@ -147,38 +146,24 @@ func (s *Study) ColdAndTallVerdict(benchmark string) (ColdAndTallSummary, error)
 	return sum, nil
 }
 
-// RenderColdAndTall prints the combined study for the three band
-// representatives: one table and one verdict line per benchmark. This is
-// the extension study's rich view — the registry's "coldtall" artifact is
-// the same grid flattened into one CSV-exportable table.
-func (s *Study) RenderColdAndTall(w io.Writer) error {
+// coldAndTallVerdicts tabulates ColdAndTallVerdict for each band
+// representative. It is printed after the "coldtall" artifact's flat grid,
+// which holds both winners but not the best warm eNVM they are judged
+// against.
+func (s *Study) coldAndTallVerdicts() (*report.Table, error) {
+	t := report.NewTable("Cold AND tall verdict per band representative (relative to 350K 1-die SRAM on namd)",
+		"benchmark", "power winner", "rel power+cooling", "latency winner", "rel latency", "best warm eNVM", "eNVM rel power+cooling")
 	for _, bench := range BandRepresentatives() {
-		rows, err := s.ColdAndTall(bench)
-		if err != nil {
-			return err
-		}
 		sum, err := s.ColdAndTallVerdict(bench)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		t := report.NewTable(
-			fmt.Sprintf("Cold AND tall (Sec. VI future work) under %s traffic (relative to 350K 1-die SRAM on namd)", bench),
-			"design point", "rel power+cooling", "rel latency", "rel area")
-		for _, r := range rows {
-			t.AddRow(r.Label, report.Rel(r.RelTotalPower), report.Rel(r.RelLatency), report.Rel(r.RelArea))
-		}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w,
-			"  verdict: power winner %s (%.4g), latency winner %s (%.4g); best warm eNVM %s (%.4g)\n\n",
-			sum.PowerWinner.Label, sum.PowerWinner.RelTotalPower,
-			sum.LatencyWinner.Label, sum.LatencyWinner.RelLatency,
-			sum.WarmENVMLabel, sum.WarmENVMPower); err != nil {
-			return err
-		}
+		t.AddRow(bench,
+			sum.PowerWinner.Label, fmt.Sprintf("%.4g", sum.PowerWinner.RelTotalPower),
+			sum.LatencyWinner.Label, fmt.Sprintf("%.4g", sum.LatencyWinner.RelLatency),
+			sum.WarmENVMLabel, fmt.Sprintf("%.4g", sum.WarmENVMPower))
 	}
-	return nil
+	return t, nil
 }
 
 // BandRepresentatives returns the benchmark names the combined study

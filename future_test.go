@@ -101,13 +101,15 @@ func TestBandRepresentatives(t *testing.T) {
 	}
 }
 
+// TestRenderColdAndTall pins that the "coldtall" artifact renders with
+// its verdict: both winners and the best warm eNVM per benchmark.
 func TestRenderColdAndTall(t *testing.T) {
 	var b strings.Builder
-	if err := study(t).RenderColdAndTall(&b); err != nil {
+	if err := study(t).RenderArtifact(&b, "coldtall", false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"Cold AND tall", "verdict:", "8-die 3T-eDRAM @77K"} {
+	for _, want := range []string{"Cold AND tall", "verdict", "best warm eNVM", "8-die 3T-eDRAM @77K", "1-die PCM (optimistic)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in output", want)
 		}

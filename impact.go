@@ -2,7 +2,6 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 
 	"coldtall/internal/cell"
 	"coldtall/internal/dram"
@@ -97,11 +96,11 @@ func (s *Study) ImpactStudy() ([]ImpactRow, error) {
 	return rows, nil
 }
 
-// RenderImpact prints the system-impact study.
-func (s *Study) RenderImpact(w io.Writer) error {
+// ImpactTable tabulates the system-impact study.
+func (s *Study) ImpactTable() (*report.Table, error) {
 	rows, err := s.ImpactStudy()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable(
 		"Cross-stack system impact: AMAT and IPC vs the 350K SRAM LLC (DRAM at the stated temperature)",
@@ -113,5 +112,5 @@ func (s *Study) RenderImpact(w io.Writer) error {
 			fmt.Sprintf("%.3f", r.CPI),
 			fmt.Sprintf("%.4f", r.RelIPC))
 	}
-	return t.Render(w)
+	return t, nil
 }

@@ -52,12 +52,13 @@ func TestImpactStudyShape(t *testing.T) {
 }
 
 func TestRenderImpact(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderImpact(&b); err != nil {
+	tb, err := study(t).ImpactTable()
+	if err != nil {
 		t.Fatal(err)
 	}
+	out := tb.String()
 	for _, want := range []string{"Cross-stack", "AMAT", "rel IPC", "mcf"} {
-		if !strings.Contains(b.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
 	}

@@ -46,7 +46,8 @@ type Descriptor[P any] struct {
 	Paper string
 	// Columns is the typed schema every build must produce.
 	Columns []report.Column
-	// Note, when set, is printed after the rendered table.
+	// Note, when set, becomes the built table's Note, which its text
+	// rendering prints after the grid.
 	Note string
 	// Scatters are optional plot hints rendered after the table.
 	Scatters []Scatter
@@ -154,7 +155,7 @@ func (r *Registry[P]) Lookup(name string) (Descriptor[P], bool) {
 }
 
 // Build constructs the named artifact's table from the provider: a schema
-// table is created from the descriptor's columns and title, filled by the
+// table is created from the descriptor's columns, title and note, filled by the
 // descriptor's build function, and returned. Unknown names report the
 // known ones.
 func (r *Registry[P]) Build(ctx context.Context, p P, name string) (*report.Table, error) {
@@ -165,6 +166,7 @@ func (r *Registry[P]) Build(ctx context.Context, p P, name string) (*report.Tabl
 		return nil, fmt.Errorf("artifact: unknown artifact %q (want one of %s)", name, strings.Join(known, ", "))
 	}
 	t := report.NewSchemaTable(d.Title, d.Columns)
+	t.Note = d.Note
 	if err := d.Build(ctx, p, t); err != nil {
 		return nil, fmt.Errorf("artifact: building %s: %w", d.Name, err)
 	}

@@ -15,10 +15,6 @@ import (
 // registry artifact shares; what used to be a bespoke renderer per figure
 // is now a descriptor.
 func (r *Registry[P]) Render(ctx context.Context, p P, name string, w io.Writer, plot bool) error {
-	d, ok := r.Lookup(name)
-	if !ok {
-		return r.renderUnknown(name)
-	}
 	t, err := r.Build(ctx, p, name)
 	if err != nil {
 		return err
@@ -26,14 +22,10 @@ func (r *Registry[P]) Render(ctx context.Context, p P, name string, w io.Writer,
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	if d.Note != "" {
-		if _, err := fmt.Fprintf(w, "\n%s\n", d.Note); err != nil {
-			return err
-		}
-	}
 	if !plot {
 		return nil
 	}
+	d, _ := r.Lookup(name)
 	for _, sc := range d.Scatters {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
@@ -43,13 +35,6 @@ func (r *Registry[P]) Render(ctx context.Context, p P, name string, w io.Writer,
 		}
 	}
 	return nil
-}
-
-// renderUnknown reuses Build's unknown-name error text.
-func (r *Registry[P]) renderUnknown(name string) error {
-	var zero P
-	_, err := r.Build(context.Background(), zero, name)
-	return err
 }
 
 // renderScatter projects the table onto one scatter hint: X/Y from the

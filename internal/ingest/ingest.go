@@ -263,6 +263,21 @@ type Result struct {
 	SignatureSHA256 string `json:"signature_sha256,omitempty"`
 }
 
+// putTrace writes the content-addressed trace|<sha> entry, unless st (if
+// any) already vouches for exactly these bytes: exact duplicates and
+// re-runs would otherwise rewrite the whole blob. A missing, corrupt
+// (quarantined by Get) or other-version entry reads as a miss and is
+// written.
+func putTrace(st *store.Store, sha string, canonical []byte) error {
+	if st == nil {
+		return nil
+	}
+	if prev, ok := st.Get(TraceKeyPrefix + sha); ok && bytes.Equal(prev, canonical) {
+		return nil
+	}
+	return st.Put(TraceKeyPrefix+sha, canonical)
+}
+
 // canonicalize returns the spec's canonical .ctrace bytes and exact
 // access count. A .ctrace upload that trace.CanonicalBinary proves
 // canonical is its own canonical form: it is returned as is, with no
@@ -373,10 +388,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		if match, ok := exactDuplicate(opts.Workloads, spec.Name, sha, memKI, ipc); ok {
 			// The bytes are the matched workload's, already proven to
 			// decode, so they may go in before the alias record.
-			if opts.Store != nil {
-				if err := opts.Store.Put(TraceKeyPrefix+sha, canonical); err != nil {
-					return Result{}, err
-				}
+			if err := putTrace(opts.Store, sha, canonical); err != nil {
+				return Result{}, err
 			}
 			res, err := registerAlias(spec, opts, match, 0, sha, count, len(canonical), memKI, ipc)
 			if err != nil {
@@ -434,10 +447,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	// leaves nothing behind, and nothing reads trace| or sig| before the
 	// workload| record that names them exists.
 	sig := acc.Signature()
+	if err := putTrace(opts.Store, sha, canonical); err != nil {
+		return Result{}, err
+	}
 	if opts.Store != nil {
-		if err := opts.Store.Put(TraceKeyPrefix+sha, canonical); err != nil {
-			return Result{}, err
-		}
 		if err := opts.Store.Put(signature.KeyPrefix+sha, sig.Encode()); err != nil {
 			return Result{}, err
 		}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"coldtall/internal/store"
@@ -286,5 +288,87 @@ func TestBlockFeeder(t *testing.T) {
 	}
 	if &f.buf[0] != buf {
 		t.Fatal("the feeder reallocated its buffer")
+	}
+}
+
+// TestReingestSkipsTraceRewrite pins that an entry the store already holds
+// is not rewritten: a re-run writes only its sig| and workload| entries,
+// and an exact duplicate under a new name only its workload| record.
+func TestReingestSkipsTraceRewrite(t *testing.T) {
+	reg := workload.NewRegistry()
+	st := testStore(t)
+	opts := Options{Workloads: reg, Store: st}
+	first, err := Run(context.Background(), genSpec("orig", 50000), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		puts int64
+	}{
+		{"orig", 2}, // re-run: sig| and workload|
+		{"copy", 1}, // exact duplicate: the alias's workload| record
+	} {
+		before := st.Stats().Puts
+		if _, err := Run(context.Background(), genSpec(tc.name, 50000), opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Puts - before; got != tc.puts {
+			t.Errorf("re-ingest as %q: %d puts, want %d (the trace| blob must not be rewritten)", tc.name, got, tc.puts)
+		}
+	}
+	if _, ok := st.Get(TraceKeyPrefix + first.Source.TraceSHA256); !ok {
+		t.Fatal("trace entry lost")
+	}
+}
+
+// TestReingestRewritesCorruptTrace pins the other side: a trace| entry the
+// store cannot vouch for is quarantined on read and written again.
+func TestReingestRewritesCorruptTrace(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := store.Open(dir, store.Options{Version: "test-v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workloads: workload.NewRegistry(), Store: st}
+	res, err := Run(context.Background(), genSpec("victim", 50000), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := TraceKeyPrefix + res.Source.TraceSHA256
+	// Flip the last payload byte of the entry whose header names the key.
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*.entry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte(strconv.Quote(key))) {
+			raw[len(raw)-1] ^= 0xff
+			if err := os.WriteFile(f, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupted = true
+		}
+	}
+	if !corrupted {
+		t.Fatalf("no entry file holds %s", key)
+	}
+	if _, err := Run(context.Background(), genSpec("victim", 50000), opts); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Corrupt != 1 {
+		t.Errorf("corrupt entries seen = %d, want 1", s.Corrupt)
+	}
+	raw, ok := st.Get(key)
+	if !ok {
+		t.Fatal("corrupt trace entry was not rewritten")
+	}
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != res.Source.TraceSHA256 {
+		t.Fatal("rewritten trace does not match its content address")
 	}
 }

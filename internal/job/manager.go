@@ -60,10 +60,6 @@ type Options struct {
 	// rest wait in the scheduler's queues. Each running job still fans
 	// its cells across the Workers pool.
 	MaxConcurrent int
-	// fifo dispatches in arrival order instead of the production policy
-	// (interactive jobs ahead of bulk, deficit-round-robin fair share
-	// across tenants). Only the differential byte-identity test sets it.
-	fifo bool
 	// TenantWeight resolves a tenant name to its fair-share weight for
 	// DRR dispatch; nil weights every tenant 1.
 	TenantWeight func(tenant string) float64
@@ -160,7 +156,7 @@ func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	m.sched = newScheduler(m.opts.fifo, m.opts.MaxConcurrent, m.opts.TenantWeight)
+	m.sched = newScheduler(m.opts.MaxConcurrent, m.opts.TenantWeight)
 	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
 		return study.Explorer().EvaluateContext(ctx, p, tr)
 	}

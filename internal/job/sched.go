@@ -20,14 +20,12 @@ const schedCostCap = 4096
 // queued). Dispatch policy: strict priority across classes (interactive
 // before bulk), deficit round-robin across tenants within a class.
 type scheduler struct {
-	inArrivalOrder bool // only the differential test sets it
-	max            int
-	weight         func(tenant string) float64
+	max    int
+	weight func(tenant string) float64
 
 	mu      sync.Mutex
 	running int
-	fifo    []*Job        // inArrivalOrder: one global arrival-order queue
-	classes [2]classQueue // fair dispatch: [interactive, bulk]
+	classes [2]classQueue // [interactive, bulk]
 }
 
 // classQueue is one priority class's per-tenant queue set with DRR
@@ -45,14 +43,14 @@ type tenantQueue struct {
 	deficit float64
 }
 
-func newScheduler(fifo bool, max int, weight func(string) float64) *scheduler {
+func newScheduler(max int, weight func(string) float64) *scheduler {
 	if max < 1 {
 		max = 1
 	}
 	if weight == nil {
 		weight = func(string) float64 { return 1 }
 	}
-	s := &scheduler{inArrivalOrder: fifo, max: max, weight: weight}
+	s := &scheduler{max: max, weight: weight}
 	for i := range s.classes {
 		s.classes[i].tenants = map[string]*tenantQueue{}
 	}
@@ -84,10 +82,6 @@ func schedCost(j *Job) float64 {
 func (s *scheduler) add(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.inArrivalOrder {
-		s.fifo = append(s.fifo, j)
-		return
-	}
 	cq := &s.classes[classIndex(j.spec.Class())]
 	tq, ok := cq.tenants[j.tenant]
 	if !ok {
@@ -107,23 +101,13 @@ func (s *scheduler) pick() *Job {
 	if s.running >= s.max {
 		return nil
 	}
-	var j *Job
-	if s.inArrivalOrder {
-		if len(s.fifo) > 0 {
-			j = s.fifo[0]
-			s.fifo = s.fifo[1:]
-		}
-	} else {
-		for i := range s.classes {
-			if j = s.classes[i].pick(s.weight); j != nil {
-				break
-			}
+	for i := range s.classes {
+		if j := s.classes[i].pick(s.weight); j != nil {
+			s.running++
+			return j
 		}
 	}
-	if j != nil {
-		s.running++
-	}
-	return j
+	return nil
 }
 
 // pick runs the DRR rotation: visit tenants in order, crediting
@@ -180,12 +164,6 @@ func (s *scheduler) done() {
 func (s *scheduler) remove(j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, q := range s.fifo {
-		if q == j {
-			s.fifo = append(s.fifo[:i], s.fifo[i+1:]...)
-			return true
-		}
-	}
 	for c := range s.classes {
 		cq := &s.classes[c]
 		for i, name := range cq.order {
@@ -210,8 +188,7 @@ func (s *scheduler) remove(j *Job) bool {
 func (s *scheduler) drainAll() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.fifo
-	s.fifo = nil
+	var out []*Job
 	for c := range s.classes {
 		cq := &s.classes[c]
 		for _, name := range cq.order {
@@ -228,7 +205,7 @@ func (s *scheduler) drainAll() []*Job {
 func (s *scheduler) queuedLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.fifo)
+	n := 0
 	for c := range s.classes {
 		for _, tq := range s.classes[c].tenants {
 			n += len(tq.jobs)

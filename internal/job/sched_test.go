@@ -32,7 +32,7 @@ func pickAll(s *scheduler) []string {
 
 func TestSchedulerWeightedShare(t *testing.T) {
 	weights := map[string]float64{"alice": 4, "bob": 1}
-	s := newScheduler(false, 1, func(name string) float64 { return weights[name] })
+	s := newScheduler(1, func(name string) float64 { return weights[name] })
 	// Equal-cost bulk jobs (one full 64-cell quantum each) from both
 	// tenants: a 4x weight must earn a 4:1 dispatch share.
 	for i := 0; i < 5; i++ {
@@ -52,7 +52,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 }
 
 func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
-	s := newScheduler(false, 1, nil)
+	s := newScheduler(1, nil)
 	bulk1 := qjob(KindSweep, "alice", 64)
 	inter := qjob(KindEvaluate, "alice", 1)
 	bulk2 := qjob(KindArtifact, "alice", 1)
@@ -73,7 +73,7 @@ func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
 }
 
 func TestSchedulerSlotCapAndRemove(t *testing.T) {
-	s := newScheduler(false, 1, nil)
+	s := newScheduler(1, nil)
 	a, b := qjob(KindSweep, "", 1), qjob(KindSweep, "", 1)
 	s.add(a)
 	s.add(b)
@@ -168,10 +168,10 @@ func TestInteractiveDequeuesAheadOfQueuedBulk(t *testing.T) {
 	}
 }
 
-// TestFairMatchesFIFOByteIdentical is the scheduler differential: the
-// same single-tenant submissions through FIFO and fair-share dispatch
-// must produce byte-identical results for every job — the scheduler may
-// reorder starts, never bytes.
+// TestFairMatchesFIFOByteIdentical is the scheduler differential: every
+// job of a single-tenant batch dispatched by fair share must produce the
+// bytes the same spec produces alone on a fresh manager. A one-job queue
+// is FIFO, so the scheduler may reorder starts, never bytes.
 func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 	specs := []Spec{
 		{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}, {Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}},
@@ -179,39 +179,32 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 		{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"mcf"}},
 		{Kind: KindArtifact, Artifact: "table1"},
 	}
-	run := func(fifo bool) map[string][]byte {
-		m := newTestManager(t, Options{fifo: fifo, MaxConcurrent: 1})
-		out := map[string][]byte{}
-		var ids []string
-		for _, sp := range specs {
-			st, err := m.Submit(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, st.ID)
-		}
-		for _, id := range ids {
-			waitDone(t, m, id)
-			body, _, ok := m.Result(id)
-			if !ok {
-				t.Fatalf("%s: no result with fifo=%v", id, fifo)
-			}
-			out[id] = body
-		}
-		return out
-	}
-	fifo := run(true)
-	fair := run(false)
-	if len(fifo) != len(fair) {
-		t.Fatalf("job sets diverge: fifo %d, fair %d", len(fifo), len(fair))
-	}
-	for id, want := range fifo {
-		got, ok := fair[id]
+	result := func(m *Manager, id string) []byte {
+		waitDone(t, m, id)
+		body, _, ok := m.Result(id)
 		if !ok {
-			t.Fatalf("job %s missing under fair dispatch", id)
+			t.Fatalf("%s: no result", id)
 		}
-		if string(got) != string(want) {
-			t.Errorf("job %s: fair result diverges from FIFO\nfifo: %s\nfair: %s", id, want, got)
+		return body
+	}
+	fair := newTestManager(t, Options{MaxConcurrent: 1})
+	var ids []string
+	for _, sp := range specs {
+		st, err := fair.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for i, sp := range specs {
+		got := result(fair, ids[i])
+		alone := newTestManager(t, Options{MaxConcurrent: 1})
+		st, err := alone.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := result(alone, st.ID); string(got) != string(want) {
+			t.Errorf("job %s (%s): fair result diverges from the job run alone\nalone: %s\nfair:  %s", ids[i], sp.Kind, want, got)
 		}
 	}
 }

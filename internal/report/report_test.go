@@ -6,19 +6,52 @@ import (
 )
 
 func TestTableRenderAligned(t *testing.T) {
-	tb := NewTable("Demo", "name", "value")
-	tb.AddRow("alpha", "1")
-	tb.AddRow("b", "22222")
+	tb := NewTable("Demo", "name", "value", "unit")
+	tb.AddRow("alpha", "1", "W")
+	tb.AddRow("b", "22222", "kilowatt")
+	tb.AddRow("c", "3") // empty last cell
+	tb.Note = "  a footnote"
 	out := tb.String()
-	if !strings.Contains(out, "Demo") {
-		t.Error("missing title")
-	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5 (title, header, separator, 2 rows)", len(lines))
+	if len(lines) != 8 {
+		t.Fatalf("got %d lines, want 8 (title, header, separator, 3 rows, blank, note):\n%s", len(lines), out)
 	}
-	if len(lines[1]) != len(lines[2]) || len(lines[2]) != len(lines[3]) {
-		t.Error("columns not aligned")
+	if lines[0] != "Demo" || lines[6] != "" || lines[7] != "  a footnote" {
+		t.Errorf("title or note misplaced:\n%s", out)
+	}
+	for _, l := range lines {
+		if strings.HasSuffix(l, " ") {
+			t.Errorf("line %q ends in a space", l)
+		}
+	}
+	// Each column starts where its separator dashes start, on every line.
+	var starts []int
+	for i, r := range lines[2] {
+		if r == '-' && (i == 0 || lines[2][i-1] == ' ') {
+			starts = append(starts, i)
+		}
+	}
+	grid := [][]string{tb.Columns, nil, {"alpha", "1", "W"}, {"b", "22222", "kilowatt"}, {"c", "3", ""}}
+	for k, cells := range grid {
+		if cells == nil {
+			continue // the separator defined the starts
+		}
+		line := lines[1+k]
+		if len(starts) != len(cells) {
+			t.Fatalf("separator %q has %d columns, want %d", lines[2], len(starts), len(cells))
+		}
+		for j, c := range cells {
+			if c == "" {
+				if len(line) > starts[j] {
+					t.Errorf("line %q runs into empty column %d", line, j)
+				}
+				continue
+			}
+			if starts[j] > len(line) || !strings.HasPrefix(line[starts[j]:], c) ||
+				(starts[j] > 0 && line[starts[j]-1] != ' ') {
+				t.Errorf("line %q: column %d (%q) does not start at offset %d", line, j, c, starts[j])
+			}
+		}
 	}
 }
 

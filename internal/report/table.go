@@ -63,9 +63,12 @@ type Table struct {
 	Title string
 	// Columns are the header labels.
 	Columns []string
-	schema  []Column
-	rows    [][]string
-	typed   [][]any
+	// Note, when set, is printed verbatim after the grid, separated by a
+	// blank line: the footnote prose a table's numbers need to be read.
+	Note   string
+	schema []Column
+	rows   [][]string
+	typed  [][]any
 }
 
 // NewTable creates a table with the given header.
@@ -185,7 +188,8 @@ func (t *Table) AddRow(cells ...string) {
 // Rows returns the accumulated rows.
 func (t *Table) Rows() [][]string { return t.rows }
 
-// Render writes the table as aligned ASCII.
+// Render writes the table as aligned ASCII, then its Note. The last
+// column is not padded, so no line ends in a space.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
@@ -208,7 +212,7 @@ func (t *Table) Render(w io.Writer) error {
 		for i, c := range cells {
 			parts[i] = pad(c, widths[i])
 		}
-		_, err := fmt.Fprintf(w, "  %s\n", strings.Join(parts, "  "))
+		_, err := fmt.Fprintf(w, "%s\n", strings.TrimRight("  "+strings.Join(parts, "  "), " "))
 		return err
 	}
 	if err := line(t.Columns); err != nil {
@@ -223,6 +227,11 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	for _, r := range t.rows {
 		if err := line(r); err != nil {
+			return err
+		}
+	}
+	if t.Note != "" {
+		if _, err := fmt.Fprintf(w, "\n%s\n", t.Note); err != nil {
 			return err
 		}
 	}

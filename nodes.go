@@ -1,9 +1,6 @@
 package coldtall
 
 import (
-	"fmt"
-	"io"
-
 	"coldtall/internal/cell"
 	"coldtall/internal/explorer"
 	"coldtall/internal/report"
@@ -87,11 +84,11 @@ func (s *Study) NodeScaling() ([]NodeRow, error) {
 	return rows, nil
 }
 
-// RenderNodeScaling prints the node-scaling study.
-func (s *Study) RenderNodeScaling(w io.Writer) error {
+// NodeScalingTable tabulates the node-scaling study with its reading.
+func (s *Study) NodeScalingTable() (*report.Table, error) {
 	rows, err := s.NodeScaling()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable(
 		"Node scaling: does the cold-vs-tall power verdict survive beyond 22nm?",
@@ -100,9 +97,8 @@ func (s *Study) RenderNodeScaling(w io.Writer) error {
 		t.AddRow(r.Node, r.Band, r.Benchmark, r.PowerWinner,
 			report.Eng(r.PowerWatts, "W"), report.Eng(r.CryoBest, "W"), report.Eng(r.TallBest, "W"))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "  The structure is node-invariant: cryogenic wins the low band, eNVMs the\n  high band, because the contest is leakage-versus-cooling at the bottom and\n  dynamic-energy-versus-leakage at the top on every node.")
-	return err
+	t.Note = "  The structure is node-invariant: cryogenic wins the low band, eNVMs the\n" +
+		"  high band, because the contest is leakage-versus-cooling at the bottom and\n" +
+		"  dynamic-energy-versus-leakage at the top on every node."
+	return t, nil
 }

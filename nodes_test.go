@@ -58,11 +58,12 @@ func TestNodeScalingLabelsCarryNode(t *testing.T) {
 }
 
 func TestRenderNodeScaling(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderNodeScaling(&b); err != nil {
+	tb, err := study(t).NodeScalingTable()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "Node scaling") {
+	out := tb.String()
+	if !strings.Contains(out, "Node scaling") {
 		t.Error("missing title")
 	}
 }

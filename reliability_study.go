@@ -1,14 +1,9 @@
 package coldtall
 
 import (
-	"fmt"
-	"io"
-	"math"
-
 	"coldtall/internal/cell"
 	"coldtall/internal/explorer"
 	"coldtall/internal/parallel"
-	"coldtall/internal/report"
 	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
@@ -71,24 +66,4 @@ func (s *Study) ReliabilityStudy() ([]ReliabilityRow, error) {
 			RetentionWeakBits: r.RetentionWeakBitsPerRefresh,
 		}, nil
 	})
-}
-
-// RenderReliability prints the reliability study.
-func (s *Study) RenderReliability(w io.Writer) error {
-	rows, err := s.ReliabilityStudy()
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		"Reliability under SECDED(72,64): soft write FIT, wear-out horizon, retention tail",
-		"benchmark", "writes/s", "design point", "soft FIT", "wear lifetime", "weak bits/refresh")
-	for _, r := range rows {
-		life := "no wear-out"
-		if !math.IsInf(r.WearLifetimeYears, 1) {
-			life = fmt.Sprintf("%.1f years", r.WearLifetimeYears)
-		}
-		t.AddRow(r.Benchmark, fmt.Sprintf("%.3g", r.WritesPerSec), r.Label,
-			fmt.Sprintf("%.3g", r.SoftFIT), life, fmt.Sprintf("%.3g", r.RetentionWeakBits))
-	}
-	return t.Render(w)
 }

@@ -2,7 +2,6 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"coldtall/internal/cell"
@@ -147,13 +146,13 @@ func (s *Study) SurveySpreads(benchmark string) ([]SurveySpread, error) {
 	return out, nil
 }
 
-// RenderSurvey prints the per-datapoint sweep and the per-technology
+// SurveyTables tabulates the per-datapoint sweep and the per-technology
 // spreads for the mid-band representative.
-func (s *Study) RenderSurvey(w io.Writer) error {
+func (s *Study) SurveyTables() ([]*report.Table, error) {
 	const bench = "xalancbmk"
 	rows, err := s.SurveySweep(bench)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Survey sweep: every database datapoint as a 4-die LLC under %s (relative to 350K SRAM on namd)", bench),
@@ -162,12 +161,9 @@ func (s *Study) RenderSurvey(w io.Writer) error {
 		t.AddRow(r.Tech, r.Name, r.Venue, fmt.Sprintf("%d", r.Year),
 			report.Rel(r.RelPower), report.Rel(r.RelLatency))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
 	spreads, err := s.SurveySpreads(bench)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ts := report.NewTable("Per-technology spread vs the tentpole corners",
 		"tech", "points", "min", "median", "max", "tentpole opt", "tentpole pess")
@@ -176,8 +172,5 @@ func (s *Study) RenderSurvey(w io.Writer) error {
 			report.Rel(sp.MinPower), report.Rel(sp.MedianPower), report.Rel(sp.MaxPower),
 			report.Rel(sp.OptimisticPower), report.Rel(sp.PessimisticPower))
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	return ts.Render(w)
+	return []*report.Table{t, ts}, nil
 }

@@ -51,12 +51,16 @@ func TestTentpolesBoundTheSurveyDistribution(t *testing.T) {
 }
 
 func TestRenderSurvey(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderSurvey(&b); err != nil {
+	tables, err := study(t).SurveyTables()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tables) != 2 {
+		t.Fatalf("got %d tables, want the sweep and the spreads", len(tables))
+	}
+	out := tables[0].String() + tables[1].String()
 	for _, want := range []string{"Survey sweep", "tentpole opt", "pcm-b", "stt-e"} {
-		if !strings.Contains(b.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
 	}

@@ -1,15 +1,11 @@
 package coldtall
 
 import (
-	"fmt"
-	"io"
-
 	"coldtall/internal/cell"
 	"coldtall/internal/cryo"
 	"coldtall/internal/dram"
 	"coldtall/internal/explorer"
 	"coldtall/internal/parallel"
-	"coldtall/internal/report"
 	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
@@ -276,60 +272,4 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 			Slowdown:      ev.Slowdown,
 		}, nil
 	})
-}
-
-// RenderTechAxes prints all three extension studies in human form.
-func (s *Study) RenderTechAxes(w io.Writer) error {
-	gc, err := s.GainCellStudy()
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		"Oxide-semiconductor gain cell vs 3T-eDRAM (relative to 350K SRAM on namd)",
-		"design point", "corner", "T", "retention", "rel device power", "rel total power", "rel latency", "rel area")
-	for _, r := range gc {
-		t.AddRow(r.Label, r.Corner, fmt.Sprintf("%.0fK", r.TemperatureK),
-			report.Eng(r.RetentionS, "s"),
-			report.Rel(r.RelDevicePower), report.Rel(r.RelTotalPower),
-			report.Rel(r.RelLatency), report.Rel(r.RelArea))
-	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-
-	dc, err := s.DeepCryoSweep()
-	if err != nil {
-		return err
-	}
-	td := report.NewTable(
-		"Deep-cryogenic sweep, 4K-300K (relative to 350K SRAM on namd)",
-		"cell", "T", "cooler W/W", "rel device power", "rel total power", "rel latency")
-	for _, r := range dc {
-		td.AddRow(r.Cell, fmt.Sprintf("%.0fK", r.TemperatureK),
-			fmt.Sprintf("%.1f", r.CoolerWPerW),
-			report.Rel(r.RelDevicePower), report.Rel(r.RelTotalPower), report.Rel(r.RelLatency))
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	if err := td.Render(w); err != nil {
-		return err
-	}
-
-	fr, err := s.FrequencySweep()
-	if err != nil {
-		return err
-	}
-	tf := report.NewTable(
-		"Frequency sweep under mcf (rel_perf = f x IPC vs the 5GHz SRAM baseline)",
-		"design point", "clock", "rel IPC", "rel perf", "rel total power", "slowdown")
-	for _, r := range fr {
-		tf.AddRow(r.Label, fmt.Sprintf("%.2gGHz", r.FrequencyHz/1e9),
-			fmt.Sprintf("%.4f", r.RelIPC), fmt.Sprintf("%.4f", r.RelPerf),
-			report.Rel(r.RelTotalPower), fmt.Sprintf("%v", r.Slowdown))
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	return tf.Render(w)
 }

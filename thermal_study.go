@@ -2,7 +2,6 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 
 	"coldtall/internal/explorer"
 	"coldtall/internal/report"
@@ -99,11 +98,11 @@ func (s *Study) ThermalStudy() ([]ThermalRow, error) {
 	return rows, nil
 }
 
-// RenderThermal prints the thermal study.
-func (s *Study) RenderThermal(w io.Writer) error {
+// ThermalTable tabulates the thermal study with its reading.
+func (s *Study) ThermalTable() (*report.Table, error) {
 	rows, err := s.ThermalStudy()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable(
 		"Thermally self-consistent operating points (Sec. V-A closed-loop)",
@@ -116,9 +115,8 @@ func (s *Study) RenderThermal(w io.Writer) error {
 		t.AddRow(r.Benchmark, r.Environment, r.Cell, op,
 			report.Eng(r.ChipPowerW, "W"), fmt.Sprintf("%v", r.WithinBudget))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "  Air cooling equilibrates the SRAM-LLC chip near the paper's 350 K anchor;\n  the LN bath holds the cryogenic chip a few kelvin above 77 K, inside its\n  20 K variation band — the Sec. V-A argument, reproduced quantitatively.")
-	return err
+	t.Note = "  Air cooling equilibrates the SRAM-LLC chip near the paper's 350 K anchor;\n" +
+		"  the LN bath holds the cryogenic chip a few kelvin above 77 K, inside its\n" +
+		"  20 K variation band — the Sec. V-A argument, reproduced quantitatively."
+	return t, nil
 }

@@ -66,12 +66,13 @@ func TestThermalStudyColdChipDrawsLess(t *testing.T) {
 }
 
 func TestRenderThermal(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderThermal(&b); err != nil {
+	tb, err := study(t).ThermalTable()
+	if err != nil {
 		t.Fatal(err)
 	}
+	out := tb.String()
 	for _, want := range []string{"self-consistent", "ln-bath", "air"} {
-		if !strings.Contains(b.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
 	}
