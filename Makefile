@@ -80,8 +80,10 @@ check: vet fmtcheck race goldencheck
 # draw from math/rand.Zipf against the table (plus one table build), the
 # allocs/op of one organization search, one characterization and one
 # signature-fold access, a 200k-access .ctrace replay through the
-# Table I hierarchy, serial and in 16 set-bank shards, and one round of
-# nine .ctrace ingestions (CPU ms per upload).
+# Table I hierarchy, serial and in 16 set-bank shards, one round of
+# nine .ctrace ingestions (CPU ms per upload), and the async sweep job
+# over the 64-point break-even grid with the store off and on (ms per
+# sweep, store puts per sweep).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'BenchmarkArrayOptimize|BenchmarkArrayCharacterize' -benchmem .
@@ -90,6 +92,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorObserve' -benchmem ./internal/signature/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary|BenchmarkReplayBinarySharded' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestRun' -benchtime 3x -benchmem ./internal/ingest/
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepJob' -benchtime 10x ./internal/server/
 
 # Organization-search benchmarks: pruned vs exhaustive, the per-candidate
 # bound cost, and the staircase vs quadratic Pareto filter.

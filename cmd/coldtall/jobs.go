@@ -356,9 +356,6 @@ func printStatus(w io.Writer, st job.Status) {
 	if st.Artifact != "" {
 		line += " " + st.Artifact
 	}
-	if st.Resumed > 0 {
-		line += fmt.Sprintf("  (resumed %d from checkpoint)", st.Resumed)
-	}
 	if st.Error != "" {
 		line += "  error: " + st.Error
 	}

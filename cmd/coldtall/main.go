@@ -72,12 +72,13 @@
 //
 //	-cooler 100kW|1kW|100W|10W   cryocooler class (default 100kW)
 //	-plot=false                  suppress ASCII scatter plots
-//	-workers N                   sweep worker pool size (0 = one per CPU,
-//	                             1 = serial; outputs identical either way)
+//	-workers N                   worker pool size of sweeps, async jobs and
+//	                             ingest replays (0 = one per CPU, 1 = serial;
+//	                             outputs identical either way)
 //	-addr, -cache-size, -timeout serve: listen address, response cache
 //	                             entries, per-request compute deadline
-//	-store-dir, -job-workers     serve: result-store directory (enables
-//	                             checkpointed jobs + warm restarts), job pool
+//	-store-dir                   serve: result-store directory (enables job
+//	                             recovery + warm restarts)
 //	-tenants, -default-quota     serve: tenant config file (SIGHUP reloads),
 //	                             default per-tenant eval budget
 //	-server, -poll               jobs/workloads: serve base URL, poll interval
@@ -127,7 +128,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("coldtall", flag.ContinueOnError)
 	cooler := fs.String("cooler", "100kW", "cryocooler class: 100kW, 1kW, 100W, 10W")
 	plot := fs.Bool("plot", true, "render ASCII scatter plots for fig5/fig7")
-	workers := fs.Int("workers", 0, "sweep worker pool size: 0 = one per CPU, 1 = serial")
+	workers := fs.Int("workers", 0, "worker pool size of sweeps, jobs and ingest replays: 0 = one per CPU, 1 = serial")
 	outDir := fs.String("dir", "out", "export: output directory for CSV files")
 	configPath := fs.String("config", "", "eval: path to a JSON study config")
 	cellName := fs.String("cell", "SRAM", "sweep: cell technology (SRAM, 3T-eDRAM, PCM, STT-RAM, RRAM, SOT-RAM, OS-GC)")
@@ -140,7 +141,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	cacheSize := fs.Int("cache-size", 1024, "serve: response cache capacity in entries")
 	timeout := fs.Duration("timeout", 60*time.Second, "serve: per-request compute deadline")
 	storeDir := fs.String("store-dir", "", "serve: persistent result-store directory (empty = in-memory only)")
-	jobWorkers := fs.Int("job-workers", 0, "serve: async job worker pool size (0 = one per CPU)")
 	jobConcurrency := fs.Int("job-concurrency", 0, "serve: async jobs executing at once (0 = default 2); excess queues by priority and fair share")
 	serverURL := fs.String("server", "http://localhost:8080", "jobs/workloads: base URL of a running serve instance")
 	poll := fs.Duration("poll", 250*time.Millisecond, "jobs wait / workloads add, distill: status poll interval")
@@ -179,7 +179,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		cellName: *cellName, corner: *corner, dies: *dies, temp: *temp,
 		style: *style, freq: *freq,
 		addr: *addr, cacheSize: *cacheSize, timeout: *timeout,
-		storeDir: *storeDir, jobWorkers: *jobWorkers, jobConcurrency: *jobConcurrency,
+		storeDir: *storeDir, jobConcurrency: *jobConcurrency,
 		server: *serverURL, poll: *poll,
 		format: *format, args: positional(fs.Args()),
 		tenantsFile: *tenantsFile, defaultQuota: *defaultQuota,
@@ -206,7 +206,6 @@ type cliFlags struct {
 	cacheSize          int
 	timeout            time.Duration
 	storeDir           string
-	jobWorkers         int
 	jobConcurrency     int
 	server             string
 	poll               time.Duration
@@ -409,7 +408,6 @@ func serveHTTP(ctx context.Context, study *coldtall.Study, w io.Writer, f cliFla
 		CacheEntries:   f.cacheSize,
 		Timeout:        f.timeout,
 		StoreDir:       f.storeDir,
-		JobWorkers:     f.jobWorkers,
 		JobConcurrency: f.jobConcurrency,
 		TenantsFile:    f.tenantsFile,
 		DefaultQuota:   f.defaultQuota,

@@ -14,6 +14,7 @@ package cache
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -278,14 +279,20 @@ func (c *Cache[V]) DeleteFunc(pred func(key string) bool) int {
 // distinct keys never block each other. A failed fn is not cached — the
 // next caller recomputes. The returned flag reports whether the value came
 // from the cache (for hit/miss metrics at the caller's layer).
-func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, bool, error) {
+//
+// ctx is the caller's: fn should observe the same context. A caller
+// sharing another's computation stops waiting when its ctx is done, and
+// recomputes with its own fn when the computation it shared was cancelled
+// under the other caller's context, or ran out of a deadline that left
+// the caller more time (see parallel.Flight.Do).
+func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, bool, error) {
 	if v, ok := c.lookup(key); ok {
 		c.hits.Add(1)
 		return v, true, nil
 	}
 	c.misses.Add(1)
 	hit := false
-	v, err := c.flight.Do(key, func() (V, error) {
+	v, err := c.flight.Do(ctx, key, func() (V, error) {
 		// Re-check under the flight: a previous flight for this key may
 		// have populated the cache between our miss and winning the
 		// flight. Only the shard needs a second look — every in-process

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -97,7 +98,7 @@ func TestDoComputesOnceUnderStampede(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			v, _, err := c.Do("key", func() (string, error) {
+			v, _, err := c.Do(context.Background(), "key", func() (string, error) {
 				computes.Add(1)
 				return "value", nil
 			})
@@ -118,7 +119,7 @@ func TestDoComputesOnceUnderStampede(t *testing.T) {
 		}
 	}
 	// A later call is a pure LRU hit.
-	_, hit, err := c.Do("key", func() (string, error) {
+	_, hit, err := c.Do(context.Background(), "key", func() (string, error) {
 		t.Error("cached key recomputed")
 		return "", nil
 	})
@@ -141,14 +142,14 @@ func TestDoErrorIsNotCached(t *testing.T) {
 		{"panic", func() (int, error) { panic("boom") }},
 	} {
 		key := "k-" + tc.name
-		_, _, err := c.Do(key, tc.fn)
+		_, _, err := c.Do(context.Background(), key, tc.fn)
 		if err == nil || (tc.name == "error" && !errors.Is(err, boom)) {
 			t.Fatalf("%s: err = %v, want the failure reported", tc.name, err)
 		}
 		if n := c.Stats().Len; n != 0 {
 			t.Fatalf("%s: Len = %d after a failed fill, want 0", tc.name, n)
 		}
-		v, _, err := c.Do(key, func() (int, error) { return 7, nil })
+		v, _, err := c.Do(context.Background(), key, func() (int, error) { return 7, nil })
 		if err != nil || v != 7 {
 			t.Errorf("%s: retry after failure = (%d, %v), want (7, nil)", tc.name, v, err)
 		}
@@ -164,11 +165,11 @@ func TestDistinctKeysDoNotBlock(t *testing.T) {
 	gate := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		c.Do("slow", func() (int, error) { <-gate; return 1, nil })
+		c.Do(context.Background(), "slow", func() (int, error) { <-gate; return 1, nil })
 		close(done)
 	}()
 	// While "slow" is in flight, "fast" must complete immediately.
-	v, _, err := c.Do("fast", func() (int, error) { return 2, nil })
+	v, _, err := c.Do(context.Background(), "fast", func() (int, error) { return 2, nil })
 	if err != nil || v != 2 {
 		t.Errorf("fast key = (%d, %v), want (2, nil)", v, err)
 	}
@@ -196,7 +197,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 				case 1:
 					c.Add(k, i)
 				default:
-					c.Do(k, func() (int, error) { return i, nil })
+					c.Do(context.Background(), k, func() (int, error) { return i, nil })
 				}
 			}
 		}(g)
@@ -216,7 +217,7 @@ func BenchmarkDoHit(b *testing.B) {
 	c.Add("key", body)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, _ := c.Do("key", func() ([]byte, error) { return body, nil }); !hit {
+		if _, hit, _ := c.Do(context.Background(), "key", func() ([]byte, error) { return body, nil }); !hit {
 			b.Fatal("miss on a warmed key")
 		}
 	}

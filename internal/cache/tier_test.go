@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -113,7 +114,7 @@ func TestDoConsultsTier(t *testing.T) {
 	}
 	c.SetTier(tier)
 	computes := 0
-	v, hit, err := c.Do("k", func() ([]byte, error) {
+	v, hit, err := c.Do(context.Background(), "k", func() ([]byte, error) {
 		computes++
 		return []byte("computed"), nil
 	})
@@ -136,7 +137,7 @@ func TestDoReadsTierOncePerMiss(t *testing.T) {
 	}
 	c.SetTier(tier)
 	for i := 0; i < 2; i++ {
-		v, _, err := c.Do("k", func() ([]byte, error) { return []byte("computed"), nil })
+		v, _, err := c.Do(context.Background(), "k", func() ([]byte, error) { return []byte("computed"), nil })
 		if err != nil || string(v) != "computed" {
 			t.Fatalf("Do #%d = %q, %v", i, v, err)
 		}

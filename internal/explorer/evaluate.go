@@ -167,10 +167,11 @@ func (e *Explorer) Characterize(p DesignPoint) (array.Result, error) {
 // characterization is not cached, so a later caller with a live context
 // recomputes it cleanly.
 //
-// Cancellation caveat: concurrent callers of the same key share one flight,
-// and the flight runs under the first caller's context. If that caller is
-// cancelled mid-search, the waiting callers observe the same cancellation
-// error; retrying (with their own live context) recomputes the point.
+// Concurrent callers of the same key share one flight, which runs under
+// the first caller's context. A caller waiting on it returns as soon as
+// its own ctx is done; if the first caller is cancelled mid-search, a
+// waiting caller whose ctx is still live recomputes the point under its
+// own (see cache.Cache.Do).
 func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (array.Result, error) {
 	if err := p.Validate(); err != nil {
 		return array.Result{}, err
@@ -179,7 +180,7 @@ func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (arra
 		return array.Result{}, fmt.Errorf("explorer: characterizing %s: %w", p.Label, err)
 	}
 	cs := e.chars
-	r, _, err := cs.cache.Do(p.Key(), func() (array.Result, error) {
+	r, _, err := cs.cache.Do(ctx, p.Key(), func() (array.Result, error) {
 		cs.optimizeCalls.Add(1)
 		r, err := array.OptimizeContext(ctx, p.arrayConfig())
 		if err != nil {
@@ -308,20 +309,50 @@ func (e *Explorer) EvaluateAll(points []DesignPoint, traffics []workload.Traffic
 	return e.EvaluateAllContext(context.Background(), points, traffics)
 }
 
-// EvaluateAllContext is EvaluateAll with cooperative cancellation: once ctx
-// is done, no further grid cells are dispatched, in-flight characterizations
-// abort at their next candidate, and the sweep returns the cancellation
-// error — so an abandoned HTTP request (or a Ctrl-C on the CLI) stops
-// burning worker-pool CPU mid-sweep.
+// EvaluateAllContext is EvaluateAll with cooperative cancellation: an
+// EvaluateAllProgress without a progress hook.
 func (e *Explorer) EvaluateAllContext(ctx context.Context, points []DesignPoint, traffics []workload.Traffic) ([][]Evaluation, error) {
+	return e.EvaluateAllProgress(ctx, points, traffics, nil)
+}
+
+// EvaluateAllProgress is the one sweep engine: the synchronous /v1/sweep,
+// the async sweep job and the figure grids all run it.
+//
+// The schedule is "characterize once, evaluate many". First the 350 K
+// SRAM baseline that every slowdown check reads; then the grid's points
+// in FamilyOrder on the pool, so the array layer's pruned search
+// re-verifies a warm ranking instead of cold-starting each neighbor; then
+// the cells, which are arithmetic on the warm cache. A point already
+// cached (or held by the persistence tier) costs a lookup, which is how a
+// restarted sweep job resumes. The first characterization to fail in
+// family order fails the sweep; otherwise the lowest failing cell does.
+//
+// progress, when not nil, is called as cells complete with the cumulative
+// count (concurrently and possibly out of order; see
+// parallel.ForEachProgressContext). Once ctx is done no further work is
+// dispatched, in-flight searches abort at their next candidate, and the
+// sweep returns the cancellation error.
+func (e *Explorer) EvaluateAllProgress(ctx context.Context, points []DesignPoint, traffics []workload.Traffic, progress func(done int)) ([][]Evaluation, error) {
 	out := make([][]Evaluation, len(points))
 	for i := range out {
 		out[i] = make([]Evaluation, len(traffics))
 	}
 	cols := len(traffics)
-	order := sweepOrder(points, cols)
-	err := parallel.ForEachContext(ctx, len(points)*cols, e.Workers, func(k int) error {
-		cell := order[k]
+	if len(points)*cols == 0 {
+		return out, nil
+	}
+	if _, err := e.CharacterizeContext(ctx, Baseline()); err != nil {
+		return nil, err
+	}
+	order := FamilyOrder(points)
+	err := parallel.ForEachContext(ctx, len(order), e.Workers, func(k int) error {
+		_, err := e.CharacterizeContext(ctx, points[order[k]])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = parallel.ForEachProgressContext(ctx, len(points)*cols, e.Workers, func(cell int) error {
 		i, j := cell/cols, cell%cols
 		ev, err := e.EvaluateContext(ctx, points[i], traffics[j])
 		if err != nil {
@@ -329,7 +360,7 @@ func (e *Explorer) EvaluateAllContext(ctx context.Context, points []DesignPoint,
 		}
 		out[i][j] = ev
 		return nil
-	})
+	}, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -373,11 +404,11 @@ func FamilyKey(p DesignPoint) string {
 // FamilyOrder returns a permutation of point indices that walks each
 // characterization family contiguously, members ordered by (dies,
 // temperature) so consecutive positions are neighboring design points. It
-// is the schedule both the synchronous sweep (sweepOrder) and the async
-// sweep job's warm pass characterize in: the array layer's pruned search
-// then re-verifies a warm ranking instead of cold-starting per point.
-// Only ORDER is defined here — callers still land results at input
-// positions, so outputs stay byte-identical to the naive walk.
+// is the order EvaluateAllProgress characterizes a grid in: the array
+// layer's pruned search then re-verifies a warm ranking instead of
+// cold-starting per point. Only ORDER is defined here — callers still land
+// results at input positions, so outputs stay byte-identical to the naive
+// walk.
 func FamilyOrder(points []DesignPoint) []int {
 	type member struct{ point, seq int }
 	families := make(map[string][]member)
@@ -404,22 +435,6 @@ func FamilyOrder(points []DesignPoint) []int {
 		})
 		for _, m := range ms {
 			order = append(order, m.point)
-		}
-	}
-	return order
-}
-
-// sweepOrder expands FamilyOrder over the points×traffics grid: each
-// point's cells dispatch contiguously in benchmark order within the
-// family-contiguous point walk. Only dispatch ORDER changes: every cell
-// still lands at its input position, so the output grid — and every golden
-// artifact derived from it — is byte-identical to the naive walk.
-func sweepOrder(points []DesignPoint, cols int) []int {
-	po := FamilyOrder(points)
-	order := make([]int, 0, len(points)*cols)
-	for _, i := range po {
-		for j := 0; j < cols; j++ {
-			order = append(order, i*cols+j)
 		}
 	}
 	return order

@@ -1,6 +1,8 @@
 package explorer
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"coldtall/internal/workload"
@@ -24,27 +26,24 @@ func (p DesignPoint) withDies(dies int) DesignPoint {
 	return p
 }
 
-// TestSweepOrderIsPermutation asserts the neighbor-aware dispatch order is
-// a valid permutation of the grid cells: dropping or double-dispatching a
-// cell would silently corrupt the sweep.
+// TestSweepOrderIsPermutation asserts the sweep's characterization order
+// (FamilyOrder) is a valid permutation of the points: dropping or
+// double-dispatching a point would silently skip or repeat its search.
 func TestSweepOrderIsPermutation(t *testing.T) {
 	pts := sweepPoints()
-	for _, cols := range []int{1, 3} {
-		order := sweepOrder(pts, cols)
-		n := len(pts) * cols
-		if len(order) != n {
-			t.Fatalf("cols=%d: order has %d entries, want %d", cols, len(order), n)
+	order := FamilyOrder(pts)
+	if len(order) != len(pts) {
+		t.Fatalf("order has %d entries, want %d", len(order), len(pts))
+	}
+	seen := make([]bool, len(pts))
+	for _, i := range order {
+		if i < 0 || i >= len(pts) {
+			t.Fatalf("point %d out of range", i)
 		}
-		seen := make([]bool, n)
-		for _, c := range order {
-			if c < 0 || c >= n {
-				t.Fatalf("cols=%d: cell %d out of range", cols, c)
-			}
-			if seen[c] {
-				t.Fatalf("cols=%d: cell %d dispatched twice", cols, c)
-			}
-			seen[c] = true
+		if seen[i] {
+			t.Fatalf("point %d dispatched twice", i)
 		}
+		seen[i] = true
 	}
 }
 
@@ -54,13 +53,11 @@ func TestSweepOrderIsPermutation(t *testing.T) {
 // neighboring design points.
 func TestSweepOrderGroupsFamilies(t *testing.T) {
 	pts := sweepPoints()
-	cols := 2
-	order := sweepOrder(pts, cols)
 	seenFamily := map[string]bool{}
 	last := ""
 	var lastPoint *DesignPoint
-	for _, c := range order {
-		p := pts[c/cols]
+	for _, i := range FamilyOrder(pts) {
+		p := pts[i]
 		k := FamilyKey(p)
 		if k != last {
 			if seenFamily[k] {
@@ -70,7 +67,7 @@ func TestSweepOrderGroupsFamilies(t *testing.T) {
 			last = k
 			lastPoint = nil
 		}
-		if lastPoint != nil && lastPoint.Key() != p.Key() {
+		if lastPoint != nil {
 			if p.Dies < lastPoint.Dies ||
 				(p.Dies == lastPoint.Dies && p.Temperature < lastPoint.Temperature) {
 				t.Fatalf("family %q not ordered by (dies, temperature): %s before %s", k, lastPoint.Label, p.Label)
@@ -112,5 +109,33 @@ func TestEvaluateAllMatchesSerialWalk(t *testing.T) {
 				t.Errorf("cell [%d][%d] differs from serial walk:\ngrid:   %+v\nserial: %+v", i, j, got[i][j], want[i][j])
 			}
 		}
+	}
+}
+
+// TestEvaluateAllProgressCharacterizesOnce pins the sweep schedule: the
+// baseline and each distinct point are characterized once, however many
+// cells and duplicate points the grid holds, and progress counts every
+// cell up to the grid size.
+func TestEvaluateAllProgressCharacterizesOnce(t *testing.T) {
+	pts := []DesignPoint{EDRAMAt(77), SRAMAt(77), EDRAMAt(77), SRAMAt(227)}
+	traffics := workload.StaticTraffic()[:3]
+	e := New()
+	e.Workers = 4
+	var mu sync.Mutex
+	calls, high := 0, 0
+	if _, err := e.EvaluateAllProgress(context.Background(), pts, traffics, func(done int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		high = max(high, done)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n := len(pts) * len(traffics)
+	if calls != n || high != n {
+		t.Errorf("progress fired %d times up to %d, want %d and %d", calls, high, n, n)
+	}
+	if got := e.OptimizeCalls(); got != 4 {
+		t.Errorf("optimizer ran %d times, want 4 (three distinct points + the baseline)", got)
 	}
 }

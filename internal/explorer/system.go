@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -70,7 +71,7 @@ var missReplays atomic.Int64
 // replaying its stand-in trace at most once per process while callers
 // share the result.
 func simulateMisses(prof workload.Profile) (missProfile, error) {
-	mp, _, err := missMemo.Do(fmt.Sprintf("%#v", prof), func() (missProfile, error) { return replayMisses(prof) })
+	mp, _, err := missMemo.Do(context.Background(), fmt.Sprintf("%#v", prof), func() (missProfile, error) { return replayMisses(prof) })
 	return mp, err
 }
 

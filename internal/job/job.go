@@ -1,23 +1,27 @@
 // Package job is the async sweep subsystem: long-running work (evaluation
 // grids, artifact builds) submitted once, identified by a deterministic job
-// ID, executed on background workers, and observable while it runs. Jobs
-// checkpoint completed cells through the persistent result store
-// (internal/store), so a killed process resumes a half-finished sweep from
-// its checkpoint instead of recomputing it; failed cells retry with capped
-// exponential backoff; cancellation propagates through the repository's
-// context plumbing. Standard library only.
+// ID, executed on background workers, and observable while it runs. Job
+// records, results and every array characterization persist through the
+// result store (internal/store), so a killed process resumes a
+// half-finished sweep from the characterizations it had already paid for;
+// cancellation propagates through the repository's context plumbing.
+// Standard library only.
 package job
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
+	"coldtall/internal/array"
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
+	"coldtall/internal/store"
 	"coldtall/internal/workload"
 )
 
@@ -282,9 +286,6 @@ type Status struct {
 	// Workload names the restricting workload on artifact jobs, or the
 	// registered workload on ingest jobs.
 	Workload string `json:"workload,omitempty"`
-	// Resumed counts cells restored from checkpoints rather than computed
-	// in this process — nonzero after a crash-recovery restart.
-	Resumed int `json:"resumed,omitempty"`
 	// Tenant names the submitting tenant; empty for jobs submitted
 	// before multi-tenancy or through the tenantless Submit path.
 	Tenant string `json:"tenant,omitempty"`
@@ -308,22 +309,47 @@ type record struct {
 }
 
 // Store key namespaces. Job bookkeeping shares the result store with the
-// characterization and response-cache namespaces; prefixes keep them
-// disjoint.
+// server's response-cache namespace ("resp|"); prefixes keep them
+// disjoint. Stores written before sweeps resumed from char| may also hold
+// "jobcell|" entries; nothing reads them.
 const (
 	recordPrefix = "job|"
 	resultPrefix = "jobresult|"
-	cellPrefix   = "jobcell|"
+	// charPrefix namespaces persisted array characterizations. The store
+	// golden test pins this prefix: changing it orphans every persisted
+	// characterization.
+	charPrefix = "char|"
 )
 
 func recordKey(id string) string { return recordPrefix + id }
 func resultKey(id string) string { return resultPrefix + id }
 
-// cellKey names one checkpointed grid cell: the job ID plus the cell's
-// design-point and benchmark keys (not indices), so a checkpoint is only
-// ever replayed into the exact (point, benchmark) cell it was computed for.
-func cellKey(id, pointKey, benchmark string) string {
-	return cellPrefix + id + "|" + pointKey + "|" + benchmark
+// charTier adapts the store to the characterization cache's Tier:
+// characterizations are gob-encoded (JSON cannot carry the +Inf retention
+// of static cells) under char| + the canonical design-point key, stamped
+// with explorer.ModelVersion by the store itself.
+type charTier struct{ st *store.Store }
+
+func (c charTier) Load(key string) (array.Result, bool) {
+	raw, ok := c.st.Get(charPrefix + key)
+	if !ok {
+		return array.Result{}, false
+	}
+	var r array.Result
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&r); err != nil {
+		return array.Result{}, false
+	}
+	return r, true
+}
+
+func (c charTier) Store(key string, r array.Result) {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(r); err != nil {
+		return
+	}
+	// Best-effort by the Tier contract: a failed write costs a future
+	// recomputation, nothing else.
+	_ = c.st.Put(charPrefix+key, b.Bytes())
 }
 
 // sortStatuses orders job listings deterministically by ID.

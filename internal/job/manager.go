@@ -1,22 +1,17 @@
 package job
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"strings"
 	"sync"
-	"time"
 
 	"coldtall"
 	"coldtall/internal/distill"
-	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
-	"coldtall/internal/parallel"
 	"coldtall/internal/signature"
 	"coldtall/internal/store"
 	"coldtall/internal/workload"
@@ -25,18 +20,10 @@ import (
 // Options tunes a Manager. The zero value of every field selects a
 // production-reasonable default.
 type Options struct {
-	// Store is the persistence layer for checkpoints, job records and
-	// results; nil runs jobs in memory only (no crash recovery).
+	// Store is the persistence layer for job records, results and the
+	// study's characterizations (the char| tier NewManager attaches); nil
+	// runs jobs in memory only (no crash recovery).
 	Store *store.Store
-	// Workers bounds each sweep job's worker pool (0 = one per CPU).
-	Workers int
-	// MaxAttempts is the per-cell attempt budget (default 3): a failed
-	// cell retries with capped exponential backoff before failing the job.
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the retry delay: base doubles per
-	// attempt, capped at max (defaults 25ms and 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Workloads is the dynamic workload registry ingest jobs register
 	// into and sweep/artifact jobs resolve names through. nil restricts
 	// name resolution to the static table and rejects ingest jobs.
@@ -45,9 +32,6 @@ type Options struct {
 	// distill jobs read fitted signatures from; nil disables
 	// near-duplicate detection (exact-bytes dedup still applies).
 	Sigs *signature.Index
-	// DedupThreshold tunes ingest near-duplicate detection
-	// (ingest.Options.DedupThreshold semantics: 0 = default, < 0 = off).
-	DedupThreshold float64
 	// OnTransition, when set, observes every state change (the metrics
 	// layer feeds job counters from it). Called outside the job lock.
 	OnTransition func(id string, from, to State)
@@ -58,7 +42,7 @@ type Options struct {
 	Logger *log.Logger
 	// MaxConcurrent bounds how many jobs run at once (default 2); the
 	// rest wait in the scheduler's queues. Each running job still fans
-	// its cells across the Workers pool.
+	// its work across the study's worker pool (Study.SetParallelism).
 	MaxConcurrent int
 	// TenantWeight resolves a tenant name to its fair-share weight for
 	// DRR dispatch; nil weights every tenant 1.
@@ -66,15 +50,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 3
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 25 * time.Millisecond
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = time.Second
-	}
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 2
 	}
@@ -93,14 +68,13 @@ type Job struct {
 	spec   Spec
 	tenant string // owner: the first submitter; immutable after creation
 
-	mu      sync.Mutex
-	state   State
-	done    int
-	total   int
-	resumed int
-	errMsg  string
-	result  []byte
-	ctype   string
+	mu     sync.Mutex
+	state  State
+	done   int
+	total  int
+	errMsg string
+	result []byte
+	ctype  string
 
 	cancel    context.CancelFunc
 	killEarly bool // cancelled while queued, racing with dispatch
@@ -127,15 +101,14 @@ type Manager struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-
-	// evalCell computes one grid cell; overridable in tests to inject
-	// failures for the retry path.
-	evalCell func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error)
 }
 
 // NewManager builds a manager over a study. The study's explorer (and so
-// its characterization cache and persistence) is shared with the
-// synchronous request path, so async and sync work warm each other.
+// its characterization cache) is shared with the synchronous request path,
+// so async and sync work warm each other. With a Store, NewManager backs
+// that cache with the store's char| namespace: every characterization a
+// job or request computes is durable, which is all a restarted sweep needs
+// to resume without re-running the optimizer.
 func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 	if study == nil {
 		return nil, fmt.Errorf("job: study must not be nil")
@@ -148,6 +121,9 @@ func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 	} else {
 		study.SetWorkloads(opts.Workloads)
 	}
+	if opts.Store != nil {
+		study.Explorer().SetPersistence(charTier{opts.Store})
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		study:      study,
@@ -157,9 +133,6 @@ func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 		baseCancel: cancel,
 	}
 	m.sched = newScheduler(m.opts.MaxConcurrent, m.opts.TenantWeight)
-	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		return study.Explorer().EvaluateContext(ctx, p, tr)
-	}
 	return m, nil
 }
 
@@ -425,9 +398,9 @@ func (m *Manager) Cancel(id string) bool {
 }
 
 // Wait blocks until every running job finishes or ctx expires — the
-// server's drain path. Jobs checkpoint as they go, so a drain that times
-// out loses no completed work: Close cancels the stragglers and a restart
-// resumes them from the store.
+// server's drain path. Every characterization a sweep completed is already
+// in the store, so a drain that times out loses no optimizer work: Close
+// cancels the stragglers and a restart resumes them from the store.
 func (m *Manager) Wait(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
@@ -457,8 +430,9 @@ func (m *Manager) Close() {
 
 // Recover replays persisted job records after a restart: finished jobs
 // become queryable again (their results served from the store), and jobs
-// that were queued or running when the process died are re-enqueued to
-// complete from their checkpoints. Returns the number of re-enqueued jobs.
+// that were queued or running when the process died are re-enqueued; a
+// re-run sweep reads every point it had characterized from the store.
+// Returns the number of re-enqueued jobs.
 func (m *Manager) Recover() (int, error) {
 	if m.opts.Store == nil {
 		return 0, nil
@@ -487,7 +461,7 @@ func (m *Manager) Recover() (int, error) {
 			j.done, j.errMsg = rec.Done, rec.Error
 			close(j.fin)
 		} else {
-			// The process died mid-job; run it again from its checkpoints.
+			// The process died mid-job; run it again.
 			j.state = StateQueued
 			resumed = append(resumed, j)
 		}
@@ -522,7 +496,6 @@ func (j *Job) Status() Status {
 		Error:    j.errMsg,
 		Artifact: j.spec.Artifact,
 		Workload: wl,
-		Resumed:  j.resumed,
 		Tenant:   j.tenant,
 		Class:    j.spec.Class(),
 	}
@@ -739,11 +712,10 @@ func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 // The job's result payload is the ingest result JSON.
 func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 	res, err := ingest.Run(ctx, *j.spec.Ingest, ingest.Options{
-		Workloads:      m.opts.Workloads,
-		Store:          m.opts.Store,
-		Workers:        m.opts.Workers,
-		Sigs:           m.opts.Sigs,
-		DedupThreshold: m.opts.DedupThreshold,
+		Workloads: m.opts.Workloads,
+		Store:     m.opts.Store,
+		Workers:   m.study.Parallelism(),
+		Sigs:      m.opts.Sigs,
 		OnProgress: func(done, total uint64) {
 			j.mu.Lock()
 			j.done, j.total = int(done), int(total)
@@ -809,7 +781,7 @@ func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
 	if err != nil {
 		return err
 	}
-	ev, err := m.evalWithRetry(ctx, points[0], traffics[0])
+	ev, err := m.study.Explorer().EvaluateContext(ctx, points[0], traffics[0])
 	if err != nil {
 		return err
 	}
@@ -821,11 +793,13 @@ func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// runSweep evaluates the grid with per-cell checkpointing: each completed
-// cell is gob-encoded into the store under a key naming the exact (job,
-// point, benchmark) it belongs to, so a restarted job loads finished cells
-// and dispatches only the remainder. Cell failures retry with capped
-// exponential backoff before failing the job.
+// runSweep evaluates the grid through explorer.EvaluateAllProgress, the
+// engine the synchronous /v1/sweep runs, so the payloads are
+// byte-identical. The job keeps no state of its own: a re-run after a
+// crash finds every point the dead process characterized in the store.
+// The record, which is also the subscriber broadcast, is rewritten when
+// done reaches a multiple of the benchmark count: each rewrite is a store
+// write, so once per point's worth of cells, not per cell.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	points, traffics, err := j.spec.Grid(m.trafficFor)
 	if err != nil {
@@ -833,196 +807,23 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	}
 	cols := len(traffics)
 	n := len(points) * cols
-	evals := make([]explorer.Evaluation, n)
-
-	// Phase 1: replay checkpoints. Cells found in the store are final —
-	// evaluations are deterministic, so a checkpointed cell equals what a
-	// recomputation would produce, minus the optimizer time.
-	var pending []int
-	restored := 0
-	for cell := 0; cell < n; cell++ {
-		i, jx := cell/cols, cell%cols
-		if m.loadCell(j.id, points[i], traffics[jx], &evals[cell]) {
-			restored++
-		} else {
-			pending = append(pending, cell)
-		}
-	}
-	j.mu.Lock()
-	j.total = n
-	j.done = restored
-	j.resumed = restored
-	j.mu.Unlock()
-	m.persist(j)
-	if restored > 0 {
-		m.logf("job %s: restored %d/%d cells from checkpoints", j.id, restored, n)
-	}
-
-	// Phase 2: characterize the points the pending cells need, so the
-	// evaluations below are cheap arithmetic on a warm cache.
-	if err := m.warm(ctx, points, cols, pending); err != nil {
-		return err
-	}
-
-	// Phase 3: evaluate and checkpoint the pending cells. Each lands at its
-	// input position, so the payload is independent of the pool's order.
-	// The record, which is also the subscriber broadcast, is rewritten
-	// when done reaches a multiple of the benchmark count: each rewrite is
-	// a store write, so once per point's worth of cells, not per cell.
-	err = parallel.ForEachProgressContext(ctx, len(pending), m.opts.Workers, func(k int) error {
-		cell := pending[k]
-		i, jx := cell/cols, cell%cols
-		ev, err := m.evalWithRetry(ctx, points[i], traffics[jx])
-		if err != nil {
-			return err
-		}
-		evals[cell] = ev
-		m.saveCell(j.id, points[i], traffics[jx], ev)
-		return nil
-	}, func(done int) {
-		d := restored + done
+	grid, err := m.study.Explorer().EvaluateAllProgress(ctx, points, traffics, func(done int) {
 		j.mu.Lock()
-		if d > j.done {
-			j.done = d
+		if done > j.done {
+			j.done = done
 		}
 		j.mu.Unlock()
-		if d%cols == 0 || d == n {
+		if done%cols == 0 || done == n {
 			m.persist(j)
 		}
 	})
 	if err != nil {
 		return err
 	}
-
-	body, err := SweepJSON(len(points), cols, evals)
+	body, err := SweepJSON(grid)
 	if err != nil {
 		return err
 	}
 	m.setResult(j, body, "application/json")
 	return nil
-}
-
-// warm characterizes, on the job's pool, the uncached points of the
-// pending cells: the 350 K SRAM baseline that every slowdown check reads
-// first, then the cells' distinct points in explorer.FamilyOrder, so the
-// array layer's pruned search re-verifies a warm ranking instead of
-// cold-starting each neighbor. A failed characterization is not an error
-// here: the cell's evalWithRetry meets it again and owns the retry budget.
-// Only cancellation ends the pass early. No pending cells, no optimizer
-// calls.
-func (m *Manager) warm(ctx context.Context, points []explorer.DesignPoint, cols int, pending []int) error {
-	if len(pending) == 0 {
-		return nil
-	}
-	var pts []explorer.DesignPoint
-	for k, cell := range pending {
-		if k == 0 || cell/cols != pending[k-1]/cols {
-			pts = append(pts, points[cell/cols])
-		}
-	}
-	need := []explorer.DesignPoint{explorer.Baseline()}
-	for _, i := range explorer.FamilyOrder(pts) {
-		need = append(need, pts[i])
-	}
-	missing := m.uncached(need)
-	exp := m.study.Explorer()
-	err := parallel.ForEachContext(ctx, len(missing), m.opts.Workers, func(k int) error {
-		_, err := exp.CharacterizeContext(ctx, missing[k])
-		return err
-	})
-	if ctx.Err() != nil {
-		return err
-	}
-	return nil
-}
-
-// uncached returns the distinct points (by Key, in input order) whose
-// characterization the explorer cannot serve without running the
-// optimizer.
-func (m *Manager) uncached(pts []explorer.DesignPoint) []explorer.DesignPoint {
-	exp := m.study.Explorer()
-	seen := make(map[string]bool, len(pts))
-	var out []explorer.DesignPoint
-	for _, p := range pts {
-		key := p.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := exp.CachedCharacterization(p); !ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// evalWithRetry runs one cell with the attempt budget: transient failures
-// back off exponentially (capped), cancellation aborts immediately.
-func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-	var ev explorer.Evaluation
-	var err error
-	for attempt := 1; attempt <= m.opts.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			t := time.NewTimer(backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ev, ctx.Err()
-			case <-t.C:
-			}
-		}
-		if ev, err = m.evalCell(ctx, p, tr); err == nil {
-			return ev, nil
-		}
-		if ctx.Err() != nil {
-			return ev, err
-		}
-	}
-	return ev, fmt.Errorf("job: cell %s/%s failed after %d attempts: %w", p.Label, tr.Benchmark, m.opts.MaxAttempts, err)
-}
-
-// backoff is evalWithRetry's capped exponential schedule: base doubling
-// per completed attempt, never above max. attempt counts completed
-// failures (attempt 1 waits base).
-func backoff(attempt int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d
-}
-
-// loadCell restores one checkpointed evaluation; a missing or undecodable
-// checkpoint reports false and the cell recomputes.
-func (m *Manager) loadCell(id string, p explorer.DesignPoint, tr workload.Traffic, out *explorer.Evaluation) bool {
-	if m.opts.Store == nil {
-		return false
-	}
-	raw, ok := m.opts.Store.Get(cellKey(id, p.Key(), tr.Benchmark))
-	if !ok {
-		return false
-	}
-	var ev explorer.Evaluation
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&ev); err != nil {
-		return false
-	}
-	*out = ev
-	return true
-}
-
-// saveCell checkpoints one completed evaluation (best-effort).
-func (m *Manager) saveCell(id string, p explorer.DesignPoint, tr workload.Traffic, ev explorer.Evaluation) {
-	if m.opts.Store == nil {
-		return
-	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(ev); err != nil {
-		return
-	}
-	if err := m.opts.Store.Put(cellKey(id, p.Key(), tr.Benchmark), b.Bytes()); err != nil {
-		m.logf("job %s: checkpoint %s/%s: %v", id, p.Label, tr.Benchmark, err)
-	}
 }

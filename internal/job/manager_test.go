@@ -3,13 +3,14 @@ package job
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"coldtall"
+	"coldtall/internal/array"
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
 	"coldtall/internal/store"
@@ -21,9 +22,6 @@ func newTestManager(t *testing.T, opts Options) *Manager {
 	t.Helper()
 	study := coldtall.NewStudy()
 	study.SetParallelism(1)
-	if opts.Workers == 0 {
-		opts.Workers = 1
-	}
 	m, err := NewManager(study, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +110,8 @@ func familySweepSpec() Spec {
 // on a fresh explorer) over the same grid.
 func TestSweepJobMatchesEvaluateAll(t *testing.T) {
 	spec := familySweepSpec()
-	m := newTestManager(t, Options{Workers: 2})
+	m := newTestManager(t, Options{})
+	m.study.SetParallelism(2)
 	st0, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +132,7 @@ func TestSweepJobMatchesEvaluateAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evals []explorer.Evaluation
-	for _, row := range grid {
-		evals = append(evals, row...)
-	}
-	want, err := SweepJSON(len(points), len(traffics), evals)
+	want, err := SweepJSON(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +142,15 @@ func TestSweepJobMatchesEvaluateAll(t *testing.T) {
 }
 
 // TestSweepJobRecordWrites: a store-backed P-point x B-benchmark sweep
-// writes at most P+4 job records — submit, running, checkpoint replay and
-// done, plus one per point's worth of cells — not one per cell.
+// writes one char| entry per distinct point (the 350 K baseline is one of
+// them here), at most P+3 job records — submit, running and done, plus one
+// per point's worth of cells, not one per cell — and one result. It keeps
+// no per-cell state: no jobcell| key, nothing else.
 func TestSweepJobRecordWrites(t *testing.T) {
 	spec := familySweepSpec()
 	st := openStore(t, t.TempDir())
-	m := newTestManager(t, Options{Store: st, Workers: 2})
+	m := newTestManager(t, Options{Store: st})
+	m.study.SetParallelism(2)
 	st0, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -161,28 +159,31 @@ func TestSweepJobRecordWrites(t *testing.T) {
 		t.Fatalf("final status = %+v", s)
 	}
 	m.Close()
-	cells, results := 0, 0
+	chars, records, results := 0, 0, 0
 	err = st.Walk(func(key string, _ []byte) error {
 		switch {
-		case strings.HasPrefix(key, cellPrefix):
-			cells++
+		case strings.HasPrefix(key, charPrefix):
+			chars++
+		case key == recordKey(st0.ID):
+			records++
 		case key == resultKey(st0.ID):
 			results++
+		default:
+			t.Errorf("sweep wrote unexpected store key %q", key)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, b := len(spec.Points), len(spec.Benchmarks)
-	if cells != p*b || results != 1 {
-		t.Fatalf("store holds %d cell checkpoints and %d results, want %d and 1", cells, results, p*b)
+	p := len(spec.Points)
+	if chars != p || records != 1 || results != 1 {
+		t.Fatalf("store holds %d char|, %d job| and %d jobresult| keys, want %d, 1 and 1", chars, records, results, p)
 	}
-	// Nothing else writes to this store (the explorer has no persistence
-	// tier here), so every other put is a job record.
-	records := int(st.Stats().Puts) - cells - results
-	if records > p+4 {
-		t.Errorf("sweep wrote %d job records, want at most %d (P+4)", records, p+4)
+	// Each key was written once except the job record.
+	recordWrites := int(st.Stats().Puts) - chars - results
+	if recordWrites > p+3 {
+		t.Errorf("sweep wrote %d job records, want at most %d (P+3)", recordWrites, p+3)
 	}
 }
 
@@ -247,165 +248,114 @@ func TestArtifactJobMatchesStudy(t *testing.T) {
 	}
 }
 
-// TestRetryBackoff: a cell that fails transiently is retried within the
-// attempt budget and the job still completes.
-func TestRetryBackoff(t *testing.T) {
-	m := newTestManager(t, Options{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
-	real := m.evalCell
-	var calls atomic.Int64
-	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		if calls.Add(1) <= 2 {
-			return explorer.Evaluation{}, errors.New("transient")
-		}
-		return real(ctx, p, tr)
-	}
-	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, m, st0.ID)
-	if st.State != StateDone {
-		t.Fatalf("state = %s (%s), want done after retries", st.State, st.Error)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("evalCell ran %d times, want 3 (two failures + one success)", got)
-	}
+// gateTier is a characterization tier whose lookups wait for gate to
+// close and then miss: a job that reaches the explorer blocks at a known
+// point, from outside the manager. entered closes at the first lookup.
+type gateTier struct {
+	gate    <-chan struct{}
+	entered chan struct{}
+	once    sync.Once
 }
 
-// TestRetryExhaustionFailsJob: a cell that never succeeds fails the job
-// with the attempt count in the message.
-func TestRetryExhaustionFailsJob(t *testing.T) {
-	m := newTestManager(t, Options{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		return explorer.Evaluation{}, errors.New("permanent")
-	}
-	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, m, st0.ID)
-	if st.State != StateFailed || !strings.Contains(st.Error, "after 2 attempts") {
-		t.Fatalf("status = %+v, want failed after 2 attempts", st)
-	}
+func newGateTier(gate <-chan struct{}) *gateTier {
+	return &gateTier{gate: gate, entered: make(chan struct{})}
 }
 
-func TestBackoffDelayCaps(t *testing.T) {
-	base, max := 25*time.Millisecond, time.Second
-	want := []time.Duration{base, 50 * time.Millisecond, 100 * time.Millisecond}
-	for i, w := range want {
-		if got := backoff(i+1, base, max); got != w {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	if got := backoff(30, base, max); got != max {
-		t.Errorf("deep attempt = %v, want the %v cap", got, max)
-	}
+func (g *gateTier) Load(string) (array.Result, bool) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return array.Result{}, false
 }
 
-// TestCancelMidSweep: cancellation lands while a cell is in flight and the
-// job reports cancelled, not failed.
+func (g *gateTier) Store(string, array.Result) {}
+
+// TestCancelMidSweep: cancellation lands while the sweep is inside the
+// explorer and the job reports cancelled, not failed.
 func TestCancelMidSweep(t *testing.T) {
 	m := newTestManager(t, Options{})
-	entered := make(chan struct{})
-	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		close(entered)
-		<-ctx.Done()
-		return explorer.Evaluation{}, ctx.Err()
-	}
+	gate := make(chan struct{})
+	tier := newGateTier(gate)
+	m.study.Explorer().SetPersistence(tier)
 	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-entered
+	<-tier.entered
 	if !m.Cancel(st0.ID) {
 		t.Fatal("Cancel reported unknown job")
 	}
+	close(gate)
 	st := waitDone(t, m, st0.ID)
 	if st.State != StateCancelled {
-		t.Errorf("state = %s, want cancelled", st.State)
+		t.Errorf("state = %s (%s), want cancelled", st.State, st.Error)
 	}
 	if m.Cancel("jdeadbeef00000000") {
 		t.Error("Cancel of an unknown ID reported true")
 	}
 }
 
-// TestCrashRecoveryResumesFromCheckpoints is the crash-recovery
-// acceptance test: a sweep is killed mid-run (context kill standing in
-// for a SIGKILL), a second manager over the same store directory recovers
-// it, and the resumed job recomputes only the cells that were never
-// checkpointed — counted both at the cell level and as characterize
-// (optimizer) invocations.
-func TestCrashRecoveryResumesFromCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	spec := Spec{
-		Kind: KindSweep,
-		Points: []explorer.PointSpec{
-			{Cell: "SRAM"}, // the 350 K baseline itself
-			{Cell: "SRAM", TemperatureK: 77},
-			{Cell: "3T-eDRAM"},
-			{Cell: "3T-eDRAM", TemperatureK: 77},
-		},
-		Benchmarks: []string{"namd"},
-	}
+// killTier is the job's char| tier with a kill switch: the store that
+// makes after characterizations durable also cancels the job, standing in
+// for a SIGKILL that lands mid-sweep.
+type killTier struct {
+	charTier
+	after  int64
+	stored atomic.Int64
+	kill   func()
+}
 
-	// --- First process: complete 2 of 4 cells, then die. ---
+func (k *killTier) Store(key string, r array.Result) {
+	k.charTier.Store(key, r)
+	if k.stored.Add(1) == k.after {
+		k.kill()
+	}
+}
+
+// TestCrashRecoveryResumesFromCharacterizations is the crash-recovery
+// acceptance test. A sweep is killed after three of its characterizations
+// reached the store; a second manager over the same directory, built
+// without the server, recovers it. The resumed job runs the optimizer only
+// for the points with no char| entry and returns exactly the bytes of an
+// uninterrupted run.
+func TestCrashRecoveryResumesFromCharacterizations(t *testing.T) {
+	dir := t.TempDir()
+	spec := familySweepSpec()
+	id := spec.id()
+
+	// --- First process: three characterizations land, then it dies. ---
 	st1 := openStore(t, dir)
 	m1 := newTestManager(t, Options{Store: st1})
-	real1 := m1.evalCell
-	var calls1 atomic.Int64
-	var jobID atomic.Value
-	m1.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		if calls1.Add(1) > 2 {
-			// The "kill": cancel the job while its third cell is in
-			// flight, so exactly two checkpoints reached the store.
-			if id, ok := jobID.Load().(string); ok {
-				m1.Cancel(id)
-			}
-			<-ctx.Done()
-			return explorer.Evaluation{}, ctx.Err()
-		}
-		return real1(ctx, p, tr)
-	}
-	sub, err := m1.Submit(spec)
-	if err != nil {
+	m1.study.Explorer().SetPersistence(&killTier{charTier: charTier{st1}, after: 3, kill: func() { m1.Cancel(id) }})
+	if _, err := m1.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	jobID.Store(sub.ID)
-	if st := waitDone(t, m1, sub.ID); st.State != StateCancelled {
+	if st := waitDone(t, m1, id); st.State != StateCancelled {
 		t.Fatalf("first run state = %s, want cancelled", st.State)
 	}
-	checkpoints := 0
-	_ = st1.Walk(func(key string, val []byte) error {
-		if strings.HasPrefix(key, cellPrefix) {
-			checkpoints++
+	persisted := 0
+	_ = st1.Walk(func(key string, _ []byte) error {
+		if strings.HasPrefix(key, charPrefix) {
+			persisted++
 		}
 		return nil
 	})
-	if checkpoints != 2 {
-		t.Fatalf("store holds %d cell checkpoints, want 2", checkpoints)
+	if persisted == 0 || persisted >= len(spec.Points) {
+		t.Fatalf("store holds %d of %d characterizations; the kill did not land mid-sweep", persisted, len(spec.Points))
 	}
 	// A SIGKILL never runs the cancelled transition: the record a real
 	// crash leaves behind says "running". Restore that state before the
 	// "restart" (the graceful-cancel path above overwrote it).
-	rec := record{ID: sub.ID, Spec: spec, State: StateRunning, Done: 2, Total: 4}
-	raw, err := json.Marshal(rec)
+	raw, err := json.Marshal(record{ID: id, Spec: spec, State: StateRunning, Total: spec.Cells()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st1.Put(recordKey(sub.ID), raw); err != nil {
+	if err := st1.Put(recordKey(id), raw); err != nil {
 		t.Fatal(err)
 	}
 	m1.Close()
 
 	// --- Second process: same store dir, cold study, recover. ---
-	st2 := openStore(t, dir)
-	m2 := newTestManager(t, Options{Store: st2})
-	real2 := m2.evalCell
-	var calls2 atomic.Int64
-	m2.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		calls2.Add(1)
-		return real2(ctx, p, tr)
-	}
+	m2 := newTestManager(t, Options{Store: openStore(t, dir)})
 	resumed, err := m2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -413,38 +363,30 @@ func TestCrashRecoveryResumesFromCheckpoints(t *testing.T) {
 	if resumed != 1 {
 		t.Fatalf("Recover re-enqueued %d jobs, want 1", resumed)
 	}
-	st := waitDone(t, m2, sub.ID)
-	if st.State != StateDone || st.Done != 4 {
-		t.Fatalf("resumed job status = %+v, want done 4/4", st)
+	st := waitDone(t, m2, id)
+	if st.State != StateDone || st.Done != spec.Cells() {
+		t.Fatalf("resumed job status = %+v, want done %d/%d", st, spec.Cells(), spec.Cells())
 	}
-	if st.Resumed != 2 {
-		t.Errorf("status.Resumed = %d, want 2 restored cells", st.Resumed)
+	// The baseline is one of the sweep's points, so every distinct point
+	// the resumed job needs is a sweep point.
+	if got, want := m2.study.Explorer().OptimizeCalls(), int64(len(spec.Points)-persisted); got != want {
+		t.Errorf("resumed job ran the optimizer %d times, want %d (the points with no char| entry)", got, want)
 	}
-	if got := calls2.Load(); got != 2 {
-		t.Errorf("resumed job evaluated %d cells, want only the 2 missing ones", got)
-	}
-	// Characterize-invocation count: the two missing points, plus the
-	// 350 K SRAM baseline the slowdown check needs (its own checkpointed
-	// cell was skipped, so the cold explorer characterizes it once).
-	if got := m2.study.Explorer().OptimizeCalls(); got != 3 {
-		t.Errorf("resumed job ran the optimizer %d times, want 3 (2 missing points + slowdown baseline)", got)
-	}
-	body, _, ok := m2.Result(sub.ID)
+	got, _, ok := m2.Result(id)
 	if !ok {
 		t.Fatal("resumed job has no result")
 	}
-	var res sweepResult
-	if err := json.Unmarshal(body, &res); err != nil {
+	ref := newTestManager(t, Options{})
+	if _, err := ref.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("resumed result has %d rows, want 4", len(res.Rows))
+	waitDone(t, ref, id)
+	want, _, ok := ref.Result(id)
+	if !ok {
+		t.Fatal("uninterrupted job has no result")
 	}
-	// Checkpointed rows carry real physics, not zero values.
-	for i, row := range res.Rows {
-		if row.TotalPowerW <= 0 {
-			t.Errorf("row %d (%s) has non-positive power %v — checkpoint replay lost data", i, row.Point, row.TotalPowerW)
-		}
+	if string(got) != string(want) {
+		t.Errorf("resumed result diverged from an uninterrupted run:\n got %.300s\nwant %.300s", got, want)
 	}
 }
 

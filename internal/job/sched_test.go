@@ -1,14 +1,12 @@
 package job
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"coldtall/internal/explorer"
-	"coldtall/internal/workload"
 )
 
 // qjob builds a queue-only job for direct scheduler tests.
@@ -100,9 +98,9 @@ func TestSchedulerSlotCapAndRemove(t *testing.T) {
 	}
 }
 
-// blockingManager builds a MaxConcurrent=1 manager whose evaluations
-// block on the returned gate, so tests control exactly when the running
-// job finishes and the next dispatch happens.
+// blockingManager builds a MaxConcurrent=1 manager whose characterization
+// lookups block on the returned gate, so tests control exactly when the
+// running job finishes and the next dispatch happens.
 func blockingManager(t *testing.T, opts Options) (*Manager, chan struct{}, *[]string, *sync.Mutex) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -123,14 +121,7 @@ func blockingManager(t *testing.T, opts Options) (*Manager, chan struct{}, *[]st
 		opts.MaxConcurrent = 1
 	}
 	m := newTestManager(t, opts)
-	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
-		select {
-		case <-gate:
-			return explorer.Evaluation{}, nil
-		case <-ctx.Done():
-			return explorer.Evaluation{}, ctx.Err()
-		}
-	}
+	m.study.Explorer().SetPersistence(newGateTier(gate))
 	return m, gate, &started, &mu
 }
 

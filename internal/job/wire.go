@@ -103,12 +103,15 @@ func EvaluateJSON(ev explorer.Evaluation) ([]byte, error) {
 	return json.Marshal(newEvaluation(ev))
 }
 
-// SweepJSON encodes a points x benchmarks grid whose evaluations are given
-// in row-major (point, benchmark) order.
-func SweepJSON(points, benchmarks int, evals []explorer.Evaluation) ([]byte, error) {
-	res := sweepResult{Points: points, Benchmarks: benchmarks, Rows: make([]evaluation, len(evals))}
-	for i, ev := range evals {
-		res.Rows[i] = newEvaluation(ev)
+// SweepJSON encodes a points x benchmarks grid, indexed [point][benchmark]
+// as explorer.EvaluateAllContext returns it, in row-major order.
+func SweepJSON(grid [][]explorer.Evaluation) ([]byte, error) {
+	res := sweepResult{Points: len(grid), Rows: []evaluation{}}
+	for _, row := range grid {
+		res.Benchmarks = len(row)
+		for _, ev := range row {
+			res.Rows = append(res.Rows, newEvaluation(ev))
+		}
 	}
 	return json.Marshal(res)
 }

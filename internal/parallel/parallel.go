@@ -13,10 +13,12 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Workers normalizes a worker-count knob: values below 1 (the zero value of
@@ -62,8 +64,8 @@ func ForEachContext(ctx context.Context, n, workers int, fn func(i int) error) e
 // ForEachProgressContext is ForEachContext with a per-item completion
 // hook: progress(done) fires after every item that returns nil, where done
 // is the cumulative count of completed items. It is the observation point
-// the async job layer reports sweep progress from — a killed-and-resumed
-// sweep knows how far it got without recounting work.
+// the async sweep job reports its progress from (through
+// explorer.EvaluateAllProgress).
 //
 // The hook may be called concurrently from several workers and the done
 // values, while each unique and drawn from 1..n, may arrive out of order;
@@ -195,27 +197,62 @@ type flightCall[V any] struct {
 	waiters atomic.Int32
 	val     V
 	err     error
+	// ran is how long the leader's fn took.
+	ran time.Duration
 }
 
 // Do returns the result of fn for key, executing fn at most once across all
-// concurrent callers of the same key. The first caller runs fn; callers
-// arriving while it is in flight wait and share its result. Callers of
-// distinct keys never block each other.
-func (f *Flight[V]) Do(key string, fn func() (V, error)) (V, error) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[string]*flightCall[V])
-	}
-	if c, ok := f.m[key]; ok {
+// concurrent callers of the same key. The first caller leads: it runs fn.
+// Callers arriving while it is in flight follow: they wait and share its
+// result. Callers of distinct keys never block each other.
+//
+// Cancellation is each caller's own. A follower stops waiting as soon as
+// its ctx is done and returns ctx.Err(). A follower whose ctx is still
+// live, but whose leader ended in context.Canceled, does not inherit that
+// error: the leader's context ended, not its own, so it leads a new flight
+// with its own fn. After a leader's context.DeadlineExceeded it does the
+// same only if it has more time left than the leader's fn ran (no
+// deadline at all, say); a rerun with less would expire too, so it shares
+// the leader's error instead.
+func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, error) {
+	for {
+		f.mu.Lock()
+		if f.m == nil {
+			f.m = make(map[string]*flightCall[V])
+		}
+		c, ok := f.m[key]
+		if !ok {
+			c = &flightCall[V]{done: make(chan struct{})}
+			f.m[key] = c
+			f.mu.Unlock()
+			f.lead(key, c, fn)
+			return c.val, c.err
+		}
 		c.waiters.Add(1)
 		f.mu.Unlock()
-		<-c.done
-		return c.val, c.err
+		select {
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err()
+		case <-c.done:
+		}
+		if !errors.Is(c.err, context.Canceled) && !errors.Is(c.err, context.DeadlineExceeded) {
+			return c.val, c.err
+		}
+		if err := ctx.Err(); err != nil {
+			var zero V
+			return zero, err
+		}
+		if dl, ok := ctx.Deadline(); ok && errors.Is(c.err, context.DeadlineExceeded) && time.Until(dl) <= c.ran {
+			return c.val, c.err
+		}
 	}
-	c := &flightCall[V]{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
+}
 
+// lead runs fn for the flight c, then retires the key and releases the
+// followers.
+func (f *Flight[V]) lead(key string, c *flightCall[V], fn func() (V, error)) {
+	start := time.Now()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -224,10 +261,10 @@ func (f *Flight[V]) Do(key string, fn func() (V, error)) (V, error) {
 		}()
 		c.val, c.err = fn()
 	}()
+	c.ran = time.Since(start)
 
 	f.mu.Lock()
 	delete(f.m, key)
 	f.mu.Unlock()
 	close(c.done)
-	return c.val, c.err
 }

@@ -1,12 +1,14 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersNormalization(t *testing.T) {
@@ -135,7 +137,7 @@ func TestFlightDedupesConcurrentCallers(t *testing.T) {
 	errs := make([]error, n)
 	run := func(i int) {
 		defer wg.Done()
-		results[i], errs[i] = f.Do("k", func() (int, error) {
+		results[i], errs[i] = f.Do(context.Background(), "k", func() (int, error) {
 			calls.Add(1)
 			close(leaderIn)
 			<-gate // hold the flight open until every follower has joined
@@ -178,7 +180,7 @@ func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i)
-			v, err := f.Do(key, func() (string, error) { return key, nil })
+			v, err := f.Do(context.Background(), key, func() (string, error) { return key, nil })
 			if err != nil || v != key {
 				t.Errorf("key %s: got (%q, %v)", key, v, err)
 			}
@@ -199,7 +201,7 @@ func TestFlightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = f.Do("k", func() (int, error) {
+			_, errs[i] = f.Do(context.Background(), "k", func() (int, error) {
 				started.Store(true)
 				<-gate
 				return 0, sentinel
@@ -222,7 +224,7 @@ func TestFlightForgetsCompletedCalls(t *testing.T) {
 	var f Flight[int]
 	var calls int
 	for i := 0; i < 3; i++ {
-		v, err := f.Do("k", func() (int, error) { calls++; return calls, nil })
+		v, err := f.Do(context.Background(), "k", func() (int, error) { calls++; return calls, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +236,127 @@ func TestFlightForgetsCompletedCalls(t *testing.T) {
 
 func TestFlightPanicPropagatesAsError(t *testing.T) {
 	var f Flight[int]
-	_, err := f.Do("k", func() (int, error) { panic("boom") })
+	_, err := f.Do(context.Background(), "k", func() (int, error) { panic("boom") })
 	if err == nil {
 		t.Fatal("panic swallowed")
 	}
 	// The flight must be cleaned up so the key is usable again.
-	v, err := f.Do("k", func() (int, error) { return 7, nil })
+	v, err := f.Do(context.Background(), "k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("key unusable after panic: (%d, %v)", v, err)
+	}
+}
+
+// joinFlight starts a follower of the in-flight key k on its own goroutine
+// and returns once it is parked on the flight; the follower's result
+// arrives on the returned channel.
+func joinFlight(f *Flight[int], ctx context.Context, fn func() (int, error)) <-chan error {
+	f.mu.Lock()
+	c := f.m["k"]
+	f.mu.Unlock()
+	before := c.waiters.Load()
+	out := make(chan error, 1)
+	go func() {
+		v, err := f.Do(ctx, "k", fn)
+		if err == nil && v != 2 {
+			err = fmt.Errorf("follower got %d, want its own result 2", v)
+		}
+		out <- err
+	}()
+	for c.waiters.Load() == before {
+		runtime.Gosched()
+	}
+	return out
+}
+
+// TestFlightFollowerLeadsAfterLeaderCancelled: a leader that ends in its
+// own context's cancellation does not hand that error to a follower whose
+// context is live; the follower leads a new flight and gets its own result.
+func TestFlightFollowerLeadsAfterLeaderCancelled(t *testing.T) {
+	var f Flight[int]
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderIn := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := f.Do(leaderCtx, "k", func() (int, error) {
+			close(leaderIn)
+			<-leaderCtx.Done()
+			return 0, fmt.Errorf("search aborted: %w", leaderCtx.Err())
+		})
+		leaderErr <- err
+	}()
+	<-leaderIn
+	follower := joinFlight(&f, context.Background(), func() (int, error) { return 2, nil })
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want its own cancellation", err)
+	}
+	if err := <-follower; err != nil {
+		t.Fatalf("live follower: %v", err)
+	}
+}
+
+// TestFlightFollowerStopsOnOwnCancel: a follower whose own context ends
+// returns at once with that error, while the leader is still computing.
+func TestFlightFollowerStopsOnOwnCancel(t *testing.T) {
+	var f Flight[int]
+	gate := make(chan struct{})
+	leaderIn := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		f.Do(context.Background(), "k", func() (int, error) {
+			close(leaderIn)
+			<-gate
+			return 1, nil
+		})
+	}()
+	<-leaderIn
+	ctx, cancel := context.WithCancel(context.Background())
+	follower := joinFlight(&f, ctx, func() (int, error) { return 2, nil })
+	cancel()
+	if err := <-follower; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled follower err = %v, want context.Canceled", err)
+	}
+	close(gate)
+	<-leaderDone
+}
+
+// TestFlightDeadlineRerunNeedsMoreTime: when a leader runs out of its
+// deadline, a follower with no deadline leads a new flight, while a
+// follower with less time left than the leader ran shares the leader's
+// DeadlineExceeded without running its fn.
+func TestFlightDeadlineRerunNeedsMoreTime(t *testing.T) {
+	var f Flight[int]
+	leaderCtx, cancelLeader := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancelLeader()
+	leaderIn := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := f.Do(leaderCtx, "k", func() (int, error) {
+			close(leaderIn)
+			<-leaderCtx.Done()
+			return 0, fmt.Errorf("search aborted: %w", leaderCtx.Err())
+		})
+		leaderErr <- err
+	}()
+	<-leaderIn
+	// Arriving after the leader, this follower's deadline ends 100 ms
+	// after the leader's: far less time than the leader's 200 ms run.
+	shortCtx, cancelShort := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancelShort()
+	short := joinFlight(&f, shortCtx, func() (int, error) {
+		t.Error("a follower with less time left than the leader ran reran the flight")
+		return 2, nil
+	})
+	open := joinFlight(&f, context.Background(), func() (int, error) { return 2, nil })
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader err = %v, want its own deadline", err)
+	}
+	if err := <-short; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("short-deadline follower err = %v, want the shared DeadlineExceeded", err)
+	}
+	if err := <-open; err != nil {
+		t.Errorf("deadline-free follower: %v", err)
 	}
 }

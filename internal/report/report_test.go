@@ -136,6 +136,11 @@ func TestScatterBasics(t *testing.T) {
 	if len(strings.Split(out, "\n")) < 24 {
 		t.Error("plot too short")
 	}
+	for i, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " ") {
+			t.Errorf("plot line %d ends in a space: %q", i, line)
+		}
+	}
 }
 
 func TestScatterRejectsBadSeries(t *testing.T) {

@@ -126,7 +126,7 @@ func (s *Scatter) Render(w io.Writer) error {
 		case s.Height / 2:
 			label = pad(fmtAxis((minY+maxY)/2, s.LogY), 10)
 		}
-		if _, err := fmt.Fprintf(w, "%s|%s\n", label, string(line)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s|%s\n", label, strings.TrimRight(string(line), " ")); err != nil {
 			return err
 		}
 	}

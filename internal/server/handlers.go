@@ -151,11 +151,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		evals := make([]explorer.Evaluation, 0, spec.Cells())
-		for _, row := range grid {
-			evals = append(evals, row...)
-		}
-		return job.SweepJSON(len(points), len(traffics), evals)
+		return job.SweepJSON(grid)
 	})
 }
 

@@ -49,30 +49,21 @@ func jobCost(spec job.Spec) int {
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, spec job.Spec) bool {
 	t := s.tenantFor(r)
 	if ok, wait := t.AllowRequest(); !ok {
-		s.met.shed.Inc()
-		s.met.tenantShed(t.Name()).Inc()
-		w.Header().Set("Retry-After", s.retryAfter(wait))
-		http.Error(w, "tenant rate limit exceeded, retry later", http.StatusTooManyRequests)
+		s.shed(w, t, wait, "tenant rate limit exceeded, retry later")
 		return false
 	}
 	cost := jobCost(spec)
 	if ok, wait := t.ChargeEvals(cost); !ok {
-		s.met.shed.Inc()
-		s.met.tenantShed(t.Name()).Inc()
 		setBudgetHeaders(w, t)
-		w.Header().Set("Retry-After", s.retryAfter(wait))
-		http.Error(w, "tenant compute budget exhausted, retry later", http.StatusTooManyRequests)
+		s.shed(w, t, wait, "tenant compute budget exhausted, retry later")
 		return false
 	}
 	status, created, err := s.jobs.SubmitAs(spec, ownerName(t), t.MaxJobs())
 	if err != nil {
 		t.RefundEvals(cost)
 		if errors.Is(err, job.ErrQuota) {
-			s.met.shed.Inc()
-			s.met.tenantShed(t.Name()).Inc()
-			w.Header().Set("Retry-After", s.retryAfter(0))
-			http.Error(w, fmt.Sprintf("tenant %q is at its concurrent-job quota (%d live jobs); wait for one to finish",
-				t.Name(), t.MaxJobs()), http.StatusTooManyRequests)
+			s.shed(w, t, 0, fmt.Sprintf("tenant %q is at its concurrent-job quota (%d live jobs); wait for one to finish",
+				t.Name(), t.MaxJobs()))
 			return false
 		}
 		badRequest(w, err)

@@ -5,6 +5,7 @@ package server
 // the BenchmarkWarmRestart measurement EXPERIMENTS.md reports.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -218,6 +219,35 @@ func TestAsyncArtifactMatchesSyncEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepInfeasibleGridSameError: a grid with a point no organization
+// can realize fails the same way through /v1/sweep and through an async
+// sweep job, since both run the one sweep engine.
+func TestSweepInfeasibleGridSameError(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	t.Cleanup(s.jobs.Close)
+	h := s.Handler()
+	const grid = `"points":[{"cell":"SRAM"},{"cell":"SRAM","capacity_bytes":64},{"cell":"PCM","capacity_bytes":128}],"benchmarks":["namd"]`
+	sync := post(t, h, "/v1/sweep", "{"+grid+"}")
+	if sync.Code != http.StatusInternalServerError || !strings.Contains(sync.Body.String(), "no feasible organization") {
+		t.Fatalf("sync sweep = %d: %s, want 500 naming the infeasible point", sync.Code, sync.Body)
+	}
+	rr := post(t, h, "/v1/jobs", `{"kind":"sweep",`+grid+"}")
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", rr.Code, rr.Body)
+	}
+	var sub job.Status
+	if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
+		t.Fatal(err)
+	}
+	st := pollJob(t, h, sub.ID)
+	if st.State != job.StateFailed {
+		t.Fatalf("job state = %s, want failed", st.State)
+	}
+	if st.Error+"\n" != sync.Body.String() {
+		t.Errorf("errors differ:\nsync:  %q\nasync: %q", sync.Body, st.Error)
+	}
+}
+
 // TestStoreWarmedRestart is the restart acceptance criterion: a second
 // server over the same store directory serves a previously-built artifact
 // without recomputation (zero optimizer invocations on its cold explorer).
@@ -275,7 +305,8 @@ func TestCharacterizationPersistsAcrossRestart(t *testing.T) {
 
 // TestJobSurvivesServerRestart: the HTTP-level crash-recovery story — a
 // sweep job interrupted by a dying server completes on the next boot from
-// its checkpoints (the cell-level accounting is pinned in internal/job).
+// the characterizations the store holds (the mid-sweep kill is pinned in
+// internal/job).
 func TestJobSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -290,7 +321,7 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let it finish, then forge the record back to "running" — the state
-	// a SIGKILL'd process leaves on disk (checkpoints intact, record
+	// a SIGKILL'd process leaves on disk (characterizations intact, record
 	// never transitioned). The next boot must resume and complete it.
 	// The status reads done before the done record is written, so close
 	// the manager first: a late write would overwrite the forgery.
@@ -308,11 +339,8 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 	if st.State != job.StateDone || st.Done != 2 {
 		t.Fatalf("recovered job status = %+v", st)
 	}
-	if st.Resumed != 2 {
-		t.Errorf("recovered job restored %d cells, want 2 (all from checkpoints)", st.Resumed)
-	}
 	if calls := s2.study.Explorer().OptimizeCalls(); calls != 0 {
-		t.Errorf("recovered job ran the optimizer %d times, want 0 (every cell checkpointed)", calls)
+		t.Errorf("recovered job ran the optimizer %d times, want 0 (every point in char|)", calls)
 	}
 	res := get(t, s2.Handler(), "/v1/jobs/"+sub.ID+"/result")
 	if res.Code != http.StatusOK {
@@ -401,4 +429,67 @@ func benchGet(b *testing.B, h http.Handler, path string) *httptest.ResponseRecor
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
 	return rr
+}
+
+// breakEvenSweep is the EXPERIMENTS.md break-even grid as a job spec: 4
+// cells x 4 temperatures x 4 die counts, 64 points, over namd, lbm and
+// mcf — 192 cells.
+func breakEvenSweep() string {
+	var pts []string
+	for _, c := range []string{"SRAM", "3T-eDRAM", "PCM", "STT-RAM"} {
+		for _, temp := range []int{33, 111, 222, 333} {
+			for _, dies := range []int{1, 2, 4, 8} {
+				pts = append(pts, fmt.Sprintf(`{"cell":%q,"temperature_k":%d,"dies":%d}`, c, temp, dies))
+			}
+		}
+	}
+	return `{"kind":"sweep","points":[` + strings.Join(pts, ",") + `],"benchmarks":["namd","lbm","mcf"]}`
+}
+
+// BenchmarkSweepJob times the async sweep of the break-even grid end to
+// end, from POST /v1/jobs to the done transition, on a fresh server per
+// iteration (and, with the store on, a fresh store directory), so every
+// point is never-seen by the server. puts/op is the store writes of one
+// sweep. Run with -benchtime 10x: each iteration is one boot and sweep.
+func BenchmarkSweepJob(b *testing.B) {
+	body := breakEvenSweep()
+	for _, withStore := range []bool{false, true} {
+		name := "nostore"
+		if withStore {
+			name = "store"
+		}
+		b.Run(name, func(b *testing.B) {
+			var puts int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := ""
+				if withStore {
+					dir = b.TempDir()
+				}
+				s := newStoreServer(b, dir)
+				b.StartTimer()
+				rr := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+				if rr.Code != http.StatusAccepted {
+					b.Fatalf("submit = %d: %s", rr.Code, rr.Body)
+				}
+				var sub job.Status
+				if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
+					b.Fatal(err)
+				}
+				st, err := s.jobs.WaitFor(context.Background(), sub.ID)
+				b.StopTimer()
+				if err != nil || st.State != job.StateDone {
+					b.Fatalf("sweep job = %+v, %v", st, err)
+				}
+				s.jobs.Close()
+				if s.st != nil {
+					puts += s.st.Stats().Puts
+				}
+			}
+			if withStore {
+				b.ReportMetric(float64(puts)/float64(b.N), "puts/op")
+			}
+		})
+	}
 }

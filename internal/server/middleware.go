@@ -134,14 +134,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, contentType
 	}
 	t := s.tenantFor(r)
 	if ok, wait := t.AllowRequest(); !ok {
-		s.met.shed.Inc()
-		s.met.tenantShed(t.Name()).Inc()
-		w.Header().Set("Retry-After", s.retryAfter(wait))
-		http.Error(w, "tenant rate limit exceeded, retry later", http.StatusTooManyRequests)
+		s.shed(w, t, wait, "tenant rate limit exceeded, retry later")
 		return
 	}
 	s.met.cacheMisses.Inc()
-	body, hit, err := s.respCache.Do(key, func() ([]byte, error) {
+	// The deadline runs from arrival and bounds the whole request: the
+	// wait on an identical request's computation as well as any rerun
+	// this request leads after that one was cancelled.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	body, hit, err := s.respCache.Do(ctx, key, func() ([]byte, error) {
 		if ok, wait := t.ChargeEvals(cost); !ok {
 			return nil, &errBudget{wait: wait}
 		}
@@ -152,25 +154,17 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, contentType
 		}
 		defer s.release(t.Name())
 		s.met.tenantAdmitted(t.Name()).Inc()
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
 		return compute(ctx)
 	})
 	var budgetErr *errBudget
 	switch {
 	case err == nil:
 	case errors.Is(err, errSaturated):
-		s.met.shed.Inc()
-		s.met.tenantShed(t.Name()).Inc()
-		w.Header().Set("Retry-After", s.retryAfter(0))
-		http.Error(w, "sweep pool saturated, retry later", http.StatusTooManyRequests)
+		s.shed(w, t, 0, "sweep pool saturated, retry later")
 		return
 	case errors.As(err, &budgetErr):
-		s.met.shed.Inc()
-		s.met.tenantShed(t.Name()).Inc()
 		setBudgetHeaders(w, t)
-		w.Header().Set("Retry-After", s.retryAfter(budgetErr.wait))
-		http.Error(w, "tenant compute budget exhausted, retry later", http.StatusTooManyRequests)
+		s.shed(w, t, budgetErr.wait, "tenant compute budget exhausted, retry later")
 		return
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "computation exceeded the request deadline", http.StatusGatewayTimeout)

@@ -108,11 +108,9 @@ type Config struct {
 	// StoreDir, when set, roots the persistent result store: response
 	// bodies and characterizations survive restarts (served lazily through
 	// the caches' tier, so a restarted server's first request for a
-	// persisted body is a cache hit), and async jobs checkpoint through
-	// it. Empty keeps the server memory-only.
+	// persisted body is a cache hit), and async jobs persist their records
+	// and results in it. Empty keeps the server memory-only.
 	StoreDir string
-	// JobWorkers bounds each async job's worker pool (0 = one per CPU).
-	JobWorkers int
 	// TenantsFile, when set, loads named tenants (API keys, quotas,
 	// budgets, weights) from a JSON config; see internal/tenant. Empty
 	// keeps only the anonymous tier.
@@ -276,9 +274,10 @@ type Server struct {
 // response cache sits in front of it keyed on canonicalized requests.
 //
 // With cfg.StoreDir set, the server gains memory across restarts: the
-// response cache and the explorer's characterization cache are backed by
-// the persistent store as their tier, and jobs interrupted by the previous
-// process are recovered to complete from their checkpoints.
+// response cache and (through job.NewManager) the explorer's
+// characterization cache are backed by the persistent store as their tier,
+// and jobs interrupted by the previous process are recovered and re-run
+// from the stored characterizations.
 func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	if study == nil {
 		return nil, fmt.Errorf("server: study must not be nil")
@@ -329,7 +328,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 		}
 		s.st = st
 		s.respCache.SetTier(respTier{st})
-		study.Explorer().SetPersistence(charStore{st})
 		// Rebuild the registry from persisted workload records before job
 		// recovery: a resumed artifact job may reference an ingested
 		// workload and must find it already registered.
@@ -348,7 +346,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	}
 	s.jobs, err = job.NewManager(study, job.Options{
 		Store:         s.st,
-		Workers:       cfg.JobWorkers,
 		Logger:        cfg.Logger,
 		Workloads:     s.workloads,
 		Sigs:          s.sigs,
@@ -498,11 +495,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // stopJobs finishes the drain's second phase: running jobs get the rest of
 // the drain budget to complete; stragglers are cancelled, which is safe —
-// every completed cell is already checkpointed, so the next boot's Recover
-// resumes them with only the unfinished work left.
+// every characterization they completed is already in the store, so the
+// next boot's Recover re-runs them with only the unfinished work left.
 func (s *Server) stopJobs(ctx context.Context) {
 	if err := s.jobs.Wait(ctx); err != nil {
-		s.cfg.Logger.Printf("drain: cancelling jobs still running at timeout (checkpoints preserved)")
+		s.cfg.Logger.Printf("drain: cancelling jobs still running at timeout (characterizations preserved)")
 	}
 	s.jobs.Close()
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"coldtall"
+	"coldtall/internal/array"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden JSON snapshots")
@@ -308,6 +309,114 @@ func TestStampedeComputesOnce(t *testing.T) {
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Errorf("caller %d saw a different body", i)
 		}
+	}
+}
+
+// gateTier holds the explorer's characterization lookups until gate
+// closes, then misses: a request that reaches the optimizer parks at a
+// known point. entered closes at the first lookup.
+type gateTier struct {
+	gate, entered chan struct{}
+	once          sync.Once
+}
+
+func (g *gateTier) Load(string) (array.Result, bool) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return array.Result{}, false
+}
+
+func (g *gateTier) Store(string, array.Result) {}
+
+// TestFollowerOutlivesCancelledLeader: two identical requests share one
+// computation, and the client that started it disconnects mid-search. The
+// other client is still connected: it gets 200 and the bytes of an
+// uncancelled request, not the first client's cancellation.
+func TestFollowerOutlivesCancelledLeader(t *testing.T) {
+	const path, body = "/v1/characterize", `{"cell":"PCM","dies":4}`
+	ref, _ := newTestServer(t, Config{})
+	want := post(t, ref.Handler(), path, body)
+	if want.Code != http.StatusOK {
+		t.Fatalf("reference = %d: %s", want.Code, want.Body)
+	}
+
+	s, study := newTestServer(t, Config{})
+	tier := &gateTier{gate: make(chan struct{}), entered: make(chan struct{})}
+	study.Explorer().SetPersistence(tier)
+	h := s.Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		leader <- rr
+	}()
+	<-tier.entered
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- post(t, h, path, body) }()
+	// The follower counts its cache miss just before it joins the
+	// leader's flight; give it a moment to park there.
+	for s.met.cacheMisses.Value() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	close(tier.gate)
+	if rr := <-leader; rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled leader = %d: %s, want 503", rr.Code, rr.Body)
+	}
+	got := <-follower
+	if got.Code != http.StatusOK {
+		t.Fatalf("live follower = %d: %s, want 200", got.Code, got.Body)
+	}
+	if got.Body.String() != want.Body.String() {
+		t.Errorf("live follower body diverged from an uncancelled request:\n got %s\nwant %s", got.Body, want.Body)
+	}
+}
+
+// TestTimedOutDuplicatesShareDeadline: two identical requests for a
+// computation slower than Config.Timeout. The second waits on the first's
+// computation only until its own deadline, which runs from its arrival:
+// it answers 504 after about one Timeout, without rerunning the
+// computation, and the first answers 504 as well. The optimizer runs
+// once.
+func TestTimedOutDuplicatesShareDeadline(t *testing.T) {
+	const path, body = "/v1/characterize", `{"cell":"PCM","dies":4}`
+	const timeout = 200 * time.Millisecond
+	s, study := newTestServer(t, Config{Timeout: timeout})
+	tier := &gateTier{gate: make(chan struct{}), entered: make(chan struct{})}
+	study.Explorer().SetPersistence(tier)
+	h := s.Handler()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- post(t, h, path, body) }()
+	<-tier.entered
+	start := time.Now()
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- post(t, h, path, body) }()
+	var got *httptest.ResponseRecorder
+	select {
+	case got = <-follower:
+	case <-time.After(20 * timeout):
+		close(tier.gate)
+		t.Fatalf("follower still waiting %v after arriving, past its %v deadline", time.Since(start), timeout)
+	}
+	elapsed := time.Since(start)
+	// The leader's deadline fell just before the follower's; give its
+	// timer time to fire before the leader's search resumes.
+	time.Sleep(timeout)
+	close(tier.gate)
+	if got.Code != http.StatusGatewayTimeout {
+		t.Errorf("follower = %d: %s, want 504", got.Code, got.Body)
+	}
+	if elapsed < timeout {
+		t.Errorf("follower answered after %v, before its %v deadline", elapsed, timeout)
+	}
+	if rr := <-leader; rr.Code != http.StatusGatewayTimeout {
+		t.Errorf("leader = %d: %s, want 504", rr.Code, rr.Body)
+	}
+	if n := study.Explorer().OptimizeCalls(); n != 1 {
+		t.Errorf("optimizer ran %d times, want 1", n)
 	}
 }
 

@@ -33,8 +33,8 @@ func writeSSE(w http.ResponseWriter, event string, st job.Status) {
 // then the stream closes. When the server starts draining, every live
 // stream flushes a final "drain" event carrying the current status and
 // disconnects, so graceful shutdown is never held open by subscribers;
-// the client reconnects to the restarted server and resumes from the
-// job's checkpointed progress.
+// the client reconnects to the restarted server and follows the
+// recovered job from there.
 func (s *Server) streamJobStatus(w http.ResponseWriter, r *http.Request, id string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -154,6 +154,17 @@ func (s *Server) retryAfter(wait time.Duration) string {
 	return strconv.Itoa(retryAfterSeconds(inUse, capacity, wait))
 }
 
+// shed refuses a request with 429 on behalf of tenant t: it ticks the
+// global and per-tenant shed counters, sets a Retry-After hint for the
+// current pool load raised to wait, and writes msg. Budget refusals set
+// the budget headers first (setBudgetHeaders).
+func (s *Server) shed(w http.ResponseWriter, t *tenant.Tenant, wait time.Duration, msg string) {
+	s.met.shed.Inc()
+	s.met.tenantShed(t.Name()).Inc()
+	w.Header().Set("Retry-After", s.retryAfter(wait))
+	http.Error(w, msg, http.StatusTooManyRequests)
+}
+
 // setBudgetHeaders exposes the tenant's evaluation budget on every
 // budget-limited response, so clients can pace themselves instead of
 // discovering the limit through 429s.
@@ -171,11 +182,6 @@ func setBudgetHeaders(w http.ResponseWriter, t *tenant.Tenant) {
 type errBudget struct{ wait time.Duration }
 
 func (e *errBudget) Error() string { return "server: tenant compute budget exhausted" }
-
-// errRate marks a request refused by the tenant's rate limit.
-type errRate struct{ wait time.Duration }
-
-func (e *errRate) Error() string { return "server: tenant rate limit exceeded" }
 
 // artifactCost estimates an artifact build in design-point evaluations:
 // the points its renderer enumerates (already-cached characterizations

@@ -1,6 +1,7 @@
 package tech
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -51,7 +52,7 @@ func blochGruneisen(t float64) float64 {
 // bgRatio is bgIntegralRatio through bgMemo.
 func bgRatio(t float64) float64 {
 	key := strconv.FormatUint(math.Float64bits(t), 16)
-	r, _, _ := bgMemo.Do(key, func() (float64, error) { // never fails
+	r, _, _ := bgMemo.Do(context.Background(), key, func() (float64, error) { // never fails
 		return bgIntegralRatio(t), nil
 	})
 	return r
