@@ -83,7 +83,8 @@ check: vet fmtcheck race goldencheck
 # Table I hierarchy, serial and in 16 set-bank shards, one round of
 # nine .ctrace ingestions (CPU ms per upload), and the async sweep job
 # over the 64-point break-even grid with the store off and on (ms per
-# sweep, store puts per sweep).
+# sweep, store puts per sweep), and the first Table II after a cold and a
+# store-warmed boot (the warm boot re-renders the body from char|).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'BenchmarkArrayOptimize|BenchmarkArrayCharacterize' -benchmem .
@@ -93,6 +94,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary|BenchmarkReplayBinarySharded' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestRun' -benchtime 3x -benchmem ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepJob' -benchtime 10x ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkWarmRestart' -benchtime 20x ./internal/server/
 
 # Organization-search benchmarks: pruned vs exhaustive, the per-candidate
 # bound cost, and the staircase vs quadratic Pareto filter.

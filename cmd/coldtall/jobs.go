@@ -71,37 +71,37 @@ func (c jobsClient) newRequest(ctx context.Context, method, path string, body io
 	return req, nil
 }
 
-// do issues one request and decodes the JSON status answer; non-2xx
-// responses surface the server's error text.
-func (c jobsClient) do(ctx context.Context, method, path string, body []byte) (job.Status, error) {
+// do issues one request and decodes the JSON answer into out; non-2xx
+// responses surface the server's error text. A non-nil body is sent as
+// JSON.
+func (c jobsClient) do(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := c.newRequest(ctx, method, path, rd)
 	if err != nil {
-		return job.Status{}, err
+		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return job.Status{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return job.Status{}, err
+		return err
 	}
 	if resp.StatusCode >= 300 {
-		return job.Status{}, fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(payload)))
+		return fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(payload)))
 	}
-	var st job.Status
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return job.Status{}, fmt.Errorf("%s %s: decoding status: %w", method, path, err)
+	if err := json.Unmarshal(payload, out); err != nil {
+		return fmt.Errorf("%s %s: decoding: %w", method, path, err)
 	}
-	return st, nil
+	return nil
 }
 
 // requireID guards the id-taking verbs against a missing argument.
@@ -130,28 +130,12 @@ func (c jobsClient) list(ctx context.Context, w io.Writer, f cliFlags) error {
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("GET %s: %s: %s", path, resp.Status, strings.TrimSpace(string(payload)))
-	}
 	var table struct {
 		Jobs       []job.Status `json:"jobs"`
 		NextCursor string       `json:"next_cursor"`
 	}
-	if err := json.Unmarshal(payload, &table); err != nil {
-		return fmt.Errorf("decoding job list: %w", err)
+	if err := c.do(ctx, http.MethodGet, path, nil, &table); err != nil {
+		return err
 	}
 	if len(table.Jobs) == 0 {
 		fmt.Fprintln(w, "no jobs")
@@ -187,8 +171,8 @@ func (c jobsClient) submit(ctx context.Context, w io.Writer, arg string) error {
 			return fmt.Errorf("jobs submit: %w", err)
 		}
 	}
-	st, err := c.do(ctx, http.MethodPost, "/v1/jobs", spec)
-	if err != nil {
+	var st job.Status
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &st); err != nil {
 		return err
 	}
 	printStatus(w, st)
@@ -199,8 +183,8 @@ func (c jobsClient) status(ctx context.Context, w io.Writer, id string) error {
 	if err := requireID("status", id); err != nil {
 		return err
 	}
-	st, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-	if err != nil {
+	var st job.Status
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
 		return err
 	}
 	printStatus(w, st)
@@ -215,8 +199,8 @@ func (c jobsClient) wait(ctx context.Context, w io.Writer, id string, poll time.
 		return err
 	}
 	for {
-		st, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-		if err != nil {
+		var st job.Status
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
 			return err
 		}
 		if st.State.Terminal() {
@@ -292,8 +276,8 @@ func (c jobsClient) watch(ctx context.Context, w io.Writer, id string) error {
 	}
 	// The stream closed without a terminal event — the server drained or
 	// the connection dropped. One status poll settles the outcome.
-	st, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-	if err != nil {
+	var st job.Status
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
 		if drained {
 			return fmt.Errorf("jobs watch: server drained mid-stream; job %s unresolved: %w", id, err)
 		}
@@ -341,8 +325,8 @@ func (c jobsClient) cancel(ctx context.Context, w io.Writer, id string) error {
 	if err := requireID("cancel", id); err != nil {
 		return err
 	}
-	st, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
-	if err != nil {
+	var st job.Status
+	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st); err != nil {
 		return err
 	}
 	printStatus(w, st)

@@ -129,9 +129,10 @@ func TestJobsErrors(t *testing.T) {
 		t.Errorf("unknown verb: err = %v", err)
 	}
 
-	// unknown job surfaces the server's 404
-	if err := run(bg, []string{"jobs", "-server", url, "status", "jnope"}, &b); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("unknown job: err = %v", err)
+	// unknown job surfaces the server's 404 verbatim
+	want := `jobs: GET /v1/jobs/jnope: 404 Not Found: unknown job "jnope"`
+	if err := run(bg, []string{"jobs", "-server", url, "status", "jnope"}, &b); err == nil || err.Error() != want {
+		t.Errorf("unknown job: err = %v, want %s", err, want)
 	}
 
 	// a bad spec surfaces the server's 400

@@ -42,7 +42,7 @@
 //	coldtall export -dir out
 //	coldtall serve -addr :8080       # HTTP DSE service (see internal/server)
 //	coldtall serve -addr 127.0.0.1:0 # any free port; the banner names it
-//	coldtall serve -store-dir /var/coldtall  # + persistent store, warm restarts
+//	coldtall serve -store-dir /var/coldtall  # + stored characterizations and jobs
 //
 // Async jobs (against a running serve instance):
 //
@@ -77,8 +77,9 @@
 //	                             outputs identical either way)
 //	-addr, -cache-size, -timeout serve: listen address, response cache
 //	                             entries, per-request compute deadline
-//	-store-dir                   serve: result-store directory (enables job
-//	                             recovery + warm restarts)
+//	-store-dir                   serve: result-store directory (job recovery;
+//	                             a restart re-renders responses from stored
+//	                             characterizations, without the optimizer)
 //	-tenants, -default-quota     serve: tenant config file (SIGHUP reloads),
 //	                             default per-tenant eval budget
 //	-server, -poll               jobs/workloads: serve base URL, poll interval

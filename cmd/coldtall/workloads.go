@@ -57,44 +57,13 @@ type workloadsClient struct {
 	jobsClient
 }
 
-// getJSON issues one GET and decodes the JSON answer into out; non-2xx
-// responses surface the server's error text.
-func (c workloadsClient) getJSON(ctx context.Context, path string, out any) error {
-	return c.reqJSON(ctx, http.MethodGet, path, out)
-}
-
-// reqJSON issues one bodyless request and decodes the JSON answer into
-// out; non-2xx responses surface the server's error text.
-func (c workloadsClient) reqJSON(ctx context.Context, method, path string, out any) error {
-	req, err := c.newRequest(ctx, method, path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(payload)))
-	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		return fmt.Errorf("%s %s: decoding: %w", method, path, err)
-	}
-	return nil
-}
-
 // list prints one line per catalog entry: the 23 static SPEC benchmarks,
 // then any ingested workloads.
 func (c workloadsClient) list(ctx context.Context, w io.Writer) error {
 	var table struct {
 		Workloads []workload.Source `json:"workloads"`
 	}
-	if err := c.getJSON(ctx, "/v1/workloads", &table); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/workloads", nil, &table); err != nil {
 		return err
 	}
 	for _, s := range table.Workloads {
@@ -118,8 +87,8 @@ func (c workloadsClient) add(ctx context.Context, w io.Writer, arg string, poll 
 	} else if spec, err = os.ReadFile(arg); err != nil {
 		return fmt.Errorf("workloads add: %w", err)
 	}
-	st, err := c.do(ctx, http.MethodPost, "/v1/workloads", spec)
-	if err != nil {
+	var st job.Status
+	if err := c.do(ctx, http.MethodPost, "/v1/workloads", spec, &st); err != nil {
 		return err
 	}
 	for !st.State.Terminal() {
@@ -128,14 +97,14 @@ func (c workloadsClient) add(ctx context.Context, w io.Writer, arg string, poll 
 			return ctx.Err()
 		case <-time.After(poll):
 		}
-		if st, err = c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil); err != nil {
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
 			return err
 		}
 	}
 	switch st.State {
 	case job.StateDone:
 		var src workload.Source
-		if err := c.getJSON(ctx, "/v1/workloads/"+st.Workload, &src); err != nil {
+		if err := c.do(ctx, http.MethodGet, "/v1/workloads/"+st.Workload, nil, &src); err != nil {
 			return err
 		}
 		printSource(w, src)
@@ -154,7 +123,7 @@ func (c workloadsClient) traffic(ctx context.Context, w io.Writer, name string) 
 		return fmt.Errorf("workloads traffic: a workload name is required (see `coldtall workloads list`)")
 	}
 	var src workload.Source
-	if err := c.getJSON(ctx, "/v1/workloads/"+name, &src); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/workloads/"+name, nil, &src); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "workload  = %s (%s)\n", src.Name, src.Kind)
@@ -193,7 +162,7 @@ func (c workloadsClient) sig(ctx context.Context, w io.Writer, name string) erro
 		ReuseP50       uint64  `json:"reuse_p50"`
 		ReuseP90       uint64  `json:"reuse_p90"`
 	}
-	if err := c.getJSON(ctx, "/v1/workloads/"+name+"/signature", &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/workloads/"+name+"/signature", nil, &resp); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "workload  = %s\n", resp.Workload)
@@ -225,7 +194,7 @@ func (c workloadsClient) similar(ctx context.Context, w io.Writer, name string) 
 			Distance float64 `json:"distance"`
 		} `json:"matches"`
 	}
-	if err := c.getJSON(ctx, "/v1/workloads/"+name+"/similar", &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/workloads/"+name+"/similar", nil, &resp); err != nil {
 		return err
 	}
 	if len(resp.Matches) == 0 {
@@ -250,8 +219,8 @@ func (c workloadsClient) distill(ctx context.Context, w io.Writer, name string, 
 	if name == "" {
 		return fmt.Errorf("workloads distill: a workload name is required (see `coldtall workloads list`)")
 	}
-	st, err := c.do(ctx, http.MethodPost, "/v1/workloads/"+name+"/distill", nil)
-	if err != nil {
+	var st job.Status
+	if err := c.do(ctx, http.MethodPost, "/v1/workloads/"+name+"/distill", nil, &st); err != nil {
 		return err
 	}
 	for !st.State.Terminal() {
@@ -260,7 +229,7 @@ func (c workloadsClient) distill(ctx context.Context, w io.Writer, name string, 
 			return ctx.Err()
 		case <-time.After(poll):
 		}
-		if st, err = c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil); err != nil {
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
 			return err
 		}
 	}
@@ -283,7 +252,7 @@ func (c workloadsClient) distill(ctx context.Context, w io.Writer, name string, 
 		StorageRatio float64         `json:"storage_ratio"`
 		TraceDeleted bool            `json:"trace_deleted"`
 	}
-	if err := c.getJSON(ctx, "/v1/jobs/"+st.ID+"/result", &res); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID+"/result", nil, &res); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "workload  = %s\n", res.Workload)
@@ -306,7 +275,7 @@ func (c workloadsClient) rm(ctx context.Context, w io.Writer, name string) error
 		Removed         workload.Source `json:"removed"`
 		PurgedResponses int             `json:"purged_responses"`
 	}
-	if err := c.reqJSON(ctx, http.MethodDelete, "/v1/workloads/"+name, &resp); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/v1/workloads/"+name, nil, &resp); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "removed %s (%s); purged %d cached responses\n", resp.Removed.Name, resp.Removed.Kind, resp.PurgedResponses)

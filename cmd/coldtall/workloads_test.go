@@ -194,9 +194,10 @@ func TestWorkloadsErrors(t *testing.T) {
 		t.Errorf("unknown verb: err = %v", err)
 	}
 
-	// unknown workload surfaces the server's 404
-	if err := run(bg, []string{"workloads", "-server", url, "traffic", "ghost"}, &b); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("unknown workload: err = %v", err)
+	// unknown workload surfaces the server's 404 verbatim
+	want := `workloads: GET /v1/workloads/ghost: 404 Not Found: unknown workload "ghost" (see GET /v1/workloads for the catalog)`
+	if err := run(bg, []string{"workloads", "-server", url, "traffic", "ghost"}, &b); err == nil || err.Error() != want {
+		t.Errorf("unknown workload: err = %v, want %s", err, want)
 	}
 
 	// a reserved static name is rejected at submit (server 400)

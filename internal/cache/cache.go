@@ -2,8 +2,9 @@
 // layered over the singleflight group, with an optional persistence tier.
 // The LRU makes repeated lookups O(1) with bounded memory; the flight makes
 // N concurrent identical misses cost exactly one computation (the
-// cache-stampede guard). The server's response bodies, the explorer's
-// array characterizations and the process-wide physics memos (wire
+// cache-stampede guard). The server's response bodies (memory only), the
+// explorer's array characterizations (the one cache with a tier: the
+// store's char| namespace) and the process-wide physics memos (wire
 // resistivity per temperature, hierarchy miss ratios per workload profile)
 // all go through it.
 //
@@ -78,19 +79,6 @@ func (s *shard[V]) len() int {
 	return s.ll.Len()
 }
 
-// delete removes key and reports whether it was present.
-func (s *shard[V]) delete(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		return false
-	}
-	s.ll.Remove(el)
-	delete(s.m, key)
-	return true
-}
-
 // deleteFunc removes every entry whose key the predicate accepts and
 // returns how many were removed.
 func (s *shard[V]) deleteFunc(pred func(key string) bool) int {
@@ -109,20 +97,19 @@ func (s *shard[V]) deleteFunc(pred func(key string) bool) int {
 
 // Stats is a point-in-time view of cache effectiveness.
 type Stats struct {
-	// Hits and Misses count Get/Do lookups.
+	// Hits and Misses count Get/Do lookups; a lookup served (and
+	// promoted) from the persistence tier counts as a hit.
 	Hits, Misses int64
-	// TierHits counts lookups that missed the LRU but were served (and
-	// promoted) from the persistence tier; they are included in Hits.
-	TierHits int64
 	// Evictions counts entries displaced by capacity pressure.
 	Evictions int64
 	// Len is the current entry count across all shards.
 	Len int
 }
 
-// Tier is an optional second cache level behind the LRU — in production a
-// disk-backed store (internal/store), so the bounded in-memory tier holds
-// the hot set while the full result history survives restarts. Load
+// Tier is an optional second cache level behind the LRU — in production
+// the disk store's char| namespace behind the explorer's characterization
+// cache, so the bounded in-memory tier holds the hot set while every
+// characterization survives restarts. Load
 // reports whether the key exists; Store persists a value and is expected
 // to swallow its own errors (persistence is best-effort from the cache's
 // point of view — a failed write costs a future recomputation, nothing
@@ -141,7 +128,6 @@ type Cache[V any] struct {
 	onEvict   func(n int)
 	hits      atomic.Int64
 	misses    atomic.Int64
-	tierHits  atomic.Int64
 	evictions atomic.Int64
 }
 
@@ -212,7 +198,6 @@ func (c *Cache[V]) lookup(key string) (V, bool) {
 	}
 	if c.tier != nil {
 		if v, ok := c.tier.Load(key); ok {
-			c.tierHits.Add(1)
 			// Promote without writing back through the tier — the value
 			// just came from there.
 			c.seed(key, v)
@@ -255,14 +240,9 @@ func (c *Cache[V]) Add(key string, v V) {
 	}
 }
 
-// Delete removes key from the in-memory LRU and reports whether it was
-// present. The persistence tier is not touched — callers owning durable
-// entries delete them from their store directly (the Tier interface is
-// deliberately write-only from the cache's side).
-func (c *Cache[V]) Delete(key string) bool { return c.shardFor(key).delete(key) }
-
 // DeleteFunc removes every in-memory entry whose key the predicate
-// accepts and returns how many were removed. Used to invalidate all
+// accepts and returns how many were removed. The persistence tier is not
+// touched. Used to invalidate all
 // cached renderings touching a removed workload, where the full key set
 // (sweep keys embed arbitrary benchmark combinations) is not enumerable
 // by the caller.
@@ -326,7 +306,6 @@ func (c *Cache[V]) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		TierHits:  c.tierHits.Load(),
 		Evictions: c.evictions.Load(),
 		Len:       n,
 	}

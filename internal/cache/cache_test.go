@@ -129,10 +129,6 @@ func TestDoComputesOnceUnderStampede(t *testing.T) {
 }
 
 func TestDoErrorIsNotCached(t *testing.T) {
-	c, err := New[int](64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	boom := errors.New("boom")
 	for _, tc := range []struct {
 		name string
@@ -141,8 +137,12 @@ func TestDoErrorIsNotCached(t *testing.T) {
 		{"error", func() (int, error) { return 0, boom }},
 		{"panic", func() (int, error) { panic("boom") }},
 	} {
+		c, err := New[int](64)
+		if err != nil {
+			t.Fatal(err)
+		}
 		key := "k-" + tc.name
-		_, _, err := c.Do(context.Background(), key, tc.fn)
+		_, _, err = c.Do(context.Background(), key, tc.fn)
 		if err == nil || (tc.name == "error" && !errors.Is(err, boom)) {
 			t.Fatalf("%s: err = %v, want the failure reported", tc.name, err)
 		}
@@ -153,7 +153,6 @@ func TestDoErrorIsNotCached(t *testing.T) {
 		if err != nil || v != 7 {
 			t.Errorf("%s: retry after failure = (%d, %v), want (7, nil)", tc.name, v, err)
 		}
-		c.Delete(key)
 	}
 }
 

@@ -55,9 +55,8 @@ func TestTierWriteThrough(t *testing.T) {
 	if !ok || string(v) != "v" {
 		t.Fatalf("tier fallthrough Get = %q, %v", v, ok)
 	}
-	st := c2.Stats()
-	if st.Hits != 1 || st.TierHits != 1 {
-		t.Errorf("stats after tier hit = %+v", st)
+	if st := c2.Stats(); st.Hits != 1 || tier.loads != 1 {
+		t.Errorf("stats after tier hit = %+v with %d tier loads, want 1 hit from 1 load", st, tier.loads)
 	}
 	// Promotion: the next Get must be an LRU hit, not another tier read.
 	loadsBefore := tier.loads

@@ -309,9 +309,9 @@ type record struct {
 }
 
 // Store key namespaces. Job bookkeeping shares the result store with the
-// server's response-cache namespace ("resp|"); prefixes keep them
-// disjoint. Stores written before sweeps resumed from char| may also hold
-// "jobcell|" entries; nothing reads them.
+// ingest and distill records; prefixes keep them disjoint. Stores written
+// by older versions may also hold "jobcell|" sweep checkpoints and
+// "resp|" response bodies; nothing reads them.
 const (
 	recordPrefix = "job|"
 	resultPrefix = "jobresult|"

@@ -241,12 +241,15 @@ func (m *Manager) newJob(id string, spec Spec) *Job {
 	return &Job{id: id, spec: spec, state: StateQueued, total: total, fin: make(chan struct{})}
 }
 
-// enqueue hands a table-resident job to the scheduler and kicks the
-// dispatcher. With a free slot the job starts immediately (a single
-// queued job behaves exactly like the old direct start), otherwise it
-// waits its fair-share turn.
+// enqueue persists the queued record, hands the table-resident job to
+// the scheduler and kicks the dispatcher. With a free slot the job starts
+// immediately (a single queued job behaves exactly like the old direct
+// start), otherwise it waits its fair-share turn.
 func (m *Manager) enqueue(j *Job) {
-	m.persist(j)
+	j.mu.Lock()
+	rec := j.recordLocked(j.state)
+	j.mu.Unlock()
+	m.persist(rec)
 	m.sched.add(j)
 	m.dispatch()
 }
@@ -601,14 +604,20 @@ func (j *Job) notify() {
 	}
 }
 
-// transition moves the job to a new state, persists the record, and feeds
-// the observation hook.
+// transition moves the job to a new state: persist, then publish. The
+// record with the new state is written before Status or any subscriber
+// can see that state, so a client that observes a state finds it on
+// disk. The observation hook runs last.
 func (m *Manager) transition(j *Job, to State) {
 	j.mu.Lock()
 	from := j.state
+	rec := j.recordLocked(to)
+	j.mu.Unlock()
+	m.persist(rec)
+	j.mu.Lock()
 	j.state = to
 	j.mu.Unlock()
-	m.persist(j)
+	j.notify()
 	if m.opts.OnTransition != nil && from != to {
 		m.opts.OnTransition(j.id, from, to)
 	}
@@ -617,29 +626,31 @@ func (m *Manager) transition(j *Job, to State) {
 	}
 }
 
-// persist writes the job record through the store (best-effort: job
-// bookkeeping must never fail a computation). Every persist call site is
-// a status mutation, so this is also the broadcast point for progress
-// subscribers — stores and streams always observe the same snapshots.
-func (m *Manager) persist(j *Job) {
-	j.notify()
-	if m.opts.Store == nil {
-		return
-	}
-	j.mu.Lock()
-	rec := record{
-		ID: j.id, Spec: j.spec, State: j.state,
+// recordLocked is the job's persisted form in the given state; j.mu must
+// be held.
+func (j *Job) recordLocked(state State) record {
+	return record{
+		ID: j.id, Spec: j.spec, State: state,
 		Done: j.done, Total: j.total, Error: j.errMsg,
 		CType: j.ctype, HasRes: j.result != nil,
 		Tenant: j.tenant,
 	}
-	j.mu.Unlock()
+}
+
+// persist writes a job record through the store (best-effort: job
+// bookkeeping must never fail a computation). Records are written only on
+// state transitions; progress lives in memory, since Recover re-runs a
+// non-terminal job from the start.
+func (m *Manager) persist(rec record) {
+	if m.opts.Store == nil {
+		return
+	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	if err := m.opts.Store.Put(recordKey(j.id), b); err != nil {
-		m.logf("job %s: persist record: %v", j.id, err)
+	if err := m.opts.Store.Put(recordKey(rec.ID), b); err != nil {
+		m.logf("job %s: persist record: %v", rec.ID, err)
 	}
 }
 
@@ -707,9 +718,9 @@ func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 
 // runIngest executes one workload ingestion. Progress is reported in
 // accesses replayed (one unit per access, advancing in trace-block-sized
-// steps), persisted per chunk so a restarted process sees how far the dead
-// one got; the re-run itself is safe because ingest.Run is idempotent.
-// The job's result payload is the ingest result JSON.
+// steps) to subscribers; a restarted process re-runs the ingestion, which
+// is safe because ingest.Run is idempotent. The job's result payload is
+// the ingest result JSON.
 func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 	res, err := ingest.Run(ctx, *j.spec.Ingest, ingest.Options{
 		Workloads: m.opts.Workloads,
@@ -720,7 +731,7 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 			j.mu.Lock()
 			j.done, j.total = int(done), int(total)
 			j.mu.Unlock()
-			m.persist(j)
+			j.notify()
 		},
 	})
 	if err != nil {
@@ -797,25 +808,19 @@ func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
 // engine the synchronous /v1/sweep runs, so the payloads are
 // byte-identical. The job keeps no state of its own: a re-run after a
 // crash finds every point the dead process characterized in the store.
-// The record, which is also the subscriber broadcast, is rewritten when
-// done reaches a multiple of the benchmark count: each rewrite is a store
-// write, so once per point's worth of cells, not per cell.
+// Progress goes to subscribers only; it is never written to the store.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	points, traffics, err := j.spec.Grid(m.trafficFor)
 	if err != nil {
 		return err
 	}
-	cols := len(traffics)
-	n := len(points) * cols
 	grid, err := m.study.Explorer().EvaluateAllProgress(ctx, points, traffics, func(done int) {
 		j.mu.Lock()
 		if done > j.done {
 			j.done = done
 		}
 		j.mu.Unlock()
-		if done%cols == 0 || done == n {
-			m.persist(j)
-		}
+		j.notify()
 	})
 	if err != nil {
 		return err

@@ -143,9 +143,9 @@ func TestSweepJobMatchesEvaluateAll(t *testing.T) {
 
 // TestSweepJobRecordWrites: a store-backed P-point x B-benchmark sweep
 // writes one char| entry per distinct point (the 350 K baseline is one of
-// them here), at most P+3 job records — submit, running and done, plus one
-// per point's worth of cells, not one per cell — and one result. It keeps
-// no per-cell state: no jobcell| key, nothing else.
+// them here), exactly 3 job records — queued, running and done; progress
+// is never written — and one result. It keeps no per-cell state: no
+// jobcell| key, nothing else.
 func TestSweepJobRecordWrites(t *testing.T) {
 	spec := familySweepSpec()
 	st := openStore(t, t.TempDir())
@@ -181,9 +181,49 @@ func TestSweepJobRecordWrites(t *testing.T) {
 		t.Fatalf("store holds %d char|, %d job| and %d jobresult| keys, want %d, 1 and 1", chars, records, results, p)
 	}
 	// Each key was written once except the job record.
-	recordWrites := int(st.Stats().Puts) - chars - results
-	if recordWrites > p+3 {
-		t.Errorf("sweep wrote %d job records, want at most %d (P+3)", recordWrites, p+3)
+	if recordWrites := int(st.Stats().Puts) - chars - results; recordWrites != 3 {
+		t.Errorf("sweep wrote %d job records, want 3 (one per state transition)", recordWrites)
+	}
+}
+
+// TestTerminalStatusIsPersisted pins persist-then-publish: a subscriber
+// that receives a terminal status reads the same state back from the
+// job's store record at once, so no client can observe a state a crash
+// would lose.
+func TestTerminalStatusIsPersisted(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	m := newTestManager(t, Options{Store: st})
+	s0, err := m.Submit(sweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, ok := m.Subscribe(s0.ID)
+	if !ok {
+		t.Fatal("Subscribe failed for a known job")
+	}
+	defer sub.Close()
+	deadline := time.After(2 * time.Minute)
+	for {
+		select {
+		case s := <-sub.C:
+			if !s.State.Terminal() {
+				continue
+			}
+			raw, ok := st.Get(recordKey(s0.ID))
+			if !ok {
+				t.Fatal("no job record in the store")
+			}
+			var rec record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.State != s.State {
+				t.Fatalf("subscriber saw %s while the stored record says %s", s.State, rec.State)
+			}
+			return
+		case <-deadline:
+			t.Fatal("no terminal status")
+		}
 	}
 }
 

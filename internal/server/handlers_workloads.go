@@ -225,8 +225,8 @@ func staleForWorkload(name string) func(key string) bool {
 // workloadDeleteResponse reports what a removal dropped.
 type workloadDeleteResponse struct {
 	Removed workload.Source `json:"removed"`
-	// PurgedResponses counts cached response bodies invalidated (memory
-	// and persisted tiers combined).
+	// PurgedResponses counts cached response bodies invalidated (response
+	// bodies live only in the in-memory cache).
 	PurgedResponses int `json:"purged_responses"`
 }
 
@@ -264,17 +264,6 @@ func (s *Server) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
 	if s.st != nil {
 		_ = s.st.Delete(ingest.WorkloadKeyPrefix + name)
 		_ = s.st.Delete(distill.KeyPrefix + name)
-		var stale []string
-		_ = s.st.Walk(func(key string, val []byte) error {
-			if rest, ok := strings.CutPrefix(key, respPrefix); ok && staleForWorkload(name)(rest) {
-				stale = append(stale, key)
-			}
-			return nil
-		})
-		for _, key := range stale {
-			_ = s.st.Delete(key)
-		}
-		purged += len(stale)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(workloadDeleteResponse{Removed: src, PurgedResponses: purged})

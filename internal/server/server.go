@@ -105,11 +105,12 @@ type Config struct {
 	MaxBodyBytes int64
 	// DrainTimeout bounds the graceful drain on shutdown (30s default).
 	DrainTimeout time.Duration
-	// StoreDir, when set, roots the persistent result store: response
-	// bodies and characterizations survive restarts (served lazily through
-	// the caches' tier, so a restarted server's first request for a
-	// persisted body is a cache hit), and async jobs persist their records
-	// and results in it. Empty keeps the server memory-only.
+	// StoreDir, when set, roots the persistent result store:
+	// characterizations survive restarts (read lazily through the
+	// explorer's cache tier, so a restarted server re-renders any response
+	// without re-running the optimizer), and async jobs persist their
+	// records and results in it. Response bodies are never stored. Empty
+	// keeps the server memory-only.
 	StoreDir string
 	// TenantsFile, when set, loads named tenants (API keys, quotas,
 	// budgets, weights) from a JSON config; see internal/tenant. Empty
@@ -229,7 +230,6 @@ func (s *Server) refreshStoreMetrics() {
 	s.met.reg.Gauge("coldtall_store_misses", "Cumulative persistent-store misses.").Set(st.Misses)
 	s.met.reg.Gauge("coldtall_store_puts", "Cumulative persistent-store writes.").Set(st.Puts)
 	s.met.reg.Gauge("coldtall_store_corrupt", "Entries quarantined as corrupt.").Set(st.Corrupt)
-	s.met.reg.Gauge("coldtall_cache_tier_hits", "Response-cache lookups served from the persistence tier.").Set(s.respCache.Stats().TierHits)
 }
 
 // requests returns the lazily created per-path+code counter.
@@ -274,10 +274,11 @@ type Server struct {
 // response cache sits in front of it keyed on canonicalized requests.
 //
 // With cfg.StoreDir set, the server gains memory across restarts: the
-// response cache and (through job.NewManager) the explorer's
-// characterization cache are backed by the persistent store as their tier,
-// and jobs interrupted by the previous process are recovered and re-run
-// from the stored characterizations.
+// explorer's characterization cache is backed by the persistent store as
+// its tier (through job.NewManager), and jobs interrupted by the previous
+// process are recovered and re-run from the stored characterizations. The
+// response cache stays memory-only: a restarted server re-renders each
+// body from the stored characterizations.
 func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	if study == nil {
 		return nil, fmt.Errorf("server: study must not be nil")
@@ -327,7 +328,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.st = st
-		s.respCache.SetTier(respTier{st})
 		// Rebuild the registry from persisted workload records before job
 		// recovery: a resumed artifact job may reference an ingested
 		// workload and must find it already registered.

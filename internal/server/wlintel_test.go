@@ -339,3 +339,55 @@ func TestWorkloadDistillOverHTTP(t *testing.T) {
 		t.Errorf("distill unknown = %d", rr.Code)
 	}
 }
+
+// TestWorkloadDeleteInvalidatesResponses pins stale-response invalidation,
+// which the response LRU's purge alone provides: after a workload is
+// removed and its name re-ingested from a different generator, its
+// per-workload artifact and an evaluate against it answer with a fresh
+// server's bytes for the new workload, never the old bodies.
+func TestWorkloadDeleteInvalidatesResponses(t *testing.T) {
+	read := func(h http.Handler) (art, ev string) {
+		t.Helper()
+		a := get(t, h, "/v1/workloads/wlx/artifacts/fig5?format=csv")
+		e := post(t, h, "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"wlx"}`)
+		if a.Code != http.StatusOK || e.Code != http.StatusOK {
+			t.Fatalf("artifact = %d, evaluate = %d: %s %s", a.Code, e.Code, a.Body, e.Body)
+		}
+		return a.Body.String(), e.Body.String()
+	}
+	next := genIngestSpec("wlx")
+	next.Generator.Pattern = "zipf"
+	next.Generator.ZipfSkew = 1.2
+
+	s := newStoreServer(t, t.TempDir())
+	h := s.Handler()
+	uploadWorkload(t, h, genIngestSpec("wlx"))
+	oldArt, oldEv := read(h)
+	rr := del(t, h, "/v1/workloads/wlx")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("delete = %d: %s", rr.Code, rr.Body)
+	}
+	var resp workloadDeleteResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.PurgedResponses != 2 {
+		t.Errorf("purged %d responses, want 2 (the artifact and the evaluate)", resp.PurgedResponses)
+	}
+	uploadWorkload(t, h, next)
+	gotArt, gotEv := read(h)
+
+	fresh, _ := newTestServer(t, Config{})
+	t.Cleanup(fresh.jobs.Close)
+	uploadWorkload(t, fresh.Handler(), next)
+	wantArt, wantEv := read(fresh.Handler())
+	if wantArt == oldArt || wantEv == oldEv {
+		t.Fatal("the two generators give identical responses (test setup broken)")
+	}
+	if gotArt != wantArt {
+		t.Error("re-ingested workload's fig5 differs from a fresh server's")
+	}
+	if gotEv != wantEv {
+		t.Error("re-ingested workload's evaluate differs from a fresh server's")
+	}
+}
