@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmtcheck race e2e prunecheck goldencheck fuzz vulncheck bench searchbench golden-update
+.PHONY: build test check vet fmtcheck race e2e prunecheck goldencheck fuzz vulncheck bench searchbench golden-update lines
 
 build:
 	$(GO) build ./...
@@ -105,3 +105,9 @@ searchbench:
 # review the diff under testdata/golden/ like any other code change.
 golden-update:
 	$(GO) test -run Golden -update .
+
+# Production Go line count: every tracked non-test .go file outside the
+# perfbench harness and examples/. The round's "fewer lines" aim is read
+# from this number rather than a hand-copied one.
+lines:
+	@git ls-files '*.go' | grep -v _test.go | grep -v -e ^perfbench/ -e ^examples/ | xargs cat | wc -l

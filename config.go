@@ -192,42 +192,19 @@ func RunConfig(cfg StudyConfig) ([]TrafficRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	var rows []TrafficRow
-	for _, pc := range cfg.Points {
-		p, err := pc.point()
-		if err != nil {
+	points := make([]explorer.DesignPoint, len(cfg.Points))
+	for i, pc := range cfg.Points {
+		if points[i], err = pc.point(); err != nil {
 			return nil, err
 		}
-		for _, wc := range cfg.Workloads {
-			tr, err := wc.traffic()
-			if err != nil {
-				return nil, err
-			}
-			ev, err := s.exp.Evaluate(p, tr)
-			if err != nil {
-				return nil, err
-			}
-			rel := explorer.Normalize(ev, base)
-			rows = append(rows, TrafficRow{
-				Label:          p.Label,
-				Cell:           p.Cell.Tech.String(),
-				TemperatureK:   p.Temperature,
-				Dies:           p.Dies,
-				Benchmark:      tr.Benchmark,
-				ReadsPerSec:    tr.ReadsPerSec,
-				WritesPerSec:   tr.WritesPerSec,
-				RelDevicePower: rel.RelDevicePower,
-				RelTotalPower:  rel.RelPower,
-				RelLatency:     rel.RelLatency,
-				Slowdown:       ev.Slowdown,
-			})
+	}
+	traffics := make([]workload.Traffic, len(cfg.Workloads))
+	for j, wc := range cfg.Workloads {
+		if traffics[j], err = wc.traffic(); err != nil {
+			return nil, err
 		}
 	}
-	return rows, nil
+	return s.trafficStudyFor(points, traffics)
 }
 
 // RunConfigAndRender evaluates a study config and prints the result table.

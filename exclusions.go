@@ -36,10 +36,6 @@ type ExclusionRow struct {
 // comparison drops 1T1C (slower, higher dynamic energy) and why SOT is a
 // write-latency specialist.
 func (s *Study) ExclusionStudy() ([]ExclusionRow, error) {
-	base, err := s.exp.Characterize(explorer.Baseline())
-	if err != nil {
-		return nil, err
-	}
 	points := []explorer.DesignPoint{
 		explorer.Baseline(),
 		explorer.EDRAMAt(tech.TempHot350),
@@ -54,14 +50,15 @@ func (s *Study) ExclusionStudy() ([]ExclusionRow, error) {
 		return nil, err
 	}
 	points = append(points, stt, sot)
-
-	var rows []ExclusionRow
-	for _, p := range points {
-		r, err := s.exp.Characterize(p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ExclusionRow{
+	chars, err := s.exp.CharacterizeAll(s.context(), points)
+	if err != nil {
+		return nil, err
+	}
+	base := chars[0]
+	rows := make([]ExclusionRow, len(points))
+	for i, p := range points {
+		r := chars[i]
+		rows[i] = ExclusionRow{
 			Label:           p.Label,
 			RelReadLatency:  r.ReadLatency / base.ReadLatency,
 			RelWriteLatency: r.WriteLatency / base.WriteLatency,
@@ -70,7 +67,7 @@ func (s *Study) ExclusionStudy() ([]ExclusionRow, error) {
 			RelLeakage:      r.LeakagePower / base.LeakagePower,
 			RelArea:         r.FootprintM2 / base.FootprintM2,
 			RelRefresh:      r.RefreshPower / base.LeakagePower,
-		})
+		}
 	}
 	return rows, nil
 }

@@ -24,7 +24,7 @@ func (s *Study) Export(dir string) error {
 		return err
 	}
 	descriptors := artifacts.Descriptors()
-	tables, err := parallel.MapContext(s.context(), len(descriptors), s.parallelism, func(i int) (*report.Table, error) {
+	tables, err := parallel.MapContext(s.context(), len(descriptors), s.exp.Workers, func(i int) (*report.Table, error) {
 		return artifacts.Build(s.context(), s, descriptors[i].Name)
 	})
 	if err != nil {

@@ -1,12 +1,8 @@
 package coldtall
 
 import (
-	"strings"
-
-	"coldtall/internal/cell"
 	"coldtall/internal/cryo"
 	"coldtall/internal/explorer"
-	"coldtall/internal/parallel"
 	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
@@ -34,18 +30,24 @@ func (s *Study) Fig1() ([]Fig1Row, error) {
 		return nil, err
 	}
 	temps := cryo.EffectiveTemperatures()
-	return parallel.MapContext(s.context(), len(temps), s.parallelism, func(i int) (Fig1Row, error) {
-		ev, err := s.exp.EvaluateContext(s.context(), explorer.SRAMAt(temps[i]), tr)
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		rel := explorer.Normalize(ev, base)
-		return Fig1Row{
-			TemperatureK:   temps[i],
+	points := make([]explorer.DesignPoint, len(temps))
+	for i, temp := range temps {
+		points[i] = explorer.SRAMAt(temp)
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig1Row, len(temps))
+	for i, temp := range temps {
+		rel := explorer.Normalize(grid[i][0], base)
+		rows[i] = Fig1Row{
+			TemperatureK:   temp,
 			RelDevicePower: rel.RelDevicePower,
 			RelTotalPower:  rel.RelPower,
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }
 
 // Fig3Row is one (cell, temperature) point of Fig. 3: array-level
@@ -70,33 +72,21 @@ func (s *Study) Fig3() ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	temps := cryo.EffectiveTemperatures()
-	mks := []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt}
-	// Establish each cell family's organization ranking once before the
-	// parallel temperature sweep fans out (see WarmFamiliesContext).
-	sweep := make([]explorer.DesignPoint, 0, len(temps)*len(mks))
-	for _, temp := range temps {
-		for _, mk := range mks {
-			sweep = append(sweep, mk(temp))
-		}
-	}
-	if err := s.exp.WarmFamiliesContext(s.context(), sweep); err != nil {
+	sweep := explorer.CryoSweep(cryo.EffectiveTemperatures())
+	chars, err := s.exp.CharacterizeAll(s.context(), sweep)
+	if err != nil {
 		return nil, err
 	}
-	return parallel.MapContext(s.context(), len(temps)*len(mks), s.parallelism, func(i int) (Fig3Row, error) {
-		temp := temps[i/len(mks)]
-		p := mks[i%len(mks)](temp)
-		r, err := s.exp.CharacterizeContext(s.context(), p)
-		if err != nil {
-			return Fig3Row{}, err
-		}
+	rows := make([]Fig3Row, len(sweep))
+	for i, p := range sweep {
+		r := chars[i]
 		relRefresh := 0.0
 		if baseArr.LeakagePower > 0 {
 			relRefresh = r.RefreshPower / baseArr.LeakagePower
 		}
-		return Fig3Row{
+		rows[i] = Fig3Row{
 			Cell:            p.Cell.Tech.String(),
-			TemperatureK:    temp,
+			TemperatureK:    p.Temperature,
 			RelReadLatency:  r.ReadLatency / baseArr.ReadLatency,
 			RelWriteLatency: r.WriteLatency / baseArr.WriteLatency,
 			RelReadEnergy:   r.ReadEnergyPerBit / baseArr.ReadEnergyPerBit,
@@ -104,8 +94,9 @@ func (s *Study) Fig3() ([]Fig3Row, error) {
 			RelLeakagePower: r.LeakagePower / baseArr.LeakagePower,
 			RelRefreshPower: relRefresh,
 			RetentionS:      r.Retention,
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }
 
 // Fig4Row is one (benchmark, cell) group of Fig. 4: total LLC power at
@@ -125,30 +116,35 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 		return nil, err
 	}
 	benches := []string{"namd", "leela"}
-	mks := []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt}
-	return parallel.MapContext(s.context(), len(benches)*len(mks), s.parallelism, func(i int) (Fig4Row, error) {
-		bench := benches[i/len(mks)]
-		mk := mks[i%len(mks)]
-		tr, err := s.trafficFor(bench)
-		if err != nil {
-			return Fig4Row{}, err
+	traffics := make([]workload.Traffic, len(benches))
+	for j, bench := range benches {
+		if traffics[j], err = s.trafficFor(bench); err != nil {
+			return nil, err
 		}
-		warm, err := s.exp.EvaluateContext(s.context(), mk(tech.TempHot350), tr)
-		if err != nil {
-			return Fig4Row{}, err
+	}
+	// Points pair up per cell: [2m] at 350 K, [2m+1] at 77 K.
+	var points []explorer.DesignPoint
+	for _, mk := range []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt} {
+		points = append(points, mk(tech.TempHot350), mk(tech.TempCryo77))
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, traffics)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig4Row
+	for j, bench := range benches {
+		for m := 0; m < len(points); m += 2 {
+			warm, cold := grid[m][j], grid[m+1][j]
+			rows = append(rows, Fig4Row{
+				Benchmark:    bench,
+				Cell:         warm.Point.Cell.Tech.String(),
+				Rel350K:      warm.DevicePower / base.TotalPower,
+				Rel77K:       cold.DevicePower / base.TotalPower,
+				Rel77KCooled: cold.TotalPower / base.TotalPower,
+			})
 		}
-		cold, err := s.exp.EvaluateContext(s.context(), mk(tech.TempCryo77), tr)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-		return Fig4Row{
-			Benchmark:    bench,
-			Cell:         warm.Point.Cell.Tech.String(),
-			Rel350K:      warm.DevicePower / base.TotalPower,
-			Rel77K:       cold.DevicePower / base.TotalPower,
-			Rel77KCooled: cold.TotalPower / base.TotalPower,
-		}, nil
-	})
+	}
+	return rows, nil
 }
 
 // TrafficRow is one (design point, benchmark) point of the Fig. 5 / Fig. 7
@@ -178,7 +174,7 @@ type TrafficRow struct {
 // Fig5 regenerates Fig. 5: SRAM and 3T-eDRAM at 77 K and 350 K across the
 // full SPECrate 2017 suite.
 func (s *Study) Fig5() ([]TrafficRow, error) {
-	return s.trafficStudy(fig5Points())
+	return s.trafficStudyFor(fig5Points(), workload.SortedByReads())
 }
 
 // fig5Points is the Fig. 5 design-point set (volatile cells at both
@@ -197,20 +193,15 @@ func (s *Study) Fig7() ([]TrafficRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.trafficStudy(points)
-}
-
-// trafficStudy evaluates points across the whole static suite, normalized
-// to the namd/350 K-SRAM baseline. The points×benchmarks grid fans out
-// through the explorer's worker pool; rows keep the serial order (each
-// point's benchmarks ascending by read rate).
-func (s *Study) trafficStudy(points []explorer.DesignPoint) ([]TrafficRow, error) {
 	return s.trafficStudyFor(points, workload.SortedByReads())
 }
 
-// trafficStudyFor is trafficStudy over an explicit workload set — the
-// restriction per-workload artifact rendering uses to build Fig. 5 / 7
-// rows for one ingested workload.
+// trafficStudyFor evaluates points under traffics, normalized to the
+// namd/350 K-SRAM baseline: Fig. 5 / 7 over the static suite ascending by
+// read rate, per-workload artifacts over one ingested workload, RunConfig
+// over a study config's workloads. The points×traffics grid fans out
+// through the explorer's worker pool; rows keep the serial order (each
+// point's traffics in input order).
 func (s *Study) trafficStudyFor(points []explorer.DesignPoint, traffics []workload.Traffic) ([]TrafficRow, error) {
 	base, err := s.baseline()
 	if err != nil {
@@ -268,32 +259,17 @@ func (s *Study) Fig6() ([]Fig6Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Establish each eNVM family's organization ranking once before the
-	// parallel layer sweep fans out (see WarmFamiliesContext).
-	if err := s.exp.WarmFamiliesContext(s.context(), points); err != nil {
+	chars, err := s.exp.CharacterizeAll(s.context(), points)
+	if err != nil {
 		return nil, err
 	}
-	return parallel.MapContext(s.context(), len(points), s.parallelism, func(i int) (Fig6Row, error) {
-		p := points[i]
-		r, err := s.exp.CharacterizeContext(s.context(), p)
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		// Corner is encoded in the tentpole cell name suffix; SRAM has
-		// no tentpole corner.
-		corner := ""
-		if p.Cell.Tech != cell.SRAM {
-			switch {
-			case strings.HasSuffix(p.Cell.Name, cell.Pessimistic.String()):
-				corner = cell.Pessimistic.String()
-			case strings.HasSuffix(p.Cell.Name, cell.Optimistic.String()):
-				corner = cell.Optimistic.String()
-			}
-		}
-		return Fig6Row{
+	rows := make([]Fig6Row, len(points))
+	for i, p := range points {
+		r := chars[i]
+		rows[i] = Fig6Row{
 			Label:           p.Label,
 			Tech:            p.Cell.Tech.String(),
-			Corner:          corner,
+			Corner:          cornerOf(p.Cell),
 			Dies:            p.Dies,
 			RelArea:         r.FootprintM2 / baseArr.FootprintM2,
 			RelReadEnergy:   r.ReadEnergyPerBit / baseArr.ReadEnergyPerBit,
@@ -301,6 +277,7 @@ func (s *Study) Fig6() ([]Fig6Row, error) {
 			RelReadLatency:  r.ReadLatency / baseArr.ReadLatency,
 			RelWriteLatency: r.WriteLatency / baseArr.WriteLatency,
 			RelLeakagePower: r.LeakagePower / baseArr.LeakagePower,
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }

@@ -50,7 +50,7 @@ func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []ColdAndTallRow
+	var points []explorer.DesignPoint
 	for _, tc := range []cell.Technology{cell.SRAM, cell.EDRAM3T} {
 		c, err := cell.Builtin(tc)
 		if err != nil {
@@ -58,29 +58,32 @@ func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
 		}
 		for _, dies := range []int{1, 2, 4, 8} {
 			for _, temp := range []float64{tech.TempHot350, tech.TempCryo77} {
-				p := explorer.DesignPoint{
+				points = append(points, explorer.DesignPoint{
 					Label:       fmt.Sprintf("%d-die %s @%.0fK", dies, tc, temp),
 					Cell:        c,
 					Temperature: temp,
 					Dies:        dies,
 					Style:       stack.TSVStack,
-				}
-				ev, err := s.exp.Evaluate(p, tr)
-				if err != nil {
-					return nil, err
-				}
-				rel := explorer.Normalize(ev, base)
-				rows = append(rows, ColdAndTallRow{
-					Label:         p.Label,
-					Cell:          tc.String(),
-					Dies:          dies,
-					TemperatureK:  temp,
-					Benchmark:     benchmark,
-					RelTotalPower: rel.RelPower,
-					RelLatency:    rel.RelLatency,
-					RelArea:       rel.RelArea,
 				})
 			}
+		}
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ColdAndTallRow, len(points))
+	for i, p := range points {
+		rel := explorer.Normalize(grid[i][0], base)
+		rows[i] = ColdAndTallRow{
+			Label:         p.Label,
+			Cell:          p.Cell.Tech.String(),
+			Dies:          p.Dies,
+			TemperatureK:  p.Temperature,
+			Benchmark:     benchmark,
+			RelTotalPower: rel.RelPower,
+			RelLatency:    rel.RelLatency,
+			RelArea:       rel.RelArea,
 		}
 	}
 	return rows, nil
@@ -123,20 +126,23 @@ func (s *Study) ColdAndTallVerdict(benchmark string) (ColdAndTallSummary, error)
 	if err != nil {
 		return ColdAndTallSummary{}, err
 	}
-	points, err := explorer.ENVMSweep()
+	sweep, err := explorer.ENVMSweep()
+	if err != nil {
+		return ColdAndTallSummary{}, err
+	}
+	var points []explorer.DesignPoint
+	for _, p := range sweep {
+		if p.Cell.Tech != cell.SRAM {
+			points = append(points, p)
+		}
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
 	if err != nil {
 		return ColdAndTallSummary{}, err
 	}
 	best := -1.0
-	for _, p := range points {
-		if p.Cell.Tech == cell.SRAM {
-			continue
-		}
-		ev, err := s.exp.Evaluate(p, tr)
-		if err != nil {
-			return ColdAndTallSummary{}, err
-		}
-		rel := explorer.Normalize(ev, base)
+	for i, p := range points {
+		rel := explorer.Normalize(grid[i][0], base)
 		if best < 0 || rel.RelPower < best {
 			best = rel.RelPower
 			sum.WarmENVMLabel = p.Label
@@ -164,6 +170,20 @@ func (s *Study) coldAndTallVerdicts() (*report.Table, error) {
 			sum.WarmENVMLabel, fmt.Sprintf("%.4g", sum.WarmENVMPower))
 	}
 	return t, nil
+}
+
+// bandTraffic returns each Table II band's representative traffic, in
+// band order.
+func bandTraffic() ([]workload.Traffic, error) {
+	var reps []workload.Traffic
+	for _, b := range workload.Bands() {
+		rep, err := workload.Representative(b)
+		if err != nil {
+			return nil, err
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
 }
 
 // BandRepresentatives returns the benchmark names the combined study

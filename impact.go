@@ -60,6 +60,9 @@ func (s *Study) ImpactStudy() ([]ImpactRow, error) {
 		}
 		points = append(points, p)
 	}
+	if _, err := s.exp.CharacterizeAll(s.context(), points); err != nil {
+		return nil, err
+	}
 
 	var rows []ImpactRow
 	for _, bench := range BandRepresentatives() {

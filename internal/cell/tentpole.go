@@ -3,6 +3,7 @@ package cell
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Corner selects which extreme of the published spread a tentpole cell
@@ -28,19 +29,45 @@ func (c Corner) String() string {
 // Corners returns both corners in display order.
 func Corners() []Corner { return []Corner{Optimistic, Pessimistic} }
 
-// Tentpole builds the optimistic or pessimistic composite cell for an eNVM
-// technology from the embedded database, implementing NVMExplorer's
+// Tentpole returns the optimistic or pessimistic composite cell for an
+// eNVM technology from the embedded database, implementing NVMExplorer's
 // "tentpole" methodology: the extrema of the cell-level characteristics
 // represent the range of potential behaviour of each technology across a
 // large volume of published datapoints.
 //
 // Favourable means smaller for area, sensing time, write pulse, write
 // energy and write current, and larger for read current and endurance.
+//
+// The database is constant, so every composite is folded once per process
+// (see tentpoles); a Cell holds only values, so the returned copy is the
+// caller's to modify.
 func Tentpole(t Technology, corner Corner) (Cell, error) {
-	entries := ByTechnology(t)
-	if len(entries) == 0 {
+	pair, ok := tentpoles()[t]
+	if !ok {
 		return Cell{}, fmt.Errorf("cell: no database entries for %v (tentpole applies to eNVM technologies)", t)
 	}
+	if corner == Pessimistic {
+		return pair[1], nil
+	}
+	return pair[0], nil
+}
+
+// tentpoles folds the optimistic and pessimistic composites of every
+// surveyed technology from one build of the database.
+var tentpoles = sync.OnceValue(func() map[Technology][2]Cell {
+	byTech := make(map[Technology][]DatabaseEntry)
+	for _, e := range Database() {
+		byTech[e.Tech] = append(byTech[e.Tech], e)
+	}
+	out := make(map[Technology][2]Cell, len(byTech))
+	for t, entries := range byTech {
+		out[t] = [2]Cell{foldTentpole(t, Optimistic, entries), foldTentpole(t, Pessimistic, entries)}
+	}
+	return out
+})
+
+// foldTentpole composes one corner over a technology's database entries.
+func foldTentpole(t Technology, corner Corner, entries []DatabaseEntry) Cell {
 	best := entries[0].Cell
 	best.Name = fmt.Sprintf("%s-%s", techSlug(t), corner)
 	best.Source = fmt.Sprintf("tentpole %s over %d survey points", corner, len(entries))
@@ -70,7 +97,7 @@ func Tentpole(t Technology, corner Corner) (Cell, error) {
 		best.SubLeakRel = favorSmall(best.SubLeakRel, e.SubLeakRel)
 		best.FloorLeakRel = favorSmall(best.FloorLeakRel, e.FloorLeakRel)
 	}
-	return best, nil
+	return best
 }
 
 // TentpolePair returns the optimistic and pessimistic composites.

@@ -175,3 +175,32 @@ func TestCellPropertyDimensionsAlwaysPositive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTentpoleMemoMatchesFreshFold pins the per-process composite memo: for
+// every surveyed technology and corner, Tentpole returns exactly the fold
+// over a fresh ByTechnology filter, and a caller mutating its copy cannot
+// change what the next caller gets.
+func TestTentpoleMemoMatchesFreshFold(t *testing.T) {
+	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM, OSGC} {
+		for _, corner := range Corners() {
+			got, err := Tentpole(tc, corner)
+			if err != nil {
+				t.Fatalf("Tentpole(%v, %v): %v", tc, corner, err)
+			}
+			if want := foldTentpole(tc, corner, ByTechnology(tc)); got != want {
+				t.Errorf("Tentpole(%v, %v) = %+v, want the fresh fold %+v", tc, corner, got, want)
+			}
+			got.Name, got.AreaF2, got.EnduranceCycles = "mutated", -1, 0
+			again, err := Tentpole(tc, corner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again == got || again.Name == "mutated" {
+				t.Errorf("Tentpole(%v, %v): a caller's mutation leaked into the next call", tc, corner)
+			}
+		}
+	}
+	if _, err := Tentpole(SRAM, Optimistic); err == nil {
+		t.Error("Tentpole(SRAM) should fail: SRAM is not surveyed")
+	}
+}

@@ -316,14 +316,14 @@ func (e *Explorer) EvaluateAllContext(ctx context.Context, points []DesignPoint,
 }
 
 // EvaluateAllProgress is the one sweep engine: the synchronous /v1/sweep,
-// the async sweep job and the figure grids all run it.
+// the async sweep job, Table II's candidate ranking and every figure,
+// table and extension study of the root package run it (or its first half,
+// CharacterizeAll).
 //
-// The schedule is "characterize once, evaluate many". First the 350 K
-// SRAM baseline that every slowdown check reads; then the grid's points
-// in FamilyOrder on the pool, so the array layer's pruned search
-// re-verifies a warm ranking instead of cold-starting each neighbor; then
-// the cells, which are arithmetic on the warm cache. A point already
-// cached (or held by the persistence tier) costs a lookup, which is how a
+// The schedule is "characterize once, evaluate many": CharacterizeAll
+// fills the cache with the grid's points, then the cells, which are
+// arithmetic on the warm cache, run on the pool. A point already cached
+// (or held by the persistence tier) costs a lookup, which is how a
 // restarted sweep job resumes. The first characterization to fail in
 // family order fails the sweep; otherwise the lowest failing cell does.
 //
@@ -341,18 +341,10 @@ func (e *Explorer) EvaluateAllProgress(ctx context.Context, points []DesignPoint
 	if len(points)*cols == 0 {
 		return out, nil
 	}
-	if _, err := e.CharacterizeContext(ctx, Baseline()); err != nil {
+	if _, err := e.CharacterizeAll(ctx, points); err != nil {
 		return nil, err
 	}
-	order := FamilyOrder(points)
-	err := parallel.ForEachContext(ctx, len(order), e.Workers, func(k int) error {
-		_, err := e.CharacterizeContext(ctx, points[order[k]])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = parallel.ForEachProgressContext(ctx, len(points)*cols, e.Workers, func(cell int) error {
+	err := parallel.ForEachProgressContext(ctx, len(points)*cols, e.Workers, func(cell int) error {
 		i, j := cell/cols, cell%cols
 		ev, err := e.EvaluateContext(ctx, points[i], traffics[j])
 		if err != nil {
@@ -367,29 +359,34 @@ func (e *Explorer) EvaluateAllProgress(ctx context.Context, points []DesignPoint
 	return out, nil
 }
 
-// WarmFamiliesContext characterizes one representative per sweep family
-// (the first member in input order) on the worker pool, so a subsequent
-// parallel sweep over the same points finds every family's organization
-// ranking already established and the array layer's pruned search
-// re-verifies neighbors instead of cold-starting each one concurrently.
-// Every representative is a member of the sweep itself, so the pass adds
-// no design points — it only fills the characterization cache in an order
-// that maximizes warm starts. Results are unaffected either way; this is
-// purely a scheduling optimization.
-func (e *Explorer) WarmFamiliesContext(ctx context.Context, points []DesignPoint) error {
-	seen := make(map[string]bool, len(points))
-	var reps []DesignPoint
-	for _, p := range points {
-		k := FamilyKey(p)
-		if !seen[k] {
-			seen[k] = true
-			reps = append(reps, p)
-		}
+// CharacterizeAll characterizes points on the explorer's worker pool: first
+// the 350 K SRAM baseline that every slowdown check and normalization
+// reads, then the points in FamilyOrder, so the array layer's pruned
+// search re-verifies a warm ranking instead of cold-starting each
+// neighbor. Results land at input positions, so the output is identical to
+// a serial walk. The first characterization to fail in family order fails
+// the call; once ctx is done no further point is dispatched.
+func (e *Explorer) CharacterizeAll(ctx context.Context, points []DesignPoint) ([]array.Result, error) {
+	out := make([]array.Result, len(points))
+	if len(points) == 0 {
+		return out, nil
 	}
-	return parallel.ForEachContext(ctx, len(reps), e.Workers, func(i int) error {
-		_, err := e.CharacterizeContext(ctx, reps[i])
-		return err
+	if _, err := e.CharacterizeContext(ctx, Baseline()); err != nil {
+		return nil, err
+	}
+	order := FamilyOrder(points)
+	err := parallel.ForEachContext(ctx, len(order), e.Workers, func(k int) error {
+		r, err := e.CharacterizeContext(ctx, points[order[k]])
+		if err != nil {
+			return err
+		}
+		out[order[k]] = r
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // FamilyKey groups design points that differ only along the delta axes of
@@ -404,7 +401,7 @@ func FamilyKey(p DesignPoint) string {
 // FamilyOrder returns a permutation of point indices that walks each
 // characterization family contiguously, members ordered by (dies,
 // temperature) so consecutive positions are neighboring design points. It
-// is the order EvaluateAllProgress characterizes a grid in: the array
+// is the order CharacterizeAll characterizes a grid in: the array
 // layer's pruned search then re-verifies a warm ranking instead of
 // cold-starting per point. Only ORDER is defined here — callers still land
 // results at input positions, so outputs stay byte-identical to the naive
@@ -446,12 +443,12 @@ const ReferenceBenchmark = "namd"
 
 // BaselineEvaluation returns the universal denominator: 350 K 1-die SRAM
 // running the reference benchmark.
-func (e *Explorer) BaselineEvaluation() (Evaluation, error) {
+func (e *Explorer) BaselineEvaluation(ctx context.Context) (Evaluation, error) {
 	tr, err := workload.StaticTrafficFor(ReferenceBenchmark)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	return e.Evaluate(Baseline(), tr)
+	return e.EvaluateContext(ctx, Baseline(), tr)
 }
 
 // Relative expresses an evaluation against a baseline evaluation, the way

@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -372,7 +373,7 @@ func TestFig7PessimisticSlowdownAtHighWriteTraffic(t *testing.T) {
 
 func TestTableIIPowerColumn(t *testing.T) {
 	e := exp(t)
-	low, err := e.OptimalChoice(workload.BandLow, ObjPower)
+	low, err := e.OptimalChoice(context.Background(), workload.BandLow, ObjPower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestTableIIPowerColumn(t *testing.T) {
 		t.Error("volatile low-band winner should raise no endurance concern")
 	}
 
-	mid, err := e.OptimalChoice(workload.BandMid, ObjPower)
+	mid, err := e.OptimalChoice(context.Background(), workload.BandMid, ObjPower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestTableIIPowerColumn(t *testing.T) {
 		t.Errorf("mid-band alt = %s, want 77K 3T-eDRAM", mid.Alternative.Point.Label)
 	}
 
-	high, err := e.OptimalChoice(workload.BandHigh, ObjPower)
+	high, err := e.OptimalChoice(context.Background(), workload.BandHigh, ObjPower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestTableIIPerformanceColumn3D(t *testing.T) {
 	// for the write-bearing bands, 8-die PCM for the read-dominated top.
 	e := exp(t)
 	for _, b := range []workload.Band{workload.BandLow, workload.BandMid} {
-		c, err := e.Optimal3DChoice(b, ObjPerformance)
+		c, err := e.Optimal3DChoice(context.Background(), b, ObjPerformance)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +423,7 @@ func TestTableIIPerformanceColumn3D(t *testing.T) {
 			t.Errorf("band %v 3D performance winner = %s, want 8-die STT", b, c.Winner.Point.Label)
 		}
 	}
-	c, err := e.Optimal3DChoice(workload.BandHigh, ObjPerformance)
+	c, err := e.Optimal3DChoice(context.Background(), workload.BandHigh, ObjPerformance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestTableIIUnifiedPerformanceIsCryo(t *testing.T) {
 	// Documented deviation: in the unified model the cryogenic latency
 	// advantage wins low/mid-band performance outright (see
 	// EXPERIMENTS.md).
-	c, err := exp(t).OptimalChoice(workload.BandMid, ObjPerformance)
+	c, err := exp(t).OptimalChoice(context.Background(), workload.BandMid, ObjPerformance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestTableIIUnifiedPerformanceIsCryo(t *testing.T) {
 func TestTableIIAreaColumn(t *testing.T) {
 	e := exp(t)
 	for _, b := range workload.Bands() {
-		c, err := e.OptimalChoice(b, ObjArea)
+		c, err := e.OptimalChoice(context.Background(), b, ObjArea)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,20 +469,25 @@ func TestTableIIAreaColumn(t *testing.T) {
 }
 
 func TestTableIIFullGrid(t *testing.T) {
-	choices, err := exp(t).TableII()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(choices) != 9 {
-		t.Fatalf("Table II has %d cells, want 9 (3 bands x 3 objectives)", len(choices))
-	}
-	for _, c := range choices {
-		if c.Winner.Point.Label == "" {
-			t.Error("empty winner")
+	e := exp(t)
+	cells := 0
+	for _, b := range workload.Bands() {
+		for _, o := range Objectives() {
+			c, err := e.OptimalChoice(context.Background(), b, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells++
+			if c.Winner.Point.Label == "" {
+				t.Error("empty winner")
+			}
+			if c.Alternative != nil && c.Alternative.Point.Cell.Tech == c.Winner.Point.Cell.Tech {
+				t.Error("alternative must differ in technology")
+			}
 		}
-		if c.Alternative != nil && c.Alternative.Point.Cell.Tech == c.Winner.Point.Cell.Tech {
-			t.Error("alternative must differ in technology")
-		}
+	}
+	if cells != 9 {
+		t.Fatalf("Table II has %d cells, want 9 (3 bands x 3 objectives)", cells)
 	}
 }
 
@@ -521,7 +527,7 @@ func TestLifetimeComputation(t *testing.T) {
 }
 
 func TestNormalizeAgainstBaseline(t *testing.T) {
-	base, err := exp(t).BaselineEvaluation()
+	base, err := exp(t).BaselineEvaluation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

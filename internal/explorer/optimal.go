@@ -1,10 +1,10 @@
 package explorer
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"coldtall/internal/parallel"
 	"coldtall/internal/workload"
 )
 
@@ -78,15 +78,15 @@ func (o Objective) metric(ev Evaluation) float64 {
 // judging candidates at the band's representative (highest-traffic)
 // benchmark, as the paper summarizes each regime by its most demanding
 // members.
-func (e *Explorer) OptimalChoice(b workload.Band, obj Objective) (Choice, error) {
-	return e.choose(b, obj, func(DesignPoint) bool { return true })
+func (e *Explorer) OptimalChoice(ctx context.Context, b workload.Band, obj Objective) (Choice, error) {
+	return e.choose(ctx, b, obj, func(DesignPoint) bool { return true })
 }
 
 // choose ranks the Table II candidates passing keep under one band and
-// objective. Candidates are evaluated on the explorer's worker pool;
+// objective. Candidates are evaluated in one EvaluateAllContext sweep;
 // ranking runs over the input-ordered results, so the selection matches the
 // serial walk exactly.
-func (e *Explorer) choose(b workload.Band, obj Objective, keep func(DesignPoint) bool) (Choice, error) {
+func (e *Explorer) choose(ctx context.Context, b workload.Band, obj Objective, keep func(DesignPoint) bool) (Choice, error) {
 	rep, err := workload.Representative(b)
 	if err != nil {
 		return Choice{}, err
@@ -101,11 +101,13 @@ func (e *Explorer) choose(b workload.Band, obj Objective, keep func(DesignPoint)
 			kept = append(kept, p)
 		}
 	}
-	evals, err := parallel.Map(len(kept), e.Workers, func(i int) (Evaluation, error) {
-		return e.Evaluate(kept[i], rep)
-	})
+	grid, err := e.EvaluateAllContext(ctx, kept, []workload.Traffic{rep})
 	if err != nil {
 		return Choice{}, err
+	}
+	evals := make([]Evaluation, len(grid))
+	for i, row := range grid {
+		evals[i] = row[0]
 	}
 	sort.SliceStable(evals, func(i, j int) bool {
 		return obj.metric(evals[i]) < obj.metric(evals[j])
@@ -153,22 +155,6 @@ func altEligible(obj Objective, winner, alt Evaluation) bool {
 // (8-die STT / 8-die PCM); in the unified model rebuilt here, cryogenic
 // 3T-eDRAM's latency advantage would otherwise win the low-traffic bands
 // (see EXPERIMENTS.md).
-func (e *Explorer) Optimal3DChoice(b workload.Band, obj Objective) (Choice, error) {
-	return e.choose(b, obj, func(p DesignPoint) bool { return p.Temperature >= 300 })
-}
-
-// TableII computes the full optimal-LLC summary: every band crossed with
-// every objective.
-func (e *Explorer) TableII() ([]Choice, error) {
-	var out []Choice
-	for _, b := range workload.Bands() {
-		for _, o := range Objectives() {
-			c, err := e.OptimalChoice(b, o)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, c)
-		}
-	}
-	return out, nil
+func (e *Explorer) Optimal3DChoice(ctx context.Context, b workload.Band, obj Objective) (Choice, error) {
+	return e.choose(ctx, b, obj, func(p DesignPoint) bool { return p.Temperature >= 300 })
 }

@@ -72,9 +72,12 @@ func TestForEachContextItemErrorBeatsCancellation(t *testing.T) {
 	}
 }
 
+// TestMapContextBackgroundMatchesMap: under a context that is never done,
+// the pooled MapContext matches the serial one (the plain map) index for
+// index.
 func TestMapContextBackgroundMatchesMap(t *testing.T) {
 	square := func(i int) (int, error) { return i * i, nil }
-	plain, err := Map(8, 4, square)
+	plain, err := MapContext(context.Background(), 8, 1, square)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestMapContextBackgroundMatchesMap(t *testing.T) {
 	}
 	for i := range plain {
 		if plain[i] != ctxed[i] {
-			t.Fatalf("MapContext diverges from Map at %d: %d vs %d", i, ctxed[i], plain[i])
+			t.Fatalf("pooled MapContext diverges from the serial one at %d: %d vs %d", i, ctxed[i], plain[i])
 		}
 	}
 }

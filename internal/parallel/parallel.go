@@ -4,8 +4,8 @@
 // computations of the same key. Centralizing them keeps the parallel code
 // paths small, audited, and race-detector-clean in one place.
 //
-// The primitives are deliberately deterministic at the output level: ForEach
-// and Map index results by input position, so a parallel sweep produces
+// The primitives are deliberately deterministic at the output level:
+// ForEachContext and MapContext index results by input position, so a parallel sweep produces
 // byte-identical artifacts to its serial equivalent no matter how the
 // scheduler interleaves the workers. That property is what the golden
 // regression tests at the repository root pin down.
@@ -33,26 +33,23 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for i in [0, n) on at most workers goroutines
+// ForEachContext runs fn(i) for i in [0, n) on at most workers goroutines
 // (normalized through Workers) and returns the first error by input order.
 // Work is handed out through a single shared index so the pool load-balances
 // uneven items; callers write results into position i of a pre-sized slice,
 // which keeps output ordering deterministic regardless of scheduling.
 //
-// All n items are attempted even after a failure — items are independent in
-// every sweep here, and finishing the batch keeps caches warm for the next
-// call — but the error reported is always the lowest-index one, so the
-// serial and parallel paths surface the same failure.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachContext(context.Background(), n, workers, fn)
-}
-
-// ForEachContext is ForEach with cooperative cancellation: once ctx is
-// done, no further items are dispatched (items already running finish) and
-// the sweep reports the cancellation. A cancelled sweep therefore stops
-// burning worker-pool CPU within one item's latency — the property that
-// lets an aborted HTTP request or a Ctrl-C on the CLI reclaim the pool
-// mid-sweep.
+// Until ctx is done all n items are attempted even after a failure — items
+// are independent in every sweep here, and finishing the batch keeps caches
+// warm for the next call — but the error reported is always the
+// lowest-index one, so the serial and parallel paths surface the same
+// failure.
+//
+// Cancellation is cooperative: once ctx is done, no further items are
+// dispatched (items already running finish) and the sweep reports the
+// cancellation. A cancelled sweep therefore stops burning worker-pool CPU
+// within one item's latency — the property that lets an aborted HTTP
+// request or a Ctrl-C on the CLI reclaim the pool mid-sweep.
 //
 // Error precedence: an item error (lowest input index among items that ran)
 // wins over the cancellation error, so a sweep that genuinely failed before
@@ -153,13 +150,8 @@ func safeCall(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// Map runs fn over [0, n) on the pool and collects the results in input
-// order — the ordered-collect primitive the figure sweeps use.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), n, workers, fn)
-}
-
-// MapContext is Map with cooperative cancellation (see ForEachContext).
+// MapContext runs fn over [0, n) on the pool and collects the results in
+// input order, with ForEachContext's error precedence and cancellation.
 func MapContext[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachContext(ctx, n, workers, func(i int) error {

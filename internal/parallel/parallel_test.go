@@ -30,7 +30,7 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 257
 			counts := make([]int32, n)
-			err := ForEach(n, workers, func(i int) error {
+			err := ForEachContext(context.Background(), n, workers, func(i int) error {
 				atomic.AddInt32(&counts[i], 1)
 				return nil
 			})
@@ -48,10 +48,10 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 
 func TestForEachZeroAndNegativeN(t *testing.T) {
 	called := false
-	if err := ForEach(0, 4, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEachContext(context.Background(), 0, 4, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEach(-5, 4, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEachContext(context.Background(), -5, 4, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -65,7 +65,7 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 func TestForEachFirstErrorByInputOrder(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			err := ForEach(100, workers, func(i int) error {
+			err := ForEachContext(context.Background(), 100, workers, func(i int) error {
 				if i%10 == 3 { // fails at 3, 13, 23, ...
 					return fmt.Errorf("item %d", i)
 				}
@@ -79,7 +79,7 @@ func TestForEachFirstErrorByInputOrder(t *testing.T) {
 }
 
 func TestForEachPanicBecomesError(t *testing.T) {
-	err := ForEach(8, 4, func(i int) error {
+	err := ForEachContext(context.Background(), 8, 4, func(i int) error {
 		if i == 5 {
 			panic("boom")
 		}
@@ -92,7 +92,7 @@ func TestForEachPanicBecomesError(t *testing.T) {
 
 func TestMapOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 3, 32} {
-		got, err := Map(50, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := MapContext(context.Background(), 50, workers, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestMapOrderedResults(t *testing.T) {
 
 func TestMapErrorDropsResults(t *testing.T) {
 	sentinel := errors.New("nope")
-	got, err := Map(10, 4, func(i int) (int, error) {
+	got, err := MapContext(context.Background(), 10, 4, func(i int) (int, error) {
 		if i == 7 {
 			return 0, sentinel
 		}

@@ -2,8 +2,9 @@
 // design-space-exploration service: HTTP handlers over the explorer and
 // study sweeps, a sharded LRU response cache layered over singleflight (so
 // concurrent identical requests compute once and repeats are O(1)), bounded
-// admission with load shedding, per-request deadlines threaded into the
-// sweep loops, panic isolation, structured access logs, Prometheus-format
+// admission with load shedding, per-request deadlines threaded into every
+// sweep (each artifact's grid runs the explorer's engine under the
+// request's context), panic isolation, structured access logs, Prometheus-format
 // metrics, pprof, and graceful drain on shutdown. Standard library only.
 //
 // Endpoints:
@@ -93,9 +94,9 @@ import (
 type Config struct {
 	// CacheEntries bounds the response LRU (1024 entries by default).
 	CacheEntries int
-	// Timeout is the per-request compute deadline threaded into the sweep
-	// loops (60s by default). A request past its deadline aborts its
-	// sweep and answers 504.
+	// Timeout is the per-request compute deadline threaded into every
+	// sweep, artifact grids included (60s by default). A request past its
+	// deadline aborts its sweep and answers 504.
 	Timeout time.Duration
 	// MaxInflight bounds concurrently computing requests; requests beyond
 	// the bound are shed with 429 + Retry-After instead of queueing

@@ -420,6 +420,20 @@ func TestTimedOutDuplicatesShareDeadline(t *testing.T) {
 	}
 }
 
+// TestExpiredDeadlineAnswers504: with a deadline that passes before any
+// work starts, artifacts whose generators used to run their grids off the
+// request's context (coldtall, reliability) answer 504 like every other
+// artifact instead of computing the whole grid.
+func TestExpiredDeadlineAnswers504(t *testing.T) {
+	s, _ := newTestServer(t, Config{Timeout: time.Nanosecond})
+	for _, name := range []string{"coldtall", "reliability"} {
+		rr := get(t, s.Handler(), "/v1/artifacts/"+name+"?format=csv")
+		if rr.Code != http.StatusGatewayTimeout {
+			t.Errorf("%s = %d: %.200s, want 504", name, rr.Code, rr.Body)
+		}
+	}
+}
+
 // TestRepeatRequestServedFromCache re-sends an identical request and
 // asserts it is answered from the response cache: X-Cache flips to hit, the
 // hit counter on /metrics increments, and no new characterization runs.

@@ -14,6 +14,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"coldtall/internal/parallel"
@@ -248,7 +249,7 @@ func ExtrapolateAtFrequency(name string, llcReads, llcWrites, accesses uint64, m
 // any worker count.
 func MeasureAll(accesses int, seed int64) ([]Traffic, error) {
 	profiles := Profiles()
-	return parallel.Map(len(profiles), 0, func(i int) (Traffic, error) {
+	return parallel.MapContext(context.Background(), len(profiles), 0, func(i int) (Traffic, error) {
 		return Measure(profiles[i], accesses, seed)
 	})
 }

@@ -31,37 +31,45 @@ type NodeRow struct {
 
 // NodeScaling evaluates the band power contest on each process preset.
 func (s *Study) NodeScaling() ([]NodeRow, error) {
+	contest := []explorer.DesignPoint{
+		explorer.SRAMAt(tech.TempCryo77),
+		explorer.EDRAMAt(tech.TempCryo77),
+		explorer.Baseline(),
+	}
+	for _, spec := range []struct {
+		tech cell.Technology
+		dies int
+	}{{cell.PCM, 4}, {cell.PCM, 8}, {cell.STTRAM, 8}, {cell.RRAM, 8}} {
+		p, err := explorer.Stacked(spec.tech, cell.Optimistic, spec.dies)
+		if err != nil {
+			return nil, err
+		}
+		contest = append(contest, p)
+	}
+	reps, err := bandTraffic()
+	if err != nil {
+		return nil, err
+	}
+	// Node n's contest occupies points[n*len(contest) : (n+1)*len(contest)].
+	nodes := tech.Nodes()
+	var points []explorer.DesignPoint
+	for _, node := range nodes {
+		for _, p := range contest {
+			points = append(points, p.WithNode(node))
+		}
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, reps)
+	if err != nil {
+		return nil, err
+	}
 	var rows []NodeRow
-	for _, node := range tech.Nodes() {
-		for _, b := range workload.Bands() {
-			rep, err := workload.Representative(b)
-			if err != nil {
-				return nil, err
-			}
-			points := []explorer.DesignPoint{
-				explorer.SRAMAt(tech.TempCryo77),
-				explorer.EDRAMAt(tech.TempCryo77),
-				explorer.Baseline(),
-			}
-			for _, spec := range []struct {
-				tech cell.Technology
-				dies int
-			}{{cell.PCM, 4}, {cell.PCM, 8}, {cell.STTRAM, 8}, {cell.RRAM, 8}} {
-				p, err := explorer.Stacked(spec.tech, cell.Optimistic, spec.dies)
-				if err != nil {
-					return nil, err
-				}
-				points = append(points, p)
-			}
-			row := NodeRow{Node: node.Name, Band: b.String(), Benchmark: rep.Benchmark}
+	for n, node := range nodes {
+		for j, b := range workload.Bands() {
+			row := NodeRow{Node: node.Name, Band: b.String(), Benchmark: reps[j].Benchmark}
 			best := -1.0
 			cryoBest, tallBest := -1.0, -1.0
-			for _, p := range points {
-				p = p.WithNode(node)
-				ev, err := s.exp.Evaluate(p, rep)
-				if err != nil {
-					return nil, err
-				}
+			for i := n * len(contest); i < (n+1)*len(contest); i++ {
+				p, ev := points[i], grid[i][j]
 				if best < 0 || ev.TotalPower < best {
 					best = ev.TotalPower
 					row.PowerWinner = p.Label

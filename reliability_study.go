@@ -3,9 +3,7 @@ package coldtall
 import (
 	"coldtall/internal/cell"
 	"coldtall/internal/explorer"
-	"coldtall/internal/parallel"
 	"coldtall/internal/tech"
-	"coldtall/internal/workload"
 )
 
 // ReliabilityRow summarizes the fault behaviour of one candidate LLC under
@@ -42,28 +40,30 @@ func (s *Study) ReliabilityStudy() ([]ReliabilityRow, error) {
 		}
 		points = append(points, p)
 	}
-	bands := workload.Bands()
-	return parallel.Map(len(bands)*len(points), s.parallelism, func(i int) (ReliabilityRow, error) {
-		b, p := bands[i/len(points)], points[i%len(points)]
-		rep, err := workload.Representative(b)
-		if err != nil {
-			return ReliabilityRow{}, err
+	reps, err := bandTraffic()
+	if err != nil {
+		return nil, err
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, reps)
+	if err != nil {
+		return nil, err
+	}
+	var rows []ReliabilityRow
+	for j, rep := range reps {
+		for i, p := range points {
+			r, err := grid[i][j].Reliability()
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, ReliabilityRow{
+				Benchmark:         rep.Benchmark,
+				WritesPerSec:      rep.WritesPerSec,
+				Label:             p.Label,
+				SoftFIT:           r.SoftFIT,
+				WearLifetimeYears: r.WearLifetimeYears,
+				RetentionWeakBits: r.RetentionWeakBitsPerRefresh,
+			})
 		}
-		ev, err := s.exp.Evaluate(p, rep)
-		if err != nil {
-			return ReliabilityRow{}, err
-		}
-		r, err := ev.Reliability()
-		if err != nil {
-			return ReliabilityRow{}, err
-		}
-		return ReliabilityRow{
-			Benchmark:         rep.Benchmark,
-			WritesPerSec:      rep.WritesPerSec,
-			Label:             p.Label,
-			SoftFIT:           r.SoftFIT,
-			WearLifetimeYears: r.WearLifetimeYears,
-			RetentionWeakBits: r.RetentionWeakBitsPerRefresh,
-		}, nil
-	})
+	}
+	return rows, nil
 }

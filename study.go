@@ -12,7 +12,9 @@ import (
 // array characterizations are cached, so generating every figure costs each
 // design-point optimization once.
 //
-// Sweeps run on bounded worker pools (see SetParallelism); outputs are
+// Every generator runs its grid through the explorer's sweep engine
+// (explorer.EvaluateAllContext or CharacterizeAll) under the study's
+// context, on the explorer's worker pool (see SetParallelism); outputs are
 // deterministic at any worker count — parallel runs are byte-identical to
 // serial ones, a property the golden regression tests pin down.
 type Study struct {
@@ -23,10 +25,6 @@ type Study struct {
 	// workloads over it (the server wires its registry here so custom
 	// workloads feed every traffic-dependent figure).
 	workloads *workload.Registry
-
-	// parallelism bounds every worker pool the study's sweeps use:
-	// 0 means one worker per available CPU, 1 forces the serial path.
-	parallelism int
 
 	// ctx bounds every sweep the study runs; nil means context.Background.
 	// Bind a context with WithContext — the HTTP server binds each
@@ -60,7 +58,7 @@ func (s *Study) withCooling(c cryo.Cooling) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{exp: e, parallelism: s.parallelism, ctx: s.ctx}, nil
+	return &Study{exp: e, ctx: s.ctx}, nil
 }
 
 // Explorer exposes the underlying engine for custom sweeps.
@@ -68,16 +66,14 @@ func (s *Study) Explorer() *explorer.Explorer { return s.exp }
 
 // Parallelism reports the study's worker bound: 0 means one worker per
 // available CPU, 1 means serial, anything else is a literal pool size.
-func (s *Study) Parallelism() int { return s.parallelism }
+func (s *Study) Parallelism() int { return s.exp.Workers }
 
 // SetParallelism bounds every worker pool the study's sweeps and Export run
-// on, including the underlying explorer's. Call it before starting sweeps;
-// the knob is not synchronized against sweeps already in flight. Results
-// are identical at any setting — only wall-clock time changes.
-func (s *Study) SetParallelism(n int) {
-	s.parallelism = n
-	s.exp.Workers = n
-}
+// on: it sets the explorer's Workers, the one copy of the knob. Call it
+// before starting sweeps; the knob is not synchronized against sweeps
+// already in flight. Results are identical at any setting — only
+// wall-clock time changes.
+func (s *Study) SetParallelism(n int) { s.exp.Workers = n }
 
 // WithContext returns a shallow copy of the study whose sweeps are bound to
 // ctx: once ctx is done, grids stop dispatching cells and in-flight
@@ -100,9 +96,9 @@ func (s *Study) context() context.Context {
 }
 
 // baseline returns the universal denominator (350 K SRAM on namd) and its
-// array characterization.
+// array characterization, under the study's context.
 func (s *Study) baseline() (explorer.Evaluation, error) {
-	return s.exp.BaselineEvaluation()
+	return s.exp.BaselineEvaluation(s.context())
 }
 
 // SetWorkloads attaches a dynamic workload registry: every figure and

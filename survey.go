@@ -9,6 +9,7 @@ import (
 	"coldtall/internal/report"
 	"coldtall/internal/stack"
 	"coldtall/internal/tech"
+	"coldtall/internal/workload"
 )
 
 // The tentpole methodology collapses the published spread of each eNVM
@@ -56,7 +57,8 @@ func (s *Study) SurveySweep(benchmark string) ([]SurveyRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []SurveyRow
+	var entries []cell.DatabaseEntry
+	var points []explorer.DesignPoint
 	for _, entry := range cell.Database() {
 		switch entry.Tech {
 		case cell.PCM, cell.STTRAM, cell.RRAM:
@@ -65,19 +67,23 @@ func (s *Study) SurveySweep(benchmark string) ([]SurveyRow, error) {
 		default:
 			continue
 		}
-		p := explorer.DesignPoint{
+		entries = append(entries, entry)
+		points = append(points, explorer.DesignPoint{
 			Label:       fmt.Sprintf("4-die %s", entry.Name),
 			Cell:        entry.Cell,
 			Temperature: tech.TempHot350,
 			Dies:        4,
 			Style:       stack.TSVStack,
-		}
-		ev, err := s.exp.Evaluate(p, tr)
-		if err != nil {
-			return nil, err
-		}
-		rel := explorer.Normalize(ev, base)
-		rows = append(rows, SurveyRow{
+		})
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SurveyRow, len(entries))
+	for i, entry := range entries {
+		rel := explorer.Normalize(grid[i][0], base)
+		rows[i] = SurveyRow{
 			Tech:       entry.Tech.String(),
 			Name:       entry.Name,
 			Venue:      entry.Venue,
@@ -85,7 +91,7 @@ func (s *Study) SurveySweep(benchmark string) ([]SurveyRow, error) {
 			Benchmark:  benchmark,
 			RelPower:   rel.RelPower,
 			RelLatency: rel.RelLatency,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -105,7 +111,10 @@ func (s *Study) SurveySpreads(benchmark string) ([]SurveySpread, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each surveyed technology contributes its optimistic then pessimistic
+	// 4-die tentpole: corners [2k] and [2k+1] belong to out[k].
 	var out []SurveySpread
+	var corners []explorer.DesignPoint
 	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM} {
 		var powers []float64
 		for _, r := range rows {
@@ -117,31 +126,29 @@ func (s *Study) SurveySpreads(benchmark string) ([]SurveySpread, error) {
 			continue
 		}
 		sort.Float64s(powers)
-		spread := SurveySpread{
+		out = append(out, SurveySpread{
 			Tech:        tc.String(),
 			Benchmark:   benchmark,
 			MinPower:    powers[0],
 			MedianPower: powers[len(powers)/2],
 			MaxPower:    powers[len(powers)-1],
 			Points:      len(powers),
-		}
+		})
 		for _, corner := range cell.Corners() {
 			p, err := explorer.Stacked(tc, corner, 4)
 			if err != nil {
 				return nil, err
 			}
-			ev, err := s.exp.Evaluate(p, tr)
-			if err != nil {
-				return nil, err
-			}
-			rel := explorer.Normalize(ev, base)
-			if corner == cell.Optimistic {
-				spread.OptimisticPower = rel.RelPower
-			} else {
-				spread.PessimisticPower = rel.RelPower
-			}
+			corners = append(corners, p)
 		}
-		out = append(out, spread)
+	}
+	grid, err := s.exp.EvaluateAllContext(s.context(), corners, []workload.Traffic{tr})
+	if err != nil {
+		return nil, err
+	}
+	for k := range out {
+		out[k].OptimisticPower = explorer.Normalize(grid[2*k][0], base).RelPower
+		out[k].PessimisticPower = explorer.Normalize(grid[2*k+1][0], base).RelPower
 	}
 	return out, nil
 }

@@ -5,8 +5,8 @@ import (
 
 	"coldtall/internal/cryo"
 	"coldtall/internal/explorer"
-	"coldtall/internal/parallel"
 	"coldtall/internal/sim"
+	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
 
@@ -60,43 +60,46 @@ type Table2Row struct {
 // target, with endurance-aware alternatives, in both the unified view and
 // the 350 K ("Destiny-family") view the paper's performance column uses.
 func (s *Study) Table2() ([]Table2Row, error) {
-	bands := workload.Bands()
-	objs := explorer.Objectives()
-	return parallel.MapContext(s.context(), len(bands)*len(objs), s.parallelism, func(i int) (Table2Row, error) {
-		b, obj := bands[i/len(objs)], objs[i%len(objs)]
-		c, err := s.exp.OptimalChoice(b, obj)
-		if err != nil {
-			return Table2Row{}, err
+	var rows []Table2Row
+	for _, b := range workload.Bands() {
+		for _, obj := range explorer.Objectives() {
+			// The first ranking characterizes every candidate; the rest
+			// evaluate on the warm cache.
+			c, err := s.exp.OptimalChoice(s.context(), b, obj)
+			if err != nil {
+				return nil, err
+			}
+			c3, err := s.exp.Optimal3DChoice(s.context(), b, obj)
+			if err != nil {
+				return nil, err
+			}
+			row := Table2Row{
+				Band:             b.String(),
+				Objective:        obj.String(),
+				Winner:           c.Winner.Point.Label,
+				Alternative:      "-",
+				Winner3D:         c3.Winner.Point.Label,
+				Alternative3D:    "-",
+				EnduranceConcern: c.EnduranceConcern,
+			}
+			switch obj {
+			case explorer.ObjPerformance:
+				row.Metric = c.Winner.AggregateLatency
+			case explorer.ObjArea:
+				row.Metric = c.Winner.Array.FootprintM2
+			default:
+				row.Metric = c.Winner.TotalPower
+			}
+			if c.Alternative != nil {
+				row.Alternative = c.Alternative.Point.Label
+			}
+			if c3.Alternative != nil {
+				row.Alternative3D = c3.Alternative.Point.Label
+			}
+			rows = append(rows, row)
 		}
-		c3, err := s.exp.Optimal3DChoice(b, obj)
-		if err != nil {
-			return Table2Row{}, err
-		}
-		row := Table2Row{
-			Band:             b.String(),
-			Objective:        obj.String(),
-			Winner:           c.Winner.Point.Label,
-			Alternative:      "-",
-			Winner3D:         c3.Winner.Point.Label,
-			Alternative3D:    "-",
-			EnduranceConcern: c.EnduranceConcern,
-		}
-		switch obj {
-		case explorer.ObjPerformance:
-			row.Metric = c.Winner.AggregateLatency
-		case explorer.ObjArea:
-			row.Metric = c.Winner.Array.FootprintM2
-		default:
-			row.Metric = c.Winner.TotalPower
-		}
-		if c.Alternative != nil {
-			row.Alternative = c.Alternative.Point.Label
-		}
-		if c3.Alternative != nil {
-			row.Alternative3D = c3.Alternative.Point.Label
-		}
-		return row, nil
-	})
+	}
+	return rows, nil
 }
 
 // CoolingRow is one point of the Section III-C cooling-overhead
@@ -120,49 +123,39 @@ type CoolingRow struct {
 // representative benchmarks (one per traffic band).
 func (s *Study) CoolingSweep() ([]CoolingRow, error) {
 	benches := []string{"povray", "xalancbmk", "lbm"}
-	classes := cryo.Classes()
-	// One sub-study per cooler class, all sharing the parent's
-	// characterization cache: the two design points here (the baseline and
-	// 77 K 3T-eDRAM) are cooling-independent, so they optimize once across
-	// the whole sweep instead of once per cooler class. Before the shared
-	// cache, this sweep rebuilt both characterizations per class — the
-	// "~1x" cache-speedup outlier in EXPERIMENTS.md.
-	nested, err := parallel.MapContext(s.context(), len(classes), s.parallelism, func(i int) ([]CoolingRow, error) {
-		cls := classes[i]
+	traffics := make([]workload.Traffic, len(benches))
+	for j, bench := range benches {
+		tr, err := s.trafficFor(bench)
+		if err != nil {
+			return nil, err
+		}
+		traffics[j] = tr
+	}
+	// Both design points (the baseline and 77 K 3T-eDRAM) are
+	// cooling-independent, so the per-class sub-studies share the parent's
+	// characterization cache and optimize each point once across the
+	// whole sweep; only the first class's sweep runs the optimizer.
+	points := []explorer.DesignPoint{explorer.Baseline(), explorer.EDRAMAt(tech.TempCryo77)}
+	var rows []CoolingRow
+	for _, cls := range cryo.Classes() {
 		study, err := s.withCooling(cryo.Cooling{Class: cls, ThresholdK: 200})
 		if err != nil {
 			return nil, err
 		}
-		rows := make([]CoolingRow, 0, len(benches))
-		for _, bench := range benches {
-			tr, err := s.trafficFor(bench)
-			if err != nil {
-				return nil, err
-			}
-			warm, err := study.exp.EvaluateContext(study.context(), explorer.Baseline(), tr)
-			if err != nil {
-				return nil, err
-			}
-			cold, err := study.exp.EvaluateContext(study.context(), explorer.EDRAMAt(77), tr)
-			if err != nil {
-				return nil, err
-			}
+		grid, err := study.exp.EvaluateAllContext(study.context(), points, traffics)
+		if err != nil {
+			return nil, err
+		}
+		for j, tr := range traffics {
+			warm, cold := grid[0][j], grid[1][j]
 			rows = append(rows, CoolingRow{
 				Cooler:        cls.String(),
 				Overhead:      cls.Overhead(),
-				Benchmark:     bench,
+				Benchmark:     benches[j],
 				ReadsPerSec:   tr.ReadsPerSec,
 				RelTotalPower: cold.TotalPower / warm.TotalPower,
 			})
 		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []CoolingRow
-	for _, r := range nested {
-		rows = append(rows, r...)
 	}
 	return rows, nil
 }

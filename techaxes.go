@@ -5,7 +5,6 @@ import (
 	"coldtall/internal/cryo"
 	"coldtall/internal/dram"
 	"coldtall/internal/explorer"
-	"coldtall/internal/parallel"
 	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
@@ -85,17 +84,15 @@ func (s *Study) GainCellStudy() ([]GainCellRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.exp.WarmFamiliesContext(s.context(), points); err != nil {
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
+	if err != nil {
 		return nil, err
 	}
-	return parallel.MapContext(s.context(), len(points), s.parallelism, func(i int) (GainCellRow, error) {
-		p := points[i]
-		ev, err := s.exp.EvaluateContext(s.context(), p, tr)
-		if err != nil {
-			return GainCellRow{}, err
-		}
+	rows := make([]GainCellRow, len(points))
+	for i, p := range points {
+		ev := grid[i][0]
 		rel := explorer.Normalize(ev, base)
-		return GainCellRow{
+		rows[i] = GainCellRow{
 			Label:          p.Label,
 			Cell:           p.Cell.Tech.String(),
 			Corner:         cornerOf(p.Cell),
@@ -107,8 +104,9 @@ func (s *Study) GainCellStudy() ([]GainCellRow, error) {
 			RelLatency:     rel.RelLatency,
 			RelArea:        rel.RelArea,
 			Slowdown:       ev.Slowdown,
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }
 
 // cornerOf recovers the tentpole corner from a composite cell's name
@@ -150,38 +148,29 @@ func (s *Study) DeepCryoSweep() ([]DeepCryoRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	temps := cryo.DeepTemperatures()
-	mks := []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt}
-	sweep := make([]explorer.DesignPoint, 0, len(temps)*len(mks))
-	for _, temp := range temps {
-		for _, mk := range mks {
-			sweep = append(sweep, mk(temp))
-		}
-	}
-	if err := s.exp.WarmFamiliesContext(s.context(), sweep); err != nil {
+	sweep := explorer.CryoSweep(cryo.DeepTemperatures())
+	grid, err := s.exp.EvaluateAllContext(s.context(), sweep, []workload.Traffic{tr})
+	if err != nil {
 		return nil, err
 	}
 	cooling := s.exp.Cooling
-	return parallel.MapContext(s.context(), len(sweep), s.parallelism, func(i int) (DeepCryoRow, error) {
-		p := sweep[i]
-		ev, err := s.exp.EvaluateContext(s.context(), p, tr)
-		if err != nil {
-			return DeepCryoRow{}, err
-		}
-		rel := explorer.Normalize(ev, base)
+	rows := make([]DeepCryoRow, len(sweep))
+	for i, p := range sweep {
+		rel := explorer.Normalize(grid[i][0], base)
 		wPerW := 0.0
 		if cooling.Applies(p.Temperature) {
 			wPerW = cooling.Class.OverheadAt(p.Temperature)
 		}
-		return DeepCryoRow{
+		rows[i] = DeepCryoRow{
 			Cell:           p.Cell.Tech.String(),
 			TemperatureK:   p.Temperature,
 			CoolerWPerW:    wPerW,
 			RelDevicePower: rel.RelDevicePower,
 			RelTotalPower:  rel.RelPower,
 			RelLatency:     rel.RelLatency,
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }
 
 // FreqRow is one (design point, frequency) cell of the frequency sweep.
@@ -248,20 +237,18 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 			points = append(points, p)
 		}
 	}
-	if err := s.exp.WarmFamiliesContext(s.context(), points); err != nil {
+	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
+	if err != nil {
 		return nil, err
 	}
-	return parallel.MapContext(s.context(), len(points), s.parallelism, func(i int) (FreqRow, error) {
-		p := points[i]
-		ev, err := s.exp.EvaluateContext(s.context(), p, tr)
-		if err != nil {
-			return FreqRow{}, err
-		}
+	rows := make([]FreqRow, len(points))
+	for i, p := range points {
+		ev := grid[i][0]
 		imp, err := s.exp.SystemImpact(p, prof, mem)
 		if err != nil {
-			return FreqRow{}, err
+			return nil, err
 		}
-		return FreqRow{
+		rows[i] = FreqRow{
 			Label:         p.Label,
 			Cell:          p.Cell.Tech.String(),
 			TemperatureK:  p.Temperature,
@@ -270,6 +257,7 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 			RelPerf:       imp.RelIPC * p.Frequency() / workload.DefaultFrequencyHz,
 			RelTotalPower: ev.TotalPower / base.TotalPower,
 			Slowdown:      ev.Slowdown,
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }

@@ -33,7 +33,7 @@ func (s *Study) chipPower(tempK float64, tr workload.Traffic, mk func(float64) e
 	if err != nil {
 		return 0, err
 	}
-	ev, err := s.exp.Evaluate(mk(tempK), tr)
+	ev, err := s.exp.EvaluateContext(s.context(), mk(tempK), tr)
 	if err != nil {
 		return 0, err
 	}
@@ -85,12 +85,15 @@ func (s *Study) ThermalStudy() ([]ThermalRow, error) {
 			}
 			row := ThermalRow{Benchmark: bench, Environment: env.model.Name, Cell: env.cell}
 			tj, err := thermal.SolveOperatingPoint(env.model, power, minK, maxK)
-			if err != nil {
-				row.WithinBudget = false
-			} else {
+			if err == nil {
 				row.OperatingK = tj
 				row.ChipPowerW = power(tj)
 				row.WithinBudget = env.model.WithinBudget(row.ChipPowerW)
+			}
+			// A done context fails chipPower too, but it is not
+			// exhaustion: the study reports it instead of the row.
+			if err := s.context().Err(); err != nil {
+				return nil, fmt.Errorf("coldtall: thermal study: %w", err)
 			}
 			rows = append(rows, row)
 		}

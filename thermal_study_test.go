@@ -1,6 +1,8 @@
 package coldtall
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -75,5 +77,20 @@ func TestRenderThermal(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
+	}
+}
+
+// TestThermalStudyCancelled: a done context is not thermal exhaustion. The
+// study must report the cancellation rather than rows with
+// WithinBudget=false.
+func TestThermalStudyCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := NewStudy().WithContext(ctx).ThermalStudy()
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled thermal study returned %v, want an error wrapping context.Canceled", err)
+	}
+	if rows != nil {
+		t.Errorf("cancelled thermal study returned %d rows, want none", len(rows))
 	}
 }

@@ -1,6 +1,7 @@
 package coldtall_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -51,7 +52,7 @@ func Example_quickstart() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := exp.BaselineEvaluation()
+	base, err := exp.BaselineEvaluation(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
