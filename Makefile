@@ -80,10 +80,9 @@ check: vet fmtcheck race goldencheck
 # draw from math/rand.Zipf against the table (plus one table build), the
 # allocs/op of one organization search, one characterization and one
 # signature-fold access, a 200k-access .ctrace replay through the
-# Table I hierarchy, serial and in 16 set-bank shards, one round of
-# nine .ctrace ingestions (CPU ms per upload), and the async sweep job
-# over the 64-point break-even grid with the store off and on (ms per
-# sweep, store puts per sweep), and the first Table II after a cold and a
+# Table I hierarchy, one round of nine .ctrace ingestions (CPU ms per
+# upload), and the async sweep job over the 64-point break-even grid
+# with the store off and on (ms per sweep, store puts per sweep), and the first Table II after a cold and a
 # store-warmed boot (the warm boot re-renders the body from char|).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
@@ -91,7 +90,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireResistivity' -benchtime 2000x ./internal/tech/
 	$(GO) test -run '^$$' -bench 'BenchmarkZipf' -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorObserve' -benchmem ./internal/signature/
-	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary|BenchmarkReplayBinarySharded' -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestRun' -benchtime 3x -benchmem ./internal/ingest/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepJob' -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmRestart' -benchtime 20x ./internal/server/

@@ -493,10 +493,11 @@ func trafficCalibration() (*report.Table, error) {
 			fmt.Sprintf("%.3g", st.WritesPerSec), fmt.Sprintf("%.3g", m.WritesPerSec))
 	}
 	t.Note = "  Bounded-window caveats: sub-1e5-reads/s benchmarks are dominated by\n" +
-		"  statistical noise (a handful of LLC events per window), and writeback\n" +
-		"  traffic lags demand traffic (dirty lines must age out of the L2 first),\n" +
-		"  so low-traffic write columns under-report. High-traffic read rates match\n" +
-		"  the static table within a few percent."
+		"  statistical noise (a handful of LLC events per window). Writebacks lag\n" +
+		"  demand traffic: in a 400k-access window dirty lines have not yet\n" +
+		"  started to leave the L2, so simulated writes/s is 0 for every benchmark\n" +
+		"  but mcf and the write column carries no signal. High-traffic read rates\n" +
+		"  match the static table within a few percent."
 	return t, nil
 }
 

@@ -7,7 +7,7 @@
 //
 //	tracegen -bench mcf -n 500000 | llcsim -bench mcf
 //	tracegen -bench mcf -n 500000 -format binary | llcsim -bench mcf
-//	llcsim -trace mcf.ctrace -copies 8 -shards 16
+//	llcsim -trace mcf.ctrace -copies 8
 //	llcsim -trace mcf.trace -dump mcf.ctrace   # convert while simulating
 package main
 
@@ -36,8 +36,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	tracePath := fs.String("trace", "-", "trace file path (text or .ctrace, autodetected), or - for stdin")
 	copies := fs.Int("copies", 8, "SPECrate copies sharing the LLC")
 	bench := fs.String("bench", "", "benchmark profile for time extrapolation (IPC, memory intensity); empty reports counts only")
-	shards := fs.Int("shards", 0, "set-bank shards replayed in parallel (power of two; 1 = serial; 0 = auto: serial on one core, sized to the pool otherwise)")
-	workers := fs.Int("workers", 0, "worker goroutines for sharded replay (0 = one per CPU)")
 	dump := fs.String("dump", "", "also write the trace in canonical .ctrace binary form to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,7 +53,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	cfg := sim.TableIConfig()
 	cfg.SharedCopies = *copies
-	eng, err := sim.NewSharded(cfg, *shards, *workers)
+	eng, err := sim.NewReplayer(cfg)
 	if err != nil {
 		return err
 	}
@@ -85,7 +83,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 // render prints the per-level table and, with -bench, the extrapolated
 // traffic rates.
-func render(stdout io.Writer, eng *sim.Sharded, n uint64, copies int, bench string) error {
+func render(stdout io.Writer, eng *sim.Replayer, n uint64, copies int, bench string) error {
 	stats := eng.Snapshot()
 	t := report.NewTable(fmt.Sprintf("llcsim: %d accesses through the Table I hierarchy", n),
 		"level", "reads", "writes", "read miss", "write miss", "writebacks", "miss rate")

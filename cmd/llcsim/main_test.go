@@ -149,29 +149,6 @@ func TestRunBinaryAutodetect(t *testing.T) {
 	}
 }
 
-// TestRunShardedMatchesSerial: -shards changes wall-clock, never counters.
-func TestRunShardedMatchesSerial(t *testing.T) {
-	g, err := trace.NewZipf(trace.Region{Base: 1 << 28, Size: 16 << 20}, 1.3, 0.3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := trace.EncodeBinary(trace.Collect(g, 20000))
-	var serial, sharded strings.Builder
-	if err := run([]string{"-shards", "1"}, bytes.NewReader(payload), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-shards", "16", "-workers", "4"}, bytes.NewReader(payload), &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != sharded.String() {
-		t.Error("sharded replay diverged from serial")
-	}
-	var bad strings.Builder
-	if err := run([]string{"-shards", "3"}, bytes.NewReader(payload), &bad); err == nil {
-		t.Error("non-power-of-two shard count accepted")
-	}
-}
-
 // TestRunDumpWritesCanonicalBinary: -dump converts text to the canonical
 // .ctrace encoding while simulating.
 func TestRunDumpWritesCanonicalBinary(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 
 // replay feeds a hierarchy from the textual trace format, access by
 // access — the serial reference path the tests and the fuzz harness drive
-// directly; run() goes through the sharded engine with format
-// autodetection instead.
+// directly; run() goes through sim.Replayer with format autodetection
+// instead.
 func replay(h *sim.Hierarchy, r io.Reader) (int, error) {
 	tr := trace.NewTextReader(r)
 	n := 0

@@ -145,8 +145,8 @@ func techaxes(t *testing.T) {
 }
 
 // traceTools: tracegen's text and binary traces simulate identically in
-// llcsim, llcsim -dump writes tracegen's canonical .ctrace bytes, sharded
-// replay matches serial, and the binary form is the smaller one.
+// llcsim, llcsim -dump writes tracegen's canonical .ctrace bytes, and the
+// binary form is the smaller one.
 func traceTools(t *testing.T) {
 	dir := t.TempDir()
 	gen := []string{"-bench", "mcf", "-n", "200000", "-seed", "42"}
@@ -159,19 +159,16 @@ func traceTools(t *testing.T) {
 		return out
 	}
 
-	serial := llcsim(binPath)
-	if !bytes.Equal(llcsim(textPath), serial) {
+	want := llcsim(binPath)
+	if !bytes.Equal(llcsim(textPath), want) {
 		t.Error("text and binary traces simulate differently")
 	}
 	dumped := filepath.Join(dir, "dumped.ctrace")
-	if !bytes.Equal(llcsim(textPath, "-dump", dumped), serial) {
+	if !bytes.Equal(llcsim(textPath, "-dump", dumped), want) {
 		t.Error("conversion mode simulated differently")
 	}
 	if got, err := os.ReadFile(dumped); err != nil || !bytes.Equal(got, binary) {
 		t.Errorf("-dump output is not the canonical .ctrace encoding (err %v)", err)
-	}
-	if !bytes.Equal(llcsim(binPath, "-shards", "16", "-workers", "4"), serial) {
-		t.Error("sharded replay diverges from serial")
 	}
 	if len(binary) >= len(text) {
 		t.Errorf(".ctrace (%d B) not smaller than text (%d B)", len(binary), len(text))

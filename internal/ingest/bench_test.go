@@ -12,7 +12,6 @@ import (
 
 	"coldtall/internal/signature"
 	"coldtall/internal/store"
-	"coldtall/internal/trace"
 	"coldtall/internal/workload"
 )
 
@@ -22,42 +21,18 @@ type benchUpload struct {
 	data   []byte
 }
 
-// benchRound encodes one round of uploads: per class a canonical trace,
-// its byte-identical re-upload, and a near-duplicate drawn from the same
-// generator under another seed — a read-heavy zipf (1M accesses) whose
-// hot set fits the LLC, a write-heavy stream (512k) over 16x the LLC, and
-// a pointer chase (512k) over 4x the LLC.
+// benchRound encodes one round of uploads: per benchClasses entry a
+// canonical trace, its byte-identical re-upload, and a near-duplicate
+// drawn from the same generator under another seed.
 func benchRound(b *testing.B) []benchUpload {
 	b.Helper()
-	classes := []struct {
-		name     string
-		accesses int
-		gen      func(seed int64) (trace.Generator, error)
-	}{
-		{"zipf", 1 << 20, func(seed int64) (trace.Generator, error) {
-			return trace.NewZipf(trace.Region{Base: 1 << 30, Size: 8 << 20}, 1.15, 0.075, seed)
-		}},
-		{"stream", 1 << 19, func(seed int64) (trace.Generator, error) {
-			return trace.NewStream(trace.Region{Base: 1 << 30, Size: 256 << 20}, 1, 0.7, seed)
-		}},
-		{"chase", 1 << 19, func(seed int64) (trace.Generator, error) {
-			return trace.NewPointerChase(trace.Region{Base: 1 << 30, Size: 64 << 20}, 0.15, seed)
-		}},
-	}
 	var round []benchUpload
-	for _, c := range classes {
-		var enc [2][]byte
-		for i := range enc {
-			g, err := c.gen(int64(11 + i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			enc[i] = trace.EncodeBinary(trace.Collect(g, c.accesses))
-		}
+	for i, c := range benchClasses {
+		canonical := encodeClass(b, i, 11)
 		round = append(round,
-			benchUpload{c.name, enc[0]},
-			benchUpload{c.name + "-exact", enc[0]},
-			benchUpload{c.name + "-near", enc[1]})
+			benchUpload{c.name, canonical},
+			benchUpload{c.name + "-exact", canonical},
+			benchUpload{c.name + "-near", encodeClass(b, i, 12)})
 	}
 	return round
 }

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -35,8 +34,8 @@ func dedupOptions(t *testing.T) (Options, *workload.Registry, *signature.Index, 
 // trace (content address and stored bytes), the measured window
 // counters, the signature and the extrapolated Traffic. The same accesses
 // are uploaded as text, as canonical .ctrace, re-framed with a short
-// first block, and with one padded varint, at 1 and 16 shards: only the
-// canonical upload is used as is, and every form must come out the same.
+// first block, and with one padded varint: only the canonical upload is
+// used as is, and every form must come out the same.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	g, err := trace.NewZipf(trace.Region{Base: 1 << 30, Size: 16 << 20}, 1.2, 0.3, 11)
 	if err != nil {
@@ -48,25 +47,26 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference path: fully materialized, serial.
+	// Reference path: fully materialized, one access at a time through a
+	// bare hierarchy and accumulator.
 	canonical := trace.EncodeBinary(accesses)
 	sum := sha256.Sum256(canonical)
 	wantSHA := hex.EncodeToString(sum[:])
-	eng, err := sim.NewSharded(sim.TableIConfig(), 1, 1)
+	h, err := sim.NewHierarchy(sim.TableIConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	acc := signature.NewAccumulator()
-	eng.SetObserver(acc.Observe)
 	warmup := len(accesses) / 4
-	if err := eng.Replay(context.Background(), accesses[:warmup]); err != nil {
-		t.Fatal(err)
+	var atWarm sim.HierarchyStats
+	for i, a := range accesses {
+		if i == warmup {
+			atWarm = h.Snapshot()
+		}
+		acc.Observe(a)
+		h.Access(a)
 	}
-	atWarm := eng.Snapshot()
-	if err := eng.Replay(context.Background(), accesses[warmup:]); err != nil {
-		t.Fatal(err)
-	}
-	window := eng.Snapshot().Sub(atWarm)
+	window := h.Snapshot().Sub(atWarm)
 	wantSig := acc.Signature().SHA256()
 	wantTraffic := workload.Extrapolate("streamed", window.LLC().Reads, window.LLC().Writes,
 		window.Accesses, DefaultMemOpsPerKiloInstr, DefaultIPC)
@@ -87,34 +87,32 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		{"reframed", reframed},
 		{"padded", padded},
 	} {
-		for _, shards := range []int{1, 16} {
-			t.Run(fmt.Sprintf("%s/shards=%d", form.name, shards), func(t *testing.T) {
-				st := testStore(t)
-				res, err := Run(context.Background(), Spec{Name: "streamed", Trace: form.upload},
-					Options{Workloads: workload.NewRegistry(), Store: st, Shards: shards, Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Source.TraceSHA256 != wantSHA {
-					t.Fatalf("canonical trace address %s, want %s", res.Source.TraceSHA256, wantSHA)
-				}
-				if res.TraceBytes != len(canonical) {
-					t.Fatalf("TraceBytes = %d, want %d", res.TraceBytes, len(canonical))
-				}
-				if stored, ok := st.Get(TraceKeyPrefix + wantSHA); !ok || !bytes.Equal(stored, canonical) {
-					t.Fatalf("stored trace| bytes are not EncodeBinary(accesses) (present %v)", ok)
-				}
-				if res.Source.Traffic != wantTraffic {
-					t.Fatalf("traffic drifted:\n got %+v\nwant %+v", res.Source.Traffic, wantTraffic)
-				}
-				if !reflect.DeepEqual(res.Stats, window) {
-					t.Fatalf("window counters drifted:\n got %+v\nwant %+v", res.Stats, window)
-				}
-				if res.SignatureSHA256 != wantSig {
-					t.Fatalf("signature %s, want %s", res.SignatureSHA256, wantSig)
-				}
-			})
-		}
+		t.Run(form.name, func(t *testing.T) {
+			st := testStore(t)
+			res, err := Run(context.Background(), Spec{Name: "streamed", Trace: form.upload},
+				Options{Workloads: workload.NewRegistry(), Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Source.TraceSHA256 != wantSHA {
+				t.Fatalf("canonical trace address %s, want %s", res.Source.TraceSHA256, wantSHA)
+			}
+			if res.TraceBytes != len(canonical) {
+				t.Fatalf("TraceBytes = %d, want %d", res.TraceBytes, len(canonical))
+			}
+			if stored, ok := st.Get(TraceKeyPrefix + wantSHA); !ok || !bytes.Equal(stored, canonical) {
+				t.Fatalf("stored trace| bytes are not EncodeBinary(accesses) (present %v)", ok)
+			}
+			if res.Source.Traffic != wantTraffic {
+				t.Fatalf("traffic drifted:\n got %+v\nwant %+v", res.Source.Traffic, wantTraffic)
+			}
+			if !reflect.DeepEqual(res.Stats, window) {
+				t.Fatalf("window counters drifted:\n got %+v\nwant %+v", res.Stats, window)
+			}
+			if res.SignatureSHA256 != wantSig {
+				t.Fatalf("signature %s, want %s", res.SignatureSHA256, wantSig)
+			}
+		})
 	}
 }
 
@@ -361,26 +359,6 @@ func TestDedupRespectsCoreModel(t *testing.T) {
 	}
 	if res.Deduped {
 		t.Fatal("deduped across different core models")
-	}
-}
-
-// TestDedupDisabled pins the opt-out: a negative threshold registers even
-// byte-identical uploads as independent workloads.
-func TestDedupDisabled(t *testing.T) {
-	opts, reg, _, _ := dedupOptions(t)
-	opts.DedupThreshold = -1
-	if _, err := Run(context.Background(), genSpec("one", 50000), opts); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), genSpec("two", 50000), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Deduped || res.Source.Kind == workload.SourceAlias {
-		t.Fatalf("dedup ran while disabled: %+v", res)
-	}
-	if len(reg.Custom()) != 2 {
-		t.Fatalf("registered %d workloads, want 2", len(reg.Custom()))
 	}
 }
 

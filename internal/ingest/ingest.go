@@ -1,12 +1,12 @@
 // Package ingest turns user-supplied workloads — raw memory traces or
 // synthetic generator specs — into registered DSE workloads: it
 // materializes the canonical .ctrace bytes, content-addresses them in the
-// persistent store, replays them through the sharded Table I cache
-// hierarchy (accumulating a locality signature as the stream goes by),
-// extrapolates continuous-operation LLC traffic with the same formula the
-// static SPEC table was calibrated with, and registers the result in the
-// workload registry so every traffic-dependent figure can be rendered for
-// the custom workload.
+// persistent store, replays them through the Table I cache hierarchy
+// (accumulating a locality signature as the stream goes by), extrapolates
+// continuous-operation LLC traffic with the same formula the static SPEC
+// table was calibrated with, and registers the result in the workload
+// registry so every traffic-dependent figure can be rendered for the
+// custom workload.
 //
 // Near-duplicate detection: every ingestion is compared against the
 // already registered workloads — by canonical trace content address
@@ -46,14 +46,6 @@ const (
 	// core when an upload does not say otherwise.
 	DefaultMemOpsPerKiloInstr = 330
 	DefaultIPC                = 1.0
-
-	// DefaultShards caps how far the automatic shard selection scales on
-	// wide machines: it matches the hierarchy's bank structure without
-	// hitting the 64-shard L1D ceiling. The actual shard count for
-	// Options.Shards == 0 comes from sim.AutoShards — serial on a
-	// single-worker pool (no merge tax on one vCPU), a power of two sized
-	// to the pool otherwise.
-	DefaultShards = 16
 )
 
 // Store key prefixes. Traces are content-addressed (idempotent across
@@ -214,28 +206,11 @@ type Options struct {
 	// addressed), the locality signature, and the workload record (by
 	// name) for boot recovery.
 	Store *store.Store
-	// Shards and Workers size the replay engine; zero shards auto-selects
-	// (serial on a one-worker pool, a power of two sized to the pool
-	// otherwise, at most DefaultShards), zero workers means one per CPU.
-	Shards  int
-	Workers int
 	// OnProgress observes replay progress in accesses.
 	OnProgress func(done, total uint64)
 	// Sigs, when set, is the signature index near-duplicate detection
 	// compares against (and that completed ingestions register into).
 	Sigs *signature.Index
-	// DedupThreshold tunes near-duplicate detection: 0 selects
-	// signature.DefaultThreshold, a negative value disables dedup
-	// entirely (every upload registers a full workload).
-	DedupThreshold float64
-}
-
-// threshold resolves the dedup decision boundary (< 0 means disabled).
-func (o Options) threshold() float64 {
-	if o.DedupThreshold == 0 {
-		return signature.DefaultThreshold
-	}
-	return o.DedupThreshold
 }
 
 // Result reports one completed ingestion.
@@ -384,7 +359,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	// Exact duplicate: byte-identical canonical trace (and core model) as
 	// an already registered workload. Alias it with zero replay work —
 	// the invariant the dedup tests call-count assert.
-	if !reRun && opts.threshold() >= 0 {
+	if !reRun {
 		if match, ok := exactDuplicate(opts.Workloads, spec.Name, sha, memKI, ipc); ok {
 			// The bytes are the matched workload's, already proven to
 			// decode, so they may go in before the alias record.
@@ -407,25 +382,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		}
 	}
 
-	shards := opts.Shards
-	if shards == 0 {
-		// Auto-size to the worker pool: serial replay on one core (the
-		// sharded engine's partition/merge tax buys nothing there), capped
-		// at the hierarchy's bank structure on wide machines. Shard count
-		// never changes counters, so ingested traffic is identical.
-		shards = sim.AutoShards(sim.TableIConfig(), opts.Workers)
-		if shards > DefaultShards {
-			shards = DefaultShards
-		}
-	}
-	eng, err := sim.NewSharded(sim.TableIConfig(), shards, opts.Workers)
+	eng, err := sim.NewReplayer(sim.TableIConfig())
 	if err != nil {
 		return Result{}, err
 	}
-	// The signature accumulates in the replayer's serial partition phase,
-	// which observes the stream in global order at any shard count — the
-	// property that makes the canonical signature encoding byte-identical
-	// between serial and sharded replays.
 	acc := signature.NewAccumulator()
 	eng.SetObserver(acc.Observe)
 
@@ -457,7 +417,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	}
 
 	// Near-duplicate: closest registered signature within the threshold.
-	if thr := opts.threshold(); !reRun && thr >= 0 && opts.Sigs != nil {
+	if !reRun && opts.Sigs != nil {
 		skip := func(name string) bool {
 			if name == spec.Name {
 				return true
@@ -468,7 +428,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 			src, ok := opts.Workloads.Lookup(name)
 			return !ok || src.MemOpsPerKiloInstr != memKI || src.IPC != ipc
 		}
-		if m, ok := opts.Sigs.Nearest(sig, skip); ok && m.Distance <= thr {
+		if m, ok := opts.Sigs.Nearest(sig, skip); ok && m.Distance <= signature.DefaultThreshold {
 			res, err := registerAlias(spec, opts, m.Name, m.Distance, sha, count, len(canonical), memKI, ipc)
 			if err != nil {
 				return Result{}, err
@@ -631,7 +591,7 @@ func (f *blockFeeder) next(max int) ([]trace.Access, error) {
 // replayWindow feeds exactly n accesses from the feeder through the
 // engine in replayChunk steps, reporting cumulative progress against the
 // whole stream.
-func replayWindow(ctx context.Context, eng *sim.Sharded, f *blockFeeder, n int, base, total uint64, progress func(done, total uint64)) error {
+func replayWindow(ctx context.Context, eng *sim.Replayer, f *blockFeeder, n int, base, total uint64, progress func(done, total uint64)) error {
 	done := 0
 	for done < n {
 		want := replayChunk

@@ -114,29 +114,6 @@ func TestRunIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestRunShardInvariance(t *testing.T) {
-	// Derived traffic must not depend on the shard/worker configuration.
-	spec := genSpec("width", 120000)
-	var got []workload.Source
-	for _, cfg := range []Options{
-		{Shards: 1, Workers: 1},
-		{Shards: 16, Workers: 4},
-		{Shards: 64, Workers: 2},
-	} {
-		cfg.Workloads = workload.NewRegistry()
-		res, err := Run(context.Background(), spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, res.Source)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[0] {
-			t.Fatalf("shard config %d changed the derived source:\n%+v\n%+v", i, got[i], got[0])
-		}
-	}
-}
-
 func TestRunUploadedTraceBothFormats(t *testing.T) {
 	g, err := trace.NewStream(trace.Region{Base: 0, Size: 32 << 20}, 1, 0.25, 3)
 	if err != nil {

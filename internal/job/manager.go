@@ -725,7 +725,6 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 	res, err := ingest.Run(ctx, *j.spec.Ingest, ingest.Options{
 		Workloads: m.opts.Workloads,
 		Store:     m.opts.Store,
-		Workers:   m.study.Parallelism(),
 		Sigs:      m.opts.Sigs,
 		OnProgress: func(done, total uint64) {
 			j.mu.Lock()

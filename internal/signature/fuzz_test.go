@@ -14,7 +14,7 @@ import (
 // corpus shape to the signature layer: any byte stream the binary trace
 // decoder accepts must produce byte-identical canonical signature
 // encodings whether the stream is accumulated in memory, re-decoded from
-// its text rendering, or observed during a sharded replay — plus a
+// its text rendering, or observed during a sim.Replayer replay — plus a
 // Decode(Encode) fixed point.
 func FuzzEncodingDeterminism(f *testing.F) {
 	f.Add(trace.EncodeBinary(nil))
@@ -63,7 +63,7 @@ func FuzzEncodingDeterminism(f *testing.F) {
 			t.Fatal("text-decoded signature encoding differs")
 		}
 
-		eng, err := sim.NewSharded(sim.TableIConfig(), 4, 2)
+		eng, err := sim.NewReplayer(sim.TableIConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func FuzzEncodingDeterminism(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(sacc.Signature().Encode(), enc) {
-			t.Fatal("sharded-replay signature encoding differs")
+			t.Fatal("replay-observed signature encoding differs")
 		}
 	})
 }

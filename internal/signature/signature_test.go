@@ -131,37 +131,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSerialVsShardedEncoding pins the tentpole determinism contract: the
-// canonical signature encoding is byte-identical whether the stream was
-// replayed serially or through the sharded engine at any shard count,
-// because the observer runs in the serial partition phase.
-func TestSerialVsShardedEncoding(t *testing.T) {
+// TestReplayerObserverEncoding pins the observer contract of
+// sim.Replayer: a signature accumulated as its observer encodes
+// byte-identically to one fed straight from the access slice, whatever
+// the batch size, including batches that straddle the 4096-access trace
+// block and a warmup cut that lands mid-block.
+func TestReplayerObserverEncoding(t *testing.T) {
 	g, err := trace.NewZipf(trace.Region{Base: 1 << 28, Size: 1 << 24}, 1.1, 0.25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accesses := trace.Collect(g, 50000)
+	accesses := trace.Collect(g, 100000)
 	ref := accumulate(accesses).Encode()
-	for _, shards := range []int{1, 4, 16} {
-		eng, err := sim.NewSharded(sim.TableIConfig(), shards, 2)
+	warm := len(accesses) / 4 // 25000: not a multiple of 4096
+	for _, batch := range []int{1, 4095, 4096, 65536} {
+		eng, err := sim.NewReplayer(sim.TableIConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		acc := signature.NewAccumulator()
 		eng.SetObserver(acc.Observe)
-		// Replay in uneven chunks to cross batch boundaries.
-		for off := 0; off < len(accesses); {
-			end := off + 7001
-			if end > len(accesses) {
-				end = len(accesses)
+		for _, part := range [][]trace.Access{accesses[:warm], accesses[warm:]} {
+			for off := 0; off < len(part); off += batch {
+				if err := eng.Replay(context.Background(), part[off:min(off+batch, len(part))]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := eng.Replay(context.Background(), accesses[off:end]); err != nil {
-				t.Fatal(err)
-			}
-			off = end
 		}
 		if got := acc.Signature().Encode(); !bytes.Equal(got, ref) {
-			t.Fatalf("shards=%d: sharded-replay signature encoding differs from serial", shards)
+			t.Fatalf("batch=%d: replay-observed signature encoding differs from direct accumulation", batch)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func (h *Hierarchy) MemoryTraffic() (reads, writes uint64) {
 // Levels returns the number of cache levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
-// Snapshot captures every counter as a mergeable HierarchyStats. Accesses
+// Snapshot captures every counter as a HierarchyStats. Accesses
 // is the demand-access count, which equals the L1's total lookups (only
 // demand traffic reaches level 0).
 func (h *Hierarchy) Snapshot() HierarchyStats {

@@ -33,7 +33,7 @@ func BenchmarkReplayText(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSharded(TableIConfig(), 1, 1)
+		s, err := NewReplayer(TableIConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,26 +52,7 @@ func BenchmarkReplayBinary(b *testing.B) {
 	b.SetBytes(int64(len(bin)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSharded(TableIConfig(), 1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := s.ReplayReader(context.Background(), trace.NewBinaryReader(bytes.NewReader(bin)), 0, nil)
-		if err != nil || got != uint64(n) {
-			b.Fatalf("replayed %d accesses, err %v", got, err)
-		}
-	}
-	reportAccessRate(b, n)
-}
-
-// BenchmarkReplayBinarySharded adds the parallel set-bank shards (16
-// shards, one worker per CPU).
-func BenchmarkReplayBinarySharded(b *testing.B) {
-	_, bin, n := benchTrace(b)
-	b.SetBytes(int64(len(bin)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := NewSharded(TableIConfig(), 16, 0)
+		s, err := NewReplayer(TableIConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func testAccesses(t testing.TB, n int) []trace.Access {
 }
 
 // serialSnapshot replays through a plain Hierarchy — the reference
-// semantics sharded replay must reproduce bit for bit.
+// semantics the Replayer must reproduce bit for bit.
 func serialSnapshot(t testing.TB, cfg HierarchyConfig, accesses []trace.Access) HierarchyStats {
 	t.Helper()
 	h, err := NewHierarchy(cfg)
@@ -46,32 +46,14 @@ func serialSnapshot(t testing.TB, cfg HierarchyConfig, accesses []trace.Access) 
 	return h.Snapshot()
 }
 
-func TestShardedMatchesSerial(t *testing.T) {
-	cfg := TableIConfig()
-	accesses := testAccesses(t, 120000)
-	want := serialSnapshot(t, cfg, accesses)
-	if want.LLC().Accesses() == 0 || want.Levels[0].Misses() == 0 {
-		t.Fatal("test stream does not exercise the hierarchy")
-	}
-	for _, shards := range []int{1, 2, 8, 16, 64} {
-		s, err := NewSharded(cfg, shards, 4)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := s.Replay(context.Background(), accesses); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := s.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: merged stats diverge from serial:\ngot  %+v\nwant %+v", shards, got, want)
-		}
-	}
-}
-
+// TestShardedChunkedReplayInvariant: replaying a stream in uneven chunks
+// counts exactly what one whole-stream call counts, and the observer sees
+// every access once, in stream order.
 func TestShardedChunkedReplayInvariant(t *testing.T) {
 	cfg := TableIConfig()
 	accesses := testAccesses(t, 50000)
 
-	whole, err := NewSharded(cfg, 16, 2)
+	whole, err := NewReplayer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +61,12 @@ func TestShardedChunkedReplayInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chunked, err := NewSharded(cfg, 16, 2)
+	chunked, err := NewReplayer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var observed []trace.Access
+	chunked.SetObserver(func(a trace.Access) { observed = append(observed, a) })
 	for off := 0; off < len(accesses); off += 7777 {
 		end := off + 7777
 		if end > len(accesses) {
@@ -95,6 +79,9 @@ func TestShardedChunkedReplayInvariant(t *testing.T) {
 	if !reflect.DeepEqual(whole.Snapshot(), chunked.Snapshot()) {
 		t.Fatal("chunked replay diverges from whole-batch replay")
 	}
+	if !reflect.DeepEqual(observed, accesses) {
+		t.Fatalf("observer saw %d accesses out of stream order, want the %d replayed", len(observed), len(accesses))
+	}
 }
 
 func TestReplayReaderMatchesSerial(t *testing.T) {
@@ -102,7 +89,7 @@ func TestReplayReaderMatchesSerial(t *testing.T) {
 	accesses := testAccesses(t, 30000)
 	want := serialSnapshot(t, cfg, accesses)
 
-	s, err := NewSharded(cfg, 8, 2)
+	s, err := NewReplayer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,80 +117,8 @@ func TestReplayReaderMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestShardedValidation(t *testing.T) {
-	cfg := TableIConfig()
-	if max := MaxShards(cfg); max != 64 {
-		t.Fatalf("MaxShards(TableI) = %d, want 64 (L1D sets)", max)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*HierarchyConfig)
-		shards int
-	}{
-		{"non power of two", func(*HierarchyConfig) {}, 3},
-		{"exceeds smallest level", func(*HierarchyConfig) {}, 128},
-		{"prefetch", func(c *HierarchyConfig) { c.NextLinePrefetch = true }, 8},
-		{"mixed block size", func(c *HierarchyConfig) {
-			c.Levels[1].BlockBytes = 128
-		}, 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := TableIConfig()
-			tc.mutate(&c)
-			if _, err := NewSharded(c, tc.shards, 1); err == nil {
-				t.Fatal("want a validation error")
-			}
-		})
-	}
-}
-
-// TestAutoShards pins the one-core degradation policy: a single-worker
-// pool gets the serial engine (no partition/merge tax — the EXPERIMENTS.md
-// one-vCPU regression), wider pools a power of two sized to the pool and
-// capped by the hierarchy's bank structure.
-func TestAutoShards(t *testing.T) {
-	cfg := TableIConfig()
-	cases := []struct{ workers, want int }{
-		{1, 1},
-		{2, 2},
-		{3, 4},
-		{5, 8},
-		{64, 64},
-		{1000, 64}, // capped at MaxShards (the 64-set L1D)
-	}
-	for _, tc := range cases {
-		if got := AutoShards(cfg, tc.workers); got != tc.want {
-			t.Errorf("AutoShards(workers=%d) = %d, want %d", tc.workers, got, tc.want)
-		}
-	}
-}
-
-// TestShardedAutoSelect: shards <= 0 auto-selects and stays bit-identical
-// to the serial reference.
-func TestShardedAutoSelect(t *testing.T) {
-	cfg := TableIConfig()
-	accesses := testAccesses(t, 60000)
-	want := serialSnapshot(t, cfg, accesses)
-	for _, workers := range []int{1, 4} {
-		s, err := NewSharded(cfg, 0, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantShards := AutoShards(cfg, workers); s.Shards() != wantShards {
-			t.Fatalf("workers=%d: auto-selected %d shards, want %d", workers, s.Shards(), wantShards)
-		}
-		if err := s.Replay(context.Background(), accesses); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: auto-sharded snapshot diverged from serial", workers)
-		}
-	}
-}
-
 func TestShardedCancellation(t *testing.T) {
-	s, err := NewSharded(TableIConfig(), 4, 2)
+	s, err := NewReplayer(TableIConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +134,7 @@ func TestSnapshotSub(t *testing.T) {
 	accesses := testAccesses(t, 40000)
 	warm := len(accesses) / 4
 
-	s, err := NewSharded(cfg, 16, 2)
+	s, err := NewReplayer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,5 +151,30 @@ func TestSnapshotSub(t *testing.T) {
 	}
 	if window.LLC().Accesses() == 0 {
 		t.Fatal("measurement window saw no LLC traffic")
+	}
+}
+
+// TestNewShardedShardCounts pins the compatibility constructor: shard
+// counts 0 and 1 build the serial replayer, any other count is rejected.
+func TestNewShardedShardCounts(t *testing.T) {
+	cfg := TableIConfig()
+	accesses := testAccesses(t, 20000)
+	want := serialSnapshot(t, cfg, accesses)
+	for _, shards := range []int{0, 1} {
+		s, err := NewSharded(cfg, shards, 4)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if err := s.Replay(context.Background(), accesses); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: stats diverge from serial:\ngot  %+v\nwant %+v", shards, got, want)
+		}
+	}
+	for _, shards := range []int{-1, 2, 3, 16} {
+		if _, err := NewSharded(cfg, shards, 1); err == nil {
+			t.Errorf("shards=%d accepted", shards)
+		}
 	}
 }

@@ -15,8 +15,8 @@
 //
 // and the payload encodes kinds as alternating run lengths and addresses
 // as zigzag varint deltas (first delta of every block is relative to 0, so
-// blocks decode independently — the property the sharded replay checkpoints
-// rely on):
+// blocks decode independently — the property the replay's progress
+// checkpoints rely on):
 //
 //	uvarint nRuns
 //	byte    firstKind                           0 = read, 1 = write
@@ -220,8 +220,8 @@ func (br *BinaryReader) Next() (Access, error) {
 // ReadBlock decodes the next whole block and returns its accesses. The
 // returned slice is reused by the following ReadBlock call. It returns
 // io.EOF at a clean end of stream; EOF inside a block surfaces as a
-// corruption error. Sharded replay consumes the stream block-wise so its
-// progress checkpoints land exactly on these boundaries.
+// corruption error. sim.Replayer.ReplayReader consumes the stream
+// block-wise so its progress checkpoints land exactly on these boundaries.
 func (br *BinaryReader) ReadBlock() ([]Access, error) {
 	block, err := br.readBlock(br.block[:0], maxBlockAccesses)
 	if err == nil {

@@ -64,10 +64,6 @@ func (s *Study) withCooling(c cryo.Cooling) (*Study, error) {
 // Explorer exposes the underlying engine for custom sweeps.
 func (s *Study) Explorer() *explorer.Explorer { return s.exp }
 
-// Parallelism reports the study's worker bound: 0 means one worker per
-// available CPU, 1 means serial, anything else is a literal pool size.
-func (s *Study) Parallelism() int { return s.exp.Workers }
-
 // SetParallelism bounds every worker pool the study's sweeps and Export run
 // on: it sets the explorer's Workers, the one copy of the knob. Call it
 // before starting sweeps; the knob is not synchronized against sweeps
