@@ -51,9 +51,12 @@ goldencheck:
 # round-trip, the canonical-stream check against decode + re-encode, the
 # text parser, the Zipf table against math/rand.Zipf, the
 # signature fold against a map-based reference, the cache kernel against
-# its timestamp-LRU oracle, and the llcsim replay loop) plus the
-# pruned-vs-exhaustive search differ. The corpora seeds
-# cover the parser-hardening cases; CI runs this on every push.
+# its timestamp-LRU oracle, and the llcsim replay loop), the
+# pruned-vs-exhaustive search differ, the design-point parser every front
+# end resolves through (explorer.ParsePoint, which `eval -config` points
+# also reach via the JSON study parser), and the store's entry decoder.
+# The corpora seeds cover the parser-hardening cases; CI runs this on
+# every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalBinary -fuzztime 30s ./internal/trace/
@@ -63,6 +66,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 30s ./cmd/llcsim/
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeConfig -fuzztime 30s ./internal/array/
+	$(GO) test -run '^$$' -fuzz FuzzParsePoint -fuzztime 30s ./internal/explorer/
+	$(GO) test -run '^$$' -fuzz FuzzLoadStudyConfig -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/store/
 
 # Known-vulnerability scan. Skipped (with a pointer) when govulncheck is
 # not on PATH; the CI job installs it.

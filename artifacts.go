@@ -12,11 +12,9 @@ import (
 	"io"
 
 	"coldtall/internal/artifact"
-	"coldtall/internal/cryo"
 	"coldtall/internal/explorer"
 	"coldtall/internal/report"
 	"coldtall/internal/signature"
-	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
 
@@ -395,10 +393,6 @@ type ArtifactDescriptor = artifact.Descriptor[*Study]
 // CSV export and the HTTP server all derive their artifact surfaces from.
 func Artifacts() *artifact.Registry[*Study] { return artifacts }
 
-// ArtifactNames lists every exportable artifact file name ("fig1.csv", ...,
-// "reliability.csv") in paper order.
-func (s *Study) ArtifactNames() []string { return artifacts.Files() }
-
 // ArtifactTable builds one artifact by registry name or file name and
 // returns it as a schema-carrying table — the writer-agnostic form Export,
 // RenderArtifact and the HTTP server all render from (CSV to a file or
@@ -438,37 +432,45 @@ func (s *Study) RenderArtifact(w io.Writer, name string, plot bool) error {
 	return t.Render(w)
 }
 
-// ArtifactPoints returns the distinct design points an artifact's render
-// path characterizes, the 350 K SRAM baseline every artifact normalizes
-// against included. Tenant admission prices an artifact job by its length
-// (one design-point evaluation each), so it only sizes work and never
-// changes results. Artifacts without an enumerable grid return nil.
+// ArtifactPoints returns the distinct design points an artifact's build
+// characterizes, the 350 K SRAM baseline every sweep characterizes first
+// included. Tenant admission prices an artifact job by its length (one
+// design-point evaluation each), so it only sizes work and never changes
+// results. Each case calls the grid function its generator sweeps, and
+// TestArtifactPointsMatchBuild pins the count to a fresh build's
+// optimizer searches. Artifacts that characterize nothing return nil.
 func ArtifactPoints(name string) []explorer.DesignPoint {
 	var pts []explorer.DesignPoint
+	var err error
 	switch name {
 	case "fig1":
-		for _, t := range cryo.EffectiveTemperatures() {
-			pts = append(pts, explorer.SRAMAt(t))
-		}
-	case "fig3", "fig4":
-		pts = explorer.CryoSweep(cryo.EffectiveTemperatures())
+		pts = fig1Points()
+	case "fig3":
+		pts = fig3Points()
+	case "fig4":
+		pts = fig4Points()
 	case "fig5":
 		pts = fig5Points()
 	case "fig6", "fig7":
-		envm, err := explorer.ENVMSweep()
-		if err != nil {
-			return nil
-		}
-		pts = envm
+		pts, err = explorer.ENVMSweep()
 	case "table2":
-		cands, err := explorer.TableIICandidates()
-		if err != nil {
-			return nil
-		}
-		pts = cands
+		pts, err = explorer.TableIICandidates()
 	case "cooling":
-		pts = []explorer.DesignPoint{explorer.EDRAMAt(tech.TempCryo77)}
+		pts = coolingPoints()
+	case "coldtall":
+		pts, err = coldAndTallPoints()
+	case "reliability":
+		pts, err = reliabilityPoints()
+	case "gaincell":
+		pts, err = gainCellPoints()
+	case "deepcryo":
+		pts = deepCryoPoints()
+	case "freqsweep":
+		pts = freqSweepPoints()
 	default:
+		return nil
+	}
+	if err != nil {
 		return nil
 	}
 	pts = append(pts, explorer.Baseline())

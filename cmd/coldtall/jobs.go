@@ -24,7 +24,7 @@ import (
 //	coldtall jobs [-server URL] [-api-key KEY] list [-state S] [-limit N] [-cursor ID]
 //	coldtall jobs [-server URL] submit <artifact|spec.json|->
 //	coldtall jobs [-server URL] status <id>
-//	coldtall jobs [-server URL] wait <id>     # poll to a terminal state, print the result
+//	coldtall jobs [-server URL] wait <id>     # long-poll to a terminal state, print the result
 //	coldtall jobs [-server URL] watch <id>    # live SSE progress (stderr), then the result
 //	coldtall jobs [-server URL] cancel <id>
 //
@@ -42,7 +42,7 @@ func runJobs(ctx context.Context, w io.Writer, f cliFlags) error {
 	case "status":
 		return c.status(ctx, w, f.args.arg(1))
 	case "wait":
-		return c.wait(ctx, w, f.args.arg(1), f.poll)
+		return c.wait(ctx, w, f.args.arg(1))
 	case "watch":
 		return c.watch(ctx, w, f.args.arg(1))
 	case "cancel":
@@ -191,25 +191,37 @@ func (c jobsClient) status(ctx context.Context, w io.Writer, id string) error {
 	return nil
 }
 
-// wait polls the job to a terminal state, then streams the result payload
-// (sweep JSON or artifact CSV) to w. Failed and cancelled jobs become
-// errors so shell pipelines see a non-zero exit.
-func (c jobsClient) wait(ctx context.Context, w io.Writer, id string, poll time.Duration) error {
+// wait long-polls the job to a terminal state, then streams the result
+// payload (sweep JSON or artifact CSV) to w. Failed and cancelled jobs
+// become errors so shell pipelines see a non-zero exit.
+func (c jobsClient) wait(ctx context.Context, w io.Writer, id string) error {
 	if err := requireID("wait", id); err != nil {
 		return err
 	}
+	st, err := c.await(ctx, id)
+	if err != nil {
+		return err
+	}
+	return c.finish(ctx, w, id, st)
+}
+
+// awaitWindow is the ?wait= of each status request: the server answers as
+// soon as the job's state or progress moves, so the window only bounds
+// how long one request idles on a job that is not moving.
+const awaitWindow = 30 * time.Second
+
+// await is the one job waiter of jobs wait, workloads add and workloads
+// distill: it long-polls GET /v1/jobs/{id}?wait= until the job reaches a
+// terminal state and returns that status.
+func (c jobsClient) await(ctx context.Context, id string) (job.Status, error) {
+	path := "/v1/jobs/" + id + "?wait=" + awaitWindow.String()
 	for {
 		var st job.Status
-		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
-			return err
+		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
+			return job.Status{}, err
 		}
 		if st.State.Terminal() {
-			return c.finish(ctx, w, id, st)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(poll):
+			return st, nil
 		}
 	}
 }

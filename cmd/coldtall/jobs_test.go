@@ -5,15 +5,19 @@ package main
 // exposes.
 
 import (
+	"encoding/json"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"coldtall"
+	"coldtall/internal/job"
 	"coldtall/internal/server"
 )
 
@@ -73,7 +77,7 @@ func TestJobsSubmitStatusWait(t *testing.T) {
 
 	// wait streams the artifact CSV verbatim
 	var res strings.Builder
-	if err := run(bg, []string{"jobs", "-server", url, "-poll", "10ms", "wait", id}, &res); err != nil {
+	if err := run(bg, []string{"jobs", "-server", url, "wait", id}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(res.String(), "parameter,value\n") {
@@ -103,7 +107,7 @@ func TestJobsSubmitSpecFile(t *testing.T) {
 	id := jobID(t, sub.String())
 
 	var res strings.Builder
-	if err := run(bg, []string{"jobs", "-server", url, "-poll", "10ms", "wait", id}, &res); err != nil {
+	if err := run(bg, []string{"jobs", "-server", url, "wait", id}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(res.String(), `"benchmark": "namd"`) && !strings.Contains(res.String(), `"benchmark":"namd"`) {
@@ -147,5 +151,39 @@ func TestJobsErrors(t *testing.T) {
 	}
 	if !strings.Contains(list.String(), "no jobs") {
 		t.Errorf("empty list output = %q", list.String())
+	}
+}
+
+// TestAwaitLongPolls: the shared job waiter sends every status request
+// with the fixed ?wait= window and stops at the first terminal state,
+// with no client-side poll interval, and -poll is not a flag.
+func TestAwaitLongPolls(t *testing.T) {
+	var mu sync.Mutex
+	var queries []string
+	states := []job.State{job.StateQueued, job.StateRunning, job.StateDone}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		st := job.Status{ID: "j1", State: states[min(len(queries), len(states))-1]}
+		mu.Unlock()
+		_ = json.NewEncoder(w).Encode(st)
+	}))
+	defer ts.Close()
+	st, err := jobsClient{base: ts.URL}.await(bg, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if st.State != job.StateDone || len(queries) != 3 {
+		t.Fatalf("await returned %s after %d requests, want done after 3", st.State, len(queries))
+	}
+	for _, q := range queries {
+		if q != "wait=30s" {
+			t.Errorf("status request query %q, want wait=30s", q)
+		}
+	}
+	if err := run(bg, []string{"jobs", "-server", ts.URL, "-poll", "10ms", "wait", "j1"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-poll") {
+		t.Errorf("-poll: err = %v, want an unknown-flag error", err)
 	}
 }

@@ -72,9 +72,9 @@
 //
 //	-cooler 100kW|1kW|100W|10W   cryocooler class (default 100kW)
 //	-plot=false                  suppress ASCII scatter plots
-//	-workers N                   worker pool size of sweeps, async jobs and
-//	                             ingest replays (0 = one per CPU, 1 = serial;
-//	                             outputs identical either way)
+//	-workers N                   worker pool size of sweeps and async jobs
+//	                             (0 = one per CPU, 1 = serial; outputs
+//	                             identical either way)
 //	-addr, -cache-size, -timeout serve: listen address, response cache
 //	                             entries, per-request compute deadline
 //	-store-dir                   serve: result-store directory (job recovery;
@@ -82,7 +82,7 @@
 //	                             characterizations, without the optimizer)
 //	-tenants, -default-quota     serve: tenant config file (SIGHUP reloads),
 //	                             default per-tenant eval budget
-//	-server, -poll               jobs/workloads: serve base URL, poll interval
+//	-server                      jobs/workloads: serve base URL
 //	-api-key                     jobs/workloads: tenant API key (bearer auth)
 //	-state, -limit, -cursor      jobs list: state filter + pagination
 //
@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("coldtall", flag.ContinueOnError)
 	cooler := fs.String("cooler", "100kW", "cryocooler class: 100kW, 1kW, 100W, 10W")
 	plot := fs.Bool("plot", true, "render ASCII scatter plots for fig5/fig7")
-	workers := fs.Int("workers", 0, "worker pool size of sweeps, jobs and ingest replays: 0 = one per CPU, 1 = serial")
+	workers := fs.Int("workers", 0, "worker pool size of sweeps and jobs: 0 = one per CPU, 1 = serial")
 	outDir := fs.String("dir", "out", "export: output directory for CSV files")
 	configPath := fs.String("config", "", "eval: path to a JSON study config")
 	cellName := fs.String("cell", "SRAM", "sweep: cell technology (SRAM, 3T-eDRAM, PCM, STT-RAM, RRAM, SOT-RAM, OS-GC)")
@@ -144,7 +144,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	storeDir := fs.String("store-dir", "", "serve: persistent result-store directory (empty = in-memory only)")
 	jobConcurrency := fs.Int("job-concurrency", 0, "serve: async jobs executing at once (0 = default 2); excess queues by priority and fair share")
 	serverURL := fs.String("server", "http://localhost:8080", "jobs/workloads: base URL of a running serve instance")
-	poll := fs.Duration("poll", 250*time.Millisecond, "jobs wait / workloads add, distill: status poll interval")
 	format := fs.String("format", "table", "artifacts: output format (table, csv)")
 	tenantsFile := fs.String("tenants", "", "serve: tenant config file with API keys, limits and weights (SIGHUP reloads)")
 	defaultQuota := fs.Int64("default-quota", 0, "serve: default per-tenant compute budget in design-point evaluations per window (0 = unlimited)")
@@ -162,10 +161,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("%s: parsing flags: %w", cmd, err)
 	}
 
-	cooling, err := parseCooler(*cooler)
+	cls, err := cryo.ParseClass(*cooler)
 	if err != nil {
 		return fmt.Errorf("%s: flag -cooler: %w", cmd, err)
 	}
+	cooling := cryo.DefaultCooling()
+	cooling.Class = cls
 	study, err := coldtall.NewStudyWithCooling(cooling)
 	if err != nil {
 		return fmt.Errorf("%s: building study: %w", cmd, err)
@@ -181,7 +182,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		style: *style, freq: *freq,
 		addr: *addr, cacheSize: *cacheSize, timeout: *timeout,
 		storeDir: *storeDir, jobConcurrency: *jobConcurrency,
-		server: *serverURL, poll: *poll,
+		server: *serverURL,
 		format: *format, args: positional(fs.Args()),
 		tenantsFile: *tenantsFile, defaultQuota: *defaultQuota,
 		apiKey: *apiKey, jobState: *jobState, jobLimit: *jobLimit, jobCursor: *jobCursor,
@@ -209,7 +210,6 @@ type cliFlags struct {
 	storeDir           string
 	jobConcurrency     int
 	server             string
-	poll               time.Duration
 	format             string
 	tenantsFile        string
 	defaultQuota       int64
@@ -236,7 +236,7 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 	case "artifacts":
 		return runArtifacts(study, w, f)
 	case "exclusions", "impact", "nodes", "survey", "thermal", "traffic", "verify":
-		tables, err := studyTables(study, cmd)
+		tables, err := studyTables(ctx, study, cmd)
 		if err != nil {
 			return err
 		}
@@ -252,7 +252,7 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 			return fmt.Errorf("flag -config: %w", err)
 		}
 		defer fh.Close()
-		return coldtall.RunConfigAndRender(fh, w)
+		return study.RunConfigAndRender(fh, w)
 	case "export":
 		if err := study.Export(f.outDir); err != nil {
 			return err
@@ -288,7 +288,7 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 }
 
 // studyTables builds the tables of a study that has no registry artifact.
-func studyTables(study *coldtall.Study, cmd string) ([]*report.Table, error) {
+func studyTables(ctx context.Context, study *coldtall.Study, cmd string) ([]*report.Table, error) {
 	var t *report.Table
 	var err error
 	switch cmd {
@@ -303,7 +303,7 @@ func studyTables(study *coldtall.Study, cmd string) ([]*report.Table, error) {
 	case "thermal":
 		t, err = study.ThermalTable()
 	case "traffic":
-		t, err = trafficCalibration()
+		t, err = trafficCalibration(ctx)
 	case "verify":
 		t = study.VerifyTable()
 	}
@@ -373,15 +373,6 @@ func renderArtifactList(w io.Writer) error {
 		t.AddRow(d.Name, d.File, d.Paper, strings.Join(cols, ","))
 	}
 	return t.Render(w)
-}
-
-func parseCooler(s string) (cryo.Cooling, error) {
-	for _, c := range cryo.Classes() {
-		if c.String() == s {
-			return cryo.Cooling{Class: c, ThresholdK: 200}, nil
-		}
-	}
-	return cryo.Cooling{}, fmt.Errorf("unknown cooler class %q", s)
 }
 
 // parsePoint assembles the sweep/pareto flags into a validated design
@@ -469,9 +460,10 @@ func pareto(ctx context.Context, w io.Writer, f cliFlags) error {
 }
 
 // trafficCalibration simulates all 23 benchmark stand-ins and tabulates
-// them against the static (Sniper-substitute) traffic table.
-func trafficCalibration() (*report.Table, error) {
-	measured, err := workload.MeasureAll(400000, 42)
+// them against the static (Sniper-substitute) traffic table; ctx stops
+// the replays.
+func trafficCalibration(ctx context.Context) (*report.Table, error) {
+	measured, err := workload.MeasureAll(ctx, 400000, 42)
 	if err != nil {
 		return nil, err
 	}

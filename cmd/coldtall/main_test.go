@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -97,18 +101,41 @@ func TestRunEvalWithoutConfigNamesFlag(t *testing.T) {
 	}
 }
 
+// TestRunEvalHonoursInterrupt: eval runs under the CLI's signal context,
+// so an interrupted run fails with context.Canceled instead of completing.
+func TestRunEvalHonoursInterrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "study.json")
+	cfg := `{"points":[{"technology":"PCM","dies":8}],"workloads":[{"benchmark":"mcf"}]}`
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if err := run(ctx, []string{"eval", "-config", path}, io.Discard); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted eval: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunTrafficHonoursInterrupt: the traffic calibration replays run
+// under the CLI's signal context.
+func TestRunTrafficHonoursInterrupt(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if err := run(ctx, []string{"traffic"}, io.Discard); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted traffic: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestParseCooler: -cooler accepts every cryo class name and rejects
+// anything else, naming the flag.
 func TestParseCooler(t *testing.T) {
 	for _, name := range []string{"100kW", "1kW", "100W", "10W"} {
-		c, err := parseCooler(name)
-		if err != nil {
-			t.Errorf("parseCooler(%s): %v", name, err)
-		}
-		if c.ThresholdK != 200 {
-			t.Errorf("cooler threshold = %g, want 200", c.ThresholdK)
+		if err := run(bg, []string{"table1", "-cooler", name}, io.Discard); err != nil {
+			t.Errorf("-cooler %s: %v", name, err)
 		}
 	}
-	if _, err := parseCooler("77K"); err == nil {
-		t.Error("bad cooler name should error")
+	if err := run(bg, []string{"table1", "-cooler", "77K"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-cooler") {
+		t.Errorf("-cooler 77K: err = %v, want a -cooler error", err)
 	}
 }
 

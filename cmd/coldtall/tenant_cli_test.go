@@ -85,7 +85,7 @@ func TestJobsWatchMatchesWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	var waited strings.Builder
-	if err := run(bg, []string{"jobs", "-server", url, "-poll", "10ms", "wait", id}, &waited); err != nil {
+	if err := run(bg, []string{"jobs", "-server", url, "wait", id}, &waited); err != nil {
 		t.Fatal(err)
 	}
 	if watched.String() != waited.String() {
@@ -115,7 +115,7 @@ func TestJobsListFlags(t *testing.T) {
 	}
 	for _, id := range ids {
 		var res strings.Builder
-		if err := run(bg, []string{"jobs", "-server", url, "-poll", "10ms", "wait", id}, &res); err != nil {
+		if err := run(bg, []string{"jobs", "-server", url, "wait", id}, &res); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"coldtall/internal/job"
 	"coldtall/internal/workload"
@@ -27,7 +26,7 @@ import (
 //
 // add accepts an ingestion spec (a generator description or a base64
 // .ctrace payload — see internal/ingest) from a file or stdin, submits it,
-// polls the ingest job to completion, and prints the registered source
+// waits for the ingest job to complete, and prints the registered source
 // record.
 func runWorkloads(ctx context.Context, w io.Writer, f cliFlags) error {
 	c := workloadsClient{jobsClient{base: strings.TrimRight(f.server, "/"), key: f.apiKey}}
@@ -36,7 +35,7 @@ func runWorkloads(ctx context.Context, w io.Writer, f cliFlags) error {
 	case "", "list":
 		return c.list(ctx, w)
 	case "add":
-		return c.add(ctx, w, f.args.arg(1), f.poll)
+		return c.add(ctx, w, f.args.arg(1))
 	case "traffic":
 		return c.traffic(ctx, w, f.args.arg(1))
 	case "sig":
@@ -44,7 +43,7 @@ func runWorkloads(ctx context.Context, w io.Writer, f cliFlags) error {
 	case "similar":
 		return c.similar(ctx, w, f.args.arg(1))
 	case "distill":
-		return c.distill(ctx, w, f.args.arg(1), f.poll)
+		return c.distill(ctx, w, f.args.arg(1))
 	case "rm":
 		return c.rm(ctx, w, f.args.arg(1))
 	}
@@ -74,7 +73,7 @@ func (c workloadsClient) list(ctx context.Context, w io.Writer) error {
 
 // add submits the ingestion spec, waits for its job, and prints the
 // registered record.
-func (c workloadsClient) add(ctx context.Context, w io.Writer, arg string, poll time.Duration) error {
+func (c workloadsClient) add(ctx context.Context, w io.Writer, arg string) error {
 	if arg == "" {
 		return fmt.Errorf("workloads add: a spec file or - (stdin) is required")
 	}
@@ -87,19 +86,13 @@ func (c workloadsClient) add(ctx context.Context, w io.Writer, arg string, poll 
 	} else if spec, err = os.ReadFile(arg); err != nil {
 		return fmt.Errorf("workloads add: %w", err)
 	}
-	var st job.Status
-	if err := c.do(ctx, http.MethodPost, "/v1/workloads", spec, &st); err != nil {
+	var posted job.Status
+	if err := c.do(ctx, http.MethodPost, "/v1/workloads", spec, &posted); err != nil {
 		return err
 	}
-	for !st.State.Terminal() {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(poll):
-		}
-		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
-			return err
-		}
+	st, err := c.await(ctx, posted.ID)
+	if err != nil {
+		return err
 	}
 	switch st.State {
 	case job.StateDone:
@@ -215,23 +208,17 @@ func (c workloadsClient) similar(ctx context.Context, w io.Writer, name string) 
 // and prints the fit: the recovered generator parameters, the relative
 // traffic error against the pinned tolerance, and the storage drop when
 // the trace bytes were replaced by the spec.
-func (c workloadsClient) distill(ctx context.Context, w io.Writer, name string, poll time.Duration) error {
+func (c workloadsClient) distill(ctx context.Context, w io.Writer, name string) error {
 	if name == "" {
 		return fmt.Errorf("workloads distill: a workload name is required (see `coldtall workloads list`)")
 	}
-	var st job.Status
-	if err := c.do(ctx, http.MethodPost, "/v1/workloads/"+name+"/distill", nil, &st); err != nil {
+	var posted job.Status
+	if err := c.do(ctx, http.MethodPost, "/v1/workloads/"+name+"/distill", nil, &posted); err != nil {
 		return err
 	}
-	for !st.State.Terminal() {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(poll):
-		}
-		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
-			return err
-		}
+	st, err := c.await(ctx, posted.ID)
+	if err != nil {
+		return err
 	}
 	switch st.State {
 	case job.StateDone:

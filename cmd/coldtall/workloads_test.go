@@ -27,7 +27,7 @@ func TestWorkloadsAddListTraffic(t *testing.T) {
 
 	// add submits the spec, waits for the ingest job, and prints the record.
 	var add strings.Builder
-	if err := run(bg, []string{"workloads", "-server", url, "-poll", "10ms", "add", spec}, &add); err != nil {
+	if err := run(bg, []string{"workloads", "-server", url, "add", spec}, &add); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(add.String(), "cli1") || !strings.Contains(add.String(), "profile") {
@@ -83,7 +83,7 @@ func TestWorkloadsIntelVerbs(t *testing.T) {
 	add := func(spec string) {
 		t.Helper()
 		var b strings.Builder
-		if err := run(bg, []string{"workloads", "-server", url, "-poll", "10ms", "add", spec}, &b); err != nil {
+		if err := run(bg, []string{"workloads", "-server", url, "add", spec}, &b); err != nil {
 			t.Fatalf("add %s: %v\n%s", spec, err, b.String())
 		}
 	}
@@ -151,7 +151,7 @@ func TestWorkloadsIntelVerbs(t *testing.T) {
 	// trace bytes are replaced by the spec.
 	add(write("prof.json", `{"name": "intel3", "generator": {"profile": "mcf", "accesses": 65536, "seed": 1}}`))
 	var dis strings.Builder
-	if err := run(bg, []string{"workloads", "-server", url, "-poll", "10ms", "distill", "intel3"}, &dis); err != nil {
+	if err := run(bg, []string{"workloads", "-server", url, "distill", "intel3"}, &dis); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"workload  = intel3", "accepted  = true", "deleted true", "spec      = {"} {

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"coldtall/internal/ingest"
 	"coldtall/internal/trace"
 	"coldtall/internal/workload"
 )
@@ -51,33 +52,15 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	var gen trace.Generator
-	var err error
-	if *bench != "" {
-		p, perr := workload.ProfileByName(*bench)
-		if perr != nil {
-			return perr
+	spec := ingest.GeneratorSpec{Profile: *bench, Pattern: *pattern, WriteFrac: *writeFrac, ZipfSkew: *skew, Seed: *seed}
+	if *bench == "" {
+		size, err := parseSize(*ws)
+		if err != nil {
+			return err
 		}
-		gen, err = p.Generator(*seed)
-	} else {
-		size, perr := parseSize(*ws)
-		if perr != nil {
-			return perr
-		}
-		region := trace.Region{Base: 1 << 30, Size: size}
-		switch *pattern {
-		case "stream":
-			gen, err = trace.NewStream(region, 1, *writeFrac, *seed)
-		case "chase":
-			gen, err = trace.NewPointerChase(region, *writeFrac, *seed)
-		case "zipf":
-			gen, err = trace.NewZipf(region, *skew, *writeFrac, *seed)
-		case "chain":
-			gen, err = trace.NewChain(region, *writeFrac, *seed)
-		default:
-			return fmt.Errorf("unknown pattern %q", *pattern)
-		}
+		spec.WorkingSetBytes = size
 	}
+	gen, err := spec.Build()
 	if err != nil {
 		return err
 	}

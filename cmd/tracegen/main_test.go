@@ -121,3 +121,29 @@ func TestUnknownFormatRejected(t *testing.T) {
 		t.Error("unknown format accepted")
 	}
 }
+
+// TestPatternStreamsPinned: each -pattern emits the stream of its trace
+// constructor over a working set based at 1 GiB, the mapping uploads
+// share through ingest.GeneratorSpec.
+func TestPatternStreamsPinned(t *testing.T) {
+	region := trace.Region{Base: 1 << 30, Size: 1 << 20}
+	want := map[string]func() (trace.Generator, error){
+		"stream": func() (trace.Generator, error) { return trace.NewStream(region, 1, 0.3, 5) },
+		"chase":  func() (trace.Generator, error) { return trace.NewPointerChase(region, 0.3, 5) },
+		"chain":  func() (trace.Generator, error) { return trace.NewChain(region, 0.3, 5) },
+		"zipf":   func() (trace.Generator, error) { return trace.NewZipf(region, 1.4, 0.3, 5) },
+	}
+	for pattern, mk := range want {
+		var out bytes.Buffer
+		if err := run([]string{"-pattern", pattern, "-ws", "1MiB", "-n", "500", "-seed", "5", "-format", "binary"}, &out); err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		g, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), trace.EncodeBinary(trace.Collect(g, 500))) {
+			t.Errorf("-pattern %s diverged from its trace constructor", pattern)
+		}
+	}
+}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"coldtall/internal/cell"
 	"coldtall/internal/cryo"
 	"coldtall/internal/explorer"
 	"coldtall/internal/report"
-	"coldtall/internal/stack"
 	"coldtall/internal/workload"
 )
 
@@ -92,61 +90,29 @@ func LoadStudyConfig(r io.Reader) (StudyConfig, error) {
 	return cfg, nil
 }
 
-// point lowers a PointConfig into an explorer design point.
+// point lowers a PointConfig into the PointSpec the CLI and the HTTP API
+// share and resolves it through explorer.ParsePoint, which owns the
+// technology, corner and style names and the defaults; a set Label
+// replaces the generated one.
 func (pc PointConfig) point() (explorer.DesignPoint, error) {
-	tech, err := cell.ParseTechnology(pc.Technology)
-	if err != nil {
-		return explorer.DesignPoint{}, err
-	}
-	var c cell.Cell
-	switch tech {
-	case cell.SRAM, cell.EDRAM3T, cell.EDRAM1T1C:
-		c, err = cell.Builtin(tech)
-	default:
-		corner := cell.Optimistic
-		switch pc.Corner {
-		case "", "optimistic":
-		case "pessimistic":
-			corner = cell.Pessimistic
-		default:
-			return explorer.DesignPoint{}, fmt.Errorf("coldtall: unknown corner %q", pc.Corner)
-		}
-		c, err = cell.Tentpole(tech, corner)
-	}
-	if err != nil {
-		return explorer.DesignPoint{}, err
-	}
-	temp := pc.TemperatureK
-	if temp == 0 {
-		temp = 350
-	}
-	dies := pc.Dies
-	if dies == 0 {
-		dies = 1
-	}
-	styleName := pc.Style
-	if styleName == "" {
-		styleName = "tsv"
-	}
-	style, err := stack.ParseStyle(styleName)
-	if err != nil {
-		return explorer.DesignPoint{}, err
-	}
-	label := pc.Label
-	if label == "" {
-		label = fmt.Sprintf("%d-die %s @%.0fK", dies, c.Name, temp)
-	}
-	p := explorer.DesignPoint{
-		Label:       label,
-		Cell:        c,
-		Temperature: temp,
-		Dies:        dies,
-		Style:       style,
+	spec := explorer.PointSpec{
+		Cell:         pc.Technology,
+		Corner:       pc.Corner,
+		Dies:         pc.Dies,
+		TemperatureK: pc.TemperatureK,
+		Style:        pc.Style,
 	}
 	if pc.CapacityMiB > 0 {
-		p.CapacityBytes = pc.CapacityMiB << 20
+		spec.CapacityBytes = pc.CapacityMiB << 20
 	}
-	return p, p.Validate()
+	p, err := explorer.ParsePoint(spec)
+	if err != nil {
+		return explorer.DesignPoint{}, err
+	}
+	if pc.Label != "" {
+		p.Label = pc.Label
+	}
+	return p, nil
 }
 
 // traffic lowers a WorkloadConfig into traffic rates.
@@ -174,21 +140,19 @@ func (wc WorkloadConfig) traffic() (workload.Traffic, error) {
 
 // RunConfig evaluates a study config: every point under every workload,
 // normalized to the paper's baseline, exactly like the built-in figures.
-func RunConfig(cfg StudyConfig) ([]TrafficRow, error) {
+// It runs on the receiver's explorer (sharing its characterization cache
+// and workers) and under its context, in the config's cooling
+// environment: the named cooler class, or the paper's 100 kW default.
+func (s *Study) RunConfig(cfg StudyConfig) ([]TrafficRow, error) {
 	cooling := cryo.DefaultCooling()
 	if cfg.Cooler != "" {
-		found := false
-		for _, cls := range cryo.Classes() {
-			if cls.String() == cfg.Cooler {
-				cooling.Class = cls
-				found = true
-			}
+		cls, err := cryo.ParseClass(cfg.Cooler)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("coldtall: unknown cooler %q", cfg.Cooler)
-		}
+		cooling.Class = cls
 	}
-	s, err := NewStudyWithCooling(cooling)
+	sub, err := s.withCooling(cooling)
 	if err != nil {
 		return nil, err
 	}
@@ -204,16 +168,17 @@ func RunConfig(cfg StudyConfig) ([]TrafficRow, error) {
 			return nil, err
 		}
 	}
-	return s.trafficStudyFor(points, traffics)
+	return sub.trafficStudyFor(points, traffics)
 }
 
-// RunConfigAndRender evaluates a study config and prints the result table.
-func RunConfigAndRender(r io.Reader, w io.Writer) error {
+// RunConfigAndRender evaluates a study config (see RunConfig) and prints
+// the result table.
+func (s *Study) RunConfigAndRender(r io.Reader, w io.Writer) error {
 	cfg, err := LoadStudyConfig(r)
 	if err != nil {
 		return err
 	}
-	rows, err := RunConfig(cfg)
+	rows, err := s.RunConfig(cfg)
 	if err != nil {
 		return err
 	}

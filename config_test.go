@@ -1,6 +1,8 @@
 package coldtall
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -47,7 +49,7 @@ func TestRunConfigEvaluatesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunConfig(cfg)
+	rows, err := NewStudy().RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestRunConfigRejectsBadPoints(t *testing.T) {
 		{Cooler: "5W", Points: []PointConfig{{Technology: "SRAM"}}, Workloads: []WorkloadConfig{{Benchmark: "mcf"}}},
 	}
 	for i, cfg := range bad {
-		if _, err := RunConfig(cfg); err == nil {
+		if _, err := NewStudy().RunConfig(cfg); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -98,7 +100,7 @@ func TestRunConfigSimulatedWorkload(t *testing.T) {
 		Points:    []PointConfig{{Technology: "SRAM"}},
 		Workloads: []WorkloadConfig{{Benchmark: "namd", Simulate: true}},
 	}
-	rows, err := RunConfig(cfg)
+	rows, err := NewStudy().RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestRunConfigSimulatedWorkload(t *testing.T) {
 
 func TestRunConfigAndRender(t *testing.T) {
 	var b strings.Builder
-	if err := RunConfigAndRender(strings.NewReader(sampleConfig), &b); err != nil {
+	if err := NewStudy().RunConfigAndRender(strings.NewReader(sampleConfig), &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Custom study") || !strings.Contains(b.String(), "cold gain cell") {
@@ -127,5 +129,31 @@ func TestDefaultsInPointConfig(t *testing.T) {
 	}
 	if !strings.Contains(p.Label, "stt-optimistic") {
 		t.Errorf("generated label %q should name the tentpole cell", p.Label)
+	}
+}
+
+// TestRunConfigHonoursStudyContext: a config runs on the caller's explorer
+// under the caller's context, so a cancelled study fails with
+// context.Canceled before any organization search, and a live one fills
+// the caller's characterization cache.
+func TestRunConfigHonoursStudyContext(t *testing.T) {
+	cfg, err := LoadStudyConfig(strings.NewReader(sampleConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStudy()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.WithContext(ctx).RunConfig(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunConfig: err = %v, want context.Canceled", err)
+	}
+	if n := s.Explorer().OptimizeCalls(); n != 0 {
+		t.Errorf("cancelled RunConfig ran %d optimizer searches, want 0", n)
+	}
+	if _, err := s.RunConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s.Explorer().OptimizeCalls() == 0 {
+		t.Error("RunConfig did not characterize through the study's explorer")
 	}
 }

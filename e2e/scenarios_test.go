@@ -34,7 +34,7 @@ func smoke(t *testing.T) {
 	}
 
 	id := jobID(t, s.cli("jobs", "submit", "table1"))
-	if job := s.cli("jobs", "-poll", "100ms", "wait", id); !bytes.Equal(job, s.get("/v1/artifacts/table1?format=csv")) {
+	if job := s.cli("jobs", "wait", id); !bytes.Equal(job, s.get("/v1/artifacts/table1?format=csv")) {
 		t.Fatal("async artifact diverged from the synchronous endpoint")
 	}
 	if list := s.cli("jobs", "list"); !bytes.Contains(list, []byte(id)) {
@@ -185,7 +185,7 @@ func workloads(t *testing.T) {
 	gen := `{"pattern": "stream", "working_set_bytes": 67108864, "write_frac": 0.3, "accesses": 50000, "seed": 5}`
 	for _, name := range []string{"wlorig", "wlcopy"} {
 		spec := writeFile(t, dir, name+".json", []byte(`{"name": "`+name+`", "generator": `+gen+`}`))
-		s.cli("workloads", "-poll", "50ms", "add", spec)
+		s.cli("workloads", "add", spec)
 	}
 	if rec := s.get("/v1/workloads/wlcopy"); !bytes.Contains(rec, []byte(`"kind":"alias"`)) || !bytes.Contains(rec, []byte(`"alias_of":"wlorig"`)) {
 		t.Fatalf("identical re-upload is not an alias of wlorig:\n%s", rec)
@@ -202,8 +202,8 @@ func workloads(t *testing.T) {
 	}
 
 	prof := writeFile(t, dir, "prof.json", []byte(`{"name": "wlprof", "generator": {"profile": "mcf", "accesses": 65536, "seed": 1}}`))
-	s.cli("workloads", "-poll", "50ms", "add", prof)
-	distill := s.cli("workloads", "-poll", "50ms", "distill", "wlprof")
+	s.cli("workloads", "add", prof)
+	distill := s.cli("workloads", "distill", "wlprof")
 	if !bytes.Contains(distill, []byte("accepted  = true")) || !bytes.Contains(distill, []byte("deleted true")) {
 		t.Errorf("distillation was not accepted or kept the stored trace:\n%s", distill)
 	}
@@ -222,7 +222,7 @@ func workloads(t *testing.T) {
 	}
 	var job struct{ ID string }
 	decode(t, s.fetch("POST", fmt.Sprintf("%s?offset=%d&complete=1", chunks, half), payload[half:]), &job)
-	s.cli("jobs", "-poll", "50ms", "wait", job.ID)
+	s.cli("jobs", "wait", job.ID)
 	sum := sha256.Sum256(payload)
 	if rec := s.get("/v1/workloads/wlchunk"); !bytes.Contains(rec, []byte(`"trace_sha256":"`+hex.EncodeToString(sum[:])+`"`)) {
 		t.Errorf("resumed upload ingested a different trace content address:\n%s", rec)
@@ -276,11 +276,11 @@ func tenants(t *testing.T) {
 	bulk2 := jobID(t, jobs("bob-key", "submit", writeFile(t, dir, "bulk2.json", fmt.Appendf(nil, bulk, 2))))
 	interactive := jobID(t, jobs("alice-key", "submit", writeFile(t, dir, "interactive.json",
 		[]byte(`{"kind":"characterize","points":[{"cell":"3T-eDRAM","temperature_k":77}]}`))))
-	jobs("alice-key", "-poll", "100ms", "wait", interactive)
+	jobs("alice-key", "wait", interactive)
 	if st := jobs("bob-key", "status", bulk2); bytes.Contains(st, []byte(" done ")) {
 		t.Fatalf("priority inversion: queued bulk job finished before the interactive job:\n%s", st)
 	}
-	jobs("bob-key", "-poll", "200ms", "wait", bulk2)
+	jobs("bob-key", "wait", bulk2)
 
 	id := jobID(t, jobs("alice-key", "submit", "table1"))
 	watched, progress := run(t, "coldtall", "jobs", "-server", s.base, "-api-key", "alice-key", "watch", id)

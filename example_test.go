@@ -48,7 +48,7 @@ func ExampleLoadStudyConfig() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := coldtall.RunConfig(cfg)
+	rows, err := coldtall.NewStudy().RunConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

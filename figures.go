@@ -29,25 +29,38 @@ func (s *Study) Fig1() ([]Fig1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	temps := cryo.EffectiveTemperatures()
-	points := make([]explorer.DesignPoint, len(temps))
-	for i, temp := range temps {
-		points[i] = explorer.SRAMAt(temp)
-	}
+	points := fig1Points()
 	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Fig1Row, len(temps))
-	for i, temp := range temps {
+	rows := make([]Fig1Row, len(points))
+	for i, p := range points {
 		rel := explorer.Normalize(grid[i][0], base)
 		rows[i] = Fig1Row{
-			TemperatureK:   temp,
+			TemperatureK:   p.Temperature,
 			RelDevicePower: rel.RelDevicePower,
 			RelTotalPower:  rel.RelPower,
 		}
 	}
 	return rows, nil
+}
+
+// fig1Points is the Fig. 1 grid: planar SRAM at every effective
+// temperature.
+func fig1Points() []explorer.DesignPoint {
+	temps := cryo.EffectiveTemperatures()
+	points := make([]explorer.DesignPoint, len(temps))
+	for i, temp := range temps {
+		points[i] = explorer.SRAMAt(temp)
+	}
+	return points
+}
+
+// fig3Points is the Fig. 3 grid: SRAM and 3T-eDRAM at every effective
+// temperature.
+func fig3Points() []explorer.DesignPoint {
+	return explorer.CryoSweep(cryo.EffectiveTemperatures())
 }
 
 // Fig3Row is one (cell, temperature) point of Fig. 3: array-level
@@ -72,7 +85,7 @@ func (s *Study) Fig3() ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sweep := explorer.CryoSweep(cryo.EffectiveTemperatures())
+	sweep := fig3Points()
 	chars, err := s.exp.CharacterizeAll(s.context(), sweep)
 	if err != nil {
 		return nil, err
@@ -122,11 +135,7 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 			return nil, err
 		}
 	}
-	// Points pair up per cell: [2m] at 350 K, [2m+1] at 77 K.
-	var points []explorer.DesignPoint
-	for _, mk := range []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt} {
-		points = append(points, mk(tech.TempHot350), mk(tech.TempCryo77))
-	}
+	points := fig4Points()
 	grid, err := s.exp.EvaluateAllContext(s.context(), points, traffics)
 	if err != nil {
 		return nil, err
@@ -145,6 +154,16 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// fig4Points is the Fig. 4 grid. Points pair up per cell: [2m] at 350 K,
+// [2m+1] at 77 K.
+func fig4Points() []explorer.DesignPoint {
+	var points []explorer.DesignPoint
+	for _, mk := range []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt} {
+		points = append(points, mk(tech.TempHot350), mk(tech.TempCryo77))
+	}
+	return points
 }
 
 // TrafficRow is one (design point, benchmark) point of the Fig. 5 / Fig. 7

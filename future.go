@@ -50,23 +50,9 @@ func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var points []explorer.DesignPoint
-	for _, tc := range []cell.Technology{cell.SRAM, cell.EDRAM3T} {
-		c, err := cell.Builtin(tc)
-		if err != nil {
-			return nil, err
-		}
-		for _, dies := range []int{1, 2, 4, 8} {
-			for _, temp := range []float64{tech.TempHot350, tech.TempCryo77} {
-				points = append(points, explorer.DesignPoint{
-					Label:       fmt.Sprintf("%d-die %s @%.0fK", dies, tc, temp),
-					Cell:        c,
-					Temperature: temp,
-					Dies:        dies,
-					Style:       stack.TSVStack,
-				})
-			}
-		}
+	points, err := coldAndTallPoints()
+	if err != nil {
+		return nil, err
 	}
 	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
 	if err != nil {
@@ -87,6 +73,30 @@ func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// coldAndTallPoints is the combined study's grid: SRAM and 3T-eDRAM at 1,
+// 2, 4 and 8 TSV-stacked dies, each at 350 K and 77 K.
+func coldAndTallPoints() ([]explorer.DesignPoint, error) {
+	var points []explorer.DesignPoint
+	for _, tc := range []cell.Technology{cell.SRAM, cell.EDRAM3T} {
+		c, err := cell.Builtin(tc)
+		if err != nil {
+			return nil, err
+		}
+		for _, dies := range []int{1, 2, 4, 8} {
+			for _, temp := range []float64{tech.TempHot350, tech.TempCryo77} {
+				points = append(points, explorer.DesignPoint{
+					Label:       fmt.Sprintf("%d-die %s @%.0fK", dies, tc, temp),
+					Cell:        c,
+					Temperature: temp,
+					Dies:        dies,
+					Style:       stack.TSVStack,
+				})
+			}
+		}
+	}
+	return points, nil
 }
 
 // ColdAndTallBest returns, for one benchmark, the combined-study winner by

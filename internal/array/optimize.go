@@ -91,15 +91,6 @@ type SearchStats struct {
 	WarmStart bool
 }
 
-// PruneRate is the fraction of feasible candidates skipped by the bound.
-func (s SearchStats) PruneRate() float64 {
-	feasible := s.Pruned + s.Characterized
-	if feasible == 0 {
-		return 0
-	}
-	return float64(s.Pruned) / float64(feasible)
-}
-
 // OptimizeWithStats is OptimizeContext exposing the search instrumentation.
 func OptimizeWithStats(ctx context.Context, cfg Config) (Result, SearchStats, error) {
 	if err := cfg.Validate(); err != nil {

@@ -55,6 +55,17 @@ func (c CoolerClass) String() string {
 	}
 }
 
+// ParseClass maps a class name produced by String ("100kW", "1kW",
+// "100W", "10W") back to its CoolerClass.
+func ParseClass(name string) (CoolerClass, error) {
+	for _, c := range Classes() {
+		if c.String() == name {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("cryo: unknown cooler class %q (want 100kW, 1kW, 100W or 10W)", name)
+}
+
 // Overhead returns the cooler input power per watt of heat removed at 77 K.
 func (c CoolerClass) Overhead() float64 {
 	switch c {

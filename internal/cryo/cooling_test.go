@@ -144,3 +144,17 @@ func TestClassStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestParseClass(t *testing.T) {
+	for _, c := range Classes() {
+		got, err := ParseClass(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseClass(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+	}
+	for _, bad := range []string{"", "5W", "100kw", "77K"} {
+		if _, err := ParseClass(bad); err == nil {
+			t.Errorf("ParseClass(%q) accepted", bad)
+		}
+	}
+}

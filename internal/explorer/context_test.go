@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"coldtall/internal/array"
 	"coldtall/internal/workload"
 )
 
@@ -80,5 +81,40 @@ func TestEvaluateAllContextCancelMidSweep(t *testing.T) {
 		// optimization and its cancel landing — nothing was cut short,
 		// so there is nothing to assert (same race as the skip above).
 		t.Skip("cancellation landed after the sweep finished its optimizations")
+	}
+}
+
+// cancelOnLoad is a persistence tier that cancels a context when the
+// characterization of one key is looked up, and otherwise misses.
+type cancelOnLoad struct {
+	key    string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnLoad) Load(key string) (array.Result, bool) {
+	if key == c.key {
+		c.cancel()
+	}
+	return array.Result{}, false
+}
+
+func (cancelOnLoad) Store(string, array.Result) {}
+
+// TestEvaluateContextBaselineHonoursContext: the slowdown check
+// characterizes the 350 K baseline under the evaluation's context, so a
+// cancellation that lands there fails the evaluation instead of yielding
+// one judged against a baseline computed on context.Background.
+func TestEvaluateContextBaselineHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := New()
+	e.SetPersistence(cancelOnLoad{key: Baseline().Key(), cancel: cancel})
+	tr, err := workload.StaticTrafficFor(ReferenceBenchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := e.EvaluateContext(ctx, SRAMAt(77), tr)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("EvaluateContext = %+v, %v; want an error wrapping context.Canceled", ev.Point, err)
 	}
 }

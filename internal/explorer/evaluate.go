@@ -248,25 +248,28 @@ func (e *Explorer) EvaluateContext(ctx context.Context, p DesignPoint, tr worklo
 		ContentionFactor: contention,
 		LifetimeYears:    lifetimeYears(r, p, tr),
 	}
-	ev.Slowdown = e.slowdown(ev)
+	if ev.Slowdown, err = e.slowdown(ctx, ev); err != nil {
+		return Evaluation{}, err
+	}
 	return ev, nil
 }
 
 // slowdown applies the paper's performance check: a solution "above a
 // relative value of 1 in total LLC latency" against 350 K SRAM on the same
 // benchmark, or demand exceeding sustainable bandwidth, will negatively
-// impact performance.
-func (e *Explorer) slowdown(ev Evaluation) bool {
+// impact performance. The baseline is characterized under ctx, and a
+// failure to characterize it fails the evaluation.
+func (e *Explorer) slowdown(ctx context.Context, ev Evaluation) (bool, error) {
 	demand := ev.Traffic.ReadsPerSec + ev.Traffic.WritesPerSec
 	if demand > ev.Array.BandwidthAccesses {
-		return true
+		return true, nil
 	}
-	base, err := e.Characterize(Baseline())
+	base, err := e.CharacterizeContext(ctx, Baseline())
 	if err != nil {
-		return false
+		return false, err
 	}
 	baseAgg := ev.Traffic.ReadsPerSec*base.ReadLatency + ev.Traffic.WritesPerSec*base.WriteLatency
-	return ev.AggregateLatency > baseAgg*(1+1e-12)
+	return ev.AggregateLatency > baseAgg*(1+1e-12), nil
 }
 
 // contentionModel estimates bank-conflict queuing: the LLC's banks act as

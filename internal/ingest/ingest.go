@@ -58,8 +58,9 @@ const (
 	WorkloadKeyPrefix = "workload|"
 )
 
-// GeneratorSpec describes a synthetic workload, mirroring tracegen's
-// knobs: either a named SPEC profile or a raw pattern over a working set.
+// GeneratorSpec describes a synthetic workload: either a named SPEC
+// profile or a raw pattern over a working set. The tracegen command fills
+// one from its flags, so uploads and generated traces share one builder.
 type GeneratorSpec struct {
 	// Profile bases the stream on a named SPEC stand-in profile
 	// (mutually exclusive with Pattern).
@@ -78,8 +79,10 @@ type GeneratorSpec struct {
 	Seed int64 `json:"seed"`
 }
 
-// build constructs the generator.
-func (g GeneratorSpec) build() (trace.Generator, error) {
+// Build constructs the generator: the profile's when Profile is set,
+// otherwise Pattern's over a WorkingSetBytes region at 1 GiB. It does not
+// apply Validate's ingestion bounds.
+func (g GeneratorSpec) Build() (trace.Generator, error) {
 	if g.Profile != "" {
 		p, err := workload.ProfileByName(g.Profile)
 		if err != nil {
@@ -270,7 +273,7 @@ func canonicalize(s Spec) (canonical []byte, count int, err error) {
 	var buf bytes.Buffer
 	bw := trace.NewBinaryWriter(&buf)
 	if s.Generator != nil {
-		g, err := s.Generator.build()
+		g, err := s.Generator.Build()
 		if err != nil {
 			return nil, 0, err
 		}

@@ -451,11 +451,6 @@ func (s *Server) ReloadTenants() error {
 	return nil
 }
 
-// Draining returns a channel that closes when graceful shutdown begins;
-// streaming handlers select on it to flush a final event and disconnect
-// before the listener drain waits on them.
-func (s *Server) Draining() <-chan struct{} { return s.drainCh }
-
 // startDrain flips the health signal and releases every live stream.
 func (s *Server) startDrain() {
 	s.draining.Store(true)

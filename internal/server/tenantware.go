@@ -184,14 +184,25 @@ type errBudget struct{ wait time.Duration }
 func (e *errBudget) Error() string { return "server: tenant compute budget exhausted" }
 
 // artifactCost estimates an artifact build in design-point evaluations:
-// the points its renderer enumerates (already-cached characterizations
-// make the real work cheaper, never dearer).
+// the points its build characterizes (already-cached characterizations
+// make the real work cheaper, never dearer), and at least 1.
 func artifactCost(name string) int {
-	if n := len(coldtall.ArtifactPoints(name)); n > 0 {
+	if n, ok := artifactCosts()[name]; ok {
 		return n
 	}
 	return 1
 }
+
+// artifactCosts prices every registry artifact once. ArtifactPoints is a
+// pure function of the name, and every artifact request reads its price,
+// response-cache hits included, so the grids are not rebuilt per request.
+var artifactCosts = sync.OnceValue(func() map[string]int {
+	costs := make(map[string]int)
+	for _, name := range coldtall.Artifacts().Names() {
+		costs[name] = max(len(coldtall.ArtifactPoints(name)), 1)
+	}
+	return costs
+})
 
 // Per-tenant labeled series, lazily created like the per-path request
 // counters.

@@ -1,9 +1,6 @@
 package tech
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // WireLayer selects one of the interconnect layer classes used inside a
 // memory macro: local wires route within a subarray, intermediate wires
@@ -50,7 +47,6 @@ var wireGeometries = map[WireLayer]wireGeometry{
 // Wire is a temperature-evaluated interconnect layer. Construct with
 // NewWire; the zero value is not usable.
 type Wire struct {
-	layer       WireLayer
 	resPerMeter float64
 	capPerMeter float64
 }
@@ -79,14 +75,10 @@ func NewWireScaled(layer WireLayer, t, scale float64) (Wire, error) {
 	}
 	rho := WireResistivity(t)
 	return Wire{
-		layer:       layer,
 		resPerMeter: rho / (g.width * scale * g.thickness * scale),
 		capPerMeter: g.capPerM,
 	}, nil
 }
-
-// Layer returns the wire's layer class.
-func (w Wire) Layer() WireLayer { return w.layer }
 
 // ResistancePerMeter returns ohms per metre at the evaluated temperature.
 func (w Wire) ResistancePerMeter() float64 { return w.resPerMeter }
@@ -99,39 +91,3 @@ func (w Wire) Resistance(length float64) float64 { return w.resPerMeter * length
 
 // Capacitance returns the total capacitance of length metres of this wire.
 func (w Wire) Capacitance(length float64) float64 { return w.capPerMeter * length }
-
-// ElmoreDelay returns the distributed-RC (Elmore) delay of an unrepeated
-// wire of the given length driven by a source with resistance rDrive into a
-// load capacitance cLoad:
-//
-//	d = 0.69 (rDrive (Cw + cLoad)) + 0.38 Rw Cw + 0.69 Rw cLoad
-func (w Wire) ElmoreDelay(length, rDrive, cLoad float64) float64 {
-	rw := w.Resistance(length)
-	cw := w.Capacitance(length)
-	return 0.69*rDrive*(cw+cLoad) + 0.38*rw*cw + 0.69*rw*cLoad
-}
-
-// RepeatedDelay returns the delay of the wire when broken into optimally
-// sized and spaced repeaters built from the supplied device corner. The
-// classic result is delay/length = 2 sqrt(0.38 Rw/m * Cw/m * tau_buf) with
-// tau_buf the intrinsic buffer time constant; we approximate tau_buf with
-// the corner's FO4 delay divided by 5 (one inverter stage).
-func (w Wire) RepeatedDelay(length float64, corner DeviceCorner) float64 {
-	tauBuf := corner.FO4Delay / 5
-	perMeter := 2 * math.Sqrt(0.38*w.resPerMeter*w.capPerMeter*tauBuf)
-	return perMeter * length
-}
-
-// RepeatedEnergy returns the switching energy of driving the repeated wire
-// once: the wire capacitance plus a repeater-capacitance overhead (about 40%
-// of wire cap at the optimal sizing) charged to Vdd.
-func (w Wire) RepeatedEnergy(length float64, corner DeviceCorner) float64 {
-	c := w.Capacitance(length) * 1.4
-	return c * corner.Vdd * corner.Vdd
-}
-
-// SwitchEnergy returns the CV^2 energy of one full-swing transition on an
-// unrepeated wire of the given length at supply vdd.
-func (w Wire) SwitchEnergy(length, vdd float64) float64 {
-	return w.Capacitance(length) * vdd * vdd
-}

@@ -31,10 +31,6 @@ func NewTextReader(r io.Reader) *TextReader {
 	return &TextReader{sc: sc}
 }
 
-// Line returns the physical line number of the most recently parsed line
-// (1-based; 0 before the first Next call).
-func (t *TextReader) Line() int { return t.line }
-
 // Next implements Reader.
 func (t *TextReader) Next() (Access, error) {
 	for t.sc.Scan() {

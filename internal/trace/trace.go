@@ -217,40 +217,6 @@ func Collect(g Generator, n int) []Access {
 	return out
 }
 
-// Phased cycles through child generators in fixed-length phases, modeling
-// program phase behaviour (compute phase, then a scan, then pointer work):
-// the cache sees bursts rather than a stationary mixture.
-type Phased struct {
-	gens   []Generator
-	length int
-	pos    int
-	cur    int
-}
-
-// NewPhased rotates through gens, switching every phaseLength accesses.
-func NewPhased(gens []Generator, phaseLength int) (*Phased, error) {
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("trace: phased needs at least one generator")
-	}
-	if phaseLength <= 0 {
-		return nil, fmt.Errorf("trace: phase length must be positive")
-	}
-	return &Phased{gens: gens, length: phaseLength}, nil
-}
-
-// Next implements Generator.
-func (p *Phased) Next() Access {
-	if p.pos == p.length {
-		p.pos = 0
-		p.cur = (p.cur + 1) % len(p.gens)
-	}
-	p.pos++
-	return p.gens[p.cur].Next()
-}
-
-// Phase returns the index of the currently active child generator.
-func (p *Phased) Phase() int { return p.cur }
-
 // Chain is a true dependent pointer chase: each access determines the next
 // through a full-period linear-congruential walk over the region's blocks,
 // so no two accesses can overlap in a real machine — the classic

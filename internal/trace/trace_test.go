@@ -206,44 +206,6 @@ func TestAccessAlignmentProperty(t *testing.T) {
 	}
 }
 
-func TestPhasedRotatesGenerators(t *testing.T) {
-	rA := Region{Base: 0, Size: 1 << 20}
-	rB := Region{Base: 1 << 40, Size: 1 << 20}
-	a, _ := NewStream(rA, 1, 0, 1)
-	b, _ := NewStream(rB, 1, 0, 1)
-	p, err := NewPhased([]Generator{a, b}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if acc := p.Next(); acc.Addr >= 1<<40 {
-			t.Fatalf("access %d should come from phase 0", i)
-		}
-	}
-	if p.Phase() != 0 {
-		t.Error("still in phase 0 until the next access")
-	}
-	for i := 0; i < 10; i++ {
-		if acc := p.Next(); acc.Addr < 1<<40 {
-			t.Fatalf("access %d should come from phase 1", i)
-		}
-	}
-	// Wraps back to phase 0.
-	if acc := p.Next(); acc.Addr >= 1<<40 {
-		t.Error("phase rotation should wrap")
-	}
-}
-
-func TestPhasedRejectsBadConfig(t *testing.T) {
-	if _, err := NewPhased(nil, 10); err == nil {
-		t.Error("empty generator list should fail")
-	}
-	g, _ := NewStream(Region{Base: 0, Size: 1 << 20}, 1, 0, 1)
-	if _, err := NewPhased([]Generator{g}, 0); err == nil {
-		t.Error("zero phase length should fail")
-	}
-}
-
 func TestChainVisitsEveryBlockOncePerPeriod(t *testing.T) {
 	r := Region{Base: 1 << 20, Size: 64 * BlockBytes}
 	c, err := NewChain(r, 0, 9)

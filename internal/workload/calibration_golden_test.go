@@ -13,6 +13,7 @@ package workload
 //	go test ./internal/workload -run CalibrationGolden -update
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -56,7 +57,7 @@ func TestCalibrationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite simulation")
 	}
-	rows, err := MeasureAll(calibrationAccesses, calibrationSeed)
+	rows, err := MeasureAll(context.Background(), calibrationAccesses, calibrationSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,10 +246,11 @@ func ExtrapolateAtFrequency(name string, llcReads, llcWrites, accesses uint64, m
 // and returns the traffic table in canonical order — the full
 // Sniper-substitute run the static table is calibrated against. Each
 // benchmark replays from its own fixed seed, so the table is identical at
-// any worker count.
-func MeasureAll(accesses int, seed int64) ([]Traffic, error) {
+// any worker count. Once ctx is done no further benchmark starts and the
+// call returns ctx's error.
+func MeasureAll(ctx context.Context, accesses int, seed int64) ([]Traffic, error) {
 	profiles := Profiles()
-	return parallel.MapContext(context.Background(), len(profiles), 0, func(i int) (Traffic, error) {
+	return parallel.MapContext(ctx, len(profiles), 0, func(i int) (Traffic, error) {
 		return Measure(profiles[i], accesses, seed)
 	})
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -320,7 +322,7 @@ func TestMeasureAllParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed measurement")
 	}
-	rows, err := MeasureAll(100000, 7)
+	rows, err := MeasureAll(context.Background(), 100000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +338,7 @@ func TestMeasureAllParallel(t *testing.T) {
 		}
 	}
 	// Determinism despite parallel execution.
-	again, err := MeasureAll(100000, 7)
+	again, err := MeasureAll(context.Background(), 100000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +346,15 @@ func TestMeasureAllParallel(t *testing.T) {
 		if rows[i] != again[i] {
 			t.Fatalf("MeasureAll not deterministic at %s", rows[i].Benchmark)
 		}
+	}
+}
+
+// TestMeasureAllHonoursContext: a cancelled context stops the replays and
+// surfaces as the call's error.
+func TestMeasureAllHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MeasureAll(ctx, 100000, 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MeasureAll under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -29,16 +29,9 @@ type ReliabilityRow struct {
 // ReliabilityStudy analyzes the main Table II candidates under each band's
 // representative write stream.
 func (s *Study) ReliabilityStudy() ([]ReliabilityRow, error) {
-	points := []explorer.DesignPoint{
-		explorer.EDRAMAt(tech.TempHot350),
-		explorer.EDRAMAt(tech.TempCryo77),
-	}
-	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM} {
-		p, err := explorer.Stacked(tc, cell.Optimistic, 4)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
+	points, err := reliabilityPoints()
+	if err != nil {
+		return nil, err
 	}
 	reps, err := bandTraffic()
 	if err != nil {
@@ -66,4 +59,21 @@ func (s *Study) ReliabilityStudy() ([]ReliabilityRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// reliabilityPoints is the reliability study's grid: 3T-eDRAM at 350 K and
+// 77 K, and the optimistic 4-die PCM, STT-RAM and RRAM stacks.
+func reliabilityPoints() ([]explorer.DesignPoint, error) {
+	points := []explorer.DesignPoint{
+		explorer.EDRAMAt(tech.TempHot350),
+		explorer.EDRAMAt(tech.TempCryo77),
+	}
+	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM} {
+		p, err := explorer.Stacked(tc, cell.Optimistic, 4)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, p)
+	}
+	return points, nil
 }

@@ -135,7 +135,7 @@ func (s *Study) CoolingSweep() ([]CoolingRow, error) {
 	// cooling-independent, so the per-class sub-studies share the parent's
 	// characterization cache and optimize each point once across the
 	// whole sweep; only the first class's sweep runs the optimizer.
-	points := []explorer.DesignPoint{explorer.Baseline(), explorer.EDRAMAt(tech.TempCryo77)}
+	points := coolingPoints()
 	var rows []CoolingRow
 	for _, cls := range cryo.Classes() {
 		study, err := s.withCooling(cryo.Cooling{Class: cls, ThresholdK: 200})
@@ -158,4 +158,10 @@ func (s *Study) CoolingSweep() ([]CoolingRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// coolingPoints is the cooling sweep's grid: the baseline (warm) and 77 K
+// 3T-eDRAM (cold).
+func coolingPoints() []explorer.DesignPoint {
+	return []explorer.DesignPoint{explorer.Baseline(), explorer.EDRAMAt(tech.TempCryo77)}
 }

@@ -148,7 +148,7 @@ func (s *Study) DeepCryoSweep() ([]DeepCryoRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sweep := explorer.CryoSweep(cryo.DeepTemperatures())
+	sweep := deepCryoPoints()
 	grid, err := s.exp.EvaluateAllContext(s.context(), sweep, []workload.Traffic{tr})
 	if err != nil {
 		return nil, err
@@ -171,6 +171,12 @@ func (s *Study) DeepCryoSweep() ([]DeepCryoRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// deepCryoPoints is the deep-cryogenic grid: SRAM and 3T-eDRAM at every
+// cryo.DeepTemperatures point, 4 K to 300 K.
+func deepCryoPoints() []explorer.DesignPoint {
+	return explorer.CryoSweep(cryo.DeepTemperatures())
 }
 
 // FreqRow is one (design point, frequency) cell of the frequency sweep.
@@ -200,6 +206,20 @@ func SweepFrequencies() []float64 {
 	return []float64{1e9, 2.5e9, 5e9, 7.5e9, 1e10}
 }
 
+// freqSweepPoints is the frequency sweep's grid: 350 K SRAM, then 77 K
+// 3T-eDRAM, each at every SweepFrequencies clock.
+func freqSweepPoints() []explorer.DesignPoint {
+	var points []explorer.DesignPoint
+	for _, bp := range []explorer.DesignPoint{explorer.SRAMAt(tech.TempHot350), explorer.EDRAMAt(tech.TempCryo77)} {
+		for _, f := range SweepFrequencies() {
+			p := bp
+			p.FrequencyHz = f
+			points = append(points, p)
+		}
+	}
+	return points
+}
+
 // FrequencySweep evaluates the 350 K SRAM incumbent and the 77 K 3T-eDRAM
 // cryogenic point across core clocks under the mcf workload (the
 // read-traffic maximum, where LLC latency moves the CPU most). Per-point
@@ -224,19 +244,7 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	bases := []explorer.DesignPoint{
-		explorer.SRAMAt(tech.TempHot350),
-		explorer.EDRAMAt(tech.TempCryo77),
-	}
-	freqs := SweepFrequencies()
-	var points []explorer.DesignPoint
-	for _, bp := range bases {
-		for _, f := range freqs {
-			p := bp
-			p.FrequencyHz = f
-			points = append(points, p)
-		}
-	}
+	points := freqSweepPoints()
 	grid, err := s.exp.EvaluateAllContext(s.context(), points, []workload.Traffic{tr})
 	if err != nil {
 		return nil, err
