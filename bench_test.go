@@ -23,6 +23,7 @@ package coldtall
 // SRAM area reduction.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -315,7 +316,7 @@ func BenchmarkAblationTrafficSource(b *testing.B) {
 		}
 		var tr workload.Traffic
 		for i := 0; i < b.N; i++ {
-			tr, err = workload.Measure(p, 200000, 42)
+			tr, err = workload.Measure(context.Background(), p, 200000, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -454,7 +455,7 @@ func BenchmarkWorkloadMeasure(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.Measure(p, 100000, 42); err != nil {
+		if _, err := workload.Measure(context.Background(), p, 100000, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

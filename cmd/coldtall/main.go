@@ -463,7 +463,7 @@ func pareto(ctx context.Context, w io.Writer, f cliFlags) error {
 // them against the static (Sniper-substitute) traffic table; ctx stops
 // the replays.
 func trafficCalibration(ctx context.Context) (*report.Table, error) {
-	measured, err := workload.MeasureAll(ctx, 400000, 42)
+	measured, err := workload.MeasureAll(ctx, workload.WindowAccesses, 42)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +486,7 @@ func trafficCalibration(ctx context.Context) (*report.Table, error) {
 	}
 	t.Note = "  Bounded-window caveats: sub-1e5-reads/s benchmarks are dominated by\n" +
 		"  statistical noise (a handful of LLC events per window). Writebacks lag\n" +
-		"  demand traffic: in a 400k-access window dirty lines have not yet\n" +
+		fmt.Sprintf("  demand traffic: in a %dk-access window dirty lines have not yet\n", workload.WindowAccesses/1000) +
 		"  started to leave the L2, so simulated writes/s is 0 for every benchmark\n" +
 		"  but mcf and the write column carries no signal. High-traffic read rates\n" +
 		"  match the static table within a few percent."

@@ -24,7 +24,7 @@ func TestReplayParsesTraceFormat(t *testing.T) {
 	if n != 4 {
 		t.Errorf("replayed %d accesses, want 4", n)
 	}
-	s := h.LevelStats(0)
+	s := h.Snapshot().Levels[0]
 	if s.Reads != 2 || s.Writes != 2 {
 		t.Errorf("L1 saw %d reads %d writes, want 2/2", s.Reads, s.Writes)
 	}

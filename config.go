@@ -1,6 +1,7 @@
 package coldtall
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -115,15 +116,16 @@ func (pc PointConfig) point() (explorer.DesignPoint, error) {
 	return p, nil
 }
 
-// traffic lowers a WorkloadConfig into traffic rates.
-func (wc WorkloadConfig) traffic() (workload.Traffic, error) {
+// traffic lowers a WorkloadConfig into traffic rates; ctx stops a
+// simulated measurement.
+func (wc WorkloadConfig) traffic(ctx context.Context) (workload.Traffic, error) {
 	if wc.Benchmark != "" {
 		if wc.Simulate {
 			p, err := workload.ProfileByName(wc.Benchmark)
 			if err != nil {
 				return workload.Traffic{}, err
 			}
-			return workload.Measure(p, 400000, 42)
+			return workload.Measure(ctx, p, workload.WindowAccesses, 42)
 		}
 		return workload.StaticTrafficFor(wc.Benchmark)
 	}
@@ -164,7 +166,7 @@ func (s *Study) RunConfig(cfg StudyConfig) ([]TrafficRow, error) {
 	}
 	traffics := make([]workload.Traffic, len(cfg.Workloads))
 	for j, wc := range cfg.Workloads {
-		if traffics[j], err = wc.traffic(); err != nil {
+		if traffics[j], err = wc.traffic(s.context()); err != nil {
 			return nil, err
 		}
 	}

@@ -78,7 +78,7 @@ func (s *Study) ImpactStudy() ([]ImpactRow, error) {
 				mems = append(mems, coldMem)
 			}
 			for _, mem := range mems {
-				imp, err := s.exp.SystemImpact(p, prof, mem)
+				imp, err := s.exp.SystemImpact(s.context(), p, prof, mem)
 				if err != nil {
 					return nil, err
 				}

@@ -253,7 +253,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 		p := c.spec(name, memKI, ipc, opts).Profile()
 		// The candidate traffic is labeled by the profile name; relabel is
 		// unnecessary since only the rates enter the objective.
-		tr, err := workload.Measure(p, opts.EvalAccesses, opts.Seed)
+		tr, err := workload.Measure(ctx, p, opts.EvalAccesses, opts.Seed)
 		if err != nil {
 			return outcome{}, err
 		}

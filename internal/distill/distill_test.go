@@ -33,7 +33,7 @@ func TestFitRecoversBuiltinProfiles(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			measured, err := workload.Measure(p, accesses, seed)
+			measured, err := workload.Measure(context.Background(), p, accesses, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestFitIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const accesses = 1 << 14
-	measured, err := workload.Measure(p, accesses, 1)
+	measured, err := workload.Measure(context.Background(), p, accesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -802,7 +802,7 @@ func TestSystemImpact(t *testing.T) {
 		return p
 	}
 	// The baseline is its own reference.
-	base, err := exp(t).SystemImpact(Baseline(), prof("namd"), mem)
+	base, err := exp(t).SystemImpact(context.Background(), Baseline(), prof("namd"), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,14 +818,14 @@ func TestSystemImpact(t *testing.T) {
 
 	// A faster LLC (77 K eDRAM) speeds the core up on a memory-bound
 	// benchmark; a slow pessimistic PCM slows it down.
-	fast, err := exp(t).SystemImpact(EDRAMAt(tech.TempCryo77), prof("mcf"), mem)
+	fast, err := exp(t).SystemImpact(context.Background(), EDRAMAt(tech.TempCryo77), prof("mcf"), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast.RelIPC <= 1 {
 		t.Errorf("77K eDRAM RelIPC on mcf = %.4f, want > 1", fast.RelIPC)
 	}
-	slow, err := exp(t).SystemImpact(stacked(t, cell.PCM, cell.Pessimistic, 1), prof("mcf"), mem)
+	slow, err := exp(t).SystemImpact(context.Background(), stacked(t, cell.PCM, cell.Pessimistic, 1), prof("mcf"), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +834,7 @@ func TestSystemImpact(t *testing.T) {
 	}
 
 	// A compute-bound benchmark barely notices the LLC choice.
-	quiet, err := exp(t).SystemImpact(stacked(t, cell.PCM, cell.Pessimistic, 1), prof("povray"), mem)
+	quiet, err := exp(t).SystemImpact(context.Background(), stacked(t, cell.PCM, cell.Pessimistic, 1), prof("povray"), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -858,11 +858,11 @@ func TestSystemImpactColdDRAMCompounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := exp(t).SystemImpact(EDRAMAt(tech.TempCryo77), p, warmMem)
+	warm, err := exp(t).SystemImpact(context.Background(), EDRAMAt(tech.TempCryo77), p, warmMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := exp(t).SystemImpact(EDRAMAt(tech.TempCryo77), p, coldMem)
+	cold, err := exp(t).SystemImpact(context.Background(), EDRAMAt(tech.TempCryo77), p, coldMem)
 	if err != nil {
 		t.Fatal(err)
 	}

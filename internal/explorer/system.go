@@ -69,34 +69,38 @@ var missReplays atomic.Int64
 
 // simulateMisses returns the profile's local miss ratios per level,
 // replaying its stand-in trace at most once per process while callers
-// share the result.
-func simulateMisses(prof workload.Profile) (missProfile, error) {
-	mp, _, err := missMemo.Do(context.Background(), fmt.Sprintf("%#v", prof), func() (missProfile, error) { return replayMisses(prof) })
+// share the result. The replay runs under ctx; a ctx already done
+// returns its error with no replay.
+func simulateMisses(ctx context.Context, prof workload.Profile) (missProfile, error) {
+	if err := ctx.Err(); err != nil {
+		return missProfile{}, fmt.Errorf("explorer: miss replay of %s: %w", prof.Name, err)
+	}
+	mp, _, err := missMemo.Do(ctx, fmt.Sprintf("%#v", prof), func() (missProfile, error) { return replayMisses(ctx, prof) })
 	return mp, err
 }
 
-// replayMisses runs the benchmark stand-in through the Table I hierarchy.
-func replayMisses(prof workload.Profile) (missProfile, error) {
+// replayMisses runs the benchmark stand-in through the Table I hierarchy
+// over the built-in measurement window.
+func replayMisses(ctx context.Context, prof workload.Profile) (missProfile, error) {
 	missReplays.Add(1)
 	g, err := prof.Generator(1)
 	if err != nil {
 		return missProfile{}, err
 	}
-	h, err := sim.NewHierarchy(sim.TableIConfig())
+	r, err := sim.NewReplayer(sim.TableIConfig())
 	if err != nil {
 		return missProfile{}, err
 	}
-	const accesses = 400000
-	h.Run(g, accesses/4) // warm
-	before := [3]sim.Stats{h.LevelStats(0), h.LevelStats(1), h.LevelStats(2)}
-	h.Run(g, accesses-accesses/4)
+	w, err := r.Window(ctx, sim.FromGenerator(g), workload.WindowAccesses, nil)
+	if err != nil {
+		return missProfile{}, err
+	}
 	rate := func(i int) float64 {
-		s := h.LevelStats(i)
-		acc := s.Accesses() - before[i].Accesses()
-		if acc == 0 {
+		s := w.Levels[i]
+		if s.Accesses() == 0 {
 			return 0
 		}
-		return float64(s.Misses()-before[i].Misses()) / float64(acc)
+		return float64(s.Misses()) / float64(s.Accesses())
 	}
 	return missProfile{l1: rate(0), l2: rate(1), llc: rate(2)}, nil
 }
@@ -104,16 +108,16 @@ func replayMisses(prof workload.Profile) (missProfile, error) {
 // SystemImpact estimates the CPU-level effect of an LLC design point under
 // a benchmark: AMAT through the simulated hierarchy, CPI via the
 // benchmark's memory intensity, and IPC relative to the 350 K SRAM
-// baseline.
-func (e *Explorer) SystemImpact(p DesignPoint, prof workload.Profile, mem dram.Model) (Impact, error) {
+// baseline. The miss replay and both characterizations run under ctx.
+func (e *Explorer) SystemImpact(ctx context.Context, p DesignPoint, prof workload.Profile, mem dram.Model) (Impact, error) {
 	if err := prof.Validate(); err != nil {
 		return Impact{}, err
 	}
-	mp, err := simulateMisses(prof)
+	mp, err := simulateMisses(ctx, prof)
 	if err != nil {
 		return Impact{}, err
 	}
-	amat, err := e.amat(p, mp, mem)
+	amat, err := e.amat(ctx, p, mp, mem)
 	if err != nil {
 		return Impact{}, err
 	}
@@ -123,7 +127,7 @@ func (e *Explorer) SystemImpact(p DesignPoint, prof workload.Profile, mem dram.M
 	// (performance ∝ f × IPC) against the 5 GHz baseline.
 	bp := Baseline()
 	bp.FrequencyHz = p.FrequencyHz
-	base, err := e.amat(bp, mp, mem)
+	base, err := e.amat(ctx, bp, mp, mem)
 	if err != nil {
 		return Impact{}, err
 	}
@@ -155,8 +159,8 @@ func (e *Explorer) SystemImpact(p DesignPoint, prof workload.Profile, mem dram.M
 
 // amat folds the hierarchy levels into the average memory access time for
 // the given LLC design point.
-func (e *Explorer) amat(p DesignPoint, mp missProfile, mem dram.Model) (float64, error) {
-	r, err := e.Characterize(p)
+func (e *Explorer) amat(ctx context.Context, p DesignPoint, mp missProfile, mem dram.Model) (float64, error) {
+	r, err := e.CharacterizeContext(ctx, p)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,8 @@
 package explorer
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -32,11 +34,11 @@ func TestSystemImpactKeysMissesByProfile(t *testing.T) {
 	custom := stock
 	custom.LLCFrac = stock.LLCFrac / 4
 	custom.BigSetBytes = stock.BigSetBytes / 64
-	a, err := exp(t).SystemImpact(Baseline(), stock, mem)
+	a, err := exp(t).SystemImpact(context.Background(), Baseline(), stock, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := exp(t).SystemImpact(Baseline(), custom, mem)
+	b, err := exp(t).SystemImpact(context.Background(), Baseline(), custom, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestSystemImpactReplaysOncePerProfile(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			impacts[i], errs[i] = e.SystemImpact(Baseline(), prof, mem)
+			impacts[i], errs[i] = e.SystemImpact(context.Background(), Baseline(), prof, mem)
 		}(i)
 	}
 	close(start)
@@ -87,5 +89,27 @@ func TestSystemImpactReplaysOncePerProfile(t *testing.T) {
 		if !reflect.DeepEqual(impacts[i], impacts[0]) {
 			t.Errorf("caller %d got %+v, caller 0 got %+v", i, impacts[i], impacts[0])
 		}
+	}
+}
+
+// TestSystemImpactHonoursContext: under a cancelled context, a point no
+// one has characterized and a profile no one has replayed yield
+// context.Canceled with neither an array search nor a hierarchy replay
+// run.
+func TestSystemImpactHonoursContext(t *testing.T) {
+	prof, mem := systemFixture(t)
+	prof.Name = fmt.Sprintf("cancelled-%d", replayOnceRuns.Add(1))
+	e := New()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := missReplays.Load()
+	if _, err := e.SystemImpact(ctx, EDRAMAt(350), prof, mem); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SystemImpact under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if n := e.OptimizeCalls(); n != 0 {
+		t.Errorf("a cancelled SystemImpact ran %d array searches", n)
+	}
+	if n := missReplays.Load() - before; n != 0 {
+		t.Errorf("a cancelled SystemImpact ran %d miss replays", n)
 	}
 }

@@ -322,8 +322,8 @@ func checkTraceLength(count int) error {
 }
 
 // Run executes one ingestion: canonicalize, content-address, dedup
-// against registered workloads, replay with the warmup quarter excluded
-// (exactly as workload.Measure calibrates the static table) while
+// against registered workloads, replay through sim's measurement window
+// (the one workload.Measure calibrates the static table with) while
 // accumulating the locality signature, derive traffic, register, persist.
 // It is idempotent — re-running a spec re-derives identical bytes and an
 // identical Source (or finds its alias already recorded), which the
@@ -393,17 +393,23 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	eng.SetObserver(acc.Observe)
 
 	total := uint64(count)
-	warmup := count / 4
-	feed := newBlockFeeder(canonical)
+	warmup := uint64(sim.Warmup(count))
+	var progress func(done uint64)
+	if opts.OnProgress != nil {
+		progress = func(done uint64) { opts.OnProgress(done, total) }
+	}
 	start := time.Now()
-	if err := replayWindow(ctx, eng, feed, warmup, 0, total, opts.OnProgress); err != nil {
-		return Result{}, err
+	window, err := eng.Window(ctx, sim.FromCanonical(canonical), count, progress)
+	if err != nil {
+		var short *sim.ShortSourceError
+		switch {
+		case errors.As(err, &short):
+			return Result{}, fmt.Errorf("ingest: canonical trace ended early at access %d of %d", short.Got, short.Want)
+		case errors.Is(err, ctx.Err()):
+			return Result{}, err
+		}
+		return Result{}, fmt.Errorf("ingest: decoding trace: %w", err)
 	}
-	atWarm := eng.Snapshot()
-	if err := replayWindow(ctx, eng, feed, count-warmup, uint64(warmup), total, opts.OnProgress); err != nil {
-		return Result{}, err
-	}
-	window := eng.Snapshot().Sub(atWarm)
 	elapsed := time.Since(start).Seconds()
 
 	// Persist only now that every access has decoded: a malformed upload
@@ -438,7 +444,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 			}
 			opts.Sigs.Add(spec.Name, sig)
 			res.Stats = window
-			res.WarmupAccesses = uint64(warmup)
+			res.WarmupAccesses = warmup
 			res.ReplaySeconds = elapsed
 			res.SignatureSHA256 = sig.SHA256()
 			return res, nil
@@ -473,7 +479,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	return Result{
 		Source:          src,
 		Stats:           window,
-		WarmupAccesses:  uint64(warmup),
+		WarmupAccesses:  warmup,
 		TraceBytes:      len(canonical),
 		ReplaySeconds:   elapsed,
 		SignatureSHA256: sig.SHA256(),
@@ -538,85 +544,6 @@ func aliasResult(alias workload.Source, traceBytes int) Result {
 		AliasOf:       alias.AliasOf,
 		DedupDistance: alias.DedupDistance,
 	}
-}
-
-// replayChunk is the checkpoint granularity: progress fires per chunk, so
-// the job layer's done counter advances in block-sized steps.
-const replayChunk = 1 << 16
-
-// blockFeeder decodes the canonical stream straight into one reused
-// buffer and hands it out in chunks of at most max accesses, so the
-// replay can snapshot exactly at the warmup boundary, which block framing
-// does not align with. The buffer holds replayChunk accesses plus one
-// canonical block: a fill stops as soon as the chunk is covered, so the
-// block that crosses it always fits, and its unconsumed tail (less than
-// one block) is moved to the front before the next fill. The footprint
-// is that one buffer for the whole replay. The returned slice is valid
-// until the next call.
-type blockFeeder struct {
-	br     *trace.BinaryReader
-	buf    []trace.Access
-	lo, hi int // buf[lo:hi] is decoded but not yet handed out
-	eof    bool
-}
-
-func newBlockFeeder(canonical []byte) *blockFeeder {
-	return &blockFeeder{
-		br:  trace.NewBinaryReader(bytes.NewReader(canonical)),
-		buf: make([]trace.Access, replayChunk+trace.DefaultBlockAccesses),
-	}
-}
-
-// next returns up to max (at most replayChunk) accesses; fewer only at
-// the end of the stream.
-func (f *blockFeeder) next(max int) ([]trace.Access, error) {
-	if f.hi-f.lo < max && !f.eof {
-		f.hi = copy(f.buf, f.buf[f.lo:f.hi])
-		f.lo = 0
-		for f.hi < max {
-			n, err := f.br.ReadBlockInto(f.buf[f.hi:])
-			if errors.Is(err, io.EOF) {
-				f.eof = true
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("ingest: decoding trace: %w", err)
-			}
-			f.hi += n
-		}
-	}
-	n := min(max, f.hi-f.lo)
-	out := f.buf[f.lo : f.lo+n]
-	f.lo += n
-	return out, nil
-}
-
-// replayWindow feeds exactly n accesses from the feeder through the
-// engine in replayChunk steps, reporting cumulative progress against the
-// whole stream.
-func replayWindow(ctx context.Context, eng *sim.Replayer, f *blockFeeder, n int, base, total uint64, progress func(done, total uint64)) error {
-	done := 0
-	for done < n {
-		want := replayChunk
-		if rem := n - done; rem < want {
-			want = rem
-		}
-		chunk, err := f.next(want)
-		if err != nil {
-			return err
-		}
-		if len(chunk) == 0 {
-			return fmt.Errorf("ingest: canonical trace ended early at access %d of %d", base+uint64(done), total)
-		}
-		if err := eng.Replay(ctx, chunk); err != nil {
-			return err
-		}
-		done += len(chunk)
-		if progress != nil {
-			progress(base+uint64(done), total)
-		}
-	}
-	return nil
 }
 
 // RecoverSources walks the store's workload records back into the

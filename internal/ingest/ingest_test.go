@@ -223,51 +223,6 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestBlockFeeder pins the feeder's contract over several chunks with a
-// warmup cut inside a block: every call returns exactly the accesses
-// asked for, in stream order, until the stream ends, and the decode
-// buffer is the one allocated up front.
-func TestBlockFeeder(t *testing.T) {
-	g, err := trace.NewZipf(trace.Region{Base: 1 << 30, Size: 16 << 20}, 1.2, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := trace.Collect(g, 5*replayChunk+777)
-	f := newBlockFeeder(trace.EncodeBinary(in))
-	buf := &f.buf[0]
-	var got []trace.Access
-	// replayWindow's requests: the warmup quarter, then the rest.
-	warmup := len(in) / 4
-	wants := []int{replayChunk, warmup - replayChunk}
-	for left := len(in) - warmup; left > 0; left -= replayChunk {
-		wants = append(wants, min(left, replayChunk))
-	}
-	for _, max := range wants {
-		chunk, err := f.next(max)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := min(max, len(in)-len(got)); len(chunk) != want {
-			t.Fatalf("chunk of %d accesses, want %d", len(chunk), want)
-		}
-		got = append(got, chunk...)
-	}
-	if chunk, err := f.next(replayChunk); err != nil || len(chunk) != 0 {
-		t.Fatalf("past the end: %d accesses, %v", len(chunk), err)
-	}
-	if len(got) != len(in) {
-		t.Fatalf("fed %d accesses, want %d", len(got), len(in))
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("access %d = %+v, want %+v", i, got[i], in[i])
-		}
-	}
-	if &f.buf[0] != buf {
-		t.Fatal("the feeder reallocated its buffer")
-	}
-}
-
 // TestReingestSkipsTraceRewrite pins that an entry the store already holds
 // is not rewritten: a re-run writes only its sig| and workload| entries,
 // and an exact duplicate under a new name only its workload| record.

@@ -152,8 +152,8 @@ func TestHierarchyInclusionOfTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := trace.NewStream(trace.Region{Base: 0, Size: 256 << 20}, 1, 0.2, 1)
-	h.Run(g, 200000)
-	l1, l2, llc := h.LevelStats(0), h.LevelStats(1), h.LLCStats()
+	s := run(h, g, 200000)
+	l1, l2, llc := s.Levels[0], s.Levels[1], s.LLC()
 	if l1.Accesses() != 200000 {
 		t.Errorf("L1 accesses %d, want 200000", l1.Accesses())
 	}
@@ -163,8 +163,7 @@ func TestHierarchyInclusionOfTraffic(t *testing.T) {
 	if llc.Reads != l2.ReadMisses+l2.WriteMisses {
 		t.Errorf("LLC reads %d should equal L2 misses %d", llc.Reads, l2.Misses())
 	}
-	memR, _ := h.MemoryTraffic()
-	if memR != llc.Misses() {
+	if memR := s.MemReads; memR != llc.Misses() {
 		t.Errorf("memory reads %d should equal LLC misses %d", memR, llc.Misses())
 	}
 }
@@ -173,11 +172,11 @@ func TestSmallWorkingSetStaysInL1(t *testing.T) {
 	h, _ := NewHierarchy(TableIConfig())
 	// 16 KiB working set fits the 32 KiB L1.
 	g, _ := trace.NewPointerChase(trace.Region{Base: 0, Size: 16 << 10}, 0.3, 2)
-	h.Run(g, 100000)
-	if mr := h.LevelStats(0).MissRate(); mr > 0.01 {
+	s := run(h, g, 100000)
+	if mr := s.Levels[0].MissRate(); mr > 0.01 {
 		t.Errorf("L1 miss rate %.4f for resident set, want ~0", mr)
 	}
-	if llc := h.LLCStats(); llc.Accesses() > 1000 {
+	if llc := s.LLC(); llc.Accesses() > 1000 {
 		t.Errorf("LLC saw %d accesses for an L1-resident set", llc.Accesses())
 	}
 }
@@ -187,8 +186,7 @@ func TestMidWorkingSetHitsLLC(t *testing.T) {
 	// 1.5 MiB working set: misses L2 (512 KiB) but fits the 2 MiB LLC
 	// share.
 	g, _ := trace.NewPointerChase(trace.Region{Base: 0, Size: 1536 << 10}, 0.3, 3)
-	h.Run(g, 400000)
-	llc := h.LLCStats()
+	llc := run(h, g, 400000).LLC()
 	if llc.Accesses() < 10000 {
 		t.Errorf("LLC should see traffic, got %d", llc.Accesses())
 	}
@@ -200,8 +198,7 @@ func TestMidWorkingSetHitsLLC(t *testing.T) {
 func TestHugeWorkingSetMissesEverywhere(t *testing.T) {
 	h, _ := NewHierarchy(TableIConfig())
 	g, _ := trace.NewPointerChase(trace.Region{Base: 0, Size: 512 << 20}, 0.3, 4)
-	h.Run(g, 200000)
-	llc := h.LLCStats()
+	llc := run(h, g, 200000).LLC()
 	// Demand reads nearly all miss; writebacks from L2 often hit the
 	// still-resident line, so judge read misses specifically.
 	if mr := float64(llc.ReadMisses) / float64(llc.Reads); mr < 0.85 {
@@ -220,9 +217,7 @@ func TestSharedCopiesShrinkLLCShare(t *testing.T) {
 		g, _ := trace.NewPointerChase(trace.Region{Base: 0, Size: 4 << 20}, 0.3, seed)
 		return g
 	}
-	hPriv.Run(mk(5), 300000)
-	hShared.Run(mk(5), 300000)
-	if hShared.LLCStats().MissRate() <= hPriv.LLCStats().MissRate() {
+	if run(hShared, mk(5), 300000).LLC().MissRate() <= run(hPriv, mk(5), 300000).LLC().MissRate() {
 		t.Error("shared LLC slice should miss more than a private LLC")
 	}
 }
@@ -232,11 +227,11 @@ func TestWritebackTrafficReachesLLC(t *testing.T) {
 	// Write-heavy stream over a 64 MiB region: L2 evicts dirty lines into
 	// the LLC continuously.
 	g, _ := trace.NewStream(trace.Region{Base: 0, Size: 64 << 20}, 1, 1.0, 6)
-	h.Run(g, 300000)
-	if w := h.LLCStats().Writes; w == 0 {
+	s := run(h, g, 300000)
+	if w := s.LLC().Writes; w == 0 {
 		t.Error("LLC should receive writeback traffic")
 	}
-	if _, memW := h.MemoryTraffic(); memW == 0 {
+	if memW := s.MemWrites; memW == 0 {
 		t.Error("memory should receive LLC writebacks")
 	}
 }
@@ -245,8 +240,7 @@ func TestHierarchyDeterminism(t *testing.T) {
 	run := func() Stats {
 		h, _ := NewHierarchy(TableIConfig())
 		g, _ := trace.NewZipf(trace.Region{Base: 0, Size: 32 << 20}, 1.3, 0.25, 77)
-		h.Run(g, 100000)
-		return h.LLCStats()
+		return run(h, g, 100000).LLC()
 	}
 	if run() != run() {
 		t.Error("simulation is not deterministic")
@@ -255,11 +249,12 @@ func TestHierarchyDeterminism(t *testing.T) {
 
 func TestLevelNames(t *testing.T) {
 	h, _ := NewHierarchy(TableIConfig())
-	if h.Levels() != 3 {
-		t.Fatalf("levels = %d, want 3", h.Levels())
+	s := h.Snapshot()
+	if len(s.Levels) != 3 || len(s.Names) != 3 {
+		t.Fatalf("levels = %d, names = %d, want 3", len(s.Levels), len(s.Names))
 	}
 	for i, want := range []string{"L1D", "L2", "LLC"} {
-		if got := h.LevelName(i); got != want {
+		if got := s.Names[i]; got != want {
 			t.Errorf("level %d = %q, want %q", i, got, want)
 		}
 	}
@@ -312,8 +307,8 @@ func TestNextLinePrefetchHelpsStreams(t *testing.T) {
 		// A stream too big for L2 but small enough to dodge LLC misses
 		// dominating the picture.
 		g, _ := trace.NewStream(trace.Region{Base: 0, Size: 1 << 20}, 1, 0, 3)
-		h.Run(g, 200000)
-		return h.LevelStats(1), h.LLCStats().Reads, h.Prefetches()
+		s := run(h, g, 200000)
+		return s.Levels[1], s.LLC().Reads, s.Prefetches
 	}
 	off, llcOff, pfOff := run(false)
 	on, llcOn, pfOn := run(true)
@@ -332,4 +327,13 @@ func TestNextLinePrefetchHelpsStreams(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("LLC read ratio with prefetch = %.2f, want ~1", ratio)
 	}
+}
+
+// run replays n accesses from g through h, access by access, and returns
+// its counters.
+func run(h *Hierarchy, g trace.Generator, n int) HierarchyStats {
+	for i := 0; i < n; i++ {
+		h.Access(g.Next())
+	}
+	return h.Snapshot()
 }

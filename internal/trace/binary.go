@@ -221,7 +221,7 @@ func (br *BinaryReader) Next() (Access, error) {
 // returned slice is reused by the following ReadBlock call. It returns
 // io.EOF at a clean end of stream; EOF inside a block surfaces as a
 // corruption error. sim.Replayer.ReplayReader consumes the stream
-// block-wise so its progress checkpoints land exactly on these boundaries.
+// block-wise, so a replay pays no per-access Next call.
 func (br *BinaryReader) ReadBlock() ([]Access, error) {
 	block, err := br.readBlock(br.block[:0], maxBlockAccesses)
 	if err == nil {

@@ -14,17 +14,6 @@ type Reader interface {
 	Next() (Access, error)
 }
 
-// BlockReader is implemented by decoders that hand out whole decoded
-// blocks at once. Replay loops type-assert for it to skip per-access
-// Next calls and to align their progress checkpoints with the format's
-// CRC-framed block boundaries.
-type BlockReader interface {
-	Reader
-	// ReadBlock returns the next block's accesses (a slice reused by the
-	// following call) or io.EOF at a clean end of stream.
-	ReadBlock() ([]Access, error)
-}
-
 // sniffSize is the buffer the format sniffer reads ahead into; it must be
 // at least len(binaryMagic).
 const sniffSize = 32 * 1024

@@ -1,12 +1,13 @@
 package workload
 
 // Calibration-drift golden test: the full simulated traffic table — every
-// benchmark stand-in replayed from a fixed seed and extrapolated through
-// the shared formula — is pinned byte for byte against the static
-// (Sniper-substitute) table under testdata/golden/. Any change to the
-// profiles, the cache hierarchy, the generators, or the extrapolation
-// constants shows up here as a byte diff, not as a silently shifted
-// figure.
+// benchmark stand-in replayed from a fixed seed through sim's measurement
+// window (sim.Replayer.Window: the first quarter warms the caches, the
+// rest is counted) and extrapolated through the shared formula — is
+// pinned byte for byte against the static (Sniper-substitute) table under
+// testdata/golden/. Any change to the profiles, the cache hierarchy, the
+// window, the generators, or the extrapolation constants shows up here as
+// a byte diff, not as a silently shifted figure.
 //
 // Refresh after an intentional model change with:
 //

@@ -186,15 +186,18 @@ func Names() []string {
 	return out
 }
 
+// WindowAccesses is the replay window of the built-in simulated traffic:
+// `eval -config` with simulate, `coldtall traffic` and the system-impact
+// miss ratios all measure over this many accesses.
+const WindowAccesses = 400000
+
 // Measure replays the profile through the Table I hierarchy and
 // extrapolates continuous-operation LLC traffic rates, the way the paper
 // extrapolates Sniper access counts: per-copy access counts over simulated
-// time, scaled to all rate copies.
-//
-// The first quarter of the replay warms the hierarchy and is excluded from
-// the counts — otherwise compulsory misses of the cache-resident working
-// set would swamp the steady-state LLC traffic of low-traffic benchmarks.
-func Measure(p Profile, accesses int, seed int64) (Traffic, error) {
+// time, scaled to all rate copies. The counts come from sim's measurement
+// window (sim.Replayer.Window), which warms the hierarchy on the first
+// quarter of the accesses. ctx stops the replay.
+func Measure(ctx context.Context, p Profile, accesses int, seed int64) (Traffic, error) {
 	if accesses <= 0 {
 		return Traffic{}, fmt.Errorf("workload: accesses must be positive")
 	}
@@ -202,18 +205,16 @@ func Measure(p Profile, accesses int, seed int64) (Traffic, error) {
 	if err != nil {
 		return Traffic{}, err
 	}
-	h, err := sim.NewHierarchy(sim.TableIConfig())
+	r, err := sim.NewReplayer(sim.TableIConfig())
 	if err != nil {
 		return Traffic{}, err
 	}
-	warmup := accesses / 4
-	h.Run(g, warmup)
-	before := h.LLCStats()
-	measured := accesses - warmup
-	h.Run(g, measured)
-	llc := h.LLCStats()
-	return Extrapolate(p.Name, llc.Reads-before.Reads, llc.Writes-before.Writes,
-		uint64(measured), p.MemOpsPerKiloInstr, p.IPC), nil
+	w, err := r.Window(ctx, sim.FromGenerator(g), accesses, nil)
+	if err != nil {
+		return Traffic{}, err
+	}
+	llc := w.LLC()
+	return Extrapolate(p.Name, llc.Reads, llc.Writes, w.Accesses, p.MemOpsPerKiloInstr, p.IPC), nil
 }
 
 // Extrapolate converts an LLC access count measured over a replay window
@@ -246,11 +247,11 @@ func ExtrapolateAtFrequency(name string, llcReads, llcWrites, accesses uint64, m
 // and returns the traffic table in canonical order — the full
 // Sniper-substitute run the static table is calibrated against. Each
 // benchmark replays from its own fixed seed, so the table is identical at
-// any worker count. Once ctx is done no further benchmark starts and the
-// call returns ctx's error.
+// any worker count. Once ctx is done no further benchmark starts, running
+// replays stop at their next chunk, and the call returns ctx's error.
 func MeasureAll(ctx context.Context, accesses int, seed int64) ([]Traffic, error) {
 	profiles := Profiles()
 	return parallel.MapContext(ctx, len(profiles), 0, func(i int) (Traffic, error) {
-		return Measure(profiles[i], accesses, seed)
+		return Measure(ctx, profiles[i], accesses, seed)
 	})
 }

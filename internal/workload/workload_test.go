@@ -198,7 +198,7 @@ func TestMeasureReproducesTrafficOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := Measure(p, n, 42)
+		tr, err := Measure(context.Background(), p, n, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +229,11 @@ func TestMeasureReproducesTrafficOrdering(t *testing.T) {
 
 func TestMeasureRejectsBadInput(t *testing.T) {
 	p, _ := ProfileByName("leela")
-	if _, err := Measure(p, 0, 1); err == nil {
+	if _, err := Measure(context.Background(), p, 0, 1); err == nil {
 		t.Error("zero accesses should fail")
 	}
 	p.ZipfSkew = 0.5
-	if _, err := Measure(p, 100, 1); err == nil {
+	if _, err := Measure(context.Background(), p, 100, 1); err == nil {
 		t.Error("invalid profile should fail")
 	}
 }
@@ -275,7 +275,7 @@ func TestCalibrationSimulatedVsStaticRankCorrelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Measure(p, 300000, 7)
+		m, err := Measure(context.Background(), p, 300000, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,5 +356,20 @@ func TestMeasureAllHonoursContext(t *testing.T) {
 	cancel()
 	if _, err := MeasureAll(ctx, 100000, 7); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureAll under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMeasureHonoursContext: Measure under a cancelled context returns
+// its error before the first chunk (sim's window contract test pins that
+// a cancelled window replays nothing).
+func TestMeasureHonoursContext(t *testing.T) {
+	p, err := ProfileByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Measure(ctx, p, WindowAccesses, 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Measure under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

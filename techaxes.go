@@ -252,7 +252,7 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 	rows := make([]FreqRow, len(points))
 	for i, p := range points {
 		ev := grid[i][0]
-		imp, err := s.exp.SystemImpact(p, prof, mem)
+		imp, err := s.exp.SystemImpact(s.context(), p, prof, mem)
 		if err != nil {
 			return nil, err
 		}

@@ -445,7 +445,7 @@ func Example_memorySystem() {
 			bench, tr.ReadsPerSec, tr.WritesPerSec),
 		"LLC", "DRAM T", "AMAT", "rel IPC", "LLC power", "DRAM power", "system power")
 	for _, cand := range candidates {
-		imp, err := exp.SystemImpact(cand.point, prof, cand.mem)
+		imp, err := exp.SystemImpact(context.Background(), cand.point, prof, cand.mem)
 		if err != nil {
 			log.Fatal(err)
 		}
