@@ -219,12 +219,12 @@ func BenchmarkCoolingOverheadSweep(b *testing.B) {
 func BenchmarkAblationOptimizationTarget(b *testing.B) {
 	for _, target := range []array.Target{array.OptimizeEDP, array.OptimizeLatency, array.OptimizeArea, array.OptimizeEnergy} {
 		b.Run(target.String(), func(b *testing.B) {
-			cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+			cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Config{Dies: 1, Style: stack.TSVStack})
 			cfg.Target = target
 			var r array.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = array.Optimize(cfg)
+				r, _, err = array.OptimizeWithStats(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -248,7 +248,7 @@ func BenchmarkAblationIntegrationStyle(b *testing.B) {
 			var r array.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = array.Optimize(cfg)
+				r, _, err = array.OptimizeWithStats(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -280,11 +280,11 @@ func BenchmarkAblationTentpoleWidth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				evOpt, err := s.Explorer().Evaluate(opt, tr)
+				evOpt, err := s.Explorer().EvaluateContext(context.Background(), opt, tr)
 				if err != nil {
 					b.Fatal(err)
 				}
-				evPess, err := s.Explorer().Evaluate(pess, tr)
+				evPess, err := s.Explorer().EvaluateContext(context.Background(), pess, tr)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -340,7 +340,7 @@ func BenchmarkAblationCoolingCapacity(b *testing.B) {
 			}
 			var ev explorer.Evaluation
 			for i := 0; i < b.N; i++ {
-				ev, err = e.Evaluate(explorer.EDRAMAt(77), tr)
+				ev, err = e.EvaluateContext(context.Background(), explorer.EDRAMAt(77), tr)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -377,7 +377,7 @@ func benchmarkEvaluateAll(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		e := explorer.New()
 		e.Workers = workers
-		if _, err := e.EvaluateAll(points, traffics); err != nil {
+		if _, err := e.EvaluateAllContext(context.Background(), points, traffics); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,9 +391,9 @@ func BenchmarkEvaluateAllParallel(b *testing.B) { benchmarkEvaluateAll(b, 0) }
 // BenchmarkArrayOptimize measures one full organization search (the
 // CACTI-style inner loop every figure rests on).
 func BenchmarkArrayOptimize(b *testing.B) {
-	cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Config{Dies: 1, Style: stack.TSVStack})
 	for i := 0; i < b.N; i++ {
-		if _, err := array.Optimize(cfg); err != nil {
+		if _, _, err := array.OptimizeWithStats(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,7 +401,7 @@ func BenchmarkArrayOptimize(b *testing.B) {
 
 // BenchmarkArrayCharacterize measures a single-organization evaluation.
 func BenchmarkArrayCharacterize(b *testing.B) {
-	cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Config{Dies: 1, Style: stack.TSVStack})
 	org := array.Organization{Banks: 16, Rows: 512, Cols: 1024, ColumnMux: 4}
 	for i := 0; i < b.N; i++ {
 		if _, err := array.Characterize(cfg, org); err != nil {
@@ -468,11 +468,12 @@ func BenchmarkAblationCapacity(b *testing.B) {
 	s := sharedStudy(b)
 	for _, mib := range []int64{4, 16, 64} {
 		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {
-			p := explorer.Baseline().WithCapacity(mib << 20)
+			p := explorer.Baseline()
+			p.CapacityBytes = mib << 20
 			var r array.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = s.Explorer().Characterize(p)
+				r, err = s.Explorer().CharacterizeContext(context.Background(), p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -558,19 +559,19 @@ func BenchmarkCharacterizeColdWarm(b *testing.B) {
 	p := explorer.Baseline()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := explorer.New().Characterize(p); err != nil {
+			if _, err := explorer.New().CharacterizeContext(context.Background(), p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		e := explorer.New()
-		if _, err := e.Characterize(p); err != nil {
+		if _, err := e.CharacterizeContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Characterize(p); err != nil {
+			if _, err := e.CharacterizeContext(context.Background(), p); err != nil {
 				b.Fatal(err)
 			}
 		}

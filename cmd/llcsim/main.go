@@ -111,7 +111,7 @@ func render(stdout io.Writer, eng *sim.Replayer, n uint64, copies int, bench str
 	tr := workload.Extrapolate(p.Name, llc.Reads, llc.Writes, n, p.MemOpsPerKiloInstr, p.IPC)
 	scale := float64(copies) / workload.Cores
 	fmt.Fprintf(stdout, "\nextrapolated continuous-operation LLC traffic (%d copies at %.0f GHz, %s-class core):\n",
-		copies, workload.FrequencyHz/1e9, p.Name)
+		copies, workload.DefaultFrequencyHz/1e9, p.Name)
 	fmt.Fprintf(stdout, "  reads/s  = %.3g\n", tr.ReadsPerSec*scale)
 	fmt.Fprintf(stdout, "  writes/s = %.3g\n", tr.WritesPerSec*scale)
 	return nil

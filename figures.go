@@ -25,7 +25,7 @@ func (s *Study) Fig1() ([]Fig1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.trafficFor(explorer.ReferenceBenchmark)
+	tr, err := s.workloads.Traffic(explorer.ReferenceBenchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 	benches := []string{"namd", "leela"}
 	traffics := make([]workload.Traffic, len(benches))
 	for j, bench := range benches {
-		if traffics[j], err = s.trafficFor(bench); err != nil {
+		if traffics[j], err = s.workloads.Traffic(bench); err != nil {
 			return nil, err
 		}
 	}

@@ -42,7 +42,7 @@ type ColdAndTallRow struct {
 // temperatures, so the paper's combination question is about cold volatile
 // stacks versus warm non-volatile stacks.
 func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
-	tr, err := s.trafficFor(benchmark)
+	tr, err := s.workloads.Traffic(benchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func (s *Study) ColdAndTallVerdict(benchmark string) (ColdAndTallSummary, error)
 		}
 	}
 	// Best warm eNVM for contrast.
-	tr, err := s.trafficFor(benchmark)
+	tr, err := s.workloads.Traffic(benchmark)
 	if err != nil {
 		return ColdAndTallSummary{}, err
 	}

@@ -32,8 +32,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV snaps
 // (its first run fails with "missing golden", prompting an -update).
 var goldenNames = func() map[string]bool {
 	names := make(map[string]bool)
-	for _, file := range Artifacts().Files() {
-		names[file] = true
+	for _, d := range Artifacts().Descriptors() {
+		names[d.File] = true
 	}
 	return names
 }()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"coldtall/internal/cell"
-	"coldtall/internal/stack"
 )
 
 // Allocation budgets of the organization search at the Table I SRAM point
@@ -18,13 +17,13 @@ const (
 )
 
 func TestOptimizeAllocBudget(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	for _, warm := range []bool{false, true} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if !warm {
 				resetSearchMemo()
 			}
-			if _, err := Optimize(cfg); err != nil {
+			if _, err := optimize(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -35,7 +34,7 @@ func TestOptimizeAllocBudget(t *testing.T) {
 }
 
 func TestCharacterizeAllocBudget(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	org := Organization{Banks: 16, Rows: 512, Cols: 1024, ColumnMux: 4}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := Characterize(cfg, org); err != nil {

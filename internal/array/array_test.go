@@ -1,6 +1,7 @@
 package array
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -28,9 +29,9 @@ func llc(t *testing.T, c cell.Cell, temp float64, dies int) Result {
 		return r
 	}
 	cfg := DefaultLLC(c, temp, stack.Config{Dies: dies, Style: stack.TSVStack})
-	r, err := Optimize(cfg)
+	r, err := optimize(cfg)
 	if err != nil {
-		t.Fatalf("Optimize(%s, %gK, %d dies): %v", c.Name, temp, dies, err)
+		t.Fatalf("optimize(%s, %gK, %d dies): %v", c.Name, temp, dies, err)
 	}
 	optCacheMu.Lock()
 	optCache[key] = r
@@ -50,7 +51,7 @@ func tentpole(t *testing.T, tc cell.Technology, corner cell.Corner) cell.Cell {
 // --- Configuration validation.
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	good := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default LLC invalid: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Node.Vdd = 0 },
 	}
 	for i, mutate := range cases {
-		cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+		cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
@@ -77,7 +78,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestOrganizationConstraints(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	cfg8 := DefaultLLC(cell.NewSRAM6T(), 350, stack.Config{Dies: 8, Style: stack.TSVStack})
 	bad := []struct {
 		cfg  Config
@@ -108,7 +109,7 @@ func TestOrganizationConstraints(t *testing.T) {
 // quantities.
 func TestFeasibleMatchesDerive(t *testing.T) {
 	for _, cfg := range []Config{
-		DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar()),
+		DefaultLLC(cell.NewSRAM6T(), 350, planar),
 		DefaultLLC(cell.NewSRAM6T(), 77, stack.Config{Dies: 8, Style: stack.TSVStack}),
 	} {
 		for _, o := range candidates() {
@@ -123,7 +124,7 @@ func TestFeasibleMatchesDerive(t *testing.T) {
 }
 
 func TestCharacterizeRejectsInvalid(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	cfg.Temperature = 2
 	if _, err := Characterize(cfg, Organization{Banks: 4, Rows: 512, Cols: 1024, ColumnMux: 4}); err == nil {
 		t.Error("expected temperature validation error")
@@ -165,7 +166,7 @@ func TestBreakdownSumsToLatency(t *testing.T) {
 }
 
 func TestCharacterizeDeterministic(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	org := Organization{Banks: 16, Rows: 512, Cols: 1024, ColumnMux: 4}
 	a, err1 := Characterize(cfg, org)
 	b, err2 := Characterize(cfg, org)
@@ -505,8 +506,8 @@ func TestTotalSiliconGrowsWithDies(t *testing.T) {
 // --- Optimizer behaviour.
 
 func TestOptimizeBeatsArbitraryOrganization(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	best, err := Optimize(cfg)
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
+	best, err := optimize(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,21 +527,21 @@ func TestOptimizeBeatsArbitraryOrganization(t *testing.T) {
 }
 
 func TestOptimizeTargetsDiffer(t *testing.T) {
-	base := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	base := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 
 	lat := base
 	lat.Target = OptimizeLatency
-	rLat, err := Optimize(lat)
+	rLat, err := optimize(lat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	area := base
 	area.Target = OptimizeArea
-	rArea, err := Optimize(area)
+	rArea, err := optimize(area)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rEDP, err := Optimize(base)
+	rEDP, err := optimize(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,16 +554,16 @@ func TestOptimizeTargetsDiffer(t *testing.T) {
 }
 
 func TestOptimizeErrorForImpossibleConfig(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	cfg.CapacityBytes = 64 // single block: no feasible organization
-	if _, err := Optimize(cfg); err == nil {
+	if _, err := optimize(cfg); err == nil {
 		t.Error("expected no-feasible-organization error")
 	}
 }
 
 func TestParetoFrontProperties(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	front, err := Pareto(cfg)
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
+	front, err := ParetoContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +585,7 @@ func TestParetoFrontProperties(t *testing.T) {
 	}
 	// The EDP optimum must not dominate-strictly-outside the front:
 	// every feasible point is dominated by or present on the front.
-	best, _ := Optimize(cfg)
+	best, _ := optimize(cfg)
 	dominatedOrPresent := false
 	for _, f := range front {
 		if f.Org == best.Org || dominates(f, best) || !dominates(best, f) {
@@ -606,15 +607,15 @@ func TestSearchSpaceSize(t *testing.T) {
 // --- Capacity scaling property.
 
 func TestFootprintGrowsWithCapacity(t *testing.T) {
-	small := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	small := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	small.CapacityBytes = 4 << 20
-	large := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	large := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	large.CapacityBytes = 32 << 20
-	rs, err := Optimize(small)
+	rs, err := optimize(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Optimize(large)
+	rl, err := optimize(large)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,13 @@ func boundCells(t testing.TB) []cell.Cell {
 		cell.NewPCM(), cell.NewSTTRAM(), cell.NewRRAM(), cell.NewSOTRAM(),
 	}
 	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM, cell.SOTRAM} {
-		opt, pess, err := cell.TentpolePair(tc)
-		if err != nil {
-			t.Fatalf("TentpolePair(%v): %v", tc, err)
+		for _, corner := range cell.Corners() {
+			c, err := cell.Tentpole(tc, corner)
+			if err != nil {
+				t.Fatalf("Tentpole(%v, %v): %v", tc, corner, err)
+			}
+			cells = append(cells, c)
 		}
-		cells = append(cells, opt, pess)
 	}
 	return cells
 }
@@ -106,7 +108,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 // candidate of the same config (the pruned search then falls back to the
 // exhaustive path, which reports the config-level error).
 func TestBoundContextMatchesCharacterizeFailure(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	if _, err := newBoundContext(&cfg); err != nil {
 		t.Fatalf("bound context failed for a characterizable config: %v", err)
 	}

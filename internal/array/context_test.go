@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"coldtall/internal/cell"
-	"coldtall/internal/stack"
 )
 
 func TestOptimizeContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	if _, err := OptimizeContext(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("OptimizeContext err = %v, want context.Canceled", err)
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
+	if _, _, err := OptimizeWithStats(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("OptimizeWithStats err = %v, want context.Canceled", err)
 	}
 	if _, err := ParetoContext(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("ParetoContext err = %v, want context.Canceled", err)
@@ -67,11 +66,11 @@ func (c *countdownCtx) Err() error {
 // after some candidates were already visited, the search fails with the
 // cancellation error and polls the context no further.
 func TestOptimizeContextCancelledMidSearch(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	for _, k := range []int{2, 3, 50} {
 		resetSearchMemo()
 		ctx := newCountdownCtx(k)
-		_, err := OptimizeContext(ctx, cfg)
+		_, _, err := OptimizeWithStats(ctx, cfg)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("k=%d: err = %v, want context.Canceled", k, err)
 		}
@@ -81,17 +80,22 @@ func TestOptimizeContextCancelledMidSearch(t *testing.T) {
 	}
 }
 
+// TestOptimizeBackgroundUnaffected pins that polling a live cancellable
+// context does not move the search: it selects what the uncancellable
+// Background search selects.
 func TestOptimizeBackgroundUnaffected(t *testing.T) {
-	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	plain, err := Optimize(cfg)
+	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
+	plain, err := optimize(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := OptimizeContext(context.Background(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	live, _, err := OptimizeWithStats(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Org != ctxed.Org || plain.ReadLatency != ctxed.ReadLatency {
-		t.Errorf("OptimizeContext(Background) diverges from Optimize: %v vs %v", ctxed.Org, plain.Org)
+	if plain.Org != live.Org || plain.ReadLatency != live.ReadLatency {
+		t.Errorf("search under a live context diverges from Background: %v vs %v", live.Org, plain.Org)
 	}
 }

@@ -124,7 +124,7 @@ func TestPrunedMatchesExhaustiveWarm(t *testing.T) {
 	defer resetSearchMemo()
 	ctx := context.Background()
 	for _, temp := range []float64{350, 327, 300, 277, 250} {
-		cfg := DefaultLLC(cell.NewEDRAM3T(), temp, stack.Planar())
+		cfg := DefaultLLC(cell.NewEDRAM3T(), temp, planar)
 		want, err := optimizeExhaustive(ctx, cfg)
 		if err != nil {
 			t.Fatalf("exhaustive at %gK: %v", temp, err)

@@ -15,7 +15,7 @@ func TestExploreCharacteristics(t *testing.T) {
 	}
 	show := func(label string, c cell.Cell, temp float64, dies int) Result {
 		cfg := DefaultLLC(c, temp, stack.Config{Dies: dies, Style: stack.TSVStack})
-		r, err := Optimize(cfg)
+		r, err := optimize(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -31,7 +31,8 @@ func TestExploreCharacteristics(t *testing.T) {
 	show("eDRAM 77K 1die", cell.NewEDRAM3T(), 77, 1)
 	show("SRAM 350K 8die", cell.NewSRAM6T(), 350, 8)
 	for _, tech := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM} {
-		opt, pess, _ := cell.TentpolePair(tech)
+		opt, _ := cell.Tentpole(tech, cell.Optimistic)
+		pess, _ := cell.Tentpole(tech, cell.Pessimistic)
 		for _, dies := range []int{1, 2, 4, 8} {
 			show(opt.Name, opt, 350, dies)
 			if dies == 1 || dies == 8 {

@@ -157,7 +157,7 @@ func TestAreasFoldAcrossDies(t *testing.T) {
 	a8 := areas(&cfg, org, &d)
 
 	cfg1 := cfg
-	cfg1.Stack = stack.Planar()
+	cfg1.Stack = planar
 	d1, err := cfg1.derive(org)
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +194,8 @@ func TestAreasPumpScalesWithWriteCurrent(t *testing.T) {
 	}
 	hi := lo
 	hi.WriteCurrentA *= 3
-	cfgLo := DefaultLLC(lo, 350, stack.Planar())
-	cfgHi := DefaultLLC(hi, 350, stack.Planar())
+	cfgLo := DefaultLLC(lo, 350, planar)
+	cfgHi := DefaultLLC(hi, 350, planar)
 	dLo, _ := cfgLo.derive(org)
 	dHi, _ := cfgHi.derive(org)
 	aLo := areas(&cfgLo, org, &dLo)
@@ -249,11 +249,11 @@ func TestDestructiveReadCostsRestore(t *testing.T) {
 	nonDest.DestructiveRead = false
 	nonDest.Name = "edram-1t1c-hypothetical"
 	org := Organization{Banks: 16, Rows: 256, Cols: 1024, ColumnMux: 4}
-	rd, err := Characterize(DefaultLLC(oneTC, 350, stack.Planar()), org)
+	rd, err := Characterize(DefaultLLC(oneTC, 350, planar), org)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := Characterize(DefaultLLC(nonDest, 350, stack.Planar()), org)
+	rn, err := Characterize(DefaultLLC(nonDest, 350, planar), org)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Characterize evaluates one explicit organization of the configured array.
-// Most callers should use Optimize, which searches organizations; this
-// entry point is exported for ablation studies and tests.
+// Most callers should use OptimizeWithStats, which searches organizations;
+// this entry point is exported for ablation studies and tests.
 //
 // It validates the configuration, then the organization, then builds the
 // configuration's device corner and wires (newBoundContext) and runs the

@@ -44,33 +44,6 @@ func candidates() []Organization {
 // production search paths read it and never modify it.
 var enumeration = candidates()
 
-// Optimize sweeps internal organizations and returns the characterization
-// of the best one under cfg.Target, mirroring the exhaustive organization
-// search CACTI/NVSim/Destiny perform per configuration.
-//
-// The search is pruned: candidates whose admissible lower bound (bound.go)
-// already exceeds the incumbent's objective are skipped without a full
-// characterization, candidates are visited coarse-to-fine (cheapest-bound
-// first, or in the ranking a neighboring design point established), and a
-// per-family ranking memo carries orderings across temperatures and die
-// counts. Pruning is an evaluation-order optimization only — the selected
-// Result is bit-identical to the exhaustive reference (optimizeExhaustive in
-// oracle_test.go, pinned by the differential harness in differential_test.go
-// and by `make prunecheck`). Infeasible organizations are skipped, not errors.
-func Optimize(cfg Config) (Result, error) {
-	return OptimizeContext(context.Background(), cfg)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: once ctx is
-// done the organization sweep stops dispatching candidates and the search
-// fails with the cancellation error. A partial sweep is never reduced to a
-// "best" result — a cancelled search could otherwise silently return a
-// different organization than a completed one.
-func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
-	r, _, err := OptimizeWithStats(ctx, cfg)
-	return r, err
-}
-
 // SearchStats instruments one organization search: how much of the
 // candidate space was enumerated, skipped as infeasible, pruned by the
 // lower bound, or fully characterized, and whether a neighboring design
@@ -91,7 +64,25 @@ type SearchStats struct {
 	WarmStart bool
 }
 
-// OptimizeWithStats is OptimizeContext exposing the search instrumentation.
+// OptimizeWithStats sweeps internal organizations and returns the
+// characterization of the best one under cfg.Target, mirroring the
+// exhaustive organization search CACTI/NVSim/Destiny perform per
+// configuration, together with the search instrumentation.
+//
+// The search is pruned: candidates whose admissible lower bound (bound.go)
+// already exceeds the incumbent's objective are skipped without a full
+// characterization, candidates are visited coarse-to-fine (cheapest-bound
+// first, or in the ranking a neighboring design point established), and a
+// per-family ranking memo carries orderings across temperatures and die
+// counts. Pruning is an evaluation-order optimization only — the selected
+// Result is bit-identical to the exhaustive reference (optimizeExhaustive in
+// oracle_test.go, pinned by the differential harness in differential_test.go
+// and by `make prunecheck`). Infeasible organizations are skipped, not errors.
+//
+// Once ctx is done the organization sweep stops dispatching candidates and
+// the search fails with the cancellation error. A partial sweep is never
+// reduced to a "best" result — a cancelled search could otherwise silently
+// return a different organization than a completed one.
 func OptimizeWithStats(ctx context.Context, cfg Config) (Result, SearchStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, SearchStats{}, err
@@ -381,18 +372,11 @@ func (m *rankingMemo) update(key familyKey, evaluated []rankedOrg) {
 	m.m[key] = rank
 }
 
-// resetSearchMemo clears every family ranking — a test and benchmark hook
-// for measuring genuinely cold searches.
-func resetSearchMemo() {
-	searchMemo.mu.Lock()
-	defer searchMemo.mu.Unlock()
-	searchMemo.m = make(map[familyKey][]int)
-}
-
 // characterizeAll evaluates every candidate organization on the shared
 // worker pool, returning results indexed by enumeration position (nil for
-// infeasible organizations). Pareto (which needs every feasible point, so
-// it cannot prune) and the exhaustive test reference both reduce over this.
+// infeasible organizations). ParetoContext (which needs every feasible
+// point, so it cannot prune) and the exhaustive test reference both reduce
+// over this.
 func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Result {
 	results := make([]*Result, len(orgs))
 	bc, err := newBoundContext(&cfg)
@@ -415,21 +399,17 @@ func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Re
 	return results
 }
 
-// SearchSpaceSize returns the number of candidate organizations Optimize
+// SearchSpaceSize returns the number of candidate organizations the search
 // enumerates (before feasibility filtering).
 func SearchSpaceSize() int { return spaceSize }
 
-// Pareto returns all feasible organizations that are Pareto-optimal in
-// (read latency, mean access energy, footprint), sorted by read latency.
-// It exposes the design space the single-objective Optimize collapses.
+// ParetoContext returns all feasible organizations that are Pareto-optimal
+// in (read latency, mean access energy, footprint), sorted by read latency.
+// It exposes the design space the single-objective search collapses.
 // Candidates are characterized on the shared worker pool; the dominance
 // filter runs over the enumeration order, so the front is deterministic.
-func Pareto(cfg Config) ([]Result, error) {
-	return ParetoContext(context.Background(), cfg)
-}
-
-// ParetoContext is Pareto with cooperative cancellation (see
-// OptimizeContext for the partial-sweep rationale).
+// A cancelled sweep fails rather than returning a partial front (see
+// OptimizeWithStats).
 func ParetoContext(ctx context.Context, cfg Config) ([]Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

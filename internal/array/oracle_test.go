@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+
+	"coldtall/internal/stack"
 )
 
 // This file holds the reference implementations the production search and
@@ -11,6 +13,23 @@ import (
 // search_fuzz_test.go, pareto_test.go, the search benchmarks). They live in
 // tests only: production always runs the pruned search and the staircase
 // filter.
+
+// optimize is the production search with its instrumentation dropped.
+func optimize(cfg Config) (Result, error) {
+	r, _, err := OptimizeWithStats(context.Background(), cfg)
+	return r, err
+}
+
+// planar is the 2D baseline stack the single-die tests search.
+var planar = stack.Config{Dies: 1, Style: stack.TSVStack}
+
+// resetSearchMemo clears every family ranking — a test and benchmark hook
+// for measuring genuinely cold searches.
+func resetSearchMemo() {
+	searchMemo.mu.Lock()
+	defer searchMemo.mu.Unlock()
+	searchMemo.m = make(map[familyKey][]int)
+}
 
 // optimizeExhaustive is the reference search: characterize every candidate
 // on the shared worker pool and reduce sequentially over the fixed

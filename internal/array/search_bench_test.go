@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"coldtall/internal/cell"
-	"coldtall/internal/stack"
 )
 
 // benchConfig is the paper's LLC at the cryogenic endpoint — the design
 // point every cold-study artifact re-optimizes.
 func benchConfig() Config {
-	return DefaultLLC(cell.NewEDRAM3T(), 77, stack.Planar())
+	return DefaultLLC(cell.NewEDRAM3T(), 77, planar)
 }
 
 // BenchmarkOptimizeExhaustive measures the reference full-sweep search:

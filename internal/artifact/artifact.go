@@ -136,15 +136,6 @@ func (r *Registry[P]) Names() []string {
 	return out
 }
 
-// Files lists the export file names in paper order.
-func (r *Registry[P]) Files() []string {
-	out := make([]string, len(r.ordered))
-	for i, d := range r.ordered {
-		out[i] = d.File
-	}
-	return out
-}
-
 // Lookup resolves an artifact by registry name or export file name.
 func (r *Registry[P]) Lookup(name string) (Descriptor[P], bool) {
 	i, ok := r.byName[name]

@@ -52,9 +52,6 @@ func TestRegistryAccessors(t *testing.T) {
 	if got := strings.Join(r.Names(), ","); got != "alpha,beta" {
 		t.Errorf("Names = %s", got)
 	}
-	if got := strings.Join(r.Files(), ","); got != "alpha.csv,beta.csv" {
-		t.Errorf("Files = %s", got)
-	}
 	// Lookup resolves both registry and file names.
 	for _, name := range []string{"beta", "beta.csv"} {
 		if d, ok := r.Lookup(name); !ok || d.Name != "beta" {

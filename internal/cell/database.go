@@ -137,14 +137,3 @@ func mkGC(tech Technology, name, venue string, year int,
 		},
 	}
 }
-
-// ByTechnology filters the database to one technology.
-func ByTechnology(t Technology) []DatabaseEntry {
-	var out []DatabaseEntry
-	for _, e := range Database() {
-		if e.Tech == t {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -85,10 +85,7 @@ func TestGainCellRetentionMagnitudes(t *testing.T) {
 }
 
 func TestGainCellTentpoleCorners(t *testing.T) {
-	opt, pess, err := TentpolePair(OSGC)
-	if err != nil {
-		t.Fatalf("TentpolePair(OSGC): %v", err)
-	}
+	opt, pess := tentpolePair(t, OSGC)
 	for _, c := range []Cell{opt, pess} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("tentpole %s invalid: %v", c.Name, err)
@@ -122,10 +119,7 @@ func TestENVMTentpolesUnchangedByVolatileAxes(t *testing.T) {
 	// corners keep infinite retention, zero cell leakage and zero
 	// activation, so every seed artifact built from them is unchanged.
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		opt, pess, err := TentpolePair(tc)
-		if err != nil {
-			t.Fatalf("TentpolePair(%v): %v", tc, err)
-		}
+		opt, pess := tentpolePair(t, tc)
 		for _, c := range []Cell{opt, pess} {
 			if !math.IsInf(c.Retention300S, 1) {
 				t.Errorf("%s: retention %g, want +Inf", c.Name, c.Retention300S)

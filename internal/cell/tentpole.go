@@ -100,19 +100,6 @@ func foldTentpole(t Technology, corner Corner, entries []DatabaseEntry) Cell {
 	return best
 }
 
-// TentpolePair returns the optimistic and pessimistic composites.
-func TentpolePair(t Technology) (opt, pess Cell, err error) {
-	opt, err = Tentpole(t, Optimistic)
-	if err != nil {
-		return Cell{}, Cell{}, err
-	}
-	pess, err = Tentpole(t, Pessimistic)
-	if err != nil {
-		return Cell{}, Cell{}, err
-	}
-	return opt, pess, nil
-}
-
 func techSlug(t Technology) string {
 	switch t {
 	case PCM:

@@ -6,6 +6,30 @@ import (
 	"testing/quick"
 )
 
+// byTechnology filters the database to one technology.
+func byTechnology(tc Technology) []DatabaseEntry {
+	var out []DatabaseEntry
+	for _, e := range Database() {
+		if e.Tech == tc {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// tentpolePair returns the optimistic and pessimistic composites.
+func tentpolePair(t *testing.T, tc Technology) (opt, pess Cell) {
+	t.Helper()
+	opt, err := Tentpole(tc, Optimistic)
+	if err != nil {
+		t.Fatalf("Tentpole(%v, optimistic): %v", tc, err)
+	}
+	if pess, err = Tentpole(tc, Pessimistic); err != nil {
+		t.Fatalf("Tentpole(%v, pessimistic): %v", tc, err)
+	}
+	return opt, pess
+}
+
 func TestDatabaseEntriesValidate(t *testing.T) {
 	db := Database()
 	if len(db) < 25 {
@@ -35,29 +59,15 @@ func TestDatabaseEntriesValidate(t *testing.T) {
 
 func TestDatabaseCoversAllENVMs(t *testing.T) {
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		if n := len(ByTechnology(tc)); n < 4 {
+		if n := len(byTechnology(tc)); n < 4 {
 			t.Errorf("database has %d %v entries, want >= 4 for a meaningful tentpole", n, tc)
 		}
 	}
 }
 
-func TestByTechnologyFiltersExactly(t *testing.T) {
-	for _, e := range ByTechnology(PCM) {
-		if e.Tech != PCM {
-			t.Errorf("ByTechnology(PCM) returned %v entry %s", e.Tech, e.Name)
-		}
-	}
-	if got := ByTechnology(SRAM); got != nil {
-		t.Errorf("ByTechnology(SRAM) = %d entries, want none (SRAM is not surveyed)", len(got))
-	}
-}
-
 func TestTentpoleOrdering(t *testing.T) {
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		opt, pess, err := TentpolePair(tc)
-		if err != nil {
-			t.Fatalf("TentpolePair(%v): %v", tc, err)
-		}
+		opt, pess := tentpolePair(t, tc)
 		if err := opt.Validate(); err != nil {
 			t.Errorf("optimistic %v invalid: %v", tc, err)
 		}
@@ -86,8 +96,8 @@ func TestTentpoleIsEnvelopeOfDatabase(t *testing.T) {
 	// Property: the optimistic composite is no worse than any individual
 	// entry in every favourable direction, and pessimistic no better.
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		opt, pess, _ := TentpolePair(tc)
-		for _, e := range ByTechnology(tc) {
+		opt, pess := tentpolePair(t, tc)
+		for _, e := range byTechnology(tc) {
 			if opt.AreaF2 > e.AreaF2 || pess.AreaF2 < e.AreaF2 {
 				t.Errorf("%v: area envelope violated by %s", tc, e.Name)
 			}
@@ -124,11 +134,11 @@ func TestCornerString(t *testing.T) {
 func TestPCMTentpoleMatchesPaperScale(t *testing.T) {
 	// The paper's headline density claim requires an optimistic PCM cell
 	// far below SRAM's 146 F^2 — the survey optimum is ~4.8 F^2.
-	opt, _, _ := TentpolePair(PCM)
+	opt, _ := tentpolePair(t, PCM)
 	if opt.AreaF2 > 6 {
 		t.Errorf("optimistic PCM cell %.1f F^2, want <= 6", opt.AreaF2)
 	}
-	sttOpt, _, _ := TentpolePair(STTRAM)
+	sttOpt, _ := tentpolePair(t, STTRAM)
 	if sttOpt.WritePulseS > 3e-9 {
 		t.Errorf("optimistic STT write pulse %.2g s, want <= 3 ns (fast-write corner)", sttOpt.WritePulseS)
 	}
@@ -178,7 +188,7 @@ func TestCellPropertyDimensionsAlwaysPositive(t *testing.T) {
 
 // TestTentpoleMemoMatchesFreshFold pins the per-process composite memo: for
 // every surveyed technology and corner, Tentpole returns exactly the fold
-// over a fresh ByTechnology filter, and a caller mutating its copy cannot
+// over a fresh byTechnology filter, and a caller mutating its copy cannot
 // change what the next caller gets.
 func TestTentpoleMemoMatchesFreshFold(t *testing.T) {
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM, OSGC} {
@@ -187,7 +197,7 @@ func TestTentpoleMemoMatchesFreshFold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Tentpole(%v, %v): %v", tc, corner, err)
 			}
-			if want := foldTentpole(tc, corner, ByTechnology(tc)); got != want {
+			if want := foldTentpole(tc, corner, byTechnology(tc)); got != want {
 				t.Errorf("Tentpole(%v, %v) = %+v, want the fresh fold %+v", tc, corner, got, want)
 			}
 			got.Name, got.AreaF2, got.EnduranceCycles = "mutated", -1, 0

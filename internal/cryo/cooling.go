@@ -1,6 +1,6 @@
 // Package cryo models the system-level costs of cryogenic operation: the
 // electrical power a cryocooler consumes to remove each watt of heat at
-// 77 K, and the thermal budget of liquid-nitrogen bath cooling.
+// 77 K (the liquid-nitrogen bath's thermal budget is package thermal's).
 //
 // The paper (Sections III-C and V-A) follows prior 77 K work in charging
 // 9.65 W of cooler input power per watt removed for a 100 kW-class cooling
@@ -14,7 +14,6 @@ package cryo
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"coldtall/internal/tech"
 )
@@ -125,22 +124,6 @@ func (c CoolerClass) OverheadAt(tempK float64) float64 {
 	return base * carnotRatio * penalty
 }
 
-// CapacityWatts returns the heat-removal capacity of the class in watts.
-func (c CoolerClass) CapacityWatts() float64 {
-	switch c {
-	case Cooler100kW:
-		return 100e3
-	case Cooler1kW:
-		return 1e3
-	case Cooler100W:
-		return 100
-	case Cooler10W:
-		return 10
-	default:
-		return 100e3
-	}
-}
-
 // Cooling describes the cooling environment of a design point.
 type Cooling struct {
 	// Class selects the cryocooler capacity (and thus overhead).
@@ -196,59 +179,6 @@ func (c Cooling) TotalPower(devicePowerW, temperatureK float64) float64 {
 // CoolingPower returns only the cooler input power for the device load.
 func (c Cooling) CoolingPower(devicePowerW, temperatureK float64) float64 {
 	return c.TotalPower(devicePowerW, temperatureK) - devicePowerW
-}
-
-// WithinCapacity reports whether the device heat load fits the cooler.
-func (c Cooling) WithinCapacity(devicePowerW float64) bool {
-	return devicePowerW <= c.Class.CapacityWatts()
-}
-
-// BreakEvenReduction returns the minimum factor by which 77 K operation
-// must reduce device power for total power (including cooling) to break
-// even with uncooled operation: 1 + overhead.
-//
-// The paper: "to achieve power efficiency over 300K systems, 77K systems
-// should consume 10.65 times less power than 300K systems" (100 kW class).
-func (c Cooling) BreakEvenReduction() float64 {
-	return 1 + c.Class.Overhead()
-}
-
-// BreakEvenReductionAt is BreakEvenReduction resolved at an operating
-// temperature: the device-power reduction a cooled design must achieve for
-// total power to break even with uncooled operation at that temperature.
-func (c Cooling) BreakEvenReductionAt(tempK float64) float64 {
-	return 1 + c.Class.OverheadAt(tempK)
-}
-
-// LN bath cooling thermal budget (Section V-A): the conventional
-// liquid-nitrogen bath removes ~157 W versus ~65 W for 300 K air cooling —
-// 2.41x the capacity — with about 20 K of temperature variation.
-const (
-	// LNBathCapacityW is the heat-removal capacity of an LN bath cooler.
-	LNBathCapacityW = 157.0
-	// AirCoolingCapacityW is the reference 300 K air-cooling capacity.
-	AirCoolingCapacityW = 65.0
-	// LNBathTempVariationK is the temperature variation across the bath.
-	LNBathTempVariationK = 20.0
-)
-
-// ThermalBudgetOK reports whether a full-processor heat load can be held at
-// 77 K by LN bath cooling (the paper's argument that other CPU components
-// do not break the cryogenic LLC's environment).
-func ThermalBudgetOK(totalChipPowerW float64) bool {
-	return totalChipPowerW <= LNBathCapacityW
-}
-
-// OverheadCurve returns (capacityWatts, overhead) pairs sorted by capacity,
-// for plotting the amortization trend.
-func OverheadCurve() [][2]float64 {
-	cls := Classes()
-	out := make([][2]float64, len(cls))
-	for i, c := range cls {
-		out[i] = [2]float64{c.CapacityWatts(), c.Overhead()}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }
 
 // EffectiveTemperatures returns the operating points swept by the paper's

@@ -21,16 +21,15 @@ func TestOverheadValuesMatchPaper(t *testing.T) {
 }
 
 func TestOverheadAmortizesWithCapacity(t *testing.T) {
-	curve := OverheadCurve()
-	if len(curve) != 4 {
-		t.Fatalf("curve has %d points, want 4", len(curve))
+	// Classes runs from the largest cooler to the smallest, so the
+	// overhead per watt must rise along it.
+	cls := Classes()
+	if len(cls) != 4 {
+		t.Fatalf("%d cooler classes, want 4", len(cls))
 	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i][0] <= curve[i-1][0] {
-			t.Error("curve not sorted by capacity")
-		}
-		if curve[i][1] >= curve[i-1][1] {
-			t.Error("overhead should fall as capacity grows")
+	for i := 1; i < len(cls); i++ {
+		if cls[i].Overhead() <= cls[i-1].Overhead() {
+			t.Errorf("%v overhead %g should exceed the larger %v's %g", cls[i], cls[i].Overhead(), cls[i-1], cls[i-1].Overhead())
 		}
 	}
 }
@@ -51,12 +50,15 @@ func TestTotalPowerChargesOnlyWhenCold(t *testing.T) {
 	}
 }
 
+// TestBreakEvenReduction pins the paper's break-even factor: a 77 K
+// design must cut device power by TotalPower(1 W, 77 K) to match an
+// uncooled one.
 func TestBreakEvenReduction(t *testing.T) {
-	if got := DefaultCooling().BreakEvenReduction(); math.Abs(got-10.65) > 1e-12 {
+	if got := DefaultCooling().TotalPower(1, 77); math.Abs(got-10.65) > 1e-12 {
 		t.Errorf("break-even = %g, want 10.65", got)
 	}
 	small := Cooling{Class: Cooler10W, ThresholdK: 200}
-	if got := small.BreakEvenReduction(); math.Abs(got-40.6) > 1e-12 {
+	if got := small.TotalPower(1, 77); math.Abs(got-40.6) > 1e-12 {
 		t.Errorf("10W break-even = %g, want 40.6", got)
 	}
 }
@@ -79,26 +81,6 @@ func TestAppliesThreshold(t *testing.T) {
 		if got := c.Applies(temp); got != want {
 			t.Errorf("Applies(%g) = %v, want %v", temp, got, want)
 		}
-	}
-}
-
-func TestWithinCapacity(t *testing.T) {
-	c := Cooling{Class: Cooler100W, ThresholdK: 200}
-	if !c.WithinCapacity(99) || c.WithinCapacity(101) {
-		t.Error("capacity check wrong for 100W cooler")
-	}
-}
-
-func TestThermalBudget(t *testing.T) {
-	// LN bath removes 2.41x what air cooling does (paper Section V-A).
-	if r := LNBathCapacityW / AirCoolingCapacityW; math.Abs(r-2.415) > 0.02 {
-		t.Errorf("LN/air capacity ratio = %.3f, want ~2.41", r)
-	}
-	if !ThermalBudgetOK(150) {
-		t.Error("150 W chip should fit the LN bath budget")
-	}
-	if ThermalBudgetOK(200) {
-		t.Error("200 W chip should exceed the LN bath budget")
 	}
 }
 

@@ -70,13 +70,16 @@ func TestTotalPowerUsesTemperatureResolvedOverhead(t *testing.T) {
 	}
 }
 
+// TestBreakEvenReductionAt pins the break-even factor resolved at an
+// operating temperature, TotalPower(1 W, T): the flat survey value at
+// 77 K, and a larger one at 4 K.
 func TestBreakEvenReductionAt(t *testing.T) {
 	c := DefaultCooling()
-	if got, want := c.BreakEvenReductionAt(77), c.BreakEvenReduction(); got != want {
-		t.Errorf("BreakEvenReductionAt(77) = %g, want the flat %g", got, want)
+	if got, want := c.TotalPower(1, 77), 1+c.Class.Overhead(); got != want {
+		t.Errorf("break-even at 77 K = %g, want the flat %g", got, want)
 	}
-	if got := c.BreakEvenReductionAt(4); got <= c.BreakEvenReduction() {
-		t.Errorf("BreakEvenReductionAt(4) = %g, want above the 77 K value", got)
+	if got := c.TotalPower(1, 4); got <= c.TotalPower(1, 77) {
+		t.Errorf("break-even at 4 K = %g, want above the 77 K value", got)
 	}
 }
 

@@ -37,9 +37,9 @@ const (
 	snapTolerance = 0.05
 
 	// DefaultEvalAccesses is the regeneration replay length per candidate
-	// evaluation; DefaultMaxEvals bounds the search budget.
+	// evaluation; maxEvals bounds the search budget.
 	DefaultEvalAccesses = 1 << 16
-	DefaultMaxEvals     = 40
+	maxEvals            = 40
 
 	// DefaultSeed pins the candidate generators, keeping the whole fit
 	// deterministic.
@@ -122,16 +122,12 @@ type Result struct {
 // Options tunes a fit; zero values select the defaults.
 type Options struct {
 	EvalAccesses int
-	MaxEvals     int
 	Seed         int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.EvalAccesses <= 0 {
 		o.EvalAccesses = DefaultEvalAccesses
-	}
-	if o.MaxEvals <= 0 {
-		o.MaxEvals = DefaultMaxEvals
 	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
@@ -211,7 +207,7 @@ func initialCandidate(sig signature.Signature, measured workload.Traffic, memKI,
 	}
 	big := clampU(ceilPow2(sig.FootprintBytes()), 1<<20, 1<<34)
 	hot := clampU(ceilPow2(sig.ReuseQuantile(0.5)*64), 4096, 1<<20)
-	designed := workload.Cores * ipc * workload.FrequencyHz * (memKI / 1000)
+	designed := workload.Cores * ipc * workload.DefaultFrequencyHz * (memKI / 1000)
 	llc := clampF((measured.ReadsPerSec+measured.WritesPerSec)/designed, 1e-7, 1)
 	return candidate{hot: hot, big: big, pattern: workload.PatternChase, llc: llc, skew: 1.3, wf: clampF(wf, 0, 1)}
 }
@@ -246,7 +242,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 		if err := ctx.Err(); err != nil {
 			return outcome{}, err
 		}
-		if evals >= opts.MaxEvals {
+		if evals >= maxEvals {
 			return outcome{err: math.Inf(1)}, nil
 		}
 		evals++
@@ -272,7 +268,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 	// cycles the coordinates in a fixed order, greedily keeping any
 	// neighbor that lowers the objective.
 	llcStep, hotStep, wfStep, skewStep := 2.0, 4.0, 0.1, 0.3
-	for round := 0; round < 8 && bestOut.err > snapTolerance && evals < opts.MaxEvals; round++ {
+	for round := 0; round < 8 && bestOut.err > snapTolerance && evals < maxEvals; round++ {
 		improved := false
 		try := func(c candidate) error {
 			c.llc = clampF(c.llc, 1e-7, 1)
@@ -312,7 +308,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 		}
 		neighbors = append(neighbors, flipped)
 		for _, c := range neighbors {
-			if bestOut.err <= snapTolerance || evals >= opts.MaxEvals {
+			if bestOut.err <= snapTolerance || evals >= maxEvals {
 				break
 			}
 			if err := try(c); err != nil {
@@ -359,6 +355,9 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 func Run(ctx context.Context, name string, reg *workload.Registry, st *store.Store, idx *signature.Index, opts Options) (Result, error) {
 	if reg == nil {
 		return Result{}, fmt.Errorf("distill: a workload registry is required")
+	}
+	if idx == nil {
+		return Result{}, fmt.Errorf("distill: a signature index is required")
 	}
 	src, ok := reg.Lookup(name)
 	if !ok {
@@ -408,10 +407,8 @@ func Run(ctx context.Context, name string, reg *workload.Registry, st *store.Sto
 // resolveSignature prefers the live index, falling back to the persisted
 // sig| entry.
 func resolveSignature(src workload.Source, st *store.Store, idx *signature.Index) (signature.Signature, error) {
-	if idx != nil {
-		if s, ok := idx.Get(src.Name); ok {
-			return s, nil
-		}
+	if s, ok := idx.Get(src.Name); ok {
+		return s, nil
 	}
 	if st != nil && src.TraceSHA256 != "" {
 		if raw, ok := st.Get(signature.KeyPrefix + src.TraceSHA256); ok {

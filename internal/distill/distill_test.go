@@ -50,8 +50,8 @@ func TestFitRecoversBuiltinProfiles(t *testing.T) {
 				t.Fatalf("fit rejected: rel err %.3f after %d evals (tolerance %g)\nspec: %+v",
 					res.RelErr, res.Evals, Tolerance, res.Spec)
 			}
-			if res.Evals > DefaultMaxEvals {
-				t.Fatalf("spent %d evals, budget %d", res.Evals, DefaultMaxEvals)
+			if res.Evals > maxEvals {
+				t.Fatalf("spent %d evals, budget %d", res.Evals, maxEvals)
 			}
 			if res.Spec.Workload != p.Name || res.Spec.Seed != seed || res.Spec.EvalAccesses != accesses {
 				t.Fatalf("spec provenance drifted: %+v", res.Spec)
@@ -223,5 +223,8 @@ func TestRunRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run(%s) = %v, want %q", name, err, want)
 		}
+	}
+	if _, err := Run(context.Background(), "canon", reg, st, nil, Options{}); err == nil || !strings.Contains(err.Error(), "signature index") {
+		t.Errorf("Run without an index = %v, want a signature-index error", err)
 	}
 }

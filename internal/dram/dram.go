@@ -193,20 +193,3 @@ func (m Model) BackgroundPower() float64 {
 // leakScaleAt300 normalizes the leakage scale to the 300 K value (1.0 by
 // construction of the node model).
 func (m Model) leakScaleAt300() float64 { return 1.0 }
-
-// Power returns total memory power under an access rate (accesses/s) and
-// row-buffer hit rate.
-func (m Model) Power(accessesPerSec, rowHitRate float64) float64 {
-	if accessesPerSec < 0 {
-		accessesPerSec = 0
-	}
-	eAvg := rowHitRate*m.AccessEnergy(true) + (1-rowHitRate)*m.AccessEnergy(false)
-	return m.BackgroundPower() + m.RefreshPower() + accessesPerSec*eAvg
-}
-
-// Bandwidth returns the sustainable random-access rate across all banks.
-func (m Model) Bandwidth() float64 {
-	banks := float64(m.cfg.Channels * m.cfg.RanksPerChannel * m.cfg.BanksPerRank)
-	cycle := m.AccessLatency(false)
-	return banks / cycle * 0.5
-}

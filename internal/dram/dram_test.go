@@ -15,6 +15,12 @@ func model(t *testing.T, temp float64) Model {
 	return m
 }
 
+// power is a module's total draw under an access rate at a 50% row-buffer
+// hit rate: standby, refresh and the access energy.
+func power(m Model, accessesPerSec float64) float64 {
+	return m.BackgroundPower() + m.RefreshPower() + accessesPerSec*(0.5*m.AccessEnergy(true)+0.5*m.AccessEnergy(false))
+}
+
 func TestDDR4Validates(t *testing.T) {
 	if err := DDR4().Validate(); err != nil {
 		t.Fatal(err)
@@ -102,33 +108,21 @@ func TestAverageLatencyInterpolates(t *testing.T) {
 	}
 }
 
+// TestPowerComposition pins the power terms the walkthrough prices DRAM
+// with: at 300 K standby is the configured background power, refresh is
+// one refresh energy per configured interval, and a row miss pays the
+// activation on top of the column access.
 func TestPowerComposition(t *testing.T) {
-	m := model(t, 300)
-	idle := m.Power(0, 0.5)
-	want := m.BackgroundPower() + m.RefreshPower()
-	if math.Abs(idle-want)/want > 1e-12 {
-		t.Errorf("idle power %.4g, want background+refresh %.4g", idle, want)
-	}
-	busy := m.Power(1e8, 0.5)
-	if busy <= idle {
-		t.Error("traffic must add power")
-	}
-	if m.Power(-5, 0.5) != idle {
-		t.Error("negative rates clamp to idle")
-	}
-}
-
-func TestBandwidthScalesWithBanks(t *testing.T) {
 	cfg := DDR4()
-	m1, _ := New(cfg, 300)
-	cfg.Channels = 2
-	m2, _ := New(cfg, 300)
-	if r := m2.Bandwidth() / m1.Bandwidth(); math.Abs(r-2) > 1e-9 {
-		t.Errorf("doubling channels should double bandwidth, got %.3f", r)
+	m := model(t, 300)
+	if got, want := m.BackgroundPower(), cfg.BackgroundPower300; math.Abs(got-want)/want > 1e-12 {
+		t.Errorf("300 K background power %.4g, want the configured %.4g", got, want)
 	}
-	// DDR4-class random bandwidth: tens of millions of accesses/s.
-	if bw := m1.Bandwidth(); bw < 1e8 || bw > 1e10 {
-		t.Errorf("bandwidth %.3g acc/s out of the expected range", bw)
+	if got, want := m.RefreshPower(), cfg.RefreshEnergy/cfg.RefreshIntervalS; math.Abs(got-want)/want > 1e-12 {
+		t.Errorf("300 K refresh power %.4g, want %.4g", got, want)
+	}
+	if got, want := m.AccessEnergy(false)-m.AccessEnergy(true), cfg.EnergyActivate; math.Abs(got-want)/want > 1e-12 {
+		t.Errorf("row-miss surcharge %.4g J, want the activation energy %.4g J", got, want)
 	}
 }
 
@@ -139,7 +133,7 @@ func TestColdDRAMPowerWinAtModestTraffic(t *testing.T) {
 	warm := model(t, 300)
 	cold := model(t, 77)
 	for _, rate := range []float64{0, 1e6, 1e8} {
-		if cold.Power(rate, 0.5) >= warm.Power(rate, 0.5) {
+		if power(cold, rate) >= power(warm, rate) {
 			t.Errorf("77 K DRAM should use less device power at %g acc/s", rate)
 		}
 	}

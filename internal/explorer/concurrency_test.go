@@ -6,6 +6,7 @@ package explorer
 // GOMAXPROCS is 1.
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestCharacterizeSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start // line every caller up on the same cold cache
-			results[i], errs[i] = e.Characterize(p)
+			results[i], errs[i] = e.CharacterizeContext(context.Background(), p)
 		}(i)
 	}
 	close(start)
@@ -52,7 +53,7 @@ func TestCharacterizeSingleflight(t *testing.T) {
 	}
 
 	// A later caller hits the cache without a new optimization.
-	if _, err := e.Characterize(p); err != nil {
+	if _, err := e.CharacterizeContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.OptimizeCalls(); got != 1 {
@@ -82,7 +83,7 @@ func TestCharacterizeDistinctPointsConcurrently(t *testing.T) {
 			go func(p DesignPoint) {
 				defer wg.Done()
 				<-start
-				if _, err := e.Characterize(p); err != nil {
+				if _, err := e.CharacterizeContext(context.Background(), p); err != nil {
 					t.Error(err)
 				}
 			}(p)
@@ -105,14 +106,14 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 
 	serial := New()
 	serial.Workers = 1
-	want, err := serial.EvaluateAll(points, traffics)
+	want, err := serial.EvaluateAllContext(context.Background(), points, traffics)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par := New()
 	par.Workers = 8
-	got, err := par.EvaluateAll(points, traffics)
+	got, err := par.EvaluateAllContext(context.Background(), points, traffics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,10 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEvaluateConcurrentMixedPoints hammers Evaluate (which reaches the
-// cache through both Characterize and the slowdown baseline) from many
-// goroutines — a pure race-detector workout for the evaluation path.
+// TestEvaluateConcurrentMixedPoints hammers EvaluateContext (which reaches
+// the cache through both CharacterizeContext and the slowdown baseline)
+// from many goroutines — a pure race-detector workout for the evaluation
+// path.
 func TestEvaluateConcurrentMixedPoints(t *testing.T) {
 	e := New()
 	e.Workers = 8
@@ -137,7 +139,7 @@ func TestEvaluateConcurrentMixedPoints(t *testing.T) {
 			wg.Add(1)
 			go func(p DesignPoint, tr workload.Traffic) {
 				defer wg.Done()
-				if _, err := e.Evaluate(p, tr); err != nil {
+				if _, err := e.EvaluateContext(context.Background(), p, tr); err != nil {
 					t.Error(err)
 				}
 			}(p, tr)

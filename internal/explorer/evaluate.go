@@ -81,12 +81,12 @@ const charCapacity = 1 << 14
 // the result cache (LRU, singleflight guard and optional persistence tier
 // in one) and the optimize-invocation counter. It is a separate shared
 // structure so explorers that differ only in their cooling environment
-// (cooling touches Evaluate, never Characterize) can share one memory —
-// see WithCoolingShared.
+// (cooling touches EvaluateContext, never CharacterizeContext) can share
+// one memory — see WithCoolingShared.
 type charState struct {
 	cache *cache.Cache[array.Result]
 
-	// optimizeCalls counts actual array.Optimize invocations (cache,
+	// optimizeCalls counts actual array searches (cache,
 	// flight and persistence hits excluded) — observable via the
 	// concurrency tests.
 	optimizeCalls atomic.Int64
@@ -97,8 +97,9 @@ type charState struct {
 //
 // An Explorer is safe for concurrent use: the characterization cache is
 // singleflight-guarded, so concurrent callers of the same design point share
-// one array optimization, and EvaluateAll fans the points×benchmarks grid
-// out over a bounded worker pool with deterministic output ordering.
+// one array optimization, and EvaluateAllContext fans the
+// points×benchmarks grid out over a bounded worker pool with deterministic
+// output ordering.
 type Explorer struct {
 	// Cooling is the cryogenic environment.
 	Cooling cryo.Cooling
@@ -136,9 +137,9 @@ func WithCooling(c cryo.Cooling) (*Explorer, error) {
 // WithCoolingShared returns an Explorer under a different cooling
 // environment that shares the receiver's characterization cache, flight
 // and persistence hook. Array characterization never depends on cooling —
-// cooling only folds into Evaluate's power accounting — so sub-studies
-// that sweep cooler classes (the Sec. III-C sensitivity) reuse every
-// characterization instead of re-running the optimizer per class.
+// cooling only folds into EvaluateContext's power accounting — so
+// sub-studies that sweep cooler classes (the Sec. III-C sensitivity) reuse
+// every characterization instead of re-running the optimizer per class.
 func (e *Explorer) WithCoolingShared(c cryo.Cooling) (*Explorer, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -154,18 +155,13 @@ func (e *Explorer) WithCoolingShared(c cryo.Cooling) (*Explorer, error) {
 // sweeps.
 func (e *Explorer) SetPersistence(t cache.Tier[array.Result]) { e.chars.cache.SetTier(t) }
 
-// Characterize runs (and caches) the EDP-optimized array characterization
-// of a design point. Concurrent callers of the same point share a single
-// in-flight optimization: the first caller computes, the rest wait on it,
-// so a cold sweep never runs the expensive search twice for one key.
-func (e *Explorer) Characterize(p DesignPoint) (array.Result, error) {
-	return e.CharacterizeContext(context.Background(), p)
-}
-
-// CharacterizeContext is Characterize with cooperative cancellation: the
-// underlying organization search aborts once ctx is done, and the failed
-// characterization is not cached, so a later caller with a live context
-// recomputes it cleanly.
+// CharacterizeContext runs (and caches) the EDP-optimized array
+// characterization of a design point. Concurrent callers of the same point
+// share a single in-flight optimization: the first caller computes, the
+// rest wait on it, so a cold sweep never runs the expensive search twice
+// for one key. The underlying organization search aborts once ctx is done,
+// and the failed characterization is not cached, so a later caller with a
+// live context recomputes it cleanly.
 //
 // Concurrent callers of the same key share one flight, which runs under
 // the first caller's context. A caller waiting on it returns as soon as
@@ -182,7 +178,7 @@ func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (arra
 	cs := e.chars
 	r, _, err := cs.cache.Do(ctx, p.Key(), func() (array.Result, error) {
 		cs.optimizeCalls.Add(1)
-		r, err := array.OptimizeContext(ctx, p.arrayConfig())
+		r, _, err := array.OptimizeWithStats(ctx, p.arrayConfig())
 		if err != nil {
 			return array.Result{}, fmt.Errorf("explorer: characterizing %s: %w", p.Label, err)
 		}
@@ -205,17 +201,12 @@ func (e *Explorer) CachedCharacterization(p DesignPoint) (array.Result, bool) {
 	return e.chars.cache.Get(p.Key())
 }
 
-// Evaluate computes the application-level metrics of one design point under
-// one benchmark's traffic, following the paper's methodology: total LLC
-// power is leakage plus refresh plus rate-weighted access energy, cooling
-// is charged below the cooling threshold, and total LLC latency is the
-// rate-weighted access latency.
-func (e *Explorer) Evaluate(p DesignPoint, tr workload.Traffic) (Evaluation, error) {
-	return e.EvaluateContext(context.Background(), p, tr)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation of the
-// underlying characterization (see CharacterizeContext).
+// EvaluateContext computes the application-level metrics of one design
+// point under one benchmark's traffic, following the paper's methodology:
+// total LLC power is leakage plus refresh plus rate-weighted access energy,
+// cooling is charged below the cooling threshold, and total LLC latency is
+// the rate-weighted access latency. The underlying characterization runs
+// under ctx (see CharacterizeContext).
 func (e *Explorer) EvaluateContext(ctx context.Context, p DesignPoint, tr workload.Traffic) (Evaluation, error) {
 	if err := tr.Validate(); err != nil {
 		return Evaluation{}, err
@@ -304,16 +295,11 @@ func lifetimeYears(r array.Result, p DesignPoint, tr workload.Traffic) float64 {
 	return seconds / (365.25 * 24 * 3600)
 }
 
-// EvaluateAll crosses design points with benchmarks; results are indexed
-// [point][benchmark] following the input orders. The grid is evaluated on
-// the explorer's worker pool (Workers knob); cells land at their input
-// positions, so the output is identical to the serial walk cell for cell.
-func (e *Explorer) EvaluateAll(points []DesignPoint, traffics []workload.Traffic) ([][]Evaluation, error) {
-	return e.EvaluateAllContext(context.Background(), points, traffics)
-}
-
-// EvaluateAllContext is EvaluateAll with cooperative cancellation: an
-// EvaluateAllProgress without a progress hook.
+// EvaluateAllContext crosses design points with benchmarks; results are
+// indexed [point][benchmark] following the input orders. The grid is
+// evaluated on the explorer's worker pool (Workers knob); cells land at
+// their input positions, so the output is identical to the serial walk cell
+// for cell. It is EvaluateAllProgress without a progress hook.
 func (e *Explorer) EvaluateAllContext(ctx context.Context, points []DesignPoint, traffics []workload.Traffic) ([][]Evaluation, error) {
 	return e.EvaluateAllProgress(ctx, points, traffics, nil)
 }

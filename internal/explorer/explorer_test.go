@@ -37,7 +37,7 @@ func traffic(t *testing.T, name string) workload.Traffic {
 
 func eval(t *testing.T, p DesignPoint, bench string) Evaluation {
 	t.Helper()
-	ev, err := exp(t).Evaluate(p, traffic(t, bench))
+	ev, err := exp(t).EvaluateContext(context.Background(), p, traffic(t, bench))
 	if err != nil {
 		t.Fatalf("Evaluate(%s, %s): %v", p.Label, bench, err)
 	}
@@ -184,12 +184,12 @@ func TestFig5EDRAMLowestDevicePowerEverywhere(t *testing.T) {
 	// "identifying 77K 3T-eDRAM as the lowest power option for all
 	// benchmarks" (device power, pre-cooling).
 	for _, tr := range workload.StaticTraffic() {
-		e77, err := exp(t).Evaluate(EDRAMAt(tech.TempCryo77), tr)
+		e77, err := exp(t).EvaluateContext(context.Background(), EDRAMAt(tech.TempCryo77), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rival := range []DesignPoint{SRAMAt(tech.TempCryo77), SRAMAt(tech.TempHot350), EDRAMAt(tech.TempHot350)} {
-			rv, err := exp(t).Evaluate(rival, tr)
+			rv, err := exp(t).EvaluateContext(context.Background(), rival, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,10 +245,10 @@ func TestFig5CryoLatencyAdvantage(t *testing.T) {
 	// "77K 3T-eDRAM and 77K SRAM exhibit 2-4x lower aggregate LLC
 	// latency than at 350K"; eDRAM always edges SRAM at 77 K.
 	for _, tr := range workload.StaticTraffic() {
-		s77, _ := exp(t).Evaluate(SRAMAt(tech.TempCryo77), tr)
-		s350, _ := exp(t).Evaluate(SRAMAt(tech.TempHot350), tr)
-		e77, _ := exp(t).Evaluate(EDRAMAt(tech.TempCryo77), tr)
-		e350, _ := exp(t).Evaluate(EDRAMAt(tech.TempHot350), tr)
+		s77, _ := exp(t).EvaluateContext(context.Background(), SRAMAt(tech.TempCryo77), tr)
+		s350, _ := exp(t).EvaluateContext(context.Background(), SRAMAt(tech.TempHot350), tr)
+		e77, _ := exp(t).EvaluateContext(context.Background(), EDRAMAt(tech.TempCryo77), tr)
+		e350, _ := exp(t).EvaluateContext(context.Background(), EDRAMAt(tech.TempHot350), tr)
 		if r := s350.AggregateLatency / s77.AggregateLatency; r < 2 || r > 6 {
 			t.Errorf("%s: SRAM 77K latency gain %.1fx, want 2-6x", tr.Benchmark, r)
 		}
@@ -326,14 +326,14 @@ func TestFig7STT8LowestLatencyExceptMcf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range workload.StaticTraffic() {
-		evT8, _ := exp(t).Evaluate(t8, tr)
-		evP8, _ := exp(t).Evaluate(p8, tr)
+		evT8, _ := exp(t).EvaluateContext(context.Background(), t8, tr)
+		evP8, _ := exp(t).EvaluateContext(context.Background(), p8, tr)
 		best := evT8
 		if tr.Benchmark == "mcf" {
 			best = evP8
 		}
 		for _, p := range envm {
-			ev, err := exp(t).Evaluate(p, tr)
+			ev, err := exp(t).EvaluateContext(context.Background(), p, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,7 +552,7 @@ func TestNormalizeAgainstBaseline(t *testing.T) {
 func TestEvaluateAllShape(t *testing.T) {
 	pts := []DesignPoint{Baseline(), SRAMAt(tech.TempCryo77)}
 	trs := workload.StaticTraffic()[:3]
-	grid, err := exp(t).EvaluateAll(pts, trs)
+	grid, err := exp(t).EvaluateAllContext(context.Background(), pts, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,11 +566,11 @@ func TestEvaluateAllShape(t *testing.T) {
 
 func TestCharacterizeCaches(t *testing.T) {
 	e := New()
-	a, err := e.Characterize(Baseline())
+	a, err := e.CharacterizeContext(context.Background(), Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Characterize(Baseline())
+	b, err := e.CharacterizeContext(context.Background(), Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,15 +597,15 @@ func TestKeyFractionalTemperature(t *testing.T) {
 		t.Errorf("349.9 K key = %q, want %q", got, want)
 	}
 	e := New()
-	hotRes, err := e.Characterize(hot)
+	hotRes, err := e.CharacterizeContext(context.Background(), hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nearRes, err := e.Characterize(near)
+	nearRes, err := e.CharacterizeContext(context.Background(), near)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New().Characterize(near)
+	fresh, err := New().CharacterizeContext(context.Background(), near)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestKeyFractionalTemperature(t *testing.T) {
 	// The clock segment follows the same rule: near-equal clocks that a
 	// four-digit spelling merged get distinct keys, and every freqsweep
 	// grid clock keeps its historical spelling.
-	a, b := Baseline().WithFrequency(5.0001e9), Baseline().WithFrequency(5.00012e9)
+	a, b := atClock(Baseline(), 5.0001e9), atClock(Baseline(), 5.00012e9)
 	if a.Key() == b.Key() {
 		t.Errorf("5.0001 GHz and 5.00012 GHz share key %q", a.Key())
 	}
@@ -639,7 +639,7 @@ func TestKeyFractionalTemperature(t *testing.T) {
 	// coldtall.SweepFrequencies minus the default 5 GHz (the root package
 	// cannot be imported here).
 	for _, f := range []float64{1e9, 2.5e9, 7.5e9, 1e10} {
-		p := Baseline().WithFrequency(f)
+		p := atClock(Baseline(), f)
 		if old := Baseline().Key() + fmt.Sprintf("|f%.4g", f); p.Key() != old {
 			t.Errorf("%g Hz key = %q, want the historical %q", f, p.Key(), old)
 		}
@@ -648,7 +648,7 @@ func TestKeyFractionalTemperature(t *testing.T) {
 
 func TestEvaluateRejectsBadTraffic(t *testing.T) {
 	bad := workload.Traffic{Benchmark: "x", ReadsPerSec: -1}
-	if _, err := exp(t).Evaluate(Baseline(), bad); err == nil {
+	if _, err := exp(t).EvaluateContext(context.Background(), Baseline(), bad); err == nil {
 		t.Error("negative traffic should fail")
 	}
 }
@@ -669,7 +669,7 @@ func TestCoolingSensitivityMonotonic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := e.Evaluate(EDRAMAt(tech.TempCryo77), tr)
+		ev, err := e.EvaluateContext(context.Background(), EDRAMAt(tech.TempCryo77), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -723,14 +723,26 @@ func TestEvaluationReliability(t *testing.T) {
 	}
 }
 
+// atCapacity and atClock return a copy of p with its LLC capacity or core
+// clock overridden, as ParsePoint builds such points from a spec.
+func atCapacity(p DesignPoint, bytes int64) DesignPoint {
+	p.CapacityBytes = bytes
+	return p
+}
+
+func atClock(p DesignPoint, hz float64) DesignPoint {
+	p.FrequencyHz = hz
+	return p
+}
+
 func TestCapacityOverride(t *testing.T) {
-	small := Baseline().WithCapacity(4 << 20)
-	big := Baseline().WithCapacity(64 << 20)
-	rs, err := exp(t).Characterize(small)
+	small := atCapacity(Baseline(), 4<<20)
+	big := atCapacity(Baseline(), 64<<20)
+	rs, err := exp(t).CharacterizeContext(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := exp(t).Characterize(big)
+	rb, err := exp(t).CharacterizeContext(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -740,15 +752,15 @@ func TestCapacityOverride(t *testing.T) {
 	if rb.ReadLatency <= rs.ReadLatency {
 		t.Error("larger LLC should be slower")
 	}
-	if small.Label == big.Label || small.Key() == big.Key() {
+	if small.Key() == big.Key() {
 		t.Error("capacity must distinguish points")
 	}
 	// The default (0) still means 16 MiB.
-	def, err := exp(t).Characterize(Baseline())
+	def, err := exp(t).CharacterizeContext(context.Background(), Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := exp(t).Characterize(Baseline().WithCapacity(16 << 20))
+	mid, err := exp(t).CharacterizeContext(context.Background(), atCapacity(Baseline(), 16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -875,14 +887,14 @@ func TestLifetimeScalesWithCapacity(t *testing.T) {
 	// A bigger LLC spreads the same write stream over more blocks, so
 	// wear-leveled lifetime grows proportionally.
 	p := stacked(t, cell.PCM, cell.Optimistic, 1)
-	small := p.WithCapacity(4 << 20)
-	big := p.WithCapacity(32 << 20)
+	small := atCapacity(p, 4<<20)
+	big := atCapacity(p, 32<<20)
 	tr := traffic(t, "omnetpp")
-	evS, err := exp(t).Evaluate(small, tr)
+	evS, err := exp(t).EvaluateContext(context.Background(), small, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evB, err := exp(t).Evaluate(big, tr)
+	evB, err := exp(t).EvaluateContext(context.Background(), big, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

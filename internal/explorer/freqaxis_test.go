@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestDefaultFrequencyKeyUnchanged(t *testing.T) {
 }
 
 func TestFrequencyKeySegment(t *testing.T) {
-	p := Baseline().WithFrequency(2.5e9)
+	p := atClock(Baseline(), 2.5e9)
 	if !strings.HasSuffix(p.Key(), "|f2.5e+09") {
 		t.Errorf("overridden-clock key %q lacks the frequency segment", p.Key())
 	}
@@ -104,11 +105,11 @@ func TestEvaluateScalesTrafficWithFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.Evaluate(Baseline(), tr)
+	base, err := e.EvaluateContext(context.Background(), Baseline(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := e.Evaluate(Baseline().WithFrequency(2.5e9), tr)
+	half, err := e.EvaluateContext(context.Background(), atClock(Baseline(), 2.5e9), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEvaluateScalesTrafficWithFrequency(t *testing.T) {
 		t.Errorf("aggregate latency did not halve: %g vs %g", half.AggregateLatency, base.AggregateLatency)
 	}
 	// Identity at the default clock: bit-for-bit.
-	again, err := e.Evaluate(Baseline(), tr)
+	again, err := e.EvaluateContext(context.Background(), Baseline(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

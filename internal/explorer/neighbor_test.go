@@ -88,7 +88,7 @@ func TestEvaluateAllMatchesSerialWalk(t *testing.T) {
 		{ReadsPerSec: 2e9, WritesPerSec: 9e8},
 	}
 	e := New()
-	got, err := e.EvaluateAll(pts, traffics)
+	got, err := e.EvaluateAllContext(context.Background(), pts, traffics)
 	if err != nil {
 		t.Fatalf("EvaluateAll: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestEvaluateAllMatchesSerialWalk(t *testing.T) {
 	for i, p := range pts {
 		want[i] = make([]Evaluation, len(traffics))
 		for j, tr := range traffics {
-			ev, err := e.Evaluate(p, tr)
+			ev, err := e.EvaluateContext(context.Background(), p, tr)
 			if err != nil {
 				t.Fatalf("Evaluate(%s): %v", p.Label, err)
 			}

@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestPersistenceWriteThrough(t *testing.T) {
 	e := New()
 	e.SetPersistence(st)
 	p := Baseline()
-	want, err := e.Characterize(p)
+	want, err := e.CharacterizeContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestPersistenceWriteThrough(t *testing.T) {
 	// "Restart": a brand-new explorer with a cold in-memory cache.
 	e2 := New()
 	e2.SetPersistence(st)
-	got, err := e2.Characterize(p)
+	got, err := e2.CharacterizeContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestPersistenceWriteThrough(t *testing.T) {
 	}
 	// The persisted hit is promoted: a second call is a pure cache hit.
 	loadsBefore := st.loads
-	if _, err := e2.Characterize(p); err != nil {
+	if _, err := e2.CharacterizeContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if st.loads != loadsBefore {
@@ -82,7 +83,7 @@ func TestPersistenceWriteThrough(t *testing.T) {
 func TestWithCoolingSharedCache(t *testing.T) {
 	e := New()
 	p := EDRAMAt(77)
-	if _, err := e.Characterize(p); err != nil {
+	if _, err := e.CharacterizeContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	for _, cls := range cryo.Classes() {
@@ -90,7 +91,7 @@ func TestWithCoolingSharedCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := derived.Characterize(p); err != nil {
+		if _, err := derived.CharacterizeContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +110,7 @@ func TestWithCoolingSharedEvaluatesDifferently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.Evaluate(EDRAMAt(77), tr)
+	base, err := e.EvaluateContext(context.Background(), EDRAMAt(77), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestWithCoolingSharedEvaluatesDifferently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := derived.Evaluate(EDRAMAt(77), tr)
+	ev, err := derived.EvaluateContext(context.Background(), EDRAMAt(77), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCharacterizationCacheBounded(t *testing.T) {
 	e := New()
 	e.SetPersistence(st)
 	for _, p := range pts {
-		if _, err := e.Characterize(p); err != nil {
+		if _, err := e.CharacterizeContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +164,7 @@ func TestCharacterizationCacheBounded(t *testing.T) {
 	evicted := 0
 	for i, p := range pts[:200] {
 		loadsBefore := st.loads
-		r, err := e.Characterize(p)
+		r, err := e.CharacterizeContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,8 +81,8 @@ func (p DesignPoint) Validate() error {
 
 // ArrayConfig lowers the point into an array configuration using the
 // paper's Table I LLC parameters (with an optional capacity override). It
-// is what Characterize optimizes; callers wanting the full Pareto front
-// rather than the single optimum pass it to array.ParetoContext.
+// is what CharacterizeContext optimizes; callers wanting the full Pareto
+// front rather than the single optimum pass it to array.ParetoContext.
 func (p DesignPoint) ArrayConfig() array.Config { return p.arrayConfig() }
 
 // arrayConfig lowers the point into an array configuration using the
@@ -144,22 +144,6 @@ func (p DesignPoint) WithNode(n tech.Node) DesignPoint {
 	out := p
 	out.Node = n
 	out.Label = fmt.Sprintf("%s [%s]", p.Label, n.Name)
-	return out
-}
-
-// WithCapacity returns a copy of the point at a different LLC capacity.
-func (p DesignPoint) WithCapacity(bytes int64) DesignPoint {
-	out := p
-	out.CapacityBytes = bytes
-	out.Label = fmt.Sprintf("%s %dMiB", p.Label, bytes>>20)
-	return out
-}
-
-// WithFrequency returns a copy of the point at a different core clock.
-func (p DesignPoint) WithFrequency(hz float64) DesignPoint {
-	out := p
-	out.FrequencyHz = hz
-	out.Label = fmt.Sprintf("%s @%.2gGHz", p.Label, hz/1e9)
 	return out
 }
 

@@ -5,6 +5,7 @@ package explorer
 // invariants the figures silently rely on.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -155,11 +156,11 @@ func TestLifetimeYearsEdgeCases(t *testing.T) {
 }
 
 // TestLifetimeMatchesEvaluate ties the unit-level kernel to the public
-// path: Evaluate must report exactly lifetimeYears for its inputs.
+// path: EvaluateContext must report exactly lifetimeYears for its inputs.
 func TestLifetimeMatchesEvaluate(t *testing.T) {
 	p := stacked(t, cell.PCM, cell.Optimistic, 1)
 	tr := traffic(t, "lbm")
-	ev, err := exp(t).Evaluate(p, tr)
+	ev, err := exp(t).EvaluateContext(context.Background(), p, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestSystemImpactReplaysOncePerProfile(t *testing.T) {
 	// A profile no other test, and no earlier -count run, has simulated.
 	prof.Name = fmt.Sprintf("replay-once-%d", replayOnceRuns.Add(1))
 	e := exp(t)
-	if _, err := e.Characterize(Baseline()); err != nil {
+	if _, err := e.CharacterizeContext(context.Background(), Baseline()); err != nil {
 		t.Fatal(err) // keep the array search out of the race window
 	}
 

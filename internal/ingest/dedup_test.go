@@ -90,7 +90,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		t.Run(form.name, func(t *testing.T) {
 			st := testStore(t)
 			res, err := Run(context.Background(), Spec{Name: "streamed", Trace: form.upload},
-				Options{Workloads: workload.NewRegistry(), Store: st})
+				Options{Workloads: workload.NewRegistry(), Store: st, Sigs: signature.NewIndex()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -211,8 +211,8 @@ type Options struct {
 	Store *store.Store
 	// OnProgress observes replay progress in accesses.
 	OnProgress func(done, total uint64)
-	// Sigs, when set, is the signature index near-duplicate detection
-	// compares against (and that completed ingestions register into).
+	// Sigs is the signature index near-duplicate detection compares
+	// against and that completed ingestions register into (required).
 	Sigs *signature.Index
 }
 
@@ -333,6 +333,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	if opts.Workloads == nil {
 		return Result{}, fmt.Errorf("ingest: a workload registry is required")
 	}
+	if opts.Sigs == nil {
+		return Result{}, fmt.Errorf("ingest: a signature index is required")
+	}
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -373,13 +376,11 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			if opts.Sigs != nil {
-				if s, ok := opts.Sigs.Get(res.AliasOf); ok {
-					// Identical bytes mean an identical signature; share
-					// the canonical entry's.
-					opts.Sigs.Add(spec.Name, s)
-					res.SignatureSHA256 = s.SHA256()
-				}
+			if s, ok := opts.Sigs.Get(res.AliasOf); ok {
+				// Identical bytes mean an identical signature; share the
+				// canonical entry's.
+				opts.Sigs.Add(spec.Name, s)
+				res.SignatureSHA256 = s.SHA256()
 			}
 			return res, nil
 		}
@@ -426,7 +427,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	}
 
 	// Near-duplicate: closest registered signature within the threshold.
-	if !reRun && opts.Sigs != nil {
+	if !reRun {
 		skip := func(name string) bool {
 			if name == spec.Name {
 				return true
@@ -473,9 +474,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if opts.Sigs != nil {
-		opts.Sigs.Add(spec.Name, sig)
-	}
+	opts.Sigs.Add(spec.Name, sig)
 	return Result{
 		Source:          src,
 		Stats:           window,

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"coldtall/internal/signature"
 	"coldtall/internal/store"
 	"coldtall/internal/trace"
 	"coldtall/internal/workload"
@@ -45,6 +46,7 @@ func TestRunGeneratorSpec(t *testing.T) {
 	res, err := Run(context.Background(), genSpec("mystream", 200000), Options{
 		Workloads: reg,
 		Store:     st,
+		Sigs:      signature.NewIndex(),
 		OnProgress: func(done, total uint64) {
 			if done < lastDone {
 				t.Errorf("progress went backwards: %d after %d", done, lastDone)
@@ -101,11 +103,11 @@ func TestRunIsIdempotent(t *testing.T) {
 	reg := workload.NewRegistry()
 	st := testStore(t)
 	spec := genSpec("repeat", 50000)
-	first, err := Run(context.Background(), spec, Options{Workloads: reg, Store: st})
+	first, err := Run(context.Background(), spec, Options{Workloads: reg, Store: st, Sigs: signature.NewIndex()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(context.Background(), spec, Options{Workloads: reg, Store: st})
+	second, err := Run(context.Background(), spec, Options{Workloads: reg, Store: st, Sigs: signature.NewIndex()})
 	if err != nil {
 		t.Fatalf("re-running an identical spec: %v", err)
 	}
@@ -131,7 +133,7 @@ func TestRunUploadedTraceBothFormats(t *testing.T) {
 		"asbin":  trace.EncodeBinary(accesses),
 	} {
 		reg := workload.NewRegistry()
-		res, err := Run(context.Background(), Spec{Name: name, Trace: payload}, Options{Workloads: reg})
+		res, err := Run(context.Background(), Spec{Name: name, Trace: payload}, Options{Workloads: reg, Sigs: signature.NewIndex()})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -154,7 +156,7 @@ func TestRunUploadedTraceBothFormats(t *testing.T) {
 func TestRecoverSources(t *testing.T) {
 	st := testStore(t)
 	reg := workload.NewRegistry()
-	if _, err := Run(context.Background(), genSpec("survivor", 50000), Options{Workloads: reg, Store: st}); err != nil {
+	if _, err := Run(context.Background(), genSpec("survivor", 50000), Options{Workloads: reg, Store: st, Sigs: signature.NewIndex()}); err != nil {
 		t.Fatal(err)
 	}
 	// Poison one record: recovery must skip it, not die.
@@ -194,20 +196,29 @@ func TestSpecValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Run(context.Background(), tc.spec, Options{Workloads: workload.NewRegistry()}); err == nil {
+			if _, err := Run(context.Background(), tc.spec, Options{Workloads: workload.NewRegistry(), Sigs: signature.NewIndex()}); err == nil {
 				t.Fatal("want a validation error")
 			}
 		})
 	}
 
 	t.Run("undecodable trace", func(t *testing.T) {
-		_, err := Run(context.Background(), Spec{Name: "bad", Trace: []byte("R 0xzz\n")}, Options{Workloads: workload.NewRegistry()})
+		_, err := Run(context.Background(), Spec{Name: "bad", Trace: []byte("R 0xzz\n")}, Options{Workloads: workload.NewRegistry(), Sigs: signature.NewIndex()})
 		if err == nil {
 			t.Fatal("want a decode error")
 		}
 	})
+	t.Run("missing registry or index", func(t *testing.T) {
+		spec := genSpec("x", 50000)
+		if _, err := Run(context.Background(), spec, Options{Sigs: signature.NewIndex()}); err == nil {
+			t.Fatal("ran without a workload registry")
+		}
+		if _, err := Run(context.Background(), spec, Options{Workloads: workload.NewRegistry()}); err == nil {
+			t.Fatal("ran without a signature index")
+		}
+	})
 	t.Run("trace too short", func(t *testing.T) {
-		_, err := Run(context.Background(), Spec{Name: "tiny", Trace: []byte("R 0x40\nW 0x80\n")}, Options{Workloads: workload.NewRegistry()})
+		_, err := Run(context.Background(), Spec{Name: "tiny", Trace: []byte("R 0x40\nW 0x80\n")}, Options{Workloads: workload.NewRegistry(), Sigs: signature.NewIndex()})
 		if err == nil {
 			t.Fatal("want a too-short error")
 		}
@@ -217,7 +228,7 @@ func TestSpecValidation(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, genSpec("never", 100000), Options{Workloads: workload.NewRegistry()})
+	_, err := Run(ctx, genSpec("never", 100000), Options{Workloads: workload.NewRegistry(), Sigs: signature.NewIndex()})
 	if err == nil {
 		t.Fatal("want a cancellation error")
 	}
@@ -229,7 +240,7 @@ func TestRunCancellation(t *testing.T) {
 func TestReingestSkipsTraceRewrite(t *testing.T) {
 	reg := workload.NewRegistry()
 	st := testStore(t)
-	opts := Options{Workloads: reg, Store: st}
+	opts := Options{Workloads: reg, Store: st, Sigs: signature.NewIndex()}
 	first, err := Run(context.Background(), genSpec("orig", 50000), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +273,7 @@ func TestReingestRewritesCorruptTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Workloads: workload.NewRegistry(), Store: st}
+	opts := Options{Workloads: workload.NewRegistry(), Store: st, Sigs: signature.NewIndex()}
 	res, err := Run(context.Background(), genSpec("victim", 50000), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"coldtall/internal/signature"
 	"coldtall/internal/trace"
 	"coldtall/internal/workload"
 )
@@ -65,7 +66,7 @@ func TestIngestBytePin(t *testing.T) {
 	for i, c := range benchClasses {
 		st := testStore(t)
 		res, err := Run(context.Background(), Spec{Name: c.name, Trace: encodeClass(t, i, 11)},
-			Options{Workloads: workload.NewRegistry(), Store: st})
+			Options{Workloads: workload.NewRegistry(), Store: st, Sigs: signature.NewIndex()})
 		if err != nil {
 			t.Fatal(err)
 		}

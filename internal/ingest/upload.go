@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -210,19 +209,6 @@ func (u *Uploads) Discard(name string) error {
 		}
 	}
 	return nil
-}
-
-// Pending lists the names of in-flight uploads, sorted.
-func (u *Uploads) Pending() ([]string, error) {
-	var names []string
-	err := u.st.Walk(func(key string, val []byte) error {
-		if strings.HasPrefix(key, UploadKeyPrefix) {
-			names = append(names, strings.TrimPrefix(key, UploadKeyPrefix))
-		}
-		return nil
-	})
-	sort.Strings(names)
-	return names, err
 }
 
 // dedupStrings returns the unique values preserving first-seen order.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"coldtall/internal/signature"
 	"coldtall/internal/store"
 	"coldtall/internal/trace"
 	"coldtall/internal/workload"
@@ -41,9 +42,6 @@ func TestUploadsAppendAssemble(t *testing.T) {
 	}
 	if o, err := u.Offset("up"); err != nil || o != int64(len(payload)) {
 		t.Fatalf("Offset = %d, %v", o, err)
-	}
-	if names, err := u.Pending(); err != nil || len(names) != 1 || names[0] != "up" {
-		t.Fatalf("Pending = %v, %v", names, err)
 	}
 	if err := u.Discard("up"); err != nil {
 		t.Fatal(err)
@@ -140,12 +138,12 @@ func TestUploadsResumeAcrossReopen(t *testing.T) {
 	// The assembled payload ingests to the same trace content address as
 	// a direct upload.
 	direct, err := Run(context.Background(), Spec{Name: "direct", Trace: payload},
-		Options{Workloads: workload.NewRegistry()})
+		Options{Workloads: workload.NewRegistry(), Sigs: signature.NewIndex()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	viaChunks, err := Run(context.Background(), Spec{Name: "resumed", Trace: assembled},
-		Options{Workloads: workload.NewRegistry()})
+		Options{Workloads: workload.NewRegistry(), Sigs: signature.NewIndex()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ type Status struct {
 	// registered workload on ingest jobs.
 	Workload string `json:"workload,omitempty"`
 	// Tenant names the submitting tenant; empty for jobs submitted
-	// before multi-tenancy or through the tenantless Submit path.
+	// before multi-tenancy or anonymously (SubmitAs with owner "").
 	Tenant string `json:"tenant,omitempty"`
 	// Class is the scheduling priority class derived from the kind.
 	Class Class `json:"class,omitempty"`

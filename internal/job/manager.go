@@ -24,13 +24,9 @@ type Options struct {
 	// study's characterizations (the char| tier NewManager attaches); nil
 	// runs jobs in memory only (no crash recovery).
 	Store *store.Store
-	// Workloads is the dynamic workload registry ingest jobs register
-	// into and sweep/artifact jobs resolve names through. nil restricts
-	// name resolution to the static table and rejects ingest jobs.
-	Workloads *workload.Registry
 	// Sigs is the locality-signature index ingest jobs dedup against and
-	// distill jobs read fitted signatures from; nil disables
-	// near-duplicate detection (exact-bytes dedup still applies).
+	// distill jobs read fitted signatures from; nil gives the manager an
+	// index of its own.
 	Sigs *signature.Index
 	// OnTransition, when set, observes every state change (the metrics
 	// layer feeds job counters from it). Called outside the job lock.
@@ -52,6 +48,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 2
+	}
+	if o.Sigs == nil {
+		o.Sigs = signature.NewIndex()
 	}
 	return o
 }
@@ -105,21 +104,15 @@ type Manager struct {
 
 // NewManager builds a manager over a study. The study's explorer (and so
 // its characterization cache) is shared with the synchronous request path,
-// so async and sync work warm each other. With a Store, NewManager backs
-// that cache with the store's char| namespace: every characterization a
-// job or request computes is durable, which is all a restarted sweep needs
-// to resume without re-running the optimizer.
+// so async and sync work warm each other, and so is its workload registry:
+// ingest jobs register into it and every job resolves names through it.
+// With a Store, NewManager backs that cache with the store's char|
+// namespace: every characterization a job or request computes is durable,
+// which is all a restarted sweep needs to resume without re-running the
+// optimizer.
 func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 	if study == nil {
 		return nil, fmt.Errorf("job: study must not be nil")
-	}
-	// Keep the manager and its study resolving workload names through the
-	// same registry: an ingest job registers a workload, and a restricted
-	// artifact job for it renders through the study — both must see it.
-	if opts.Workloads == nil {
-		opts.Workloads = study.Workloads()
-	} else {
-		study.SetWorkloads(opts.Workloads)
 	}
 	if opts.Store != nil {
 		study.Explorer().SetPersistence(charTier{opts.Store})
@@ -142,32 +135,17 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// trafficFor resolves a workload name: through the attached registry when
-// one is present (static names resolve identically through it), the static
-// table otherwise.
-func (m *Manager) trafficFor(name string) (workload.Traffic, error) {
-	if m.opts.Workloads != nil {
-		return m.opts.Workloads.Traffic(name)
-	}
-	return workload.StaticTrafficFor(name)
-}
-
-// Submit validates the spec and enqueues (or finds) its job. Submission
-// is idempotent: the same spec maps to the same deterministic ID, and a
-// live or completed job under that ID is returned as-is rather than
-// re-run. Tenantless submissions dispatch under the anonymous owner.
-func (m *Manager) Submit(spec Spec) (Status, error) {
-	st, _, err := m.SubmitAs(spec, "", 0)
-	return st, err
-}
-
-// SubmitAs is Submit on behalf of a tenant: owner is recorded on the
-// job (and keyed into fair-share dispatch), and maxLive, when > 0, caps
-// the tenant's live (non-terminal) jobs — creating a job beyond the cap
-// returns ErrQuota. created reports whether this call queued new work,
-// so callers charging compute budgets can refund duplicate submissions.
+// SubmitAs validates the spec and enqueues (or finds) its job on behalf
+// of a tenant. Submission is idempotent: the same spec maps to the same
+// deterministic ID, and a live or completed job under that ID is returned
+// as-is rather than re-run. owner is recorded on the job (and keyed into
+// fair-share dispatch; "" is the anonymous owner), and maxLive, when > 0,
+// caps the tenant's live (non-terminal) jobs — creating a job beyond the
+// cap returns ErrQuota. created reports whether this call queued new
+// work, so callers charging compute budgets can refund duplicate
+// submissions.
 func (m *Manager) SubmitAs(spec Spec, owner string, maxLive int) (st Status, created bool, err error) {
-	if err := spec.ValidateWith(m.trafficFor); err != nil {
+	if err := spec.ValidateWith(m.study.Workloads().Traffic); err != nil {
 		return Status{}, false, err
 	}
 	switch spec.Kind {
@@ -178,17 +156,10 @@ func (m *Manager) SubmitAs(spec Spec, owner string, maxLive int) (st Status, cre
 		if spec.Workload != "" && !coldtall.IsTrafficArtifact(spec.Artifact) {
 			return Status{}, false, fmt.Errorf("job: artifact %q is workload-independent (per-workload artifacts: %v)", spec.Artifact, coldtall.TrafficArtifactNames())
 		}
-	case KindIngest:
-		if m.opts.Workloads == nil {
-			return Status{}, false, fmt.Errorf("job: this manager has no workload registry; ingest jobs are disabled")
-		}
 	case KindDistill:
-		if m.opts.Workloads == nil {
-			return Status{}, false, fmt.Errorf("job: this manager has no workload registry; distill jobs are disabled")
-		}
 		// Refuse undistillable workloads at submit time, so the client
 		// gets a synchronous 4xx instead of a queued job that fails.
-		if src, ok := m.opts.Workloads.Lookup(spec.Workload); ok {
+		if src, ok := m.study.Workloads().Lookup(spec.Workload); ok {
 			switch src.Kind {
 			case workload.SourceStatic:
 				return Status{}, false, fmt.Errorf("job: %q is a static benchmark with no stored trace to distill", spec.Workload)
@@ -507,22 +478,6 @@ func (j *Job) Status() Status {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.fin }
 
-// WaitFor blocks until the job with id finishes or ctx expires.
-func (m *Manager) WaitFor(ctx context.Context, id string) (Status, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return Status{}, fmt.Errorf("job: unknown job %q", id)
-	}
-	select {
-	case <-j.fin:
-		return j.Status(), nil
-	case <-ctx.Done():
-		return j.Status(), ctx.Err()
-	}
-}
-
 // Subscription is one live status stream over a job. C delivers
 // coalesced snapshots: the channel is one deep and written latest-wins,
 // so a reader that falls behind skips intermediate progress but always
@@ -723,7 +678,7 @@ func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 // the ingest result JSON.
 func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 	res, err := ingest.Run(ctx, *j.spec.Ingest, ingest.Options{
-		Workloads: m.opts.Workloads,
+		Workloads: m.study.Workloads(),
 		Store:     m.opts.Store,
 		Sigs:      m.opts.Sigs,
 		OnProgress: func(done, total uint64) {
@@ -753,7 +708,7 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 // distill jobs can simply be re-run. The job's result payload is the
 // distill result JSON.
 func (m *Manager) runDistill(ctx context.Context, j *Job) error {
-	res, err := distill.Run(ctx, j.spec.Workload, m.opts.Workloads, m.opts.Store, m.opts.Sigs, distill.Options{})
+	res, err := distill.Run(ctx, j.spec.Workload, m.study.Workloads(), m.opts.Store, m.opts.Sigs, distill.Options{})
 	if err != nil {
 		return err
 	}
@@ -769,7 +724,7 @@ func (m *Manager) runDistill(ctx context.Context, j *Job) error {
 // interactive job class's cheapest unit of work (one optimizer search,
 // warm from the shared explorer cache when the sync path already did it).
 func (m *Manager) runCharacterize(ctx context.Context, j *Job) error {
-	points, _, err := j.spec.Grid(m.trafficFor)
+	points, _, err := j.spec.Grid(m.study.Workloads().Traffic)
 	if err != nil {
 		return err
 	}
@@ -787,7 +742,7 @@ func (m *Manager) runCharacterize(ctx context.Context, j *Job) error {
 
 // runEvaluate computes one (point, benchmark) cell.
 func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
-	points, traffics, err := j.spec.Grid(m.trafficFor)
+	points, traffics, err := j.spec.Grid(m.study.Workloads().Traffic)
 	if err != nil {
 		return err
 	}
@@ -809,7 +764,7 @@ func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
 // crash finds every point the dead process characterized in the store.
 // Progress goes to subscribers only; it is never written to the store.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
-	points, traffics, err := j.spec.Grid(m.trafficFor)
+	points, traffics, err := j.spec.Grid(m.study.Workloads().Traffic)
 	if err != nil {
 		return err
 	}

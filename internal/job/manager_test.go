@@ -53,18 +53,23 @@ func sweepSpec() Spec {
 
 func waitDone(t *testing.T, m *Manager, id string) Status {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	st, err := m.WaitFor(ctx, id)
-	if err != nil {
-		t.Fatalf("job %s did not finish: %v (state %s)", id, err, st.State)
+	sub, ok := m.Subscribe(id)
+	if !ok {
+		t.Fatalf("job %s: unknown", id)
 	}
-	return st
+	defer sub.Close()
+	select {
+	case <-sub.Done():
+		return sub.Status()
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("job %s did not finish (state %s)", id, sub.Status().State)
+		return Status{}
+	}
 }
 
 func TestSweepJobLifecycle(t *testing.T) {
 	m := newTestManager(t, Options{})
-	st0, err := m.Submit(sweepSpec())
+	st0, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +111,13 @@ func familySweepSpec() Spec {
 }
 
 // TestSweepJobMatchesEvaluateAll: an async sweep job on a two-worker pool
-// returns exactly the bytes of the in-process sweep (Explorer.EvaluateAll
+// returns exactly the bytes of the in-process sweep (Explorer.EvaluateAllContext
 // on a fresh explorer) over the same grid.
 func TestSweepJobMatchesEvaluateAll(t *testing.T) {
 	spec := familySweepSpec()
 	m := newTestManager(t, Options{})
 	m.study.SetParallelism(2)
-	st0, err := m.Submit(spec)
+	st0, _, err := m.SubmitAs(spec, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +133,7 @@ func TestSweepJobMatchesEvaluateAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := coldtall.NewStudy().Explorer().EvaluateAll(points, traffics)
+	grid, err := coldtall.NewStudy().Explorer().EvaluateAllContext(context.Background(), points, traffics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +156,7 @@ func TestSweepJobRecordWrites(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	m := newTestManager(t, Options{Store: st})
 	m.study.SetParallelism(2)
-	st0, err := m.Submit(spec)
+	st0, _, err := m.SubmitAs(spec, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestSweepJobRecordWrites(t *testing.T) {
 func TestTerminalStatusIsPersisted(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	m := newTestManager(t, Options{Store: st})
-	s0, err := m.Submit(sweepSpec())
+	s0, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +234,11 @@ func TestTerminalStatusIsPersisted(t *testing.T) {
 
 func TestSubmitIsIdempotent(t *testing.T) {
 	m := newTestManager(t, Options{})
-	a, err := m.Submit(sweepSpec())
+	a, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(sweepSpec())
+	b, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +261,7 @@ func TestSubmitValidates(t *testing.T) {
 		{Kind: KindArtifact, Artifact: "not-an-artifact"},
 	}
 	for i, spec := range bad {
-		if _, err := m.Submit(spec); err == nil {
+		if _, _, err := m.SubmitAs(spec, "", 0); err == nil {
 			t.Errorf("bad[%d] (%+v) was accepted", i, spec)
 		}
 	}
@@ -267,7 +272,7 @@ func TestSubmitValidates(t *testing.T) {
 // test also checks end-to-end over HTTP.
 func TestArtifactJobMatchesStudy(t *testing.T) {
 	m := newTestManager(t, Options{})
-	st0, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "table1"})
+	st0, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "table1"}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +321,7 @@ func TestCancelMidSweep(t *testing.T) {
 	gate := make(chan struct{})
 	tier := newGateTier(gate)
 	m.study.Explorer().SetPersistence(tier)
-	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	st0, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +371,7 @@ func TestCrashRecoveryResumesFromCharacterizations(t *testing.T) {
 	st1 := openStore(t, dir)
 	m1 := newTestManager(t, Options{Store: st1})
 	m1.study.Explorer().SetPersistence(&killTier{charTier: charTier{st1}, after: 3, kill: func() { m1.Cancel(id) }})
-	if _, err := m1.Submit(spec); err != nil {
+	if _, _, err := m1.SubmitAs(spec, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := waitDone(t, m1, id); st.State != StateCancelled {
@@ -417,7 +422,7 @@ func TestCrashRecoveryResumesFromCharacterizations(t *testing.T) {
 		t.Fatal("resumed job has no result")
 	}
 	ref := newTestManager(t, Options{})
-	if _, err := ref.Submit(spec); err != nil {
+	if _, _, err := ref.SubmitAs(spec, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, ref, id)
@@ -437,7 +442,7 @@ func TestRecoverServesFinishedJob(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
 	m1 := newTestManager(t, Options{Store: st1})
-	sub, err := m1.Submit(Spec{Kind: KindArtifact, Artifact: "table1"})
+	sub, _, err := m1.SubmitAs(Spec{Kind: KindArtifact, Artifact: "table1"}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +483,7 @@ func TestTransitionHookObservesLifecycle(t *testing.T) {
 		}
 	}}
 	m := newTestManager(t, opts)
-	if _, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "table1"}); err != nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "table1"}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -509,16 +514,15 @@ func ingestSpec(name string) *ingest.Spec {
 // workload, persists its record, and leaves the ingest result as the job
 // payload.
 func TestIngestJobLifecycle(t *testing.T) {
-	reg := workload.NewRegistry()
 	st := openStore(t, t.TempDir())
 	var hooked atomic.Int64
 	m := newTestManager(t, Options{
-		Store:     st,
-		Workloads: reg,
-		OnIngest:  func(res ingest.Result) { hooked.Add(1) },
+		Store:    st,
+		OnIngest: func(res ingest.Result) { hooked.Add(1) },
 	})
+	reg := m.study.Workloads()
 
-	sub, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")})
+	sub, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +554,7 @@ func TestIngestJobLifecycle(t *testing.T) {
 	}
 
 	// Resubmitting the identical spec reuses the finished job.
-	again, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")})
+	again, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,15 +563,38 @@ func TestIngestJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestIngestJobRequiresRegistry: managers without a registry reject ingest
-// work up front.
-func TestIngestJobRequiresRegistry(t *testing.T) {
-	m := newTestManager(t, Options{})
-	if _, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("x")}); err == nil {
-		t.Fatal("ingest accepted without a registry")
+// TestManagerOverBareStudyIngests: a manager over a plain NewStudy with
+// default options ingests into the study's own registry, and an artifact
+// job restricted to the new workload renders through the study. A
+// spec-less ingest is still rejected at submit.
+func TestManagerOverBareStudyIngests(t *testing.T) {
+	m, err := NewManager(coldtall.NewStudy(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.Submit(Spec{Kind: KindIngest}); err == nil {
+	t.Cleanup(m.Close)
+	if _, _, err := m.SubmitAs(Spec{Kind: KindIngest}, "", 0); err == nil {
 		t.Fatal("ingest accepted without a spec")
+	}
+	sub, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("bare")}, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m, sub.ID); fin.State != StateDone {
+		t.Fatalf("ingest failed: %+v", fin)
+	}
+	if _, ok := m.study.Workloads().Lookup("bare"); !ok {
+		t.Fatal("ingested workload missing from the study's registry")
+	}
+	art, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "bare"}, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m, art.ID); fin.State != StateDone {
+		t.Fatalf("artifact job failed: %+v", fin)
+	}
+	if body, _, ok := m.Result(art.ID); !ok || !strings.Contains(string(body), "bare") {
+		t.Fatalf("artifact for the ingested workload: ok=%v body=%q", ok, body)
 	}
 }
 
@@ -575,10 +602,9 @@ func TestIngestJobRequiresRegistry(t *testing.T) {
 // ingested workload produces bytes identical to the per-workload table's
 // CSV rendering — the acceptance property for the ingestion loop.
 func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
-	reg := workload.NewRegistry()
-	m := newTestManager(t, Options{Workloads: reg})
+	m := newTestManager(t, Options{})
 
-	sub, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("mine")})
+	sub, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("mine")}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +612,7 @@ func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 		t.Fatalf("ingest failed: %+v", fin)
 	}
 
-	art, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "mine"})
+	art, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "mine"}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,11 +636,11 @@ func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 	}
 
 	// Restricting a workload-independent artifact is rejected at submit.
-	if _, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "fig1", Workload: "mine"}); err == nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig1", Workload: "mine"}, "", 0); err == nil {
 		t.Fatal("fig1 accepted a workload restriction")
 	}
 	// Unknown workloads are rejected at submit.
-	if _, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "ghost"}); err == nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "ghost"}, "", 0); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

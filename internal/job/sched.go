@@ -200,16 +200,3 @@ func (s *scheduler) drainAll() []*Job {
 	}
 	return out
 }
-
-// queuedLen reports how many jobs are waiting (all classes).
-func (s *scheduler) queuedLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for c := range s.classes {
-		for _, tq := range s.classes[c].tenants {
-			n += len(tq.jobs)
-		}
-	}
-	return n
-}

@@ -131,15 +131,15 @@ func TestInteractiveDequeuesAheadOfQueuedBulk(t *testing.T) {
 	// Bulk A occupies the single slot; bulk B queues behind it; then the
 	// interactive evaluate I arrives last. Fair dispatch must run I
 	// before B once A's slot frees.
-	a, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	a, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}})
+	b, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i, err := m.Submit(Spec{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "3T-eDRAM"}}, Benchmarks: []string{"namd"}})
+	i, _, err := m.SubmitAs(Spec{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "3T-eDRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 	fair := newTestManager(t, Options{MaxConcurrent: 1})
 	var ids []string
 	for _, sp := range specs {
-		st, err := fair.Submit(sp)
+		st, _, err := fair.SubmitAs(sp, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 	for i, sp := range specs {
 		got := result(fair, ids[i])
 		alone := newTestManager(t, Options{MaxConcurrent: 1})
-		st, err := alone.Submit(sp)
+		st, _, err := alone.SubmitAs(sp, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +232,11 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	m, gate, started, mu := blockingManager(t, Options{})
 	defer close(gate)
 
-	a, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	a, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}})
+	b, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestListPageFilterAndCursor(t *testing.T) {
 	cells := []string{"SRAM", "3T-eDRAM", "1T1C-eDRAM"}
 	var ids []string
 	for _, cell := range cells {
-		st, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: cell}}, Benchmarks: []string{"namd"}})
+		st, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: cell}}, Benchmarks: []string{"namd"}}, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestListPageFilterAndCursor(t *testing.T) {
 
 func TestSubscribeStreamsToTerminal(t *testing.T) {
 	m := newTestManager(t, Options{})
-	st, err := m.Submit(sweepSpec())
+	st, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,34 +161,3 @@ func TestConcurrentObservations(t *testing.T) {
 		t.Errorf("gauge = %d, want 0", g.Value())
 	}
 }
-
-func TestFGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.FGauge(`rate{worker="w1"}`, "throughput")
-	if got := g.Value(); got != 0 {
-		t.Errorf("zero value = %g, want 0", got)
-	}
-	g.Set(12.5)
-	if got := g.Value(); got != 12.5 {
-		t.Errorf("fgauge = %g, want 12.5", got)
-	}
-	if a, b := r.FGauge(`rate{worker="w1"}`, "throughput"), g; a != b {
-		t.Error("same name must return the same fgauge")
-	}
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	// A float gauge is still a Prometheus gauge on the wire, rendered %g.
-	if !strings.Contains(out, "# TYPE rate gauge\n") {
-		t.Errorf("missing gauge TYPE header:\n%s", out)
-	}
-	if !strings.Contains(out, `rate{worker="w1"} 12.5`+"\n") {
-		t.Errorf("missing %%g-rendered series:\n%s", out)
-	}
-	g.Set(math.Inf(1))
-	if !math.IsInf(g.Value(), 1) {
-		t.Errorf("fgauge lost +Inf: %g", g.Value())
-	}
-}

@@ -35,11 +35,6 @@ func SECDED() ECC {
 	return ECC{DataBits: 64, CheckBits: 8, CorrectBits: 1}
 }
 
-// None returns an ECC-less configuration (raw exposure).
-func None() ECC {
-	return ECC{DataBits: 64, CheckBits: 0, CorrectBits: 0}
-}
-
 // WordBits returns the total stored bits per word.
 func (e ECC) WordBits() int { return e.DataBits + e.CheckBits }
 
@@ -142,26 +137,6 @@ func (r RetentionModel) WeakCellProb(refreshIntervalS float64) float64 {
 		return 0
 	}
 	return lognormalCDF(refreshIntervalS, r.MedianS, r.Sigma)
-}
-
-// RefreshIntervalFor returns the refresh interval that bounds the weak-cell
-// probability at target (inverse of WeakCellProb).
-func (r RetentionModel) RefreshIntervalFor(target float64) float64 {
-	if target <= 0 || target >= 1 {
-		return r.MedianS
-	}
-	// Invert the log-normal CDF via the inverse error function expressed
-	// through bisection (monotone, well-conditioned).
-	lo, hi := r.MedianS*1e-9, r.MedianS*1e3
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi)
-		if r.WeakCellProb(mid) > target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
 }
 
 // WearModel captures endurance spread across an eNVM population.

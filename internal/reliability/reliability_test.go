@@ -41,7 +41,7 @@ func TestWordFailureProbLimits(t *testing.T) {
 func TestECCBeatsNoECC(t *testing.T) {
 	p := 1e-5
 	with := SECDED().WordFailureProb(p)
-	without := None().WordFailureProb(p)
+	without := ECC{DataBits: 64}.WordFailureProb(p)
 	if with >= without {
 		t.Errorf("SECDED (%.3e) should beat no ECC (%.3e)", with, without)
 	}
@@ -95,17 +95,6 @@ func TestRetentionModelTail(t *testing.T) {
 	static := RetentionModel{MedianS: math.Inf(1), Sigma: 0.4}
 	if static.WeakCellProb(100) != 0 {
 		t.Error("static cells must not have retention failures")
-	}
-}
-
-func TestRefreshIntervalForInvertsWeakCellProb(t *testing.T) {
-	r := RetentionModel{MedianS: 1e-3, Sigma: DefaultRetentionSigma}
-	for _, target := range []float64{1e-9, 1e-6, 1e-3} {
-		iv := r.RefreshIntervalFor(target)
-		got := r.WeakCellProb(iv)
-		if got > target*1.01 || got < target*0.99 {
-			t.Errorf("target %.0e: interval %.3e gives %.3e", target, iv, got)
-		}
 	}
 }
 

@@ -56,8 +56,8 @@ func TestSchemaTableTypedAppend(t *testing.T) {
 		{Name: "slowdown", Kind: Bool},
 	}
 	tab := NewSchemaTable("typed", schema)
-	if got := tab.Schema(); len(got) != 4 || got[1].Unit != "s" {
-		t.Fatalf("Schema() = %+v", got)
+	if got := tab.schema; len(got) != 4 || got[1].Unit != "s" {
+		t.Fatalf("schema = %+v", got)
 	}
 	if err := tab.Append("SRAM", math.Inf(1), 8, false); err != nil {
 		t.Fatal(err)

@@ -86,9 +86,6 @@ func NewSchemaTable(title string, schema []Column) *Table {
 	return &Table{Title: title, Columns: cols, schema: append([]Column(nil), schema...)}
 }
 
-// Schema returns the typed column schema (nil for plain tables).
-func (t *Table) Schema() []Column { return t.schema }
-
 // Append adds one typed row to a schema table. Cells must match the schema
 // in arity and kind; each is formatted by its column's kind (FormatFloat
 // for floats, base-10 for ints, true/false for bools) and also retained in

@@ -5,7 +5,6 @@ package server
 // the BenchmarkWarmRestart measurement EXPERIMENTS.md reports.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -547,10 +546,16 @@ func BenchmarkSweepJob(b *testing.B) {
 				if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
 					b.Fatal(err)
 				}
-				st, err := s.jobs.WaitFor(context.Background(), sub.ID)
+				js, ok := s.jobs.Subscribe(sub.ID)
+				if !ok {
+					b.Fatalf("sweep job %s unknown", sub.ID)
+				}
+				<-js.Done()
+				st := js.Status()
+				js.Close()
 				b.StopTimer()
-				if err != nil || st.State != job.StateDone {
-					b.Fatalf("sweep job = %+v, %v", st, err)
+				if st.State != job.StateDone {
+					b.Fatalf("sweep job = %+v", st)
 				}
 				s.jobs.Close()
 				if s.st != nil {

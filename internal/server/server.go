@@ -313,12 +313,10 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	}
 	s.adm = newAdmissionPool(cfg.MaxInflight, s.tenants.Weight)
 	s.respCache.SetOnEvict(func(n int) { s.met.evictions.Add(int64(n)) })
-	// The dynamic workload registry: the study resolves figure traffic
+	// The study's workload registry: the study resolves figure traffic
 	// through it, the job manager registers ingestions into it, and the
-	// /v1/workloads routes list it. Static SPEC names resolve identically
-	// through it, so attaching it changes nothing for existing clients.
-	s.workloads = workload.NewRegistry()
-	study.SetWorkloads(s.workloads)
+	// /v1/workloads routes list it.
+	s.workloads = study.Workloads()
 	// The signature index rides alongside the registry: every completed
 	// ingestion registers its locality signature, and new uploads are
 	// compared against it for near-duplicate detection.
@@ -348,7 +346,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 	s.jobs, err = job.NewManager(study, job.Options{
 		Store:         s.st,
 		Logger:        cfg.Logger,
-		Workloads:     s.workloads,
 		Sigs:          s.sigs,
 		MaxConcurrent: cfg.JobConcurrency,
 		TenantWeight:  s.tenants.Weight,
@@ -416,26 +413,12 @@ func (s *Server) buildHandler() http.Handler {
 // embedding the service behind an existing mux).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics exposes the registry (tests assert on series; embedders may add
-// their own).
-func (s *Server) Metrics() *metrics.Registry { return s.met.reg }
-
 // Jobs exposes the async job manager (the CLI's jobs subcommands and the
 // tests drive it; embedders without HTTP can submit directly).
 func (s *Server) Jobs() *job.Manager { return s.jobs }
 
 // Store exposes the persistent result store (nil when StoreDir is unset).
 func (s *Server) Store() *store.Store { return s.st }
-
-// Workloads exposes the dynamic workload registry (static SPEC entries
-// plus everything ingested through /v1/workloads).
-func (s *Server) Workloads() *workload.Registry { return s.workloads }
-
-// Signatures exposes the locality-signature index (tests and embedders).
-func (s *Server) Signatures() *signature.Index { return s.sigs }
-
-// CacheStats reports response-cache effectiveness.
-func (s *Server) CacheStats() cache.Stats { return s.respCache.Stats() }
 
 // Tenants exposes the tenant registry (the CLI wires SIGHUP to Reload).
 func (s *Server) Tenants() *tenant.Registry { return s.tenants }

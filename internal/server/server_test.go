@@ -467,7 +467,7 @@ func TestRepeatRequestServedFromCache(t *testing.T) {
 	if !strings.Contains(metrics, "coldtall_cache_hits_total 1") {
 		t.Errorf("metrics missing cache hit count:\n%s", metrics)
 	}
-	if st := s.CacheStats(); st.Hits < 1 {
+	if st := s.respCache.Stats(); st.Hits < 1 {
 		t.Errorf("cache stats = %+v, want at least one hit", st)
 	}
 }

@@ -139,7 +139,7 @@ func TestWorkloadDedupOverHTTP(t *testing.T) {
 	if rr := get(t, h, "/v1/workloads/orig"); rr.Code != http.StatusNotFound {
 		t.Errorf("deleted workload still served: %d", rr.Code)
 	}
-	if _, ok := s.Signatures().Get("orig"); ok {
+	if _, ok := s.sigs.Get("orig"); ok {
 		t.Error("signature index entry survived deletion")
 	}
 	// Static names and unknowns map to 400 and 404.

@@ -234,7 +234,7 @@ func TestWorkloadRecoveryAcrossRestart(t *testing.T) {
 	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
 		t.Fatalf("post-restart artifact = %d; bytes match pre-restart: %v", got.Code, got.Body.String() == want.Body.String())
 	}
-	if fmt.Sprint(s2.Workloads().Custom()) == "[]" {
+	if fmt.Sprint(s2.workloads.Custom()) == "[]" {
 		t.Fatal("recovered registry lists no custom workloads")
 	}
 }

@@ -75,9 +75,6 @@ type Config struct {
 	Style Style
 }
 
-// Planar is the 2D baseline configuration.
-func Planar() Config { return Config{Dies: 1, Style: TSVStack} }
-
 // Validate checks structural constraints: positive power-of-two die counts
 // within the style's limit.
 func (c Config) Validate() error {
@@ -190,14 +187,4 @@ func (c Config) VerticalDelay(rDrive float64) float64 {
 // the average number of vertical hops at supply vdd, in joules.
 func (c Config) VerticalEnergy(vdd float64) float64 {
 	return c.AverageCrossings() * c.ViaCapacitance() * vdd * vdd
-}
-
-// Configurations returns the standard die-count sweep of the paper
-// (1, 2, 4, 8 dies, TSV style), capped by the style limit.
-func Configurations(style Style) []Config {
-	var out []Config
-	for d := 1; d <= style.MaxDies(); d *= 2 {
-		out = append(out, Config{Dies: d, Style: style})
-	}
-	return out
 }

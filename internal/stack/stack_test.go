@@ -5,8 +5,18 @@ import (
 	"testing/quick"
 )
 
+// configurations returns the paper's die-count sweep (1, 2, 4, 8 dies),
+// capped by the style limit.
+func configurations(style Style) []Config {
+	var out []Config
+	for d := 1; d <= style.MaxDies(); d *= 2 {
+		out = append(out, Config{Dies: d, Style: style})
+	}
+	return out
+}
+
 func TestValidateAcceptsStandardSweep(t *testing.T) {
-	for _, c := range Configurations(TSVStack) {
+	for _, c := range configurations(TSVStack) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("config %+v invalid: %v", c, err)
 		}
@@ -38,7 +48,7 @@ func TestStyleLimits(t *testing.T) {
 }
 
 func TestPlanarHasNoVerticalCosts(t *testing.T) {
-	p := Planar()
+	p := Config{Dies: 1, Style: TSVStack}
 	if p.ViaCapacitance() != 0 || p.ViaResistance() != 0 || p.ViaAreaEach() != 0 {
 		t.Error("planar config must have zero via parasitics")
 	}
@@ -66,7 +76,7 @@ func TestViaDensityOrdering(t *testing.T) {
 
 func TestAverageCrossingsGrowsWithDies(t *testing.T) {
 	prev := -1.0
-	for _, c := range Configurations(TSVStack) {
+	for _, c := range configurations(TSVStack) {
 		x := c.AverageCrossings()
 		if x <= prev {
 			t.Errorf("crossings should grow with dies: %v -> %v", prev, x)
@@ -98,14 +108,16 @@ func TestVerticalDelayIsSmall(t *testing.T) {
 }
 
 func TestConfigurationsRespectStyleCap(t *testing.T) {
-	if got := len(Configurations(TSVStack)); got != 4 {
-		t.Errorf("TSV sweep length %d, want 4 (1,2,4,8)", got)
-	}
-	if got := len(Configurations(FaceToFace)); got != 2 {
-		t.Errorf("F2F sweep length %d, want 2 (1,2)", got)
-	}
-	if got := len(Configurations(Monolithic)); got != 3 {
-		t.Errorf("monolithic sweep length %d, want 3 (1,2,4)", got)
+	for _, tc := range []struct {
+		style Style
+		max   int
+	}{{TSVStack, 8}, {FaceToFace, 2}, {Monolithic, 4}} {
+		if err := (Config{Dies: tc.max, Style: tc.style}).Validate(); err != nil {
+			t.Errorf("%v at its %d-die cap rejected: %v", tc.style, tc.max, err)
+		}
+		if err := (Config{Dies: 2 * tc.max, Style: tc.style}).Validate(); err == nil {
+			t.Errorf("%v accepted %d dies, beyond its %d-die cap", tc.style, 2*tc.max, tc.max)
+		}
 	}
 }
 

@@ -188,26 +188,3 @@ func (n Node) At(t float64) (DeviceCorner, error) {
 		WireRho:        WireResistivity(t),
 	}, nil
 }
-
-// MustAt is At for known-good static configuration; it panics on error and
-// exists for package-level defaults and tests.
-func (n Node) MustAt(t float64) DeviceCorner {
-	c, err := n.At(t)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// OffCurrent returns the per-micron leakage current at the corner's
-// temperature, for a device whose 300 K threshold is shifted by dvth volts
-// from nominal (used for low-leakage cell transistors such as the PMOS-only
-// 3T-eDRAM gain cell).
-func (c DeviceCorner) OffCurrent(dvth float64) float64 {
-	base := c.Node.OffCurrentPerMicron
-	scale := SubthresholdLeakageScale(c.Node.Vth300+dvth, c.Temperature, TempRoom)
-	// Convert the shifted threshold's 300 K baseline relative to nominal.
-	shift := rawSubthreshold(c.Node.Vth300+dvth, TempRoom) /
-		rawSubthreshold(c.Node.Vth300, TempRoom)
-	return base * shift * scale
-}

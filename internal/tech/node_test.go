@@ -60,10 +60,20 @@ func TestNodeAtRejectsOutOfRangeTemperature(t *testing.T) {
 	}
 }
 
+// mustAt evaluates a node at a temperature known to be in range.
+func mustAt(t *testing.T, n Node, temp float64) DeviceCorner {
+	t.Helper()
+	c, err := n.At(temp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCornerFasterWhenCold(t *testing.T) {
 	n := Node22HP()
-	cold := n.MustAt(TempCryo77)
-	hot := n.MustAt(TempHot350)
+	cold := mustAt(t, n, TempCryo77)
+	hot := mustAt(t, n, TempHot350)
 	if cold.FO4Delay >= hot.FO4Delay {
 		t.Errorf("FO4 at 77 K (%.3e) should beat 350 K (%.3e)", cold.FO4Delay, hot.FO4Delay)
 	}
@@ -79,22 +89,13 @@ func TestCornerFasterWhenCold(t *testing.T) {
 }
 
 func TestCornerAt300IsNominal(t *testing.T) {
-	c := Node22HP().MustAt(300)
+	c := mustAt(t, Node22HP(), 300)
 	if c.Vth != 0.5 {
 		t.Errorf("Vth at 300 K = %g, want 0.5", c.Vth)
 	}
 	if diff := c.FO4Delay/c.Node.FO4Delay300 - 1; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("FO4 at 300 K should equal nominal, ratio-1 = %g", diff)
 	}
-}
-
-func TestMustAtPanicsOnBadTemperature(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAt(2) should panic")
-		}
-	}()
-	Node22HP().MustAt(2)
 }
 
 func TestNodePresetsValidate(t *testing.T) {

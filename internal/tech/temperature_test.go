@@ -75,10 +75,9 @@ func TestSubthresholdLeakage387Higher(t *testing.T) {
 }
 
 func TestHigherThresholdLeaksLess(t *testing.T) {
-	n := Node22HP()
-	c := n.MustAt(TempHot350)
-	lo := c.OffCurrent(0.1) // +100 mV threshold
-	hi := c.OffCurrent(0)
+	vth := Node22HP().Vth300
+	lo := rawSubthreshold(vth+0.1, TempHot350) // +100 mV threshold
+	hi := rawSubthreshold(vth, TempHot350)
 	if lo >= hi {
 		t.Fatalf("raised threshold must reduce leakage: %.3e >= %.3e", lo, hi)
 	}

@@ -80,12 +80,6 @@ func NewWireScaled(layer WireLayer, t, scale float64) (Wire, error) {
 	}, nil
 }
 
-// ResistancePerMeter returns ohms per metre at the evaluated temperature.
-func (w Wire) ResistancePerMeter() float64 { return w.resPerMeter }
-
-// CapacitancePerMeter returns farads per metre.
-func (w Wire) CapacitancePerMeter() float64 { return w.capPerMeter }
-
 // Resistance returns the total resistance of length metres of this wire.
 func (w Wire) Resistance(length float64) float64 { return w.resPerMeter * length }
 

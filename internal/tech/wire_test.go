@@ -11,7 +11,7 @@ func TestNewWireKnownLayers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewWire(%v): %v", l, err)
 		}
-		if w.ResistancePerMeter() <= 0 || w.CapacitancePerMeter() <= 0 {
+		if w.Resistance(1) <= 0 || w.Capacitance(1) <= 0 {
 			t.Errorf("layer %v has non-positive RC", l)
 		}
 	}
@@ -33,8 +33,8 @@ func TestWiderLayersHaveLowerResistance(t *testing.T) {
 	local, _ := NewWire(WireLocal, 300)
 	mid, _ := NewWire(WireIntermediate, 300)
 	global, _ := NewWire(WireGlobal, 300)
-	if !(local.ResistancePerMeter() > mid.ResistancePerMeter() &&
-		mid.ResistancePerMeter() > global.ResistancePerMeter()) {
+	if !(local.Resistance(1) > mid.Resistance(1) &&
+		mid.Resistance(1) > global.Resistance(1)) {
 		t.Error("resistance should fall from local to global layers")
 	}
 }
@@ -106,10 +106,10 @@ func TestNewWireScaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cross-section shrinks quadratically: resistance per metre x4.
-	if r := half.ResistancePerMeter() / ref.ResistancePerMeter(); r < 3.99 || r > 4.01 {
+	if r := half.Resistance(1) / ref.Resistance(1); r < 3.99 || r > 4.01 {
 		t.Errorf("half-scale resistance ratio %.3f, want 4", r)
 	}
-	if half.CapacitancePerMeter() != ref.CapacitancePerMeter() {
+	if half.Capacitance(1) != ref.Capacitance(1) {
 		t.Error("capacitance per metre is scale-invariant")
 	}
 	if _, err := NewWireScaled(WireGlobal, 300, 0); err == nil {

@@ -2,7 +2,7 @@
 // service: API-key authentication, per-tenant token-bucket rate limits,
 // compute budgets denominated in estimated design-point evaluations, and
 // concurrent-job quotas. A Registry is loaded from a JSON config file and
-// can be hot-reloaded (SIGHUP) without dropping cumulative accounting.
+// can be hot-reloaded (SIGHUP).
 //
 // Every request resolves to exactly one *Tenant. Requests without a key
 // map to the always-present anonymous tenant, whose limits come from the
@@ -19,7 +19,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -65,7 +64,6 @@ type Tenant struct {
 
 	requests *bucket // request-rate bucket, 1 token per request
 	budget   *bucket // evaluation-budget bucket
-	spent    atomic.Int64
 }
 
 // Name reports the tenant's configured name.
@@ -84,27 +82,22 @@ func (t *Tenant) AllowRequest() (ok bool, wait time.Duration) {
 }
 
 // ChargeEvals withdraws n estimated design-point evaluations from the
-// compute budget. On success the cumulative spent counter advances; on
-// refusal it reports the refill wait for the missing amount.
+// compute budget. On refusal it reports the refill wait for the missing
+// amount.
 func (t *Tenant) ChargeEvals(n int) (ok bool, wait time.Duration) {
 	if n < 1 {
 		n = 1
 	}
-	ok, wait = t.budget.take(float64(n))
-	if ok {
-		t.spent.Add(int64(n))
-	}
-	return ok, wait
+	return t.budget.take(float64(n))
 }
 
 // RefundEvals returns n evaluations to the budget (duplicate-submission
-// refunds). The cumulative spent counter is rolled back alongside.
+// refunds).
 func (t *Tenant) RefundEvals(n int) {
 	if n < 1 {
 		n = 1
 	}
 	t.budget.give(float64(n))
-	t.spent.Add(int64(-n))
 }
 
 // BudgetRemaining reports the current budget balance and ceiling.
@@ -119,10 +112,6 @@ func (t *Tenant) BudgetRemaining() (remaining, limit int64, limited bool) {
 	}
 	return int64(tokens), int64(capacity), true
 }
-
-// Spent reports the cumulative evaluations charged to this tenant,
-// surviving config reloads.
-func (t *Tenant) Spent() int64 { return t.spent.Load() }
 
 // config is the on-disk shape of the -tenants file.
 type config struct {
@@ -146,8 +135,7 @@ type Options struct {
 }
 
 // Registry resolves API keys to tenants. It is safe for concurrent use;
-// Reload swaps the tenant set atomically while preserving cumulative
-// accounting for tenants that persist across the reload.
+// Reload swaps the tenant set atomically.
 type Registry struct {
 	opts Options
 	path string
@@ -180,9 +168,8 @@ func LoadFile(path string, opts Options) (*Registry, error) {
 }
 
 // Reload re-reads the config file (no-op without one) and swaps the
-// tenant set. Named tenants that survive the reload keep their
-// cumulative spent counters; buckets restart at the new limits so a
-// reload is also the operator's tool to reset a throttled tenant.
+// tenant set. Buckets restart at the new limits, so a reload is also the
+// operator's tool to reset a throttled tenant.
 func (r *Registry) Reload() error {
 	if r.path == "" {
 		return nil
@@ -249,12 +236,6 @@ func (r *Registry) install(cfg config) error {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Carry cumulative accounting across the reload.
-	for name, t := range tenants {
-		if prev, ok := r.tenants[name]; ok {
-			t.spent.Store(prev.spent.Load())
-		}
-	}
 	r.tenants = tenants
 	r.byHash = byHash
 	return nil

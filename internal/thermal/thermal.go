@@ -64,30 +64,9 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// JunctionTemp returns the steady-state junction temperature at the given
-// heat load, or an error when the load exceeds the environment's capacity.
-func (m Model) JunctionTemp(powerW float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if powerW < 0 {
-		return 0, fmt.Errorf("thermal: negative power %g", powerW)
-	}
-	if powerW > m.CapacityW {
-		return 0, fmt.Errorf("thermal: %s: load %.1f W exceeds capacity %.1f W", m.Name, powerW, m.CapacityW)
-	}
-	return m.CoolantK + m.ResistanceKPerW*powerW, nil
-}
-
 // WithinBudget reports whether the load fits the environment.
 func (m Model) WithinBudget(powerW float64) bool {
 	return powerW >= 0 && powerW <= m.CapacityW
-}
-
-// Variation returns the junction rise above coolant at full capacity — the
-// paper quotes ~20 K for the LN bath.
-func (m Model) Variation() float64 {
-	return m.ResistanceKPerW * m.CapacityW
 }
 
 // SolveOperatingPoint finds the self-consistent junction temperature

@@ -11,12 +11,13 @@ func TestPaperAnchors(t *testing.T) {
 	if r := ln.CapacityW / air.CapacityW; math.Abs(r-2.415) > 0.02 {
 		t.Errorf("capacity ratio %.3f, want ~2.41", r)
 	}
-	// "20 K of little temperature variation" across the bath.
-	if v := ln.Variation(); math.Abs(v-20) > 0.01 {
+	// "20 K of little temperature variation" across the bath: the
+	// junction rise above coolant at full capacity.
+	if v := ln.ResistanceKPerW * ln.CapacityW; math.Abs(v-20) > 0.01 {
 		t.Errorf("LN bath variation %.1f K, want 20 K", v)
 	}
 	// A fully loaded air-cooled chip sits near the 350 K design point.
-	tj, err := air.JunctionTemp(air.CapacityW)
+	tj, err := SolveOperatingPoint(air, func(float64) float64 { return air.CapacityW }, 70, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +28,12 @@ func TestPaperAnchors(t *testing.T) {
 
 func TestJunctionTempChecks(t *testing.T) {
 	air := Air()
-	if _, err := air.JunctionTemp(-1); err == nil {
-		t.Error("negative power should fail")
-	}
-	if _, err := air.JunctionTemp(air.CapacityW + 1); err == nil {
+	constant := func(w float64) func(float64) float64 { return func(float64) float64 { return w } }
+	if _, err := SolveOperatingPoint(air, constant(air.CapacityW+1), 70, 400); err == nil {
 		t.Error("over-capacity load should fail")
 	}
 	bad := Model{Name: "x"}
-	if _, err := bad.JunctionTemp(1); err == nil {
+	if _, err := SolveOperatingPoint(bad, constant(1), 70, 400); err == nil {
 		t.Error("invalid model should fail")
 	}
 	if !air.WithinBudget(50) || air.WithinBudget(100) || air.WithinBudget(-1) {
@@ -44,8 +43,8 @@ func TestJunctionTempChecks(t *testing.T) {
 
 func TestJunctionTempLinearInPower(t *testing.T) {
 	ln := LNBath()
-	t0, _ := ln.JunctionTemp(0)
-	t100, _ := ln.JunctionTemp(100)
+	t0, _ := SolveOperatingPoint(ln, func(float64) float64 { return 0 }, 70, 400)
+	t100, _ := SolveOperatingPoint(ln, func(float64) float64 { return 100 }, 70, 400)
 	if t0 != 77 {
 		t.Errorf("idle junction %.1f K, want coolant temperature", t0)
 	}

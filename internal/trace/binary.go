@@ -53,9 +53,6 @@ const (
 	maxBlockPayload  = 16 << 20
 )
 
-// BinaryExt is the conventional file extension for the binary format.
-const BinaryExt = ".ctrace"
-
 // BinaryWriter streams accesses into the .ctrace format. Writes buffer up
 // to the block size; Flush (or Close) frames any partial final block.
 type BinaryWriter struct {
@@ -395,17 +392,6 @@ func decodeBlockPayload(dst []Access, payload []byte, count int) ([]Access, erro
 		return nil, fmt.Errorf("%d trailing payload bytes", len(payload)-o)
 	}
 	return dst, nil
-}
-
-// WriteBinary encodes accesses as one complete .ctrace stream.
-func WriteBinary(w io.Writer, accesses []Access) error {
-	bw := NewBinaryWriter(w)
-	for _, a := range accesses {
-		if err := bw.Write(a); err != nil {
-			return err
-		}
-	}
-	return bw.Close()
 }
 
 // EncodeBinary returns the canonical serialized form of a trace. Because

@@ -33,11 +33,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, DefaultBlockAccesses - 1, DefaultBlockAccesses, DefaultBlockAccesses + 1, 3 * DefaultBlockAccesses} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			in := sampleAccesses(t, n)
-			var buf bytes.Buffer
-			if err := WriteBinary(&buf, in); err != nil {
-				t.Fatal(err)
-			}
-			out, err := ReadAll(NewBinaryReader(&buf))
+			out, err := ReadAll(NewBinaryReader(bytes.NewReader(EncodeBinary(in))))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,12 +74,19 @@ func TestBinaryCanonicalEncoding(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("EncodeBinary is not deterministic")
 	}
+	// A streamed writer closed at the end frames the same bytes.
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, in); err != nil {
+	bw := NewBinaryWriter(&buf)
+	for _, x := range in {
+		if err := bw.Write(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, buf.Bytes()) {
-		t.Fatal("WriteBinary and EncodeBinary disagree")
+		t.Fatal("a streamed BinaryWriter and EncodeBinary disagree")
 	}
 }
 

@@ -208,7 +208,8 @@ func (m *Mixture) Next() Access {
 	return m.gens[len(m.gens)-1].Next()
 }
 
-// Collect drains n accesses from a generator into a slice (test/CLI helper).
+// Collect drains n accesses from a generator into a slice (a helper the
+// tests share).
 func Collect(g Generator, n int) []Access {
 	out := make([]Access, n)
 	for i := range out {
@@ -273,6 +274,3 @@ func (c *Chain) Next() Access {
 		Write: c.rng.Float64() < c.writeFrac,
 	}
 }
-
-// Period returns the walk's cycle length (the power-of-two block count).
-func (c *Chain) Period() uint64 { return c.mask + 1 }

@@ -212,11 +212,11 @@ func TestChainVisitsEveryBlockOncePerPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Period() != 64 {
-		t.Fatalf("period = %d, want 64", c.Period())
+	if c.mask+1 != 64 {
+		t.Fatalf("period = %d, want 64", c.mask+1)
 	}
 	seen := map[uint64]bool{}
-	for i := uint64(0); i < c.Period(); i++ {
+	for i := uint64(0); i < 64; i++ {
 		a := c.Next()
 		if seen[a.Addr] {
 			t.Fatalf("address %#x repeated within one period", a.Addr)
@@ -234,8 +234,8 @@ func TestChainRoundsToPowerOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Period() != 64 {
-		t.Errorf("period = %d, want 64", c.Period())
+	if c.mask+1 != 64 {
+		t.Errorf("period = %d, want 64", c.mask+1)
 	}
 	for i := 0; i < 1000; i++ {
 		if a := c.Next(); a.Addr >= r.Base+64*BlockBytes {

@@ -29,9 +29,6 @@ const (
 	// rescales traffic for design points that override it (the frequency
 	// axis of the extension studies).
 	DefaultFrequencyHz = 5e9
-	// FrequencyHz is the historical name of DefaultFrequencyHz, kept for
-	// callers that predate the per-point frequency axis.
-	FrequencyHz = DefaultFrequencyHz
 	// Cores is the number of rate copies.
 	Cores = 8
 )
@@ -125,7 +122,7 @@ func (p Profile) Generator(seed int64) (trace.Generator, error) {
 
 // Profiles returns the 23 SPECrate 2017 benchmark stand-ins. LLCFrac values
 // are derived from each benchmark's static traffic target: rate =
-// Cores * IPC * FrequencyHz * (MemOpsPerKiloInstr/1000) * LLCFrac.
+// Cores * IPC * DefaultFrequencyHz * (MemOpsPerKiloInstr/1000) * LLCFrac.
 func Profiles() []Profile {
 	mk := func(name, suite, desc string, hotKB, bigMB uint64, pat BigPattern,
 		llcFrac, skew, wf, memKI, ipc float64) Profile {

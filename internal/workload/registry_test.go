@@ -121,7 +121,7 @@ func TestExtrapolateMatchesMeasure(t *testing.T) {
 	// Extrapolate is the Measure formula factored out; pin the algebra.
 	tr := Extrapolate("x", 1000, 250, 300000, 300, 1.0)
 	instructions := 300000.0 * 1000 / 300
-	seconds := instructions / 1.0 / FrequencyHz
+	seconds := instructions / 1.0 / DefaultFrequencyHz
 	if want := 1000.0 / seconds * Cores; tr.ReadsPerSec != want {
 		t.Fatalf("ReadsPerSec = %g, want %g", tr.ReadsPerSec, want)
 	}

@@ -32,14 +32,6 @@ func (t Traffic) AtFrequency(frequencyHz float64) Traffic {
 	return t
 }
 
-// WriteReadRatio returns writes per read (0 when idle).
-func (t Traffic) WriteReadRatio() float64 {
-	if t.ReadsPerSec == 0 {
-		return 0
-	}
-	return t.WritesPerSec / t.ReadsPerSec
-}
-
 // Validate reports negative rates.
 func (t Traffic) Validate() error {
 	if t.ReadsPerSec < 0 || t.WritesPerSec < 0 {

@@ -47,7 +47,7 @@ func TestStaticTrafficMatchesProfiles(t *testing.T) {
 			t.Errorf("no static traffic for %s", p.Name)
 			continue
 		}
-		analytic := Cores * p.IPC * FrequencyHz * (p.MemOpsPerKiloInstr / 1000) * p.LLCFrac
+		analytic := Cores * p.IPC * DefaultFrequencyHz * (p.MemOpsPerKiloInstr / 1000) * p.LLCFrac
 		if ratio := st.ReadsPerSec / analytic; ratio < 0.75 || ratio > 1.35 {
 			t.Errorf("%s: static %.3g vs analytic %.3g reads/s (ratio %.2f)",
 				p.Name, st.ReadsPerSec, analytic, ratio)
@@ -82,13 +82,14 @@ func TestTrafficLandscapeShape(t *testing.T) {
 	if byName["mcf"].ReadsPerSec < HighBandMin {
 		t.Error("mcf must sit in the high band")
 	}
+	ratio := func(tr Traffic) float64 { return tr.WritesPerSec / tr.ReadsPerSec }
 	for name, tr := range byName {
 		if name == "mcf" {
 			continue
 		}
-		if tr.WriteReadRatio() <= byName["mcf"].WriteReadRatio() {
+		if ratio(tr) <= ratio(byName["mcf"]) {
 			t.Errorf("%s write:read ratio %.3f should exceed mcf's %.3f",
-				name, tr.WriteReadRatio(), byName["mcf"].WriteReadRatio())
+				name, ratio(tr), ratio(byName["mcf"]))
 		}
 	}
 	// The range spans the paper's 1e4..2e8 landscape.

@@ -20,10 +20,10 @@ import (
 type Study struct {
 	exp *explorer.Explorer
 
-	// workloads resolves benchmark names to LLC traffic. nil means the
-	// static SPEC table only; SetWorkloads layers dynamically ingested
-	// workloads over it (the server wires its registry here so custom
-	// workloads feed every traffic-dependent figure).
+	// workloads resolves benchmark names to LLC traffic: the static SPEC
+	// table plus every workload ingested into it (the server and the job
+	// manager register uploads here, so custom workloads feed every
+	// traffic-dependent figure).
 	workloads *workload.Registry
 
 	// ctx bounds every sweep the study runs; nil means context.Background.
@@ -35,7 +35,7 @@ type Study struct {
 // NewStudy creates a study with the paper's default environment (100 kW
 // cryocooler, Table I LLC).
 func NewStudy() *Study {
-	return &Study{exp: explorer.New()}
+	return &Study{exp: explorer.New(), workloads: workload.NewRegistry()}
 }
 
 // NewStudyWithCooling creates a study under a different cooling environment
@@ -45,12 +45,12 @@ func NewStudyWithCooling(c cryo.Cooling) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{exp: e}, nil
+	return &Study{exp: e, workloads: workload.NewRegistry()}, nil
 }
 
 // withCooling returns a study under a different cooling environment that
 // shares the receiver's characterization cache (and persistence, when
-// attached). Characterization is cooling-independent, so cooler-class
+// attached) and its workload registry. Characterization is cooling-independent, so cooler-class
 // sub-studies built this way reuse every optimization the parent already
 // paid for instead of rebuilding a private cache per class.
 func (s *Study) withCooling(c cryo.Cooling) (*Study, error) {
@@ -58,7 +58,7 @@ func (s *Study) withCooling(c cryo.Cooling) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{exp: e, ctx: s.ctx}, nil
+	return &Study{exp: e, workloads: s.workloads, ctx: s.ctx}, nil
 }
 
 // Explorer exposes the underlying engine for custom sweeps.
@@ -97,23 +97,9 @@ func (s *Study) baseline() (explorer.Evaluation, error) {
 	return s.exp.BaselineEvaluation(s.context())
 }
 
-// SetWorkloads attaches a dynamic workload registry: every figure and
-// sweep that resolves a benchmark name by traffic will then also accept
-// ingested custom workloads. A nil registry (the default) resolves the
-// static SPEC table only. Copies made by WithContext share the registry.
-func (s *Study) SetWorkloads(r *workload.Registry) { s.workloads = r }
-
-// Workloads returns the attached registry (nil when only the static
-// table is in play).
+// Workloads returns the study's workload registry: every figure and sweep
+// that resolves a benchmark name by traffic resolves it here, so a
+// workload registered into it feeds them too. Static SPEC names resolve
+// through it exactly as through the static table. Copies made by
+// WithContext share the registry.
 func (s *Study) Workloads() *workload.Registry { return s.workloads }
-
-// trafficFor is the name-to-traffic lookup shared by the figure
-// generators: the attached registry when present (static entries resolve
-// identically through it, so goldens are unaffected), the static table
-// otherwise.
-func (s *Study) trafficFor(name string) (workload.Traffic, error) {
-	if s.workloads != nil {
-		return s.workloads.Traffic(name)
-	}
-	return workload.StaticTrafficFor(name)
-}

@@ -49,7 +49,7 @@ type SurveySpread struct {
 // SurveySweep evaluates every database entry for the three eNVM
 // technologies as a 4-die 350 K LLC under the benchmark.
 func (s *Study) SurveySweep(benchmark string) ([]SurveyRow, error) {
-	tr, err := s.trafficFor(benchmark)
+	tr, err := s.workloads.Traffic(benchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func (s *Study) SurveySpreads(benchmark string) ([]SurveySpread, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.trafficFor(benchmark)
+	tr, err := s.workloads.Traffic(benchmark)
 	if err != nil {
 		return nil, err
 	}

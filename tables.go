@@ -125,7 +125,7 @@ func (s *Study) CoolingSweep() ([]CoolingRow, error) {
 	benches := []string{"povray", "xalancbmk", "lbm"}
 	traffics := make([]workload.Traffic, len(benches))
 	for j, bench := range benches {
-		tr, err := s.trafficFor(bench)
+		tr, err := s.workloads.Traffic(bench)
 		if err != nil {
 			return nil, err
 		}

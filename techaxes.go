@@ -76,7 +76,7 @@ func (s *Study) GainCellStudy() ([]GainCellRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.trafficFor(explorer.ReferenceBenchmark)
+	tr, err := s.workloads.Traffic(explorer.ReferenceBenchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (s *Study) DeepCryoSweep() ([]DeepCryoRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.trafficFor(explorer.ReferenceBenchmark)
+	tr, err := s.workloads.Traffic(explorer.ReferenceBenchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.trafficFor(bench)
+	tr, err := s.workloads.Traffic(bench)
 	if err != nil {
 		return nil, err
 	}

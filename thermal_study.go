@@ -64,7 +64,7 @@ func (s *Study) ThermalStudy() ([]ThermalRow, error) {
 	const minK, maxK = 77, 387
 	var rows []ThermalRow
 	for _, bench := range BandRepresentatives() {
-		tr, err := s.trafficFor(bench)
+		tr, err := s.workloads.Traffic(bench)
 		if err != nil {
 			return nil, err
 		}

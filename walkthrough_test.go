@@ -33,7 +33,7 @@ func Example_quickstart() {
 	point := explorer.EDRAMAt(tech.TempCryo77)
 
 	// Array-level characterization (the Destiny/CryoMEM layer).
-	arr, err := exp.Characterize(point)
+	arr, err := exp.CharacterizeContext(context.Background(), point)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func Example_quickstart() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := exp.Evaluate(point, tr)
+	ev, err := exp.EvaluateContext(context.Background(), point, tr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func Example_cryoSweep() {
 		var b *best
 		for _, temp := range grid {
 			for _, mk := range []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt} {
-				ev, err := exp.Evaluate(mk(temp), tr)
+				ev, err := exp.EvaluateContext(context.Background(), mk(temp), tr)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func Example_cryoSweep() {
 				}
 			}
 		}
-		warm, err := exp.Evaluate(explorer.SRAMAt(350), tr)
+		warm, err := exp.EvaluateContext(context.Background(), explorer.SRAMAt(350), tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func Example_envm3D() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := exp.Characterize(explorer.Baseline())
+	base, err := exp.CharacterizeContext(context.Background(), explorer.Baseline())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func Example_envm3D() {
 	t := report.NewTable("3D eNVM array landscape at 350K (relative to 1-die SRAM)",
 		"design point", "area", "rd lat", "wr lat", "rd E/acc", "wr E/acc", "leakage")
 	for _, p := range points {
-		r, err := exp.Characterize(p)
+		r, err := exp.CharacterizeContext(context.Background(), p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func Example_envm3D() {
 	}
 	var rows []row
 	for _, p := range points {
-		ev, err := exp.Evaluate(p, tr)
+		ev, err := exp.EvaluateContext(context.Background(), p, tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func Example_llcDesigner() {
 	}
 	var evals []explorer.Evaluation
 	for _, p := range points {
-		ev, err := exp.Evaluate(p, tr)
+		ev, err := exp.EvaluateContext(context.Background(), p, tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func Example_llcDesigner() {
 	recommend("area", func(ev explorer.Evaluation) float64 { return ev.Array.FootprintM2 }, report.Area)
 
 	// The full power ranking for context.
-	base, err := exp.Evaluate(explorer.Baseline(), tr)
+	base, err := exp.EvaluateContext(context.Background(), explorer.Baseline(), tr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -449,13 +449,16 @@ func Example_memorySystem() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev, err := exp.Evaluate(cand.point, tr)
+		ev, err := exp.EvaluateContext(context.Background(), cand.point, tr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// DRAM traffic = LLC misses; charge cooling for a cold DRAM too.
+		// DRAM traffic = LLC misses at a 50% row-buffer hit rate; charge
+		// cooling for a cold DRAM too.
 		dramRate := (tr.ReadsPerSec + tr.WritesPerSec) * imp.LLCMissRate
-		dramPower := cand.mem.Power(dramRate, 0.5)
+		m := cand.mem
+		dramPower := m.BackgroundPower() + m.RefreshPower() +
+			dramRate*(0.5*m.AccessEnergy(true)+0.5*m.AccessEnergy(false))
 		if cand.mem.Temperature() < 200 {
 			dramPower *= 1 + 9.65
 		}

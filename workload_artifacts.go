@@ -43,7 +43,7 @@ func (s *Study) WorkloadArtifactTable(artifactName, workloadName string) (*repor
 	if !ok || !IsTrafficArtifact(d.Name) {
 		return nil, fmt.Errorf("coldtall: %q is not a per-workload artifact (want one of %v)", artifactName, TrafficArtifactNames())
 	}
-	tr, err := s.trafficFor(workloadName)
+	tr, err := s.workloads.Traffic(workloadName)
 	if err != nil {
 		return nil, err
 	}

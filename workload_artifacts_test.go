@@ -55,7 +55,8 @@ func TestWorkloadArtifactMatchesFullArtifact(t *testing.T) {
 // path: a registry entry that exists nowhere in the static table renders
 // both a scatter artifact and the cold-and-tall study.
 func TestWorkloadArtifactCustomWorkload(t *testing.T) {
-	reg := workload.NewRegistry()
+	s := NewStudy()
+	reg := s.Workloads()
 	mcf, _ := workload.StaticTrafficFor("mcf")
 	src := workload.Source{
 		Name: "custom1",
@@ -71,8 +72,6 @@ func TestWorkloadArtifactCustomWorkload(t *testing.T) {
 	if err := reg.Add(src); err != nil {
 		t.Fatal(err)
 	}
-	s := NewStudy()
-	s.SetWorkloads(reg)
 
 	tab, err := s.WorkloadArtifactTable("fig5", "custom1")
 	if err != nil {
