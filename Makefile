@@ -49,9 +49,10 @@ goldencheck:
 
 # Fuzz smoke: a bounded run of each trace-facing fuzz target (the codec
 # round-trip, the canonical-stream check against decode + re-encode, the
-# text parser, the Zipf table against math/rand.Zipf, the
-# signature fold against a map-based reference, the cache kernel against
-# its timestamp-LRU oracle, and the llcsim replay loop), the
+# text parser, the Zipf table against math/rand.Zipf, the generators'
+# copied source against math/rand's, the signature fold against a
+# map-based reference, the cache kernel against its timestamp-LRU oracle,
+# and the llcsim replay loop), the
 # pruned-vs-exhaustive search differ, the design-point parser every front
 # end resolves through (explorer.ParsePoint, which `eval -config` points
 # also reach via the JSON study parser), and the store's entry decoder.
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalBinary -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzZipfMatchesStdlib -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesStdlib -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzAccumulatorMatchesMap -fuzztime 30s ./internal/signature/
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 30s ./cmd/llcsim/
@@ -83,18 +85,22 @@ check: vet fmtcheck race goldencheck
 
 # Sweep-engine speedup benchmarks (serial vs parallel full-grid sweep),
 # the Bloch–Grüneisen resistivity integral against its memo hit, a Zipf
-# draw from math/rand.Zipf against the table (plus one table build), the
-# allocs/op of one organization search, one characterization and one
-# signature-fold access, a 200k-access .ctrace replay through the
-# Table I hierarchy, one round of nine .ctrace ingestions (CPU ms per
-# upload), and the async sweep job over the 64-point break-even grid
-# with the store off and on (ms per sweep, store puts per sweep), and the first Table II after a cold and a
-# store-warmed boot (the warm boot re-renders the body from char|).
+# draw from math/rand.Zipf against the table (plus one table build and one
+# sampler over a shared table), ns per access of every profile's stand-in
+# stream and one Profile.Generator build, the allocs/op of one
+# organization search, one characterization and one signature-fold
+# access, a 200k-access .ctrace replay through the Table I hierarchy, one
+# round of nine .ctrace ingestions (CPU ms per upload), and the async
+# sweep job over the 64-point break-even grid with the store off and on
+# (ms per sweep, store puts per sweep), and the first Table II after a
+# cold and a store-warmed boot (the warm boot re-renders the body from
+# char|).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateAll' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'BenchmarkArrayOptimize|BenchmarkArrayCharacterize' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkWireResistivity' -benchtime 2000x ./internal/tech/
 	$(GO) test -run '^$$' -bench 'BenchmarkZipf' -benchmem ./internal/trace/
+	$(GO) test -run '^$$' -bench 'BenchmarkProfileGenerators' -benchtime 0.2s -benchmem ./internal/workload/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorObserve' -benchmem ./internal/signature/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestRun' -benchtime 3x -benchmem ./internal/ingest/

@@ -365,15 +365,12 @@ var artifacts = artifact.MustNew(
 			num("footprint_bytes", "B"), count("reuse_p50"), count("reuse_p90"), str("sig_sha256"),
 		},
 		Build: func(ctx context.Context, s *Study, t *report.Table) error {
-			for _, p := range workload.Profiles() {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				g, err := p.Generator(wlsigSeed)
-				if err != nil {
-					return err
-				}
-				sig := signature.FromGenerator(g, wlsigAccesses)
+			profiles, sigs, err := profileSignatures(ctx)
+			if err != nil {
+				return err
+			}
+			for i, p := range profiles {
+				sig := sigs[i]
 				if err := t.Append(p.Name, wlsigAccesses, sig.ReadFrac(), sig.SeqFrac(),
 					float64(sig.FootprintBytes()), int(sig.ReuseQuantile(0.5)), int(sig.ReuseQuantile(0.9)),
 					sig.SHA256()[:16]); err != nil {
@@ -384,6 +381,25 @@ var artifacts = artifact.MustNew(
 		},
 	},
 )
+
+// profileSignatures folds every built-in profile's stand-in stream at the
+// pinned seed and access count: the wlsig artifact's rows, and what its
+// claims read. ctx is checked before each profile.
+func profileSignatures(ctx context.Context) ([]workload.Profile, []signature.Signature, error) {
+	profiles := workload.Profiles()
+	sigs := make([]signature.Signature, len(profiles))
+	for i, p := range profiles {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		g, err := p.Generator(wlsigSeed)
+		if err != nil {
+			return nil, nil, err
+		}
+		sigs[i] = signature.FromGenerator(g, wlsigAccesses)
+	}
+	return profiles, sigs, nil
+}
 
 // ArtifactDescriptor is the study-bound descriptor type — what consumers
 // outside this package see when they iterate Artifacts().Descriptors().

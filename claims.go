@@ -2,8 +2,11 @@ package coldtall
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"coldtall/internal/report"
+	"coldtall/internal/workload"
 )
 
 // Claim is one verifiable statement from the paper's text, re-evaluated
@@ -418,7 +421,98 @@ func Claims() []Claim {
 				return "", false, fmt.Errorf("missing row")
 			},
 		},
+		{
+			ID: "Freq/a", Text: "350 K SRAM: performance follows the clock alone", Expected: "rel_perf = f / 5 GHz, rel_ipc = 1",
+			check: func(s *Study) (string, bool, error) {
+				rows, err := freqRows(s, "SRAM", 350)
+				if err != nil {
+					return "", false, err
+				}
+				ok := true
+				for _, r := range rows {
+					ok = ok && math.Abs(r.RelIPC-1) < 1e-9 &&
+						math.Abs(r.RelPerf-r.FrequencyHz/workload.DefaultFrequencyHz) < 1e-9
+				}
+				last := rows[len(rows)-1]
+				return fmt.Sprintf("rel_perf %.3g at %g GHz", last.RelPerf, last.FrequencyHz/1e9), ok, nil
+			},
+		},
+		{
+			ID: "Freq/b", Text: "77 K 3T-eDRAM: the IPC gain grows with the clock", Expected: "rel_ipc > 1, rising to ~1.15 at 10 GHz",
+			check: func(s *Study) (string, bool, error) {
+				rows, err := freqRows(s, "3T-eDRAM", 77)
+				if err != nil {
+					return "", false, err
+				}
+				ok := rows[0].RelIPC > 1
+				for i := 1; i < len(rows); i++ {
+					ok = ok && rows[i].RelIPC > rows[i-1].RelIPC
+				}
+				last := rows[len(rows)-1]
+				ok = ok && last.FrequencyHz == 1e10 && last.RelIPC > 1.10 && last.RelIPC < 1.20
+				return fmt.Sprintf("%.3f at 1 GHz, %.3f at 10 GHz", rows[0].RelIPC, last.RelIPC), ok, nil
+			},
+		},
+		{
+			ID: "WlSig/a", Text: "mcf, the read-traffic maximum, has the largest footprint", Expected: "mcf, ~78 KB",
+			check: func(s *Study) (string, bool, error) {
+				profiles, sigs, err := profileSignatures(s.context())
+				if err != nil {
+					return "", false, err
+				}
+				top := 0
+				for i, sig := range sigs {
+					if sig.FootprintBytes() > sigs[top].FootprintBytes() {
+						top = i
+					}
+				}
+				fp := sigs[top].FootprintBytes()
+				return fmt.Sprintf("%s, %d B", profiles[top].Name, fp),
+					profiles[top].Name == "mcf" && fp > 60_000 && fp < 100_000, nil
+			},
+		},
+		{
+			ID: "WlSig/b", Text: "the quietest profiles reuse blocks soonest", Expected: "exchange2, leela, povray: smallest reuse_p90",
+			check: func(s *Study) (string, bool, error) {
+				profiles, sigs, err := profileSignatures(s.context())
+				if err != nil {
+					return "", false, err
+				}
+				quiet := map[string]bool{"exchange2": true, "leela": true, "povray": true}
+				var quietMax, restMin uint64 = 0, math.MaxUint64
+				var measured []string
+				for i, p := range profiles {
+					p90 := sigs[i].ReuseQuantile(0.9)
+					if quiet[p.Name] {
+						quietMax = max(quietMax, p90)
+						measured = append(measured, fmt.Sprintf("%s %d", p.Name, p90))
+					} else {
+						restMin = min(restMin, p90)
+					}
+				}
+				return strings.Join(measured, ", "), len(measured) == len(quiet) && quietMax < restMin, nil
+			},
+		},
 	}
+}
+
+// freqRows returns the frequency sweep's rows of one design point, in
+// sweep order: ascending clock (SweepFrequencies).
+func freqRows(s *Study, cell string, tempK float64) ([]FreqRow, error) {
+	rows, err := s.FrequencySweep()
+	if err != nil {
+		return nil, err
+	}
+	var out []FreqRow
+	for _, r := range rows {
+		if r.Cell == cell && r.TemperatureK == tempK {
+			out = append(out, r)
+		}
+	}
+	if len(out) < 2 {
+		return nil, fmt.Errorf("frequency sweep has %d rows for %s at %g K", len(out), cell, tempK)
+	}
+	return out, nil
 }
 
 // fig6Check builds a claim check over one Fig. 6 row.

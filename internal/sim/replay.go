@@ -126,8 +126,8 @@ func (r *Replayer) ReplayReader(ctx context.Context, tr trace.Reader, chunk int,
 	return uint64(done), err
 }
 
-// windowChunk is Window's progress granularity, so an ingest job's done
-// counter advances in 64Ki steps.
+// windowChunk is Window's chunk when progress is reported or an observer
+// is attached, so an ingest job's done counter advances in 64Ki steps.
 const windowChunk = 1 << 16
 
 // Warmup is how many of a window's n accesses warm the caches: the first
@@ -138,12 +138,23 @@ func Warmup(n int) int { return n / 4 }
 // Window is the measurement window behind workload.Measure, the
 // system-impact miss ratios and ingestion: it replays exactly n accesses
 // from src, the first Warmup(n) of them to warm the caches, and returns
-// the counters of the rest. It checks ctx and reports cumulative progress
-// after every chunk of at most 64Ki accesses, with a cut at the warmup
-// boundary. A source that ends before n accesses is a *ShortSourceError,
-// never a short window.
+// the counters of the rest. It feeds the hierarchy in chunks, with a cut
+// at the warmup boundary, and checks ctx before each. A chunk is at most
+// 64Ki accesses when progress is reported, and progress then sees the
+// cumulative count after each, or when an observer is attached, whose
+// pass runs over whole chunks (ingestion has one, with or without
+// progress). Otherwise a chunk is at most one canonical block
+// (trace.DefaultBlockAccesses), so a generator window (workload.Measure,
+// the system-impact miss replay) stages its accesses through a small
+// buffer that stays in cache next to the cache arrays, not a 1.1 MiB
+// one. Chunking never changes the counters. A source that ends before n
+// accesses is a *ShortSourceError, never a short window.
 func (r *Replayer) Window(ctx context.Context, src Source, n int, progress func(done uint64)) (HierarchyStats, error) {
-	f := newFeeder(src, windowChunk)
+	chunk := trace.DefaultBlockAccesses
+	if progress != nil || r.observe != nil {
+		chunk = windowChunk
+	}
+	f := newFeeder(src, chunk)
 	warm := Warmup(n)
 	done, err := r.feed(ctx, f, 0, warm, progress)
 	atWarm := r.Snapshot()

@@ -179,6 +179,27 @@ func TestWindowContract(t *testing.T) {
 		}
 	})
 
+	t.Run("observer", func(t *testing.T) {
+		// An observer takes the window to 64Ki chunks without progress;
+		// it must see the whole stream in order, the counters unchanged.
+		r, err := NewReplayer(TableIConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []trace.Access
+		r.SetObserver(func(a trace.Access) { seen = append(seen, a) })
+		got, err := r.Window(context.Background(), FromGenerator(windowStream(t)), windowN, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("observed window diverges from the bare hierarchy:\ngot  %+v\nwant %+v", got, want)
+		}
+		if !reflect.DeepEqual(seen, in) {
+			t.Fatalf("the observer saw %d accesses, not the window's %d in order", len(seen), len(in))
+		}
+	})
+
 	t.Run("short source", func(t *testing.T) {
 		for _, have := range []int{warm / 2, windowN - 1} {
 			r, err := NewReplayer(TableIConfig())

@@ -6,10 +6,7 @@
 // traffic intensities the paper studies (1e3–2e8 accesses/s).
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // BlockBytes is the address granularity of generated accesses (one cache
 // line).
@@ -61,7 +58,7 @@ type Stream struct {
 	strideBlk uint64
 	writeFrac float64
 	pos       uint64
-	rng       *rand.Rand
+	rng       *rngSource
 }
 
 // NewStream creates a sequential scanner. strideBlocks is the step in
@@ -80,7 +77,7 @@ func NewStream(region Region, strideBlocks uint64, writeFrac float64, seed int64
 		region:    region,
 		strideBlk: strideBlocks,
 		writeFrac: writeFrac,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       newRNGSource(seed),
 	}, nil
 }
 
@@ -101,7 +98,7 @@ func (s *Stream) Next() Access {
 type Zipf struct {
 	region    Region
 	writeFrac float64
-	rng       *rand.Rand
+	rng       *rngSource
 	zipf      *zipfSampler
 }
 
@@ -117,7 +114,7 @@ func NewZipf(region Region, s, writeFrac float64, seed int64) (*Zipf, error) {
 	if writeFrac < 0 || writeFrac > 1 {
 		return nil, fmt.Errorf("trace: write fraction %g out of [0,1]", writeFrac)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRNGSource(seed)
 	return &Zipf{
 		region:    region,
 		writeFrac: writeFrac,
@@ -144,7 +141,7 @@ func (z *Zipf) Next() Access {
 type PointerChase struct {
 	region    Region
 	writeFrac float64
-	rng       *rand.Rand
+	rng       *rngSource
 }
 
 // NewPointerChase creates a uniform random-walk generator.
@@ -155,7 +152,7 @@ func NewPointerChase(region Region, writeFrac float64, seed int64) (*PointerChas
 	if writeFrac < 0 || writeFrac > 1 {
 		return nil, fmt.Errorf("trace: write fraction %g out of [0,1]", writeFrac)
 	}
-	return &PointerChase{region: region, writeFrac: writeFrac, rng: rand.New(rand.NewSource(seed))}, nil
+	return &PointerChase{region: region, writeFrac: writeFrac, rng: newRNGSource(seed)}, nil
 }
 
 // Next implements Generator.
@@ -172,7 +169,7 @@ func (p *PointerChase) Next() Access {
 type Mixture struct {
 	gens    []Generator
 	weights []float64
-	rng     *rand.Rand
+	rng     *rngSource
 }
 
 // NewMixture combines generators; weights need not be normalized but must
@@ -194,7 +191,7 @@ func NewMixture(gens []Generator, weights []float64, seed int64) (*Mixture, erro
 		acc += w / sum
 		norm[i] = acc
 	}
-	return &Mixture{gens: gens, weights: norm, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Mixture{gens: gens, weights: norm, rng: newRNGSource(seed)}, nil
 }
 
 // Next implements Generator.
@@ -229,7 +226,7 @@ type Chain struct {
 	mult, inc uint64
 	cur       uint64
 	writeFrac float64
-	rng       *rand.Rand
+	rng       *rngSource
 }
 
 // NewChain builds the dependent walk; the region must span at least two
@@ -249,7 +246,7 @@ func NewChain(region Region, writeFrac float64, seed int64) (*Chain, error) {
 	if pow2 < 2 {
 		return nil, fmt.Errorf("trace: chain needs at least two blocks")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRNGSource(seed)
 	// Full period over 2^k requires inc odd and mult = 1 (mod 4).
 	mult := uint64(rng.Int63())<<2 | 1
 	if mult%4 != 1 {

@@ -1,15 +1,25 @@
 package trace
 
 import (
+	"context"
+	"fmt"
 	"math"
-	"math/rand"
 	"sort"
+
+	"coldtall/internal/cache"
 )
 
 // zipfSampler draws exactly the value stream math/rand.Zipf would draw from
-// the same *rand.Rand, one Float64 per attempt, but resolves most attempts
-// with a table lookup instead of Hörmann and Derflinger's
-// rejection-inversion (an exp and a log per attempt).
+// a *rand.Rand over the same source, one Float64 per attempt, but resolves
+// most attempts with a table lookup instead of Hörmann and Derflinger's
+// rejection-inversion (an exp and a log per attempt). It pairs its own
+// source with a table shared by every sampler of the same parameters.
+type zipfSampler struct {
+	r *rngSource
+	*zipfTable
+}
+
+// zipfTable is a sampler's read-only part, a pure function of (s, v, imax).
 //
 // Given the uniform draw r, the stdlib's attempt either accepts a rank k or
 // rejects, and that outcome is a step function of r: it changes only where
@@ -19,8 +29,7 @@ import (
 // A draw within the guard band of a break, or below the head (the tail),
 // runs the exact attempt, a copy of the stdlib's arithmetic, so the few
 // ulps of rounding in exp and log can never flip an outcome.
-type zipfSampler struct {
-	r *rand.Rand
+type zipfTable struct {
 	// The stdlib's constants, computed exactly as rand.NewZipf does.
 	imax, v, q, s           float64
 	oneminusQ, oneminusQinv float64
@@ -54,10 +63,31 @@ const (
 	zipfExact  int16 = -2 // near a break or in the tail: run the exact attempt
 )
 
+// zipfTableLimit bounds zipfTables. The built-in profiles need 13 tables
+// (distinct hot-set sizes and skews); ingest generator specs and
+// distillation candidates bring arbitrary skews, and past the bound the
+// least-recently-used table is evicted. A table for a head of 1024 ranks
+// is about 50 KB.
+const zipfTableLimit = 64
+
+// zipfTables holds one table per (s, v, imax) for the process, so the
+// samplers of repeated generator builds (every profile stand-in, each
+// signature fold and miss replay) pay one build between them.
+var zipfTables = cache.MustNew[*zipfTable](zipfTableLimit)
+
 // newZipfSampler returns a sampler equal, draw for draw, to
-// rand.NewZipf(r, s, v, imax). It requires s > 1 and v >= 1.
-func newZipfSampler(r *rand.Rand, s, v float64, imax uint64) *zipfSampler {
-	z := &zipfSampler{r: r, imax: float64(imax), v: v, q: s}
+// rand.NewZipf(rand.New(r), s, v, imax). It requires s > 1 and v >= 1.
+func newZipfSampler(r *rngSource, s, v float64, imax uint64) *zipfSampler {
+	key := fmt.Sprintf("%x/%x/%d", math.Float64bits(s), math.Float64bits(v), imax)
+	t, _, _ := zipfTables.Do(context.Background(), key, func() (*zipfTable, error) { // never fails
+		return newZipfTable(s, v, imax), nil
+	})
+	return &zipfSampler{r: r, zipfTable: t}
+}
+
+// newZipfTable computes the stdlib's constants and builds the table.
+func newZipfTable(s, v float64, imax uint64) *zipfTable {
+	z := &zipfTable{imax: float64(imax), v: v, q: s}
 	z.oneminusQ = 1.0 - z.q
 	z.oneminusQinv = 1.0 / z.oneminusQ
 	z.hxm = z.h(z.imax + 0.5)
@@ -67,16 +97,16 @@ func newZipfSampler(r *rand.Rand, s, v float64, imax uint64) *zipfSampler {
 	return z
 }
 
-func (z *zipfSampler) h(x float64) float64 {
+func (z *zipfTable) h(x float64) float64 {
 	return math.Exp(z.oneminusQ*math.Log(z.v+x)) * z.oneminusQinv
 }
 
-func (z *zipfSampler) hinv(x float64) float64 {
+func (z *zipfTable) hinv(x float64) float64 {
 	return math.Exp(z.oneminusQinv*math.Log(z.oneminusQ*x)) - z.v
 }
 
 // attempt is one iteration of the stdlib's rejection loop for the draw r.
-func (z *zipfSampler) attempt(r float64) (k float64, ok bool) {
+func (z *zipfTable) attempt(r float64) (k float64, ok bool) {
 	ur := z.hxm + r*z.hx0minusHxm
 	x := z.hinv(ur)
 	k = math.Floor(x + 0.5)
@@ -104,7 +134,7 @@ func (z *zipfSampler) Uint64() uint64 {
 }
 
 // segment returns the table's outcome for the draw r.
-func (z *zipfSampler) segment(r float64) int16 {
+func (z *zipfTable) segment(r float64) int16 {
 	i := int(z.guide[int(r*zipfGuide)])
 	for z.edges[i+1] <= r {
 		i++
@@ -113,7 +143,7 @@ func (z *zipfSampler) segment(r float64) int16 {
 }
 
 // toR maps a value of h back to the draw r that produces it.
-func (z *zipfSampler) toR(ur float64) float64 {
+func (z *zipfTable) toR(ur float64) float64 {
 	return (ur - z.hxm) / z.hx0minusHxm
 }
 
@@ -123,7 +153,7 @@ func (z *zipfSampler) toR(ur float64) float64 {
 // and its acceptance edge, where x passes the lower of the squeeze edge
 // k-s and the hat edge. The last head rank's upper edge is where the tail
 // begins. It returns nil if any break is not a number.
-func (z *zipfSampler) breaks() []float64 {
+func (z *zipfTable) breaks() []float64 {
 	head := min(z.imax+1, zipfHead)
 	bs := make([]float64, 0, 2*int(head))
 	for k := 0.0; k < head; k++ {
@@ -143,7 +173,7 @@ func (z *zipfSampler) breaks() []float64 {
 // build lays out the segments: exact from 0 through the tail and the
 // band around every break, and between bands the outcome of an attempt at
 // the segment's midpoint, which holds for every draw in the segment.
-func (z *zipfSampler) build() {
+func (z *zipfTable) build() {
 	bs := z.breaks()
 	if bs == nil {
 		z.edges, z.out = []float64{0, 1}, []int16{zipfExact}
@@ -188,7 +218,7 @@ func (z *zipfSampler) build() {
 }
 
 // outcome classifies the attempt at draw r for the table.
-func (z *zipfSampler) outcome(r float64) int16 {
+func (z *zipfTable) outcome(r float64) int16 {
 	k, ok := z.attempt(r)
 	switch {
 	case !ok:

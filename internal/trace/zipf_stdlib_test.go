@@ -76,3 +76,32 @@ func FuzzZipfMatchesStdlib(f *testing.F) {
 		matchStdlib(t, uint64(blocks), skew, 0.25, seed, 2000)
 	})
 }
+
+// TestProfilesShareZipfTables pins the table memo's reach for the built-in
+// profiles: their 23 hot sets take one table per distinct (hot-set size,
+// skew) pair, all resident at once, so a second round of generator builds
+// (the next signature fold or miss replay) builds none.
+func TestProfilesShareZipfTables(t *testing.T) {
+	distinct := map[[2]float64]bool{}
+	build := func() {
+		for _, p := range workload.Profiles() {
+			if _, err := p.Generator(1); err != nil {
+				t.Fatal(err)
+			}
+			distinct[[2]float64{float64(p.HotSetBytes), p.ZipfSkew}] = true
+		}
+	}
+	before := trace.ZipfTableMisses()
+	build()
+	first := trace.ZipfTableMisses() - before
+	build()
+	if again := trace.ZipfTableMisses() - before - first; again != 0 {
+		t.Fatalf("a second round of profile generators built %d tables, want 0", again)
+	}
+	if first > int64(len(distinct)) {
+		t.Fatalf("the profiles built %d tables for %d distinct (hot set, skew) pairs", first, len(distinct))
+	}
+	if len(distinct) != 13 {
+		t.Fatalf("the profiles have %d distinct (hot set, skew) pairs, want 13", len(distinct))
+	}
+}

@@ -7,28 +7,31 @@ import (
 	"testing"
 )
 
-// scriptSource replays fixed Int63 values, then falls back to a seeded
-// source, so a test can aim Float64 at chosen draws.
-type scriptSource struct {
-	vals []int64
-	next int
-	rest rand.Source
-}
-
-func (s *scriptSource) Int63() int64 {
-	if s.next < len(s.vals) {
-		s.next++
-		return s.vals[s.next-1]
+// aim sets rng up so that its next Int63 returns v: a draw adds the tap
+// word to the feed word, so the feed word becomes v minus the tap word.
+// The draws after it continue from the changed state.
+func aim(rng *rngSource, v int64) {
+	tap, feed := rng.tap-1, rng.feed-1
+	if tap < 0 {
+		tap += rngLen
 	}
-	return s.rest.Int63()
+	if feed < 0 {
+		feed += rngLen
+	}
+	rng.vec[feed] = v - rng.vec[tap]
 }
 
-func (s *scriptSource) Seed(int64) {}
+// drawsBetween is how many draws took rng's feed index from before to
+// after (fewer than rngLen).
+func drawsBetween(before, after *rngSource) int {
+	return (before.feed - after.feed + rngLen) % rngLen
+}
 
 // TestZipfMatchesStdlibAtBreaks aims draws at every stored segment edge
 // and every break of the step function, and 1-2 ulps either side of each,
-// so the guard-band path is exercised rather than sampled: each answer
-// must equal math/rand.Zipf's from the same source.
+// so the guard-band path is exercised rather than sampled: each answer,
+// and the draws it took, must equal math/rand.Zipf's over a copy of the
+// same source state.
 func TestZipfMatchesStdlibAtBreaks(t *testing.T) {
 	for _, skew := range []float64{1.001, 1.05, 1.3, 1.5, 1.9, 2.5, 4} {
 		for _, imax := range []uint64{15, 383, 1023, 1024, 163839} {
@@ -58,15 +61,15 @@ func TestZipfMatchesStdlibAtBreaks(t *testing.T) {
 				if exact == 0 {
 					t.Fatal("no aimed draw reaches the exact path")
 				}
-				src := &scriptSource{vals: vals, rest: rand.NewSource(1)}
-				oracleSrc := &scriptSource{vals: vals, rest: rand.NewSource(1)}
-				z.r = rand.New(src)
-				oracle := rand.NewZipf(rand.New(oracleSrc), skew, 1, imax)
-				for src.next < len(vals) {
-					at := src.next
-					if got, want := z.Uint64(), oracle.Uint64(); got != want || src.next != oracleSrc.next {
+				src := newRNGSource(1)
+				z.r = src
+				for _, v := range vals {
+					aim(src, v)
+					before, mirror := *src, *src
+					oracle := rand.NewZipf(rand.New(&mirror), skew, 1, imax)
+					if got, want := z.Uint64(), oracle.Uint64(); got != want || *src != mirror {
 						t.Fatalf("draw aimed at r=%g: rank %d after %d draws, math/rand.Zipf gives %d after %d",
-							float64(vals[at])/(1<<63), got, src.next-at, want, oracleSrc.next-at)
+							float64(v)/(1<<63), got, drawsBetween(&before, src), want, drawsBetween(&before, &mirror))
 					}
 				}
 			})
@@ -79,7 +82,7 @@ func TestZipfMatchesStdlibAtBreaks(t *testing.T) {
 // lower end, and every rank stored is a head rank.
 func TestZipfTableShape(t *testing.T) {
 	for _, imax := range []uint64{0, 15, 1023, 1 << 18} {
-		z := newZipfSampler(nil, 1.4, 1, imax)
+		z := newZipfTable(1.4, 1, imax)
 		n := len(z.edges)
 		if z.edges[0] != 0 || z.edges[n-1] != 1 || len(z.out) != n-1 {
 			t.Fatalf("imax=%d: edges [%g..%g] over %d outcomes", imax, z.edges[0], z.edges[n-1], len(z.out))
@@ -106,8 +109,8 @@ func TestZipfTableShape(t *testing.T) {
 var sinkRank uint64
 
 // BenchmarkZipf compares a draw from math/rand.Zipf (the oracle, kept only
-// here) with a draw from the table, and times one table build, for a
-// profile-sized hot set.
+// here) with a draw from the table, and times one table build and one
+// sampler build over a shared table, for a profile-sized hot set.
 func BenchmarkZipf(b *testing.B) {
 	const skew, imax = 1.4, 383
 	b.Run("stdlib", func(b *testing.B) {
@@ -117,17 +120,81 @@ func BenchmarkZipf(b *testing.B) {
 		}
 	})
 	b.Run("table", func(b *testing.B) {
-		z := newZipfSampler(rand.New(rand.NewSource(1)), skew, 1, imax)
+		z := newZipfSampler(newRNGSource(1), skew, 1, imax)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sinkRank = z.Uint64()
 		}
 	})
 	b.Run("build", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkRank = uint64(len(newZipfTable(skew, 1, imax).edges))
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		rng := newRNGSource(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkRank = uint64(len(newZipfSampler(rng, skew, 1, imax).edges))
 		}
 	})
+}
+
+// TestZipfTablesBounded pins the table memo's bound under the skew churn
+// of a distillation search: three times more distinct skews than the
+// limit, and the memo never holds more than the limit.
+func TestZipfTablesBounded(t *testing.T) {
+	for i := 0; i < 3*zipfTableLimit; i++ {
+		skew := 1.05 + 0.0137*float64(i)
+		z := newZipfSampler(nil, skew, 1, 383)
+		if z.q != skew {
+			t.Fatalf("sampler for skew %g holds the table of skew %g", skew, z.q)
+		}
+		if n := zipfTables.Stats().Len; n > zipfTableLimit {
+			t.Fatalf("after %d skews the memo holds %d tables, over its limit %d", i+1, n, zipfTableLimit)
+		}
+	}
+}
+
+// TestZipfSharedTableConcurrent draws from two samplers that share one
+// table, built and drawn in parallel goroutines (run it under -race): each
+// stream must equal the one a sampler drawn alone gives.
+func TestZipfSharedTableConcurrent(t *testing.T) {
+	const skew, imax, n = 1.37, 511, 200_000
+	serial := func(seed int64) []uint64 {
+		z := newZipfSampler(newRNGSource(seed), skew, 1, imax)
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = z.Uint64()
+		}
+		return out
+	}
+	seeds := [2]int64{11, 12}
+	var samplers [2]*zipfSampler
+	var got [2][]uint64
+	done := make(chan int)
+	for i, seed := range seeds {
+		go func() {
+			samplers[i] = newZipfSampler(newRNGSource(seed), skew, 1, imax)
+			got[i] = make([]uint64, n)
+			for j := range got[i] {
+				got[i][j] = samplers[i].Uint64()
+			}
+			done <- i
+		}()
+	}
+	<-done
+	<-done
+	if samplers[0].zipfTable != samplers[1].zipfTable {
+		t.Fatal("samplers of equal parameters hold different tables")
+	}
+	for i, seed := range seeds {
+		want := serial(seed)
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("seed %d: parallel draw %d = %d, serial draw gives %d", seed, j, got[i][j], want[j])
+			}
+		}
+	}
 }
