@@ -118,7 +118,8 @@ golden-update:
 	$(GO) test -run Golden -update .
 
 # Production Go line count: every tracked non-test .go file outside the
-# perfbench harness and examples/. The round's "fewer lines" aim is read
+# perfbench harness, examples/ and testdata/ (fixture modules tests scan
+# are test input). The round's "fewer lines" aim is read
 # from this number rather than a hand-copied one.
 lines:
-	@git ls-files '*.go' | grep -v _test.go | grep -v -e ^perfbench/ -e ^examples/ | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v _test.go | grep -v -e ^perfbench/ -e ^examples/ -e testdata/ | xargs cat | wc -l

@@ -3,6 +3,7 @@ package coldtall
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"coldtall/internal/report"
@@ -491,6 +492,116 @@ func Claims() []Claim {
 					}
 				}
 				return strings.Join(measured, ", "), len(measured) == len(quiet) && quietMax < restMin, nil
+			},
+		},
+		{
+			ID: "Deep/a", Text: "the cryocooler's Carnot-scaled cost at 4 K (arXiv 2408.03308)", Expected: "~1,082 W/W (1,000-1,200)",
+			check: func(s *Study) (string, bool, error) {
+				rows, err := s.DeepCryoSweep()
+				if err != nil {
+					return "", false, err
+				}
+				for _, r := range rows {
+					if r.TemperatureK == 4 {
+						return fmt.Sprintf("%.0f W/W", r.CoolerWPerW), r.CoolerWPerW >= 1000 && r.CoolerWPerW <= 1200, nil
+					}
+				}
+				return "", false, fmt.Errorf("missing 4 K row")
+			},
+		},
+		{
+			ID: "Deep/b", Text: "below 77 K total power rises as T falls while device power stays flat", Expected: "rel_total_power rising 77->4 K, rel_device_power within 5 %",
+			check: func(s *Study) (string, bool, error) {
+				rows, err := s.DeepCryoSweep()
+				if err != nil {
+					return "", false, err
+				}
+				deep := []float64{77, 40, 20, 10, 4}
+				ok := true
+				var measured []string
+				for _, c := range []string{"SRAM", "3T-eDRAM"} {
+					byT := make(map[float64]DeepCryoRow)
+					for _, r := range rows {
+						if r.Cell == c {
+							byT[r.TemperatureK] = r
+						}
+					}
+					at77, ok77 := byT[77]
+					if !ok77 {
+						return "", false, fmt.Errorf("missing 77 K %s row", c)
+					}
+					prev := at77
+					for _, temp := range deep[1:] {
+						r, found := byT[temp]
+						if !found {
+							return "", false, fmt.Errorf("missing %g K %s row", temp, c)
+						}
+						ok = ok && r.RelTotalPower > prev.RelTotalPower &&
+							math.Abs(r.RelDevicePower/at77.RelDevicePower-1) <= 0.05
+						prev = r
+					}
+					measured = append(measured, fmt.Sprintf("%s %.3g -> %.3g", c, at77.RelTotalPower, prev.RelTotalPower))
+				}
+				return strings.Join(measured, ", "), ok, nil
+			},
+		},
+		{
+			ID: "Gain/a", Text: "350 K retention: OS gain cell seconds, 3T-eDRAM sub-ms (arXiv 2503.06304)", Expected: ">= 1 s vs < 1 ms",
+			check: func(s *Study) (string, bool, error) {
+				rows, err := s.GainCellStudy()
+				if err != nil {
+					return "", false, err
+				}
+				gc, edram := math.NaN(), math.NaN()
+				for _, r := range rows {
+					switch {
+					case r.TemperatureK != 350:
+					case r.Cell == "OS-GC" && r.Corner == "optimistic" && r.Dies == 1:
+						gc = r.RetentionS
+					case r.Cell == "3T-eDRAM":
+						edram = r.RetentionS
+					}
+				}
+				if math.IsNaN(gc) || math.IsNaN(edram) {
+					return "", false, fmt.Errorf("missing 350 K row")
+				}
+				return fmt.Sprintf("OS-GC %.3g s, 3T-eDRAM %.3g ms", gc, edram*1e3), gc >= 1 && edram < 1e-3, nil
+			},
+		},
+		{
+			ID: "Gain/b", Text: "gain-cell retention grows as T falls and stacking lowers area", Expected: "every family, every corner and temperature",
+			check: func(s *Study) (string, bool, error) {
+				rows, err := s.GainCellStudy()
+				if err != nil {
+					return "", false, err
+				}
+				// Rows of one family (cell, corner, dies) across temperatures,
+				// and of one stack (cell, corner, temperature) across dies.
+				family := make(map[string][]GainCellRow)
+				stack := make(map[string][]GainCellRow)
+				for _, r := range rows {
+					f := fmt.Sprintf("%s/%s/%d", r.Cell, r.Corner, r.Dies)
+					family[f] = append(family[f], r)
+					if r.Cell == "OS-GC" {
+						k := fmt.Sprintf("%s/%g", r.Corner, r.TemperatureK)
+						stack[k] = append(stack[k], r)
+					}
+				}
+				ok := len(family) > 0 && len(stack) > 0
+				for _, rs := range family {
+					sort.Slice(rs, func(i, j int) bool { return rs[i].TemperatureK > rs[j].TemperatureK })
+					for i := 1; i < len(rs); i++ {
+						ok = ok && rs[i].RetentionS > rs[i-1].RetentionS
+					}
+				}
+				for _, rs := range stack {
+					sort.Slice(rs, func(i, j int) bool { return rs[i].Dies < rs[j].Dies })
+					ok = ok && len(rs) > 1
+					for i := 1; i < len(rs); i++ {
+						ok = ok && rs[i].RelArea < rs[i-1].RelArea
+					}
+				}
+				return fmt.Sprintf("%d families, %d stacks", len(family), len(stack)), ok, nil
 			},
 		},
 	}

@@ -1,13 +1,15 @@
 package main
 
 // CLI tests for the jobs subcommand family, run against a real server
-// mounted on an httptest listener — the same wire format `coldtall serve`
-// exposes.
+// serving a loopback listener through Server.Serve — the path `coldtall
+// serve` takes.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,8 +23,8 @@ import (
 	"coldtall/internal/server"
 )
 
-// startJobServer boots a store-backed server on a real listener and
-// returns its base URL.
+// startJobServer boots a store-backed server on a loopback listener and
+// returns its base URL. Cleanup drains it the way a SIGTERM does.
 func startJobServer(t *testing.T) string {
 	t.Helper()
 	return startJobServerCfg(t, server.Config{})
@@ -41,10 +43,20 @@ func startJobServerCfg(t *testing.T, cfg server.Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { s.Jobs().Close() })
-	return ts.URL
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return "http://" + ln.Addr().String()
 }
 
 // jobID pulls the leading job ID out of a printStatus line.

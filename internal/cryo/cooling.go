@@ -176,11 +176,6 @@ func (c Cooling) TotalPower(devicePowerW, temperatureK float64) float64 {
 	return devicePowerW * (1 + c.Class.OverheadAt(temperatureK))
 }
 
-// CoolingPower returns only the cooler input power for the device load.
-func (c Cooling) CoolingPower(devicePowerW, temperatureK float64) float64 {
-	return c.TotalPower(devicePowerW, temperatureK) - devicePowerW
-}
-
 // EffectiveTemperatures returns the operating points swept by the paper's
 // temperature studies (Fig. 1, Fig. 3): 77 K to 387 K at ~50 K intervals
 // plus the 350 K normalization anchor.

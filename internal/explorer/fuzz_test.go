@@ -18,12 +18,37 @@ package explorer
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"coldtall/internal/cell"
 	"coldtall/internal/stack"
 	"coldtall/internal/workload"
 )
+
+// Canonical returns the spec with the defaults filled in: equal effective
+// points have equal canonical specs.
+func (ps PointSpec) Canonical() PointSpec { return ps.withDefaults() }
+
+// Spec is the inverse of ParsePoint: the canonical wire form that resolves
+// back to an identical point. The tentpole corner is recovered from the
+// composite cell's name ("pcm-pessimistic" — see cell.Tentpole); builtin
+// cells report the default corner, which parsing ignores for them.
+func (p DesignPoint) Spec() PointSpec {
+	corner := cell.Optimistic
+	if strings.HasSuffix(p.Cell.Name, "-"+cell.Pessimistic.String()) {
+		corner = cell.Pessimistic
+	}
+	return PointSpec{
+		Cell:          p.Cell.Tech.String(),
+		Corner:        corner.String(),
+		Dies:          p.Dies,
+		TemperatureK:  p.Temperature,
+		Style:         p.Style.String(),
+		CapacityBytes: p.CapacityBytes,
+		FrequencyHz:   p.Frequency(),
+	}
+}
 
 // parsePointSeed is one FuzzParsePoint corpus entry.
 type parsePointSeed struct {

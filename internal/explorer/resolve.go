@@ -2,7 +2,6 @@ package explorer
 
 import (
 	"fmt"
-	"strings"
 
 	"coldtall/internal/cell"
 	"coldtall/internal/stack"
@@ -53,14 +52,6 @@ func (ps PointSpec) withDefaults() PointSpec {
 	return ps
 }
 
-// Canonical returns the spec with the defaults filled in: equal effective
-// points have equal canonical specs. This is the form cache keys are
-// derived from, and it is a fixed point of parsing — for any spec that
-// ParsePoint accepts, ParsePoint(spec).Spec() == spec.Canonical(), and
-// canonicalizing a canonical spec changes nothing (FuzzParsePoint pins
-// both properties).
-func (ps PointSpec) Canonical() PointSpec { return ps.withDefaults() }
-
 // ParsePoint resolves a spec into a validated design point. The label
 // matches the CLI sweep convention ("8-die PCM @350K").
 func ParsePoint(spec PointSpec) (DesignPoint, error) {
@@ -104,26 +95,6 @@ func ParsePoint(spec PointSpec) (DesignPoint, error) {
 		return DesignPoint{}, err
 	}
 	return p, nil
-}
-
-// Spec is the inverse of ParsePoint: the canonical wire form that resolves
-// back to an identical point. The tentpole corner is recovered from the
-// composite cell's name ("pcm-pessimistic" — see cell.Tentpole); builtin
-// cells report the default corner, which parsing ignores for them.
-func (p DesignPoint) Spec() PointSpec {
-	corner := cell.Optimistic
-	if strings.HasSuffix(p.Cell.Name, "-"+cell.Pessimistic.String()) {
-		corner = cell.Pessimistic
-	}
-	return PointSpec{
-		Cell:          p.Cell.Tech.String(),
-		Corner:        corner.String(),
-		Dies:          p.Dies,
-		TemperatureK:  p.Temperature,
-		Style:         p.Style.String(),
-		CapacityBytes: p.CapacityBytes,
-		FrequencyHz:   p.Frequency(),
-	}
 }
 
 // parseCorner maps a corner name to a tentpole corner.

@@ -152,8 +152,8 @@ func TestMalformedUploadPersistsNothing(t *testing.T) {
 			if len(keys) != 0 {
 				t.Fatalf("a failed upload persisted %q", keys)
 			}
-			if n := len(reg.Custom()); n != 0 || idx.Len() != 0 {
-				t.Fatalf("a failed upload registered %d workloads and %d signatures", n, idx.Len())
+			if n, sigs := len(reg.Custom()), idx.Rank(signature.Signature{}, nil); n != 0 || len(sigs) != 0 {
+				t.Fatalf("a failed upload registered %d workloads and %d signatures", n, len(sigs))
 			}
 		})
 	}

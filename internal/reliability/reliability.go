@@ -38,9 +38,6 @@ func SECDED() ECC {
 // WordBits returns the total stored bits per word.
 func (e ECC) WordBits() int { return e.DataBits + e.CheckBits }
 
-// Overhead returns check bits per data bit.
-func (e ECC) Overhead() float64 { return float64(e.CheckBits) / float64(e.DataBits) }
-
 // Validate reports configuration errors.
 func (e ECC) Validate() error {
 	if e.DataBits <= 0 || e.CheckBits < 0 || e.CorrectBits < 0 {

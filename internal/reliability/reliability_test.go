@@ -13,8 +13,8 @@ func TestSECDEDShape(t *testing.T) {
 	if e.WordBits() != 72 {
 		t.Errorf("SECDED word = %d bits, want 72", e.WordBits())
 	}
-	if math.Abs(e.Overhead()-0.125) > 1e-12 {
-		t.Errorf("SECDED overhead = %g, want 0.125 (the paper's ECC capacity overhead)", e.Overhead())
+	if got := float64(e.CheckBits) / float64(e.DataBits); got != 0.125 {
+		t.Errorf("SECDED overhead = %g, want 0.125 (the paper's ECC capacity overhead)", got)
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func pollJob(t *testing.T, h http.Handler, id string) job.Status {
 func TestJobLifecycleOverHTTP(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	// Submit: 202 with a Location header and a queued/running status.
 	rr := post(t, h, "/v1/jobs", `{"kind":"sweep","points":[{"cell":"SRAM"}],"benchmarks":["namd"]}`)
@@ -116,7 +116,7 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 func TestJobEndpointErrors(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	if rr := post(t, h, "/v1/jobs", `{"kind":"nope"}`); rr.Code != http.StatusBadRequest {
 		t.Errorf("bad kind = %d", rr.Code)
@@ -143,7 +143,7 @@ func TestJobEndpointErrors(t *testing.T) {
 func TestAsyncArtifactMatchesSyncEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	cases := []struct {
 		name string
@@ -224,7 +224,7 @@ func TestAsyncArtifactMatchesSyncEndpoint(t *testing.T) {
 func TestSweepInfeasibleGridSameError(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 	const grid = `"points":[{"cell":"SRAM"},{"cell":"SRAM","capacity_bytes":64},{"cell":"PCM","capacity_bytes":128}],"benchmarks":["namd"]`
 	sync := post(t, h, "/v1/sweep", "{"+grid+"}")
 	if sync.Code != http.StatusInternalServerError || !strings.Contains(sync.Body.String(), "no feasible organization") {
@@ -257,7 +257,7 @@ func TestStoreWarmedRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := newStoreServer(t, dir)
-	first := get(t, s1.Handler(), "/v1/artifacts/fig1?format=csv")
+	first := get(t, s1.handler, "/v1/artifacts/fig1?format=csv")
 	if first.Code != http.StatusOK {
 		t.Fatalf("first boot artifact = %d", first.Code)
 	}
@@ -267,7 +267,7 @@ func TestStoreWarmedRestart(t *testing.T) {
 
 	// "Restart": a brand-new server + study over the same directory.
 	s2 := newStoreServer(t, dir)
-	second := get(t, s2.Handler(), "/v1/artifacts/fig1?format=csv")
+	second := get(t, s2.handler, "/v1/artifacts/fig1?format=csv")
 	if second.Code != http.StatusOK {
 		t.Fatalf("second boot artifact = %d", second.Code)
 	}
@@ -302,9 +302,9 @@ func TestStoreHoldsOnlyCharacterizations(t *testing.T) {
 		for i, r := range reqs {
 			var rr *httptest.ResponseRecorder
 			if r.method == http.MethodPost {
-				rr = post(t, s.Handler(), r.path, r.body)
+				rr = post(t, s.handler, r.path, r.body)
 			} else {
-				rr = get(t, s.Handler(), r.path)
+				rr = get(t, s.handler, r.path)
 			}
 			if rr.Code != http.StatusOK {
 				t.Fatalf("%s %s = %d: %s", r.method, r.path, rr.Code, rr.Body)
@@ -317,7 +317,7 @@ func TestStoreHoldsOnlyCharacterizations(t *testing.T) {
 	s1 := newStoreServer(t, dir)
 	first := serveAll(s1)
 	chars := 0
-	err := s1.Store().Walk(func(key string, _ []byte) error {
+	err := s1.st.Walk(func(key string, _ []byte) error {
 		if !strings.HasPrefix(key, "char|") {
 			t.Errorf("store holds %q, want char| entries only", key)
 		}
@@ -327,12 +327,12 @@ func TestStoreHoldsOnlyCharacterizations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts, calls := s1.Store().Stats().Puts, s1.study.Explorer().OptimizeCalls()
+	puts, calls := s1.st.Stats().Puts, s1.study.Explorer().OptimizeCalls()
 	if calls == 0 || int64(chars) != calls || puts != calls {
 		t.Errorf("%d optimizer runs made %d puts and %d char| entries, want one of each per run", calls, puts, chars)
 	}
 	serveAll(s1)
-	if p := s1.Store().Stats().Puts; p != puts {
+	if p := s1.st.Stats().Puts; p != puts {
 		t.Errorf("repeated requests wrote %d entries, want 0", p-puts)
 	}
 
@@ -346,7 +346,7 @@ func TestStoreHoldsOnlyCharacterizations(t *testing.T) {
 	if c := s2.study.Explorer().OptimizeCalls(); c != 0 {
 		t.Errorf("restarted server ran the optimizer %d times, want 0", c)
 	}
-	if p := s2.Store().Stats().Puts; p != 0 {
+	if p := s2.st.Stats().Puts; p != 0 {
 		t.Errorf("restarted server wrote %d entries re-rendering stored points, want 0", p)
 	}
 }
@@ -359,14 +359,14 @@ func TestCharacterizationPersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := newStoreServer(t, dir)
-	if rr := post(t, s1.Handler(), "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"namd"}`); rr.Code != http.StatusOK {
+	if rr := post(t, s1.handler, "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"namd"}`); rr.Code != http.StatusOK {
 		t.Fatalf("first boot evaluate = %d: %s", rr.Code, rr.Body)
 	}
 
 	s2 := newStoreServer(t, dir)
 	// Different benchmark, same point: the response cache misses but the
 	// characterization comes from the store.
-	if rr := post(t, s2.Handler(), "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"lbm"}`); rr.Code != http.StatusOK {
+	if rr := post(t, s2.handler, "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"lbm"}`); rr.Code != http.StatusOK {
 		t.Fatalf("second boot evaluate = %d: %s", rr.Code, rr.Body)
 	}
 	if calls := s2.study.Explorer().OptimizeCalls(); calls != 0 {
@@ -383,7 +383,7 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 
 	s1 := newStoreServer(t, dir)
 	body := `{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM","temperature_k":77}],"benchmarks":["namd"]}`
-	rr := post(t, s1.Handler(), "/v1/jobs", body)
+	rr := post(t, s1.handler, "/v1/jobs", body)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", rr.Code, rr.Body)
 	}
@@ -394,23 +394,23 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 	// Let it finish, then forge the record back to "running" — the state
 	// a SIGKILL'd process leaves on disk (characterizations intact, record
 	// never transitioned). The next boot must resume and complete it.
-	if st := pollJob(t, s1.Handler(), sub.ID); st.State != job.StateDone {
+	if st := pollJob(t, s1.handler, sub.ID); st.State != job.StateDone {
 		t.Fatalf("first boot job state = %s", st.State)
 	}
 	rec := fmt.Sprintf(`{"id":%q,"spec":{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM","temperature_k":77}],"benchmarks":["namd"]},"state":"running","done":2,"total":2}`, sub.ID)
-	if err := s1.Store().Put("job|"+sub.ID, []byte(rec)); err != nil {
+	if err := s1.st.Put("job|"+sub.ID, []byte(rec)); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := newStoreServer(t, dir)
-	st := pollJob(t, s2.Handler(), sub.ID)
+	st := pollJob(t, s2.handler, sub.ID)
 	if st.State != job.StateDone || st.Done != 2 {
 		t.Fatalf("recovered job status = %+v", st)
 	}
 	if calls := s2.study.Explorer().OptimizeCalls(); calls != 0 {
 		t.Errorf("recovered job ran the optimizer %d times, want 0 (every point in char|)", calls)
 	}
-	res := get(t, s2.Handler(), "/v1/jobs/"+sub.ID+"/result")
+	res := get(t, s2.handler, "/v1/jobs/"+sub.ID+"/result")
 	if res.Code != http.StatusOK {
 		t.Fatalf("recovered result = %d", res.Code)
 	}
@@ -430,7 +430,7 @@ func TestEvictionMetricTicks(t *testing.T) {
 	if s.met.evictions.Value() == 0 {
 		t.Error("coldtall_cache_evictions_total never ticked under capacity pressure")
 	}
-	body := get(t, s.Handler(), "/metrics").Body.String()
+	body := get(t, s.handler, "/metrics").Body.String()
 	if !strings.Contains(body, "coldtall_cache_evictions_total") {
 		t.Error("evictions counter missing from the exposition")
 	}
@@ -441,7 +441,7 @@ func TestEvictionMetricTicks(t *testing.T) {
 func TestJobMetrics(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 	rr := post(t, h, "/v1/jobs", `{"kind":"artifact","artifact":"table1"}`)
 	var sub job.Status
 	if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil {
@@ -467,7 +467,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 	// Populate the store once (this cost is the cold path, measured
 	// below).
 	seed := newStoreServer(b, dir)
-	if rr := benchGet(b, seed.Handler(), "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
+	if rr := benchGet(b, seed.handler, "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
 		b.Fatalf("seed boot = %d", rr.Code)
 	}
 
@@ -476,7 +476,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 			b.StopTimer()
 			s := newStoreServer(b, b.TempDir()) // empty store: nothing to warm
 			b.StartTimer()
-			if rr := benchGet(b, s.Handler(), "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
+			if rr := benchGet(b, s.handler, "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
 				b.Fatalf("cold boot = %d", rr.Code)
 			}
 		}
@@ -486,7 +486,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 			b.StopTimer()
 			s := newStoreServer(b, dir)
 			b.StartTimer()
-			if rr := benchGet(b, s.Handler(), "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
+			if rr := benchGet(b, s.handler, "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
 				b.Fatalf("warm boot = %d", rr.Code)
 			}
 		}
@@ -538,7 +538,7 @@ func BenchmarkSweepJob(b *testing.B) {
 				s := newStoreServer(b, dir)
 				b.StartTimer()
 				rr := httptest.NewRecorder()
-				s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+				s.handler.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
 				if rr.Code != http.StatusAccepted {
 					b.Fatalf("submit = %d: %s", rr.Code, rr.Body)
 				}

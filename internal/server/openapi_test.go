@@ -16,7 +16,7 @@ import (
 // renderings are identical (deterministic output).
 func TestOpenAPIServedMatchesGenerator(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	rr := get(t, s.Handler(), "/v1/openapi.json")
+	rr := get(t, s.handler, "/v1/openapi.json")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d", rr.Code)
 	}

@@ -409,20 +409,6 @@ func (s *Server) buildHandler() http.Handler {
 	return h
 }
 
-// Handler returns the fully assembled HTTP handler (for tests and for
-// embedding the service behind an existing mux).
-func (s *Server) Handler() http.Handler { return s.handler }
-
-// Jobs exposes the async job manager (the CLI's jobs subcommands and the
-// tests drive it; embedders without HTTP can submit directly).
-func (s *Server) Jobs() *job.Manager { return s.jobs }
-
-// Store exposes the persistent result store (nil when StoreDir is unset).
-func (s *Server) Store() *store.Store { return s.st }
-
-// Tenants exposes the tenant registry (the CLI wires SIGHUP to Reload).
-func (s *Server) Tenants() *tenant.Registry { return s.tenants }
-
 // ReloadTenants re-reads the tenants file (SIGHUP hot reload). A failed
 // reload keeps the previous tenant set and returns the error.
 func (s *Server) ReloadTenants() error {

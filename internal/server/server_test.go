@@ -85,7 +85,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 
 func TestCharacterizeGolden(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	rr := post(t, s.Handler(), "/v1/characterize", `{"cell":"SRAM"}`)
+	rr := post(t, s.handler, "/v1/characterize", `{"cell":"SRAM"}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", rr.Code, rr.Body)
 	}
@@ -100,7 +100,7 @@ func TestCharacterizeGolden(t *testing.T) {
 // and the alias route answers with the registry artifact.
 func TestTable2MatchesCLI(t *testing.T) {
 	s, study := newTestServer(t, Config{})
-	rr := get(t, s.Handler(), "/v1/tables/2")
+	rr := get(t, s.handler, "/v1/tables/2")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", rr.Code, rr.Body)
 	}
@@ -148,7 +148,7 @@ func TestTable2MatchesCLI(t *testing.T) {
 
 	// The alias is the generic route: byte-identical body, shared cache
 	// entry (the alias answer comes back as a hit on the artifact key).
-	generic := get(t, s.Handler(), "/v1/artifacts/table2")
+	generic := get(t, s.handler, "/v1/artifacts/table2")
 	if !bytes.Equal(generic.Body.Bytes(), rr.Body.Bytes()) {
 		t.Error("alias /v1/tables/2 and /v1/artifacts/table2 answer differently")
 	}
@@ -158,7 +158,7 @@ func TestTable2MatchesCLI(t *testing.T) {
 
 	// The CSV rendering is the CLI export byte for byte, whether asked for
 	// by query parameter or by Accept header.
-	rr = get(t, s.Handler(), "/v1/tables/2?format=csv")
+	rr = get(t, s.handler, "/v1/tables/2?format=csv")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("csv status = %d", rr.Code)
 	}
@@ -175,7 +175,7 @@ func TestTable2MatchesCLI(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/v1/artifacts/table2", nil)
 	req.Header.Set("Accept", "text/csv")
 	acc := httptest.NewRecorder()
-	s.Handler().ServeHTTP(acc, req)
+	s.handler.ServeHTTP(acc, req)
 	if !bytes.Equal(acc.Body.Bytes(), cli.Bytes()) {
 		t.Error("Accept: text/csv negotiation differs from ?format=csv")
 	}
@@ -185,7 +185,7 @@ func TestTable2MatchesCLI(t *testing.T) {
 // artifact with its typed schema, in paper order.
 func TestArtifactCatalog(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	rr := get(t, s.Handler(), "/v1/artifacts")
+	rr := get(t, s.handler, "/v1/artifacts")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", rr.Code, rr.Body)
 	}
@@ -252,7 +252,7 @@ func TestArtifactsByteIdenticalAcrossSurfaces(t *testing.T) {
 			if !bytes.Equal(cli.Bytes(), exported) {
 				t.Error("RenderArtifactCSV differs from the Export file")
 			}
-			rr := get(t, s.Handler(), "/v1/artifacts/"+d.Name+"?format=csv")
+			rr := get(t, s.handler, "/v1/artifacts/"+d.Name+"?format=csv")
 			if rr.Code != http.StatusOK {
 				t.Fatalf("http status = %d, body = %s", rr.Code, rr.Body)
 			}
@@ -266,7 +266,7 @@ func TestArtifactsByteIdenticalAcrossSurfaces(t *testing.T) {
 				aliasPath = "/v1/tables/" + n
 			}
 			if aliasPath != "" {
-				alias := get(t, s.Handler(), aliasPath+"?format=csv")
+				alias := get(t, s.handler, aliasPath+"?format=csv")
 				if !bytes.Equal(alias.Body.Bytes(), exported) {
 					t.Errorf("alias %s differs from the Export file", aliasPath)
 				}
@@ -292,7 +292,7 @@ func TestStampedeComputesOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			rr := post(t, s.Handler(), "/v1/characterize", `{"cell":"SRAM","dies":2}`)
+			rr := post(t, s.handler, "/v1/characterize", `{"cell":"SRAM","dies":2}`)
 			if rr.Code != http.StatusOK {
 				t.Errorf("caller %d: status %d: %s", i, rr.Code, rr.Body)
 				return
@@ -335,7 +335,7 @@ func (g *gateTier) Store(string, array.Result) {}
 func TestFollowerOutlivesCancelledLeader(t *testing.T) {
 	const path, body = "/v1/characterize", `{"cell":"PCM","dies":4}`
 	ref, _ := newTestServer(t, Config{})
-	want := post(t, ref.Handler(), path, body)
+	want := post(t, ref.handler, path, body)
 	if want.Code != http.StatusOK {
 		t.Fatalf("reference = %d: %s", want.Code, want.Body)
 	}
@@ -343,7 +343,7 @@ func TestFollowerOutlivesCancelledLeader(t *testing.T) {
 	s, study := newTestServer(t, Config{})
 	tier := &gateTier{gate: make(chan struct{}), entered: make(chan struct{})}
 	study.Explorer().SetPersistence(tier)
-	h := s.Handler()
+	h := s.handler
 	ctx, cancel := context.WithCancel(context.Background())
 	leader := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
@@ -387,7 +387,7 @@ func TestTimedOutDuplicatesShareDeadline(t *testing.T) {
 	s, study := newTestServer(t, Config{Timeout: timeout})
 	tier := &gateTier{gate: make(chan struct{}), entered: make(chan struct{})}
 	study.Explorer().SetPersistence(tier)
-	h := s.Handler()
+	h := s.handler
 	leader := make(chan *httptest.ResponseRecorder, 1)
 	go func() { leader <- post(t, h, path, body) }()
 	<-tier.entered
@@ -427,7 +427,7 @@ func TestTimedOutDuplicatesShareDeadline(t *testing.T) {
 func TestExpiredDeadlineAnswers504(t *testing.T) {
 	s, _ := newTestServer(t, Config{Timeout: time.Nanosecond})
 	for _, name := range []string{"coldtall", "reliability"} {
-		rr := get(t, s.Handler(), "/v1/artifacts/"+name+"?format=csv")
+		rr := get(t, s.handler, "/v1/artifacts/"+name+"?format=csv")
 		if rr.Code != http.StatusGatewayTimeout {
 			t.Errorf("%s = %d: %.200s, want 504", name, rr.Code, rr.Body)
 		}
@@ -439,7 +439,7 @@ func TestExpiredDeadlineAnswers504(t *testing.T) {
 // hit counter on /metrics increments, and no new characterization runs.
 func TestRepeatRequestServedFromCache(t *testing.T) {
 	s, study := newTestServer(t, Config{})
-	first := post(t, s.Handler(), "/v1/characterize", `{"cell":"3T-eDRAM"}`)
+	first := post(t, s.handler, "/v1/characterize", `{"cell":"3T-eDRAM"}`)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first: %d %s", first.Code, first.Body)
 	}
@@ -450,7 +450,7 @@ func TestRepeatRequestServedFromCache(t *testing.T) {
 
 	// Same effective point, different spelling: defaults fill in, so the
 	// canonical key matches and the response comes straight from the LRU.
-	second := post(t, s.Handler(), "/v1/characterize", `{"cell":"3T-eDRAM","dies":1,"temperature_k":350}`)
+	second := post(t, s.handler, "/v1/characterize", `{"cell":"3T-eDRAM","dies":1,"temperature_k":350}`)
 	if second.Code != http.StatusOK {
 		t.Fatalf("second: %d %s", second.Code, second.Body)
 	}
@@ -463,7 +463,7 @@ func TestRepeatRequestServedFromCache(t *testing.T) {
 	if now := study.Explorer().OptimizeCalls(); now != calls {
 		t.Errorf("repeat request ran %d new characterizations", now-calls)
 	}
-	metrics := get(t, s.Handler(), "/metrics").Body.String()
+	metrics := get(t, s.handler, "/metrics").Body.String()
 	if !strings.Contains(metrics, "coldtall_cache_hits_total 1") {
 		t.Errorf("metrics missing cache hit count:\n%s", metrics)
 	}
@@ -477,7 +477,7 @@ func TestRepeatRequestServedFromCache(t *testing.T) {
 func TestSaturationSheds429(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxInflight: 1})
 	// Warm one entry so the hit path can be checked under saturation.
-	if rr := post(t, s.Handler(), "/v1/characterize", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
+	if rr := post(t, s.handler, "/v1/characterize", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
 		t.Fatalf("warmup: %d %s", rr.Code, rr.Body)
 	}
 	// Occupy the only admission slot, as a long-running sweep would.
@@ -486,7 +486,7 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 	defer s.adm.release("other")
 
-	rr := post(t, s.Handler(), "/v1/characterize", `{"cell":"SRAM","dies":4}`)
+	rr := post(t, s.handler, "/v1/characterize", `{"cell":"SRAM","dies":4}`)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated compute: status = %d, want 429", rr.Code)
 	}
@@ -494,10 +494,10 @@ func TestSaturationSheds429(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 	// Cached responses must not be shed.
-	if rr := post(t, s.Handler(), "/v1/characterize", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
+	if rr := post(t, s.handler, "/v1/characterize", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
 		t.Errorf("cache hit shed under saturation: %d", rr.Code)
 	}
-	metrics := get(t, s.Handler(), "/metrics").Body.String()
+	metrics := get(t, s.handler, "/metrics").Body.String()
 	if !strings.Contains(metrics, "coldtall_shed_total 1") {
 		t.Error("metrics missing shed count")
 	}
@@ -571,7 +571,7 @@ func TestGracefulDrain(t *testing.T) {
 
 func TestClientErrors(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	h := s.Handler()
+	h := s.handler
 	cases := []struct {
 		name, method, path, body string
 		want                     int
@@ -608,7 +608,7 @@ func TestClientErrors(t *testing.T) {
 func TestOversizedBodyIs413(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBodyBytes: 64})
 	big := `{"cell":"SRAM","corner":"` + strings.Repeat("x", 256) + `"}`
-	rr := post(t, s.Handler(), "/v1/characterize", big)
+	rr := post(t, s.handler, "/v1/characterize", big)
 	if rr.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413", rr.Code)
 	}
@@ -618,7 +618,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 // sweep grid shape and the null encoding of non-wearing lifetimes.
 func TestEvaluateAndSweep(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	rr := post(t, s.Handler(), "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"mcf"}`)
+	rr := post(t, s.handler, "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"mcf"}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("evaluate: %d %s", rr.Code, rr.Body)
 	}
@@ -633,7 +633,7 @@ func TestEvaluateAndSweep(t *testing.T) {
 		t.Errorf("SRAM lifetime_years = %v, want explicit null (non-wearing)", v)
 	}
 
-	rr = post(t, s.Handler(), "/v1/sweep",
+	rr = post(t, s.handler, "/v1/sweep",
 		`{"points":[{"cell":"SRAM"},{"cell":"SRAM","temperature_k":77}],"benchmarks":["mcf","lbm"]}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("sweep: %d %s", rr.Code, rr.Body)
@@ -653,7 +653,7 @@ func TestEvaluateAndSweep(t *testing.T) {
 
 func TestParetoEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	rr := post(t, s.Handler(), "/v1/pareto", `{"cell":"SRAM"}`)
+	rr := post(t, s.handler, "/v1/pareto", `{"cell":"SRAM"}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("pareto: %d %s", rr.Code, rr.Body)
 	}
@@ -673,8 +673,8 @@ func TestParetoEndpoint(t *testing.T) {
 // acceptance-criteria series: latency histogram, cache counters, gauges.
 func TestMetricsExposition(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	post(t, s.Handler(), "/v1/characterize", `{"cell":"SRAM"}`)
-	body := get(t, s.Handler(), "/metrics").Body.String()
+	post(t, s.handler, "/v1/characterize", `{"cell":"SRAM"}`)
+	body := get(t, s.handler, "/metrics").Body.String()
 	for _, want := range []string{
 		"# TYPE coldtall_request_seconds histogram",
 		"coldtall_request_seconds_bucket{le=\"+Inf\"}",
@@ -693,11 +693,11 @@ func TestMetricsExposition(t *testing.T) {
 
 func TestHealthzTurns503WhileDraining(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	if rr := get(t, s.Handler(), "/healthz"); rr.Code != http.StatusOK {
+	if rr := get(t, s.handler, "/healthz"); rr.Code != http.StatusOK {
 		t.Fatalf("healthz = %d", rr.Code)
 	}
 	s.draining.Store(true)
-	if rr := get(t, s.Handler(), "/healthz"); rr.Code != http.StatusServiceUnavailable {
+	if rr := get(t, s.handler, "/healthz"); rr.Code != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz = %d, want 503", rr.Code)
 	}
 }

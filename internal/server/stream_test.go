@@ -71,10 +71,10 @@ func submitJobHTTP(t *testing.T, h http.Handler, spec string) string {
 // is observationally identical to computing it inline.
 func TestJobStatusSSE(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler)
 	defer ts.Close()
 
-	id := submitJobHTTP(t, s.Handler(), `{"kind":"evaluate","points":[{"cell":"SRAM"}],"benchmarks":["namd"]}`)
+	id := submitJobHTTP(t, s.handler, `{"kind":"evaluate","points":[{"cell":"SRAM"}],"benchmarks":["namd"]}`)
 
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -105,11 +105,11 @@ func TestJobStatusSSE(t *testing.T) {
 	}
 
 	// The watched job's result equals the synchronous evaluation.
-	rr := get(t, s.Handler(), "/v1/jobs/"+id+"/result")
+	rr := get(t, s.handler, "/v1/jobs/"+id+"/result")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("result: %d %s", rr.Code, rr.Body)
 	}
-	sync := post(t, s.Handler(), "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"namd"}`)
+	sync := post(t, s.handler, "/v1/evaluate", `{"point":{"cell":"SRAM"},"benchmark":"namd"}`)
 	if sync.Code != http.StatusOK {
 		t.Fatalf("sync evaluate: %d %s", sync.Code, sync.Body)
 	}
@@ -122,21 +122,21 @@ func TestJobStatusSSE(t *testing.T) {
 // returns a plain snapshot, and that a malformed wait is a 400.
 func TestJobStatusLongPoll(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	id := submitJobHTTP(t, s.Handler(), `{"kind":"characterize","points":[{"cell":"3T-eDRAM"}]}`)
+	id := submitJobHTTP(t, s.handler, `{"kind":"characterize","points":[{"cell":"3T-eDRAM"}]}`)
 	st := waitJobDone(t, s, id)
 	if st.State != job.StateDone {
 		t.Fatalf("job finished %s", st.State)
 	}
 	// A terminal job answers a long-poll immediately.
 	start := time.Now()
-	rr := get(t, s.Handler(), "/v1/jobs/"+id+"?wait=30s")
+	rr := get(t, s.handler, "/v1/jobs/"+id+"?wait=30s")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("terminal long-poll: %d", rr.Code)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("terminal long-poll blocked %s", elapsed)
 	}
-	if rr := get(t, s.Handler(), "/v1/jobs/"+id+"?wait=forever"); rr.Code != http.StatusBadRequest {
+	if rr := get(t, s.handler, "/v1/jobs/"+id+"?wait=forever"); rr.Code != http.StatusBadRequest {
 		t.Errorf("wait=forever: %d, want 400", rr.Code)
 	}
 }
@@ -245,11 +245,11 @@ func TestStreamUnknownJob(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/jdeadbeef00000000", nil)
 	req.Header.Set("Accept", "text/event-stream")
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, req)
+	s.handler.ServeHTTP(rr, req)
 	if rr.Code != http.StatusNotFound {
 		t.Errorf("SSE for unknown job: %d, want 404", rr.Code)
 	}
-	if rr := get(t, s.Handler(), "/v1/jobs/jdeadbeef00000000?wait=1s"); rr.Code != http.StatusNotFound {
+	if rr := get(t, s.handler, "/v1/jobs/jdeadbeef00000000?wait=1s"); rr.Code != http.StatusNotFound {
 		t.Errorf("long-poll for unknown job: %d, want 404", rr.Code)
 	}
 }

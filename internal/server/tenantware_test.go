@@ -147,20 +147,20 @@ func TestAPIKeyAuth(t *testing.T) {
 	}`)
 	s, _ := newTestServer(t, Config{TenantsFile: path})
 
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "", ""); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "", ""); rr.Code != http.StatusOK {
 		t.Errorf("anonymous request: %d, want 200 (back-compat tier)", rr.Code)
 	}
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "alice-key-1", ""); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "alice-key-1", ""); rr.Code != http.StatusOK {
 		t.Errorf("keyed request: %d, want 200", rr.Code)
 	}
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "wrong-key", ""); rr.Code != http.StatusUnauthorized {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "wrong-key", ""); rr.Code != http.StatusUnauthorized {
 		t.Errorf("wrong key: %d, want 401", rr.Code)
 	}
 	// X-Coldtall-Key works as an alternative to the bearer form.
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
 	req.Header.Set("X-Coldtall-Key", "alice-key-1")
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, req)
+	s.handler.ServeHTTP(rr, req)
 	if rr.Code != http.StatusOK {
 		t.Errorf("X-Coldtall-Key request: %d, want 200", rr.Code)
 	}
@@ -175,10 +175,10 @@ func TestTenantRateLimit429(t *testing.T) {
 	}`)
 	s, _ := newTestServer(t, Config{TenantsFile: path})
 
-	if rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "alice-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "alice-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
 		t.Fatalf("first request: %d %s", rr.Code, rr.Body)
 	}
-	rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "alice-key-1", `{"cell":"SRAM","dies":4}`)
+	rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "alice-key-1", `{"cell":"SRAM","dies":4}`)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("rate-limited request: %d, want 429", rr.Code)
 	}
@@ -186,14 +186,14 @@ func TestTenantRateLimit429(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 	// The warmed entry is a cache hit: never rate-limited.
-	if rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "alice-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "alice-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
 		t.Errorf("cache hit rate-limited: %d", rr.Code)
 	}
 	// Other tenants are unaffected.
-	if rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "", `{"cell":"SRAM","dies":4}`); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "", `{"cell":"SRAM","dies":4}`); rr.Code != http.StatusOK {
 		t.Errorf("anonymous caught in alice's rate limit: %d", rr.Code)
 	}
-	metrics := get(t, s.Handler(), "/metrics").Body.String()
+	metrics := get(t, s.handler, "/metrics").Body.String()
 	if !strings.Contains(metrics, `coldtall_tenant_shed_total{tenant="alice"} 1`) {
 		t.Errorf("metrics missing per-tenant shed count:\n%s", metrics)
 	}
@@ -207,10 +207,10 @@ func TestBudgetExhausted429(t *testing.T) {
 	}`)
 	s, _ := newTestServer(t, Config{TenantsFile: path})
 
-	if rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "bob-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "bob-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
 		t.Fatalf("first request: %d %s", rr.Code, rr.Body)
 	}
-	rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "bob-key-1", `{"cell":"PCM"}`)
+	rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "bob-key-1", `{"cell":"PCM"}`)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget request: %d %s, want 429", rr.Code, rr.Body)
 	}
@@ -224,10 +224,10 @@ func TestBudgetExhausted429(t *testing.T) {
 		t.Error("budget 429 without Retry-After")
 	}
 	// The spent entry stays a free cache hit.
-	if rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/characterize", "bob-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodPost, "/v1/characterize", "bob-key-1", `{"cell":"SRAM"}`); rr.Code != http.StatusOK {
 		t.Errorf("cache hit charged against exhausted budget: %d", rr.Code)
 	}
-	metrics := get(t, s.Handler(), "/metrics").Body.String()
+	metrics := get(t, s.handler, "/metrics").Body.String()
 	if !strings.Contains(metrics, `coldtall_tenant_evals_spent_total{tenant="bob"} 1`) {
 		t.Errorf("metrics missing per-tenant evals count:\n%s", metrics)
 	}
@@ -249,7 +249,7 @@ func TestJobQuota429(t *testing.T) {
 	study.Explorer().SetPersistence(hold)
 
 	first := `{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM"},{"cell":"PCM"},{"cell":"STT-RAM"}],"benchmarks":["namd","mcf"]}`
-	rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", first)
+	rr := doKeyed(t, s.handler, http.MethodPost, "/v1/jobs", "carol-key-1", first)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("first job: %d %s", rr.Code, rr.Body)
 	}
@@ -263,14 +263,14 @@ func TestJobQuota429(t *testing.T) {
 	})
 	spentAfterFirst := budgetRemaining(t, rr)
 
-	rr = doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", `{"kind":"characterize","points":[{"cell":"PCM"}]}`)
+	rr = doKeyed(t, s.handler, http.MethodPost, "/v1/jobs", "carol-key-1", `{"kind":"characterize","points":[{"cell":"PCM"}]}`)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("second distinct job: %d %s, want 429 (quota)", rr.Code, rr.Body)
 	}
 
 	// Idempotent resubmission is not a quota violation and refunds its
 	// tentative budget charge.
-	rr = doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", first)
+	rr = doKeyed(t, s.handler, http.MethodPost, "/v1/jobs", "carol-key-1", first)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("duplicate resubmit: %d %s, want 202", rr.Code, rr.Body)
 	}
@@ -307,7 +307,7 @@ func TestJobListFilterAndPagination(t *testing.T) {
 	cells := []string{"SRAM", "3T-eDRAM", "PCM"}
 	ids := make([]string, 0, len(cells))
 	for _, cell := range cells {
-		rr := post(t, s.Handler(), "/v1/jobs", `{"kind":"characterize","points":[{"cell":"`+cell+`"}]}`)
+		rr := post(t, s.handler, "/v1/jobs", `{"kind":"characterize","points":[{"cell":"`+cell+`"}]}`)
 		if rr.Code != http.StatusAccepted {
 			t.Fatalf("submit %s: %d %s", cell, rr.Code, rr.Body)
 		}
@@ -341,17 +341,17 @@ func TestJobListFilterAndPagination(t *testing.T) {
 	if len(empty.Jobs) != 0 {
 		t.Errorf("state=failed listed %d jobs, want 0", len(empty.Jobs))
 	}
-	if rr := get(t, s.Handler(), "/v1/jobs?state=bogus"); rr.Code != http.StatusBadRequest {
+	if rr := get(t, s.handler, "/v1/jobs?state=bogus"); rr.Code != http.StatusBadRequest {
 		t.Errorf("state=bogus: %d, want 400", rr.Code)
 	}
-	if rr := get(t, s.Handler(), "/v1/jobs?limit=zero"); rr.Code != http.StatusBadRequest {
+	if rr := get(t, s.handler, "/v1/jobs?limit=zero"); rr.Code != http.StatusBadRequest {
 		t.Errorf("limit=zero: %d, want 400", rr.Code)
 	}
 }
 
 func listJobs(t *testing.T, s *Server, path string) jobListResponse {
 	t.Helper()
-	rr := get(t, s.Handler(), path)
+	rr := get(t, s.handler, path)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("GET %s: %d %s", path, rr.Code, rr.Body)
 	}
@@ -367,7 +367,7 @@ func waitJobDone(t *testing.T, s *Server, id string) job.Status {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		rr := get(t, s.Handler(), "/v1/jobs/"+id+"?wait=5s")
+		rr := get(t, s.handler, "/v1/jobs/"+id+"?wait=5s")
 		if rr.Code != http.StatusOK {
 			t.Fatalf("GET /v1/jobs/%s: %d %s", id, rr.Code, rr.Body)
 		}
@@ -395,7 +395,7 @@ func TestTenantReload(t *testing.T) {
 	}`)
 	s, _ := newTestServer(t, Config{TenantsFile: path})
 
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "old-key", ""); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "old-key", ""); rr.Code != http.StatusOK {
 		t.Fatalf("old key before reload: %d", rr.Code)
 	}
 	if err := os.WriteFile(path, []byte(`{"tenants": [{"name": "alice", "key": "new-key"}]}`), 0o644); err != nil {
@@ -404,10 +404,10 @@ func TestTenantReload(t *testing.T) {
 	if err := s.ReloadTenants(); err != nil {
 		t.Fatal(err)
 	}
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "old-key", ""); rr.Code != http.StatusUnauthorized {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "old-key", ""); rr.Code != http.StatusUnauthorized {
 		t.Errorf("rotated-out key: %d, want 401", rr.Code)
 	}
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "new-key", ""); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "new-key", ""); rr.Code != http.StatusOK {
 		t.Errorf("rotated-in key: %d, want 200", rr.Code)
 	}
 	// A broken file fails the reload and keeps serving the last good set.
@@ -417,7 +417,7 @@ func TestTenantReload(t *testing.T) {
 	if err := s.ReloadTenants(); err == nil {
 		t.Error("reload of a broken file succeeded")
 	}
-	if rr := doKeyed(t, s.Handler(), http.MethodGet, "/v1/jobs", "new-key", ""); rr.Code != http.StatusOK {
+	if rr := doKeyed(t, s.handler, http.MethodGet, "/v1/jobs", "new-key", ""); rr.Code != http.StatusOK {
 		t.Errorf("key lost after failed reload: %d, want 200", rr.Code)
 	}
 }

@@ -32,7 +32,7 @@ import (
 func TestWorkloadDedupOverHTTP(t *testing.T) {
 	s, study := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	uploadWorkload(t, h, genIngestSpec("orig"))
 
@@ -185,7 +185,7 @@ func postRaw(t *testing.T, h http.Handler, path string, body []byte) *httptest.R
 // content address as the original payload.
 func TestWorkloadChunkedUploadOverHTTP(t *testing.T) {
 	s := newStoreServer(t, t.TempDir())
-	h := s.Handler()
+	h := s.handler
 
 	g, err := trace.NewStream(trace.Region{Base: 0, Size: 32 << 20}, 2, 0.3, 11)
 	if err != nil {
@@ -267,7 +267,7 @@ func TestWorkloadChunkedUploadOverHTTP(t *testing.T) {
 func TestWorkloadChunksNeedStore(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 	if rr := postRaw(t, h, "/v1/workloads/x/chunks?offset=0", []byte("data")); rr.Code != http.StatusServiceUnavailable {
 		t.Errorf("chunk append without store = %d", rr.Code)
 	}
@@ -281,7 +281,7 @@ func TestWorkloadChunksNeedStore(t *testing.T) {
 // reports the storage win.
 func TestWorkloadDistillOverHTTP(t *testing.T) {
 	s := newStoreServer(t, t.TempDir())
-	h := s.Handler()
+	h := s.handler
 
 	spec := ingest.Spec{
 		Name:      "todistill",
@@ -292,7 +292,7 @@ func TestWorkloadDistillOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(get(t, h, "/v1/workloads/todistill").Body.Bytes(), &src); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Store().Get(ingest.TraceKeyPrefix + src.TraceSHA256); !ok {
+	if _, ok := s.st.Get(ingest.TraceKeyPrefix + src.TraceSHA256); !ok {
 		t.Fatal("setup: trace bytes not persisted")
 	}
 
@@ -320,10 +320,10 @@ func TestWorkloadDistillOverHTTP(t *testing.T) {
 	if !res.TraceDeleted || res.StorageRatio < 50 {
 		t.Fatalf("storage accounting %+v", res)
 	}
-	if _, ok := s.Store().Get(ingest.TraceKeyPrefix + src.TraceSHA256); ok {
+	if _, ok := s.st.Get(ingest.TraceKeyPrefix + src.TraceSHA256); ok {
 		t.Fatal("trace bytes survived an accepted distillation")
 	}
-	if _, ok := s.Store().Get(distill.KeyPrefix + "todistill"); !ok {
+	if _, ok := s.st.Get(distill.KeyPrefix + "todistill"); !ok {
 		t.Fatal("distillation record not persisted")
 	}
 	// The workload still resolves and renders after its trace is gone.
@@ -360,7 +360,7 @@ func TestWorkloadDeleteInvalidatesResponses(t *testing.T) {
 	next.Generator.ZipfSkew = 1.2
 
 	s := newStoreServer(t, t.TempDir())
-	h := s.Handler()
+	h := s.handler
 	uploadWorkload(t, h, genIngestSpec("wlx"))
 	oldArt, oldEv := read(h)
 	rr := del(t, h, "/v1/workloads/wlx")
@@ -379,8 +379,8 @@ func TestWorkloadDeleteInvalidatesResponses(t *testing.T) {
 
 	fresh, _ := newTestServer(t, Config{})
 	t.Cleanup(fresh.jobs.Close)
-	uploadWorkload(t, fresh.Handler(), next)
-	wantArt, wantEv := read(fresh.Handler())
+	uploadWorkload(t, fresh.handler, next)
+	wantArt, wantEv := read(fresh.handler)
 	if wantArt == oldArt || wantEv == oldEv {
 		t.Fatal("the two generators give identical responses (test setup broken)")
 	}

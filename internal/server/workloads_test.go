@@ -70,7 +70,7 @@ func genIngestSpec(name string) ingest.Spec {
 func TestWorkloadIngestOverHTTP(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	st := uploadWorkload(t, h, genIngestSpec("e2e"))
 	if st.Done != 50000 || st.Total != 50000 {
@@ -157,7 +157,7 @@ func TestWorkloadIngestOverHTTP(t *testing.T) {
 func TestWorkloadTraceUploadOverHTTP(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	g, err := trace.NewZipf(trace.Region{Base: 1 << 28, Size: 32 << 20}, 1.2, 0.4, 9)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestWorkloadTraceUploadOverHTTP(t *testing.T) {
 	if src.Kind != workload.SourceTrace || src.Accesses != 20000 {
 		t.Fatalf("source record %+v", src)
 	}
-	if s.Store() != nil {
+	if s.st != nil {
 		t.Fatal("memory-only test server unexpectedly has a store")
 	}
 }
@@ -181,7 +181,7 @@ func TestWorkloadTraceUploadOverHTTP(t *testing.T) {
 func TestWorkloadEndpointErrors(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	t.Cleanup(s.jobs.Close)
-	h := s.Handler()
+	h := s.handler
 
 	if rr := get(t, h, "/v1/workloads/ghost"); rr.Code != http.StatusNotFound {
 		t.Errorf("unknown workload = %d", rr.Code)
@@ -218,19 +218,19 @@ func TestWorkloadEndpointErrors(t *testing.T) {
 func TestWorkloadRecoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newStoreServer(t, dir)
-	uploadWorkload(t, s1.Handler(), genIngestSpec("durable"))
-	want := get(t, s1.Handler(), "/v1/workloads/durable/artifacts/fig5?format=csv")
+	uploadWorkload(t, s1.handler, genIngestSpec("durable"))
+	want := get(t, s1.handler, "/v1/workloads/durable/artifacts/fig5?format=csv")
 	if want.Code != http.StatusOK {
 		t.Fatalf("pre-restart artifact = %d", want.Code)
 	}
 	s1.jobs.Close()
 
 	s2 := newStoreServer(t, dir)
-	rr := get(t, s2.Handler(), "/v1/workloads/durable")
+	rr := get(t, s2.handler, "/v1/workloads/durable")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("workload lost across restart: %d (%s)", rr.Code, rr.Body)
 	}
-	got := get(t, s2.Handler(), "/v1/workloads/durable/artifacts/fig5?format=csv")
+	got := get(t, s2.handler, "/v1/workloads/durable/artifacts/fig5?format=csv")
 	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
 		t.Fatalf("post-restart artifact = %d; bytes match pre-restart: %v", got.Code, got.Body.String() == want.Body.String())
 	}

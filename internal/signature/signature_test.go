@@ -285,8 +285,8 @@ func TestIndexRanking(t *testing.T) {
 	idx.Add("near", near)
 	idx.Add("farther", farther)
 	idx.Add("dup", near)
-	if idx.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", idx.Len())
+	if all := idx.Rank(near, nil); len(all) != 3 {
+		t.Fatalf("Rank over the index = %+v, want 3 entries", all)
 	}
 	probe := mk(1.2, 3)
 	ranked := idx.Rank(probe, func(name string) bool { return name == "dup" })
@@ -305,7 +305,7 @@ func TestIndexRanking(t *testing.T) {
 	if _, ok := idx.Get("near"); ok {
 		t.Fatal("Remove left the entry behind")
 	}
-	if got := idx.Names(); len(got) != 2 || got[0] != "dup" || got[1] != "farther" {
-		t.Fatalf("Names = %v", got)
+	if got := idx.Rank(near, nil); len(got) != 2 || got[0].Name != "dup" || got[1].Name != "farther" {
+		t.Fatalf("Rank after Remove = %+v, want dup and farther", got)
 	}
 }

@@ -81,7 +81,8 @@ func (s Stats) MissRate() float64 {
 // Storage is one flat tag array, set-major: set s owns
 // tags[s*ways : (s+1)*ways], and each entry is tag<<1 | dirty. A set's
 // valid ways are always a prefix of it — fills take the first invalid
-// way, and only Flush invalidates, all at once — so valid[s] counts them.
+// way, and nothing but the tests' Flush invalidates, which empties every
+// set at once — so valid[s] counts them.
 // The prefix is kept most-recently-used first: a hit moves its entry to
 // the front, a fill inserts at the front, and a fill into a full set
 // evicts the last entry, which is the least recently used line.
@@ -215,17 +216,4 @@ func (c *Cache) access(addr uint64, write bool) (hit bool, victimAddr uint64, wb
 func (c *Cache) Contains(addr uint64) bool {
 	set, key := c.index(addr)
 	return find(c.valids(set), key) >= 0
-}
-
-// Flush invalidates every line, returning the number of dirty lines that
-// would have been written back.
-func (c *Cache) Flush() uint64 {
-	var dirty uint64
-	for s := range c.valid {
-		for _, e := range c.valids(s) {
-			dirty += e & 1
-		}
-		c.valid[s] = 0
-	}
-	return dirty
 }

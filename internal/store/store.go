@@ -102,9 +102,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, version: opts.Version}, nil
 }
 
-// Version returns the model-version stamp entries are written with.
-func (s *Store) Version() string { return s.version }
-
 // fileFor maps a key to its entry path: entries are addressed by the
 // SHA-256 of the key (truncated to 160 bits — far beyond collision reach
 // for this keyspace), so arbitrary key strings never meet the filesystem.

@@ -197,9 +197,6 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 	return &BinaryReader{r: br}
 }
 
-// Blocks returns the number of complete blocks decoded so far.
-func (br *BinaryReader) Blocks() int { return br.blocks }
-
 // Next implements Reader.
 func (br *BinaryReader) Next() (Access, error) {
 	if br.pos == len(br.block) {

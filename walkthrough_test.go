@@ -398,8 +398,8 @@ func Example_llcDesigner() {
 
 // The full cross-stack pipeline for mcf: the synthetic workload through
 // the cache hierarchy, the chosen LLC through the array model, the misses
-// through the DRAM model, ending in the numbers an architect decides by:
-// AMAT, IPC, and total memory-system power (LLC + DRAM + cooling).
+// through the DRAM model's latency, ending in the numbers an architect
+// decides by: AMAT, IPC, and LLC power (cooling included).
 func Example_memorySystem() {
 	const bench = "mcf"
 	study := coldtall.NewStudy()
@@ -443,7 +443,7 @@ func Example_memorySystem() {
 	t := report.NewTable(
 		fmt.Sprintf("Memory system under %s (%.3g LLC reads/s, %.3g writes/s)",
 			bench, tr.ReadsPerSec, tr.WritesPerSec),
-		"LLC", "DRAM T", "AMAT", "rel IPC", "LLC power", "DRAM power", "system power")
+		"LLC", "DRAM T", "AMAT", "rel IPC", "LLC power")
 	for _, cand := range candidates {
 		imp, err := exp.SystemImpact(context.Background(), cand.point, prof, cand.mem)
 		if err != nil {
@@ -453,40 +453,29 @@ func Example_memorySystem() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// DRAM traffic = LLC misses at a 50% row-buffer hit rate; charge
-		// cooling for a cold DRAM too.
-		dramRate := (tr.ReadsPerSec + tr.WritesPerSec) * imp.LLCMissRate
-		m := cand.mem
-		dramPower := m.BackgroundPower() + m.RefreshPower() +
-			dramRate*(0.5*m.AccessEnergy(true)+0.5*m.AccessEnergy(false))
-		if cand.mem.Temperature() < 200 {
-			dramPower *= 1 + 9.65
-		}
 		t.AddRow(cand.point.Label,
 			fmt.Sprintf("%.0fK", cand.mem.Temperature()),
 			report.Eng(imp.AMATSeconds, "s"),
 			fmt.Sprintf("%.4f", imp.RelIPC),
-			report.Eng(ev.TotalPower, "W"),
-			report.Eng(dramPower, "W"),
-			report.Eng(ev.TotalPower+dramPower, "W"))
+			report.Eng(ev.TotalPower, "W"))
 	}
-	t.Note = "Reading: the cryogenic LLC buys IPC on memory-bound workloads; whether the\n" +
-		"system-power column agrees depends on the traffic band — the paper's thesis."
+	t.Note = "Reading: the cryogenic LLC buys IPC on memory-bound workloads; whether its\n" +
+		"power (cooling included) agrees depends on the traffic band — the paper's thesis."
 	if err := t.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 	// Output:
 	// Memory system under mcf (1.79e+08 LLC reads/s, 1.8e+06 writes/s)
-	//   LLC                         DRAM T  AMAT     rel IPC  LLC power  DRAM power  system power
-	//   --------------------------  ------  -------  -------  ---------  ----------  ------------
-	//   350K SRAM                   300K    2.3 ns   1.0000   740 mW     2.45 W      3.19 W
-	//   77K 3T-eDRAM                300K    2.11 ns  1.1410   783 mW     2.45 W      3.24 W
-	//   77K 3T-eDRAM                77K     1.5 ns   1.1559   783 mW     23.6 W      24.4 W
-	//   8-die STT-RAM (optimistic)  300K    2.14 ns  1.1171   97.4 mW    2.45 W      2.55 W
-	//   8-die PCM (optimistic)      300K    2.12 ns  1.1342   75.3 mW    2.45 W      2.53 W
+	//   LLC                         DRAM T  AMAT     rel IPC  LLC power
+	//   --------------------------  ------  -------  -------  ---------
+	//   350K SRAM                   300K    2.3 ns   1.0000   740 mW
+	//   77K 3T-eDRAM                300K    2.11 ns  1.1410   783 mW
+	//   77K 3T-eDRAM                77K     1.5 ns   1.1559   783 mW
+	//   8-die STT-RAM (optimistic)  300K    2.14 ns  1.1171   97.4 mW
+	//   8-die PCM (optimistic)      300K    2.12 ns  1.1342   75.3 mW
 	//
-	// Reading: the cryogenic LLC buys IPC on memory-bound workloads; whether the
-	// system-power column agrees depends on the traffic band — the paper's thesis.
+	// Reading: the cryogenic LLC buys IPC on memory-bound workloads; whether its
+	// power (cooling included) agrees depends on the traffic band — the paper's thesis.
 }
 
 // years formats an endurance-limited lifetime.
