@@ -42,10 +42,12 @@ prunecheck:
 		./internal/array/
 
 # Golden-artifact gate: every registered artifact re-generated and
-# byte-compared against testdata/golden/ (no -update), so a physics or
-# search change that shifts any number blocks merge explicitly.
+# byte-compared against testdata/golden/, and the simulated traffic
+# table (`coldtall traffic`) against internal/workload/testdata/golden/
+# (no -update), so a physics, search or window change that shifts any
+# number blocks merge explicitly.
 goldencheck:
-	$(GO) test -count=1 -run Golden .
+	$(GO) test -count=1 -run Golden . ./internal/workload
 
 # Fuzz smoke: a bounded run of each trace-facing fuzz target (the codec
 # round-trip, the canonical-stream check against decode + re-encode, the
@@ -113,9 +115,11 @@ searchbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimize|BenchmarkLowerBound|BenchmarkParetoFilter' -benchtime 5x ./internal/array/
 
 # Refresh the golden CSV snapshots after an intentional model change, then
-# review the diff under testdata/golden/ like any other code change.
+# review the diff under both testdata/golden/ directories like any other
+# code change. The package list goes before -update, which only the test
+# binaries know.
 golden-update:
-	$(GO) test -run Golden -update .
+	$(GO) test . ./internal/workload -run Golden -update
 
 # Production Go line count: every tracked non-test .go file outside the
 # perfbench harness, examples/ and testdata/ (fixture modules tests scan

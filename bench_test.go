@@ -595,7 +595,7 @@ func BenchmarkExtensionNodeScaling(b *testing.B) {
 // renders see). The cold/warm gap is the value of the study-level caches;
 // EXPERIMENTS.md records the measured ratios. "Cold" means cold study and
 // explorer caches: after the first iteration the process-wide resistivity
-// memo is warm, as is the miss-profile memo behind SystemImpact.
+// memo is warm, as is workload's window memo behind SystemImpact.
 func BenchmarkArtifactBuildColdWarm(b *testing.B) {
 	for _, name := range Artifacts().Names() {
 		b.Run(name+"/cold", func(b *testing.B) {

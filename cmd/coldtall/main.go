@@ -463,7 +463,7 @@ func pareto(ctx context.Context, w io.Writer, f cliFlags) error {
 // them against the static (Sniper-substitute) traffic table; ctx stops
 // the replays.
 func trafficCalibration(ctx context.Context) (*report.Table, error) {
-	measured, err := workload.MeasureAll(ctx, workload.WindowAccesses, 42)
+	measured, err := workload.MeasureAll(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -125,7 +125,8 @@ func (wc WorkloadConfig) traffic(ctx context.Context) (workload.Traffic, error) 
 			if err != nil {
 				return workload.Traffic{}, err
 			}
-			return workload.Measure(ctx, p, workload.WindowAccesses, 42)
+			w, err := workload.Window(ctx, p)
+			return w.Traffic, err
 		}
 		return workload.StaticTrafficFor(wc.Benchmark)
 	}

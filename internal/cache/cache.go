@@ -4,8 +4,8 @@
 // N concurrent identical misses cost exactly one computation (the
 // cache-stampede guard). The server's response bodies (memory only), the
 // explorer's array characterizations (the one cache with a tier: the
-// store's char| namespace) and the process-wide physics memos (wire
-// resistivity per temperature, hierarchy miss ratios per workload profile)
+// store's char| namespace) and the process-wide memos (wire resistivity
+// per temperature, the built-in measurement window per workload profile)
 // all go through it.
 //
 // Keys are caller-canonicalized strings — the server canonicalizes request

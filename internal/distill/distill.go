@@ -36,14 +36,14 @@ const (
 	// improve meaningfully against replay noise.
 	snapTolerance = 0.05
 
-	// DefaultEvalAccesses is the regeneration replay length per candidate
+	// evalAccesses is the regeneration replay length per candidate
 	// evaluation; maxEvals bounds the search budget.
-	DefaultEvalAccesses = 1 << 16
-	maxEvals            = 40
+	evalAccesses = 1 << 16
+	maxEvals     = 40
 
-	// DefaultSeed pins the candidate generators, keeping the whole fit
+	// evalSeed pins the candidate generators, keeping the whole fit
 	// deterministic.
-	DefaultSeed = 1
+	evalSeed = 1
 )
 
 // KeyPrefix namespaces persisted distillation results in the store, keyed
@@ -119,22 +119,6 @@ type Result struct {
 	TraceDeleted bool `json:"trace_deleted"`
 }
 
-// Options tunes a fit; zero values select the defaults.
-type Options struct {
-	EvalAccesses int
-	Seed         int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.EvalAccesses <= 0 {
-		o.EvalAccesses = DefaultEvalAccesses
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
-	return o
-}
-
 // symRelErr is the symmetric relative error |a-b| / max(a, b), in [0, 1]
 // and zero only when the rates agree (or are both zero).
 func symRelErr(a, b float64) float64 {
@@ -162,7 +146,7 @@ type candidate struct {
 	wf       float64
 }
 
-func (c candidate) spec(name string, memKI, ipc float64, opts Options) Spec {
+func (c candidate) spec(name string, memKI, ipc float64) Spec {
 	pat := "chase"
 	if c.pattern == workload.PatternStream {
 		pat = "stream"
@@ -177,8 +161,8 @@ func (c candidate) spec(name string, memKI, ipc float64, opts Options) Spec {
 		WriteFrac:          c.wf,
 		MemOpsPerKiloInstr: memKI,
 		IPC:                ipc,
-		EvalAccesses:       opts.EvalAccesses,
-		Seed:               opts.Seed,
+		EvalAccesses:       evalAccesses,
+		Seed:               evalSeed,
 	}
 }
 
@@ -223,8 +207,7 @@ func ceilPow2(v uint64) uint64 {
 // Fit searches generator parameters matching the measured signature and
 // traffic. It is deterministic: pinned seeds, a fixed coordinate order,
 // and a bounded evaluation budget.
-func Fit(ctx context.Context, name string, sig signature.Signature, measured workload.Traffic, memKI, ipc float64, opts Options) (Result, error) {
-	opts = opts.withDefaults()
+func Fit(ctx context.Context, name string, sig signature.Signature, measured workload.Traffic, memKI, ipc float64) (Result, error) {
 	if err := measured.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -246,10 +229,10 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 			return outcome{err: math.Inf(1)}, nil
 		}
 		evals++
-		p := c.spec(name, memKI, ipc, opts).Profile()
+		p := c.spec(name, memKI, ipc).Profile()
 		// The candidate traffic is labeled by the profile name; relabel is
 		// unnecessary since only the rates enter the objective.
-		tr, err := workload.Measure(ctx, p, opts.EvalAccesses, opts.Seed)
+		tr, err := workload.Measure(ctx, p, evalAccesses, evalSeed)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -328,7 +311,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 		}
 	}
 
-	spec := best.spec(name, memKI, ipc, opts)
+	spec := best.spec(name, memKI, ipc)
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		return Result{}, err
@@ -352,7 +335,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 // signature, fit, persist the result under KeyPrefix, and — when the fit
 // is accepted and no other workload references the same trace — delete
 // the stored trace bytes, leaving only the generator spec.
-func Run(ctx context.Context, name string, reg *workload.Registry, st *store.Store, idx *signature.Index, opts Options) (Result, error) {
+func Run(ctx context.Context, name string, reg *workload.Registry, st *store.Store, idx *signature.Index) (Result, error) {
 	if reg == nil {
 		return Result{}, fmt.Errorf("distill: a workload registry is required")
 	}
@@ -374,7 +357,7 @@ func Run(ctx context.Context, name string, reg *workload.Registry, st *store.Sto
 		return Result{}, err
 	}
 
-	res, err := Fit(ctx, name, sig, src.Traffic, src.MemOpsPerKiloInstr, src.IPC, opts)
+	res, err := Fit(ctx, name, sig, src.Traffic, src.MemOpsPerKiloInstr, src.IPC)
 	if err != nil {
 		return Result{}, err
 	}

@@ -27,22 +27,19 @@ func testStore(t *testing.T) *store.Store {
 // parameters whose regenerated traffic matches the measured traffic
 // within the pinned tolerance.
 func TestFitRecoversBuiltinProfiles(t *testing.T) {
-	const accesses = 1 << 15
-	const seed = 1
-	opts := Options{EvalAccesses: accesses, Seed: seed}
 	for _, p := range workload.Profiles() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			measured, err := workload.Measure(context.Background(), p, accesses, seed)
+			measured, err := workload.Measure(context.Background(), p, evalAccesses, evalSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := p.Generator(seed)
+			g, err := p.Generator(evalSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sig := signature.FromGenerator(g, accesses)
-			res, err := Fit(context.Background(), p.Name, sig, measured, p.MemOpsPerKiloInstr, p.IPC, opts)
+			sig := signature.FromGenerator(g, evalAccesses)
+			res, err := Fit(context.Background(), p.Name, sig, measured, p.MemOpsPerKiloInstr, p.IPC)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +50,7 @@ func TestFitRecoversBuiltinProfiles(t *testing.T) {
 			if res.Evals > maxEvals {
 				t.Fatalf("spent %d evals, budget %d", res.Evals, maxEvals)
 			}
-			if res.Spec.Workload != p.Name || res.Spec.Seed != seed || res.Spec.EvalAccesses != accesses {
+			if res.Spec.Workload != p.Name || res.Spec.Seed != evalSeed || res.Spec.EvalAccesses != evalAccesses {
 				t.Fatalf("spec provenance drifted: %+v", res.Spec)
 			}
 			// The spec must round-trip into a valid regenerable profile.
@@ -82,12 +79,11 @@ func TestFitIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig := signature.FromGenerator(g, accesses)
-	opts := Options{EvalAccesses: accesses, Seed: 1}
-	a, err := Fit(context.Background(), "mcf", sig, measured, p.MemOpsPerKiloInstr, p.IPC, opts)
+	a, err := Fit(context.Background(), "mcf", sig, measured, p.MemOpsPerKiloInstr, p.IPC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fit(context.Background(), "mcf", sig, measured, p.MemOpsPerKiloInstr, p.IPC, opts)
+	b, err := Fit(context.Background(), "mcf", sig, measured, p.MemOpsPerKiloInstr, p.IPC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +96,7 @@ func TestFitCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Fit(ctx, "x", signature.Signature{Accesses: 1, Reads: 1, FootprintBlocks: 1},
-		workload.Traffic{Benchmark: "x", ReadsPerSec: 1e6, WritesPerSec: 1e5}, 300, 1.0,
-		Options{EvalAccesses: 1 << 12})
+		workload.Traffic{Benchmark: "x", ReadsPerSec: 1e6, WritesPerSec: 1e5}, 300, 1.0)
 	if err == nil {
 		t.Fatal("want a cancellation error")
 	}
@@ -125,7 +120,7 @@ func TestRunReplacesTrace(t *testing.T) {
 		t.Fatal("setup: trace not stored")
 	}
 
-	res, err := Run(context.Background(), "upload", reg, st, idx, Options{EvalAccesses: accesses, Seed: 1})
+	res, err := Run(context.Background(), "upload", reg, st, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestRunKeepsSharedTrace(t *testing.T) {
 	if err := reg.Add(second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), "first", reg, st, idx, Options{EvalAccesses: accesses, Seed: 1})
+	res, err := Run(context.Background(), "first", reg, st, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +214,12 @@ func TestRunRefusals(t *testing.T) {
 		"missing": "unknown",
 		"canon":   "no signature",
 	} {
-		_, err := Run(context.Background(), name, reg, st, idx, Options{})
+		_, err := Run(context.Background(), name, reg, st, idx)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run(%s) = %v, want %q", name, err, want)
 		}
 	}
-	if _, err := Run(context.Background(), "canon", reg, st, nil, Options{}); err == nil || !strings.Contains(err.Error(), "signature index") {
+	if _, err := Run(context.Background(), "canon", reg, st, nil); err == nil || !strings.Contains(err.Error(), "signature index") {
 		t.Errorf("Run without an index = %v, want a signature-index error", err)
 	}
 }

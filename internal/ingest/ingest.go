@@ -323,7 +323,7 @@ func checkTraceLength(count int) error {
 
 // Run executes one ingestion: canonicalize, content-address, dedup
 // against registered workloads, replay through sim's measurement window
-// (the one workload.Measure calibrates the static table with) while
+// (the one behind workload.Window, the built-in stand-ins' traffic) while
 // accumulating the locality signature, derive traffic, register, persist.
 // It is idempotent — re-running a spec re-derives identical bytes and an
 // identical Source (or finds its alias already recorded), which the

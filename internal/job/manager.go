@@ -708,7 +708,7 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 // distill jobs can simply be re-run. The job's result payload is the
 // distill result JSON.
 func (m *Manager) runDistill(ctx context.Context, j *Job) error {
-	res, err := distill.Run(ctx, j.spec.Workload, m.study.Workloads(), m.opts.Store, m.opts.Sigs, distill.Options{})
+	res, err := distill.Run(ctx, j.spec.Workload, m.study.Workloads(), m.opts.Store, m.opts.Sigs)
 	if err != nil {
 		return err
 	}

@@ -135,19 +135,19 @@ const windowChunk = 1 << 16
 // set would swamp the steady-state LLC traffic of low-traffic workloads.
 func Warmup(n int) int { return n / 4 }
 
-// Window is the measurement window behind workload.Measure, the
-// system-impact miss ratios and ingestion: it replays exactly n accesses
-// from src, the first Warmup(n) of them to warm the caches, and returns
-// the counters of the rest. It feeds the hierarchy in chunks, with a cut
-// at the warmup boundary, and checks ctx before each. A chunk is at most
-// 64Ki accesses when progress is reported, and progress then sees the
-// cumulative count after each, or when an observer is attached, whose
-// pass runs over whole chunks (ingestion has one, with or without
-// progress). Otherwise a chunk is at most one canonical block
-// (trace.DefaultBlockAccesses), so a generator window (workload.Measure,
-// the system-impact miss replay) stages its accesses through a small
-// buffer that stays in cache next to the cache arrays, not a 1.1 MiB
-// one. Chunking never changes the counters. A source that ends before n
+// Window is the measurement window behind workload's replays (Measure,
+// and the memoized built-in window whose traffic and miss ratios the
+// study reads) and ingestion: it replays exactly n accesses from src, the
+// first Warmup(n) of them to warm the caches, and returns the counters of
+// the rest. It feeds the hierarchy in chunks, with a cut at the warmup
+// boundary, and checks ctx before each. A chunk is at most 64Ki accesses
+// when progress is reported, and progress then sees the cumulative count
+// after each, or when an observer is attached, whose pass runs over whole
+// chunks (ingestion has one, with or without progress). Otherwise a chunk
+// is at most one canonical block (trace.DefaultBlockAccesses), so a
+// generator window (workload's Measure and Window) stages its accesses
+// through a small buffer that stays in cache next to the cache arrays,
+// not a 1.1 MiB one. Chunking never changes the counters. A source that ends before n
 // accesses is a *ShortSourceError, never a short window.
 func (r *Replayer) Window(ctx context.Context, src Source, n int, progress func(done uint64)) (HierarchyStats, error) {
 	chunk := trace.DefaultBlockAccesses

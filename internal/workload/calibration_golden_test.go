@@ -1,13 +1,20 @@
 package workload
 
-// Calibration-drift golden test: the full simulated traffic table — every
-// benchmark stand-in replayed from a fixed seed through sim's measurement
-// window (sim.Replayer.Window: the first quarter warms the caches, the
-// rest is counted) and extrapolated through the shared formula — is
-// pinned byte for byte against the static (Sniper-substitute) table under
-// testdata/golden/. Any change to the profiles, the cache hierarchy, the
-// window, the generators, or the extrapolation constants shows up here as
-// a byte diff, not as a silently shifted figure.
+// Calibration-drift golden test: the simulated traffic table that
+// `coldtall traffic` prints — every benchmark stand-in's built-in window
+// (Window: WindowAccesses accesses from a fixed seed through
+// sim.Replayer.Window, whose first quarter warms the caches) extrapolated
+// through the shared formula — is pinned byte for byte against the static
+// (Sniper-substitute) table under testdata/golden/. Any change to the
+// profiles, the cache hierarchy, the window, the generators, or the
+// extrapolation constants shows up here as a byte diff, not as a silently
+// shifted figure.
+//
+// The window is big enough that high-traffic benchmarks see thousands of
+// LLC events. Only the read columns carry signal. Dirty lines have not yet
+// started to leave the L2 in a window this short, so
+// simulated_writes_per_sec is 0 for 22 of the 23 profiles; mcf is the one
+// non-zero row.
 //
 // Refresh after an intentional model change with:
 //
@@ -24,16 +31,6 @@ import (
 )
 
 var updateCalibration = flag.Bool("update", false, "rewrite the calibration golden snapshot")
-
-// Fixed replay window and seed: big enough that high-traffic benchmarks
-// see thousands of LLC events, small enough to keep the suite quick. Only
-// the read columns carry signal. Dirty lines have not yet started to
-// leave the L2 in a window this short, so simulated_writes_per_sec is 0
-// for 22 of the 23 profiles; mcf is the one non-zero row.
-const (
-	calibrationAccesses = 400000
-	calibrationSeed     = 7
-)
 
 // calibrationCSV renders the drift table in canonical benchmark order.
 func calibrationCSV(rows []Traffic) (string, error) {
@@ -58,7 +55,7 @@ func TestCalibrationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite simulation")
 	}
-	rows, err := MeasureAll(context.Background(), calibrationAccesses, calibrationSeed)
+	rows, err := MeasureAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

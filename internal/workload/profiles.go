@@ -16,7 +16,9 @@ package workload
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
+	"coldtall/internal/cache"
 	"coldtall/internal/parallel"
 	"coldtall/internal/sim"
 	"coldtall/internal/trace"
@@ -183,35 +185,99 @@ func Names() []string {
 	return out
 }
 
-// WindowAccesses is the replay window of the built-in simulated traffic:
-// `eval -config` with simulate, `coldtall traffic` and the system-impact
-// miss ratios all measure over this many accesses.
-const WindowAccesses = 400000
+// The built-in measurement window: `eval -config` with simulate,
+// `coldtall traffic` and the system-impact miss ratios all read Window,
+// which replays WindowAccesses accesses from generators seeded windowSeed.
+const (
+	WindowAccesses = 400000
+	windowSeed     = 1
+)
 
-// Measure replays the profile through the Table I hierarchy and
-// extrapolates continuous-operation LLC traffic rates, the way the paper
-// extrapolates Sniper access counts: per-copy access counts over simulated
-// time, scaled to all rate copies. The counts come from sim's measurement
-// window (sim.Replayer.Window), which warms the hierarchy on the first
-// quarter of the accesses. ctx stops the replay.
+// MissRatios are the local miss ratios (misses per lookup) of the Table I
+// hierarchy's levels over a window. They do not depend on the LLC
+// technology, only on its geometry, which the study holds at Table I.
+type MissRatios struct {
+	L1D, L2, LLC float64
+}
+
+// Measured is what one replay window yields: the extrapolated LLC
+// traffic and the per-level miss ratios.
+type Measured struct {
+	Traffic    Traffic
+	MissRatios MissRatios
+}
+
+// windowMemoLimit bounds windowMemo. The registry has a few dozen
+// profiles; the bound only matters for a long-lived server fed user
+// workloads, where the least-recently-used profile is evicted.
+const windowMemoLimit = 1024
+
+// windowMemo holds one built-in window per profile for the process, keyed
+// by the whole profile, not its name: a user workload may share a stock
+// benchmark's name with different parameters. %#v quotes strings and
+// prints floats exactly, so two profiles share a key only when every
+// field is equal.
+var windowMemo = cache.MustNew[Measured](windowMemoLimit)
+
+// windowReplays counts the replays behind windowMemo, so tests can pin
+// its one-replay-per-profile guarantee.
+var windowReplays atomic.Int64
+
+// Window returns the profile's built-in measurement window: WindowAccesses
+// accesses under a fixed seed, replayed at most once per process while
+// concurrent callers share the result. If ctx is already done, Window
+// returns its error whether or not the window is memoized; a replay that
+// ctx cuts short is not memoized.
+func Window(ctx context.Context, p Profile) (Measured, error) {
+	if err := ctx.Err(); err != nil {
+		return Measured{}, fmt.Errorf("workload: window of %s: %w", p.Name, err)
+	}
+	m, _, err := windowMemo.Do(ctx, fmt.Sprintf("%#v", p), func() (Measured, error) {
+		windowReplays.Add(1)
+		return replay(ctx, p, WindowAccesses, windowSeed)
+	})
+	return m, err
+}
+
+// Measure replays the profile through the Table I hierarchy over a window
+// of the given length and seed, and returns its extrapolated traffic: the
+// general form of Window, for distillation's candidate windows and tests.
+// ctx stops the replay.
 func Measure(ctx context.Context, p Profile, accesses int, seed int64) (Traffic, error) {
+	m, err := replay(ctx, p, accesses, seed)
+	return m.Traffic, err
+}
+
+// replay runs the profile's stand-in through sim's measurement window
+// (sim.Replayer.Window), which warms the hierarchy on the first quarter
+// of the accesses, and extrapolates continuous-operation LLC traffic the
+// way the paper extrapolates Sniper access counts: per-copy access counts
+// over simulated time, scaled to all rate copies.
+func replay(ctx context.Context, p Profile, accesses int, seed int64) (Measured, error) {
 	if accesses <= 0 {
-		return Traffic{}, fmt.Errorf("workload: accesses must be positive")
+		return Measured{}, fmt.Errorf("workload: accesses must be positive")
 	}
 	g, err := p.Generator(seed)
 	if err != nil {
-		return Traffic{}, err
+		return Measured{}, err
 	}
 	r, err := sim.NewReplayer(sim.TableIConfig())
 	if err != nil {
-		return Traffic{}, err
+		return Measured{}, err
 	}
 	w, err := r.Window(ctx, sim.FromGenerator(g), accesses, nil)
 	if err != nil {
-		return Traffic{}, err
+		return Measured{}, err
 	}
 	llc := w.LLC()
-	return Extrapolate(p.Name, llc.Reads, llc.Writes, w.Accesses, p.MemOpsPerKiloInstr, p.IPC), nil
+	return Measured{
+		Traffic: Extrapolate(p.Name, llc.Reads, llc.Writes, w.Accesses, p.MemOpsPerKiloInstr, p.IPC),
+		MissRatios: MissRatios{
+			L1D: w.Levels[0].MissRate(),
+			L2:  w.Levels[1].MissRate(),
+			LLC: llc.MissRate(),
+		},
+	}, nil
 }
 
 // Extrapolate converts an LLC access count measured over a replay window
@@ -222,17 +288,8 @@ func Measure(ctx context.Context, p Profile, accesses int, seed int64) (Traffic,
 // copies. It is the single formula shared by profile calibration, llcsim,
 // and trace ingestion.
 func Extrapolate(name string, llcReads, llcWrites, accesses uint64, memOpsPerKiloInstr, ipc float64) Traffic {
-	return ExtrapolateAtFrequency(name, llcReads, llcWrites, accesses, memOpsPerKiloInstr, ipc, DefaultFrequencyHz)
-}
-
-// ExtrapolateAtFrequency is Extrapolate with an explicit core clock: the
-// same access counts imply proportionally less simulated wall-clock time at
-// a faster clock, so LLC rates scale linearly with frequency. It is the
-// formula the per-point frequency axis threads through — Extrapolate is the
-// Table I specialization.
-func ExtrapolateAtFrequency(name string, llcReads, llcWrites, accesses uint64, memOpsPerKiloInstr, ipc, frequencyHz float64) Traffic {
 	instructions := float64(accesses) * 1000 / memOpsPerKiloInstr
-	seconds := instructions / ipc / frequencyHz
+	seconds := instructions / ipc / DefaultFrequencyHz
 	return Traffic{
 		Benchmark:    name,
 		ReadsPerSec:  float64(llcReads) / seconds * Cores,
@@ -240,15 +297,16 @@ func ExtrapolateAtFrequency(name string, llcReads, llcWrites, accesses uint64, m
 	}
 }
 
-// MeasureAll simulates every benchmark stand-in on the shared worker pool
-// and returns the traffic table in canonical order — the full
-// Sniper-substitute run the static table is calibrated against. Each
-// benchmark replays from its own fixed seed, so the table is identical at
-// any worker count. Once ctx is done no further benchmark starts, running
+// MeasureAll reads every benchmark stand-in's built-in window on the
+// shared worker pool and returns the traffic table in canonical order —
+// the full Sniper-substitute run the static table is calibrated against.
+// Each window replays from a fixed seed, so the table is identical at any
+// worker count. Once ctx is done no further benchmark starts, running
 // replays stop at their next chunk, and the call returns ctx's error.
-func MeasureAll(ctx context.Context, accesses int, seed int64) ([]Traffic, error) {
+func MeasureAll(ctx context.Context) ([]Traffic, error) {
 	profiles := Profiles()
 	return parallel.MapContext(ctx, len(profiles), 0, func(i int) (Traffic, error) {
-		return Measure(ctx, profiles[i], accesses, seed)
+		m, err := Window(ctx, profiles[i])
+		return m.Traffic, err
 	})
 }

@@ -263,29 +263,30 @@ func TestCalibrationSimulatedVsStaticRankCorrelation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite simulation")
 	}
-	// Simulate every benchmark stand-in and check that the simulator
-	// reproduces the static (Sniper-substitute) traffic landscape: a
-	// strong Spearman rank correlation across the 23 benchmarks and
-	// agreement within ~4x for the high-traffic half (low-traffic
-	// benchmarks see only a handful of LLC events in a bounded run, so
-	// their rates are noisy by construction).
+	// Read every benchmark stand-in's built-in window, the table
+	// `coldtall traffic` prints, and check that the simulator reproduces
+	// the static (Sniper-substitute) traffic landscape: a strong Spearman
+	// rank correlation across the 23 benchmarks and agreement within ~4x
+	// for the high-traffic half (low-traffic benchmarks see only a handful
+	// of LLC events in a bounded run, so their rates are noisy by
+	// construction).
+	rows, err := MeasureAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	type pair struct{ static, simulated float64 }
 	pairs := map[string]pair{}
-	for _, p := range Profiles() {
-		st, err := StaticTrafficFor(p.Name)
+	for _, m := range rows {
+		st, err := StaticTrafficFor(m.Benchmark)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Measure(context.Background(), p, 300000, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs[p.Name] = pair{static: st.ReadsPerSec, simulated: m.ReadsPerSec}
+		pairs[m.Benchmark] = pair{static: st.ReadsPerSec, simulated: m.ReadsPerSec}
 		if st.ReadsPerSec > 1e6 {
 			ratio := m.ReadsPerSec / st.ReadsPerSec
 			if ratio < 0.25 || ratio > 4 {
 				t.Errorf("%s: simulated %.3g vs static %.3g reads/s (ratio %.2f)",
-					p.Name, m.ReadsPerSec, st.ReadsPerSec, ratio)
+					m.Benchmark, m.ReadsPerSec, st.ReadsPerSec, ratio)
 			}
 		}
 	}
@@ -319,33 +320,28 @@ func TestCalibrationSimulatedVsStaticRankCorrelation(t *testing.T) {
 	}
 }
 
+// TestMeasureAllParallel: MeasureAll, on the worker pool and through the
+// window memo, returns in canonical order exactly what a serial Measure
+// of each profile's built-in window (WindowAccesses, seed 1) returns.
 func TestMeasureAllParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed measurement")
 	}
-	rows, err := MeasureAll(context.Background(), 100000, 7)
+	rows, err := MeasureAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 23 {
-		t.Fatalf("MeasureAll returned %d rows, want 23", len(rows))
+	profiles := Profiles()
+	if len(rows) != len(profiles) {
+		t.Fatalf("MeasureAll returned %d rows, want %d", len(rows), len(profiles))
 	}
-	for i, p := range Profiles() {
-		if rows[i].Benchmark != p.Name {
-			t.Errorf("row %d = %s, want %s (canonical order)", i, rows[i].Benchmark, p.Name)
+	for i, p := range profiles {
+		want, err := Measure(context.Background(), p, WindowAccesses, windowSeed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rows[i].ReadsPerSec < 0 || rows[i].WritesPerSec < 0 {
-			t.Errorf("%s: negative traffic", rows[i].Benchmark)
-		}
-	}
-	// Determinism despite parallel execution.
-	again, err := MeasureAll(context.Background(), 100000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != again[i] {
-			t.Fatalf("MeasureAll not deterministic at %s", rows[i].Benchmark)
+		if rows[i] != want {
+			t.Errorf("row %d = %+v, serial Measure = %+v", i, rows[i], want)
 		}
 	}
 }
@@ -355,7 +351,7 @@ func TestMeasureAllParallel(t *testing.T) {
 func TestMeasureAllHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MeasureAll(ctx, 100000, 7); !errors.Is(err, context.Canceled) {
+	if _, err := MeasureAll(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureAll under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
