@@ -57,7 +57,9 @@ goldencheck:
 # and the llcsim replay loop), the
 # pruned-vs-exhaustive search differ, the design-point parser every front
 # end resolves through (explorer.ParsePoint, which `eval -config` points
-# also reach via the JSON study parser), and the store's entry decoder.
+# also reach via the JSON study parser), the store's entry decoder, and
+# the store's segment recovery (Open and Get over flipped, truncated and
+# spliced segments).
 # The corpora seeds cover the parser-hardening cases; CI runs this on
 # every push.
 fuzz:
@@ -73,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParsePoint -fuzztime 30s ./internal/explorer/
 	$(GO) test -run '^$$' -fuzz FuzzLoadStudyConfig -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentRecover -fuzztime 30s ./internal/store/
 
 # Known-vulnerability scan. Skipped (with a pointer) when govulncheck is
 # not on PATH; the CI job installs it.
@@ -92,7 +95,8 @@ check: vet fmtcheck race goldencheck
 # stream and one Profile.Generator build, the allocs/op of one
 # organization search, one characterization and one signature-fold
 # access, a 200k-access .ctrace replay through the Table I hierarchy, one
-# round of nine .ctrace ingestions (CPU ms per upload), and the async
+# round of nine .ctrace ingestions (CPU ms per upload), the store's index
+# rebuild at Open over 10,000 records, and the async
 # sweep job over the 64-point break-even grid with the store off and on
 # (ms per sweep, store puts per sweep), and the first Table II after a
 # cold and a store-warmed boot (the warm boot re-renders the body from
@@ -106,6 +110,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorObserve' -benchmem ./internal/signature/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayBinary' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestRun' -benchtime 3x -benchmem ./internal/ingest/
+	$(GO) test -run '^$$' -bench 'BenchmarkOpen' -benchtime 20x -benchmem ./internal/store/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepJob' -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmRestart' -benchtime 20x ./internal/server/
 

@@ -143,7 +143,7 @@ func TestMalformedUploadPersistsNothing(t *testing.T) {
 				t.Fatalf("Run error = %v, want an ingest: decoding trace error", err)
 			}
 			var keys []string
-			if err := st.Walk(func(key string, _ []byte) error {
+			if err := st.Walk("", func(key string, _ []byte) error {
 				keys = append(keys, key)
 				return nil
 			}); err != nil {

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"coldtall/internal/signature"
@@ -556,10 +555,7 @@ func RecoverSources(st *store.Store, reg *workload.Registry) (recovered, skipped
 		return 0, 0, nil
 	}
 	var aliases []workload.Source
-	err = st.Walk(func(key string, val []byte) error {
-		if !strings.HasPrefix(key, WorkloadKeyPrefix) {
-			return nil
-		}
+	err = st.Walk(WorkloadKeyPrefix, func(key string, val []byte) error {
 		var src workload.Source
 		if json.Unmarshal(val, &src) != nil {
 			skipped++

@@ -279,8 +279,9 @@ func TestReingestRewritesCorruptTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := TraceKeyPrefix + res.Source.TraceSHA256
-	// Flip the last payload byte of the entry whose header names the key.
-	files, err := filepath.Glob(filepath.Join(dir, "*", "*.entry"))
+	// Flip the last payload byte of the record whose header names the key,
+	// in place in its segment file.
+	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,16 +291,30 @@ func TestReingestRewritesCorruptTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Contains(raw, []byte(strconv.Quote(key))) {
-			raw[len(raw)-1] ^= 0xff
-			if err := os.WriteFile(f, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			corrupted = true
+		lenLine := []byte("\nkey " + strconv.Quote(key) + "\nlen ")
+		i := bytes.Index(raw, lenLine)
+		if i < 0 {
+			continue
 		}
+		i += len(lenLine)
+		eol := i + bytes.IndexByte(raw[i:], '\n')
+		n, err := strconv.Atoi(string(raw[i:eol]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := eol + len("\ncrc32 00000000\n") + n - 1
+		seg, err := os.OpenFile(f, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seg.WriteAt([]byte{raw[last] ^ 0xff}, int64(last)); err != nil {
+			t.Fatal(err)
+		}
+		seg.Close()
+		corrupted = true
 	}
 	if !corrupted {
-		t.Fatalf("no entry file holds %s", key)
+		t.Fatalf("no segment holds %s", key)
 	}
 	if _, err := Run(context.Background(), genSpec("victim", 50000), opts); err != nil {
 		t.Fatal(err)

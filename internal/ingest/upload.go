@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 
 	"coldtall/internal/store"
@@ -181,8 +180,8 @@ func (u *Uploads) Discard(name string) error {
 		return u.st.Delete(UploadKeyPrefix + name)
 	}
 	shared := make(map[string]bool)
-	err = u.st.Walk(func(key string, val []byte) error {
-		if !strings.HasPrefix(key, UploadKeyPrefix) || key == UploadKeyPrefix+name {
+	err = u.st.Walk(UploadKeyPrefix, func(key string, val []byte) error {
+		if key == UploadKeyPrefix+name {
 			return nil
 		}
 		var other uploadManifest

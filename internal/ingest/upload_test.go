@@ -51,10 +51,8 @@ func TestUploadsAppendAssemble(t *testing.T) {
 	}
 	// Discard dropped the chunk bytes too.
 	chunks := 0
-	st.Walk(func(key string, val []byte) error {
-		if len(key) > len(ChunkKeyPrefix) && key[:len(ChunkKeyPrefix)] == ChunkKeyPrefix {
-			chunks++
-		}
+	st.Walk(ChunkKeyPrefix, func(string, []byte) error {
+		chunks++
 		return nil
 	})
 	if chunks != 0 {
@@ -115,6 +113,7 @@ func TestUploadsResumeAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "Crash": drop the handles and reopen the store fresh.
+	st.Close()
 	st = open()
 	u = NewUploads(st)
 	off, err := u.Offset("resumed")

@@ -412,11 +412,8 @@ func (m *Manager) Recover() (int, error) {
 		return 0, nil
 	}
 	var resumed []*Job
-	err := m.opts.Store.Walk(func(key string, val []byte) error {
-		id, ok := strings.CutPrefix(key, recordPrefix)
-		if !ok {
-			return nil
-		}
+	err := m.opts.Store.Walk(recordPrefix, func(key string, val []byte) error {
+		id := strings.TrimPrefix(key, recordPrefix)
 		var rec record
 		if err := json.Unmarshal(val, &rec); err != nil || rec.ID != id || !rec.State.valid() {
 			return nil // unreadable record: skip, never poison the table

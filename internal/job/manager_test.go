@@ -36,6 +36,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 
@@ -165,7 +166,7 @@ func TestSweepJobRecordWrites(t *testing.T) {
 	}
 	m.Close()
 	chars, records, results := 0, 0, 0
-	err = st.Walk(func(key string, _ []byte) error {
+	err = st.Walk("", func(key string, _ []byte) error {
 		switch {
 		case strings.HasPrefix(key, charPrefix):
 			chars++
@@ -378,10 +379,8 @@ func TestCrashRecoveryResumesFromCharacterizations(t *testing.T) {
 		t.Fatalf("first run state = %s, want cancelled", st.State)
 	}
 	persisted := 0
-	_ = st1.Walk(func(key string, _ []byte) error {
-		if strings.HasPrefix(key, charPrefix) {
-			persisted++
-		}
+	_ = st1.Walk(charPrefix, func(string, []byte) error {
+		persisted++
 		return nil
 	})
 	if persisted == 0 || persisted >= len(spec.Points) {
@@ -398,6 +397,7 @@ func TestCrashRecoveryResumesFromCharacterizations(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Close()
+	st1.Close()
 
 	// --- Second process: same store dir, cold study, recover. ---
 	m2 := newTestManager(t, Options{Store: openStore(t, dir)})
@@ -452,6 +452,7 @@ func TestRecoverServesFinishedJob(t *testing.T) {
 		t.Fatal("first process lost its own result")
 	}
 	m1.Close()
+	st1.Close()
 
 	st2 := openStore(t, dir)
 	m2 := newTestManager(t, Options{Store: st2})

@@ -19,7 +19,8 @@ import (
 	"coldtall/internal/job"
 )
 
-// newStoreServer builds a server persisting into dir.
+// newStoreServer builds a server persisting into dir (none if dir is
+// empty). Cleanup stops it.
 func newStoreServer(t testing.TB, dir string) *Server {
 	t.Helper()
 	study := coldtall.NewStudy()
@@ -27,8 +28,18 @@ func newStoreServer(t testing.TB, dir string) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.jobs.Close)
+	t.Cleanup(func() { stopStoreServer(s) })
 	return s
+}
+
+// stopStoreServer stops s's jobs and closes its store, the state a drain
+// leaves: a store directory is owned by one open Store at a time, so a
+// "restart" stops the first server before the second opens the directory.
+func stopStoreServer(s *Server) {
+	s.jobs.Close()
+	if s.st != nil {
+		s.st.Close()
+	}
 }
 
 // pollJob polls the status endpoint until the job is terminal.
@@ -266,6 +277,7 @@ func TestStoreWarmedRestart(t *testing.T) {
 	}
 
 	// "Restart": a brand-new server + study over the same directory.
+	stopStoreServer(s1)
 	s2 := newStoreServer(t, dir)
 	second := get(t, s2.handler, "/v1/artifacts/fig1?format=csv")
 	if second.Code != http.StatusOK {
@@ -317,7 +329,7 @@ func TestStoreHoldsOnlyCharacterizations(t *testing.T) {
 	s1 := newStoreServer(t, dir)
 	first := serveAll(s1)
 	chars := 0
-	err := s1.st.Walk(func(key string, _ []byte) error {
+	err := s1.st.Walk("", func(key string, _ []byte) error {
 		if !strings.HasPrefix(key, "char|") {
 			t.Errorf("store holds %q, want char| entries only", key)
 		}
@@ -336,6 +348,7 @@ func TestStoreHoldsOnlyCharacterizations(t *testing.T) {
 		t.Errorf("repeated requests wrote %d entries, want 0", p-puts)
 	}
 
+	stopStoreServer(s1)
 	s2 := newStoreServer(t, dir)
 	second := serveAll(s2)
 	for i := range reqs {
@@ -363,6 +376,7 @@ func TestCharacterizationPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("first boot evaluate = %d: %s", rr.Code, rr.Body)
 	}
 
+	stopStoreServer(s1)
 	s2 := newStoreServer(t, dir)
 	// Different benchmark, same point: the response cache misses but the
 	// characterization comes from the store.
@@ -402,6 +416,7 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	stopStoreServer(s1)
 	s2 := newStoreServer(t, dir)
 	st := pollJob(t, s2.handler, sub.ID)
 	if st.State != job.StateDone || st.Done != 2 {
@@ -470,6 +485,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 	if rr := benchGet(b, seed.handler, "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
 		b.Fatalf("seed boot = %d", rr.Code)
 	}
+	stopStoreServer(seed)
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -489,6 +505,9 @@ func BenchmarkWarmRestart(b *testing.B) {
 			if rr := benchGet(b, s.handler, "/v1/artifacts/table2?format=csv"); rr.Code != http.StatusOK {
 				b.Fatalf("warm boot = %d", rr.Code)
 			}
+			b.StopTimer()
+			stopStoreServer(s)
+			b.StartTimer()
 		}
 	})
 }
@@ -557,7 +576,7 @@ func BenchmarkSweepJob(b *testing.B) {
 				if st.State != job.StateDone {
 					b.Fatalf("sweep job = %+v", st)
 				}
-				s.jobs.Close()
+				stopStoreServer(s)
 				if s.st != nil {
 					puts += s.st.Stats().Puts
 				}

@@ -371,6 +371,9 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 		},
 	})
 	if err != nil {
+		if s.st != nil {
+			s.st.Close()
+		}
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if s.st != nil {
@@ -462,9 +465,15 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // the drain budget to complete; stragglers are cancelled, which is safe —
 // every characterization they completed is already in the store, so the
 // next boot's Recover re-runs them with only the unfinished work left.
+// The store closes last, once no job can write to it.
 func (s *Server) stopJobs(ctx context.Context) {
 	if err := s.jobs.Wait(ctx); err != nil {
 		s.cfg.Logger.Printf("drain: cancelling jobs still running at timeout (characterizations preserved)")
 	}
 	s.jobs.Close()
+	if s.st != nil {
+		if err := s.st.Close(); err != nil {
+			s.cfg.Logger.Printf("drain: closing the store: %v", err)
+		}
+	}
 }

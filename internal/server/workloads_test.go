@@ -223,7 +223,7 @@ func TestWorkloadRecoveryAcrossRestart(t *testing.T) {
 	if want.Code != http.StatusOK {
 		t.Fatalf("pre-restart artifact = %d", want.Code)
 	}
-	s1.jobs.Close()
+	stopStoreServer(s1)
 
 	s2 := newStoreServer(t, dir)
 	rr := get(t, s2.handler, "/v1/workloads/durable")
