@@ -59,7 +59,8 @@ goldencheck:
 # end resolves through (explorer.ParsePoint, which `eval -config` points
 # also reach via the JSON study parser), the store's entry decoder, and
 # the store's segment recovery (Open and Get over flipped, truncated and
-# spliced segments).
+# spliced segments), and the closed-form Bloch–Grüneisen resistivity
+# against its Simpson oracle.
 # The corpora seeds cover the parser-hardening cases; CI runs this on
 # every push.
 fuzz:
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadStudyConfig -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentRecover -fuzztime 30s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzWireResistivity -fuzztime 30s ./internal/tech/
 
 # Known-vulnerability scan. Skipped (with a pointer) when govulncheck is
 # not on PATH; the CI job installs it.
@@ -89,9 +91,10 @@ vulncheck:
 check: vet fmtcheck race goldencheck
 
 # Sweep-engine speedup benchmarks (serial vs parallel full-grid sweep),
-# the Bloch–Grüneisen resistivity integral against its memo hit, a Zipf
-# draw from math/rand.Zipf against the table (plus one table build and one
-# sampler over a shared table), ns per access of every profile's stand-in
+# the closed-form Bloch–Grüneisen resistivity against the 2000-panel
+# Simpson rule it replaced, a Zipf draw from math/rand.Zipf against the
+# table (plus one table build and one sampler over a shared table), ns
+# per access of every profile's stand-in
 # stream and one Profile.Generator build, the allocs/op of one
 # organization search, one characterization and one signature-fold
 # access, a 200k-access .ctrace replay through the Table I hierarchy, one

@@ -552,9 +552,8 @@ func BenchmarkCacheHit(b *testing.B) {
 // BenchmarkCharacterizeColdWarm contrasts a cold characterization (fresh
 // explorer, full organization search) with a warm repeat (explorer cache
 // hit) — the latency gap the serve cache turns into an HTTP fast path.
-// "Cold" means cold explorer caches: after the first iteration the
-// process-wide resistivity memo is warm, so later iterations skip the
-// Bloch–Grüneisen integral a new process pays once per temperature.
+// "Cold" means cold explorer caches; the process-wide family-ranking memo
+// is warm after the first iteration.
 func BenchmarkCharacterizeColdWarm(b *testing.B) {
 	p := explorer.Baseline()
 	b.Run("cold", func(b *testing.B) {
@@ -594,8 +593,8 @@ func BenchmarkExtensionNodeScaling(b *testing.B) {
 // a shared study, the steady state the HTTP response path and repeated CLI
 // renders see). The cold/warm gap is the value of the study-level caches;
 // EXPERIMENTS.md records the measured ratios. "Cold" means cold study and
-// explorer caches: after the first iteration the process-wide resistivity
-// memo is warm, as is workload's window memo behind SystemImpact.
+// explorer caches: after the first iteration workload's window memo
+// behind SystemImpact is warm.
 func BenchmarkArtifactBuildColdWarm(b *testing.B) {
 	for _, name := range Artifacts().Names() {
 		b.Run(name+"/cold", func(b *testing.B) {

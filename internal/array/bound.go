@@ -17,9 +17,8 @@ import (
 const boundSlack = 1 - 1e-9
 
 // boundContext precomputes the organization-independent physics of one
-// configuration: the device corner, the wire RC of all three metal classes
-// (each construction pays the Bloch–Grüneisen resistivity integral), the
-// port-widened cell geometry, and the per-bit leakage/retention figures.
+// configuration: the device corner, the wire RC of all three metal classes,
+// the port-widened cell geometry, and the per-bit leakage/retention figures.
 // Both the admissible lower bound and the characterization body
 // (characterize, model.go) read it, so an organization search builds the
 // corner and wires once and every candidate — bounded or characterized —

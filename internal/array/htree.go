@@ -25,10 +25,9 @@ type htree struct {
 }
 
 // newHTree builds the tree for a die of the given core footprint (m^2)
-// holding banksPerDie banks over the global wire w. Wire construction pays
-// the Bloch–Grüneisen resistivity integral, which depends only on
-// temperature and node, so the caller builds the wire once per
-// configuration (boundContext) and every candidate's tree reuses it.
+// holding banksPerDie banks over the global wire w. The wire depends only
+// on temperature and node, so the caller builds it once per configuration
+// (boundContext) and every candidate's tree reuses it.
 func newHTree(footprintM2, banksPerDie float64, corner *tech.DeviceCorner, w tech.Wire) htree {
 	hops := int(math.Max(2, math.Ceil(math.Log2(math.Max(1, banksPerDie)))+1))
 	return htree{root: math.Sqrt(footprintM2), hops: hops, wire: w, corner: corner}

@@ -4,9 +4,9 @@
 // N concurrent identical misses cost exactly one computation (the
 // cache-stampede guard). The server's response bodies (memory only), the
 // explorer's array characterizations (the one cache with a tier: the
-// store's char| namespace) and the process-wide memos (wire resistivity
-// per temperature, the built-in measurement window per workload profile)
-// all go through it.
+// store's char| namespace) and the process-wide memos (the built-in
+// measurement window per workload profile, the Zipf tables) all go
+// through it.
 //
 // Keys are caller-canonicalized strings — the server canonicalizes request
 // JSON into a design-point key before lookup, so two requests that differ

@@ -67,7 +67,10 @@ type Evaluation struct {
 // results keyed by a rounded temperature that a fractional one would hit.
 // v3: DesignPoint.Key spells a non-default clock exactly, for the same
 // reason.
-const ModelVersion = "coldtall-physics-v3"
+// v4: wire resistivity comes from the closed-form Bloch–Grüneisen integral
+// instead of a 2000-panel Simpson rule; every wire-dependent number moves
+// in its last digits.
+const ModelVersion = "coldtall-physics-v4"
 
 // charCapacity bounds the characterization cache. A full export
 // characterizes under a hundred distinct points and a long serve run a few

@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"coldtall"
+	"coldtall/internal/explorer"
 	"coldtall/internal/job"
+	"coldtall/internal/store"
 )
 
 // newStoreServer builds a server persisting into dir (none if dir is
@@ -292,6 +294,55 @@ func TestStoreWarmedRestart(t *testing.T) {
 	if second.Header().Get("X-Cache") != "miss" {
 		t.Errorf("store-warmed response X-Cache = %q, want miss (re-rendered from char|)", second.Header().Get("X-Cache"))
 	}
+}
+
+// TestStaleModelVersionRecomputes boots a server on a store whose char|
+// entries carry the previous model version's stamp (coldtall-physics-v3,
+// before the closed-form resistivity): the first Table II must run the
+// optimizer as often as a boot on an empty store, read none of them, and
+// render the golden bytes.
+func TestStaleModelVersionRecomputes(t *testing.T) {
+	fresh := t.TempDir()
+	s1 := newStoreServer(t, fresh)
+	if rr := get(t, s1.handler, "/v1/tables/2"); rr.Code != http.StatusOK {
+		t.Fatalf("first boot table = %d: %s", rr.Code, rr.Body)
+	}
+	want := s1.study.Explorer().OptimizeCalls()
+	stopStoreServer(s1)
+
+	// Re-stamp the first boot's char| entries as v3 in a second directory.
+	src, err := store.Open(fresh, store.Options{Version: explorer.ModelVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := t.TempDir()
+	dst, err := store.Open(stale, store.Options{Version: "coldtall-physics-v3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = src.Walk("char|", func(key string, val []byte) error {
+		n++
+		return dst.Put(key, val)
+	})
+	src.Close()
+	dst.Close()
+	if err != nil || n == 0 || int64(n) != want {
+		t.Fatalf("re-stamped %d char| entries (%v), want one per optimizer run (%d)", n, err, want)
+	}
+
+	s2 := newStoreServer(t, stale)
+	rr := get(t, s2.handler, "/v1/tables/2")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("stale-store boot table = %d: %s", rr.Code, rr.Body)
+	}
+	if calls := s2.study.Explorer().OptimizeCalls(); calls != want {
+		t.Errorf("stale-store boot ran the optimizer %d times, want %d (a full recompute)", calls, want)
+	}
+	if st := s2.st.Stats(); st.Hits != 0 || st.Skipped == 0 {
+		t.Errorf("stale-store boot: %d store hits, %d skipped; want 0 hits and the v3 entries skipped", st.Hits, st.Skipped)
+	}
+	checkGolden(t, "table2.golden.json", rr.Body.Bytes())
 }
 
 // TestStoreHoldsOnlyCharacterizations: the store gets one durable write

@@ -56,6 +56,8 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -255,7 +257,9 @@ func encodeRecord(version, key string, val []byte) ([]byte, error) {
 }
 
 func appendTrailer(b, head []byte) []byte {
-	return fmt.Appendf(b, "head %08x\n", crc32.ChecksumIEEE(head))
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(head))
+	return append(hex.AppendEncode(append(b, "head "...), crc[:]), '\n')
 }
 
 // errCorrupt marks an entry that failed structural or checksum validation.
@@ -270,71 +274,66 @@ type header struct {
 }
 
 // parseHeader parses the header at the start of b. Any structural defect,
-// b ending inside the header included, returns errCorrupt.
-func parseHeader(b []byte) (header, error) {
+// b ending inside the header included, returns errCorrupt. A header
+// stamped with version shares that string instead of allocating one, so
+// scanning same-version records allocates only their keys.
+func parseHeader(b []byte, version string) (header, error) {
 	var h header
-	line := func() (string, error) {
-		i := bytes.IndexByte(b[h.size:], '\n')
-		if i < 0 {
-			return "", errCorrupt
-		}
-		l := string(b[h.size : h.size+i])
-		h.size += i + 1
-		return l, nil
-	}
-	first, err := line()
-	if err != nil || first != magic {
-		return h, errCorrupt
-	}
-	field := func(name string) (string, error) {
-		l, err := line()
-		if err != nil {
-			return "", err
-		}
-		rest, ok := strings.CutPrefix(l, name+" ")
+	field := func(name string) ([]byte, bool) {
+		l, _, ok := bytes.Cut(b[h.size:], []byte("\n"))
 		if !ok {
-			return "", errCorrupt
+			return nil, false
 		}
-		return rest, nil
+		h.size += len(l) + 1
+		return bytes.CutPrefix(l, []byte(name))
+	}
+	if l, ok := field(magic); !ok || len(l) != 0 {
+		return h, errCorrupt
 	}
 	// The decoder is strict: every field must carry the one canonical
 	// spelling encodeEntry produces (no alternate escapes, no leading
 	// zeros), so decode∘encode is a fixed point — the property the fuzz
 	// harness pins.
-	quoted := func(name string) (string, error) {
-		raw, err := field(name)
-		if err != nil {
-			return "", err
-		}
-		v, err := strconv.Unquote(raw)
-		if err != nil || strconv.Quote(v) != raw {
-			return "", errCorrupt
-		}
-		return v, nil
-	}
-	if h.version, err = quoted("version"); err != nil {
-		return h, err
-	}
-	if h.key, err = quoted("key"); err != nil {
-		return h, err
-	}
-	lenField, err := field("len")
-	if err != nil {
-		return h, err
-	}
-	if h.n, err = strconv.Atoi(lenField); err != nil || h.n < 0 || strconv.Itoa(h.n) != lenField {
+	ver, ok := unquote(field("version "))
+	if !ok {
 		return h, errCorrupt
 	}
-	crcField, err := field("crc32")
-	if err != nil {
-		return h, err
+	if h.version = version; string(ver) != version {
+		h.version = string(ver)
 	}
-	crc, err := strconv.ParseUint(crcField, 16, 32)
-	if err != nil || fmt.Sprintf("%08x", crc) != crcField {
+	key, ok := unquote(field("key "))
+	if !ok {
 		return h, errCorrupt
 	}
-	h.crc = uint32(crc)
+	h.key = string(key)
+	raw, ok := field("len ")
+	n, err := strconv.Atoi(string(raw))
+	if !ok || err != nil || raw[0] < '1' && string(raw) != "0" { // no sign, no leading zero
+		return h, errCorrupt
+	}
+	raw, ok = field("crc32 ")
+	crc, err := strconv.ParseUint(string(raw), 16, 32)
+	if !ok || err != nil || len(raw) != 8 || bytes.ContainsAny(raw, "ABCDEF") { // %08x
+		return h, errCorrupt
+	}
+	h.n, h.crc = n, uint32(crc)
 	return h, nil
+}
+
+// unquote returns what raw quotes if ok and raw is its canonical
+// strconv.Quote spelling; printable ASCII without quotes or backslashes,
+// as in every store key and version, unquotes without allocating.
+func unquote(raw []byte, ok bool) ([]byte, bool) {
+	if n := len(raw); ok && n >= 2 && raw[0] == '"' && raw[n-1] == '"' && !bytes.ContainsFunc(raw[1:n-1], func(r rune) bool {
+		return r < ' ' || r > '~' || r == '"' || r == '\\'
+	}) {
+		return raw[1 : n-1], true
+	}
+	v, err := strconv.Unquote(string(raw))
+	if !ok || err != nil || strconv.Quote(v) != string(raw) {
+		return nil, false
+	}
+	return []byte(v), true
 }
 
 // payload returns the payload of raw, an entry whose header is h, checking
@@ -355,7 +354,7 @@ func (h header) payload(raw []byte) ([]byte, error) {
 // quoting, a length or CRC mismatch, trailing garbage — returns
 // errCorrupt.
 func decodeEntry(raw []byte) (version, key string, val []byte, err error) {
-	h, err := parseHeader(raw)
+	h, err := parseHeader(raw, "")
 	if err != nil {
 		return "", "", nil, errCorrupt
 	}
@@ -366,9 +365,9 @@ func decodeEntry(raw []byte) (version, key string, val []byte, err error) {
 }
 
 // decodeRecord is decodeEntry for a segment record: the entry must be
-// followed by exactly its header's trailer.
-func decodeRecord(rec []byte) (h header, val []byte, err error) {
-	if h, err = parseHeader(rec); err != nil {
+// followed by exactly its header's trailer. version is parseHeader's.
+func decodeRecord(rec []byte, version string) (h header, val []byte, err error) {
+	if h, err = parseHeader(rec, version); err != nil {
 		return h, nil, err
 	}
 	end := len(rec) - trailerLen
@@ -397,22 +396,25 @@ func (s *Store) scan(seg *segment, active bool) error {
 	// once per record.
 	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, 0, size), 2*maxHeader)
 	payload := crc32.NewIEEE()
+	lim := &io.LimitedReader{R: r}
 	buf := make([]byte, 32<<10)
+	var want [trailerLen]byte
 	var off int64
 	for off < size {
 		win, _ := r.Peek(maxHeader) // fewer bytes at the end of the segment
-		h, err := parseHeader(win)
+		h, err := parseHeader(win, s.version)
 		if err != nil {
 			break
 		}
-		want := appendTrailer(nil, win[:h.size])
+		appendTrailer(want[:0], win[:h.size])
 		r.Discard(h.size)
 		payload.Reset()
-		if _, err := io.CopyBuffer(payload, io.LimitReader(r, int64(h.n)), buf); err != nil {
+		lim.N = int64(h.n)
+		if _, err := io.CopyBuffer(payload, lim, buf); err != nil {
 			break
 		}
 		got := buf[:trailerLen]
-		if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, want) {
+		if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, want[:]) {
 			break // torn, or a header the trailer does not vouch for
 		}
 		n := int64(h.size + h.n + trailerLen)
@@ -704,7 +706,7 @@ func (s *Store) compact() error {
 		if _, err := l.seg.f.ReadAt(buf, l.off); err != nil {
 			return fail(err)
 		}
-		if h, _, err := decodeRecord(buf); err != nil || h.key != k || h.version != s.version {
+		if h, _, err := decodeRecord(buf, s.version); err != nil || h.key != k || h.version != s.version {
 			s.quarantine(l.seg, l.off, l.n, "rec")
 			continue
 		}
@@ -791,7 +793,7 @@ func (s *Store) read(key string) ([]byte, outcome) {
 	if err != nil {
 		return nil, absent
 	}
-	h, val, err := decodeRecord(rec)
+	h, val, err := decodeRecord(rec, s.version)
 	if err == nil && h.key == key && h.version == s.version {
 		return val, found
 	}

@@ -58,7 +58,7 @@ func recordOffset(t testing.TB, dir, key string) (path string, off, payload int)
 			t.Fatal(err)
 		}
 		for o := 0; o < len(raw); {
-			h, err := parseHeader(raw[o:])
+			h, err := parseHeader(raw[o:], "")
 			if err != nil {
 				break
 			}

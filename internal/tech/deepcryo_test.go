@@ -114,7 +114,7 @@ func TestDeviceCornerAt4K(t *testing.T) {
 	if c.FO4Delay >= Node22HP().FO4Delay300 {
 		t.Errorf("FO4 at 4 K (%g) should beat 300 K (%g)", c.FO4Delay, Node22HP().FO4Delay300)
 	}
-	if c.WireRho <= 0 || c.WireRho >= WireResistivity(TempRoom) {
-		t.Errorf("wire rho at 4 K = %g out of expected range", c.WireRho)
+	if rho := WireResistivity(c.Temperature); rho <= 0 || rho >= WireResistivity(TempRoom) {
+		t.Errorf("wire rho at 4 K = %g out of expected range", rho)
 	}
 }

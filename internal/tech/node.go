@@ -154,8 +154,6 @@ type DeviceCorner struct {
 	Node
 	// Temperature is the operating temperature in kelvin.
 	Temperature float64
-	// Vth is the threshold voltage at Temperature.
-	Vth float64
 	// FO4Delay is the fanout-of-4 delay at Temperature.
 	FO4Delay float64
 	// SenseAmpDelay is the sense resolution time at Temperature.
@@ -164,8 +162,6 @@ type DeviceCorner struct {
 	OnCurrentScale float64
 	// LeakageScale is Ioff(T)/Ioff(300 K) including the tunneling floor.
 	LeakageScale float64
-	// WireRho is copper interconnect resistivity at Temperature, ohm-m.
-	WireRho float64
 }
 
 // At evaluates the node at temperature t (kelvin).
@@ -180,11 +176,9 @@ func (n Node) At(t float64) (DeviceCorner, error) {
 	return DeviceCorner{
 		Node:           n,
 		Temperature:    t,
-		Vth:            ThresholdVoltage(n.Vth300, t),
 		FO4Delay:       n.FO4Delay300 * gd,
 		SenseAmpDelay:  n.SenseAmpDelay300 * gd,
 		OnCurrentScale: OnCurrentScale(n.Vdd, n.Vth300, t, TempRoom),
 		LeakageScale:   SubthresholdLeakageScale(n.Vth300, t, TempRoom),
-		WireRho:        WireResistivity(t),
 	}, nil
 }

@@ -77,21 +77,21 @@ func TestCornerFasterWhenCold(t *testing.T) {
 	if cold.FO4Delay >= hot.FO4Delay {
 		t.Errorf("FO4 at 77 K (%.3e) should beat 350 K (%.3e)", cold.FO4Delay, hot.FO4Delay)
 	}
-	if cold.WireRho >= hot.WireRho {
+	if WireResistivity(cold.Temperature) >= WireResistivity(hot.Temperature) {
 		t.Error("wire resistivity at 77 K should be below 350 K")
 	}
 	if cold.LeakageScale >= hot.LeakageScale {
 		t.Error("leakage at 77 K should be below 350 K")
 	}
-	if cold.Vth <= hot.Vth {
+	if ThresholdVoltage(n.Vth300, cold.Temperature) <= ThresholdVoltage(n.Vth300, hot.Temperature) {
 		t.Error("threshold at 77 K should exceed 350 K")
 	}
 }
 
 func TestCornerAt300IsNominal(t *testing.T) {
 	c := mustAt(t, Node22HP(), 300)
-	if c.Vth != 0.5 {
-		t.Errorf("Vth at 300 K = %g, want 0.5", c.Vth)
+	if vth := ThresholdVoltage(c.Vth300, c.Temperature); vth != 0.5 {
+		t.Errorf("Vth at 300 K = %g, want 0.5", vth)
 	}
 	if diff := c.FO4Delay/c.Node.FO4Delay300 - 1; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("FO4 at 300 K should equal nominal, ratio-1 = %g", diff)

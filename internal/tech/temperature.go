@@ -1,12 +1,8 @@
 package tech
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"strconv"
-
-	"coldtall/internal/cache"
 )
 
 // Copper lattice parameters for the Bloch–Grüneisen resistivity model.
@@ -28,17 +24,6 @@ const (
 	wireSizeEffect = 2.0
 )
 
-// bgMemoLimit bounds bgMemo. The paper grid and the technology axes use
-// about fifteen temperatures; the bound only matters for callers that
-// sweep a continuous temperature axis, such as served traffic, where the
-// least-recently-used temperature is evicted.
-const bgMemoLimit = 4096
-
-// bgMemo holds bgIntegralRatio per temperature, keyed by the float's bits,
-// so each distinct temperature pays the Simpson integral once while it is
-// cached and every lookup returns the very bits a direct evaluation would.
-var bgMemo = cache.MustNew[float64](bgMemoLimit)
-
 // blochGruneisen returns the phonon contribution to copper resistivity at
 // temperature t (kelvin), in ohm-metres, normalized so that the value at
 // 300 K equals copperBulkRho300.
@@ -49,43 +34,59 @@ func blochGruneisen(t float64) float64 {
 	return copperBulkRho300 * bgRatio(t) / bgRatio300
 }
 
-// bgRatio is bgIntegralRatio through bgMemo.
+// bgRatio returns the dimensionless Bloch–Grüneisen shape (T/ThetaD)^5 *
+// J5(z), z = ThetaD/T, J5(z) = integral_0^z x^5 e^x / (e^x - 1)^2 dx. By
+// parts, J5(z) = 5*I4(z) - z^5/(e^z - 1), I4(z) = integral_0^z x^4/(e^x - 1)
+// dx. For z >= 2, I4 is Gamma(5)*zeta(5) minus the tail sum_k e^(-kz)
+// (z^4/k + 4z^3/k^2 + 12z^2/k^3 + 24z/k^4 + 24/k^5); below 2 it is the
+// Bernoulli series z^4/4 - z^5/10 + sum_n i4Series[n-1] z^(2n+4), which
+// converges for z < 2*pi. Each is summed to below 1e-17 of the result.
 func bgRatio(t float64) float64 {
-	key := strconv.FormatUint(math.Float64bits(t), 16)
-	r, _, _ := bgMemo.Do(context.Background(), key, func() (float64, error) { // never fails
-		return bgIntegralRatio(t), nil
-	})
-	return r
+	z := copperDebyeK / t
+	z2 := z * z
+	var i4 float64
+	if z < 2 {
+		acc := 0.0
+		for i := len(i4Series) - 1; i >= 0; i-- {
+			acc = (acc + i4Series[i]) * z2
+		}
+		i4 = z2 * z2 * (0.25 - z/10 + acc)
+	} else {
+		const full = 24 * 1.0369277551433699263313654864570341680570809 // Gamma(5)*zeta(5)
+		q, tail := math.Exp(-z), 0.0
+		for k, p := 1.0, q; ; k, p = k+1, p*q {
+			u := 1 / k
+			term := p * u * (z2*z2 + u*(4*z2*z+u*(12*z2+u*(24*z+u*24))))
+			if tail += term; term < 1e-17*full {
+				break
+			}
+		}
+		i4 = full - tail
+	}
+	z5 := z * z * z * z * z
+	return (5*i4 - z5/math.Expm1(z)) / z5
 }
 
-// bgIntegralRatio computes (T/ThetaD)^5 * integral_0^{ThetaD/T} x^5 /
-// ((e^x - 1)(1 - e^-x)) dx, the dimensionless Bloch–Grüneisen shape.
-func bgIntegralRatio(t float64) float64 {
-	upper := copperDebyeK / t
-	n := 2000
-	// Simpson's rule. The integrand -> x^3 as x -> 0, so the origin is
-	// benign; evaluate with the small-x limit to avoid 0/0.
-	f := func(x float64) float64 {
-		if x < 1e-9 {
-			return x * x * x
-		}
-		return math.Pow(x, 5) / ((math.Exp(x) - 1) * (1 - math.Exp(-x)))
+// i4Series holds B_2n / ((2n)! (2n + 4)) for n = 1..18, from the Bernoulli
+// expansion x/(e^x - 1) = sum_m B_m x^m / m!.
+var i4Series = func() (c [18]float64) {
+	bernoulli := [len(c)]float64{ // B_2, B_4, ..., B_36
+		1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6,
+		-3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
+		-236364091.0 / 2730, 8553103.0 / 6, -23749461029.0 / 870,
+		8615841276005.0 / 14322, -7709321041217.0 / 510, 2577687858367.0 / 6,
+		-26315271553053477373.0 / 1919190,
 	}
-	h := upper / float64(n)
-	sum := f(0) + f(upper)
-	for i := 1; i < n; i++ {
-		x := float64(i) * h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
+	fact := 1.0
+	for i, b := range bernoulli {
+		m := float64(2 * (i + 1))
+		fact *= (m - 1) * m
+		c[i] = b / (fact * (m + 4))
 	}
-	integral := sum * h / 3
-	return math.Pow(t/copperDebyeK, 5) * integral
-}
+	return c
+}()
 
-// bgRatio300 caches the Bloch–Grüneisen shape at the 300 K calibration point.
+// bgRatio300 is the Bloch–Grüneisen shape at the 300 K calibration point.
 var bgRatio300 = bgRatio(TempRoom)
 
 // WireResistivity returns the resistivity of on-chip copper interconnect at

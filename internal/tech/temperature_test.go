@@ -15,12 +15,16 @@ func TestWireResistivityCalibration(t *testing.T) {
 	}
 }
 
+// TestWireResistivityMonotonicInTemperature steps 0.01 K across [4, 400]
+// K, through the closed form's series switch at 171.5 K: every step must
+// raise the resistivity.
 func TestWireResistivityMonotonicInTemperature(t *testing.T) {
-	prev := WireResistivity(77)
-	for temp := 87.0; temp <= 400; temp += 10 {
+	prev := WireResistivity(4)
+	for i := 1; i <= 39600; i++ {
+		temp := 4 + float64(i)/100
 		cur := WireResistivity(temp)
 		if cur <= prev {
-			t.Fatalf("resistivity not monotonic at %.0f K: %.3e <= %.3e", temp, cur, prev)
+			t.Fatalf("resistivity not monotonic at %.2f K: %.17g <= %.17g", temp, cur, prev)
 		}
 		prev = cur
 	}
