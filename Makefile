@@ -33,12 +33,15 @@ e2e:
 
 # Differential proof of the pruned organization search: the full golden
 # grid through both the exhaustive reference and the pruned path under
-# -race (non-short, so the grid is not sampled), plus the
-# bound-admissibility property test and the Pareto filter equivalence. Run
-# it whenever internal/array physics or search code moves.
+# -race (non-short, so the grid is not sampled; it logs the characterized
+# and feasible candidate counts), the same grid solved forward, reversed
+# and concurrently with identical Results and SearchStats (a search keeps
+# no state between solves), the baseline point's pinned SearchStats, plus
+# the bound-admissibility property test and the Pareto filter equivalence.
+# Run it whenever internal/array physics or search code moves.
 prunecheck:
 	$(GO) test -race -count=1 -v \
-		-run 'TestPrunedMatchesExhaustive|TestLowerBoundAdmissible|TestParetoFilterEquivalence|TestParetoDifferential' \
+		-run 'TestPrunedMatchesExhaustive|TestSearchOrderIndependent|TestBaselineSearchStats|TestLowerBoundAdmissible|TestParetoFilterEquivalence|TestParetoDifferential' \
 		./internal/array/
 
 # Golden-artifact gate: every registered artifact re-generated and
@@ -117,8 +120,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepJob' -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmRestart' -benchtime 20x ./internal/server/
 
-# Organization-search benchmarks: pruned vs exhaustive, the per-candidate
-# bound cost, and the staircase vs quadratic Pareto filter.
+# Organization-search benchmarks: the pruned search (one case, since no
+# state carries between solves) vs the exhaustive reference, the
+# per-candidate bound cost, and the staircase vs quadratic Pareto filter.
 searchbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimize|BenchmarkLowerBound|BenchmarkParetoFilter' -benchtime 5x ./internal/array/
 

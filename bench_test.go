@@ -552,8 +552,8 @@ func BenchmarkCacheHit(b *testing.B) {
 // BenchmarkCharacterizeColdWarm contrasts a cold characterization (fresh
 // explorer, full organization search) with a warm repeat (explorer cache
 // hit) — the latency gap the serve cache turns into an HTTP fast path.
-// "Cold" means cold explorer caches; the process-wide family-ranking memo
-// is warm after the first iteration.
+// "Cold" means cold explorer caches; the organization search keeps no
+// state between solves, so every cold iteration pays the whole search.
 func BenchmarkCharacterizeColdWarm(b *testing.B) {
 	p := explorer.Baseline()
 	b.Run("cold", func(b *testing.B) {

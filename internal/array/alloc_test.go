@@ -18,18 +18,13 @@ const (
 
 func TestOptimizeAllocBudget(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
-	for _, warm := range []bool{false, true} {
-		allocs := testing.AllocsPerRun(20, func() {
-			if !warm {
-				resetSearchMemo()
-			}
-			if _, err := optimize(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > optimizeAllocBudget {
-			t.Errorf("Optimize (warm memo %t) allocates %.0f times per search, budget %d", warm, allocs, optimizeAllocBudget)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := optimize(cfg); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > optimizeAllocBudget {
+		t.Errorf("Optimize allocates %.0f times per search, budget %d", allocs, optimizeAllocBudget)
 	}
 }
 

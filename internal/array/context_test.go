@@ -68,7 +68,6 @@ func (c *countdownCtx) Err() error {
 func TestOptimizeContextCancelledMidSearch(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, planar)
 	for _, k := range []int{2, 3, 50} {
-		resetSearchMemo()
 		ctx := newCountdownCtx(k)
 		_, _, err := OptimizeWithStats(ctx, cfg)
 		if !errors.Is(err, context.Canceled) {

@@ -2,6 +2,8 @@ package array
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"coldtall/internal/cell"
@@ -61,11 +63,8 @@ func differentialGrid(t testing.TB) []diffPoint {
 // replays the golden design grid through both the exhaustive reference and
 // the production pruned search and requires bit-identical Result selection
 // — every field, via struct equality — plus matching error behavior. It
-// runs the grid twice per point where it matters: once cold (memo reset)
-// and once warm (neighbor rankings populated), because the warm-start
-// ordering must not change the selection either. It also asserts the
-// pruned search actually earns its keep: >= 5x fewer Characterize calls
-// than the exhaustive sweep across the grid.
+// also asserts the pruned search actually earns its keep: >= 5x fewer
+// Characterize calls than the exhaustive sweep across the grid.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	pts := differentialGrid(t)
 	if testing.Short() {
@@ -76,8 +75,6 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		}
 		pts = sampled
 	}
-	resetSearchMemo()
-	defer resetSearchMemo()
 
 	ctx := context.Background()
 	var feasibleTotal, characterized, pruned int
@@ -116,12 +113,10 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestPrunedMatchesExhaustiveWarm re-solves a temperature/die neighborhood
-// so every point after the first hits the family memo, and requires the
-// warm-started searches to still match the exhaustive reference exactly.
+// TestPrunedMatchesExhaustiveWarm solves a 3T-eDRAM temperature
+// neighborhood between the grid's points, warm to cold, and requires every
+// selection to match the exhaustive reference exactly.
 func TestPrunedMatchesExhaustiveWarm(t *testing.T) {
-	resetSearchMemo()
-	defer resetSearchMemo()
 	ctx := context.Background()
 	for _, temp := range []float64{350, 327, 300, 277, 250} {
 		cfg := DefaultLLC(cell.NewEDRAM3T(), temp, planar)
@@ -129,16 +124,82 @@ func TestPrunedMatchesExhaustiveWarm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exhaustive at %gK: %v", temp, err)
 		}
-		got, stats, err := OptimizeWithStats(ctx, cfg)
+		got, err := optimize(cfg)
 		if err != nil {
 			t.Fatalf("pruned at %gK: %v", temp, err)
 		}
 		if got != want {
-			t.Errorf("warm-started selection at %gK differs:\nexhaustive: %+v\npruned:     %+v", temp, want, got)
+			t.Errorf("selection at %gK differs:\nexhaustive: %+v\npruned:     %+v", temp, want, got)
 		}
-		if temp != 350 && !stats.WarmStart {
-			t.Errorf("at %gK: expected a memo warm start after solving the 350K neighbor", temp)
+	}
+}
+
+// searchOutcome is everything one organization search reports.
+type searchOutcome struct {
+	r     Result
+	stats SearchStats
+	err   error
+}
+
+// solveGrid runs the pruned search on pts in the given visit order and
+// returns the outcomes at input positions.
+func solveGrid(pts []diffPoint, order []int) []searchOutcome {
+	out := make([]searchOutcome, len(pts))
+	for _, i := range order {
+		r, stats, err := OptimizeWithStats(context.Background(), pts[i].cfg)
+		out[i] = searchOutcome{r, stats, err}
+	}
+	return out
+}
+
+// TestSearchOrderIndependent pins that a search is a pure function of its
+// Config: the differential grid solved forward, reversed, and each point
+// on its own goroutine (all at once) gives every point the same Result and
+// the same SearchStats. No solve may leave state that steers another.
+func TestSearchOrderIndependent(t *testing.T) {
+	pts := differentialGrid(t)
+	forward := make([]int, len(pts))
+	reversed := make([]int, len(pts))
+	for i := range pts {
+		forward[i], reversed[len(pts)-1-i] = i, i
+	}
+	want := solveGrid(pts, forward)
+	runs := map[string][]searchOutcome{"reversed": solveGrid(pts, reversed)}
+	alone := make([]searchOutcome, len(pts))
+	var wg sync.WaitGroup
+	for i := range pts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, stats, err := OptimizeWithStats(context.Background(), pts[i].cfg)
+			alone[i] = searchOutcome{r, stats, err}
+		}()
+	}
+	wg.Wait()
+	runs["alone"] = alone
+	for name, got := range runs {
+		for i, p := range pts {
+			w, g := want[i], got[i]
+			if g.r != w.r || g.stats != w.stats || fmt.Sprint(g.err) != fmt.Sprint(w.err) {
+				t.Errorf("%s %gK %dd: %s run differs from forward\nforward: %+v %+v %v\n%s: %+v %+v %v",
+					p.name, p.cfg.Temperature, p.cfg.Stack.Dies, name, w.stats, w.r.Org, w.err, name, g.stats, g.r.Org, g.err)
+			}
 		}
+	}
+}
+
+// TestBaselineSearchStats pins the instrumentation of the 350 K SRAM
+// baseline search, the point every normalization reads: a change to the
+// search space, the feasibility rules, the bound or the visit order moves
+// these counts.
+func TestBaselineSearchStats(t *testing.T) {
+	_, stats, err := OptimizeWithStats(context.Background(), DefaultLLC(cell.NewSRAM6T(), 350, planar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SearchStats{SpaceSize: 875, Infeasible: 259, Pruned: 615, Characterized: 1}
+	if stats != want {
+		t.Errorf("baseline SearchStats = %+v, want %+v", stats, want)
 	}
 }
 

@@ -4,14 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
-	"slices"
 	"sort"
-	"sync"
 
-	"coldtall/internal/cell"
 	"coldtall/internal/parallel"
-	"coldtall/internal/stack"
 )
 
 // search space for the organization sweep (CACTI's Ndwl/Ndbl/Nspd analogue).
@@ -46,9 +41,9 @@ var enumeration = candidates()
 
 // SearchStats instruments one organization search: how much of the
 // candidate space was enumerated, skipped as infeasible, pruned by the
-// lower bound, or fully characterized, and whether a neighboring design
-// point's ranking warm-started the ordering. The benchmarks and the
-// differential harness assert on it; production callers can log it.
+// lower bound, or fully characterized. It is a pure function of the
+// Config. The benchmarks and the differential harness assert on it;
+// production callers can log it.
 type SearchStats struct {
 	// SpaceSize is the enumerated candidate count (SearchSpaceSize()).
 	SpaceSize int
@@ -59,9 +54,6 @@ type SearchStats struct {
 	Pruned int
 	// Characterized counts full Characterize evaluations.
 	Characterized int
-	// WarmStart reports whether a neighboring design point's ranking
-	// seeded the evaluation order.
-	WarmStart bool
 }
 
 // OptimizeWithStats sweeps internal organizations and returns the
@@ -71,13 +63,12 @@ type SearchStats struct {
 //
 // The search is pruned: candidates whose admissible lower bound (bound.go)
 // already exceeds the incumbent's objective are skipped without a full
-// characterization, candidates are visited coarse-to-fine (cheapest-bound
-// first, or in the ranking a neighboring design point established), and a
-// per-family ranking memo carries orderings across temperatures and die
-// counts. Pruning is an evaluation-order optimization only — the selected
-// Result is bit-identical to the exhaustive reference (optimizeExhaustive in
-// oracle_test.go, pinned by the differential harness in differential_test.go
-// and by `make prunecheck`). Infeasible organizations are skipped, not errors.
+// characterization, and candidates are visited coarse-to-fine
+// (cheapest-bound first). Pruning is an evaluation-order optimization only —
+// the selected Result is bit-identical to the exhaustive reference
+// (optimizeExhaustive in oracle_test.go, pinned by the differential harness
+// in differential_test.go and by `make prunecheck`). Infeasible
+// organizations are skipped, not errors.
 //
 // Once ctx is done the organization sweep stops dispatching candidates and
 // the search fails with the cancellation error. A partial sweep is never
@@ -122,11 +113,11 @@ func (a searchCandidate) before(b searchCandidate) bool {
 //
 // Every skipped candidate therefore cannot be the lexicographic minimum,
 // so the pruned result equals the exhaustive result bit for bit, whatever
-// the visit order — which frees the visit order to chase prune rate: the
-// family memo's neighbor ranking first, then coarse-to-fine by ascending
-// bound. The coarse-to-fine part is a heap popped in before order, so once
-// one popped candidate is skipped every candidate still in the heap has a
-// bound at least as large and is skipped too, without being popped.
+// the visit order — which frees the visit order to chase prune rate:
+// coarse-to-fine by ascending bound. The walk is a heap popped in before
+// order, so once one popped candidate is skipped every candidate still in
+// the heap has a bound at least as large and is skipped too, without being
+// popped.
 //
 // Every candidate, bounded or characterized, is evaluated against one
 // boundContext: the corner and wires are built once per search, and a
@@ -154,21 +145,13 @@ func optimizePruned(ctx context.Context, cfg *Config) (Result, SearchStats, erro
 		}
 		feas = append(feas, searchCandidate{idx: i, bound: bc.lowerBound(enumeration[i], &d, cfg.Target)})
 	}
-	key := familyOf(cfg)
-	var hinted []searchCandidate
-	var hintBuf [memoRankCap]searchCandidate
-	if hint := searchMemo.lookup(key); len(hint) > 0 {
-		stats.WarmStart = true
-		hinted, feas = takeHinted(feas, hint, &hintBuf)
-	}
 	heapify(feas)
 
 	var best Result
 	bestIdx := -1
 	var bestObj float64
-	evaluated := make([]rankedOrg, 0, 64)
 	pruneRest := false // the heap's remaining candidates are all pruned
-	for n := len(hinted) + len(feas); n > 0; n-- {
+	for n := len(feas); n > 0; n-- {
 		if err := ctx.Err(); err != nil {
 			return Result{}, stats, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
 		}
@@ -176,16 +159,10 @@ func optimizePruned(ctx context.Context, cfg *Config) (Result, SearchStats, erro
 			stats.Pruned++
 			continue
 		}
-		var c searchCandidate
-		fromHeap := len(hinted) == 0
-		if fromHeap {
-			c = popCandidate(&feas)
-		} else {
-			c, hinted = hinted[0], hinted[1:]
-		}
+		c := popCandidate(&feas)
 		if bestIdx >= 0 && (c.bound > bestObj || (c.bound == bestObj && c.idx > bestIdx)) {
 			stats.Pruned++
-			pruneRest = fromHeap
+			pruneRest = true
 			continue
 		}
 		org := enumeration[c.idx]
@@ -193,7 +170,6 @@ func optimizePruned(ctx context.Context, cfg *Config) (Result, SearchStats, erro
 		r := bc.characterize(org, &d)
 		stats.Characterized++
 		obj := r.objective(cfg.Target)
-		evaluated = append(evaluated, rankedOrg{obj: obj, idx: c.idx})
 		if bestIdx < 0 || obj < bestObj || (obj == bestObj && c.idx < bestIdx) {
 			best, bestObj, bestIdx = r, obj, c.idx
 		}
@@ -202,44 +178,7 @@ func optimizePruned(ctx context.Context, cfg *Config) (Result, SearchStats, erro
 		return Result{}, stats, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
 			cfg.Cell.Name, cfg.CapacityBytes)
 	}
-	searchMemo.update(key, evaluated)
 	return best, stats, nil
-}
-
-// rankedOrg records one characterized organization for the family memo.
-type rankedOrg struct {
-	obj float64
-	idx int // position in enumeration
-}
-
-// takeHinted removes the hinted organizations (enumeration indices,
-// best-first from the neighboring solve) from the staged candidates and
-// returns them in hint order, stored in buf, plus the remaining candidates
-// compacted in place. A hinted organization that is not staged (it is
-// infeasible here) is skipped, and a repeated hint counts at its first
-// position.
-func takeHinted(feas []searchCandidate, hint []int, buf *[memoRankCap]searchCandidate) (hinted, rest []searchCandidate) {
-	var rank [spaceSize]uint8 // 1 + hint position by enumeration index; 0 when unhinted
-	for h := len(hint) - 1; h >= 0; h-- {
-		rank[hint[h]] = uint8(h + 1)
-	}
-	var found [memoRankCap]bool
-	rest = feas[:0]
-	for _, c := range feas {
-		if r := rank[c.idx]; r != 0 {
-			buf[r-1], found[r-1] = c, true
-			continue
-		}
-		rest = append(rest, c)
-	}
-	// Close the gaps in hint order; a write never overtakes the read.
-	hinted = buf[:0]
-	for h := range hint {
-		if found[h] {
-			hinted = append(hinted, buf[h])
-		}
-	}
-	return hinted, rest
 }
 
 // heapify arranges h as a binary min-heap under before.
@@ -275,101 +214,6 @@ func siftDown(h []searchCandidate, i int) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-}
-
-// rankingMemo caches, per organization-search family, the ranking the last
-// solved member established. A family is everything about a Config except
-// its temperature and die count — the delta axes of the studies: adjacent
-// temperatures or layer counts differ only in a few physical scalars, so
-// the organizations that won at one design point are where the incumbent
-// hides at its neighbors. The memo only ever seeds the evaluation order;
-// a stale, colliding or missing entry changes the prune rate, never the
-// selected Result (see optimizePruned's correctness argument).
-type rankingMemo struct {
-	mu sync.Mutex
-	m  map[familyKey][]int // enumeration indices, best first
-}
-
-// memoRankCap bounds the stored ranking per family; memoFamilyCap bounds
-// the number of families so a long-lived server sweeping user-supplied
-// capacities cannot grow the memo without bound.
-const (
-	memoRankCap   = 32
-	memoFamilyCap = 4096
-)
-
-var searchMemo = &rankingMemo{m: make(map[familyKey][]int)}
-
-// familyKey identifies a search family. The cell is identified by name,
-// technology and three of its scalars — enough that distinct cells sharing
-// a name (possible for caller-constructed cells) land in distinct families
-// in practice; a collision would only perturb the evaluation order. The
-// scalars are kept as their bits, so every key equals itself (NaN too).
-type familyKey struct {
-	cell                        string
-	tech                        cell.Technology
-	areaF2, writePulse, readAmp uint64
-	capacity                    int64
-	blockBytes, ports           int
-	ecc                         bool
-	node                        string
-	style                       stack.Style
-	target                      Target
-}
-
-// familyOf returns cfg's search family.
-func familyOf(cfg *Config) familyKey {
-	return familyKey{
-		cell:       cfg.Cell.Name,
-		tech:       cfg.Cell.Tech,
-		areaF2:     math.Float64bits(cfg.Cell.AreaF2),
-		writePulse: math.Float64bits(cfg.Cell.WritePulseS),
-		readAmp:    math.Float64bits(cfg.Cell.ReadCurrentA),
-		capacity:   cfg.CapacityBytes,
-		blockBytes: cfg.BlockBytes,
-		ports:      cfg.Ports,
-		ecc:        cfg.ECC,
-		node:       cfg.Node.Name,
-		style:      cfg.Stack.Style,
-		target:     cfg.Target,
-	}
-}
-
-// lookup returns the family's last ranking (best first), or nil.
-func (m *rankingMemo) lookup(key familyKey) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.m[key]
-}
-
-// update stores the ranking of the organizations a search characterized,
-// best (objective, enumeration index) first, truncated to memoRankCap.
-func (m *rankingMemo) update(key familyKey, evaluated []rankedOrg) {
-	slices.SortFunc(evaluated, func(a, b rankedOrg) int {
-		switch {
-		case a.obj < b.obj:
-			return -1
-		case a.obj > b.obj:
-			return 1
-		}
-		return a.idx - b.idx
-	})
-	n := min(len(evaluated), memoRankCap)
-	rank := make([]int, n)
-	for i := range rank {
-		rank[i] = evaluated[i].idx
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, exists := m.m[key]; !exists && len(m.m) >= memoFamilyCap {
-		// Evict an arbitrary family; the memo is an ordering hint, so
-		// losing one only costs a future cold start.
-		for k := range m.m {
-			delete(m.m, k)
-			break
-		}
-	}
-	m.m[key] = rank
 }
 
 // characterizeAll evaluates every candidate organization on the shared

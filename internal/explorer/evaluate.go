@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"coldtall/internal/array"
@@ -316,8 +315,8 @@ func (e *Explorer) EvaluateAllContext(ctx context.Context, points []DesignPoint,
 // fills the cache with the grid's points, then the cells, which are
 // arithmetic on the warm cache, run on the pool. A point already cached
 // (or held by the persistence tier) costs a lookup, which is how a
-// restarted sweep job resumes. The first characterization to fail in
-// family order fails the sweep; otherwise the lowest failing cell does.
+// restarted sweep job resumes. The failing point at the lowest input index
+// fails the sweep; otherwise the lowest failing cell does.
 //
 // progress, when not nil, is called as cells complete with the cumulative
 // count (concurrently and possibly out of order; see
@@ -353,11 +352,10 @@ func (e *Explorer) EvaluateAllProgress(ctx context.Context, points []DesignPoint
 
 // CharacterizeAll characterizes points on the explorer's worker pool: first
 // the 350 K SRAM baseline that every slowdown check and normalization
-// reads, then the points in FamilyOrder, so the array layer's pruned
-// search re-verifies a warm ranking instead of cold-starting each
-// neighbor. Results land at input positions, so the output is identical to
-// a serial walk. The first characterization to fail in family order fails
-// the call; once ctx is done no further point is dispatched.
+// reads, then the points in input order. Results land at input positions,
+// so the output is identical to a serial walk. When several points fail,
+// the error is the one at the lowest input index, at any worker count;
+// once ctx is done no further point is dispatched.
 func (e *Explorer) CharacterizeAll(ctx context.Context, points []DesignPoint) ([]array.Result, error) {
 	out := make([]array.Result, len(points))
 	if len(points) == 0 {
@@ -366,67 +364,18 @@ func (e *Explorer) CharacterizeAll(ctx context.Context, points []DesignPoint) ([
 	if _, err := e.CharacterizeContext(ctx, Baseline()); err != nil {
 		return nil, err
 	}
-	order := FamilyOrder(points)
-	err := parallel.ForEachContext(ctx, len(order), e.Workers, func(k int) error {
-		r, err := e.CharacterizeContext(ctx, points[order[k]])
+	err := parallel.ForEachContext(ctx, len(points), e.Workers, func(i int) error {
+		r, err := e.CharacterizeContext(ctx, points[i])
 		if err != nil {
 			return err
 		}
-		out[order[k]] = r
+		out[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// FamilyKey groups design points that differ only along the delta axes of
-// the array search — temperature and die count. It deliberately mirrors
-// the family key of the array package's ranking memo: solving one member
-// seeds the organization ordering for the rest, so the sweep schedulers
-// walk families contiguously.
-func FamilyKey(p DesignPoint) string {
-	return fmt.Sprintf("%s|%v|%d|%s|%v", p.Cell.Name, p.Cell.Tech, p.Capacity(), p.Node.Name, p.Style)
-}
-
-// FamilyOrder returns a permutation of point indices that walks each
-// characterization family contiguously, members ordered by (dies,
-// temperature) so consecutive positions are neighboring design points. It
-// is the order CharacterizeAll characterizes a grid in: the array
-// layer's pruned search then re-verifies a warm ranking instead of
-// cold-starting per point. Only ORDER is defined here — callers still land
-// results at input positions, so outputs stay byte-identical to the naive
-// walk.
-func FamilyOrder(points []DesignPoint) []int {
-	type member struct{ point, seq int }
-	families := make(map[string][]member)
-	var keys []string
-	for i, p := range points {
-		k := FamilyKey(p)
-		if _, seen := families[k]; !seen {
-			keys = append(keys, k)
-		}
-		families[k] = append(families[k], member{point: i, seq: i})
-	}
-	order := make([]int, 0, len(points))
-	for _, k := range keys {
-		ms := families[k]
-		sort.SliceStable(ms, func(a, b int) bool {
-			pa, pb := points[ms[a].point], points[ms[b].point]
-			if pa.Dies != pb.Dies {
-				return pa.Dies < pb.Dies
-			}
-			if pa.Temperature != pb.Temperature {
-				return pa.Temperature < pb.Temperature
-			}
-			return ms[a].seq < ms[b].seq
-		})
-		for _, m := range ms {
-			order = append(order, m.point)
-		}
-	}
-	return order
 }
 
 // ReferenceBenchmark is the normalization workload of the paper's SPEC
